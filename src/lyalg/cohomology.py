@@ -31,8 +31,8 @@ products.
 """
 
 from .errors import AxiomsFailed, NotInvertible, ShapeMismatch, Unverified
-from .linalg import (Q0, Q1, frac, invert, is_zero_vec, mat_col, mat_vec,
-                     nullspace_basis, rank, rref, vadd, vscale, vsub, vzero)
+from .linalg import (Q0, Q1, Echelon, frac, invert, is_zero_vec, mat_col,
+                     mat_vec, solve, vadd, vscale, vsub, vzero)
 from .reps import RepAction
 
 
@@ -85,33 +85,38 @@ class SparseMat:
                 out[r] += v * vec[c]
         return tuple(out)
 
-    def nonzero_rows(self):
-        rows = {}
+    def row_dicts(self):
+        """One {col: value} dict per row; zero rows give empty dicts."""
+        rows = [{} for _ in range(self.rows)]
         for (r, c), v in self.data.items():
-            rows.setdefault(r, {})[c] = v
-        return [tuple(d.get(c, Q0) for c in range(self.cols)) for _, d in sorted(rows.items())]
+            rows[r][c] = v
+        return rows
+
+    def col_dicts(self):
+        """One {row: value} dict per column; zero columns give empty dicts."""
+        cols = [{} for _ in range(self.cols)]
+        for (r, c), v in self.data.items():
+            cols[c][r] = v
+        return cols
+
+    def nonzero_rows(self):
+        return [tuple(d.get(c, Q0) for c in range(self.cols)) for d in self.row_dicts() if d]
 
     def rank(self):
-        nz = self.nonzero_rows()
-        return rank(tuple(nz)) if nz else 0
+        return Echelon(self.row_dicts()).rank
 
     def nullity(self):
         return self.cols - self.rank()
 
     def nullspace(self):
-        nz = self.nonzero_rows()
-        if not nz:
-            return [tuple(Q1 if i == j else Q0 for j in range(self.cols))
-                    for i in range(self.cols)]
-        return nullspace_basis(tuple(nz))
+        return Echelon(self.row_dicts()).nullspace(self.cols)
 
     def column_space_basis(self):
-        cols = {}
-        for (r, c), v in self.data.items():
-            cols.setdefault(c, {})[r] = v
-        vecs = [tuple(d.get(r, Q0) for r in range(self.rows)) for _, d in sorted(cols.items())]
-        red, pivots = rref(tuple(vecs)) if vecs else ((), [])
-        return [red[i] for i in range(len(pivots))]
+        return list(Echelon(self.col_dicts()).dense_rows(self.rows))
+
+    def solve(self, b):
+        """Some x with self . x = b (free coordinates 0); raises Inconsistent."""
+        return solve(self.row_dicts(), b, ncols=self.cols)
 
     def to_dense(self):
         return tuple(tuple(self.data.get((r, c), Q0) for c in range(self.cols))
@@ -516,18 +521,13 @@ class TComplex:
         return (z, b, z - b)
 
     def cohomology_witnesses(self, p):
-        """Cocycle representatives spanning H^p."""
-        zbasis = self.matrix(p).nullspace()
-        bbasis = self.matrix(p - 1).column_space_basis()
-        chosen = []
-        current = tuple(bbasis)
-        cur_rank = rank(current) if current else 0
-        for v in zbasis:
-            cand = current + (v,)
-            r = rank(cand)
-            if r > cur_rank:
-                chosen.append(v)
-                current, cur_rank = cand, r
+        """Cocycle representatives spanning H^p.
+
+        Seeded with the coboundaries, an elimination keeps each Z^p basis
+        vector, in order, that is independent of everything kept before it.
+        """
+        span = Echelon(self.matrix(p - 1).col_dicts())
+        chosen = [v for v in self.matrix(p).nullspace() if span.insert(v)]
         return [Cochain.from_flat(p, self.m, self.n, v) for v in chosen]
 
 

@@ -146,75 +146,54 @@ def check_ly_axioms(A, all_violations=False):
     n = A.dim
     c, d = A.binary, A.ternary
     nz2, nz3 = A._nz2, A._nz3
-    rng = range(n)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                if ck.done:
-                    break
-                res = vzero(n)
-                if nz2[i][j]:
-                    res = vadd(res, A._b2_vl(c[i][j], k))
-                if nz2[j][k]:
-                    res = vadd(res, A._b2_vl(c[j][k], i))
-                if nz2[k][i]:
-                    res = vadd(res, A._b2_vl(c[k][i], j))
-                res = vadd(res, d[i][j][k])
-                res = vadd(res, d[j][k][i])
-                res = vadd(res, d[k][i][j])
-                if not is_zero_vec(res):
-                    ck.record("LY1", (i, j, k), res)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    if ck.done:
-                        break
-                    res = vzero(n)
-                    hit = False
-                    if nz2[i][j]:
-                        res = vadd(res, A._t3_v1(c[i][j], k, l)); hit = True
-                    if nz2[j][k]:
-                        res = vadd(res, A._t3_v1(c[j][k], i, l)); hit = True
-                    if nz2[k][i]:
-                        res = vadd(res, A._t3_v1(c[k][i], j, l)); hit = True
-                    if hit and not is_zero_vec(res):
-                        ck.record("LY2", (i, j, k, l), res)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    if ck.done:
-                        break
-                    res = vzero(n)
-                    hit = False
-                    if nz2[k][l]:
-                        res = vadd(res, A._t3_v3(i, j, c[k][l])); hit = True
-                    if nz3[i][j][k]:
-                        res = vsub(res, A._b2_vl(d[i][j][k], l)); hit = True
-                    if nz3[i][j][l]:
-                        res = vsub(res, A._b2_vr(k, d[i][j][l])); hit = True
-                    if hit and not is_zero_vec(res):
-                        ck.record("LY3", (i, j, k, l), res)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    for m in rng:
-                        if ck.done:
-                            break
-                        res = vzero(n)
-                        hit = False
-                        if nz3[k][l][m]:
-                            res = vadd(res, A._t3_v3(i, j, d[k][l][m])); hit = True
-                        if nz3[i][j][k]:
-                            res = vsub(res, A._t3_v1(d[i][j][k], l, m)); hit = True
-                        if nz3[i][j][l]:
-                            res = vsub(res, A._t3_v2(k, d[i][j][l], m)); hit = True
-                        if nz3[i][j][m]:
-                            res = vsub(res, A._t3_v3(k, l, d[i][j][m])); hit = True
-                        if hit and not is_zero_vec(res):
-                            ck.record("LY4", (i, j, k, l, m), res)
+    for i, j, k in ck.tuples(n, 3):
+        res = vzero(n)
+        if nz2[i][j]:
+            res = vadd(res, A._b2_vl(c[i][j], k))
+        if nz2[j][k]:
+            res = vadd(res, A._b2_vl(c[j][k], i))
+        if nz2[k][i]:
+            res = vadd(res, A._b2_vl(c[k][i], j))
+        res = vadd(res, d[i][j][k])
+        res = vadd(res, d[j][k][i])
+        res = vadd(res, d[k][i][j])
+        if not is_zero_vec(res):
+            ck.record("LY1", (i, j, k), res)
+    for i, j, k, l in ck.tuples(n, 4):
+        res = vzero(n)
+        hit = False
+        if nz2[i][j]:
+            res = vadd(res, A._t3_v1(c[i][j], k, l)); hit = True
+        if nz2[j][k]:
+            res = vadd(res, A._t3_v1(c[j][k], i, l)); hit = True
+        if nz2[k][i]:
+            res = vadd(res, A._t3_v1(c[k][i], j, l)); hit = True
+        if hit and not is_zero_vec(res):
+            ck.record("LY2", (i, j, k, l), res)
+    for i, j, k, l in ck.tuples(n, 4):
+        res = vzero(n)
+        hit = False
+        if nz2[k][l]:
+            res = vadd(res, A._t3_v3(i, j, c[k][l])); hit = True
+        if nz3[i][j][k]:
+            res = vsub(res, A._b2_vl(d[i][j][k], l)); hit = True
+        if nz3[i][j][l]:
+            res = vsub(res, A._b2_vr(k, d[i][j][l])); hit = True
+        if hit and not is_zero_vec(res):
+            ck.record("LY3", (i, j, k, l), res)
+    for i, j, k, l, m in ck.tuples(n, 5):
+        res = vzero(n)
+        hit = False
+        if nz3[k][l][m]:
+            res = vadd(res, A._t3_v3(i, j, d[k][l][m])); hit = True
+        if nz3[i][j][k]:
+            res = vsub(res, A._t3_v1(d[i][j][k], l, m)); hit = True
+        if nz3[i][j][l]:
+            res = vsub(res, A._t3_v2(k, d[i][j][l], m)); hit = True
+        if nz3[i][j][m]:
+            res = vsub(res, A._t3_v3(k, l, d[i][j][m])); hit = True
+        if hit and not is_zero_vec(res):
+            ck.record("LY4", (i, j, k, l, m), res)
     rep = ck.report()
     if rep.passed:
         A.verified = True
@@ -300,22 +279,15 @@ def check_homomorphism(A, B, phi, all_violations=False):
     from .linalg import mat_vec
     ck = Checker("homomorphism(%s->%s)" % (A.name, B.name), all_violations)
     cols = [mat_vec(phi, A.e(i)) for i in range(A.dim)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if ck.done:
-                break
-            res = vsub(mat_vec(phi, A.binary[i][j]), B.bracket2(cols[i], cols[j]))
-            if not is_zero_vec(res):
-                ck.record("hom-binary", (i, j), res)
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                if ck.done:
-                    break
-                res = vsub(mat_vec(phi, A.ternary[i][j][k]),
-                           B.bracket3(cols[i], cols[j], cols[k]))
-                if not is_zero_vec(res):
-                    ck.record("hom-ternary", (i, j, k), res)
+    for i, j in ck.tuples(A.dim, 2):
+        res = vsub(mat_vec(phi, A.binary[i][j]), B.bracket2(cols[i], cols[j]))
+        if not is_zero_vec(res):
+            ck.record("hom-binary", (i, j), res)
+    for i, j, k in ck.tuples(A.dim, 3):
+        res = vsub(mat_vec(phi, A.ternary[i][j][k]),
+                   B.bracket3(cols[i], cols[j], cols[k]))
+        if not is_zero_vec(res):
+            ck.record("hom-ternary", (i, j, k), res)
     return ck.report()
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .cohomology import Cochain, TComplex, pair_basis
 from .errors import DimMismatch, Inconsistent, InvalidDeformation
 from .linalg import (Q0, is_zero_mat, is_zero_vec, mat, mat_add, mat_col,
-                     mat_mul, mat_sub, mat_vec, mat_zero, rank, solve, vadd,
+                     mat_mul, mat_sub, mat_vec, mat_zero, rank, vadd,
                      vscale, vsub, vzero)
 from .reports import Checker, Report
 
@@ -97,21 +97,14 @@ def check_order_n(d, all_violations=False):
     Ts = d.all_terms
     ck = Checker("order-%d-deformation" % d.order, all_violations)
     for s in range(1, d.order + 1):
-        for a in range(m):
-            for b in range(m):
-                if ck.done:
-                    break
-                res = binary_coefficient(r, Ts, s, h.e(a), h.e(b))
-                if not is_zero_vec(res):
-                    ck.record("deform-binary-t^%d" % s, (a, b), res)
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    if ck.done:
-                        break
-                    res = ternary_coefficient(r, Ts, s, h.e(a), h.e(b), h.e(c))
-                    if not is_zero_vec(res):
-                        ck.record("deform-ternary-t^%d" % s, (a, b, c), res)
+        for a, b in ck.tuples(m, 2):
+            res = binary_coefficient(r, Ts, s, h.e(a), h.e(b))
+            if not is_zero_vec(res):
+                ck.record("deform-binary-t^%d" % s, (a, b), res)
+        for a, b, c in ck.tuples(m, 3):
+            res = ternary_coefficient(r, Ts, s, h.e(a), h.e(b), h.e(c))
+            if not is_zero_vec(res):
+                ck.record("deform-ternary-t^%d" % s, (a, b, c), res)
     return ck.report({"order": d.order})
 
 
@@ -382,14 +375,14 @@ def extend(d):
     cx = d.complex()
     A = cx.matrix(1)
     rhs = tuple(-v for v in ob.as_cochain.as_flat())
-    dense = A.to_dense()
     m, n = d.base.action.carrier.dim, d.base.action.acting.dim
     data = {"obstruction_closed": ob.closed}
     try:
-        x = solve(dense, rhs)
+        x = A.solve(rhs)
     except Inconsistent:
-        rk = A.rank()
-        rk_aug = rank(tuple(tuple(row) + (rhs[i],) for i, row in enumerate(dense)))
+        rows = A.row_dicts()
+        rk = rank(rows)
+        rk_aug = rank([{**row, A.cols: b} for row, b in zip(rows, rhs)])
         data.update({"extendable": False, "rank": rk, "rank_augmented": rk_aug})
         rep = Report("deformation-extension", "fail", [], data)
         return None, rep
@@ -411,10 +404,8 @@ def difference_class(op, T1, T2):
     n, m = r.acting.dim, r.carrier.dim
     diff = mat_sub(mat(T2), mat(T1))
     rhs = _flatten_map(diff, m)
-    A = cx.matrix(0)
-    dense = A.to_dense()
     try:
-        x = solve(dense, rhs)
+        x = cx.matrix(0).solve(rhs)
     except Inconsistent:
         return Report("difference-class", "fail", [],
                       {"cohomologous": False})

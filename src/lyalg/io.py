@@ -18,7 +18,8 @@ values is an error.  Representation files are
 with matrices as row-major arrays of rational strings; operator files are
 {"action": ..., "T": matrix}; post-algebra files replace binary/ternary with
 the four keys dot/star/angle/brace.  File references resolve relative to the
-referencing file's directory.
+referencing file's directory.  JSON booleans are never read as numbers: as an
+index, a dim or a rational they are a FormatError.
 """
 
 import json
@@ -58,6 +59,8 @@ def _field(doc, key, where):
 
 
 def _frac_str(v, where):
+    if isinstance(v, bool):
+        raise FormatError("%s: bad rational %r" % (where, v))
     try:
         return frac(v if not isinstance(v, float) else str(v))
     except (ValueError, ZeroDivisionError) as e:
@@ -122,10 +125,21 @@ def _fill_antisym(a, b, diag, fwd, bwd, where, label):
         a[:] = neg_b
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_idx(where, dim, *idx):
     for i in idx:
-        if not isinstance(i, int) or not 0 <= i < dim:
+        if not _is_int(i) or not 0 <= i < dim:
             raise FormatError("%s: index %r out of range 0..%d" % (where, i, dim - 1))
+
+
+def _read_dim(doc, name):
+    dim = _field(doc, "dim", name)
+    if not _is_int(dim) or dim < 0:
+        raise FormatError("%s: dim must be a non-negative integer" % name)
+    return dim
 
 
 def _read_matrix(rows, where, nr=None, nc=None):
@@ -145,9 +159,7 @@ def _read_matrix(rows, where, nr=None, nc=None):
 def load_algebra(source, base_dir=None):
     doc, here = _load_doc(source, base_dir)
     name = doc.get("name", "algebra")
-    dim = _field(doc, "dim", name)
-    if not isinstance(dim, int) or dim < 0:
-        raise FormatError("%s: dim must be a non-negative integer" % name)
+    dim = _read_dim(doc, name)
     binary = _read_sparse2(doc.get("binary"), dim, name + ".binary", antisym=True)
     ternary = _read_sparse3(doc.get("ternary"), dim, name + ".ternary", antisym=True)
     return LYAlgebra(dim, binary, ternary, basis=doc.get("basis"), name=name)
@@ -187,9 +199,7 @@ def load_operator(source, base_dir=None):
 def load_post(source, base_dir=None):
     doc, here = _load_doc(source, base_dir)
     name = doc.get("name", "post-algebra")
-    dim = _field(doc, "dim", name)
-    if not isinstance(dim, int) or dim < 0:
-        raise FormatError("%s: dim must be a non-negative integer" % name)
+    dim = _read_dim(doc, name)
     dot = _read_sparse2(doc.get("dot"), dim, name + ".dot", antisym=True)
     star = _read_sparse2(doc.get("star"), dim, name + ".star", antisym=False)
     angle = _read_sparse3(doc.get("angle"), dim, name + ".angle", antisym=True)

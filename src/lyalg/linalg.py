@@ -1,7 +1,8 @@
 """Exact rational linear algebra.
 
 Scalars are ``fractions.Fraction`` (always reduced, positive denominator).
-Vectors are tuples of Fraction; matrices are tuples of row tuples.
+Vectors are tuples of Fraction; matrices are tuples of row tuples.  The
+elimination routine also takes sparse rows, dicts {column: Fraction}.
 There are no tolerances anywhere: equality means exact equality.
 """
 
@@ -119,68 +120,158 @@ def mat_col(m, j):
 
 # ---------------------------------------------------------------------------
 # elimination
+#
+# Every rank, kernel, solve and subspace below goes through one sparse
+# row-echelon routine.  Rows are dicts {column: value} of nonzero entries; a
+# stored row starts at its pivot, the smallest column it touches, with the
+# pivot entry normalised to 1, and no two stored rows share a pivot.  The
+# pivots are therefore the leftmost possible ones, and after back-substitution
+# the rows are the canonical reduced echelon form of their span, whatever the
+# order the rows came in.
+
+def _as_dict(row):
+    if isinstance(row, dict):
+        return {c: v for c, v in row.items() if v != 0}
+    return {c: v for c, v in enumerate(row) if v != 0}
+
+
+def _axpy(row, f, other):
+    """row -= f * other, in place, dropping entries that cancel."""
+    for c, v in other.items():
+        new = row.get(c, Q0) - f * v
+        if new:
+            row[c] = new
+        else:
+            del row[c]
+
+
+class Echelon:
+    """Incremental sparse row echelon form over Q.
+
+    ``insert`` adds a row (a dict {col: value} or a dense sequence) and reports
+    whether it was independent of the rows before it.  ``items`` back-substitutes
+    on demand and returns the canonical reduced echelon basis.
+    """
+
+    def __init__(self, rows=()):
+        self._rows = {}            # pivot column -> row dict with row[pivot] == 1
+        self._reduced = True
+        for row in rows:
+            self.insert(row)
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    @property
+    def pivots(self):
+        return sorted(self._rows)
+
+    def reduce(self, row):
+        """What is left of ``row`` after eliminating its leading entries.
+
+        The result is empty exactly when the row lies in the span.
+        """
+        r = _as_dict(row)
+        stored = self._rows
+        while r:
+            c = min(r)
+            p = stored.get(c)
+            if p is None:
+                break
+            _axpy(r, r[c], p)
+        return r
+
+    def insert(self, row):
+        """Add a row; True when it was independent of the rows before it."""
+        r = self.reduce(row)
+        if not r:
+            return False
+        c = min(r)
+        inv = Q1 / r[c]
+        self._rows[c] = {k: v * inv for k, v in r.items()}
+        self._reduced = False
+        return True
+
+    def items(self):
+        """The reduced echelon basis as (pivot, row dict), pivots increasing."""
+        stored = self._rows
+        if not self._reduced:
+            # a row only meets pivots to its right, which are reduced first
+            for c in sorted(stored, reverse=True):
+                row = stored[c]
+                for k in [k for k in row if k != c and k in stored]:
+                    _axpy(row, row[k], stored[k])
+            self._reduced = True
+        return sorted(stored.items())
+
+    def dense_rows(self, ncols):
+        return tuple(tuple(row.get(c, Q0) for c in range(ncols)) for _, row in self.items())
+
+    def nullspace(self, ncols):
+        """Kernel basis of the rows in Q^ncols, one vector per free column."""
+        hits = {}
+        for pc, row in self.items():
+            for c, v in row.items():
+                if c != pc:
+                    hits.setdefault(c, []).append((pc, v))
+        basis = []
+        for c in range(ncols):
+            if c in self._rows:
+                continue
+            v = [Q0] * ncols
+            v[c] = Q1
+            for pc, val in hits.get(c, ()):
+                v[pc] = -val
+            basis.append(tuple(v))
+        return basis
+
 
 def rref(rows):
     """Reduced row echelon form. Returns (rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        p = next((i for i in range(r, nr) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        inv = Q1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nr):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in m), pivots
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    ech = Echelon(rows)
+    red = ech.dense_rows(nc)
+    return red + ((Q0,) * nc,) * (nr - len(red)), ech.pivots
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    """Rank of dense or sparse (dict) rows."""
+    return Echelon(rows).rank
 
 
-def nullspace_basis(rows):
-    """Vectors spanning {v : rows . v = 0}; one per free column."""
-    nc = len(rows[0]) if rows else 0
-    if not rows:
-        return [tuple(Q1 if i == j else Q0 for j in range(nc)) for i in range(nc)]
-    red, pivots = rref(rows)
-    pivset = set(pivots)
-    basis = []
-    for c in range(nc):
-        if c in pivset:
-            continue
-        v = [Q0] * nc
-        v[c] = Q1
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][c]
-        basis.append(tuple(v))
-    return basis
+def nullspace_basis(rows, ncols=None):
+    """Vectors spanning {v : rows . v = 0}; one per free column.
+
+    Sparse (dict) rows need ``ncols``.
+    """
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    return Echelon(rows).nullspace(ncols)
 
 
-def solve(rows, b):
-    """Some x with rows . x = b; raises Inconsistent when there is none."""
+def solve(rows, b, ncols=None):
+    """Some x with rows . x = b; raises Inconsistent when there is none.
+
+    The free coordinates of x are 0.  Sparse (dict) rows need ``ncols``.
+    """
     nr = len(rows)
     if len(b) != nr:
         raise DimMismatch("rhs length %d != %d rows" % (len(b), nr))
-    nc = len(rows[0]) if nr else 0
-    aug = [list(r) + [bv] for r, bv in zip(rows, b)]
-    red, pivots = rref(aug)
-    if nc in pivots:
+    if ncols is None:
+        ncols = len(rows[0]) if nr else 0
+    ech = Echelon()
+    for row, bv in zip(rows, b):
+        row = _as_dict(row)
+        if bv != 0:
+            row[ncols] = bv
+        ech.insert(row)
+    if ncols in ech._rows:
         raise Inconsistent("rhs outside column space")
-    x = [Q0] * nc
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][nc]
+    x = [Q0] * ncols
+    for pc, row in ech.items():
+        x[pc] = row.get(ncols, Q0)
     return tuple(x)
 
 
@@ -188,11 +279,10 @@ def invert(m):
     n = len(m)
     if any(len(r) != n for r in m):
         raise DimMismatch("inverse needs a square matrix")
-    aug = [list(r) + list(mat_id(n)[i]) for i, r in enumerate(m)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    ech = Echelon(list(r) + [Q1 if j == i else Q0 for j in range(n)] for i, r in enumerate(m))
+    if ech.pivots[:n] != list(range(n)):
         raise NotInvertible("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))
+    return tuple(row[n:] for row in ech.dense_rows(2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +300,8 @@ class Subspace:
         for v in spanning:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("vector length %d in ambient %d" % (len(v), ambient_dim))
-        if spanning:
-            red, pivots = rref(tuple(tuple(frac(x) for x in v) for v in spanning))
-            self.basis = tuple(red[i] for i in range(len(pivots)))
-        else:
-            self.basis = ()
+        self._ech = Echelon(tuple(frac(x) for x in v) for v in spanning)
+        self.basis = self._ech.dense_rows(ambient_dim)
 
     @property
     def dim(self):
@@ -223,28 +310,17 @@ class Subspace:
     def contains(self, v):
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length %d in ambient %d" % (len(v), self.ambient_dim))
-        if is_zero_vec(v):
-            return True
-        if not self.basis:
-            return False
-        return rank(self.basis + (tuple(v),)) == self.dim
+        return not self._ech.reduce(v)
 
     def intersect(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch("ambients %d vs %d" % (self.ambient_dim, other.ambient_dim))
-        if not self.basis or not other.basis:
-            return Subspace(self.ambient_dim)
-        # solutions of  sum a_i u_i - sum b_j w_j = 0  give the intersection
-        cols = [tuple(v) for v in self.basis] + [vscale(Q0 - Q1, v) for v in other.basis]
-        stacked = transpose(cols)  # ambient x (k+l)
-        vectors = []
-        for coeffs in nullspace_basis(stacked):
-            v = vzero(self.ambient_dim)
-            for a, u in zip(coeffs[:self.dim], self.basis):
-                if a != 0:
-                    v = vadd(v, vscale(a, u))
-            vectors.append(v)
-        return Subspace(self.ambient_dim, vectors)
+        n = self.ambient_dim
+        # Zassenhaus: the rows (u | u) and (w | 0) reduce to (0 | x) exactly for
+        # x in the intersection
+        ech = Echelon([u + u for u in self.basis] + [w + (Q0,) * n for w in other.basis])
+        return Subspace(n, [tuple(row.get(n + c, Q0) for c in range(n))
+                            for pc, row in ech.items() if pc >= n])
 
     def sum(self, other):
         if self.ambient_dim != other.ambient_dim:

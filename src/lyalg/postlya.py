@@ -167,60 +167,49 @@ def check_post_axioms(A, all_violations=False, as_printed=False):
     e = A._e
     rng = range(n)
 
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    if ck.done:
-                        break
-                    x, y, z, w = e[i], e[j], e[k], e[l]
-                    # P1: {z,[x,y]_C,w} = {y*z,x,w} - {x*z,y,w}
-                    res = A.brace_at(z, A.subb_at(x, y), w)
-                    res = vsub(res, A.brace_at(A.star_at(y, z), x, w))
-                    res = vadd(res, A.brace_at(A.star_at(x, z), y, w))
-                    if not is_zero_vec(res):
-                        ck.record("P1", (i, j, k, l), res)
-                    # P2: {x,y,[z,w]_C} = z*{x,y,w} - w*{x,y,z}
-                    res = A.brace_at(x, y, A.subb_at(z, w))
-                    res = vsub(res, A.star_at(z, A.brace_at(x, y, w)))
-                    res = vadd(res, A.star_at(w, A.brace_at(x, y, z)))
-                    if not is_zero_vec(res):
-                        ck.record("P2", (i, j, k, l), res)
-                    # P3: <x,y,z>_C*w = {x,y,z*w}_D - z*{x,y,w}_D
-                    res = A.star_at(A.subt_at(x, y, z), w)
-                    res = vsub(res, A.brace_D_at(x, y, A.star_at(z, w)))
-                    res = vadd(res, A.star_at(z, A.brace_D_at(x, y, w)))
-                    if not is_zero_vec(res):
-                        ck.record("P3", (i, j, k, l), res)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    for m in rng:
-                        if ck.done:
-                            break
-                        x, y, z, w, t = e[i], e[j], e[k], e[l], e[m]
-                        # P4: {x,y,<z,w,t>_C} =
-                        #     {{x,y,z},w,t} - {{x,y,w},z,t} + {z,w,{x,y,t}}_D
-                        res = A.brace_at(x, y, A.subt_at(z, w, t))
-                        first = (A.brace_at(A.brace_at(x, w, z), w, t) if as_printed
-                                 else A.brace_at(A.brace_at(x, y, z), w, t))
-                        res = vsub(res, first)
-                        res = vadd(res, A.brace_at(A.brace_at(x, y, w), z, t))
-                        res = vsub(res, A.brace_D_at(z, w, A.brace_at(x, y, t)))
-                        if not is_zero_vec(res):
-                            ck.record("P4", (i, j, k, l, m), res)
-                        # P5: {x,y,{z,w,t}}_D =
-                        #     {{x,y,z}_D,w,t} + {z,<x,y,w>_C,t} + {z,w,<x,y,t>_C}
-                        if as_printed:
-                            res = A.brace_at(x, y, A.brace_D_at(z, w, t))
-                        else:
-                            res = A.brace_D_at(x, y, A.brace_at(z, w, t))
-                        res = vsub(res, A.brace_at(A.brace_D_at(x, y, z), w, t))
-                        res = vsub(res, A.brace_at(z, A.subt_at(x, y, w), t))
-                        res = vsub(res, A.brace_at(z, w, A.subt_at(x, y, t)))
-                        if not is_zero_vec(res):
-                            ck.record("P5", (i, j, k, l, m), res)
+    for i, j, k, l in ck.tuples(n, 4):
+        x, y, z, w = e[i], e[j], e[k], e[l]
+        # P1: {z,[x,y]_C,w} = {y*z,x,w} - {x*z,y,w}
+        res = A.brace_at(z, A.subb_at(x, y), w)
+        res = vsub(res, A.brace_at(A.star_at(y, z), x, w))
+        res = vadd(res, A.brace_at(A.star_at(x, z), y, w))
+        if not is_zero_vec(res):
+            ck.record("P1", (i, j, k, l), res)
+        # P2: {x,y,[z,w]_C} = z*{x,y,w} - w*{x,y,z}
+        res = A.brace_at(x, y, A.subb_at(z, w))
+        res = vsub(res, A.star_at(z, A.brace_at(x, y, w)))
+        res = vadd(res, A.star_at(w, A.brace_at(x, y, z)))
+        if not is_zero_vec(res):
+            ck.record("P2", (i, j, k, l), res)
+        # P3: <x,y,z>_C*w = {x,y,z*w}_D - z*{x,y,w}_D
+        res = A.star_at(A.subt_at(x, y, z), w)
+        res = vsub(res, A.brace_D_at(x, y, A.star_at(z, w)))
+        res = vadd(res, A.star_at(z, A.brace_D_at(x, y, w)))
+        if not is_zero_vec(res):
+            ck.record("P3", (i, j, k, l), res)
+    for i, j, k, l, m in ck.tuples(n, 5):
+        x, y, z, w, t = e[i], e[j], e[k], e[l], e[m]
+        # P4: {x,y,<z,w,t>_C} =
+        #     {{x,y,z},w,t} - {{x,y,w},z,t} + {z,w,{x,y,t}}_D
+        res = A.brace_at(x, y, A.subt_at(z, w, t))
+        first = (A.brace_at(A.brace_at(x, w, z), w, t) if as_printed
+                 else A.brace_at(A.brace_at(x, y, z), w, t))
+        res = vsub(res, first)
+        res = vadd(res, A.brace_at(A.brace_at(x, y, w), z, t))
+        res = vsub(res, A.brace_D_at(z, w, A.brace_at(x, y, t)))
+        if not is_zero_vec(res):
+            ck.record("P4", (i, j, k, l, m), res)
+        # P5: {x,y,{z,w,t}}_D =
+        #     {{x,y,z}_D,w,t} + {z,<x,y,w>_C,t} + {z,w,<x,y,t>_C}
+        if as_printed:
+            res = A.brace_at(x, y, A.brace_D_at(z, w, t))
+        else:
+            res = A.brace_D_at(x, y, A.brace_at(z, w, t))
+        res = vsub(res, A.brace_at(A.brace_D_at(x, y, z), w, t))
+        res = vsub(res, A.brace_at(z, A.subt_at(x, y, w), t))
+        res = vsub(res, A.brace_at(z, w, A.subt_at(x, y, t)))
+        if not is_zero_vec(res):
+            ck.record("P5", (i, j, k, l, m), res)
 
     def central(eq, args, v):
         if is_zero_vec(v):
@@ -237,48 +226,37 @@ def check_post_axioms(A, all_violations=False, as_printed=False):
                 if not is_zero_vec(res):
                     ck.record(eq + "-angle3", args + (s, t), res)
 
-    for i in rng:
-        for j in rng:
-            if ck.done:
-                break
-            # P6: star images are central in (dot, angle); by default the same
-            # holds for brace images (needed for R(x,y) to be an action)
-            central("P6-star", (i, j), A.star[i][j])
-            # P7: star kills dot-products; brace kills them in slot one
-            dp = A.dot[i][j]
-            if not is_zero_vec(dp):
-                for s in rng:
-                    res = A.star_at(e[s], dp)
+    for i, j in ck.tuples(n, 2):
+        # P6: star images are central in (dot, angle); by default the same
+        # holds for brace images (needed for R(x,y) to be an action)
+        central("P6-star", (i, j), A.star[i][j])
+        # P7: star kills dot-products; brace kills them in slot one
+        dp = A.dot[i][j]
+        if not is_zero_vec(dp):
+            for s in rng:
+                res = A.star_at(e[s], dp)
+                if not is_zero_vec(res):
+                    ck.record("P7-star", (s, i, j), res)
+                for t in rng:
+                    res = A.brace_at(dp, e[s], e[t])
                     if not is_zero_vec(res):
-                        ck.record("P7-star", (s, i, j), res)
-                    for t in rng:
-                        res = A.brace_at(dp, e[s], e[t])
-                        if not is_zero_vec(res):
-                            ck.record("P7-brace", (i, j, s, t), res)
+                        ck.record("P7-brace", (i, j, s, t), res)
     if not as_printed:
-        for i in rng:
-            for j in rng:
-                for k in rng:
-                    if ck.done:
-                        break
-                    central("P6-brace", (i, j, k), A.brace[i][j][k])
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                if ck.done:
-                    break
-                # P8: star and brace (slot one) kill angle-products
-                ap = A.angle[i][j][k]
-                if is_zero_vec(ap):
-                    continue
-                for s in rng:
-                    res = A.star_at(e[s], ap)
-                    if not is_zero_vec(res):
-                        ck.record("P8-star", (s, i, j, k), res)
-                    for t in rng:
-                        res = A.brace_at(ap, e[s], e[t])
-                        if not is_zero_vec(res):
-                            ck.record("P8-brace", (i, j, k, s, t), res)
+        for i, j, k in ck.tuples(n, 3):
+            central("P6-brace", (i, j, k), A.brace[i][j][k])
+    for i, j, k in ck.tuples(n, 3):
+        # P8: star and brace (slot one) kill angle-products
+        ap = A.angle[i][j][k]
+        if is_zero_vec(ap):
+            continue
+        for s in rng:
+            res = A.star_at(e[s], ap)
+            if not is_zero_vec(res):
+                ck.record("P8-star", (s, i, j, k), res)
+            for t in rng:
+                res = A.brace_at(ap, e[s], e[t])
+                if not is_zero_vec(res):
+                    ck.record("P8-brace", (i, j, k, s, t), res)
     rep = ck.report()
     if rep.passed and not as_printed:
         A.verified = True
@@ -360,25 +338,22 @@ def check_post_homomorphism(A, B, psi, all_violations=False):
         raise DimMismatch("map must be %dx%d" % (B.dim, A.dim))
     ck = Checker("post-homomorphism(%s->%s)" % (A.name, B.name), all_violations)
     cols = [mat_col(psi, i) for i in range(A.dim)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if ck.done:
-                break
-            pairs = [("hom-dot", A.dot[i][j], B.dot_at(cols[i], cols[j])),
-                     ("hom-star", A.star[i][j], B.star_at(cols[i], cols[j]))]
+    for i, j in ck.tuples(A.dim, 2):
+        pairs = [("hom-dot", A.dot[i][j], B.dot_at(cols[i], cols[j])),
+                 ("hom-star", A.star[i][j], B.star_at(cols[i], cols[j]))]
+        for eq, src, img in pairs:
+            res = vsub(mat_vec(psi, src), img)
+            if not is_zero_vec(res):
+                ck.record(eq, (i, j), res)
+        for k in range(A.dim):
+            pairs = [("hom-angle", A.angle[i][j][k],
+                      B.angle_at(cols[i], cols[j], cols[k])),
+                     ("hom-brace", A.brace[i][j][k],
+                      B.brace_at(cols[i], cols[j], cols[k]))]
             for eq, src, img in pairs:
                 res = vsub(mat_vec(psi, src), img)
                 if not is_zero_vec(res):
-                    ck.record(eq, (i, j), res)
-            for k in range(A.dim):
-                pairs = [("hom-angle", A.angle[i][j][k],
-                          B.angle_at(cols[i], cols[j], cols[k])),
-                         ("hom-brace", A.brace[i][j][k],
-                          B.brace_at(cols[i], cols[j], cols[k]))]
-                for eq, src, img in pairs:
-                    res = vsub(mat_vec(psi, src), img)
-                    if not is_zero_vec(res):
-                        ck.record(eq, (i, j, k), res)
+                    ck.record(eq, (i, j, k), res)
     rep = ck.report()
     if rep.passed and A.verified and B.verified:
         sub = check_homomorphism(subadjacent(A), subadjacent(B), psi)

@@ -1,5 +1,6 @@
 """Pass/fail reports with equation witnesses."""
 
+import itertools
 from dataclasses import dataclass, field
 
 from .linalg import format_frac
@@ -71,6 +72,17 @@ class Checker:
     def done(self):
         """True once further scanning cannot change the report."""
         return self._saturated
+
+    def tuples(self, n, k):
+        """Basis index k-tuples over range(n) in lexicographic order.
+
+        The scan ends as soon as the report is settled, so a capped check stops
+        at its tenth witness instead of finishing every loop.
+        """
+        for t in itertools.product(range(n), repeat=k):
+            if self._saturated:
+                return
+            yield t
 
     @property
     def failed(self):

@@ -173,43 +173,33 @@ def check_representation(r, all_violations=False):
     g = r.acting
     n = g.dim
     ck = Checker("representation(%s on %s)" % (g.name, r.carrier.name), all_violations)
-    rng = range(n)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                if ck.done:
-                    break
-                res = mat_sub(mat_add(r._mu_v1(g.binary[i][j], k),
-                                      mat_mul(r.mu[j][k], r.rho[i])),
-                              mat_mul(r.mu[i][k], r.rho[j]))
-                if not is_zero_mat(res):
-                    ck.record("R1", (i, j, k), res)
-                res = mat_sub(mat_add(r._mu_v2(i, g.binary[j][k]),
-                                      mat_mul(r.rho[k], r.mu[i][j])),
-                              mat_mul(r.rho[j], r.mu[i][k]))
-                if not is_zero_mat(res):
-                    ck.record("R2", (i, j, k), res)
-                res = mat_sub(r.rho_at(g.ternary[i][j][k]),
-                              commutator(r.derived_D[i][j], r.rho[k]))
-                if not is_zero_mat(res):
-                    ck.record("R3", (i, j, k), res)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    if ck.done:
-                        break
-                    res = mat_sub(mat_mul(r.mu[k][l], r.mu[i][j]),
-                                  mat_mul(r.mu[j][l], r.mu[i][k]))
-                    res = mat_sub(res, r._mu_v2(i, g.ternary[j][k][l]))
-                    res = mat_add(res, mat_mul(r.derived_D[j][k], r.mu[i][l]))
-                    if not is_zero_mat(res):
-                        ck.record("R4", (i, j, k, l), res)
-                    res = mat_add(r._mu_v1(g.ternary[i][j][k], l),
-                                  r._mu_v2(k, g.ternary[i][j][l]))
-                    res = mat_sub(res, commutator(r.derived_D[i][j], r.mu[k][l]))
-                    if not is_zero_mat(res):
-                        ck.record("R5", (i, j, k, l), res)
+    for i, j, k in ck.tuples(n, 3):
+        res = mat_sub(mat_add(r._mu_v1(g.binary[i][j], k),
+                              mat_mul(r.mu[j][k], r.rho[i])),
+                      mat_mul(r.mu[i][k], r.rho[j]))
+        if not is_zero_mat(res):
+            ck.record("R1", (i, j, k), res)
+        res = mat_sub(mat_add(r._mu_v2(i, g.binary[j][k]),
+                              mat_mul(r.rho[k], r.mu[i][j])),
+                      mat_mul(r.rho[j], r.mu[i][k]))
+        if not is_zero_mat(res):
+            ck.record("R2", (i, j, k), res)
+        res = mat_sub(r.rho_at(g.ternary[i][j][k]),
+                      commutator(r.derived_D[i][j], r.rho[k]))
+        if not is_zero_mat(res):
+            ck.record("R3", (i, j, k), res)
+    for i, j, k, l in ck.tuples(n, 4):
+        res = mat_sub(mat_mul(r.mu[k][l], r.mu[i][j]),
+                      mat_mul(r.mu[j][l], r.mu[i][k]))
+        res = mat_sub(res, r._mu_v2(i, g.ternary[j][k][l]))
+        res = mat_add(res, mat_mul(r.derived_D[j][k], r.mu[i][l]))
+        if not is_zero_mat(res):
+            ck.record("R4", (i, j, k, l), res)
+        res = mat_add(r._mu_v1(g.ternary[i][j][k], l),
+                      r._mu_v2(k, g.ternary[i][j][l]))
+        res = mat_sub(res, commutator(r.derived_D[i][j], r.mu[k][l]))
+        if not is_zero_mat(res):
+            ck.record("R5", (i, j, k, l), res)
     rep = ck.report()
     if r._rep_report is None or not r._rep_report.passed:
         r._rep_report = rep
@@ -226,34 +216,24 @@ def check_lemma_identities(r, all_violations=False):
     g = r.acting
     n = g.dim
     ck = Checker("lemma-identities(%s on %s)" % (g.name, r.carrier.name), all_violations)
-    rng = range(n)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                if ck.done:
-                    break
-                res = mat_add(mat_add(r._D_v1(g.binary[i][j], k),
-                                      r._D_v1(g.binary[j][k], i)),
-                              r._D_v1(g.binary[k][i], j))
-                if not is_zero_mat(res):
-                    ck.record("L1", (i, j, k), res)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    if ck.done:
-                        break
-                    res = mat_add(r._D_v1(g.ternary[i][j][k], l),
-                                  r._D_v2(k, g.ternary[i][j][l]))
-                    res = mat_sub(res, commutator(r.derived_D[i][j], r.derived_D[k][l]))
-                    if not is_zero_mat(res):
-                        ck.record("L2", (i, j, k, l), res)
-                    res = r._mu_v1(g.ternary[i][j][k], l)
-                    res = mat_sub(res, mat_mul(r.mu[i][l], r.mu[k][j]))
-                    res = mat_add(res, mat_mul(r.mu[j][l], r.mu[k][i]))
-                    res = mat_add(res, mat_mul(r.mu[k][l], r.derived_D[i][j]))
-                    if not is_zero_mat(res):
-                        ck.record("L3", (i, j, k, l), res)
+    for i, j, k in ck.tuples(n, 3):
+        res = mat_add(mat_add(r._D_v1(g.binary[i][j], k),
+                              r._D_v1(g.binary[j][k], i)),
+                      r._D_v1(g.binary[k][i], j))
+        if not is_zero_mat(res):
+            ck.record("L1", (i, j, k), res)
+    for i, j, k, l in ck.tuples(n, 4):
+        res = mat_add(r._D_v1(g.ternary[i][j][k], l),
+                      r._D_v2(k, g.ternary[i][j][l]))
+        res = mat_sub(res, commutator(r.derived_D[i][j], r.derived_D[k][l]))
+        if not is_zero_mat(res):
+            ck.record("L2", (i, j, k, l), res)
+        res = r._mu_v1(g.ternary[i][j][k], l)
+        res = mat_sub(res, mat_mul(r.mu[i][l], r.mu[k][j]))
+        res = mat_add(res, mat_mul(r.mu[j][l], r.mu[k][i]))
+        res = mat_add(res, mat_mul(r.mu[k][l], r.derived_D[i][j]))
+        if not is_zero_mat(res):
+            ck.record("L3", (i, j, k, l), res)
     return ck.report()
 
 

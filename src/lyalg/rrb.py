@@ -82,21 +82,14 @@ def check_rrb(op, all_violations=False):
     m = op.action.carrier.dim
     h = op.action.carrier
     ck = Checker("rrb(%s)" % (op.action,), all_violations)
-    for a in range(m):
-        for b in range(m):
-            if ck.done:
-                break
-            res = _rrb_binary_residual(op, h.e(a), h.e(b))
-            if not is_zero_vec(res):
-                ck.record("RRB1", (a, b), res)
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                if ck.done:
-                    break
-                res = _rrb_ternary_residual(op, h.e(a), h.e(b), h.e(c))
-                if not is_zero_vec(res):
-                    ck.record("RRB2", (a, b, c), res)
+    for a, b in ck.tuples(m, 2):
+        res = _rrb_binary_residual(op, h.e(a), h.e(b))
+        if not is_zero_vec(res):
+            ck.record("RRB1", (a, b), res)
+    for a, b, c in ck.tuples(m, 3):
+        res = _rrb_ternary_residual(op, h.e(a), h.e(b), h.e(c))
+        if not is_zero_vec(res):
+            ck.record("RRB2", (a, b, c), res)
     rep = ck.report()
     if rep.passed:
         op.verified = True
@@ -110,21 +103,14 @@ def graph_subalgebra_check(op, all_violations=False):
     gens = [tuple(op._cols[a]) + op.action.carrier.e(a) for a in range(m)]
     graph = Subspace(n + m, gens)
     ck = Checker("graph-subalgebra(%s)" % (op.action,), all_violations)
-    for a in range(m):
-        for b in range(m):
-            if ck.done:
-                break
-            w = S.bracket2(gens[a], gens[b])
-            if not graph.contains(w):
-                ck.record("graph-binary", (a, b), w)
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                if ck.done:
-                    break
-                w = S.bracket3(gens[a], gens[b], gens[c])
-                if not graph.contains(w):
-                    ck.record("graph-ternary", (a, b, c), w)
+    for a, b in ck.tuples(m, 2):
+        w = S.bracket2(gens[a], gens[b])
+        if not graph.contains(w):
+            ck.record("graph-binary", (a, b), w)
+    for a, b, c in ck.tuples(m, 3):
+        w = S.bracket3(gens[a], gens[b], gens[c])
+        if not graph.contains(w):
+            ck.record("graph-ternary", (a, b, c), w)
     return ck.report({"graph_dim": graph.dim})
 
 
@@ -142,34 +128,27 @@ def check_nijenhuis(A, N, all_violations=False):
         raise DimMismatch("N must be %dx%d" % (n, n))
     Ne = [mat_col(N, i) for i in range(n)]
     ck = Checker("nijenhuis(%s)" % A.name, all_violations)
-    for i in range(n):
-        for j in range(n):
-            if ck.done:
-                break
-            lhs = A.bracket2(Ne[i], Ne[j])
-            inner = vsub(vadd(A.bracket2(Ne[i], A.e(j)), A.bracket2(A.e(i), Ne[j])),
-                         mat_vec(N, A.binary[i][j]))
-            res = vsub(lhs, mat_vec(N, inner))
-            if not is_zero_vec(res):
-                ck.record("nijenhuis-binary", (i, j), res)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if ck.done:
-                    break
-                ei, ej, ek = A.e(i), A.e(j), A.e(k)
-                lhs = A.bracket3(Ne[i], Ne[j], Ne[k])
-                inner = vadd(vadd(A.bracket3(Ne[i], Ne[j], ek),
-                                  A.bracket3(Ne[i], ej, Ne[k])),
-                             A.bracket3(ei, Ne[j], Ne[k]))
-                once = vadd(vadd(A.bracket3(Ne[i], ej, ek),
-                                 A.bracket3(ei, Ne[j], ek)),
-                            A.bracket3(ei, ej, Ne[k]))
-                inner = vsub(inner, mat_vec(N, once))
-                inner = vadd(inner, mat_vec(N, mat_vec(N, A.ternary[i][j][k])))
-                res = vsub(lhs, mat_vec(N, inner))
-                if not is_zero_vec(res):
-                    ck.record("nijenhuis-ternary", (i, j, k), res)
+    for i, j in ck.tuples(n, 2):
+        lhs = A.bracket2(Ne[i], Ne[j])
+        inner = vsub(vadd(A.bracket2(Ne[i], A.e(j)), A.bracket2(A.e(i), Ne[j])),
+                     mat_vec(N, A.binary[i][j]))
+        res = vsub(lhs, mat_vec(N, inner))
+        if not is_zero_vec(res):
+            ck.record("nijenhuis-binary", (i, j), res)
+    for i, j, k in ck.tuples(n, 3):
+        ei, ej, ek = A.e(i), A.e(j), A.e(k)
+        lhs = A.bracket3(Ne[i], Ne[j], Ne[k])
+        inner = vadd(vadd(A.bracket3(Ne[i], Ne[j], ek),
+                          A.bracket3(Ne[i], ej, Ne[k])),
+                     A.bracket3(ei, Ne[j], Ne[k]))
+        once = vadd(vadd(A.bracket3(Ne[i], ej, ek),
+                         A.bracket3(ei, Ne[j], ek)),
+                    A.bracket3(ei, ej, Ne[k]))
+        inner = vsub(inner, mat_vec(N, once))
+        inner = vadd(inner, mat_vec(N, mat_vec(N, A.ternary[i][j][k])))
+        res = vsub(lhs, mat_vec(N, inner))
+        if not is_zero_vec(res):
+            ck.record("nijenhuis-ternary", (i, j, k), res)
     return ck.report()
 
 

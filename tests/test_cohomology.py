@@ -1,16 +1,20 @@
-import pytest
+import hashlib
 from fractions import Fraction as F
+
+import pytest
 
 import lyalg as L
 from lyalg.cohomology import (Cochain, SparseMat, TComplex,
                               coboundary_matrix_for, induced_rep, pair_basis,
                               pushforward_cochain, wedge_coords,
                               yamaguti_coboundary)
+from lyalg.cli import run
 from lyalg.errors import ShapeMismatch
 from lyalg.linalg import mat_id, mat_vec
 from lyalg.rrb import HomPair
 
 import oracles
+from conftest import fx
 from oracles import OpOracle, o_rank
 
 
@@ -101,6 +105,42 @@ def test_matrix_shapes(tcomplex):
 def test_cohomology_dims(tcomplex):
     assert tcomplex.cohomology_dims(1) == (12, 0, 12)
     assert tcomplex.cohomology_dims(2) == (68, 4, 64)
+
+
+def test_cohomology_dims_degree3(tcomplex):
+    assert tcomplex.cohomology_dims(3) == (308, 52, 256)
+    m3 = tcomplex.matrix(3)
+    assert m3.cols - o_rank(m3.nonzero_rows()) == 308
+    assert o_rank(tcomplex.matrix(2).nonzero_rows()) == 52
+
+
+# SHA-256 of `lyalg cohomology --op fixtures/p3_on_nilpotent4.json --degree N
+# --witness --json` stdout, recorded with the dense elimination that the
+# sparse routine replaced; the witnesses are canonical, so they must not move
+WITNESS_SHA256 = {
+    1: "44a916e274f4cf159dc7aad242080e34b4d4d6dd4c9bbb798017c604b12210ba",
+    2: "90b5c1f376c05e1b141938fd728da13c741fd58d32db4968d58afa8528177a07",
+    3: "a1382b6b8a2a0edda8a9ba7b4ef4c8b3b50ed56ddbcfc2169510462d838b3309",
+}
+
+
+@pytest.mark.parametrize("degree", sorted(WITNESS_SHA256))
+def test_cli_witness_bytes_pinned(degree, capsys):
+    assert run(["cohomology", "--op", fx("p3_on_nilpotent4.json"),
+                "--degree", str(degree), "--witness", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == WITNESS_SHA256[degree]
+
+
+def test_witnesses_complement_coboundaries(tcomplex):
+    # the witnesses of H^2 are cocycles, and together with the coboundaries
+    # they span Z^2 without redundancy (dense oracle ranks)
+    ws = [w.as_flat() for w in tcomplex.cohomology_witnesses(2)]
+    m1, m2 = tcomplex.matrix(1).to_dense(), tcomplex.matrix(2)
+    for w in ws:
+        assert all(v == 0 for v in m2.apply(w))
+    bcols = [tuple(row[j] for row in m1) for j in range(len(m1[0]))]
+    assert o_rank(bcols + ws) == o_rank(bcols) + len(ws) == 68
 
 
 def test_cohomology_witnesses(tcomplex):

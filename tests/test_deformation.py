@@ -97,6 +97,33 @@ def test_extension_extends(p3, rng):
             assert check_order_n(d2).passed
 
 
+def test_extension_rank_certificate_on_cocycle_terms(p3, tcomplex):
+    # T + t*T1 with T1 a random combination of 1-cocycles is an order-1
+    # deformation; some of these obstructions are not coboundaries
+    rng = random.Random(5)
+    zbasis = tcomplex.matrix(1).nullspace()
+    dense = tcomplex.matrix(1).to_dense()
+    outcomes = set()
+    for _ in range(6):
+        v = [F(0)] * 16
+        for w in zbasis:
+            c = rng.choice([F(0), F(0), F(1), F(-1), F(2)])
+            v = [a + c * b for a, b in zip(v, w)]
+        T1 = tuple(tuple(v[a * 4 + t] for a in range(4)) for t in range(4))
+        d = OrderNDeformation(p3, [T1])
+        assert check_order_n(d).passed
+        t2, rep = extend(d)
+        rhs = tuple(-x for x in obstruction_class(d).as_cochain.as_flat())
+        assert (t2 is not None) == oracles.o_in_column_space(dense, rhs)
+        if t2 is None:
+            assert rep.data["rank"] == oracles.o_rank(dense)
+            assert rep.data["rank_augmented"] == rep.data["rank"] + 1
+        else:
+            assert check_order_n(OrderNDeformation(p3, [T1, t2])).passed
+        outcomes.add(t2 is None)
+    assert outcomes == {True, False}
+
+
 def test_obstruction_requires_valid_deformation(p3):
     d = OrderNDeformation(p3, [mat_id(4)])
     with pytest.raises(InvalidDeformation):

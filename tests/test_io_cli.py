@@ -36,6 +36,31 @@ def test_load_rejects_bad_index_and_rational():
         lyio.load_algebra({"dim": 2, "binary": [[0, 1, "1"]], "ternary": []})
 
 
+BOOLEAN_DOCS = [
+    # read as indices (0, 1, 1) this would set [e1, e2] = e2
+    {"dim": 2, "binary": [[False, True, True, "1"]], "ternary": []},
+    {"dim": 3, "binary": [], "ternary": [[0, 1, True, 2, "1"]]},
+    {"dim": True, "binary": [], "ternary": []},
+    {"dim": False, "binary": [], "ternary": []},
+    {"dim": 2, "binary": [[0, 1, 0, True]], "ternary": []},
+]
+
+
+@pytest.mark.parametrize("doc", BOOLEAN_DOCS)
+def test_load_rejects_json_booleans(doc, tmp_path, capsys):
+    with pytest.raises(FormatError):
+        lyio.load_algebra(doc)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", "algebra", str(path)]) == 2
+    capsys.readouterr()
+
+
+def test_load_post_rejects_boolean_dim():
+    with pytest.raises(FormatError):
+        lyio.load_post({"dim": True})
+
+
 def test_dump_load_roundtrip(nilpotent4):
     doc = lyio.dump_algebra(nilpotent4)
     B = lyio.load_algebra(doc)

@@ -1,0 +1,94 @@
+"""Capped checks end their scan at the tenth witness and keep witness order."""
+
+import random
+from fractions import Fraction as F
+
+import lyalg as L
+from lyalg.postlya import PostLYAlgebra, check_post_axioms
+from lyalg.reports import Checker
+from lyalg.reps import RepAction, check_representation
+
+POOL = [F(-1), F(0), F(0), F(0), F(1), F(2)]
+
+
+def antisym2(rng, n):
+    t = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            t[i][j] = [rng.choice(POOL) for _ in range(n)]
+            t[j][i] = [-x for x in t[i][j]]
+    return t
+
+
+def antisym3(rng, n):
+    t = [[[[F(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                t[i][j][k] = [rng.choice(POOL) for _ in range(n)]
+                t[j][i][k] = [-x for x in t[i][j][k]]
+    return t
+
+
+def plain(rng, *shape):
+    if not shape:
+        return rng.choice(POOL)
+    return [plain(rng, *shape[1:]) for _ in range(shape[0])]
+
+
+def heisenberg5():
+    """[e1,e2] = [e3,e4] = e5 as a Lie-Yamaguti algebra."""
+    c = [[[F(0)] * 5 for _ in range(5)] for _ in range(5)]
+    for a, b in ((0, 1), (2, 3)):
+        c[a][b] = [F(0)] * 4 + [F(1)]
+        c[b][a] = [F(0)] * 4 + [F(-1)]
+    return L.from_lie_algebra(5, c)
+
+
+def assert_capped_prefix(check, *args):
+    full = check(*args, all_violations=True).violations
+    capped = check(*args).violations
+    assert len(full) > 10
+    assert capped == full[:10]
+
+
+def test_tuples_stop_at_saturation():
+    ck = Checker("scan")
+    seen = []
+    for t in ck.tuples(5, 5):
+        seen.append(t)
+        ck.record("E", t, (F(1),))
+    assert seen == [(0, 0, 0, 0, i) for i in range(5)] + [(0, 0, 0, 1, i) for i in range(5)]
+    assert ck.done and list(ck.tuples(5, 2)) == []
+    assert len(list(Checker("all", all_violations=True).tuples(3, 3))) == 27
+
+
+def test_capped_ly_axioms_are_a_prefix():
+    rng = random.Random(5150)
+    A = L.LYAlgebra(5, antisym2(rng, 5), antisym3(rng, 5))
+    assert_capped_prefix(L.check_ly_axioms, A)
+
+
+def test_capped_representation_is_a_prefix():
+    rng = random.Random(5151)
+    A = L.abelian(5)
+    r = RepAction(A, A, plain(rng, 5, 5, 5), plain(rng, 5, 5, 5, 5))
+    assert_capped_prefix(check_representation, r)
+
+
+def test_capped_nijenhuis_is_a_prefix():
+    rng = random.Random(5152)
+    assert_capped_prefix(L.check_nijenhuis, heisenberg5(), plain(rng, 5, 5))
+
+
+def test_capped_post_axioms_are_a_prefix():
+    rng = random.Random(5153)
+    P = PostLYAlgebra(4, antisym2(rng, 4), plain(rng, 4, 4, 4),
+                      antisym3(rng, 4), plain(rng, 4, 4, 4, 4))
+    assert_capped_prefix(check_post_axioms, P)
+
+
+def test_capped_order_n_is_a_prefix(p3):
+    rng = random.Random(5154)
+    d = L.OrderNDeformation(p3, [plain(rng, 4, 4), plain(rng, 4, 4)])
+    assert_capped_prefix(L.check_order_n, d)
