@@ -18,7 +18,7 @@ from .errors import (AmbientMismatch, AxiomsFailed, DimMismatch, FormatError,
                      NotAnAction, NotInvertible, NotLieAlgebra,
                      PreconditionFailed, ShapeMismatch, StructureError,
                      Unverified)
-from .linalg import Subspace, frac, format_frac
+from .linalg import Subspace, Tensor, contract, frac, format_frac
 from .postlya import (PostLYAlgebra, check_post_axioms,
                       check_post_homomorphism, identity_is_rrb,
                       induced_action, induced_post_from_rrb, subadjacent,

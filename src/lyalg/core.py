@@ -8,18 +8,9 @@ that equivalent to checking on arbitrary vectors.
 """
 
 from .errors import AxiomsFailed, DimMismatch, NotLieAlgebra, StructureError
-from .linalg import (Q0, Subspace, frac, is_zero_vec, vadd, vscale, vsub, vzero)
+from .linalg import (Q0, Subspace, Tensor, contract, frac, is_zero_vec, vadd,
+                     vscale, vsub, vzero)
 from .reports import Checker
-
-
-def _freeze2(dim, tensor):
-    return tuple(tuple(tuple(frac(x) for x in tensor[i][j]) for j in range(dim))
-                 for i in range(dim))
-
-
-def _freeze3(dim, tensor):
-    return tuple(tuple(tuple(tuple(frac(x) for x in tensor[i][j][k]) for k in range(dim))
-                       for j in range(dim)) for i in range(dim))
 
 
 class LYAlgebra:
@@ -31,8 +22,8 @@ class LYAlgebra:
         self.basis = list(basis) if basis else ["e%d" % (i + 1) for i in range(dim)]
         if len(self.basis) != dim:
             raise DimMismatch("%d basis labels for dim %d" % (len(self.basis), dim))
-        self.binary = _freeze2(dim, binary)
-        self.ternary = _freeze3(dim, ternary)
+        self.binary = Tensor(binary, dim, 2, (dim,))
+        self.ternary = Tensor(ternary, dim, 3, (dim,))
         for i in range(dim):
             for j in range(dim):
                 if self.binary[i][j] != vscale(-frac(1), self.binary[j][i]):
@@ -42,12 +33,6 @@ class LYAlgebra:
                         raise StructureError(
                             "ternary tensor not antisymmetric in first two slots at (%d,%d,%d)"
                             % (i, j, k))
-        # nonzero flags let the O(dim^5) axiom loops skip dead tuples cheaply
-        self._nz2 = tuple(tuple(not is_zero_vec(self.binary[i][j]) for j in range(dim))
-                          for i in range(dim))
-        self._nz3 = tuple(tuple(tuple(not is_zero_vec(self.ternary[i][j][k])
-                                      for k in range(dim)) for j in range(dim))
-                          for i in range(dim))
         self.verified = False
         self._axiom_report = None
 
@@ -55,79 +40,14 @@ class LYAlgebra:
 
     def bracket2(self, x, y):
         """[x, y] for arbitrary vectors."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimMismatch("vectors must have length %d" % self.dim)
-        out = vzero(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0 or not self._nz2[i][j]:
-                    continue
-                out = vadd(out, vscale(xi * yj, self.binary[i][j]))
-        return out
+        return contract(self.binary, x, y)
 
     def bracket3(self, x, y, z):
         """<x, y, z> for arbitrary vectors."""
-        if len(x) != self.dim or len(y) != self.dim or len(z) != self.dim:
-            raise DimMismatch("vectors must have length %d" % self.dim)
-        out = vzero(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                for k, zk in enumerate(z):
-                    if zk == 0 or not self._nz3[i][j][k]:
-                        continue
-                    out = vadd(out, vscale(xi * yj * zk, self.ternary[i][j][k]))
-        return out
+        return contract(self.ternary, x, y, z)
 
     def e(self, i):
         return tuple(frac(1) if j == i else Q0 for j in range(self.dim))
-
-    # vector-in-one-slot helpers used by the axiom loops (basis elsewhere)
-
-    def _b2_vl(self, v, k):
-        """[v, e_k]"""
-        out = vzero(self.dim)
-        for s, c in enumerate(v):
-            if c != 0 and self._nz2[s][k]:
-                out = vadd(out, vscale(c, self.binary[s][k]))
-        return out
-
-    def _b2_vr(self, i, v):
-        """[e_i, v]"""
-        out = vzero(self.dim)
-        for s, c in enumerate(v):
-            if c != 0 and self._nz2[i][s]:
-                out = vadd(out, vscale(c, self.binary[i][s]))
-        return out
-
-    def _t3_v1(self, v, k, l):
-        """<v, e_k, e_l>"""
-        out = vzero(self.dim)
-        for s, c in enumerate(v):
-            if c != 0 and self._nz3[s][k][l]:
-                out = vadd(out, vscale(c, self.ternary[s][k][l]))
-        return out
-
-    def _t3_v2(self, i, v, l):
-        """<e_i, v, e_l>"""
-        out = vzero(self.dim)
-        for s, c in enumerate(v):
-            if c != 0 and self._nz3[i][s][l]:
-                out = vadd(out, vscale(c, self.ternary[i][s][l]))
-        return out
-
-    def _t3_v3(self, i, j, v):
-        """<e_i, e_j, v>"""
-        out = vzero(self.dim)
-        for s, c in enumerate(v):
-            if c != 0 and self._nz3[i][j][s]:
-                out = vadd(out, vscale(c, self.ternary[i][j][s]))
-        return out
 
     def ensure_verified(self):
         if not self.verified:
@@ -145,15 +65,15 @@ def check_ly_axioms(A, all_violations=False):
     ck = Checker("ly-axioms(%s)" % A.name, all_violations)
     n = A.dim
     c, d = A.binary, A.ternary
-    nz2, nz3 = A._nz2, A._nz3
+    live2, live3 = c.support, d.support
     for i, j, k in ck.tuples(n, 3):
         res = vzero(n)
-        if nz2[i][j]:
-            res = vadd(res, A._b2_vl(c[i][j], k))
-        if nz2[j][k]:
-            res = vadd(res, A._b2_vl(c[j][k], i))
-        if nz2[k][i]:
-            res = vadd(res, A._b2_vl(c[k][i], j))
+        if (i, j) in live2:
+            res = vadd(res, contract(c, c[i][j], k))
+        if (j, k) in live2:
+            res = vadd(res, contract(c, c[j][k], i))
+        if (k, i) in live2:
+            res = vadd(res, contract(c, c[k][i], j))
         res = vadd(res, d[i][j][k])
         res = vadd(res, d[j][k][i])
         res = vadd(res, d[k][i][j])
@@ -162,36 +82,36 @@ def check_ly_axioms(A, all_violations=False):
     for i, j, k, l in ck.tuples(n, 4):
         res = vzero(n)
         hit = False
-        if nz2[i][j]:
-            res = vadd(res, A._t3_v1(c[i][j], k, l)); hit = True
-        if nz2[j][k]:
-            res = vadd(res, A._t3_v1(c[j][k], i, l)); hit = True
-        if nz2[k][i]:
-            res = vadd(res, A._t3_v1(c[k][i], j, l)); hit = True
+        if (i, j) in live2:
+            res = vadd(res, contract(d, c[i][j], k, l)); hit = True
+        if (j, k) in live2:
+            res = vadd(res, contract(d, c[j][k], i, l)); hit = True
+        if (k, i) in live2:
+            res = vadd(res, contract(d, c[k][i], j, l)); hit = True
         if hit and not is_zero_vec(res):
             ck.record("LY2", (i, j, k, l), res)
     for i, j, k, l in ck.tuples(n, 4):
         res = vzero(n)
         hit = False
-        if nz2[k][l]:
-            res = vadd(res, A._t3_v3(i, j, c[k][l])); hit = True
-        if nz3[i][j][k]:
-            res = vsub(res, A._b2_vl(d[i][j][k], l)); hit = True
-        if nz3[i][j][l]:
-            res = vsub(res, A._b2_vr(k, d[i][j][l])); hit = True
+        if (k, l) in live2:
+            res = vadd(res, contract(d, i, j, c[k][l])); hit = True
+        if (i, j, k) in live3:
+            res = vsub(res, contract(c, d[i][j][k], l)); hit = True
+        if (i, j, l) in live3:
+            res = vsub(res, contract(c, k, d[i][j][l])); hit = True
         if hit and not is_zero_vec(res):
             ck.record("LY3", (i, j, k, l), res)
     for i, j, k, l, m in ck.tuples(n, 5):
         res = vzero(n)
         hit = False
-        if nz3[k][l][m]:
-            res = vadd(res, A._t3_v3(i, j, d[k][l][m])); hit = True
-        if nz3[i][j][k]:
-            res = vsub(res, A._t3_v1(d[i][j][k], l, m)); hit = True
-        if nz3[i][j][l]:
-            res = vsub(res, A._t3_v2(k, d[i][j][l], m)); hit = True
-        if nz3[i][j][m]:
-            res = vsub(res, A._t3_v3(k, l, d[i][j][m])); hit = True
+        if (k, l, m) in live3:
+            res = vadd(res, contract(d, i, j, d[k][l][m])); hit = True
+        if (i, j, k) in live3:
+            res = vsub(res, contract(d, d[i][j][k], l, m)); hit = True
+        if (i, j, l) in live3:
+            res = vsub(res, contract(d, k, d[i][j][l], m)); hit = True
+        if (i, j, m) in live3:
+            res = vsub(res, contract(d, k, l, d[i][j][m])); hit = True
         if hit and not is_zero_vec(res):
             ck.record("LY4", (i, j, k, l, m), res)
     rep = ck.report()
@@ -216,27 +136,19 @@ def from_lie_algebra(dim, binary, basis=None, name=None):
     The binary tensor must be a Lie bracket; Jacobi is verified and
     NotLieAlgebra raised otherwise.
     """
-    c = _freeze2(dim, binary)
+    c = Tensor(binary, dim, 2, (dim,))
     for i in range(dim):
         for j in range(dim):
             if c[i][j] != vscale(-frac(1), c[j][i]):
                 raise NotLieAlgebra("bracket not antisymmetric at (%d,%d)" % (i, j))
-
-    def b2v(v, k):
-        out = vzero(dim)
-        for s, q in enumerate(v):
-            if q != 0:
-                out = vadd(out, vscale(q, c[s][k]))
-        return out
-
+    ternary = [[[contract(c, c[i][j], k) for k in range(dim)] for j in range(dim)]
+               for i in range(dim)]
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
-                jac = vadd(vadd(b2v(c[i][j], k), b2v(c[j][k], i)), b2v(c[k][i], j))
+                jac = vadd(vadd(ternary[i][j][k], ternary[j][k][i]), ternary[k][i][j])
                 if not is_zero_vec(jac):
                     raise NotLieAlgebra("Jacobi fails at (%d,%d,%d)" % (i, j, k))
-    ternary = [[[b2v(c[i][j], k) for k in range(dim)] for j in range(dim)]
-               for i in range(dim)]
     A = LYAlgebra(dim, c, ternary, basis=basis, name=name or "lie-induced")
     rep = check_ly_axioms(A)
     if not rep.passed:

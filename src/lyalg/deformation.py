@@ -75,6 +75,7 @@ class OrderNDeformation:
                 raise DimMismatch("deformation terms must be %dx%d" % (n, m))
         self.order = len(self.terms)
         self._cx = None
+        self._ob = None
 
     @property
     def all_terms(self):
@@ -301,10 +302,13 @@ class ObstructionClass:
 def obstruction_class(d):
     """The degree-2 cochain obstructing extension of an order-n deformation.
 
-    Both components sum over index tuples adding to n+1 with every index in
-    0..n; its coboundary must vanish (checked), and extension is solvable iff
-    it is a coboundary.
+    Its components are the t^(n+1) coefficients of both defining equations
+    with every index in 0..n, that is with T_(n+1) = 0; its coboundary must
+    vanish (checked), and extension is solvable iff it is a coboundary.  The
+    class is built once per deformation and then cached.
     """
+    if d._ob is not None:
+        return d._ob
     rep = check_order_n(d)
     if not rep.passed:
         raise InvalidDeformation("not an order-%d deformation" % d.order)
@@ -313,56 +317,25 @@ def obstruction_class(d):
     m = h.dim
     n = d.base.action.acting.dim
     Ts = d.all_terms
-    N = d.order
+    s = d.order + 1
 
-    def ob_I(u, v):
-        res = vzero(n)
-        for i in range(1, N + 1):
-            j = N + 1 - i
-            if j < 1 or j > N:
-                continue
-            res = vadd(res, r.acting.bracket2(mat_vec(Ts[i], u), mat_vec(Ts[j], v)))
-            inner = vsub(mat_vec(r.rho_at(mat_vec(Ts[j], u)), v),
-                         mat_vec(r.rho_at(mat_vec(Ts[j], v)), u))
-            res = vsub(res, mat_vec(Ts[i], inner))
-        return res
-
-    def ob_II(u, v, w):
-        res = vzero(n)
-        for i in range(0, N + 1):
-            for j in range(0, N + 2 - i):
-                k = N + 1 - i - j
-                if k < 0 or j > N or k > N:
-                    continue
-                Tu = mat_vec(Ts[i], u)
-                Tv, Tw = mat_vec(Ts[j], v), mat_vec(Ts[k], w)
-                res = vadd(res, r.acting.bracket3(Tu, Tv, Tw))
-                inner = vadd(mat_vec(r.D_at(mat_vec(Ts[j], u), mat_vec(Ts[k], v)), w),
-                             vsub(mat_vec(r.mu_at(Tv, Tw), u),
-                                  mat_vec(r.mu_at(mat_vec(Ts[j], u), Tw), v)))
-                res = vsub(res, mat_vec(Ts[i], inner))
-        return res
-
+    first = {(a, b): binary_coefficient(r, Ts, s, h.e(a), h.e(b))
+             for a in range(m) for b in range(m)}
+    # the first component must be alternating to be a cochain
+    for (a, b), v in first.items():
+        if a == b and not is_zero_vec(v):
+            raise InvalidDeformation("first component not alternating")
+        if a > b and v != vscale(-1, first[b, a]):
+            raise InvalidDeformation("first component not antisymmetric")
     prs = pair_basis(m)
-    fs = [ob_I(h.e(a), h.e(b)) for (a, b) in prs]
-    gs = []
-    for (a, b) in prs:
-        for c in range(m):
-            gs.append(ob_II(h.e(a), h.e(b), h.e(c)))
-    # the components must be antisymmetric in the wedge slot to be a cochain
-    for a in range(m):
-        for b in range(m):
-            if a == b:
-                if not is_zero_vec(ob_I(h.e(a), h.e(b))):
-                    raise InvalidDeformation("first component not alternating")
-            elif a > b:
-                want = vscale(-1, fs[prs.index((b, a))])
-                if ob_I(h.e(a), h.e(b)) != want:
-                    raise InvalidDeformation("first component not antisymmetric")
+    fs = [first[p] for p in prs]
+    gs = [ternary_coefficient(r, Ts, s, h.e(a), h.e(b), h.e(c))
+          for (a, b) in prs for c in range(m)]
     c2 = Cochain(2, m, n, fs, gs)
     cx = d.complex()
     closed = all(v == 0 for v in cx.matrix(2).apply(c2.as_flat()))
-    return ObstructionClass(fs, gs, c2, closed)
+    d._ob = ObstructionClass(fs, gs, c2, closed)
+    return d._ob
 
 
 def extend(d):

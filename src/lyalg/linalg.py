@@ -3,9 +3,12 @@
 Scalars are ``fractions.Fraction`` (always reduced, positive denominator).
 Vectors are tuples of Fraction; matrices are tuples of row tuples.  The
 elimination routine also takes sparse rows, dicts {column: Fraction}.
+Structure tensors (``Tensor``) are nested tuples of vectors or matrices,
+evaluated by ``contract``.
 There are no tolerances anywhere: equality means exact equality.
 """
 
+import itertools
 from fractions import Fraction
 
 from .errors import AmbientMismatch, DimMismatch, Inconsistent, NotInvertible
@@ -116,6 +119,89 @@ def commutator(a, b):
 
 def mat_col(m, j):
     return tuple(row[j] for row in m)
+
+
+# ---------------------------------------------------------------------------
+# structure tensors
+#
+# Every bracket, action and post-operation is a multilinear map given by its
+# values on basis tuples.  A Tensor stores those values as nested tuples, so
+# t[i][j] is the value at (e_i, e_j) exactly as a plain nested tuple would
+# give it, and ``contract`` is the one routine that evaluates it.
+
+class Tensor(tuple):
+    """Values t[i]...[k] of a multilinear map on basis tuples of Q^dim.
+
+    Every value has ``shape``: (d,) for a vector, (r, c) for a matrix.
+    ``support`` maps each index tuple whose value is nonzero to that value,
+    in lexicographic order; it is computed once, here.
+    """
+
+    def __new__(cls, values, dim, arity, shape):
+        def freeze(v, depth):
+            if depth < arity:
+                return tuple(freeze(v[i], depth + 1) for i in range(dim))
+            out = tuple(frac(x) for x in v) if len(shape) == 1 else mat(v)
+            if len(out) != shape[0] or (len(shape) == 2
+                                        and any(len(row) != shape[1] for row in out)):
+                raise DimMismatch("tensor values must have shape %s"
+                                  % "x".join(map(str, shape)))
+            return out
+
+        self = super().__new__(cls, freeze(values, 0))
+        self.dim, self.arity, self.shape = dim, arity, shape
+        self.support = {}
+        self._terms = {}           # index tuple -> [(flat position, nonzero entry)]
+        for key in itertools.product(range(dim), repeat=arity):
+            v = self
+            for i in key:
+                v = v[i]
+            flat = v if len(shape) == 1 else [x for row in v for x in row]
+            terms = [(p, x) for p, x in enumerate(flat) if x]
+            if terms:
+                self.support[key] = v
+                self._terms[key] = terms
+        return self
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a tensor through __new__
+        return tuple(self), self.dim, self.arity, self.shape
+
+
+def contract(t, *slots):
+    """The value of the tensor ``t`` with each slot a basis index or a vector.
+
+    Only index tuples in the support contribute, and a coefficient product is
+    formed only for those; with no live term the result is the zero of the
+    tensor's value shape.
+    """
+    if len(slots) != t.arity:
+        raise DimMismatch("tensor takes %d arguments, got %d" % (t.arity, len(slots)))
+    picks, vecs = [], []
+    for k, s in enumerate(slots):
+        if isinstance(s, int):
+            picks.append((s,))
+        else:
+            if len(s) != t.dim:
+                raise DimMismatch("vectors must have length %d" % t.dim)
+            picks.append([i for i, x in enumerate(s) if x])
+            vecs.append(k)
+    shape = t.shape
+    acc = [Q0] * (shape[0] if len(shape) == 1 else shape[0] * shape[1])
+    terms = t._terms
+    for key in itertools.product(*picks):
+        entries = terms.get(key)
+        if entries is None:
+            continue
+        c = Q1
+        for k in vecs:
+            c *= slots[k][key[k]]
+        for p, x in entries:
+            acc[p] += c * x
+    if len(shape) == 1:
+        return tuple(acc)
+    w = shape[1]
+    return tuple(tuple(acc[r * w:(r + 1) * w]) for r in range(shape[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -20,56 +20,23 @@ variants of the compatibility equations are available via ``as_printed``.
 
 from .core import LYAlgebra, check_homomorphism
 from .errors import AxiomsFailed, DimMismatch, StructureError, Unverified
-from .linalg import is_zero_vec, mat, mat_col, mat_id, mat_vec, vadd, vscale, vsub, vzero
+from .linalg import (Q0, Q1, Tensor, contract, is_zero_vec, mat, mat_col, mat_id,
+                     mat_vec, vadd, vscale, vsub, vzero)
 from .reports import Checker
 from .reps import RepAction, check_action
-
-
-def _ev2(tensor, x, y):
-    n = len(x)
-    out = vzero(n)
-    for i, ci in enumerate(x):
-        if ci == 0:
-            continue
-        for j, cj in enumerate(y):
-            if cj == 0:
-                continue
-            v = tensor[i][j]
-            if not is_zero_vec(v):
-                out = vadd(out, vscale(ci * cj, v))
-    return out
-
-
-def _ev3(tensor, x, y, z):
-    n = len(x)
-    out = vzero(n)
-    for i, ci in enumerate(x):
-        if ci == 0:
-            continue
-        for j, cj in enumerate(y):
-            if cj == 0:
-                continue
-            for k, ck in enumerate(z):
-                if ck == 0:
-                    continue
-                v = tensor[i][j][k]
-                if not is_zero_vec(v):
-                    out = vadd(out, vscale(ci * cj * ck, v))
-    return out
 
 
 class PostLYAlgebra:
     """Four operations plus derived caches; see the module docstring."""
 
     def __init__(self, dim, dot, star, angle, brace, basis=None, name=None):
-        from .core import _freeze2, _freeze3
         self.dim = dim
         self.name = name or "post-algebra"
         self.basis = list(basis) if basis else ["e%d" % (i + 1) for i in range(dim)]
-        self.dot = _freeze2(dim, dot)
-        self.star = _freeze2(dim, star)
-        self.angle = _freeze3(dim, angle)
-        self.brace = _freeze3(dim, brace)
+        self.dot = Tensor(dot, dim, 2, (dim,))
+        self.star = Tensor(star, dim, 2, (dim,))
+        self.angle = Tensor(angle, dim, 3, (dim,))
+        self.brace = Tensor(brace, dim, 3, (dim,))
         for i in range(dim):
             for j in range(dim):
                 if self.dot[i][j] != vscale(-1, self.dot[j][i]):
@@ -79,51 +46,55 @@ class PostLYAlgebra:
                         raise StructureError(
                             "angle not antisymmetric in first two slots at (%d,%d,%d)"
                             % (i, j, k))
-        from .linalg import Q0, Q1
         self._e = [tuple(Q1 if s == i else Q0 for s in range(dim)) for i in range(dim)]
-        self.brace_D = tuple(
-            tuple(tuple(self.brace_D_at(self._e[i], self._e[j], self._e[k])
-                        for k in range(dim)) for j in range(dim)) for i in range(dim))
-        self.sub_binary = tuple(
-            tuple(vadd(vsub(self.star[i][j], self.star[j][i]), self.dot[i][j])
-                  for j in range(dim)) for i in range(dim))
-        self.sub_ternary = tuple(
-            tuple(tuple(vadd(vadd(self.brace_D[i][j][k],
-                                  vsub(self.brace[i][j][k], self.brace[j][i][k])),
-                             self.angle[i][j][k])
-                        for k in range(dim)) for j in range(dim)) for i in range(dim))
+        rng = range(dim)
+        self.brace_D = Tensor([[[self._brace_D_formula(i, j, k) for k in rng] for j in rng]
+                               for i in rng], dim, 3, (dim,))
+        self.sub_binary = Tensor(
+            [[vadd(vsub(self.star[i][j], self.star[j][i]), self.dot[i][j]) for j in rng]
+             for i in rng], dim, 2, (dim,))
+        self.sub_ternary = Tensor(
+            [[[vadd(vadd(self.brace_D[i][j][k],
+                         vsub(self.brace[i][j][k], self.brace[j][i][k])),
+                    self.angle[i][j][k])
+               for k in rng] for j in rng] for i in rng], dim, 3, (dim,))
         self._ly = None
         self._sub = None
         self.verified = False
 
+    def _brace_D_formula(self, i, j, k):
+        """{e_i,e_j,e_k}_D from the module docstring's formula."""
+        x, y, z = self._e[i], self._e[j], self._e[k]
+        out = vsub(self.brace[k][j][i], self.brace[k][i][j])
+        out = vadd(out, vsub(self.assoc_at(y, x, z), self.assoc_at(x, y, z)))
+        return vsub(out, self.star_at(self.dot[i][j], z))
+
     # operation evaluation at arbitrary vectors -----------------------------
 
     def dot_at(self, x, y):
-        return _ev2(self.dot, x, y)
+        return contract(self.dot, x, y)
 
     def star_at(self, x, y):
-        return _ev2(self.star, x, y)
+        return contract(self.star, x, y)
 
     def angle_at(self, x, y, z):
-        return _ev3(self.angle, x, y, z)
+        return contract(self.angle, x, y, z)
 
     def brace_at(self, x, y, z):
-        return _ev3(self.brace, x, y, z)
+        return contract(self.brace, x, y, z)
 
     def assoc_at(self, x, y, z):
         return vsub(self.star_at(self.star_at(x, y), z),
                     self.star_at(x, self.star_at(y, z)))
 
     def brace_D_at(self, x, y, z):
-        out = vsub(self.brace_at(z, y, x), self.brace_at(z, x, y))
-        out = vadd(out, vsub(self.assoc_at(y, x, z), self.assoc_at(x, y, z)))
-        return vsub(out, self.star_at(self.dot_at(x, y), z))
+        return contract(self.brace_D, x, y, z)
 
     def subb_at(self, x, y):
-        return _ev2(self.sub_binary, x, y)
+        return contract(self.sub_binary, x, y)
 
     def subt_at(self, x, y, z):
-        return _ev3(self.sub_ternary, x, y, z)
+        return contract(self.sub_ternary, x, y, z)
 
     def base_ly(self):
         """(A, dot, angle) as a Lie-Yamaguti algebra (not yet axiom-checked)."""

@@ -13,9 +13,8 @@ semidirect brackets on g (+) h satisfy the Lie-Yamaguti axioms.
 
 from .core import LYAlgebra, center
 from .errors import AxiomsFailed, DimMismatch, NotAnAction
-from .linalg import (Subspace, commutator, is_zero_mat, is_zero_vec, mat,
-                     mat_add, mat_col, mat_mul, mat_scale, mat_sub, mat_vec,
-                     mat_zero, vadd, vscale, vsub, vzero)
+from .linalg import (Tensor, commutator, contract, is_zero_mat, is_zero_vec,
+                     mat_add, mat_col, mat_mul, mat_sub, mat_vec, vscale, vzero)
 from .reports import Checker
 
 
@@ -34,89 +33,23 @@ class RepAction:
         n, m = acting.dim, carrier.dim
         if len(rho) != n or len(mu) != n or any(len(row) != n for row in mu):
             raise DimMismatch("rho needs %d matrices, mu a %dx%d array" % (n, n, n))
-        self.rho = tuple(mat(r) for r in rho)
-        self.mu = tuple(tuple(mat(mu[i][j]) for j in range(n)) for i in range(n))
-        for a in self.rho:
-            if len(a) != m or any(len(r) != m for r in a):
-                raise DimMismatch("rho matrices must be %dx%d" % (m, m))
-        for row in self.mu:
-            for a in row:
-                if len(a) != m or any(len(r) != m for r in a):
-                    raise DimMismatch("mu matrices must be %dx%d" % (m, m))
+        self.rho = Tensor(rho, n, 1, (m, m))
+        self.mu = Tensor(mu, n, 2, (m, m))
         self.derived_D = derive_D(self)
         self.action_certified = False
         self._rep_report = None
         self._semidirect = None
-        # zero-matrix flags for fast skipping in hot loops
-        self._nz_rho = tuple(not is_zero_mat(a) for a in self.rho)
-        self._nz_mu = tuple(tuple(not is_zero_mat(a) for a in row) for row in self.mu)
-        self._nz_D = tuple(tuple(not is_zero_mat(a) for a in row) for row in self.derived_D)
 
     # bilinear/linear evaluation at arbitrary g-vectors ---------------------
 
     def rho_at(self, x):
-        m = self.carrier.dim
-        out = mat_zero(m, m)
-        for i, c in enumerate(x):
-            if c != 0 and self._nz_rho[i]:
-                out = mat_add(out, mat_scale(c, self.rho[i]))
-        return out
+        return contract(self.rho, x)
 
     def mu_at(self, x, y):
-        m = self.carrier.dim
-        out = mat_zero(m, m)
-        for i, ci in enumerate(x):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(y):
-                if cj != 0 and self._nz_mu[i][j]:
-                    out = mat_add(out, mat_scale(ci * cj, self.mu[i][j]))
-        return out
+        return contract(self.mu, x, y)
 
     def D_at(self, x, y):
-        m = self.carrier.dim
-        out = mat_zero(m, m)
-        for i, ci in enumerate(x):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(y):
-                if cj != 0 and self._nz_D[i][j]:
-                    out = mat_add(out, mat_scale(ci * cj, self.derived_D[i][j]))
-        return out
-
-    # one-vector-slot helpers used by the axiom loops
-
-    def _mu_v1(self, v, j):
-        m = self.carrier.dim
-        out = mat_zero(m, m)
-        for s, c in enumerate(v):
-            if c != 0 and self._nz_mu[s][j]:
-                out = mat_add(out, mat_scale(c, self.mu[s][j]))
-        return out
-
-    def _mu_v2(self, i, v):
-        m = self.carrier.dim
-        out = mat_zero(m, m)
-        for s, c in enumerate(v):
-            if c != 0 and self._nz_mu[i][s]:
-                out = mat_add(out, mat_scale(c, self.mu[i][s]))
-        return out
-
-    def _D_v1(self, v, j):
-        m = self.carrier.dim
-        out = mat_zero(m, m)
-        for s, c in enumerate(v):
-            if c != 0 and self._nz_D[s][j]:
-                out = mat_add(out, mat_scale(c, self.derived_D[s][j]))
-        return out
-
-    def _D_v2(self, i, v):
-        m = self.carrier.dim
-        out = mat_zero(m, m)
-        for s, c in enumerate(v):
-            if c != 0 and self._nz_D[i][s]:
-                out = mat_add(out, mat_scale(c, self.derived_D[i][s]))
-        return out
+        return contract(self.derived_D, x, y)
 
     def ensure_representation(self):
         if self._rep_report is None:
@@ -146,19 +79,11 @@ def derive_D(r):
     """The skew bilinear map D(x,y) = mu(y,x) - mu(x,y) + [rho(x),rho(y)] - rho([x,y])."""
     g = r.acting
     n = g.dim
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            d = mat_sub(r.mu[j][i], r.mu[i][j])
-            d = mat_add(d, commutator(r.rho[i], r.rho[j]))
-            br = g.binary[i][j]
-            for s, c in enumerate(br):
-                if c != 0:
-                    d = mat_sub(d, mat_scale(c, r.rho[s]))
-            row.append(d)
-        out.append(tuple(row))
-    return tuple(out)
+    return Tensor([[mat_sub(mat_add(mat_sub(r.mu[j][i], r.mu[i][j]),
+                                    commutator(r.rho[i], r.rho[j])),
+                            r.rho_at(g.binary[i][j]))
+                    for j in range(n)] for i in range(n)],
+                  n, 2, r.rho.shape)
 
 
 def check_representation(r, all_violations=False):
@@ -174,12 +99,12 @@ def check_representation(r, all_violations=False):
     n = g.dim
     ck = Checker("representation(%s on %s)" % (g.name, r.carrier.name), all_violations)
     for i, j, k in ck.tuples(n, 3):
-        res = mat_sub(mat_add(r._mu_v1(g.binary[i][j], k),
+        res = mat_sub(mat_add(r.mu_at(g.binary[i][j], k),
                               mat_mul(r.mu[j][k], r.rho[i])),
                       mat_mul(r.mu[i][k], r.rho[j]))
         if not is_zero_mat(res):
             ck.record("R1", (i, j, k), res)
-        res = mat_sub(mat_add(r._mu_v2(i, g.binary[j][k]),
+        res = mat_sub(mat_add(r.mu_at(i, g.binary[j][k]),
                               mat_mul(r.rho[k], r.mu[i][j])),
                       mat_mul(r.rho[j], r.mu[i][k]))
         if not is_zero_mat(res):
@@ -191,12 +116,12 @@ def check_representation(r, all_violations=False):
     for i, j, k, l in ck.tuples(n, 4):
         res = mat_sub(mat_mul(r.mu[k][l], r.mu[i][j]),
                       mat_mul(r.mu[j][l], r.mu[i][k]))
-        res = mat_sub(res, r._mu_v2(i, g.ternary[j][k][l]))
+        res = mat_sub(res, r.mu_at(i, g.ternary[j][k][l]))
         res = mat_add(res, mat_mul(r.derived_D[j][k], r.mu[i][l]))
         if not is_zero_mat(res):
             ck.record("R4", (i, j, k, l), res)
-        res = mat_add(r._mu_v1(g.ternary[i][j][k], l),
-                      r._mu_v2(k, g.ternary[i][j][l]))
+        res = mat_add(r.mu_at(g.ternary[i][j][k], l),
+                      r.mu_at(k, g.ternary[i][j][l]))
         res = mat_sub(res, commutator(r.derived_D[i][j], r.mu[k][l]))
         if not is_zero_mat(res):
             ck.record("R5", (i, j, k, l), res)
@@ -217,18 +142,18 @@ def check_lemma_identities(r, all_violations=False):
     n = g.dim
     ck = Checker("lemma-identities(%s on %s)" % (g.name, r.carrier.name), all_violations)
     for i, j, k in ck.tuples(n, 3):
-        res = mat_add(mat_add(r._D_v1(g.binary[i][j], k),
-                              r._D_v1(g.binary[j][k], i)),
-                      r._D_v1(g.binary[k][i], j))
+        res = mat_add(mat_add(r.D_at(g.binary[i][j], k),
+                              r.D_at(g.binary[j][k], i)),
+                      r.D_at(g.binary[k][i], j))
         if not is_zero_mat(res):
             ck.record("L1", (i, j, k), res)
     for i, j, k, l in ck.tuples(n, 4):
-        res = mat_add(r._D_v1(g.ternary[i][j][k], l),
-                      r._D_v2(k, g.ternary[i][j][l]))
+        res = mat_add(r.D_at(g.ternary[i][j][k], l),
+                      r.D_at(k, g.ternary[i][j][l]))
         res = mat_sub(res, commutator(r.derived_D[i][j], r.derived_D[k][l]))
         if not is_zero_mat(res):
             ck.record("L2", (i, j, k, l), res)
-        res = r._mu_v1(g.ternary[i][j][k], l)
+        res = r.mu_at(g.ternary[i][j][k], l)
         res = mat_sub(res, mat_mul(r.mu[i][l], r.mu[k][j]))
         res = mat_add(res, mat_mul(r.mu[j][l], r.mu[k][i]))
         res = mat_add(res, mat_mul(r.mu[k][l], r.derived_D[i][j]))
@@ -276,16 +201,10 @@ def check_action(r, all_violations=False):
     C = center(h)
     ck = Checker("action(%s on %s)" % (g.name, h.name), all_violations)
 
-    families = [("rho", [((i,), r.rho[i]) for i in range(n) if r._nz_rho[i]]),
-                ("mu", [((i, j), r.mu[i][j]) for i in range(n) for j in range(n)
-                        if r._nz_mu[i][j]]),
-                ("D", [((i, j), r.derived_D[i][j]) for i in range(n) for j in range(n)
-                       if r._nz_D[i][j]])]
-    brackets2 = [((a, b), h.binary[a][b]) for a in range(m) for b in range(a + 1, m)
-                 if h._nz2[a][b]]
-    brackets3 = [((a, b, c), h.ternary[a][b][c])
-                 for a in range(m) for b in range(m) for c in range(m)
-                 if h._nz3[a][b][c]]
+    families = [("rho", r.rho.support.items()), ("mu", r.mu.support.items()),
+                ("D", r.derived_D.support.items())]
+    brackets2 = [(ab, v) for ab, v in h.binary.support.items() if ab[0] < ab[1]]
+    brackets3 = h.ternary.support.items()
     for fam, mats in families:
         for args, M in mats:
             if ck.done:

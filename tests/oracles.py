@@ -1,8 +1,10 @@
 """Independent brute-force implementations used to cross-check the library.
 
-Nothing here touches the library's elimination, sparse-matrix, or coboundary
-assembly code: ranks come from a plain dense Gaussian elimination, coboundary
-matrices from direct column-by-column evaluation of the defining formulas, and
+Nothing here touches the library's elimination, sparse-matrix, coboundary
+assembly or tensor evaluation code: ranks come from a plain dense Gaussian
+elimination, brackets and actions from a dense sum over the public nested
+structure tensors (with D rebuilt from its closed form), coboundary matrices
+from direct column-by-column evaluation of the defining formulas, and
 deformation coefficients from truncated polynomial expansion.
 """
 
@@ -70,6 +72,60 @@ def col(m, j):
     return tuple(r[j] for r in m)
 
 
+def mm(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, c)) for c in zip(*b)) for row in a)
+
+
+def _lin(c, a, b=None):
+    """c * a (+ b), entrywise on nested tuples of scalars."""
+    if isinstance(a, tuple):
+        return tuple(_lin(c, x, None if b is None else y)
+                     for x, y in zip(a, b if b is not None else a))
+    return c * a + (b if b is not None else 0)
+
+
+def ev(t, *vecs):
+    """The multilinear map with nested structure tensor t at coordinate vectors:
+    the sum over index tuples of the coefficient product times the value
+    (dimension at least 1)."""
+    if not vecs:
+        return t
+    zero = t
+    for _ in vecs:
+        zero = zero[0]
+    out = _lin(0, zero)
+    for c, sub in zip(vecs[0], t):
+        if c != 0:
+            out = _lin(c, ev(sub, *vecs[1:]), out)
+    return out
+
+
+# the library's objects enter only through their nested tensors
+
+def br2(alg, x, y):
+    return ev(alg.binary, x, y)
+
+
+def br3(alg, x, y, z):
+    return ev(alg.ternary, x, y, z)
+
+
+def rho_at(r, x):
+    return ev(r.rho, x)
+
+
+def mu_at(r, x, y):
+    return ev(r.mu, x, y)
+
+
+def D_at(r, x, y):
+    """D(x, y) = mu(y, x) - mu(x, y) + [rho(x), rho(y)] - rho([x, y])."""
+    rx, ry = rho_at(r, x), rho_at(r, y)
+    out = _lin(-1, mu_at(r, x, y), mu_at(r, y, x))
+    out = _lin(-1, mm(ry, rx), _lin(1, mm(rx, ry), out))
+    return _lin(-1, rho_at(r, br2(r.acting, x, y)), out)
+
+
 # ---------------------------------------------------------------------------
 # the operator-induced structures, written straight from their closed forms
 
@@ -101,43 +157,43 @@ class OpOracle:
     def br2(self, u, v):
         def val():
             r, h = self.r, self.h
-            return va(vs(mv(r.rho_at(self.t(u)), v), mv(r.rho_at(self.t(v)), u)),
-                      h.bracket2(u, v))
+            return va(vs(mv(rho_at(r, self.t(u)), v), mv(rho_at(r, self.t(v)), u)),
+                      br2(h, u, v))
         return self._cached(("br2", u, v), val)
 
     def br3(self, u, v, w):
         def val():
             r, h = self.r, self.h
-            out = mv(r.D_at(self.t(u), self.t(v)), w)
-            out = va(out, mv(r.mu_at(self.t(v), self.t(w)), u))
-            out = vs(out, mv(r.mu_at(self.t(u), self.t(w)), v))
-            return va(out, h.bracket3(u, v, w))
+            out = mv(D_at(r, self.t(u), self.t(v)), w)
+            out = va(out, mv(mu_at(r, self.t(v), self.t(w)), u))
+            out = vs(out, mv(mu_at(r, self.t(u), self.t(w)), v))
+            return va(out, br3(h, u, v, w))
         return self._cached(("br3", u, v, w), val)
 
     # the induced representation on the acting space (memoized per tuple)
     def rho(self, u, x):
         def val():
             r, g = self.r, self.g
-            return va(g.bracket2(self.t(u), x), self.t(mv(r.rho_at(x), u)))
+            return va(br2(g, self.t(u), x), self.t(mv(rho_at(r, x), u)))
         return self._cached(("rho", u, x), val)
 
     def mu(self, u, v, x):
         def val():
             r, g = self.r, self.g
-            inner = vs(mv(r.D_at(x, self.t(u)), v), mv(r.mu_at(x, self.t(v)), u))
-            return vs(g.bracket3(x, self.t(u), self.t(v)), self.t(inner))
+            inner = vs(mv(D_at(r, x, self.t(u)), v), mv(mu_at(r, x, self.t(v)), u))
+            return vs(br3(g, x, self.t(u), self.t(v)), self.t(inner))
         return self._cached(("mu", u, v, x), val)
 
     def D(self, u, v, x):
         def val():
             r, g = self.r, self.g
-            inner = vs(mv(r.mu_at(self.t(v), x), u), mv(r.mu_at(self.t(u), x), v))
-            return vs(g.bracket3(self.t(u), self.t(v), x), self.t(inner))
+            inner = vs(mv(mu_at(r, self.t(v), x), u), mv(mu_at(r, self.t(u), x), v))
+            return vs(br3(g, self.t(u), self.t(v), x), self.t(inner))
         return self._cached(("D", u, v, x), val)
 
     def partial(self, x, y, v):
         r = self.r
-        return vs(self.t(mv(r.D_at(x, y), v)), self.g.bracket3(x, y, self.t(v)))
+        return vs(self.t(mv(D_at(r, x, y), v)), br3(self.g, x, y, self.t(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +401,11 @@ def poly_binary_residual(r, Ts, u, v, L):
     lhs = [zero] * L
     for i in range(L):
         for j in range(L - i):
-            lhs[i + j] = va(lhs[i + j], g.bracket2(Tu[i], Tv[j]))
+            lhs[i + j] = va(lhs[i + j], br2(g, Tu[i], Tv[j]))
     inner = [zm] * L
     for j in range(L):
-        inner[j] = va(inner[j], vs(mv(r.rho_at(Tu[j]), v), mv(r.rho_at(Tv[j]), u)))
-    inner[0] = va(inner[0], h.bracket2(u, v))
+        inner[j] = va(inner[j], vs(mv(rho_at(r, Tu[j]), v), mv(rho_at(r, Tv[j]), u)))
+    inner[0] = va(inner[0], br2(h, u, v))
     rhs = [zero] * L
     for i in range(min(L, len(Ts))):
         for j in range(L - i):
@@ -370,15 +426,15 @@ def poly_ternary_residual(r, Ts, u, v, w, L):
     for i in range(L):
         for j in range(L - i):
             for k in range(L - i - j):
-                lhs[i + j + k] = va(lhs[i + j + k], g.bracket3(Tu[i], Tv[j], Tw[k]))
+                lhs[i + j + k] = va(lhs[i + j + k], br3(g, Tu[i], Tv[j], Tw[k]))
     inner = [zm] * L
     for j in range(L):
         for k in range(L - j):
-            term = mv(r.D_at(Tu[j], Tv[k]), w)
-            term = va(term, mv(r.mu_at(Tv[j], Tw[k]), u))
-            term = vs(term, mv(r.mu_at(Tu[j], Tw[k]), v))
+            term = mv(D_at(r, Tu[j], Tv[k]), w)
+            term = va(term, mv(mu_at(r, Tv[j], Tw[k]), u))
+            term = vs(term, mv(mu_at(r, Tu[j], Tw[k]), v))
             inner[j + k] = va(inner[j + k], term)
-    inner[0] = va(inner[0], h.bracket3(u, v, w))
+    inner[0] = va(inner[0], br3(h, u, v, w))
     rhs = [zero] * L
     for i in range(min(L, len(Ts))):
         for j in range(L - i):

@@ -1,9 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import lyalg as L
+from lyalg.cli import run
 from lyalg.deformation import (OrderNDeformation, binary_coefficient,
                                check_equivalence, check_linear_deformation,
                                check_order_n, difference_class, extend,
@@ -12,7 +14,7 @@ from lyalg.errors import InvalidDeformation
 from lyalg.linalg import mat, mat_add, mat_id, mat_zero
 
 import oracles
-from conftest import family_matrix, random_matrix
+from conftest import family_matrix, fx, random_matrix
 
 
 def test_zero_terms_pass(p3):
@@ -63,16 +65,33 @@ def test_linear_deformation_failure(p3):
     assert not rep.passed
 
 
-def test_obstruction_matches_brute_force(p3, rng):
+def cocycle_terms(tcomplex, count=6, seed=5):
+    """T1 as random combinations of the degree-1 cocycles: each T + t*T1 is an
+    order-1 deformation, and most of their obstructions are nonzero."""
+    rng = random.Random(seed)
+    zbasis = tcomplex.matrix(1).nullspace()
+    out = []
+    for _ in range(count):
+        v = [F(0)] * 16
+        for w in zbasis:
+            c = rng.choice([F(0), F(0), F(1), F(-1), F(2)])
+            v = [a + c * b for a, b in zip(v, w)]
+        out.append(tuple(tuple(v[a * 4 + t] for a in range(4)) for t in range(4)))
+    return out
+
+
+def test_obstruction_matches_brute_force(p3, rng, tcomplex):
     h = p3.action.carrier
-    for _ in range(5):
-        T1 = mat(family_matrix(rng))
+    prs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    terms = [mat(family_matrix(rng)) for _ in range(5)] + cocycle_terms(tcomplex)
+    nonzero = 0
+    for T1 in terms:
         d = OrderNDeformation(p3, [T1])
         ob = obstruction_class(d)
         assert ob.closed
+        nonzero += not ob.as_cochain.is_zero()
         # brute force: t^2 coefficient with T_2 = 0
         Ts = [p3.T, T1]
-        prs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
         for t, (a, b) in enumerate(prs):
             want = oracles.poly_binary_residual(p3.action, Ts, h.e(a), h.e(b), 3)[2]
             assert ob.ob_I[t] == want
@@ -83,6 +102,7 @@ def test_obstruction_matches_brute_force(p3, rng):
                                                      h.e(a), h.e(b), h.e(c), 3)[2]
                 assert ob.ob_II[i] == want
                 i += 1
+    assert nonzero >= 1
 
 
 def test_extension_extends(p3, rng):
@@ -100,16 +120,9 @@ def test_extension_extends(p3, rng):
 def test_extension_rank_certificate_on_cocycle_terms(p3, tcomplex):
     # T + t*T1 with T1 a random combination of 1-cocycles is an order-1
     # deformation; some of these obstructions are not coboundaries
-    rng = random.Random(5)
-    zbasis = tcomplex.matrix(1).nullspace()
     dense = tcomplex.matrix(1).to_dense()
     outcomes = set()
-    for _ in range(6):
-        v = [F(0)] * 16
-        for w in zbasis:
-            c = rng.choice([F(0), F(0), F(1), F(-1), F(2)])
-            v = [a + c * b for a, b in zip(v, w)]
-        T1 = tuple(tuple(v[a * 4 + t] for a in range(4)) for t in range(4))
+    for T1 in cocycle_terms(tcomplex):
         d = OrderNDeformation(p3, [T1])
         assert check_order_n(d).passed
         t2, rep = extend(d)
@@ -174,3 +187,22 @@ def test_abelian_fixture_everything_trivial():
     d = OrderNDeformation(op, [T1])
     ob = obstruction_class(d)
     assert ob.as_cochain.is_zero() and ob.closed
+
+
+def test_obstruct_extend_checks_the_deformation_once(monkeypatch, capsys):
+    """The CLI builds the obstruction once and extend reuses it."""
+    from lyalg import deformation
+    calls = []
+    orig = deformation.check_order_n
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(deformation, "check_order_n", counting)
+    code = run(["deform", "obstruct", "--op", fx("p3_on_nilpotent4.json"),
+                "--terms", fx("t1_family.json"), "--extend", "--json"])
+    out = capsys.readouterr().out
+    assert code == 0 and len(calls) == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6a7f0d42df3c4cfa013c830d6efc0c2e8aed910c53f9c089aa5ad16911bf8d2d")

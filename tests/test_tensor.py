@@ -1,0 +1,90 @@
+"""The structure-tensor type and its one evaluation routine, ``contract``."""
+
+import copy
+import pickle
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import lyalg as L
+from lyalg.errors import DimMismatch
+from lyalg.linalg import Tensor, contract, mat_zero
+from lyalg.reps import RepAction, check_action, check_representation
+
+import oracles
+
+POOL = [F(-1), F(0), F(0), F(0), F(1), F(1, 2)]
+
+
+def nested(rng, *shape):
+    if not shape:
+        return rng.choice(POOL)
+    return [nested(rng, *shape[1:]) for _ in range(shape[0])]
+
+
+def test_tensor_indexes_as_nested_tuples_and_keeps_its_support():
+    rng = random.Random(7)
+    raw = nested(rng, 3, 3, 2)
+    t = Tensor(raw, 3, 2, (2,))
+    assert t == tuple(tuple(tuple(v) for v in row) for row in raw)
+    assert t[1][2] == tuple(raw[1][2])
+    assert list(t.support) == [(i, j) for i in range(3) for j in range(3) if any(raw[i][j])]
+    assert all(t.support[i, j] == t[i][j] for i, j in t.support)
+    for u in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert u == t and u.support == t.support and u.shape == t.shape
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2)])
+def test_contract_matches_the_dense_sum(shape):
+    rng = random.Random(11)
+    t = Tensor(nested(rng, 3, 3, 3, *shape), 3, 3, shape)
+    for _ in range(20):
+        x, y, z = (tuple(nested(rng, 3)) for _ in range(3))
+        want = oracles.ev(t, x, y, z)
+        assert contract(t, x, y, z) == want
+        # a basis index in a slot is the same as the basis vector there
+        e1 = tuple(F(int(s == 1)) for s in range(3))
+        assert contract(t, x, 1, z) == oracles.ev(t, x, e1, z)
+        assert contract(t, 2, 0, 1) == t[2][0][1]
+
+
+def test_contract_rejects_wrong_lengths_and_arity():
+    t = Tensor([[(F(1), F(0))] * 2] * 2, 2, 2, (2,))
+    with pytest.raises(DimMismatch):
+        contract(t, (F(1),), 0)
+    with pytest.raises(DimMismatch):
+        contract(t, 0)
+    with pytest.raises(DimMismatch):
+        Tensor([[(F(1),)] * 2] * 2, 2, 2, (2,))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_abelian_in_dim_0_and_1(n):
+    A = L.abelian(n)
+    zero = (F(0),) * n
+    assert A.bracket2(zero, zero) == zero
+    assert A.bracket3(zero, zero, zero) == zero
+    assert A.binary.support == {} and A.ternary.support == {}
+    assert L.check_ly_axioms(A).passed
+
+
+def test_action_of_a_zero_dim_algebra():
+    r = RepAction(L.abelian(0), L.abelian(2), [], [])
+    assert r.rho_at(()) == mat_zero(2, 2)
+    assert r.mu_at((), ()) == mat_zero(2, 2) and r.D_at((), ()) == mat_zero(2, 2)
+    assert r.derived_D == ()
+    assert check_representation(r).passed
+    rep = check_action(r)
+    assert rep.passed and rep.data == {"center_dim": 2}
+
+
+def test_action_on_a_zero_dim_carrier():
+    e = ((), ())
+    r = RepAction(L.abelian(2), L.abelian(0), list(e), [list(e), list(e)])
+    x, y = (F(1), F(0)), (F(0), F(1))
+    assert r.rho_at(x) == () and r.mu_at(x, y) == () and r.D_at(x, y) == ()
+    assert r.derived_D == (e, e)
+    assert check_representation(r).passed
+    rep = check_action(r)
+    assert rep.passed and rep.data == {"center_dim": 0}
