@@ -30,7 +30,7 @@ at basis tuples, stored sparsely; composites delta о delta are exact sparse
 products.
 """
 
-from .errors import AxiomsFailed, NotInvertible, ShapeMismatch, Unverified
+from .errors import AxiomsFailed, ShapeMismatch
 from .linalg import (Q0, Q1, Echelon, frac, invert, is_zero_vec, mat_col,
                      mat_vec, solve, vadd, vscale, vsub, vzero)
 from .reps import RepAction
@@ -424,26 +424,26 @@ def induced_rep(op):
         cols = [vadd(g.bracket2(Tc[a], g.e(i)),
                      op.apply(mat_col(r.rho[i], a))) for i in range(n)]
         rho.append(tuple(tuple(cols[i][t] for i in range(n)) for t in range(n)))
+    # D(e_i, Tu_a), mu(e_i, Tu_a) and mu(Tu_a, e_i), each formed once
+    D_xT = [[r.D_at(i, Tc[a]) for a in range(m)] for i in range(n)]
+    mu_xT = [[r.mu_at(i, Tc[a]) for a in range(m)] for i in range(n)]
+    mu_Tx = [[r.mu_at(Tc[a], i) for a in range(m)] for i in range(n)]
     mu = []
     for a in range(m):
         row = []
         for b in range(m):
             cols = []
             for i in range(n):
-                ei = g.e(i)
-                inner = vsub(mat_vec(r.D_at(ei, Tc[a]), h.e(b)),
-                             mat_vec(r.mu_at(ei, Tc[b]), h.e(a)))
-                cols.append(vsub(g.bracket3(ei, Tc[a], Tc[b]), op.apply(inner)))
+                inner = vsub(mat_col(D_xT[i][a], b), mat_col(mu_xT[i][b], a))
+                cols.append(vsub(g.bracket3(i, Tc[a], Tc[b]), op.apply(inner)))
             row.append(tuple(tuple(cols[i][t] for i in range(n)) for t in range(n)))
         mu.append(row)
     rep = RepAction(desc, g, rho, mu)
     for a in range(m):
         for b in range(m):
             for i in range(n):
-                ei = g.e(i)
-                inner = vsub(mat_vec(r.mu_at(Tc[b], ei), h.e(a)),
-                             mat_vec(r.mu_at(Tc[a], ei), h.e(b)))
-                want = vsub(g.bracket3(Tc[a], Tc[b], ei), op.apply(inner))
+                inner = vsub(mat_col(mu_Tx[i][b], a), mat_col(mu_Tx[i][a], b))
+                want = vsub(g.bracket3(Tc[a], Tc[b], i), op.apply(inner))
                 if mat_col(rep.derived_D[a][b], i) != want:
                     raise AxiomsFailed(
                         "derived D of the induced pair deviates from its closed "

@@ -8,8 +8,8 @@ that equivalent to checking on arbitrary vectors.
 """
 
 from .errors import AxiomsFailed, DimMismatch, NotLieAlgebra, StructureError
-from .linalg import (Q0, Subspace, Tensor, contract, frac, is_zero_vec, vadd,
-                     vscale, vsub, vzero)
+from .linalg import (Q0, Subspace, Tensor, contract, frac, is_zero_vec, sparse_values,
+                     vadd, vscale, vsub, vzero)
 from .reports import Checker
 
 
@@ -61,59 +61,33 @@ class LYAlgebra:
 
 
 def check_ly_axioms(A, all_violations=False):
-    """Check the four defining axioms on all basis tuples."""
+    """Check the four defining axioms on all basis tuples.
+
+    LY1: [[x,y],z] + [[y,z],x] + [[z,x],y] + <x,y,z> + <y,z,x> + <z,x,y> = 0
+    LY2: <[x,y],z,w> + <[y,z],x,w> + <[z,x],y,w> = 0
+    LY3: <x,y,[z,w]> = [<x,y,z>,w] + [z,<x,y,w>]
+    LY4: <x,y,<z,w,v>> = <<x,y,z>,w,v> + <z,<x,y,w>,v> + <z,w,<x,y,v>>
+
+    A tuple is evaluated only when some term of the equation has every factor
+    in the support of the brackets; at any other tuple each term, and so the
+    residual, is zero.
+    """
     ck = Checker("ly-axioms(%s)" % A.name, all_violations)
-    n = A.dim
-    c, d = A.binary, A.ternary
-    live2, live3 = c.support, d.support
-    for i, j, k in ck.tuples(n, 3):
-        res = vzero(n)
-        if (i, j) in live2:
-            res = vadd(res, contract(c, c[i][j], k))
-        if (j, k) in live2:
-            res = vadd(res, contract(c, c[j][k], i))
-        if (k, i) in live2:
-            res = vadd(res, contract(c, c[k][i], j))
-        res = vadd(res, d[i][j][k])
-        res = vadd(res, d[j][k][i])
-        res = vadd(res, d[k][i][j])
-        if not is_zero_vec(res):
-            ck.record("LY1", (i, j, k), res)
-    for i, j, k, l in ck.tuples(n, 4):
-        res = vzero(n)
-        hit = False
-        if (i, j) in live2:
-            res = vadd(res, contract(d, c[i][j], k, l)); hit = True
-        if (j, k) in live2:
-            res = vadd(res, contract(d, c[j][k], i, l)); hit = True
-        if (k, i) in live2:
-            res = vadd(res, contract(d, c[k][i], j, l)); hit = True
-        if hit and not is_zero_vec(res):
-            ck.record("LY2", (i, j, k, l), res)
-    for i, j, k, l in ck.tuples(n, 4):
-        res = vzero(n)
-        hit = False
-        if (k, l) in live2:
-            res = vadd(res, contract(d, i, j, c[k][l])); hit = True
-        if (i, j, k) in live3:
-            res = vsub(res, contract(c, d[i][j][k], l)); hit = True
-        if (i, j, l) in live3:
-            res = vsub(res, contract(c, k, d[i][j][l])); hit = True
-        if hit and not is_zero_vec(res):
-            ck.record("LY3", (i, j, k, l), res)
-    for i, j, k, l, m in ck.tuples(n, 5):
-        res = vzero(n)
-        hit = False
-        if (k, l, m) in live3:
-            res = vadd(res, contract(d, i, j, d[k][l][m])); hit = True
-        if (i, j, k) in live3:
-            res = vsub(res, contract(d, d[i][j][k], l, m)); hit = True
-        if (i, j, l) in live3:
-            res = vsub(res, contract(d, k, d[i][j][l], m)); hit = True
-        if (i, j, m) in live3:
-            res = vsub(res, contract(d, k, l, d[i][j][m])); hit = True
-        if hit and not is_zero_vec(res):
-            ck.record("LY4", (i, j, k, l, m), res)
+    c, d = sparse_values(A.binary), sparse_values(A.ternary)
+    # basis vectors x, y, z, w, v sit at tuple positions 0..4
+    shape = A.binary.shape
+    ck.equations(3, shape, [
+        ("LY1", [(1, (c, (c, 0, 1), 2)), (1, (c, (c, 1, 2), 0)), (1, (c, (c, 2, 0), 1)),
+                 (1, (d, 0, 1, 2)), (1, (d, 1, 2, 0)), (1, (d, 2, 0, 1))])])
+    ck.equations(4, shape, [
+        ("LY2", [(1, (d, (c, 0, 1), 2, 3)), (1, (d, (c, 1, 2), 0, 3)),
+                 (1, (d, (c, 2, 0), 1, 3))])])
+    ck.equations(4, shape, [
+        ("LY3", [(1, (d, 0, 1, (c, 2, 3))), (-1, (c, (d, 0, 1, 2), 3)),
+                 (-1, (c, 2, (d, 0, 1, 3)))])])
+    ck.equations(5, shape, [
+        ("LY4", [(1, (d, 0, 1, (d, 2, 3, 4))), (-1, (d, (d, 0, 1, 2), 3, 4)),
+                 (-1, (d, 2, (d, 0, 1, 3), 4)), (-1, (d, 2, 3, (d, 0, 1, 4)))])])
     rep = ck.report()
     if rep.passed:
         A.verified = True

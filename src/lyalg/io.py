@@ -27,7 +27,7 @@ import os
 
 from .core import LYAlgebra
 from .errors import FormatError
-from .linalg import format_frac, frac, is_zero_vec, vzero
+from .linalg import format_frac, frac, vzero
 from .postlya import PostLYAlgebra
 from .reps import RepAction
 from .rrb import RRBOperator

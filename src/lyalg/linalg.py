@@ -4,7 +4,7 @@ Scalars are ``fractions.Fraction`` (always reduced, positive denominator).
 Vectors are tuples of Fraction; matrices are tuples of row tuples.  The
 elimination routine also takes sparse rows, dicts {column: Fraction}.
 Structure tensors (``Tensor``) are nested tuples of vectors or matrices,
-evaluated by ``contract``.
+evaluated by ``contract``; the axiom scans read their support as sparse values.
 There are no tolerances anywhere: equality means exact equality.
 """
 
@@ -99,10 +99,6 @@ def mat_add(a, b):
 
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
-def mat_scale(c, a):
-    return tuple(tuple(c * x for x in r) for r in a)
 
 
 def transpose(m):
@@ -205,6 +201,141 @@ def contract(t, *slots):
 
 
 # ---------------------------------------------------------------------------
+# sparse values
+#
+# The axiom scans work on the support of each tensor with every value as a
+# dict of its nonzero entries, {r: q} for a vector and {(r, c): q} for a
+# matrix, and build the dense residual only for a recorded witness.
+
+def sparse_values(t):
+    """The support of ``t`` as {index tuple: sparse value}, in lexicographic order."""
+    if len(t.shape) == 1:
+        return {key: dict(terms) for key, terms in t._terms.items()}
+    w = t.shape[1]
+    return {key: {divmod(p, w): x for p, x in terms} for key, terms in t._terms.items()}
+
+
+def axpy(acc, f, x):
+    """acc += f * x on sparse dicts, in place, dropping entries that cancel."""
+    for k, v in x.items():
+        new = acc.get(k, Q0) + f * v
+        if new:
+            acc[k] = new
+        else:
+            del acc[k]
+
+
+def sparse_mul(a, b):
+    """The product of two sparse matrices {(r, c): q}."""
+    rows = {}
+    for (k, c), w in b.items():
+        rows.setdefault(k, []).append((c, w))
+    out = {}
+    for (r, k), q in a.items():
+        for c, w in rows.get(k, ()):
+            rc = (r, c)
+            out[rc] = out.get(rc, Q0) + q * w
+    return {rc: v for rc, v in out.items() if v}
+
+
+class Terms:
+    """Signed sums of terms over sparse supports, at basis tuples.
+
+    A factor is ``(values, slot, ...)``: a tensor's sparse support (see
+    ``sparse_values``) read with each slot a position in the basis tuple,
+    except that one slot may hold a factor of positions only, whose value
+    then fills that slot as a vector.  A term is ``(sign, factor)`` or
+    ``(sign, factor, factor)``, the product of the matrix values of two
+    factors of positions only.  A term is live at a tuple when every factor
+    it reads there meets the support; at any other tuple it is zero.
+    ``live`` lists the tuples where a term is live and ``residual`` sums the
+    terms at one tuple.  One ``Terms`` serves one scan: it keeps each
+    product it forms, with the operands, so that no other object can take
+    their ids while the memo lives.
+    """
+
+    def __init__(self):
+        self._products = {}        # (id(a), id(b)) -> (a, b, a b)
+
+    @staticmethod
+    def _live(factor):
+        """Each assignment {position: index} at which ``factor`` meets the support."""
+        values, slots = factor[0], factor[1:]
+        nested = [k for k, s in enumerate(slots) if not isinstance(s, int)]
+        if nested:
+            k = nested[0]
+            index = {}             # slot-k index -> the rest of each key
+            for key in values:
+                index.setdefault(key[k], []).append(key[:k] + key[k + 1:])
+            inner, inner_slots = slots[k][0], slots[k][1:]
+            positions = inner_slots + slots[:k] + slots[k + 1:]
+            keys = (key + rest for key, v in inner.items() for x in v
+                    for rest in index.get(x, ()))
+        else:
+            positions, keys = slots, values
+        for key in keys:
+            a = {}
+            if all(a.setdefault(p, i) == i for p, i in zip(positions, key)):
+                yield a
+
+    def live(self, terms, arity):
+        """The basis ``arity``-tuples at which some term is live, with repeats."""
+        for term in terms:
+            for a in self._live(term[1]):
+                for b in (self._live(term[2]) if len(term) > 2 else ({},)):
+                    if all(a.get(p, i) == i for p, i in b.items()):
+                        ab = {**a, **b}
+                        yield tuple(ab[p] for p in range(arity))
+
+    @staticmethod
+    def _add(acc, f, factor, args):
+        """acc += f * (the value of ``factor`` at the basis tuple ``args``)."""
+        values, slots = factor[0], factor[1:]
+        key, nested = [], None
+        for s in slots:
+            if isinstance(s, int):
+                key.append(args[s])
+            else:
+                nested = len(key), s[0].get(tuple(args[p] for p in s[1:]))
+                if nested[1] is None:
+                    return
+        if nested is None:
+            w = values.get(tuple(key))
+            if w is not None:
+                axpy(acc, f, w)
+            return
+        at, vec = nested
+        head, tail = tuple(key[:at]), tuple(key[at:])
+        for x, q in vec.items():
+            w = values.get(head + (x,) + tail)
+            if w is not None:
+                axpy(acc, f * q, w)
+
+    def residual(self, terms, args):
+        """The sum of ``terms`` at the basis tuple ``args``, as a sparse dict."""
+        acc = {}
+        for term in terms:
+            if len(term) == 2:
+                self._add(acc, term[0], term[1], args)
+                continue
+            a, b = (f[0].get(tuple(args[p] for p in f[1:])) for f in term[1:])
+            if a is None or b is None:
+                continue
+            key = (id(a), id(b))
+            if key not in self._products:
+                self._products[key] = (a, b, sparse_mul(a, b))
+            axpy(acc, term[0], self._products[key][2])
+        return acc
+
+
+def dense(x, shape):
+    """The dense vector or matrix of the given shape with sparse entries x."""
+    if len(shape) == 1:
+        return tuple(x.get(r, Q0) for r in range(shape[0]))
+    return tuple(tuple(x.get((r, c), Q0) for c in range(shape[1])) for r in range(shape[0]))
+
+
+# ---------------------------------------------------------------------------
 # elimination
 #
 # Every rank, kernel, solve and subspace below goes through one sparse
@@ -219,16 +350,6 @@ def _as_dict(row):
     if isinstance(row, dict):
         return {c: v for c, v in row.items() if v != 0}
     return {c: v for c, v in enumerate(row) if v != 0}
-
-
-def _axpy(row, f, other):
-    """row -= f * other, in place, dropping entries that cancel."""
-    for c, v in other.items():
-        new = row.get(c, Q0) - f * v
-        if new:
-            row[c] = new
-        else:
-            del row[c]
 
 
 class Echelon:
@@ -265,7 +386,7 @@ class Echelon:
             p = stored.get(c)
             if p is None:
                 break
-            _axpy(r, r[c], p)
+            axpy(r, -r[c], p)
         return r
 
     def insert(self, row):
@@ -287,7 +408,7 @@ class Echelon:
             for c in sorted(stored, reverse=True):
                 row = stored[c]
                 for k in [k for k in row if k != c and k in stored]:
-                    _axpy(row, row[k], stored[k])
+                    axpy(row, -row[k], stored[k])
             self._reduced = True
         return sorted(stored.items())
 

@@ -3,7 +3,7 @@
 import itertools
 from dataclasses import dataclass, field
 
-from .linalg import format_frac
+from .linalg import Terms, dense, format_frac
 
 DEFAULT_CAP = 10
 
@@ -83,6 +83,36 @@ class Checker:
             if self._saturated:
                 return
             yield t
+
+    def scan(self, live):
+        """The distinct tuples of ``live`` in lexicographic order, the order of
+        ``tuples``, ending as soon as the report is settled.
+
+        ``live`` is read only when the scan starts, so a generator passed here
+        is never run once the report is settled.
+        """
+        if self._saturated:
+            return
+        for t in sorted(set(live)):
+            if self._saturated:
+                return
+            yield t
+
+    def equations(self, arity, shape, equations):
+        """Check each (name, terms) of ``equations`` at the basis ``arity``-tuples,
+        tuples in lexicographic order and, at one tuple, names in list order.
+
+        ``terms`` is a signed sum as in ``linalg.Terms`` with values of
+        ``shape``.  Only tuples where some term is live are visited: at any
+        other tuple every term has a zero factor, so the residual is zero.
+        """
+        terms = Terms()
+        live = (t for _, ts in equations for t in terms.live(ts, arity))
+        for args in self.scan(live):
+            for name, ts in equations:
+                acc = terms.residual(ts, args)
+                if acc:
+                    self.record(name, args, dense(acc, shape))
 
     @property
     def failed(self):

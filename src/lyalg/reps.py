@@ -13,8 +13,8 @@ semidirect brackets on g (+) h satisfy the Lie-Yamaguti axioms.
 
 from .core import LYAlgebra, center
 from .errors import AxiomsFailed, DimMismatch, NotAnAction
-from .linalg import (Tensor, commutator, contract, is_zero_mat, is_zero_vec,
-                     mat_add, mat_col, mat_mul, mat_sub, mat_vec, vscale, vzero)
+from .linalg import (Tensor, commutator, contract, is_zero_vec, mat_add, mat_col, mat_sub,
+                     mat_vec, sparse_values, vscale, vzero)
 from .reports import Checker
 
 
@@ -86,6 +86,12 @@ def derive_D(r):
                   n, 2, r.rho.shape)
 
 
+def _supports(r):
+    """The acting brackets, rho, mu and D as sparse supports."""
+    g = r.acting
+    return [sparse_values(t) for t in (g.binary, g.ternary, r.rho, r.mu, r.derived_D)]
+
+
 def check_representation(r, all_violations=False):
     """Verify the five representation equations on all basis tuples of g.
 
@@ -94,37 +100,25 @@ def check_representation(r, all_violations=False):
     R3: rho(<x,y,z>) = [D(x,y), rho(z)]
     R4: mu(z,w)mu(x,y) - mu(y,w)mu(x,z) - mu(x,<y,z,w>) + D(y,z)mu(x,w) = 0
     R5: mu(<x,y,z>,w) + mu(z,<x,y,w>) = [D(x,y), mu(z,w)]
+
+    A tuple is evaluated only when some term has every factor in the support;
+    at any other tuple each term, and so the residual, is zero.
     """
     g = r.acting
-    n = g.dim
     ck = Checker("representation(%s on %s)" % (g.name, r.carrier.name), all_violations)
-    for i, j, k in ck.tuples(n, 3):
-        res = mat_sub(mat_add(r.mu_at(g.binary[i][j], k),
-                              mat_mul(r.mu[j][k], r.rho[i])),
-                      mat_mul(r.mu[i][k], r.rho[j]))
-        if not is_zero_mat(res):
-            ck.record("R1", (i, j, k), res)
-        res = mat_sub(mat_add(r.mu_at(i, g.binary[j][k]),
-                              mat_mul(r.rho[k], r.mu[i][j])),
-                      mat_mul(r.rho[j], r.mu[i][k]))
-        if not is_zero_mat(res):
-            ck.record("R2", (i, j, k), res)
-        res = mat_sub(r.rho_at(g.ternary[i][j][k]),
-                      commutator(r.derived_D[i][j], r.rho[k]))
-        if not is_zero_mat(res):
-            ck.record("R3", (i, j, k), res)
-    for i, j, k, l in ck.tuples(n, 4):
-        res = mat_sub(mat_mul(r.mu[k][l], r.mu[i][j]),
-                      mat_mul(r.mu[j][l], r.mu[i][k]))
-        res = mat_sub(res, r.mu_at(i, g.ternary[j][k][l]))
-        res = mat_add(res, mat_mul(r.derived_D[j][k], r.mu[i][l]))
-        if not is_zero_mat(res):
-            ck.record("R4", (i, j, k, l), res)
-        res = mat_add(r.mu_at(g.ternary[i][j][k], l),
-                      r.mu_at(k, g.ternary[i][j][l]))
-        res = mat_sub(res, commutator(r.derived_D[i][j], r.mu[k][l]))
-        if not is_zero_mat(res):
-            ck.record("R5", (i, j, k, l), res)
+    c, d, rho, mu, D = _supports(r)
+    # basis vectors x, y, z, w sit at tuple positions 0..3
+    ck.equations(3, r.rho.shape, [
+        ("R1", [(1, (mu, (c, 0, 1), 2)), (-1, (mu, 0, 2), (rho, 1)), (1, (mu, 1, 2), (rho, 0))]),
+        ("R2", [(1, (mu, 0, (c, 1, 2))), (-1, (rho, 1), (mu, 0, 2)), (1, (rho, 2), (mu, 0, 1))]),
+        ("R3", [(1, (rho, (d, 0, 1, 2))), (-1, (D, 0, 1), (rho, 2)), (1, (rho, 2), (D, 0, 1))]),
+    ])
+    ck.equations(4, r.rho.shape, [
+        ("R4", [(1, (mu, 2, 3), (mu, 0, 1)), (-1, (mu, 1, 3), (mu, 0, 2)),
+                (-1, (mu, 0, (d, 1, 2, 3))), (1, (D, 1, 2), (mu, 0, 3))]),
+        ("R5", [(1, (mu, (d, 0, 1, 2), 3)), (1, (mu, 2, (d, 0, 1, 3))),
+                (-1, (D, 0, 1), (mu, 2, 3)), (1, (mu, 2, 3), (D, 0, 1))]),
+    ])
     rep = ck.report()
     if r._rep_report is None or not r._rep_report.passed:
         r._rep_report = rep
@@ -137,28 +131,21 @@ def check_lemma_identities(r, all_violations=False):
     L1: D([x,y],z) + D([y,z],x) + D([z,x],y) = 0
     L2: D(<x,y,z>,w) + D(z,<x,y,w>) = [D(x,y), D(z,w)]
     L3: mu(<x,y,z>,w) = mu(x,w)mu(z,y) - mu(y,w)mu(z,x) - mu(z,w)D(x,y)
+
+    Tuples are visited as in ``check_representation``.
     """
     g = r.acting
-    n = g.dim
     ck = Checker("lemma-identities(%s on %s)" % (g.name, r.carrier.name), all_violations)
-    for i, j, k in ck.tuples(n, 3):
-        res = mat_add(mat_add(r.D_at(g.binary[i][j], k),
-                              r.D_at(g.binary[j][k], i)),
-                      r.D_at(g.binary[k][i], j))
-        if not is_zero_mat(res):
-            ck.record("L1", (i, j, k), res)
-    for i, j, k, l in ck.tuples(n, 4):
-        res = mat_add(r.D_at(g.ternary[i][j][k], l),
-                      r.D_at(k, g.ternary[i][j][l]))
-        res = mat_sub(res, commutator(r.derived_D[i][j], r.derived_D[k][l]))
-        if not is_zero_mat(res):
-            ck.record("L2", (i, j, k, l), res)
-        res = r.mu_at(g.ternary[i][j][k], l)
-        res = mat_sub(res, mat_mul(r.mu[i][l], r.mu[k][j]))
-        res = mat_add(res, mat_mul(r.mu[j][l], r.mu[k][i]))
-        res = mat_add(res, mat_mul(r.mu[k][l], r.derived_D[i][j]))
-        if not is_zero_mat(res):
-            ck.record("L3", (i, j, k, l), res)
+    c, d, _, mu, D = _supports(r)
+    ck.equations(3, r.rho.shape, [
+        ("L1", [(1, (D, (c, 0, 1), 2)), (1, (D, (c, 1, 2), 0)), (1, (D, (c, 2, 0), 1))]),
+    ])
+    ck.equations(4, r.rho.shape, [
+        ("L2", [(1, (D, (d, 0, 1, 2), 3)), (1, (D, 2, (d, 0, 1, 3))),
+                (-1, (D, 0, 1), (D, 2, 3)), (1, (D, 2, 3), (D, 0, 1))]),
+        ("L3", [(1, (mu, (d, 0, 1, 2), 3)), (-1, (mu, 0, 3), (mu, 2, 1)),
+                (1, (mu, 1, 3), (mu, 2, 0)), (1, (mu, 2, 3), (D, 0, 1))]),
+    ])
     return ck.report()
 
 

@@ -12,12 +12,12 @@ characterizations are implemented and exercised against each other.
 
 from dataclasses import dataclass
 
-from .core import LYAlgebra, center, check_homomorphism, derived_algebra
+from .core import LYAlgebra, check_homomorphism, derived_algebra
 from .errors import DimMismatch, PreconditionFailed, Unverified
 from .linalg import (Subspace, invert, is_zero_mat, is_zero_vec, mat, mat_col,
-                     mat_mul, mat_sub, mat_vec, transpose, vadd, vsub, vzero)
+                     mat_mul, mat_sub, mat_vec, transpose, vadd, vsub)
 from .reports import Checker
-from .reps import RepAction, adjoint_rep
+from .reps import adjoint_rep
 
 
 class RRBOperator:
@@ -171,19 +171,18 @@ def descent_algebra(op):
     r = op.action
     h = r.carrier
     m = h.dim
+    T = op._cols
+    rho_T = [r.rho_at(T[a]) for a in range(m)]
+    mu_T = [[r.mu_at(T[a], T[b]) for b in range(m)] for a in range(m)]
     binary = [[None] * m for _ in range(m)]
     ternary = [[[None] * m for _ in range(m)] for _ in range(m)]
     for a in range(m):
         for b in range(m):
-            Ta, Tb = op._cols[a], op._cols[b]
-            binary[a][b] = vadd(vsub(mat_vec(r.rho_at(Ta), h.e(b)),
-                                     mat_vec(r.rho_at(Tb), h.e(a))),
+            binary[a][b] = vadd(vsub(mat_col(rho_T[a], b), mat_col(rho_T[b], a)),
                                 h.binary[a][b])
+            D_T = r.D_at(T[a], T[b])
             for c in range(m):
-                Tc = op._cols[c]
-                t = vadd(mat_vec(r.D_at(Ta, Tb), h.e(c)),
-                         vsub(mat_vec(r.mu_at(Tb, Tc), h.e(a)),
-                              mat_vec(r.mu_at(Ta, Tc), h.e(b))))
+                t = vadd(mat_col(D_T, c), vsub(mat_col(mu_T[b][c], a), mat_col(mu_T[a][c], b)))
                 ternary[a][b][c] = vadd(t, h.ternary[a][b][c])
     D = LYAlgebra(m, binary, ternary, basis=h.basis, name="%s-descent" % h.name)
     D.ensure_verified()

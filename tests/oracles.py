@@ -8,6 +8,9 @@ from direct column-by-column evaluation of the defining formulas, and
 deformation coefficients from truncated polynomial expansion.
 """
 
+import functools
+import itertools
+import operator
 from fractions import Fraction
 
 Z = Fraction(0)
@@ -124,6 +127,148 @@ def D_at(r, x, y):
     out = _lin(-1, mu_at(r, x, y), mu_at(r, y, x))
     out = _lin(-1, mm(ry, rx), _lin(1, mm(rx, ry), out))
     return _lin(-1, rho_at(r, br2(r.acting, x, y)), out)
+
+
+# ---------------------------------------------------------------------------
+# axiom witnesses from a dense scan of every basis tuple
+#
+# Each function lists (eq, args, residual) for every violated equation, the
+# basis tuples in lexicographic order and, at one tuple, the equations in the
+# order the docstring gives them; a residual is left side minus right side.
+
+def _sum(*terms):
+    """Entrywise sum of nested tuples of scalars."""
+    if isinstance(terms[0], tuple):
+        return tuple(_sum(*xs) for xs in zip(*terms))
+    return functools.reduce(operator.add, [x for x in terms if x], Z)
+
+
+def _scale(c, t):
+    if c == 1:
+        return t
+    if isinstance(t, tuple):
+        return tuple(_scale(c, x) for x in t)
+    return c * t
+
+
+def _zero(t):
+    return tuple(_zero(x) for x in t) if isinstance(t, tuple) else Z
+
+
+def _at(t, *slots):
+    """The multilinear map with nested structure tensor t, each slot a basis
+    index or a coordinate vector: a dense sum over the vector slots."""
+    if not slots:
+        return t
+    s, rest = slots[0], slots[1:]
+    if isinstance(s, int):
+        return _at(t[s], *rest)
+    terms = [_scale(c, _at(sub, *rest)) for c, sub in zip(s, t) if c != 0]
+    return _sum(*terms) if terms else _zero(_at(t[0], *rest))
+
+
+def _neg(t):
+    return _scale(-1, t)
+
+
+def _nonzero(x):
+    if isinstance(x, tuple):
+        return any(_nonzero(y) for y in x)
+    return x != 0
+
+
+def _witnesses(n, families):
+    """families: (arity, [(eq, residual as a function of basis indices)])."""
+    out = []
+    for arity, eqs in families:
+        for args in itertools.product(range(n), repeat=arity):
+            for eq, fn in eqs:
+                res = fn(*args)
+                if _nonzero(res):
+                    out.append((eq, args, res))
+    return out
+
+
+def _brackets(alg):
+    """The brackets with each slot a basis index or a vector."""
+    return (lambda *xs: _at(alg.binary, *xs)), (lambda *xs: _at(alg.ternary, *xs))
+
+
+def o_ly_violations(A):
+    """LY1: [[x,y],z] + [[y,z],x] + [[z,x],y] + <x,y,z> + <y,z,x> + <z,x,y>
+    LY2: <[x,y],z,w> + <[y,z],x,w> + <[z,x],y,w>
+    LY3: <x,y,[z,w]> - [<x,y,z>,w] - [z,<x,y,w>]
+    LY4: <x,y,<z,w,v>> - <<x,y,z>,w,v> - <z,<x,y,w>,v> - <z,w,<x,y,v>>
+    (every LY1 triple first, then LY2, LY3 and LY4 in turn)."""
+    c, d = _brackets(A)
+    return _witnesses(A.dim, [
+        (3, [("LY1", lambda i, j, k: _sum(c(c(i, j), k), c(c(j, k), i), c(c(k, i), j),
+                                          d(i, j, k), d(j, k, i), d(k, i, j)))]),
+        (4, [("LY2", lambda i, j, k, l: _sum(d(c(i, j), k, l), d(c(j, k), i, l),
+                                             d(c(k, i), j, l)))]),
+        (4, [("LY3", lambda i, j, k, l: _sum(d(i, j, c(k, l)), _neg(c(d(i, j, k), l)),
+                                             _neg(c(k, d(i, j, l)))))]),
+        (5, [("LY4", lambda i, j, k, l, m: _sum(d(i, j, d(k, l, m)), _neg(d(d(i, j, k), l, m)),
+                                                _neg(d(k, d(i, j, l), m)),
+                                                _neg(d(k, l, d(i, j, m)))))]),
+    ])
+
+
+def _rep_values(r):
+    """The acting brackets, then rho, mu and D with each slot a basis index or
+    a vector; D is tabulated on basis pairs from its closed form."""
+    n = r.acting.dim
+    e = [_unit(n, i) for i in range(n)]
+    D = tuple(tuple(D_at(r, e[i], e[j]) for j in range(n)) for i in range(n))
+    return _brackets(r.acting) + ((lambda x: _at(r.rho, x)), (lambda x, y: _at(r.mu, x, y)),
+                                  (lambda x, y: _at(D, x, y)))
+
+
+def _mm(a, b):
+    """Dense matrix product (zero entries add nothing and are passed over)."""
+    return tuple(tuple(_sum(Z, *(x * y for x, y in zip(row, c) if x and y)) for c in zip(*b))
+                 for row in a)
+
+
+def _comm(a, b):
+    return _sum(_mm(a, b), _neg(_mm(b, a)))
+
+
+def o_rep_violations(r):
+    """R1: mu([x,y],z) - mu(x,z)rho(y) + mu(y,z)rho(x)
+    R2: mu(x,[y,z]) - rho(y)mu(x,z) + rho(z)mu(x,y)
+    R3: rho(<x,y,z>) - [D(x,y), rho(z)]
+    R4: mu(z,w)mu(x,y) - mu(y,w)mu(x,z) - mu(x,<y,z,w>) + D(y,z)mu(x,w)
+    R5: mu(<x,y,z>,w) + mu(z,<x,y,w>) - [D(x,y), mu(z,w)]
+    (R1-R3 at each triple, then R4-R5 at each quadruple)."""
+    c, d, rho, mu, D = _rep_values(r)
+    return _witnesses(r.acting.dim, [
+        (3, [("R1", lambda i, j, k: _sum(mu(c(i, j), k), _neg(_mm(mu(i, k), rho(j))),
+                                         _mm(mu(j, k), rho(i)))),
+             ("R2", lambda i, j, k: _sum(mu(i, c(j, k)), _neg(_mm(rho(j), mu(i, k))),
+                                         _mm(rho(k), mu(i, j)))),
+             ("R3", lambda i, j, k: _sum(rho(d(i, j, k)), _neg(_comm(D(i, j), rho(k)))))]),
+        (4, [("R4", lambda i, j, k, l: _sum(_mm(mu(k, l), mu(i, j)),
+                                            _neg(_mm(mu(j, l), mu(i, k))),
+                                            _neg(mu(i, d(j, k, l))), _mm(D(j, k), mu(i, l)))),
+             ("R5", lambda i, j, k, l: _sum(mu(d(i, j, k), l), mu(k, d(i, j, l)),
+                                            _neg(_comm(D(i, j), mu(k, l)))))]),
+    ])
+
+
+def o_lemma_violations(r):
+    """L1: D([x,y],z) + D([y,z],x) + D([z,x],y)
+    L2: D(<x,y,z>,w) + D(z,<x,y,w>) - [D(x,y), D(z,w)]
+    L3: mu(<x,y,z>,w) - mu(x,w)mu(z,y) + mu(y,w)mu(z,x) + mu(z,w)D(x,y)
+    (L1 at each triple, then L2-L3 at each quadruple)."""
+    c, d, rho, mu, D = _rep_values(r)
+    return _witnesses(r.acting.dim, [
+        (3, [("L1", lambda i, j, k: _sum(D(c(i, j), k), D(c(j, k), i), D(c(k, i), j)))]),
+        (4, [("L2", lambda i, j, k, l: _sum(D(d(i, j, k), l), D(k, d(i, j, l)),
+                                            _neg(_comm(D(i, j), D(k, l))))),
+             ("L3", lambda i, j, k, l: _sum(mu(d(i, j, k), l), _neg(_mm(mu(i, l), mu(k, j))),
+                                            _mm(mu(j, l), mu(k, i)), _mm(mu(k, l), D(i, j))))]),
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ import lyalg as L
 from lyalg import io as lyio
 from lyalg.postlya import PostLYAlgebra, check_post_axioms
 from lyalg.reports import Checker
-from lyalg.reps import RepAction, check_representation
+from lyalg.reps import RepAction, adjoint_rep, check_representation
+
+from conftest import fx
 
 POOL = [F(-1), F(0), F(0), F(0), F(1), F(2)]
 
@@ -47,6 +49,46 @@ def heisenberg5():
     return L.from_lie_algebra(5, c)
 
 
+def nilpotent4():
+    return lyio.load_algebra(fx("nilpotent4.json"))
+
+
+def bump(rng, entries):
+    """``entries`` with two random positions moved by a nonzero amount."""
+    out = [F(0)] * len(entries)
+    for p in rng.sample(range(len(entries)), 2):
+        out[p] = rng.choice([F(-1), F(1), F(2)])
+    return [x + y for x, y in zip(entries, out)]
+
+
+def perturbed_semidirect(rng):
+    """The dim-8 semidirect algebra of nilpotent4's adjoint action with two
+    brackets moved off the axioms: sparse, so most tuples have no live term."""
+    S = adjoint_rep(nilpotent4()).ensure_action().semidirect()
+    n = S.dim
+    c = [[list(v) for v in row] for row in S.binary]
+    d = [[[list(v) for v in row] for row in plane] for plane in S.ternary]
+    i, j = sorted(rng.sample(range(n), 2))
+    c[i][j] = bump(rng, c[i][j])
+    c[j][i] = [-x for x in c[i][j]]
+    i, j = sorted(rng.sample(range(n), 2))
+    k = rng.randrange(n)
+    d[i][j][k] = bump(rng, d[i][j][k])
+    d[j][i][k] = [-x for x in d[i][j][k]]
+    return L.LYAlgebra(n, c, d)
+
+
+def perturbed_adjoint(rng):
+    """nilpotent4's adjoint representation with one rho and one mu entry moved."""
+    A = nilpotent4()
+    r = adjoint_rep(A)
+    rho = [[list(row) for row in M] for M in r.rho]
+    mu = [[[list(row) for row in M] for M in line] for line in r.mu]
+    rho[rng.randrange(4)][rng.randrange(4)][rng.randrange(4)] += 1
+    mu[rng.randrange(4)][rng.randrange(4)][rng.randrange(4)][rng.randrange(4)] -= 1
+    return RepAction(A, A, rho, mu)
+
+
 def assert_capped_prefix(check, *args):
     full = check(*args, all_violations=True).violations
     capped = check(*args).violations
@@ -65,10 +107,29 @@ def test_tuples_stop_at_saturation():
     assert len(list(Checker("all", all_violations=True).tuples(3, 3))) == 27
 
 
+def test_scan_sorts_dedupes_and_stops_at_saturation():
+    ck = Checker("scan")
+    live = [(1, 0), (0, 2), (1, 0), (0, 1)] + [(2, i) for i in range(12)]
+    seen = []
+    for t in ck.scan(live):
+        seen.append(t)
+        ck.record("E", t, (F(1),))
+    assert seen == [(0, 1), (0, 2), (1, 0)] + [(2, i) for i in range(7)]
+
+    def never():
+        raise AssertionError("read after saturation")
+        yield
+    assert list(ck.scan(never())) == []
+
+
 def test_capped_ly_axioms_are_a_prefix():
     rng = random.Random(5150)
     A = L.LYAlgebra(5, antisym2(rng, 5), antisym3(rng, 5))
     assert_capped_prefix(L.check_ly_axioms, A)
+
+
+def test_capped_sparse_ly_axioms_are_a_prefix():
+    assert_capped_prefix(L.check_ly_axioms, perturbed_semidirect(random.Random(5155)))
 
 
 def test_capped_representation_is_a_prefix():
@@ -113,6 +174,11 @@ def _seeded_reports():
                       antisym3(rng, 4), plain(rng, 4, 4, 4, 4))
     yield "post", check_post_axioms(P, all_violations=True)
     yield "post-as-printed", check_post_axioms(P, all_violations=True, as_printed=True)
+    yield "sparse-ly", L.check_ly_axioms(perturbed_semidirect(random.Random(5155)),
+                                         all_violations=True)
+    r = perturbed_adjoint(random.Random(5160))
+    yield "sparse-rep", check_representation(r, all_violations=True)
+    yield "sparse-lemma", L.check_lemma_identities(r, all_violations=True)
 
 
 # SHA-256 of the canonical JSON of each full report, and its witness count
@@ -124,6 +190,9 @@ WITNESS_DIGESTS = {
     "post": ("b6cfc1823052a63adf5e691426881376f88158169ee8ef5f3d5fc9ee26bdb48a", 6381),
     "post-as-printed": ("4ba503a85cd43506d8a4dc7141aee94ccf50f0e9894aec22142d3e6fad13d07b",
                         4926),
+    "sparse-ly": ("09882bb8118b7407e8046a53ece98b65f0acea2d8bf7fbbc2eb052ca7e33134c", 82),
+    "sparse-rep": ("1ed6c0c0a5e777205148092fa2b82ec5412cdff449107d6c8f7e80345ac0e083", 70),
+    "sparse-lemma": ("ba635fe254b6937e4ed1e37823160d4732e8353eaabf41901884fafb989ce619", 46),
 }
 
 

@@ -28,3 +28,24 @@ def test_library_is_stdlib_only():
     bad = [(f, line, name) for f in modules
            for line, name in foreign_imports(os.path.join(SRC, f))]
     assert bad == []
+
+
+def unused_imports(path):
+    """Names a module imports and never reads."""
+    tree = ast.parse(open(path, encoding="utf-8").read(), path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                name = a.asname or a.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    # __init__.py imports in order to re-export
+    modules = sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py")
+    bad = [(f, line, name) for f in modules
+           for line, name in unused_imports(os.path.join(SRC, f))]
+    assert bad == []
