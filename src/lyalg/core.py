@@ -8,8 +8,8 @@ that equivalent to checking on arbitrary vectors.
 """
 
 from .errors import AxiomsFailed, DimMismatch, NotLieAlgebra, StructureError
-from .linalg import (Q0, Subspace, Tensor, contract, frac, is_zero_vec, sparse_values,
-                     vadd, vscale, vsub, vzero)
+from .linalg import (Q0, Subspace, Tensor, contract, frac, is_zero_vec, skew_fault,
+                     sparse_values, vadd, vsub, vzero)
 from .reports import Checker
 
 
@@ -24,15 +24,12 @@ class LYAlgebra:
             raise DimMismatch("%d basis labels for dim %d" % (len(self.basis), dim))
         self.binary = Tensor(binary, dim, 2, (dim,))
         self.ternary = Tensor(ternary, dim, 3, (dim,))
-        for i in range(dim):
-            for j in range(dim):
-                if self.binary[i][j] != vscale(-frac(1), self.binary[j][i]):
-                    raise StructureError("binary tensor not antisymmetric at (%d,%d)" % (i, j))
-                for k in range(dim):
-                    if self.ternary[i][j][k] != vscale(-frac(1), self.ternary[j][i][k]):
-                        raise StructureError(
-                            "ternary tensor not antisymmetric in first two slots at (%d,%d,%d)"
-                            % (i, j, k))
+        fault = skew_fault(self.binary, self.ternary)
+        if fault is not None and len(fault) == 2:
+            raise StructureError("binary tensor not antisymmetric at (%d,%d)" % fault)
+        if fault is not None:
+            raise StructureError(
+                "ternary tensor not antisymmetric in first two slots at (%d,%d,%d)" % fault)
         self.verified = False
         self._axiom_report = None
 
@@ -111,10 +108,9 @@ def from_lie_algebra(dim, binary, basis=None, name=None):
     NotLieAlgebra raised otherwise.
     """
     c = Tensor(binary, dim, 2, (dim,))
-    for i in range(dim):
-        for j in range(dim):
-            if c[i][j] != vscale(-frac(1), c[j][i]):
-                raise NotLieAlgebra("bracket not antisymmetric at (%d,%d)" % (i, j))
+    fault = skew_fault(c)
+    if fault is not None:
+        raise NotLieAlgebra("bracket not antisymmetric at (%d,%d)" % fault)
     ternary = [[[contract(c, c[i][j], k) for k in range(dim)] for j in range(dim)]
                for i in range(dim)]
     for i in range(dim):

@@ -12,54 +12,48 @@ and analogously with a triple index sum for the ternary one.  The coefficient
 of t^(n+1) of an extension splits as Ob + delta^T(T_{n+1}) where Ob collects
 exactly the summands with all indices at most n; extendability is solvability
 of delta^T(T_{n+1}) = -Ob over Hom(h, g).
+
+Every coefficient comes from ``rrb.coefficients``, which tabulates it over the
+supports of the brackets and the action and the nonzero entries of the T_i:
+the checks scan the t^1..t^n tables, the obstruction reads the t^(n+1) table
+of the same cached set, and a linear deformation reads t^1..t^3.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .cohomology import Cochain, TComplex, pair_basis
 from .errors import DimMismatch, Inconsistent, InvalidDeformation
-from .linalg import (Q0, is_zero_mat, is_zero_vec, mat, mat_add, mat_col,
-                     mat_mul, mat_sub, mat_vec, mat_zero, rank, vadd,
-                     vscale, vsub, vzero)
+from .linalg import (Q1, axpy, dense, is_zero_mat, is_zero_vec, mat, mat_add, mat_col,
+                     mat_id, mat_mul, mat_sub, mat_vec, mat_zero, rank, skew_faults,
+                     vadd, vsub, vzero)
 from .reports import Checker, Report
+from .rrb import coefficients
+
+
+def _contract(r, table, *vecs):
+    """The table {basis tuple: sparse vector} of a coefficient at ``vecs``."""
+    m = r.carrier.dim
+    if any(len(x) != m for x in vecs):
+        raise DimMismatch("vectors must have length %d" % m)
+    acc = {}
+    for key, v in table.items():
+        f = Q1
+        for x, a in zip(vecs, key):
+            f *= x[a]
+        if f:
+            axpy(acc, f, v)
+    return dense(acc, (r.acting.dim,))
 
 
 def binary_coefficient(r, Ts, s, u, v):
     """t^s coefficient of the binary defining equation for sum_i t^i T_i."""
-    g, h = r.acting, r.carrier
-    res = vzero(g.dim)
-    for i in range(0, s + 1):
-        j = s - i
-        if i >= len(Ts) or j >= len(Ts):
-            continue
-        res = vadd(res, g.bracket2(mat_vec(Ts[i], u), mat_vec(Ts[j], v)))
-        inner = vsub(mat_vec(r.rho_at(mat_vec(Ts[j], u)), v),
-                     mat_vec(r.rho_at(mat_vec(Ts[j], v)), u))
-        res = vsub(res, mat_vec(Ts[i], inner))
-    if s < len(Ts):
-        res = vsub(res, mat_vec(Ts[s], h.bracket2(u, v)))
-    return res
+    return _contract(r, coefficients(r, Ts, (s,))[s][0], u, v)
 
 
 def ternary_coefficient(r, Ts, s, u, v, w):
     """t^s coefficient of the ternary defining equation for sum_i t^i T_i."""
-    g, h = r.acting, r.carrier
-    res = vzero(g.dim)
-    for i in range(0, s + 1):
-        for j in range(0, s - i + 1):
-            k = s - i - j
-            if i >= len(Ts) or j >= len(Ts) or k >= len(Ts):
-                continue
-            Tu = mat_vec(Ts[i], u)
-            Tv, Tw = mat_vec(Ts[j], v), mat_vec(Ts[k], w)
-            res = vadd(res, g.bracket3(Tu, Tv, Tw))
-            inner = vadd(mat_vec(r.D_at(mat_vec(Ts[j], u), mat_vec(Ts[k], v)), w),
-                         vsub(mat_vec(r.mu_at(Tv, Tw), u),
-                              mat_vec(r.mu_at(mat_vec(Ts[j], u), Tw), v)))
-            res = vsub(res, mat_vec(Ts[i], inner))
-    if s < len(Ts):
-        res = vsub(res, mat_vec(Ts[s], h.bracket3(u, v, w)))
-    return res
+    return _contract(r, coefficients(r, Ts, (s,))[s][1], u, v, w)
 
 
 class OrderNDeformation:
@@ -76,6 +70,7 @@ class OrderNDeformation:
         self.order = len(self.terms)
         self._cx = None
         self._ob = None
+        self._coefficients = None
 
     @property
     def all_terms(self):
@@ -86,26 +81,28 @@ class OrderNDeformation:
             self._cx = TComplex(self.base)
         return self._cx
 
+    def coefficients(self):
+        """The t^1..t^(n+1) coefficient tables (see ``rrb.coefficients``), built once."""
+        if self._coefficients is None:
+            self._coefficients = coefficients(self.base.action, self.all_terms,
+                                              range(1, self.order + 2))
+        return self._coefficients
+
     def __repr__(self):
         return "OrderNDeformation(order=%d)" % self.order
 
 
 def check_order_n(d, all_violations=False):
-    """Coefficients t^1..t^n of both defining equations on all basis tuples."""
-    r = d.base.action
-    h = r.carrier
-    m = h.dim
-    Ts = d.all_terms
+    """Coefficients t^1..t^n of both defining equations on all basis tuples,
+    read from the deformation's tables; witnesses come in the order of
+    ``Checker.tuples``, degree by degree."""
+    shape = (d.base.action.acting.dim,)
+    tables = d.coefficients()
     ck = Checker("order-%d-deformation" % d.order, all_violations)
     for s in range(1, d.order + 1):
-        for a, b in ck.tuples(m, 2):
-            res = binary_coefficient(r, Ts, s, h.e(a), h.e(b))
-            if not is_zero_vec(res):
-                ck.record("deform-binary-t^%d" % s, (a, b), res)
-        for a, b, c in ck.tuples(m, 3):
-            res = ternary_coefficient(r, Ts, s, h.e(a), h.e(b), h.e(c))
-            if not is_zero_vec(res):
-                ck.record("deform-ternary-t^%d" % s, (a, b, c), res)
+        binary, ternary = tables[s]
+        ck.table("deform-binary-t^%d" % s, binary, shape)
+        ck.table("deform-ternary-t^%d" % s, ternary, shape)
     return ck.report({"order": d.order})
 
 
@@ -113,34 +110,23 @@ def check_linear_deformation(op, T1, all_violations=False):
     """Per-coefficient verdicts for T + t*T1 (t^1..t^3 can be nonzero).
 
     The report fails when any coefficient survives; data lists the verdict per
-    coefficient and whether T1 is closed for the operator's complex (the
-    degree-1 cocycle condition, which the t^1 coefficient reproduces).
+    coefficient, read from whether its tables are empty, and whether T1 is
+    closed for the operator's complex (the degree-1 cocycle condition, which
+    the t^1 coefficient reproduces).
     """
     op.ensure_verified()
     r = op.action
-    h = r.carrier
-    m = h.dim
+    m = r.carrier.dim
     T1 = mat(T1)
-    Ts = [op.T, T1]
+    shape = (r.acting.dim,)
+    tables = coefficients(r, [op.T, T1], (1, 2, 3))
     ck = Checker("linear-deformation", all_violations)
     per = {}
     for s in (1, 2, 3):
-        ok = True
-        if s <= 2:
-            for a in range(m):
-                for b in range(m):
-                    res = binary_coefficient(r, Ts, s, h.e(a), h.e(b))
-                    if not is_zero_vec(res):
-                        ok = False
-                        ck.record("deform-binary-t^%d" % s, (a, b), res)
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    res = ternary_coefficient(r, Ts, s, h.e(a), h.e(b), h.e(c))
-                    if not is_zero_vec(res):
-                        ok = False
-                        ck.record("deform-ternary-t^%d" % s, (a, b, c), res)
-        per["t^%d" % s] = "pass" if ok else "fail"
+        binary, ternary = tables[s]
+        ck.table("deform-binary-t^%d" % s, binary, shape)
+        ck.table("deform-ternary-t^%d" % s, ternary, shape)
+        per["t^%d" % s] = "fail" if binary or ternary else "pass"
     cx = TComplex(op)
     flat = _flatten_map(T1, m)
     closed = all(v == 0 for v in cx.matrix(1).apply(flat))
@@ -159,13 +145,23 @@ def _unflatten_map(flat, n, m):
     return tuple(tuple(cols[a][t] for a in range(m)) for t in range(n))
 
 
+def _by_degree(values, top, zero, add):
+    """The sums of {index tuple: value} by index sum: coefficients t^0..t^top."""
+    out = [zero] * (top + 1)
+    for key, v in values.items():
+        out[sum(key)] = add(out[sum(key)], v)
+    return out
+
+
 def check_equivalence(op, T1, T2, wedges, all_violations=False):
     """Whether (Id + t L(X), Id + t D(X)) is a homomorphism T+tT2 -> T+tT1.
 
     ``wedges`` lists (x, y) vector pairs whose sum is X in the wedge square of
     the acting algebra.  All homomorphism equations are expanded in t; the
     verdict covers the coefficients of t^0 and t^1 (the identities are read
-    modulo t^2), higher coefficients are reported in the data payload.
+    modulo t^2), higher coefficients are reported in the data payload.  Each
+    product of the degree-0 and degree-1 parts at a basis tuple is formed
+    once and summed by degree.
     """
     op.ensure_verified()
     r = op.action
@@ -178,16 +174,7 @@ def check_equivalence(op, T1, T2, wedges, all_violations=False):
         LXc = [g.bracket3(x, y, g.e(i)) for i in range(n)]
         LX = mat_add(LX, tuple(tuple(LXc[i][t] for i in range(n)) for t in range(n)))
         DX = mat_add(DX, r.D_at(x, y))
-    P = [tuple(tuple(Q0 + (1 if i == j else 0) for j in range(n)) for i in range(n)), LX]
-    Q = [tuple(tuple(Q0 + (1 if i == j else 0) for j in range(m)) for i in range(m)), DX]
-
-    def pcoef(poly, s):
-        return poly[s] if s < len(poly) else None
-
-    def pvec(poly, s, v):
-        c = pcoef(poly, s)
-        return mat_vec(c, v) if c is not None else vzero(len(v))
-
+    P, Q = (mat_id(n), LX), (mat_id(m), DX)
     ck = Checker("deformation-equivalence", all_violations)
     higher = {}
 
@@ -199,85 +186,64 @@ def check_equivalence(op, T1, T2, wedges, all_violations=False):
         else:
             higher.setdefault(eq, set()).add(s)
 
-    from_poly = [op.T, T2]
-    to_poly = [op.T, T1]
-    for s in range(0, 3):
-        res = mat_zero(n, m)
-        for i in range(s + 1):
-            a, b = pcoef(P, i), pcoef(from_poly, s - i)
-            if a is not None and b is not None:
-                res = mat_add(res, mat_mul(a, b))
-            a, b = pcoef(to_poly, i), pcoef(Q, s - i)
-            if a is not None and b is not None:
-                res = mat_sub(res, mat_mul(a, b))
-        note("intertwines-T", (), s, res, is_zero_mat)
+    from_poly, to_poly = (op.T, T2), (op.T, T1)
+    res = _by_degree({(a, b): mat_sub(mat_mul(P[a], from_poly[b]), mat_mul(to_poly[a], Q[b]))
+                      for a, b in itertools.product((0, 1), repeat=2)},
+                     2, mat_zero(n, m), mat_add)
+    for s in range(3):
+        note("intertwines-T", (), s, res[s], is_zero_mat)
+
+    def homomorphism(alg, M, eq):
+        """Both bracket equations for Id + t M on ``alg``."""
+        d = alg.dim
+        Ms = (mat_id(d), M)
+        cols = [[mat_col(Mi, i) for i in range(d)] for Mi in Ms]
+        for i, j in itertools.product(range(d), repeat=2):
+            res = _by_degree({(a, b): alg.bracket2(cols[a][i], cols[b][j])
+                              for a, b in itertools.product((0, 1), repeat=2)},
+                             2, vzero(d), vadd)
+            for s in range(3):
+                if s <= 1:
+                    res[s] = vsub(res[s], mat_vec(Ms[s], alg.binary[i][j]))
+                note(eq + "-binary", (i, j), s, res[s], is_zero_vec)
+            for k in range(d):
+                res = _by_degree({abc: alg.bracket3(cols[abc[0]][i], cols[abc[1]][j],
+                                                    cols[abc[2]][k])
+                                  for abc in itertools.product((0, 1), repeat=3)},
+                                 3, vzero(d), vadd)
+                for s in range(4):
+                    if s <= 1:
+                        res[s] = vsub(res[s], mat_vec(Ms[s], alg.ternary[i][j][k]))
+                    note(eq + "-ternary", (i, j, k), s, res[s], is_zero_vec)
+
+    homomorphism(g, LX, "psi_g")
+    homomorphism(h, DX, "psi_h")
+    pe = [[mat_col(Pa, i) for i in range(n)] for Pa in P]
+    zero = mat_zero(m, m)
     for i in range(n):
+        rho = [r.rho_at(pe[a][i]) for a in (0, 1)]
+        res = _by_degree({(a, c): mat_mul(rho[a], Q[c])
+                          for a, c in itertools.product((0, 1), repeat=2)},
+                         2, zero, mat_add)
+        for s in range(3):
+            if s <= 1:
+                res[s] = mat_sub(res[s], mat_mul(Q[s], r.rho[i]))
+            note("rho-equivariance", (i,), s, res[s], is_zero_mat)
         for j in range(n):
-            for s in range(0, 3):
-                res = vzero(n)
-                for a in range(s + 1):
-                    res = vadd(res, g.bracket2(pvec(P, a, g.e(i)), pvec(P, s - a, g.e(j))))
-                res = vsub(res, pvec(P, s, g.binary[i][j]))
-                note("psi_g-binary", (i, j), s, res, is_zero_vec)
-            for k in range(n):
-                for s in range(0, 4):
-                    res = vzero(n)
-                    for a in range(s + 1):
-                        for b in range(s - a + 1):
-                            res = vadd(res, g.bracket3(pvec(P, a, g.e(i)),
-                                                       pvec(P, b, g.e(j)),
-                                                       pvec(P, s - a - b, g.e(k))))
-                    res = vsub(res, pvec(P, s, g.ternary[i][j][k]))
-                    note("psi_g-ternary", (i, j, k), s, res, is_zero_vec)
-    for i in range(m):
-        for j in range(m):
-            for s in range(0, 3):
-                res = vzero(m)
-                for a in range(s + 1):
-                    res = vadd(res, h.bracket2(pvec(Q, a, h.e(i)), pvec(Q, s - a, h.e(j))))
-                res = vsub(res, pvec(Q, s, h.binary[i][j]))
-                note("psi_h-binary", (i, j), s, res, is_zero_vec)
-            for k in range(m):
-                for s in range(0, 4):
-                    res = vzero(m)
-                    for a in range(s + 1):
-                        for b in range(s - a + 1):
-                            res = vadd(res, h.bracket3(pvec(Q, a, h.e(i)),
-                                                       pvec(Q, b, h.e(j)),
-                                                       pvec(Q, s - a - b, h.e(k))))
-                    res = vsub(res, pvec(Q, s, h.ternary[i][j][k]))
-                    note("psi_h-ternary", (i, j, k), s, res, is_zero_vec)
-    for i in range(n):
-        for s in range(0, 3):
-            res = mat_zero(m, m)
-            for a in range(s + 1):
-                qb = pcoef(Q, s - a)
-                if qb is None:
-                    continue
-                res = mat_add(res, mat_mul(r.rho_at(pvec(P, a, g.e(i))), qb))
-            qs = pcoef(Q, s)
-            if qs is not None:
-                res = mat_sub(res, mat_mul(qs, r.rho[i]))
-            note("rho-equivariance", (i,), s, res, is_zero_mat)
-        for j in range(n):
-            for s in range(0, 4):
-                resm = mat_zero(m, m)
-                resd = mat_zero(m, m)
-                for a in range(s + 1):
-                    for b in range(s - a + 1):
-                        qc = pcoef(Q, s - a - b)
-                        if qc is None:
-                            continue
-                        pa = pvec(P, a, g.e(i))
-                        pb = pvec(P, b, g.e(j))
-                        resm = mat_add(resm, mat_mul(r.mu_at(pa, pb), qc))
-                        resd = mat_add(resd, mat_mul(r.D_at(pa, pb), qc))
-                qs = pcoef(Q, s)
-                if qs is not None:
-                    resm = mat_sub(resm, mat_mul(qs, r.mu[i][j]))
-                    resd = mat_sub(resd, mat_mul(qs, r.derived_D[i][j]))
-                note("mu-equivariance", (i, j), s, resm, is_zero_mat)
-                note("D-equivariance", (i, j), s, resd, is_zero_mat)
+            mus, Ds = {}, {}
+            for a, b in itertools.product((0, 1), repeat=2):
+                mu_ab, D_ab = r.mu_at(pe[a][i], pe[b][j]), r.D_at(pe[a][i], pe[b][j])
+                for c in (0, 1):
+                    mus[a, b, c] = mat_mul(mu_ab, Q[c])
+                    Ds[a, b, c] = mat_mul(D_ab, Q[c])
+            resm = _by_degree(mus, 3, zero, mat_add)
+            resd = _by_degree(Ds, 3, zero, mat_add)
+            for s in range(4):
+                if s <= 1:
+                    resm[s] = mat_sub(resm[s], mat_mul(Q[s], r.mu[i][j]))
+                    resd[s] = mat_sub(resd[s], mat_mul(Q[s], r.derived_D[i][j]))
+                note("mu-equivariance", (i, j), s, resm[s], is_zero_mat)
+                note("D-equivariance", (i, j), s, resd[s], is_zero_mat)
 
     cx = TComplex(op)
     boundary = mat_zero(n, m)
@@ -312,25 +278,16 @@ def obstruction_class(d):
     rep = check_order_n(d)
     if not rep.passed:
         raise InvalidDeformation("not an order-%d deformation" % d.order)
-    r = d.base.action
-    h = r.carrier
-    m = h.dim
-    n = d.base.action.acting.dim
-    Ts = d.all_terms
-    s = d.order + 1
-
-    first = {(a, b): binary_coefficient(r, Ts, s, h.e(a), h.e(b))
-             for a in range(m) for b in range(m)}
+    n, m = d.base.action.acting.dim, d.base.action.carrier.dim
+    first, second = d.coefficients()[d.order + 1]
     # the first component must be alternating to be a cochain
-    for (a, b), v in first.items():
-        if a == b and not is_zero_vec(v):
-            raise InvalidDeformation("first component not alternating")
-        if a > b and v != vscale(-1, first[b, a]):
-            raise InvalidDeformation("first component not antisymmetric")
+    fault = min((k for k in skew_faults(first) if k[0] >= k[1]), default=None)
+    if fault is not None:
+        raise InvalidDeformation("first component not alternating" if fault[0] == fault[1]
+                                 else "first component not antisymmetric")
     prs = pair_basis(m)
-    fs = [first[p] for p in prs]
-    gs = [ternary_coefficient(r, Ts, s, h.e(a), h.e(b), h.e(c))
-          for (a, b) in prs for c in range(m)]
+    fs = [dense(first.get(p, {}), (n,)) for p in prs]
+    gs = [dense(second.get((a, b, c), {}), (n,)) for (a, b) in prs for c in range(m)]
     c2 = Cochain(2, m, n, fs, gs)
     cx = d.complex()
     closed = all(v == 0 for v in cx.matrix(2).apply(c2.as_flat()))

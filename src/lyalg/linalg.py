@@ -225,6 +225,35 @@ def axpy(acc, f, x):
             del acc[k]
 
 
+def skew_faults(values):
+    """The keys of a sparse table {index tuple: sparse value} at which it is
+    not antisymmetric in its first two slots, read off the table alone: a key
+    faults with its swap when the swap's value is not the negative of its
+    own (absent counts as zero), so a diagonal key always faults."""
+    bad = set()
+    for key, v in values.items():
+        swap = (key[1], key[0]) + key[2:]
+        if v != {r: -q for r, q in values.get(swap, {}).items()}:
+            bad.update((key, swap))
+    return bad
+
+
+def skew_fault(binary, ternary=None):
+    """The first index tuple at which the vector-valued tensor ``binary``, or
+    ``ternary``, is not antisymmetric in its first two slots, or None.
+
+    "First" is the order of nested loops over i, j that check binary[i][j]
+    and then ternary[i][j][k] for each k; only the supports are read.
+    """
+    faults = [key + (-1,) for key in skew_faults(sparse_values(binary))]
+    if ternary is not None:
+        faults.extend(skew_faults(sparse_values(ternary)))
+    if not faults:
+        return None
+    key = min(faults)
+    return key[:2] if key[2] < 0 else key
+
+
 def sparse_mul(a, b):
     """The product of two sparse matrices {(r, c): q}."""
     rows = {}

@@ -21,7 +21,7 @@ variants of the compatibility equations are available via ``as_printed``.
 from .core import LYAlgebra, check_homomorphism
 from .errors import AxiomsFailed, DimMismatch, StructureError, Unverified
 from .linalg import (Q0, Q1, Tensor, contract, is_zero_vec, mat, mat_col, mat_id,
-                     mat_vec, vadd, vscale, vsub, vzero)
+                     mat_vec, skew_fault, vadd, vsub, vzero)
 from .reports import Checker
 from .reps import RepAction, check_action
 
@@ -37,15 +37,12 @@ class PostLYAlgebra:
         self.star = Tensor(star, dim, 2, (dim,))
         self.angle = Tensor(angle, dim, 3, (dim,))
         self.brace = Tensor(brace, dim, 3, (dim,))
-        for i in range(dim):
-            for j in range(dim):
-                if self.dot[i][j] != vscale(-1, self.dot[j][i]):
-                    raise StructureError("dot not antisymmetric at (%d,%d)" % (i, j))
-                for k in range(dim):
-                    if self.angle[i][j][k] != vscale(-1, self.angle[j][i][k]):
-                        raise StructureError(
-                            "angle not antisymmetric in first two slots at (%d,%d,%d)"
-                            % (i, j, k))
+        fault = skew_fault(self.dot, self.angle)
+        if fault is not None and len(fault) == 2:
+            raise StructureError("dot not antisymmetric at (%d,%d)" % fault)
+        if fault is not None:
+            raise StructureError(
+                "angle not antisymmetric in first two slots at (%d,%d,%d)" % fault)
         self._e = [tuple(Q1 if s == i else Q0 for s in range(dim)) for i in range(dim)]
         rng = range(dim)
         self.brace_D = Tensor([[[self._brace_D_formula(i, j, k) for k in rng] for j in rng]

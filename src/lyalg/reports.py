@@ -114,6 +114,12 @@ class Checker:
                 if acc:
                     self.record(name, args, dense(acc, shape))
 
+    def table(self, eq, values, shape):
+        """Record ``eq`` at each tuple of a sparse table {args: sparse value}
+        (see ``linalg.sparse_values``), tuples in the order of ``tuples``."""
+        for args in self.scan(values):
+            self.record(eq, args, dense(values[args], shape))
+
     @property
     def failed(self):
         return bool(self.violations)

@@ -10,12 +10,14 @@ the block lift [[Id, T], [0, 0]] is a Nijenhuis operator there; both
 characterizations are implemented and exercised against each other.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from .core import LYAlgebra, check_homomorphism, derived_algebra
 from .errors import DimMismatch, PreconditionFailed, Unverified
-from .linalg import (Subspace, invert, is_zero_mat, is_zero_vec, mat, mat_col,
-                     mat_mul, mat_sub, mat_vec, transpose, vadd, vsub)
+from .linalg import (Q0, Q1, Subspace, axpy, invert, is_zero_mat, is_zero_vec, mat,
+                     mat_col, mat_mul, mat_sub, mat_vec, sparse_values, transpose,
+                     vadd, vsub)
 from .reports import Checker
 from .reps import adjoint_rep
 
@@ -58,38 +60,147 @@ class HomPair:
         self.psi_h = mat(self.psi_h)
 
 
-def _rrb_binary_residual(op, u, v):
-    r = op.action
-    Tu, Tv = op.apply(u), op.apply(v)
-    lhs = r.acting.bracket2(Tu, Tv)
-    inner = vadd(vsub(mat_vec(r.rho_at(Tu), v), mat_vec(r.rho_at(Tv), u)),
-                 r.carrier.bracket2(u, v))
-    return vsub(lhs, op.apply(inner))
+# ---------------------------------------------------------------------------
+# the t-coefficients of the weight-1 equations
+#
+# For T_t = sum_i t^i T_i the t^s coefficients of RRB1 and RRB2 are
+#
+#   B_s(u,v)   = sum_{i+j=s} [T_i u, T_j v]      - sum_i T_i(I_{s-i}(u,v))
+#   C_s(u,v,w) = sum_{i+j+k=s} <T_i u, T_j v, T_k w> - sum_i T_i(J_{s-i}(u,v,w))
+#
+# with the inner sums grouped by degree:
+#
+#   I_p(u,v)   = rho(T_p u)v - rho(T_p v)u                  (+ [u,v]_h at p = 0)
+#   J_p(u,v,w) = sum_{j+k=p} D(T_j u, T_k v)w + mu(T_j v, T_k w)u - mu(T_j u, T_k w)v
+#                                                           (+ <u,v,w>_h at p = 0)
+#
+# s = 0 is the operator's own residual and s = 1 the 1-cocycle condition.
+# Every term is one vector-valued tensor (rho, mu and D read with the column
+# as one more slot) with some slots pulled back along a T_j and its slots
+# moved to tuple positions, optionally pushed forward by a T_i; the tables are
+# expanded over the supports and the nonzero entries of the T_i only.
+
+def _vector_values(t):
+    """The support of ``t`` as {index tuple: {row: q}}; a matrix value's
+    column is one more slot at the end."""
+    if len(t.shape) == 1:
+        return sparse_values(t)
+    w = t.shape[1]
+    out = {}
+    for key, terms in t._terms.items():
+        for p, x in terms:
+            r, c = divmod(p, w)
+            out.setdefault(key + (c,), {})[r] = x
+    return out
 
 
-def _rrb_ternary_residual(op, u, v, w):
-    r = op.action
-    Tu, Tv, Tw = op.apply(u), op.apply(v), op.apply(w)
-    lhs = r.acting.bracket3(Tu, Tv, Tw)
-    inner = vadd(mat_vec(r.D_at(Tu, Tv), w),
-                 vsub(mat_vec(r.mu_at(Tv, Tw), u), mat_vec(r.mu_at(Tu, Tw), v)))
-    inner = vadd(inner, r.carrier.bracket3(u, v, w))
-    return vsub(lhs, op.apply(inner))
+def _add_at(table, key, f, x):
+    """table[key] += f * x on sparse values, dropping a value that cancels."""
+    v = table.setdefault(key, {})
+    axpy(v, f, x)
+    if not v:
+        del table[key]
+
+
+def _pull(acc, sign, values, maps, positions):
+    """acc += sign * ``values`` with slot p read through maps[p] (the rows of
+    a T_j as {acting index: [(carrier index, entry)]}, or None for a carrier
+    slot) and placed at tuple position positions[p]."""
+    k = len(positions)
+    for key, v in values.items():
+        picks = [((x, Q1),) if rows is None else rows.get(x, ())
+                 for x, rows in zip(key, maps)]
+        for pick in itertools.product(*picks):
+            f = sign
+            args = [0] * k
+            for p, (a, q) in zip(positions, pick):
+                args[p] = a
+                f *= q
+            _add_at(acc, tuple(args), f, v)
+
+
+def _push(acc, sign, cols, table):
+    """acc += sign * T(table), T given by its columns {carrier index: [(acting index, entry)]}."""
+    for key, v in table.items():
+        out = {}
+        for y, q in v.items():
+            for x, t in cols.get(y, ()):
+                out[x] = out.get(x, Q0) + q * t
+        _add_at(acc, key, sign, {x: q for x, q in out.items() if q})
+
+
+def coefficients(r, Ts, degrees):
+    """{s: (binary, ternary)} for each s in ``degrees``: the t^s coefficients
+    of RRB1 and RRB2 for T_t = sum_i t^i Ts[i] over the action ``r``, as
+    sparse tables {(a, b): {x: q}} and {(a, b, c): {x: q}} over the carrier's
+    basis tuples, left side minus right side.  A tuple whose coefficient
+    vanishes is absent.  No basis tuple is visited: each table is expanded
+    over the supports of the brackets, rho, mu and D and the nonzero entries
+    of the Ts.
+    """
+    g, h = r.acting, r.carrier
+    n, m = g.dim, h.dim
+    rows, cols = [], []
+    for T in Ts:
+        if len(T) != n or any(len(row) != m for row in T):
+            raise DimMismatch("each T_i must be %dx%d (carrier -> acting)" % (n, m))
+        rows.append({})
+        cols.append({})
+        for x, row in enumerate(T):
+            for a, q in enumerate(row):
+                if q:
+                    rows[-1].setdefault(x, []).append((a, q))
+                    cols[-1].setdefault(a, []).append((x, q))
+    c, d = sparse_values(g.binary), sparse_values(g.ternary)
+    rho, mu, D = (_vector_values(t) for t in (r.rho, r.mu, r.derived_D))
+    top = len(Ts) - 1
+
+    def pairs(p):
+        """(j, p - j) with both indices of a T_i."""
+        return [(j, p - j) for j in range(max(0, p - top), min(p, top) + 1)]
+
+    inner2, inner3 = [], []
+    for p in range(max(degrees, default=-1) + 1):
+        I, J = {}, {}
+        if p == 0:
+            _pull(I, Q1, sparse_values(h.binary), (None, None), (0, 1))
+            _pull(J, Q1, sparse_values(h.ternary), (None, None, None), (0, 1, 2))
+        if p <= top:
+            _pull(I, Q1, rho, (rows[p], None), (0, 1))
+            _pull(I, -Q1, rho, (rows[p], None), (1, 0))
+        for j, k in pairs(p):
+            _pull(J, Q1, D, (rows[j], rows[k], None), (0, 1, 2))
+            _pull(J, Q1, mu, (rows[j], rows[k], None), (1, 2, 0))
+            _pull(J, -Q1, mu, (rows[j], rows[k], None), (0, 2, 1))
+        inner2.append(I)
+        inner3.append(J)
+    out = {}
+    for s in degrees:
+        B, C = {}, {}
+        for i, j in pairs(s):
+            _pull(B, Q1, c, (rows[i], rows[j]), (0, 1))
+        for i in range(min(s, top) + 1):
+            for j, k in pairs(s - i):
+                _pull(C, Q1, d, (rows[i], rows[j], rows[k]), (0, 1, 2))
+            _push(B, -Q1, cols[i], inner2[s - i])
+            _push(C, -Q1, cols[i], inner3[s - i])
+        out[s] = (B, C)
+    return out
 
 
 def check_rrb(op, all_violations=False):
-    """Verify the two weight-1 equations on all basis tuples of the carrier."""
-    m = op.action.carrier.dim
-    h = op.action.carrier
-    ck = Checker("rrb(%s)" % (op.action,), all_violations)
-    for a, b in ck.tuples(m, 2):
-        res = _rrb_binary_residual(op, h.e(a), h.e(b))
-        if not is_zero_vec(res):
-            ck.record("RRB1", (a, b), res)
-    for a, b, c in ck.tuples(m, 3):
-        res = _rrb_ternary_residual(op, h.e(a), h.e(b), h.e(c))
-        if not is_zero_vec(res):
-            ck.record("RRB2", (a, b, c), res)
+    """Verify the two weight-1 equations on all basis tuples of the carrier.
+
+    The residuals are the t^0 coefficients of ``coefficients`` for T alone,
+    tabulated over the supports; a tuple absent from a table has residual
+    zero, and the witnesses come in the order of ``Checker.tuples``.
+    """
+    r = op.action
+    ck = Checker("rrb(%s)" % (r,), all_violations)
+    binary, ternary = coefficients(r, [op.T], (0,))[0]
+    shape = (r.acting.dim,)
+    ck.table("RRB1", binary, shape)
+    ck.table("RRB2", ternary, shape)
     rep = ck.report()
     if rep.passed:
         op.verified = True

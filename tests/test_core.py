@@ -1,3 +1,4 @@
+import random
 import pytest
 from fractions import Fraction as F
 
@@ -50,6 +51,76 @@ def test_antisymmetry_enforced():
     t = [[[[0, 0]] * 2] * 2] * 2
     with pytest.raises(StructureError):
         L.LYAlgebra(2, b, t)
+
+
+def _dense_first_fault(c, d, two, three):
+    """The message of the first antisymmetry fault as nested loops over every
+    index meet it: binary at (i, j), then ternary at (i, j, k) for each k."""
+    n = len(c)
+    for i in range(n):
+        for j in range(n):
+            if list(c[i][j]) != [-x for x in c[j][i]]:
+                return two % (i, j)
+            if d is None:
+                continue
+            for k in range(n):
+                if list(d[i][j][k]) != [-x for x in d[j][i][k]]:
+                    return three % (i, j, k)
+    return None
+
+
+def _skew_inputs(seed, n=4):
+    """Antisymmetric binary and ternary tensors with random entries moved in
+    both, diagonal and off-diagonal alike, so that either can fault first."""
+    rng = random.Random(seed)
+    pool = [F(-1), F(0), F(0), F(1), F(2)]
+    c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    d = [[[[F(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            c[i][j] = [rng.choice(pool) for _ in range(n)]
+            c[j][i] = [-x for x in c[i][j]]
+            for k in range(n):
+                d[i][j][k] = [rng.choice(pool) for _ in range(n)]
+                d[j][i][k] = [-x for x in d[i][j][k]]
+    for _ in range(rng.randrange(0, 3)):
+        c[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += rng.choice([F(-1), F(1)])
+    for _ in range(rng.randrange(0, 3)):
+        d[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += 1
+    return c, d
+
+
+def test_antisymmetry_fault_is_the_first_in_loop_order():
+    """The support-driven check raises what the loops over every index raised:
+    the same error, the same message, at the same first index, the binary
+    check first at equal (i, j); inputs fault in both tensors."""
+    from lyalg.postlya import PostLYAlgebra
+    two = "binary tensor not antisymmetric at (%d,%d)"
+    three = "ternary tensor not antisymmetric in first two slots at (%d,%d,%d)"
+    kinds, both = set(), 0
+    zero = [[[F(0)] * 4 for _ in range(4)] for _ in range(4)]
+    for seed in range(60):
+        c, d = _skew_inputs(seed)
+        want = _dense_first_fault(c, d, two, three)
+        both += (_dense_first_fault(c, None, two, three) is not None
+                 and _dense_first_fault(zero, d, two, three) is not None)
+        if want is None:
+            L.LYAlgebra(4, c, d)
+            continue
+        kinds.add(want.split()[0])
+        with pytest.raises(StructureError) as e:
+            L.LYAlgebra(4, c, d)
+        assert str(e.value) == want
+        with pytest.raises(StructureError) as e:
+            PostLYAlgebra(4, c, c, d, d)
+        assert str(e.value) == want.replace("binary tensor", "dot").replace(
+            "ternary tensor", "angle")
+        want = _dense_first_fault(c, None, "bracket not antisymmetric at (%d,%d)", None)
+        if want is not None:
+            with pytest.raises(NotLieAlgebra) as e:
+                L.from_lie_algebra(4, c)
+            assert str(e.value) == want
+    assert kinds == {"binary", "ternary"} and both >= 5
 
 
 def test_abelian_passes():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -11,10 +12,12 @@ from lyalg.deformation import (OrderNDeformation, binary_coefficient,
                                check_order_n, difference_class, extend,
                                obstruction_class, ternary_coefficient)
 from lyalg.errors import InvalidDeformation
-from lyalg.linalg import mat, mat_add, mat_id, mat_zero
+from lyalg.linalg import dense as to_dense, mat, mat_add, mat_id, mat_zero
+from lyalg.rrb import coefficients
 
 import oracles
 from conftest import family_matrix, fx, random_matrix
+from test_reports import dense, heisenberg5_operator
 
 
 def test_zero_terms_pass(p3):
@@ -33,21 +36,42 @@ def test_order_zero_reduces_to_base(p3):
 
 
 def test_coefficients_match_polynomial_oracle(p3, rng):
-    h = p3.action.carrier
-    for _ in range(5):
-        Ts = [p3.T, mat(random_matrix(rng, 4, 4)), mat(random_matrix(rng, 4, 4))]
-        for a in range(4):
-            for b in range(4):
-                got = [binary_coefficient(p3.action, Ts, s, h.e(a), h.e(b))
-                       for s in range(5)]
-                want = oracles.poly_binary_residual(p3.action, Ts, h.e(a), h.e(b), 5)
-                assert got == want
-        for (a, b, c) in [(0, 1, 0), (1, 2, 3), (2, 0, 1)]:
-            got = [ternary_coefficient(p3.action, Ts, s, h.e(a), h.e(b), h.e(c))
-                   for s in range(7)]
-            want = oracles.poly_ternary_residual(p3.action, Ts,
-                                                 h.e(a), h.e(b), h.e(c), 7)
-            assert got == want
+    """Every t^s table entry, s = 0 included, on every basis pair and triple,
+    and the public coefficients at random vectors, against the dense
+    polynomial expansion; the inputs include dense terms and a dense base
+    map, so the coefficients do not vanish."""
+    h5 = heisenberg5_operator(random.Random(5163))
+    cases = [(p3.action, [p3.T, mat(random_matrix(rng, 4, 4)), mat(random_matrix(rng, 4, 4))]),
+             (p3.action, [mat(dense(rng, 4, 4))]),
+             (h5.action, [h5.T, mat(dense(rng, 5, 5))])]
+    nonzero = set()
+    for r, Ts in cases:
+        h, n = r.carrier, r.acting.dim
+        top = 3 * (len(Ts) - 1)        # no coefficient survives above this degree
+        tables = coefficients(r, Ts, range(top + 2))
+        assert tables[top + 1] == ({}, {})
+        basis = [h.e(a) for a in range(h.dim)]
+        for args in itertools.product(range(h.dim), repeat=2):
+            want = oracles.poly_binary_residual(r, Ts, *(basis[a] for a in args), top + 1)
+            for s in range(top + 1):
+                assert to_dense(tables[s][0].get(args, {}), (n,)) == want[s]
+                if any(want[s]):
+                    nonzero.add(("binary", s))
+        for args in itertools.product(range(h.dim), repeat=3):
+            want = oracles.poly_ternary_residual(r, Ts, *(basis[a] for a in args), top + 1)
+            for s in range(top + 1):
+                assert to_dense(tables[s][1].get(args, {}), (n,)) == want[s]
+                if any(want[s]):
+                    nonzero.add(("ternary", s))
+        u, v, w = (tuple(rng.choice([F(0), F(1), F(-2), F(1, 3)]) for _ in range(h.dim))
+                   for _ in range(3))
+        want2 = oracles.poly_binary_residual(r, Ts, u, v, top + 1)
+        want3 = oracles.poly_ternary_residual(r, Ts, u, v, w, top + 1)
+        for s in range(top + 1):
+            assert binary_coefficient(r, Ts, s, u, v) == want2[s]
+            assert ternary_coefficient(r, Ts, s, u, v, w) == want3[s]
+    assert nonzero >= {("binary", 0), ("binary", 1), ("binary", 2),
+                       ("ternary", 0), ("ternary", 1), ("ternary", 2), ("ternary", 3)}
 
 
 def test_linear_deformation_family(p3, rng):

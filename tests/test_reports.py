@@ -7,6 +7,8 @@ from fractions import Fraction as F
 import lyalg as L
 from lyalg import io as lyio
 from lyalg.postlya import PostLYAlgebra, check_post_axioms
+from lyalg.deformation import check_equivalence, check_linear_deformation
+from lyalg.linalg import mat_id
 from lyalg.reports import Checker
 from lyalg.reps import RepAction, adjoint_rep, check_representation
 
@@ -47,6 +49,35 @@ def heisenberg5():
         c[a][b] = [F(0)] * 4 + [F(1)]
         c[b][a] = [F(0)] * 4 + [F(-1)]
     return L.from_lie_algebra(5, c)
+
+
+def dense(rng, rows, cols):
+    """A matrix with every entry nonzero."""
+    return [[rng.choice([F(-1), F(1), F(2), F(1, 2)]) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def heisenberg5_operator(rng):
+    """A weight-1 operator over heisenberg5's adjoint action: T maps onto the
+    center e5 and kills e5, so both sides of both equations vanish."""
+    T = [[F(0)] * 5 for _ in range(5)]
+    T[4][:4] = [rng.choice([F(-1), F(1), F(2)]) for _ in range(4)]
+    op = L.RRBOperator(adjoint_rep(heisenberg5()), T)
+    return op.ensure_verified()
+
+
+def sl2_operator(rng):
+    """A rank-one weight-1 operator into sl2 over its trivial action on a
+    2-dim abelian carrier: the image is abelian, so both equations vanish."""
+    c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
+    for a, b, v in ((2, 0, [2, 0, 0]), (2, 1, [0, -2, 0]), (0, 1, [0, 0, 1])):
+        c[a][b] = [F(x) for x in v]
+        c[b][a] = [-F(x) for x in v]
+    g = L.from_lie_algebra(3, c, basis=["e", "f", "h"], name="sl2")
+    zero = [[F(0)] * 2 for _ in range(2)]
+    r = RepAction(g, L.abelian(2), [zero] * 3, [[zero] * 3 for _ in range(3)])
+    T = [[F(0)] * 2, [F(0)] * 2, [rng.choice([F(-1), F(1), F(2)]) for _ in range(2)]]
+    return L.RRBOperator(r, T).ensure_verified()
 
 
 def nilpotent4():
@@ -157,6 +188,21 @@ def test_capped_order_n_is_a_prefix(p3):
     assert_capped_prefix(L.check_order_n, d)
 
 
+def test_capped_rrb_is_a_prefix(p3):
+    rng = random.Random(5162)
+    assert_capped_prefix(L.check_rrb, L.RRBOperator(p3.action, dense(rng, 4, 4)))
+
+
+def test_capped_linear_deformation_is_a_prefix():
+    rng = random.Random(5164)
+    op = heisenberg5_operator(rng)
+    T1 = dense(rng, 5, 5)
+    assert_capped_prefix(check_linear_deformation, op, T1)
+    # the per-coefficient verdicts cover every coefficient, capped or not
+    assert (check_linear_deformation(op, T1).data
+            == check_linear_deformation(op, T1, all_violations=True).data)
+
+
 def _seeded_reports():
     """The seeded failing inputs above, each checked with every witness kept."""
     rng = random.Random(5150)
@@ -179,6 +225,36 @@ def _seeded_reports():
     r = perturbed_adjoint(random.Random(5160))
     yield "sparse-rep", check_representation(r, all_violations=True)
     yield "sparse-lemma", L.check_lemma_identities(r, all_violations=True)
+    rng = random.Random(5161)
+    yield "rrb-dense", L.check_rrb(L.RRBOperator(adjoint_rep(heisenberg5()), dense(rng, 5, 5)),
+                                   all_violations=True)
+    p3 = lyio.load_operator(fx("p3_on_nilpotent4.json"))
+    rng = random.Random(5162)
+    yield "rrb-p3-dense", L.check_rrb(L.RRBOperator(p3.action, dense(rng, 4, 4)),
+                                      all_violations=True)
+    for name in ("id_on_nilpotent4", "p12_projection"):
+        yield "rrb-" + name, L.check_rrb(lyio.load_operator(fx(name + ".json")),
+                                         all_violations=True)
+    rng = random.Random(5154)
+    d = L.OrderNDeformation(p3.ensure_verified(), [plain(rng, 4, 4), plain(rng, 4, 4)])
+    yield "order-2", L.check_order_n(d, all_violations=True)
+    rng = random.Random(5163)
+    op = heisenberg5_operator(rng)
+    d = L.OrderNDeformation(op, [dense(rng, 5, 5), dense(rng, 5, 5)])
+    yield "order-2-h5", L.check_order_n(d, all_violations=True)
+    yield "linear-id", check_linear_deformation(p3, mat_id(4), all_violations=True)
+    rng = random.Random(5164)
+    op = heisenberg5_operator(rng)
+    yield "linear-h5-dense", check_linear_deformation(op, dense(rng, 5, 5), all_violations=True)
+    rng = random.Random(5165)
+    wedges = [(tuple(dense(rng, 1, 4)[0]), tuple(dense(rng, 1, 4)[0])) for _ in range(2)]
+    yield "equiv-p3-dense", check_equivalence(p3, dense(rng, 4, 4), dense(rng, 4, 4), wedges,
+                                              all_violations=True)
+    rng = random.Random(5166)
+    op = sl2_operator(rng)
+    wedges = [(tuple(dense(rng, 1, 3)[0]), tuple(dense(rng, 1, 3)[0])) for _ in range(2)]
+    yield "equiv-sl2", check_equivalence(op, dense(rng, 3, 2), dense(rng, 3, 2), wedges,
+                                         all_violations=True)
 
 
 # SHA-256 of the canonical JSON of each full report, and its witness count
@@ -193,6 +269,18 @@ WITNESS_DIGESTS = {
     "sparse-ly": ("09882bb8118b7407e8046a53ece98b65f0acea2d8bf7fbbc2eb052ca7e33134c", 82),
     "sparse-rep": ("1ed6c0c0a5e777205148092fa2b82ec5412cdff449107d6c8f7e80345ac0e083", 70),
     "sparse-lemma": ("ba635fe254b6937e4ed1e37823160d4732e8353eaabf41901884fafb989ce619", 46),
+    "rrb-dense": ("00a79f5df0452b7ad69ba63d6b5400c2bc4c9d1827afa2b5755d8bf814f4203f", 20),
+    "rrb-p3-dense": ("54162c89045a8b6154dfa159f5751dce2cf13739d80a70d13aea4a57e624ec7f", 60),
+    "rrb-id_on_nilpotent4": ("67192bb91e9da619c5bfa05a1ab04475af0f7f53b4bbf1fca496d96ff0f859e1",
+                             4),
+    "rrb-p12_projection": ("63b4d40fec1791b8b82cc235a3f0192d215939995bdff1cc67bbfb83674535ae",
+                           4),
+    "order-2": ("85fb76edfbf5f968ed964d66cd7b1766f0e182225411a8390a1692f80e3f47c2", 16),
+    "order-2-h5": ("d4027fe8390c7a5a3d98337d4d89f3d96a3ec1cc4173f1067b4e9de2023588ef", 24),
+    "linear-id": ("12c8d2e1438b6e989853e38de1f006cd5e78560558ca098d8ebcb65ebb6edc49", 8),
+    "linear-h5-dense": ("e0c6649e716da0a11da5329b5e92411a7502c919d7dab611be9919e7b5bff694", 24),
+    "equiv-p3-dense": ("203672638fb97e697ff37b39d00ea50b43c2631e2887f4ff47ce0af6ec5f7b91", 1),
+    "equiv-sl2": ("79986f8456cae3ad6263b3aa0eb48311d0560d9a2d51936a35324514b12b91b9", 1),
 }
 
 
