@@ -17,7 +17,7 @@ from .errors import (AmbientMismatch, AxiomsFailed, DimMismatch, FormatError,
                      Inconsistent, InvalidDeformation, LyalgError,
                      NotAnAction, NotInvertible, NotLieAlgebra,
                      PreconditionFailed, ShapeMismatch, StructureError,
-                     Unverified)
+                     TooLarge, Unverified)
 from .linalg import Subspace, Tensor, contract, frac, format_frac
 from .postlya import (PostLYAlgebra, check_post_axioms,
                       check_post_homomorphism, identity_is_rrb,

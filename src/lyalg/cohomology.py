@@ -30,7 +30,7 @@ at basis tuples, stored sparsely; composites delta о delta are exact sparse
 products.
 """
 
-from .errors import AxiomsFailed, ShapeMismatch
+from .errors import AxiomsFailed, ShapeMismatch, TooLarge
 from .linalg import (Q0, Q1, Echelon, frac, invert, is_zero_vec, mat_col,
                      mat_vec, solve, vadd, vscale, vsub, vzero)
 from .reps import RepAction
@@ -274,11 +274,20 @@ def zero_cochain(p, m, n):
 # ---------------------------------------------------------------------------
 # coboundary matrices
 
+# The most rows a coboundary matrix may have: one per coordinate of a
+# degree-(p+1) cochain, M^p (1 + m) n with M = m(m-1)/2.  The 4-dim operator
+# p3 at degree 4 has 25,920 rows, a 5-dim one at degree 3 30,000; the count
+# grows about M-fold per degree, and so do the time and memory of a request.
+MAX_COBOUNDARY_ROWS = 100_000
+
+
 def coboundary_matrix_for(alg, rep, p):
     """The matrix of the degree-p coboundary over the rep's carrier.
 
     Rows follow the degree-(p+1) layout, columns the degree-p layout, both in
-    the documented lexicographic order with value components innermost.
+    the documented lexicographic order with value components innermost.  A
+    matrix of more than MAX_COBOUNDARY_ROWS rows raises TooLarge before
+    anything is built.
     """
     if rep.acting.dim != alg.dim:
         raise ShapeMismatch("representation does not act on the given algebra")
@@ -286,6 +295,9 @@ def coboundary_matrix_for(alg, rep, p):
     n = rep.carrier.dim
     lin = _Layout(p, m, n)
     lout = _Layout(p + 1, m, n)
+    if lout.total > MAX_COBOUNDARY_ROWS:
+        raise TooLarge("the degree-%d coboundary has %d rows, over the budget of %d"
+                       % (p, lout.total, MAX_COBOUNDARY_ROWS))
     prs = pair_basis(m)
     pidx = {pr: t for t, pr in enumerate(prs)}
     out = SparseMat(lout.total, lin.total)
@@ -451,12 +463,39 @@ def induced_rep(op):
     return rep
 
 
+def zero_cochain_map(op, x, y):
+    """partial(x /\\ y) as a degree-1 cochain; always a 1-cocycle.
+
+    partial(x /\\ y)(u) = T(D(x,y)u) - <x,y,Tu> reads nothing but the
+    operator, so no complex is built for it.
+    """
+    r = op.action
+    m, n = r.carrier.dim, r.acting.dim
+    D = r.D_at(x, y)
+    f = [vsub(op.apply(mat_col(D, a)), r.acting.bracket3(x, y, op._cols[a])) for a in range(m)]
+    return Cochain(1, m, n, f)
+
+
+def partial_matrix(op):
+    """The matrix of partial on the (i < j) pair basis of the acting algebra's
+    wedge square, into degree-1 cochains."""
+    g = op.action.acting
+    n, m = g.dim, op.action.carrier.dim
+    prs = pair_basis(n)
+    out = SparseMat(m * n, len(prs))
+    for col, (i, j) in enumerate(prs):
+        for a, v in enumerate(zero_cochain_map(op, g.e(i), g.e(j)).f):
+            for t, val in enumerate(v):
+                out.add(a * n + t, col, val)
+    return out
+
+
 class TComplex:
     """Cochain complex of a verified weight-1 operator, matrices built lazily.
 
     Degree p cochains map wedge powers of the carrier into the acting algebra;
     the degree-0 space is the wedge square of the acting algebra, mapped in by
-    partial(x /\\ y)(v) = T(D(x,y)v) - <x,y,Tv>.
+    partial (``partial_matrix``).
     """
 
     def __init__(self, op):
@@ -480,34 +519,14 @@ class TComplex:
             raise ShapeMismatch("degree must be >= 0")
         if p not in self._matrices:
             if p == 0:
-                self._matrices[p] = self._partial_matrix()
+                self._matrices[p] = partial_matrix(self.op)
             else:
                 self._matrices[p] = coboundary_matrix_for(self.descent, self.rep, p)
         return self._matrices[p]
 
-    def _partial_matrix(self):
-        r = self.op.action
-        g = r.acting
-        n, m = self.n, self.m
-        prs = pair_basis(n)
-        out = SparseMat(m * n, len(prs))
-        for col, (i, j) in enumerate(prs):
-            for a in range(m):
-                v = self.zero_cochain_value(g.e(i), g.e(j), a)
-                for t, val in enumerate(v):
-                    out.add(a * n + t, col, val)
-        return out
-
-    def zero_cochain_value(self, x, y, a):
-        r = self.op.action
-        va = r.carrier.e(a)
-        return vsub(self.op.apply(mat_vec(r.D_at(x, y), va)),
-                    r.acting.bracket3(x, y, self.op.apply(va)))
-
     def zero_cochain_map(self, x, y):
         """partial(x /\\ y) as a degree-1 cochain; always a 1-cocycle."""
-        f = [self.zero_cochain_value(x, y, a) for a in range(self.m)]
-        return Cochain(1, self.m, self.n, f)
+        return zero_cochain_map(self.op, x, y)
 
     def coboundary(self, c):
         return Cochain.from_flat(c.p + 1, c.m, c.n, self.matrix(c.p).apply(c.as_flat()))

@@ -8,8 +8,8 @@ that equivalent to checking on arbitrary vectors.
 """
 
 from .errors import AxiomsFailed, DimMismatch, NotLieAlgebra, StructureError
-from .linalg import (Q0, Subspace, Tensor, contract, frac, is_zero_vec, skew_fault,
-                     sparse_values, vadd, vsub, vzero)
+from .linalg import (Q0, Subspace, Tensor, contract, frac, hom_table, is_zero_vec,
+                     skew_fault, sparse_map, sparse_values, vadd, vzero)
 from .reports import Checker
 
 
@@ -73,16 +73,16 @@ def check_ly_axioms(A, all_violations=False):
     c, d = sparse_values(A.binary), sparse_values(A.ternary)
     # basis vectors x, y, z, w, v sit at tuple positions 0..4
     shape = A.binary.shape
-    ck.equations(3, shape, [
+    ck.equations(A.dim, shape, [
         ("LY1", [(1, (c, (c, 0, 1), 2)), (1, (c, (c, 1, 2), 0)), (1, (c, (c, 2, 0), 1)),
                  (1, (d, 0, 1, 2)), (1, (d, 1, 2, 0)), (1, (d, 2, 0, 1))])])
-    ck.equations(4, shape, [
+    ck.equations(A.dim, shape, [
         ("LY2", [(1, (d, (c, 0, 1), 2, 3)), (1, (d, (c, 1, 2), 0, 3)),
                  (1, (d, (c, 2, 0), 1, 3))])])
-    ck.equations(4, shape, [
+    ck.equations(A.dim, shape, [
         ("LY3", [(1, (d, 0, 1, (c, 2, 3))), (-1, (c, (d, 0, 1, 2), 3)),
                  (-1, (c, 2, (d, 0, 1, 3)))])])
-    ck.equations(5, shape, [
+    ck.equations(A.dim, shape, [
         ("LY4", [(1, (d, 0, 1, (d, 2, 3, 4))), (-1, (d, (d, 0, 1, 2), 3, 4)),
                  (-1, (d, 2, (d, 0, 1, 3), 4)), (-1, (d, 2, 3, (d, 0, 1, 4)))])])
     rep = ck.report()
@@ -155,21 +155,19 @@ def derived_algebra(A):
 
 
 def check_homomorphism(A, B, phi, all_violations=False):
-    """phi: A -> B given as a B.dim x A.dim matrix over the bases."""
+    """phi: A -> B given as a B.dim x A.dim matrix over the bases.
+
+    The residuals phi[x, y] - [phi x, phi y] and likewise for the ternary
+    bracket are tabulated over all basis tuples (``linalg.hom_table``): every
+    pair first, then every triple.
+    """
     if len(phi) != B.dim or any(len(r) != A.dim for r in phi):
         raise DimMismatch("map must be %dx%d" % (B.dim, A.dim))
-    from .linalg import mat_vec
     ck = Checker("homomorphism(%s->%s)" % (A.name, B.name), all_violations)
-    cols = [mat_vec(phi, A.e(i)) for i in range(A.dim)]
-    for i, j in ck.tuples(A.dim, 2):
-        res = vsub(mat_vec(phi, A.binary[i][j]), B.bracket2(cols[i], cols[j]))
-        if not is_zero_vec(res):
-            ck.record("hom-binary", (i, j), res)
-    for i, j, k in ck.tuples(A.dim, 3):
-        res = vsub(mat_vec(phi, A.ternary[i][j][k]),
-                   B.bracket3(cols[i], cols[j], cols[k]))
-        if not is_zero_vec(res):
-            ck.record("hom-ternary", (i, j, k), res)
+    M = sparse_map(phi)
+    shape = (B.dim,)
+    ck.table(shape, ("hom-binary", hom_table(A.binary, B.binary, M)))
+    ck.table(shape, ("hom-ternary", hom_table(A.ternary, B.ternary, M)))
     return ck.report()
 
 

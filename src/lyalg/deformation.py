@@ -22,7 +22,7 @@ of the same cached set, and a linear deformation reads t^1..t^3.
 import itertools
 from dataclasses import dataclass
 
-from .cohomology import Cochain, TComplex, pair_basis
+from .cohomology import Cochain, TComplex, pair_basis, partial_matrix, zero_cochain_map
 from .errors import DimMismatch, Inconsistent, InvalidDeformation
 from .linalg import (Q1, axpy, dense, is_zero_mat, is_zero_vec, mat, mat_add, mat_col,
                      mat_id, mat_mul, mat_sub, mat_vec, mat_zero, rank, skew_faults,
@@ -94,15 +94,15 @@ class OrderNDeformation:
 
 def check_order_n(d, all_violations=False):
     """Coefficients t^1..t^n of both defining equations on all basis tuples,
-    read from the deformation's tables; witnesses come in the order of
-    ``Checker.tuples``, degree by degree."""
+    read from the deformation's tables; witnesses come degree by degree, in
+    lexicographic order with pairs first."""
     shape = (d.base.action.acting.dim,)
     tables = d.coefficients()
     ck = Checker("order-%d-deformation" % d.order, all_violations)
     for s in range(1, d.order + 1):
         binary, ternary = tables[s]
-        ck.table("deform-binary-t^%d" % s, binary, shape)
-        ck.table("deform-ternary-t^%d" % s, ternary, shape)
+        ck.table(shape, ("deform-binary-t^%d" % s, binary))
+        ck.table(shape, ("deform-ternary-t^%d" % s, ternary))
     return ck.report({"order": d.order})
 
 
@@ -124,8 +124,8 @@ def check_linear_deformation(op, T1, all_violations=False):
     per = {}
     for s in (1, 2, 3):
         binary, ternary = tables[s]
-        ck.table("deform-binary-t^%d" % s, binary, shape)
-        ck.table("deform-ternary-t^%d" % s, ternary, shape)
+        ck.table(shape, ("deform-binary-t^%d" % s, binary))
+        ck.table(shape, ("deform-ternary-t^%d" % s, ternary))
         per["t^%d" % s] = "fail" if binary or ternary else "pass"
     cx = TComplex(op)
     flat = _flatten_map(T1, m)
@@ -245,10 +245,9 @@ def check_equivalence(op, T1, T2, wedges, all_violations=False):
                 note("mu-equivariance", (i, j), s, resm[s], is_zero_mat)
                 note("D-equivariance", (i, j), s, resd[s], is_zero_mat)
 
-    cx = TComplex(op)
     boundary = mat_zero(n, m)
     for x, y in wedges:
-        pc = cx.zero_cochain_map(x, y)
+        pc = zero_cochain_map(op, x, y)
         boundary = mat_add(boundary, tuple(tuple(pc.f[a][t] for a in range(m))
                                            for t in range(n)))
     diff_ok = is_zero_mat(mat_sub(mat_sub(T2, T1), boundary))
@@ -329,13 +328,10 @@ def difference_class(op, T1, T2):
     coordinates on the (i < j) pair basis of the acting algebra.
     """
     op.ensure_verified()
-    cx = TComplex(op)
-    r = op.action
-    n, m = r.acting.dim, r.carrier.dim
     diff = mat_sub(mat(T2), mat(T1))
-    rhs = _flatten_map(diff, m)
+    rhs = _flatten_map(diff, op.action.carrier.dim)
     try:
-        x = cx.matrix(0).solve(rhs)
+        x = partial_matrix(op).solve(rhs)
     except Inconsistent:
         return Report("difference-class", "fail", [],
                       {"cohomologous": False})

@@ -63,3 +63,7 @@ class NotInvertible(LyalgError):
 
 class InvalidDeformation(LyalgError):
     """Deformation data fails the order-n equations it presupposes."""
+
+
+class TooLarge(LyalgError):
+    """A requested computation exceeds a documented size budget."""

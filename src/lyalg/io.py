@@ -142,6 +142,17 @@ def _read_dim(doc, name):
     return dim
 
 
+def _read_basis(doc, dim, name):
+    """The optional basis labels: a list of ``dim`` strings."""
+    basis = doc.get("basis")
+    if basis is None:
+        return None
+    if not isinstance(basis, list) or len(basis) != dim \
+            or not all(isinstance(b, str) for b in basis):
+        raise FormatError("%s: basis must be a list of %d strings" % (name, dim))
+    return basis
+
+
 def _read_matrix(rows, where, nr=None, nc=None):
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise FormatError("%s: matrix must be a non-empty array of rows" % where)
@@ -162,7 +173,7 @@ def load_algebra(source, base_dir=None):
     dim = _read_dim(doc, name)
     binary = _read_sparse2(doc.get("binary"), dim, name + ".binary", antisym=True)
     ternary = _read_sparse3(doc.get("ternary"), dim, name + ".ternary", antisym=True)
-    return LYAlgebra(dim, binary, ternary, basis=doc.get("basis"), name=name)
+    return LYAlgebra(dim, binary, ternary, basis=_read_basis(doc, dim, name), name=name)
 
 
 def load_action(source, base_dir=None, certify=True):
@@ -204,7 +215,8 @@ def load_post(source, base_dir=None):
     star = _read_sparse2(doc.get("star"), dim, name + ".star", antisym=False)
     angle = _read_sparse3(doc.get("angle"), dim, name + ".angle", antisym=True)
     brace = _read_sparse3(doc.get("brace"), dim, name + ".brace", antisym=False)
-    return PostLYAlgebra(dim, dot, star, angle, brace, basis=doc.get("basis"), name=name)
+    return PostLYAlgebra(dim, dot, star, angle, brace, basis=_read_basis(doc, dim, name),
+                         name=name)
 
 
 def load_matrix(source, base_dir=None, key="matrix"):

@@ -4,7 +4,8 @@ Scalars are ``fractions.Fraction`` (always reduced, positive denominator).
 Vectors are tuples of Fraction; matrices are tuples of row tuples.  The
 elimination routine also takes sparse rows, dicts {column: Fraction}.
 Structure tensors (``Tensor``) are nested tuples of vectors or matrices,
-evaluated by ``contract``; the axiom scans read their support as sparse values.
+evaluated by ``contract``; the axiom scans read their support as sparse values,
+and the equations a linear map enters are tabulated by ``pull``/``push``.
 There are no tolerances anywhere: equality means exact equality.
 """
 
@@ -276,15 +277,26 @@ class Terms:
     then fills that slot as a vector.  A term is ``(sign, factor)`` or
     ``(sign, factor, factor)``, the product of the matrix values of two
     factors of positions only.  A term is live at a tuple when every factor
-    it reads there meets the support; at any other tuple it is zero.
-    ``live`` lists the tuples where a term is live and ``residual`` sums the
-    terms at one tuple.  One ``Terms`` serves one scan: it keeps each
-    product it forms, with the operands, so that no other object can take
-    their ids while the memo lives.
+    it reads there meets the support; at any other tuple it is zero.  The
+    tuples of an equation have one position for each position its terms
+    read, and a position one term leaves unread ranges over range(dim) for
+    that term.  ``live`` lists the tuples where a term is live and
+    ``residual`` sums the terms at one tuple.  One ``Terms`` serves one
+    scan: it keeps each product it forms, with the operands, so that no
+    other object can take their ids while the memo lives.
     """
 
-    def __init__(self):
+    def __init__(self, dim):
+        self.dim = dim
         self._products = {}        # (id(a), id(b)) -> (a, b, a b)
+
+    @staticmethod
+    def _read(factor):
+        """The tuple positions ``factor`` reads."""
+        out = set()
+        for s in factor[1:]:
+            out.update((s,) if isinstance(s, int) else s[1:])
+        return out
 
     @staticmethod
     def _live(factor):
@@ -307,14 +319,20 @@ class Terms:
             if all(a.setdefault(p, i) == i for p, i in zip(positions, key)):
                 yield a
 
-    def live(self, terms, arity):
-        """The basis ``arity``-tuples at which some term is live, with repeats."""
-        for term in terms:
+    def live(self, terms):
+        """The basis tuples at which some term is live, with repeats."""
+        reads = [set().union(*map(self._read, term[1:])) for term in terms]
+        arity = 1 + max(max(r) for r in reads)
+        for term, read in zip(terms, reads):
+            free = [p for p in range(arity) if p not in read]
+            fills = list(itertools.product(range(self.dim), repeat=len(free)))
             for a in self._live(term[1]):
                 for b in (self._live(term[2]) if len(term) > 2 else ({},)):
                     if all(a.get(p, i) == i for p, i in b.items()):
                         ab = {**a, **b}
-                        yield tuple(ab[p] for p in range(arity))
+                        for fill in fills:
+                            ab.update(zip(free, fill))
+                            yield tuple(ab[p] for p in range(arity))
 
     @staticmethod
     def _add(acc, f, factor, args):
@@ -355,6 +373,78 @@ class Terms:
                 self._products[key] = (a, b, sparse_mul(a, b))
             axpy(acc, term[0], self._products[key][2])
         return acc
+
+
+# ---------------------------------------------------------------------------
+# pulled-back tables
+#
+# An equation in which a linear map enters a slot is tabulated over all basis
+# tuples at once: a tensor's support is pulled back along the nonzero entries
+# of the map, slot by slot, and a table is pushed forward through a map.  A
+# table is {index tuple: {row: q}}; a tuple whose value vanishes is absent.
+
+def sparse_map(M):
+    """The nonzero entries of the matrix M as (rows, cols), rows {r: [(c, q)]}
+    and cols {c: [(r, q)]}."""
+    rows, cols = {}, {}
+    for r, row in enumerate(M):
+        for c, q in enumerate(row):
+            if q:
+                rows.setdefault(r, []).append((c, q))
+                cols.setdefault(c, []).append((r, q))
+    return rows, cols
+
+
+def _add_at(table, key, f, x):
+    """table[key] += f * x on sparse values, dropping a value that cancels."""
+    v = table.setdefault(key, {})
+    axpy(v, f, x)
+    if not v:
+        del table[key]
+
+
+def pull(acc, sign, values, maps, positions=None):
+    """acc += sign * ``values`` with slot p read through maps[p] (the rows of a
+    map, see ``sparse_map``, or None to read the slot as it is) and placed at
+    tuple position positions[p] (slot order by default).
+
+    The slots are pulled back one at a time, so that the terms meeting at a
+    partly pulled-back key are summed before the next slot multiplies them.
+    """
+    for p, rows in enumerate(maps):
+        if rows is not None:
+            table = {}
+            for key, v in values.items():
+                for a, q in rows.get(key[p], ()):
+                    _add_at(table, key[:p] + (a,) + key[p + 1:], q, v)
+            values = table
+    for key, v in values.items():
+        if positions is not None:
+            args = [0] * len(key)
+            for p, x in zip(positions, key):
+                args[p] = x
+            key = tuple(args)
+        _add_at(acc, key, sign, v)
+
+
+def push(acc, sign, cols, table):
+    """acc += sign * M(table), M given by its columns (see ``sparse_map``)."""
+    for key, v in table.items():
+        out = {}
+        for y, q in v.items():
+            for x, t in cols.get(y, ()):
+                out[x] = out.get(x, Q0) + q * t
+        _add_at(acc, key, sign, {x: q for x, q in out.items() if q})
+
+
+def hom_table(src, dst, M):
+    """M(src(e_i, ..)) - dst(M e_i, ..) over the basis tuples of src's space,
+    for vector-valued tensors and M given by ``sparse_map``."""
+    rows, cols = M
+    acc = {}
+    push(acc, Q1, cols, sparse_values(src))
+    pull(acc, -Q1, sparse_values(dst), (rows,) * src.arity)
+    return acc
 
 
 def dense(x, shape):

@@ -18,10 +18,10 @@ by any weight-1 operator (dot = carrier binary, x*y = rho(Tx)y,
 variants of the compatibility equations are available via ``as_printed``.
 """
 
-from .core import LYAlgebra, check_homomorphism
+from .core import LYAlgebra, check_homomorphism, check_ly_axioms
 from .errors import AxiomsFailed, DimMismatch, StructureError, Unverified
-from .linalg import (Q0, Q1, Tensor, contract, is_zero_vec, mat, mat_col, mat_id,
-                     mat_vec, skew_fault, vadd, vsub, vzero)
+from .linalg import (Tensor, contract, hom_table, mat, mat_col, mat_id, skew_fault,
+                     sparse_map, sparse_values, vadd, vsub, vzero)
 from .reports import Checker
 from .reps import RepAction, check_action
 
@@ -43,7 +43,6 @@ class PostLYAlgebra:
         if fault is not None:
             raise StructureError(
                 "angle not antisymmetric in first two slots at (%d,%d,%d)" % fault)
-        self._e = [tuple(Q1 if s == i else Q0 for s in range(dim)) for i in range(dim)]
         rng = range(dim)
         self.brace_D = Tensor([[[self._brace_D_formula(i, j, k) for k in rng] for j in rng]
                                for i in rng], dim, 3, (dim,))
@@ -61,37 +60,14 @@ class PostLYAlgebra:
 
     def _brace_D_formula(self, i, j, k):
         """{e_i,e_j,e_k}_D from the module docstring's formula."""
-        x, y, z = self._e[i], self._e[j], self._e[k]
+        star = self.star
+
+        def assoc(a, b, c):
+            return vsub(contract(star, star[a][b], c), contract(star, a, star[b][c]))
+
         out = vsub(self.brace[k][j][i], self.brace[k][i][j])
-        out = vadd(out, vsub(self.assoc_at(y, x, z), self.assoc_at(x, y, z)))
-        return vsub(out, self.star_at(self.dot[i][j], z))
-
-    # operation evaluation at arbitrary vectors -----------------------------
-
-    def dot_at(self, x, y):
-        return contract(self.dot, x, y)
-
-    def star_at(self, x, y):
-        return contract(self.star, x, y)
-
-    def angle_at(self, x, y, z):
-        return contract(self.angle, x, y, z)
-
-    def brace_at(self, x, y, z):
-        return contract(self.brace, x, y, z)
-
-    def assoc_at(self, x, y, z):
-        return vsub(self.star_at(self.star_at(x, y), z),
-                    self.star_at(x, self.star_at(y, z)))
-
-    def brace_D_at(self, x, y, z):
-        return contract(self.brace_D, x, y, z)
-
-    def subb_at(self, x, y):
-        return contract(self.sub_binary, x, y)
-
-    def subt_at(self, x, y, z):
-        return contract(self.sub_ternary, x, y, z)
+        out = vadd(out, vsub(assoc(j, i, k), assoc(i, j, k)))
+        return vsub(out, contract(star, self.dot[i][j], k))
 
     def base_ly(self):
         """(A, dot, angle) as a Lie-Yamaguti algebra (not yet axiom-checked)."""
@@ -125,106 +101,60 @@ def check_post_axioms(A, all_violations=False, as_printed=False):
     transported from the representation/action axioms are replaced by their
     close variants (P4's first summand uses {{x,w,z},w,t}, P5 carries the
     derived brace on the inner slots, and P6 constrains only star images).
+    As in ``core.check_ly_axioms``, each equation is a table of signed terms
+    evaluated only at the basis tuples where one of them is live.
     """
-    from .core import check_ly_axioms
     ck = Checker("post-axioms(%s)" % A.name, all_violations)
     base = check_ly_axioms(A.base_ly(), all_violations)
     for v in base.violations:
         ck.record("base-" + v.eq, v.args, v.residual)
-    n = A.dim
-    e = A._e
-    rng = range(n)
-
-    for i, j, k, l in ck.tuples(n, 4):
-        x, y, z, w = e[i], e[j], e[k], e[l]
+    dot, star, angle, brace, bD, cb, ct = (
+        sparse_values(t) for t in (A.dot, A.star, A.angle, A.brace, A.brace_D,
+                                   A.sub_binary, A.sub_ternary))
+    n, shape = A.dim, (A.dim,)
+    # basis vectors x, y, z, w, t sit at tuple positions 0..4
+    ck.equations(n, shape, [
         # P1: {z,[x,y]_C,w} = {y*z,x,w} - {x*z,y,w}
-        res = A.brace_at(z, A.subb_at(x, y), w)
-        res = vsub(res, A.brace_at(A.star_at(y, z), x, w))
-        res = vadd(res, A.brace_at(A.star_at(x, z), y, w))
-        if not is_zero_vec(res):
-            ck.record("P1", (i, j, k, l), res)
+        ("P1", [(1, (brace, 2, (cb, 0, 1), 3)), (-1, (brace, (star, 1, 2), 0, 3)),
+                (1, (brace, (star, 0, 2), 1, 3))]),
         # P2: {x,y,[z,w]_C} = z*{x,y,w} - w*{x,y,z}
-        res = A.brace_at(x, y, A.subb_at(z, w))
-        res = vsub(res, A.star_at(z, A.brace_at(x, y, w)))
-        res = vadd(res, A.star_at(w, A.brace_at(x, y, z)))
-        if not is_zero_vec(res):
-            ck.record("P2", (i, j, k, l), res)
+        ("P2", [(1, (brace, 0, 1, (cb, 2, 3))), (-1, (star, 2, (brace, 0, 1, 3))),
+                (1, (star, 3, (brace, 0, 1, 2)))]),
         # P3: <x,y,z>_C*w = {x,y,z*w}_D - z*{x,y,w}_D
-        res = A.star_at(A.subt_at(x, y, z), w)
-        res = vsub(res, A.brace_D_at(x, y, A.star_at(z, w)))
-        res = vadd(res, A.star_at(z, A.brace_D_at(x, y, w)))
-        if not is_zero_vec(res):
-            ck.record("P3", (i, j, k, l), res)
-    for i, j, k, l, m in ck.tuples(n, 5):
-        x, y, z, w, t = e[i], e[j], e[k], e[l], e[m]
-        # P4: {x,y,<z,w,t>_C} =
-        #     {{x,y,z},w,t} - {{x,y,w},z,t} + {z,w,{x,y,t}}_D
-        res = A.brace_at(x, y, A.subt_at(z, w, t))
-        first = (A.brace_at(A.brace_at(x, w, z), w, t) if as_printed
-                 else A.brace_at(A.brace_at(x, y, z), w, t))
-        res = vsub(res, first)
-        res = vadd(res, A.brace_at(A.brace_at(x, y, w), z, t))
-        res = vsub(res, A.brace_D_at(z, w, A.brace_at(x, y, t)))
-        if not is_zero_vec(res):
-            ck.record("P4", (i, j, k, l, m), res)
-        # P5: {x,y,{z,w,t}}_D =
-        #     {{x,y,z}_D,w,t} + {z,<x,y,w>_C,t} + {z,w,<x,y,t>_C}
-        if as_printed:
-            res = A.brace_at(x, y, A.brace_D_at(z, w, t))
-        else:
-            res = A.brace_D_at(x, y, A.brace_at(z, w, t))
-        res = vsub(res, A.brace_at(A.brace_D_at(x, y, z), w, t))
-        res = vsub(res, A.brace_at(z, A.subt_at(x, y, w), t))
-        res = vsub(res, A.brace_at(z, w, A.subt_at(x, y, t)))
-        if not is_zero_vec(res):
-            ck.record("P5", (i, j, k, l, m), res)
+        ("P3", [(1, (star, (ct, 0, 1, 2), 3)), (-1, (bD, 0, 1, (star, 2, 3))),
+                (1, (star, 2, (bD, 0, 1, 3)))])])
+    # P4: {x,y,<z,w,t>_C} = {{x,y,z},w,t} - {{x,y,w},z,t} + {z,w,{x,y,t}}_D
+    # P5: {x,y,{z,w,t}}_D = {{x,y,z}_D,w,t} + {z,<x,y,w>_C,t} + {z,w,<x,y,t>_C}
+    ck.equations(n, shape, [
+        ("P4", [(1, (brace, 0, 1, (ct, 2, 3, 4))),
+                (-1, (brace, (brace, 0, 3, 2) if as_printed else (brace, 0, 1, 2), 3, 4)),
+                (1, (brace, (brace, 0, 1, 3), 2, 4)), (-1, (bD, 2, 3, (brace, 0, 1, 4)))]),
+        ("P5", [(1, (brace, 0, 1, (bD, 2, 3, 4)) if as_printed
+                 else (bD, 0, 1, (brace, 2, 3, 4))),
+                (-1, (brace, (bD, 0, 1, 2), 3, 4)), (-1, (brace, 2, (ct, 0, 1, 3), 4)),
+                (-1, (brace, 2, 3, (ct, 0, 1, 4)))])])
 
-    def central(eq, args, v):
-        if is_zero_vec(v):
-            return
-        for s in rng:
-            res = A.dot_at(v, e[s])
-            if not is_zero_vec(res):
-                ck.record(eq + "-dot", args + (s,), res)
-            for t in rng:
-                res = A.angle_at(v, e[s], e[t])
-                if not is_zero_vec(res):
-                    ck.record(eq + "-angle12", args + (s, t), res)
-                res = A.angle_at(e[s], e[t], v)
-                if not is_zero_vec(res):
-                    ck.record(eq + "-angle3", args + (s, t), res)
+    def central(eq, v, k, *order):
+        """The image v, a factor over positions 0..k-1, central in (dot, angle)."""
+        return [(eq + "-dot", [(1, (dot, v, k))]) + order,
+                (eq + "-angle12", [(1, (angle, v, k, k + 1))]) + order,
+                (eq + "-angle3", [(1, (angle, k, k + 1, v))]) + order]
 
-    for i, j in ck.tuples(n, 2):
-        # P6: star images are central in (dot, angle); by default the same
-        # holds for brace images (needed for R(x,y) to be an action)
-        central("P6-star", (i, j), A.star[i][j])
-        # P7: star kills dot-products; brace kills them in slot one
-        dp = A.dot[i][j]
-        if not is_zero_vec(dp):
-            for s in rng:
-                res = A.star_at(e[s], dp)
-                if not is_zero_vec(res):
-                    ck.record("P7-star", (s, i, j), res)
-                for t in rng:
-                    res = A.brace_at(dp, e[s], e[t])
-                    if not is_zero_vec(res):
-                        ck.record("P7-brace", (i, j, s, t), res)
+    # per pair (i, j), P6: star images are central in (dot, angle); P7: star
+    # kills dot-products, brace kills them in slot one.  P6 comes first, at
+    # (i, j, s[, t]), then P7 at (s, i, j) and (i, j, s, t).
+    p6 = central("P6-star", (star, 0, 1), 2, lambda a: a[:2] + (0,) + a[2:])
+    ck.equations(n, shape, p6 + [
+        ("P7-star", [(1, (star, 0, (dot, 1, 2)))], lambda a: a[1:] + (1, a[0])),
+        ("P7-brace", [(1, (brace, (dot, 0, 1), 2, 3))], lambda a: a[:2] + (1,) + a[2:])])
     if not as_printed:
-        for i, j, k in ck.tuples(n, 3):
-            central("P6-brace", (i, j, k), A.brace[i][j][k])
-    for i, j, k in ck.tuples(n, 3):
-        # P8: star and brace (slot one) kill angle-products
-        ap = A.angle[i][j][k]
-        if is_zero_vec(ap):
-            continue
-        for s in rng:
-            res = A.star_at(e[s], ap)
-            if not is_zero_vec(res):
-                ck.record("P8-star", (s, i, j, k), res)
-            for t in rng:
-                res = A.brace_at(ap, e[s], e[t])
-                if not is_zero_vec(res):
-                    ck.record("P8-brace", (i, j, k, s, t), res)
+        # by default brace images are central too (needed for R(x,y) to be an action)
+        ck.equations(n, shape, central("P6-brace", (brace, 0, 1, 2), 3))
+    # per triple (i, j, k), P8: star and brace (slot one) kill angle-products,
+    # at (s, i, j, k) and (i, j, k, s, t)
+    ck.equations(n, shape, [
+        ("P8-star", [(1, (star, 0, (angle, 1, 2, 3)))], lambda a: a[1:] + a[:1]),
+        ("P8-brace", [(1, (brace, (angle, 0, 1, 2), 3, 4))])])
     rep = ck.report()
     if rep.passed and not as_printed:
         A.verified = True
@@ -300,28 +230,18 @@ def induced_post_from_rrb(op):
 
 
 def check_post_homomorphism(A, B, psi, all_violations=False):
-    """psi preserves all four operations; implies a sub-adjacent homomorphism."""
+    """psi preserves all four operations; implies a sub-adjacent homomorphism.
+
+    The residuals are tabulated as in ``core.check_homomorphism``; each pair
+    comes directly before its triples.
+    """
     psi = mat(psi)
     if len(psi) != B.dim or any(len(r) != A.dim for r in psi):
         raise DimMismatch("map must be %dx%d" % (B.dim, A.dim))
     ck = Checker("post-homomorphism(%s->%s)" % (A.name, B.name), all_violations)
-    cols = [mat_col(psi, i) for i in range(A.dim)]
-    for i, j in ck.tuples(A.dim, 2):
-        pairs = [("hom-dot", A.dot[i][j], B.dot_at(cols[i], cols[j])),
-                 ("hom-star", A.star[i][j], B.star_at(cols[i], cols[j]))]
-        for eq, src, img in pairs:
-            res = vsub(mat_vec(psi, src), img)
-            if not is_zero_vec(res):
-                ck.record(eq, (i, j), res)
-        for k in range(A.dim):
-            pairs = [("hom-angle", A.angle[i][j][k],
-                      B.angle_at(cols[i], cols[j], cols[k])),
-                     ("hom-brace", A.brace[i][j][k],
-                      B.brace_at(cols[i], cols[j], cols[k]))]
-            for eq, src, img in pairs:
-                res = vsub(mat_vec(psi, src), img)
-                if not is_zero_vec(res):
-                    ck.record(eq, (i, j, k), res)
+    M = sparse_map(psi)
+    ck.table((B.dim,), *[("hom-" + op, hom_table(getattr(A, op), getattr(B, op), M))
+                         for op in ("dot", "star", "angle", "brace")])
     rep = ck.report()
     if rep.passed and A.verified and B.verified:
         sub = check_homomorphism(subadjacent(A), subadjacent(B), psi)

@@ -1,6 +1,5 @@
 """Pass/fail reports with equation witnesses."""
 
-import itertools
 from dataclasses import dataclass, field
 
 from .linalg import Terms, dense, format_frac
@@ -73,20 +72,9 @@ class Checker:
         """True once further scanning cannot change the report."""
         return self._saturated
 
-    def tuples(self, n, k):
-        """Basis index k-tuples over range(n) in lexicographic order.
-
-        The scan ends as soon as the report is settled, so a capped check stops
-        at its tenth witness instead of finishing every loop.
-        """
-        for t in itertools.product(range(n), repeat=k):
-            if self._saturated:
-                return
-            yield t
-
     def scan(self, live):
-        """The distinct tuples of ``live`` in lexicographic order, the order of
-        ``tuples``, ending as soon as the report is settled.
+        """The distinct items of ``live`` in sorted order, ending as soon as the
+        report is settled, so a capped check stops at its tenth witness.
 
         ``live`` is read only when the scan starts, so a generator passed here
         is never run once the report is settled.
@@ -98,27 +86,34 @@ class Checker:
                 return
             yield t
 
-    def equations(self, arity, shape, equations):
-        """Check each (name, terms) of ``equations`` at the basis ``arity``-tuples,
-        tuples in lexicographic order and, at one tuple, names in list order.
+    def equations(self, dim, shape, equations):
+        """Check each (name, terms[, order]) of ``equations`` at the basis
+        tuples over range(dim), as many positions as its terms read.
 
         ``terms`` is a signed sum as in ``linalg.Terms`` with values of
         ``shape``.  Only tuples where some term is live are visited: at any
         other tuple every term has a zero factor, so the residual is zero.
+        Witnesses come sorted by ``order(args)`` (the tuple itself when no
+        order is given), a tuple before its extensions, and at one key in
+        list order.
         """
-        terms = Terms()
-        live = (t for _, ts in equations for t in terms.live(ts, arity))
-        for args in self.scan(live):
-            for name, ts in equations:
-                acc = terms.residual(ts, args)
-                if acc:
-                    self.record(name, args, dense(acc, shape))
+        terms = Terms(dim)
+        live = ((eq[2](args) if len(eq) > 2 else args, e, args)
+                for e, eq in enumerate(equations) for args in terms.live(eq[1]))
+        for _, e, args in self.scan(live):
+            acc = terms.residual(equations[e][1], args)
+            if acc:
+                self.record(equations[e][0], args, dense(acc, shape))
 
-    def table(self, eq, values, shape):
-        """Record ``eq`` at each tuple of a sparse table {args: sparse value}
-        (see ``linalg.sparse_values``), tuples in the order of ``tuples``."""
-        for args in self.scan(values):
-            self.record(eq, args, dense(values[args], shape))
+    def table(self, shape, *named):
+        """Record each (name, values) of ``named`` at every tuple of its sparse
+        table {args: sparse value} (see ``linalg.pull``), tuples in
+        lexicographic order, a tuple before its extensions, and at one tuple
+        in argument order."""
+        live = ((args, e) for e, (_, values) in enumerate(named) for args in values)
+        for args, e in self.scan(live):
+            name, values = named[e]
+            self.record(name, args, dense(values[args], shape))
 
     @property
     def failed(self):

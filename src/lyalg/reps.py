@@ -108,12 +108,12 @@ def check_representation(r, all_violations=False):
     ck = Checker("representation(%s on %s)" % (g.name, r.carrier.name), all_violations)
     c, d, rho, mu, D = _supports(r)
     # basis vectors x, y, z, w sit at tuple positions 0..3
-    ck.equations(3, r.rho.shape, [
+    ck.equations(g.dim, r.rho.shape, [
         ("R1", [(1, (mu, (c, 0, 1), 2)), (-1, (mu, 0, 2), (rho, 1)), (1, (mu, 1, 2), (rho, 0))]),
         ("R2", [(1, (mu, 0, (c, 1, 2))), (-1, (rho, 1), (mu, 0, 2)), (1, (rho, 2), (mu, 0, 1))]),
         ("R3", [(1, (rho, (d, 0, 1, 2))), (-1, (D, 0, 1), (rho, 2)), (1, (rho, 2), (D, 0, 1))]),
     ])
-    ck.equations(4, r.rho.shape, [
+    ck.equations(g.dim, r.rho.shape, [
         ("R4", [(1, (mu, 2, 3), (mu, 0, 1)), (-1, (mu, 1, 3), (mu, 0, 2)),
                 (-1, (mu, 0, (d, 1, 2, 3))), (1, (D, 1, 2), (mu, 0, 3))]),
         ("R5", [(1, (mu, (d, 0, 1, 2), 3)), (1, (mu, 2, (d, 0, 1, 3))),
@@ -137,10 +137,10 @@ def check_lemma_identities(r, all_violations=False):
     g = r.acting
     ck = Checker("lemma-identities(%s on %s)" % (g.name, r.carrier.name), all_violations)
     c, d, _, mu, D = _supports(r)
-    ck.equations(3, r.rho.shape, [
+    ck.equations(g.dim, r.rho.shape, [
         ("L1", [(1, (D, (c, 0, 1), 2)), (1, (D, (c, 1, 2), 0)), (1, (D, (c, 2, 0), 1))]),
     ])
-    ck.equations(4, r.rho.shape, [
+    ck.equations(g.dim, r.rho.shape, [
         ("L2", [(1, (D, (d, 0, 1, 2), 3)), (1, (D, 2, (d, 0, 1, 3))),
                 (-1, (D, 0, 1), (D, 2, 3)), (1, (D, 2, 3), (D, 0, 1))]),
         ("L3", [(1, (mu, (d, 0, 1, 2), 3)), (-1, (mu, 0, 3), (mu, 2, 1)),

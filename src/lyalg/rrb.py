@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .core import LYAlgebra, check_homomorphism, derived_algebra
 from .errors import DimMismatch, PreconditionFailed, Unverified
-from .linalg import (Q0, Q1, Subspace, axpy, invert, is_zero_mat, is_zero_vec, mat,
-                     mat_col, mat_mul, mat_sub, mat_vec, sparse_values, transpose,
+from .linalg import (Q1, invert, is_zero_mat, is_zero_vec, mat, mat_col, mat_id, mat_mul,
+                     mat_sub, mat_vec, pull, push, sparse_map, sparse_values, transpose,
                      vadd, vsub)
 from .reports import Checker
 from .reps import adjoint_rep
@@ -77,8 +77,9 @@ class HomPair:
 # s = 0 is the operator's own residual and s = 1 the 1-cocycle condition.
 # Every term is one vector-valued tensor (rho, mu and D read with the column
 # as one more slot) with some slots pulled back along a T_j and its slots
-# moved to tuple positions, optionally pushed forward by a T_i; the tables are
-# expanded over the supports and the nonzero entries of the T_i only.
+# moved to tuple positions, optionally pushed forward by a T_i (``linalg.pull``
+# and ``linalg.push``); the tables are expanded over the supports and the
+# nonzero entries of the T_i only.
 
 def _vector_values(t):
     """The support of ``t`` as {index tuple: {row: q}}; a matrix value's
@@ -94,41 +95,6 @@ def _vector_values(t):
     return out
 
 
-def _add_at(table, key, f, x):
-    """table[key] += f * x on sparse values, dropping a value that cancels."""
-    v = table.setdefault(key, {})
-    axpy(v, f, x)
-    if not v:
-        del table[key]
-
-
-def _pull(acc, sign, values, maps, positions):
-    """acc += sign * ``values`` with slot p read through maps[p] (the rows of
-    a T_j as {acting index: [(carrier index, entry)]}, or None for a carrier
-    slot) and placed at tuple position positions[p]."""
-    k = len(positions)
-    for key, v in values.items():
-        picks = [((x, Q1),) if rows is None else rows.get(x, ())
-                 for x, rows in zip(key, maps)]
-        for pick in itertools.product(*picks):
-            f = sign
-            args = [0] * k
-            for p, (a, q) in zip(positions, pick):
-                args[p] = a
-                f *= q
-            _add_at(acc, tuple(args), f, v)
-
-
-def _push(acc, sign, cols, table):
-    """acc += sign * T(table), T given by its columns {carrier index: [(acting index, entry)]}."""
-    for key, v in table.items():
-        out = {}
-        for y, q in v.items():
-            for x, t in cols.get(y, ()):
-                out[x] = out.get(x, Q0) + q * t
-        _add_at(acc, key, sign, {x: q for x, q in out.items() if q})
-
-
 def coefficients(r, Ts, degrees):
     """{s: (binary, ternary)} for each s in ``degrees``: the t^s coefficients
     of RRB1 and RRB2 for T_t = sum_i t^i Ts[i] over the action ``r``, as
@@ -140,17 +106,11 @@ def coefficients(r, Ts, degrees):
     """
     g, h = r.acting, r.carrier
     n, m = g.dim, h.dim
-    rows, cols = [], []
     for T in Ts:
         if len(T) != n or any(len(row) != m for row in T):
             raise DimMismatch("each T_i must be %dx%d (carrier -> acting)" % (n, m))
-        rows.append({})
-        cols.append({})
-        for x, row in enumerate(T):
-            for a, q in enumerate(row):
-                if q:
-                    rows[-1].setdefault(x, []).append((a, q))
-                    cols[-1].setdefault(a, []).append((x, q))
+    maps = [sparse_map(T) for T in Ts]
+    rows, cols = [r for r, _ in maps], [c for _, c in maps]
     c, d = sparse_values(g.binary), sparse_values(g.ternary)
     rho, mu, D = (_vector_values(t) for t in (r.rho, r.mu, r.derived_D))
     top = len(Ts) - 1
@@ -163,27 +123,27 @@ def coefficients(r, Ts, degrees):
     for p in range(max(degrees, default=-1) + 1):
         I, J = {}, {}
         if p == 0:
-            _pull(I, Q1, sparse_values(h.binary), (None, None), (0, 1))
-            _pull(J, Q1, sparse_values(h.ternary), (None, None, None), (0, 1, 2))
+            pull(I, Q1, sparse_values(h.binary), (None, None), (0, 1))
+            pull(J, Q1, sparse_values(h.ternary), (None, None, None), (0, 1, 2))
         if p <= top:
-            _pull(I, Q1, rho, (rows[p], None), (0, 1))
-            _pull(I, -Q1, rho, (rows[p], None), (1, 0))
+            pull(I, Q1, rho, (rows[p], None), (0, 1))
+            pull(I, -Q1, rho, (rows[p], None), (1, 0))
         for j, k in pairs(p):
-            _pull(J, Q1, D, (rows[j], rows[k], None), (0, 1, 2))
-            _pull(J, Q1, mu, (rows[j], rows[k], None), (1, 2, 0))
-            _pull(J, -Q1, mu, (rows[j], rows[k], None), (0, 2, 1))
+            pull(J, Q1, D, (rows[j], rows[k], None), (0, 1, 2))
+            pull(J, Q1, mu, (rows[j], rows[k], None), (1, 2, 0))
+            pull(J, -Q1, mu, (rows[j], rows[k], None), (0, 2, 1))
         inner2.append(I)
         inner3.append(J)
     out = {}
     for s in degrees:
         B, C = {}, {}
         for i, j in pairs(s):
-            _pull(B, Q1, c, (rows[i], rows[j]), (0, 1))
+            pull(B, Q1, c, (rows[i], rows[j]), (0, 1))
         for i in range(min(s, top) + 1):
             for j, k in pairs(s - i):
-                _pull(C, Q1, d, (rows[i], rows[j], rows[k]), (0, 1, 2))
-            _push(B, -Q1, cols[i], inner2[s - i])
-            _push(C, -Q1, cols[i], inner3[s - i])
+                pull(C, Q1, d, (rows[i], rows[j], rows[k]), (0, 1, 2))
+            push(B, -Q1, cols[i], inner2[s - i])
+            push(C, -Q1, cols[i], inner3[s - i])
         out[s] = (B, C)
     return out
 
@@ -193,14 +153,14 @@ def check_rrb(op, all_violations=False):
 
     The residuals are the t^0 coefficients of ``coefficients`` for T alone,
     tabulated over the supports; a tuple absent from a table has residual
-    zero, and the witnesses come in the order of ``Checker.tuples``.
+    zero, and the witnesses come in lexicographic order, pairs first.
     """
     r = op.action
     ck = Checker("rrb(%s)" % (r,), all_violations)
     binary, ternary = coefficients(r, [op.T], (0,))[0]
     shape = (r.acting.dim,)
-    ck.table("RRB1", binary, shape)
-    ck.table("RRB2", ternary, shape)
+    ck.table(shape, ("RRB1", binary))
+    ck.table(shape, ("RRB2", ternary))
     rep = ck.report()
     if rep.passed:
         op.verified = True
@@ -208,21 +168,25 @@ def check_rrb(op, all_violations=False):
 
 
 def graph_subalgebra_check(op, all_violations=False):
-    """Closure of the graph {Tu + u} inside the semidirect algebra."""
+    """Closure of the graph {Tu + u} inside the semidirect algebra.
+
+    The generators Te_a + e_a are independent, so the graph has dimension m,
+    and a bracket w = x + u of generators lies in it exactly when x = Tu.  The
+    brackets are the semidirect brackets pulled back along u -> Tu + u, and
+    each is recorded where x - Tu does not vanish.
+    """
     S = op.action.semidirect()
     n, m = op.action.acting.dim, op.action.carrier.dim
-    gens = [tuple(op._cols[a]) + op.action.carrier.e(a) for a in range(m)]
-    graph = Subspace(n + m, gens)
+    lift, _ = sparse_map(op.T + mat_id(m))                        # u -> Tu + u
+    minus_T = tuple(tuple(-q for q in row) for row in op.T)
+    _, defect = sparse_map(tuple(e + row for e, row in zip(mat_id(n), minus_T)))  # x - Tu
     ck = Checker("graph-subalgebra(%s)" % (op.action,), all_violations)
-    for a, b in ck.tuples(m, 2):
-        w = S.bracket2(gens[a], gens[b])
-        if not graph.contains(w):
-            ck.record("graph-binary", (a, b), w)
-    for a, b, c in ck.tuples(m, 3):
-        w = S.bracket3(gens[a], gens[b], gens[c])
-        if not graph.contains(w):
-            ck.record("graph-ternary", (a, b, c), w)
-    return ck.report({"graph_dim": graph.dim})
+    for name, t in (("graph-binary", S.binary), ("graph-ternary", S.ternary)):
+        w, off = {}, {}
+        pull(w, Q1, sparse_values(t), (lift,) * t.arity)
+        push(off, Q1, defect, w)
+        ck.table((n + m,), (name, {key: w[key] for key in off}))
+    return ck.report({"graph_dim": m})
 
 
 def check_nijenhuis(A, N, all_violations=False):
@@ -231,35 +195,32 @@ def check_nijenhuis(A, N, all_violations=False):
     [Nx,Ny] = N([Nx,y] + [x,Ny] - N[x,y])
     <Nx,Ny,Nz> = N( <Nx,Ny,z> + <Nx,y,Nz> + <x,Ny,Nz>
                     - N<Nx,y,z> - N<x,Ny,z> - N<x,y,Nz> + N^2<x,y,z> )
+
+    Each residual, the sum over j of (-N)^(k-j) applied to the bracket with N
+    in j of its k slots, is tabulated over all basis tuples: every pair
+    first, then every triple.
     """
     A.ensure_verified()
     N = mat(N)
     n = A.dim
     if len(N) != n or any(len(r) != n for r in N):
         raise DimMismatch("N must be %dx%d" % (n, n))
-    Ne = [mat_col(N, i) for i in range(n)]
+    rows, cols = sparse_map(N)
+
+    def residual(t):
+        values, k = sparse_values(t), t.arity
+        acc = {}
+        for j in range(k + 1):
+            nxt = {}
+            push(nxt, -Q1, cols, acc)
+            for slots in itertools.combinations(range(k), j):
+                pull(nxt, Q1, values, [rows if p in slots else None for p in range(k)])
+            acc = nxt
+        return acc
+
     ck = Checker("nijenhuis(%s)" % A.name, all_violations)
-    for i, j in ck.tuples(n, 2):
-        lhs = A.bracket2(Ne[i], Ne[j])
-        inner = vsub(vadd(A.bracket2(Ne[i], A.e(j)), A.bracket2(A.e(i), Ne[j])),
-                     mat_vec(N, A.binary[i][j]))
-        res = vsub(lhs, mat_vec(N, inner))
-        if not is_zero_vec(res):
-            ck.record("nijenhuis-binary", (i, j), res)
-    for i, j, k in ck.tuples(n, 3):
-        ei, ej, ek = A.e(i), A.e(j), A.e(k)
-        lhs = A.bracket3(Ne[i], Ne[j], Ne[k])
-        inner = vadd(vadd(A.bracket3(Ne[i], Ne[j], ek),
-                          A.bracket3(Ne[i], ej, Ne[k])),
-                     A.bracket3(ei, Ne[j], Ne[k]))
-        once = vadd(vadd(A.bracket3(Ne[i], ej, ek),
-                         A.bracket3(ei, Ne[j], ek)),
-                    A.bracket3(ei, ej, Ne[k]))
-        inner = vsub(inner, mat_vec(N, once))
-        inner = vadd(inner, mat_vec(N, mat_vec(N, A.ternary[i][j][k])))
-        res = vsub(lhs, mat_vec(N, inner))
-        if not is_zero_vec(res):
-            ck.record("nijenhuis-ternary", (i, j, k), res)
+    ck.table((n,), ("nijenhuis-binary", residual(A.binary)))
+    ck.table((n,), ("nijenhuis-ternary", residual(A.ternary)))
     return ck.report()
 
 

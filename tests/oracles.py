@@ -271,6 +271,145 @@ def o_lemma_violations(r):
     ])
 
 
+def _post_values(P):
+    """dot, star, angle, brace, the derived brace, [,]_C and <,,>_C of a
+    post-algebra, each slot a basis index or a vector; the three derived
+    operations are tabulated on basis tuples from their closed forms
+
+        {x,y,z}_D = {z,y,x} - {z,x,y} + (y,x,z) - (x,y,z) - (x.y)*z
+        [x,y]_C   = x*y - y*x + x.y
+        <x,y,z>_C = {x,y,z}_D + {x,y,z} - {y,x,z} + <x,y,z>
+
+    with (a,b,c) = (a*b)*c - a*(b*c)."""
+    n = P.dim
+    dot, star, angle, brace = ((lambda *xs, t=t: _at(t, *xs))
+                               for t in (P.dot, P.star, P.angle, P.brace))
+
+    def assoc(x, y, z):
+        return _sum(star(star(x, y), z), _neg(star(x, star(y, z))))
+
+    rng = range(n)
+    bD = tuple(tuple(tuple(_sum(brace(k, j, i), _neg(brace(k, i, j)), assoc(j, i, k),
+                                _neg(assoc(i, j, k)), _neg(star(dot(i, j), k)))
+                           for k in rng) for j in rng) for i in rng)
+    cb = tuple(tuple(_sum(star(i, j), _neg(star(j, i)), dot(i, j)) for j in rng) for i in rng)
+    ct = tuple(tuple(tuple(_sum(bD[i][j][k], brace(i, j, k), _neg(brace(j, i, k)), angle(i, j, k))
+                           for k in rng) for j in rng) for i in rng)
+    return (dot, star, angle, brace, (lambda *xs: _at(bD, *xs)), (lambda *xs: _at(cb, *xs)),
+            (lambda *xs: _at(ct, *xs)))
+
+
+def o_post_violations(P, as_printed=False):
+    """The base LY axioms of (dot, angle), prefixed "base-", then
+
+    P1: {z,[x,y]_C,w} - {y*z,x,w} + {x*z,y,w}
+    P2: {x,y,[z,w]_C} - z*{x,y,w} + w*{x,y,z}
+    P3: <x,y,z>_C*w - {x,y,z*w}_D + z*{x,y,w}_D
+    P4: {x,y,<z,w,t>_C} - {{x,y,z},w,t} + {{x,y,w},z,t} - {z,w,{x,y,t}}_D
+    P5: {x,y,{z,w,t}}_D - {{x,y,z}_D,w,t} - {z,<x,y,w>_C,t} - {z,w,<x,y,t>_C}
+
+    at every quadruple (P1-P3) and quintuple (P4-P5), then for each pair
+    (i, j) the centrality of e_i*e_j in (dot, angle) (P6-star, at (i,j,s) and
+    (i,j,s,t)) followed by e_s*(e_i.e_j) (P7-star, at (s,i,j)) and
+    {e_i.e_j,e_s,e_t} (P7-brace, at (i,j,s,t)); then the centrality of each
+    {e_i,e_j,e_k} (P6-brace), and for each triple e_s*<e_i,e_j,e_k> (P8-star,
+    at (s,i,j,k)) and {<e_i,e_j,e_k>,e_s,e_t} (P8-brace, at (i,j,k,s,t)).
+    ``as_printed`` uses {{x,w,z},w,t} in P4, {x,y,{z,w,t}_D} in P5 and drops
+    P6-brace."""
+    import types
+    n = P.dim
+    dot, star, angle, brace, bD, cb, ct = _post_values(P)
+    base = types.SimpleNamespace(dim=n, binary=P.dot, ternary=P.angle)
+    out = [("base-" + eq, args, res) for eq, args, res in o_ly_violations(base)]
+
+    def p4(x, y, z, w, t):
+        first = brace(brace(x, w, z), w, t) if as_printed else brace(brace(x, y, z), w, t)
+        return _sum(brace(x, y, ct(z, w, t)), _neg(first), brace(brace(x, y, w), z, t),
+                    _neg(bD(z, w, brace(x, y, t))))
+
+    def p5(x, y, z, w, t):
+        lhs = brace(x, y, bD(z, w, t)) if as_printed else bD(x, y, brace(z, w, t))
+        return _sum(lhs, _neg(brace(bD(x, y, z), w, t)), _neg(brace(z, ct(x, y, w), t)),
+                    _neg(brace(z, w, ct(x, y, t))))
+
+    out += _witnesses(n, [
+        (4, [("P1", lambda x, y, z, w: _sum(brace(z, cb(x, y), w), _neg(brace(star(y, z), x, w)),
+                                            brace(star(x, z), y, w))),
+             ("P2", lambda x, y, z, w: _sum(brace(x, y, cb(z, w)), _neg(star(z, brace(x, y, w))),
+                                            star(w, brace(x, y, z)))),
+             ("P3", lambda x, y, z, w: _sum(star(ct(x, y, z), w), _neg(bD(x, y, star(z, w))),
+                                            star(z, bD(x, y, w))))]),
+        (5, [("P4", p4), ("P5", p5)]),
+    ])
+
+    def note(eq, args, res):
+        if _nonzero(res):
+            out.append((eq, args, res))
+
+    def central(eq, args, v):
+        for s in range(n):
+            note(eq + "-dot", args + (s,), dot(v, s))
+            for t in range(n):
+                note(eq + "-angle12", args + (s, t), angle(v, s, t))
+                note(eq + "-angle3", args + (s, t), angle(s, t, v))
+
+    for i, j in itertools.product(range(n), repeat=2):
+        central("P6-star", (i, j), star(i, j))
+        for s in range(n):
+            note("P7-star", (s, i, j), star(s, dot(i, j)))
+            for t in range(n):
+                note("P7-brace", (i, j, s, t), brace(dot(i, j), s, t))
+    if not as_printed:
+        for i, j, k in itertools.product(range(n), repeat=3):
+            central("P6-brace", (i, j, k), brace(i, j, k))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        for s in range(n):
+            note("P8-star", (s, i, j, k), star(s, angle(i, j, k)))
+            for t in range(n):
+                note("P8-brace", (i, j, k, s, t), brace(angle(i, j, k), s, t))
+    return out
+
+
+def o_nijenhuis_violations(A, N):
+    """nijenhuis-binary:  [Nx,Ny] - N([Nx,y] + [x,Ny] - N[x,y])
+    nijenhuis-ternary: <Nx,Ny,Nz> - N(<Nx,Ny,z> + <Nx,y,Nz> + <x,Ny,Nz>
+                       - N<Nx,y,z> - N<x,Ny,z> - N<x,y,Nz> + N^2<x,y,z>)
+    (every pair first, then every triple)."""
+    c, d = _brackets(A)
+    Ne = [col(N, i) for i in range(A.dim)]
+
+    def binary(i, j):
+        inner = _sum(c(Ne[i], j), c(i, Ne[j]), _neg(mv(N, c(i, j))))
+        return vs(c(Ne[i], Ne[j]), mv(N, inner))
+
+    def ternary(i, j, k):
+        once = _sum(d(Ne[i], j, k), d(i, Ne[j], k), d(i, j, Ne[k]))
+        inner = _sum(d(Ne[i], Ne[j], k), d(Ne[i], j, Ne[k]), d(i, Ne[j], Ne[k]),
+                     _neg(mv(N, once)), mv(N, mv(N, d(i, j, k))))
+        return vs(d(Ne[i], Ne[j], Ne[k]), mv(N, inner))
+
+    return _witnesses(A.dim, [(2, [("nijenhuis-binary", binary)]),
+                              (3, [("nijenhuis-ternary", ternary)])])
+
+
+def o_hom_violations(phi, families, interleaved=False):
+    """phi(src(e_i, ..)) - dst(phi e_i, ..) for each family (eq, arity, src,
+    dst) of nested structure tensors and a matrix phi from src's space to
+    dst's: every tuple of the first arity, then of the next, or with
+    ``interleaved`` each tuple directly followed by its extensions (mixed-length
+    lexicographic order), families in list order at one tuple."""
+    n = len(phi[0])
+    cols = [col(phi, i) for i in range(n)]
+    found = []
+    for f, (eq, arity, src, dst) in enumerate(families):
+        for args in itertools.product(range(n), repeat=arity):
+            res = vs(mv(phi, _at(src, *args)), _at(dst, *[cols[a] for a in args]))
+            if _nonzero(res):
+                key = (args, f) if interleaved else (arity, args, f)
+                found.append((key, (eq, args, res)))
+    return [w for _, w in sorted(found)]
+
+
 # ---------------------------------------------------------------------------
 # the operator-induced structures, written straight from their closed forms
 

@@ -9,7 +9,8 @@ from lyalg.cohomology import (Cochain, SparseMat, TComplex,
                               pushforward_cochain, wedge_coords,
                               yamaguti_coboundary)
 from lyalg.cli import run
-from lyalg.errors import ShapeMismatch
+from lyalg import cohomology
+from lyalg.errors import ShapeMismatch, TooLarge
 from lyalg.linalg import mat_id, mat_vec
 from lyalg.rrb import HomPair
 
@@ -95,6 +96,26 @@ def test_composites_vanish(tcomplex):
     assert tcomplex.matrix(1).mul(tcomplex.matrix(0)).is_zero()
     assert tcomplex.matrix(2).mul(tcomplex.matrix(1)).is_zero()
     assert tcomplex.matrix(3).mul(tcomplex.matrix(2)).is_zero()
+
+
+def test_budget_admits_the_measured_sizes():
+    # p3 at degree 4, and a 5-dim operator over a 5-dim algebra at degree 3
+    assert cohomology._Layout(5, 4, 4).total == 25920
+    assert cohomology._Layout(4, 5, 5).total == 30000
+    assert 30000 <= cohomology.MAX_COBOUNDARY_ROWS < cohomology._Layout(6, 4, 4).total
+
+
+def test_coboundary_over_budget_raises_before_building(tcomplex, monkeypatch, capsys):
+    def no_matrix(*args):
+        raise AssertionError("a matrix was allocated")
+    monkeypatch.setattr(cohomology, "SparseMat", no_matrix)
+    for p in (5, 12):
+        with pytest.raises(TooLarge):
+            coboundary_matrix_for(tcomplex.descent, tcomplex.rep, p)
+    with pytest.raises(TooLarge):
+        tcomplex.cohomology_dims(12)
+    assert run(["cohomology", "--op", fx("p3_on_nilpotent4.json"), "--degree", "12"]) == 2
+    assert "over the budget of 100000" in capsys.readouterr().err
 
 
 def test_matrix_shapes(tcomplex):

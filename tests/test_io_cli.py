@@ -61,6 +61,41 @@ def test_load_post_rejects_boolean_dim():
         lyio.load_post({"dim": True})
 
 
+BAD_BASES = [5, "abcd", [1, 2, 3, 4], ["e1", "e2", "e3"], ["e1", "e2", "e3", None]]
+
+
+@pytest.mark.parametrize("basis", BAD_BASES)
+def test_cli_rejects_bad_basis(basis, tmp_path, capsys):
+    doc = json.loads(open(fx("nilpotent4.json")).read())
+    doc["basis"] = basis
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError):
+        lyio.load_algebra(str(path))
+    assert run(["check", "algebra", str(path)]) == 2
+    assert "basis must be a list of 4 strings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("basis", BAD_BASES)
+def test_cli_rejects_bad_post_basis(basis, tmp_path, capsys):
+    assert run(["construct", "post", fx("p3_on_nilpotent4.json"), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    doc["basis"] = basis
+    path = tmp_path / "post.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError):
+        lyio.load_post(str(path))
+    assert run(["check", "post", str(path)]) == 2
+    assert "basis must be a list of 4 strings" in capsys.readouterr().err
+
+
+def test_basis_labels_load_when_valid():
+    doc = json.loads(open(fx("nilpotent4.json")).read())
+    assert lyio.load_algebra(doc).basis == doc["basis"]
+    del doc["basis"]
+    assert lyio.load_algebra(doc).basis == ["e1", "e2", "e3", "e4"]
+
+
 def test_dump_load_roundtrip(nilpotent4):
     doc = lyio.dump_algebra(nilpotent4)
     B = lyio.load_algebra(doc)

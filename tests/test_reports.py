@@ -6,11 +6,13 @@ from fractions import Fraction as F
 
 import lyalg as L
 from lyalg import io as lyio
-from lyalg.postlya import PostLYAlgebra, check_post_axioms
+from lyalg.postlya import (PostLYAlgebra, check_post_axioms, check_post_homomorphism,
+                           induced_post_from_rrb)
 from lyalg.deformation import check_equivalence, check_linear_deformation
 from lyalg.linalg import mat_id
 from lyalg.reports import Checker
 from lyalg.reps import RepAction, adjoint_rep, check_representation
+from lyalg.rrb import graph_subalgebra_check
 
 from conftest import fx
 
@@ -120,22 +122,38 @@ def perturbed_adjoint(rng):
     return RepAction(A, A, rho, mu)
 
 
+def p3_operator():
+    return lyio.load_operator(fx("p3_on_nilpotent4.json")).ensure_verified()
+
+
+def perturbed_post(rng):
+    """The post-algebra induced by p3 with one star, one brace, one dot and one
+    angle entry moved (dot and angle kept antisymmetric): sparse, and the
+    centrality and annihilation axioms P6-P8 fail along with P1-P5."""
+    P = induced_post_from_rrb(p3_operator())
+    n = P.dim
+    dot = [[list(v) for v in row] for row in P.dot]
+    star = [[list(v) for v in row] for row in P.star]
+    angle = [[[list(v) for v in row] for row in plane] for plane in P.angle]
+    brace = [[[list(v) for v in row] for row in plane] for plane in P.brace]
+    star[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += rng.choice([-1, 1, 2])
+    brace[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += 1
+    i, j = rng.sample(range(n), 2)
+    r = rng.randrange(n)
+    dot[i][j][r] += 1
+    dot[j][i][r] -= 1
+    i, j = rng.sample(range(n), 2)
+    k, r = rng.randrange(n), rng.randrange(n)
+    angle[i][j][k][r] += 1
+    angle[j][i][k][r] -= 1
+    return PostLYAlgebra(n, dot, star, angle, brace)
+
+
 def assert_capped_prefix(check, *args):
     full = check(*args, all_violations=True).violations
     capped = check(*args).violations
     assert len(full) > 10
     assert capped == full[:10]
-
-
-def test_tuples_stop_at_saturation():
-    ck = Checker("scan")
-    seen = []
-    for t in ck.tuples(5, 5):
-        seen.append(t)
-        ck.record("E", t, (F(1),))
-    assert seen == [(0, 0, 0, 0, i) for i in range(5)] + [(0, 0, 0, 1, i) for i in range(5)]
-    assert ck.done and list(ck.tuples(5, 2)) == []
-    assert len(list(Checker("all", all_violations=True).tuples(3, 3))) == 27
 
 
 def test_scan_sorts_dedupes_and_stops_at_saturation():
@@ -203,6 +221,25 @@ def test_capped_linear_deformation_is_a_prefix():
             == check_linear_deformation(op, T1, all_violations=True).data)
 
 
+def test_capped_sparse_post_axioms_are_a_prefix():
+    assert_capped_prefix(check_post_axioms, perturbed_post(random.Random(63)))
+
+
+def test_capped_homomorphism_is_a_prefix():
+    A = nilpotent4()
+    assert_capped_prefix(L.check_homomorphism, A, A, dense(random.Random(5170), 4, 4))
+
+
+def test_capped_post_homomorphism_is_a_prefix():
+    P = induced_post_from_rrb(p3_operator())
+    assert_capped_prefix(check_post_homomorphism, P, P, dense(random.Random(5171), 4, 4))
+
+
+def test_capped_graph_check_is_a_prefix():
+    op = L.RRBOperator(p3_operator().action, dense(random.Random(5172), 4, 4))
+    assert_capped_prefix(graph_subalgebra_check, op)
+
+
 def _seeded_reports():
     """The seeded failing inputs above, each checked with every witness kept."""
     rng = random.Random(5150)
@@ -255,6 +292,18 @@ def _seeded_reports():
     wedges = [(tuple(dense(rng, 1, 3)[0]), tuple(dense(rng, 1, 3)[0])) for _ in range(2)]
     yield "equiv-sl2", check_equivalence(op, dense(rng, 3, 2), dense(rng, 3, 2), wedges,
                                          all_violations=True)
+    yield "sparse-post", check_post_axioms(perturbed_post(random.Random(63)),
+                                           all_violations=True)
+    yield "sparse-post-as-printed", check_post_axioms(perturbed_post(random.Random(63)),
+                                                      all_violations=True, as_printed=True)
+    A = nilpotent4()
+    yield "hom-dense", L.check_homomorphism(A, A, dense(random.Random(5170), 4, 4),
+                                            all_violations=True)
+    P = induced_post_from_rrb(p3)
+    yield "post-hom-dense", check_post_homomorphism(P, P, dense(random.Random(5171), 4, 4),
+                                                    all_violations=True)
+    op = L.RRBOperator(p3.action, dense(random.Random(5172), 4, 4))
+    yield "graph-p3-dense", graph_subalgebra_check(op, all_violations=True)
 
 
 # SHA-256 of the canonical JSON of each full report, and its witness count
@@ -281,6 +330,12 @@ WITNESS_DIGESTS = {
     "linear-h5-dense": ("e0c6649e716da0a11da5329b5e92411a7502c919d7dab611be9919e7b5bff694", 24),
     "equiv-p3-dense": ("203672638fb97e697ff37b39d00ea50b43c2631e2887f4ff47ce0af6ec5f7b91", 1),
     "equiv-sl2": ("79986f8456cae3ad6263b3aa0eb48311d0560d9a2d51936a35324514b12b91b9", 1),
+    "sparse-post": ("958589d62c18922e8090fb96cfc7065f50cb50d3664055c6e1490120274c3d4c", 46),
+    "sparse-post-as-printed": (
+        "181982cfd71ec870d4f1a7652f7d8233b856cd67d6e77510dc9768b3e1d8475d", 40),
+    "hom-dense": ("d7f4eb62378f731977ff88187519996b4c4ad3f877999583179b26571a7ad982", 34),
+    "post-hom-dense": ("12d20c1bed32b8a5349db539b4ed48acd484356f387fc4c9518bea61e16038ba", 30),
+    "graph-p3-dense": ("b7528daadb391d5ef926ba70cbf6daa8e2a86d0319906b1dc9413aa16a3f4986", 60),
 }
 
 

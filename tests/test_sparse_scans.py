@@ -1,4 +1,5 @@
-"""The support-driven axiom scans list exactly the witnesses of a dense scan.
+"""The support-driven axiom scans and the pulled-back tables list exactly the
+witnesses of a dense scan.
 
 Every input here is sparse and failing, so most basis tuples have no live term
 and are skipped, while the oracle in ``tests/oracles.py`` evaluates every
@@ -12,10 +13,13 @@ import pytest
 
 import lyalg as L
 from lyalg.cohomology import induced_rep
+from lyalg.postlya import check_post_axioms, check_post_homomorphism, induced_post_from_rrb
 from lyalg.reps import RepAction, adjoint_rep, check_lemma_identities, check_representation
+from lyalg.rrb import lift_operator
 
 import oracles
-from test_reports import heisenberg5, perturbed_adjoint, perturbed_semidirect
+from test_reports import (heisenberg5, nilpotent4, perturbed_adjoint, perturbed_post,
+                          perturbed_semidirect)
 
 POOL = [F(-1), F(0), F(0), F(0), F(1), F(2)]
 
@@ -87,3 +91,94 @@ def test_small_algebras_match_dense_oracle(n):
     rng = random.Random(200 + n)
     A = L.LYAlgebra(n, antisym2(rng, n), antisym3(rng, n))
     assert listed(L.check_ly_axioms(A, all_violations=True)) == oracles.o_ly_violations(A)
+
+
+@pytest.mark.parametrize("as_printed", [False, True])
+@pytest.mark.parametrize("seed", [61, 62, 63])
+def test_perturbed_induced_post_matches_dense_oracle(seed, as_printed):
+    P = perturbed_post(random.Random(seed))
+    rep = check_post_axioms(P, all_violations=True, as_printed=as_printed)
+    assert not rep.passed
+    assert listed(rep) == oracles.o_post_violations(P, as_printed)
+
+
+def test_induced_post_passes_dense_oracle(p3):
+    P = induced_post_from_rrb(p3)
+    for as_printed in (False, True):
+        assert oracles.o_post_violations(P, as_printed) == []
+        assert check_post_axioms(P, all_violations=True, as_printed=as_printed).passed
+
+
+def near_identity(n, entries, rows=None):
+    """The rows x n matrix with ones on the diagonal and 1 added at ``entries``."""
+    M = [[F(int(i == j)) for j in range(n)] for i in range(rows or n)]
+    for a, b in entries:
+        M[a][b] += 1
+    return M
+
+
+@pytest.mark.parametrize("entry", [None, (3, 7), (4, 6), (7, 3)])
+def test_perturbed_lift_nijenhuis_matches_dense_oracle(p3, entry):
+    S = p3.action.semidirect()
+    N = [list(row) for row in lift_operator(p3)]
+    if entry is not None:
+        N[entry[0]][entry[1]] += 1
+    rep = L.check_nijenhuis(S, N, all_violations=True)
+    assert rep.passed == (entry is None)
+    assert listed(rep) == oracles.o_nijenhuis_violations(S, N)
+
+
+def test_sparse_nijenhuis_on_heisenberg_matches_dense_oracle():
+    A = heisenberg5()
+    N = near_identity(5, [(4, 0), (1, 2)])
+    rep = L.check_nijenhuis(A, N, all_violations=True)
+    assert listed(rep) == oracles.o_nijenhuis_violations(A, N)
+
+
+@pytest.mark.parametrize("entries", [[(0, 1)], [(0, 3)], [(2, 3)], [(0, 3), (2, 1)]])
+def test_near_identity_homomorphism_matches_dense_oracle(entries):
+    A = nilpotent4()
+    phi = near_identity(4, entries)
+    rep = L.check_homomorphism(A, A, phi, all_violations=True)
+    assert not rep.passed
+    assert listed(rep) == oracles.o_hom_violations(phi, [
+        ("hom-binary", 2, A.binary, A.binary), ("hom-ternary", 3, A.ternary, A.ternary)])
+
+
+def test_inclusion_into_semidirect_matches_dense_oracle(p3):
+    A, S = nilpotent4(), p3.action.semidirect()
+    for entries in ([], [(5, 0)], [(1, 2), (6, 3)]):
+        phi = near_identity(4, entries, rows=8)
+        rep = L.check_homomorphism(A, S, phi, all_violations=True)
+        assert listed(rep) == oracles.o_hom_violations(phi, [
+            ("hom-binary", 2, A.binary, S.binary), ("hom-ternary", 3, A.ternary, S.ternary)])
+
+
+@pytest.mark.parametrize("entries", [[(0, 2)], [(0, 3)], [(1, 3), (3, 2)]])
+def test_near_identity_post_homomorphism_matches_dense_oracle(p3, entries):
+    P = induced_post_from_rrb(p3)
+    psi = near_identity(4, entries)
+    rep = check_post_homomorphism(P, P, psi, all_violations=True)
+    assert not rep.passed
+    assert listed(rep) == oracles.o_hom_violations(psi, [
+        (eq, arity, getattr(P, op), getattr(P, op))
+        for eq, arity, op in (("hom-dot", 2, "dot"), ("hom-star", 2, "star"),
+                              ("hom-angle", 3, "angle"), ("hom-brace", 3, "brace"))],
+        interleaved=True)
+
+
+def test_as_printed_p4_reads_every_y():
+    """{{x,w,z},w,t}, the first summand of the printed P4, never reads y: with
+    brace living on middle index 0 only, it is the one live term of P4 at
+    every y != 0, so those witnesses exist only if the scan ranges over y."""
+    from lyalg.postlya import PostLYAlgebra
+    rng, n = random.Random(71), 3
+    zero = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    brace = [[[[F(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            brace[i][0][k] = [rng.choice([F(-1), F(1), F(2)]) for _ in range(n)]
+    P = PostLYAlgebra(n, zero, zero, [zero] * n, brace)
+    rep = check_post_axioms(P, all_violations=True, as_printed=True)
+    assert any(v.eq == "P4" and v.args[1] != 0 for v in rep.violations)
+    assert listed(rep) == oracles.o_post_violations(P, as_printed=True)
