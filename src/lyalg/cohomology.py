@@ -19,15 +19,15 @@ pair-index basis (i < j, lexicographic).  The coboundary is
     + sum_{k<l} (-1)^k g(X_1..^X_k..(X_k o X_l at slot l)..X_{n+1}, z)
     + sum_{k=1..n+1} (-1)^k g(X_1..^X_k..X_{n+1}, <x_k, y_k, z>)
 
-with X_i = x_i /\ y_i, X_k o X_l = <x_k,y_k,x_l> /\ y_l + x_l /\ <x_k,y_k,y_l>,
-and for a degree-1 cochain f
+with X_i = x_i /\ y_i, X_k o X_l = <x_k,y_k,x_l> /\ y_l + x_l /\ <x_k,y_k,y_l>.
+A degree-1 cochain f is read as g(z) = f(z) with no wedge slots (n = 0), which
+gives
 
   (delta_I f)(x, y)    = rho(x)f(y) - rho(y)f(x) - f([x, y])
   (delta_II f)(x, y, z) = D(x,y)f(z) + mu(y,z)f(x) - mu(x,z)f(y) - f(<x,y,z>).
 
-Coboundary matrices are assembled block-by-block from these formulas evaluated
-at basis tuples, stored sparsely; composites delta о delta are exact sparse
-products.
+Coboundary matrices of every degree are assembled block-by-block from these
+formulas, stored sparsely; composites delta о delta are exact sparse products.
 """
 
 from .errors import AxiomsFailed, ShapeMismatch, TooLarge
@@ -56,9 +56,6 @@ class SparseMat:
             self.data.pop(key, None)
         else:
             self.data[key] = new
-
-    def get(self, r, c):
-        return self.data.get((r, c), Q0)
 
     def is_zero(self):
         return not self.data
@@ -111,9 +108,6 @@ class SparseMat:
     def nullspace(self):
         return Echelon(self.row_dicts()).nullspace(self.cols)
 
-    def column_space_basis(self):
-        return list(Echelon(self.col_dicts()).dense_rows(self.rows))
-
     def solve(self, b):
         """Some x with self . x = b (free coordinates 0); raises Inconsistent."""
         return solve(self.row_dicts(), b, ncols=self.cols)
@@ -155,15 +149,16 @@ class _Layout:
     """Flat indexing of degree-p cochains on an m-dim algebra with n-dim values."""
 
     def __init__(self, p, m, n):
+        if p < 1:
+            raise ShapeMismatch("cochain degrees start at 1, not %d" % p)
         self.p = p
         self.m = m
         self.n = n
         self.M = m * (m - 1) // 2
-        if p == 1:
-            self.f_blocks, self.g_blocks = m, 0
-        else:
-            self.f_blocks = self.M ** (p - 1)
-            self.g_blocks = self.M ** (p - 1) * m
+        # a degree-1 cochain is its second component g(z) alone, with no
+        # wedge slots, so the first component has no blocks there
+        self.f_blocks = self.M ** (p - 1) if p > 1 else 0
+        self.g_blocks = self.M ** (p - 1) * m
         self.blocks = self.f_blocks + self.g_blocks
         self.total = self.blocks * n
 
@@ -172,11 +167,6 @@ class _Layout:
         for t in ts:
             idx = idx * self.M + t
         return idx
-
-    def f_block(self, ts):
-        if self.p == 1:
-            return ts[0]
-        return self.tuple_index(ts)
 
     def g_block(self, ts, a):
         return self.f_blocks + self.tuple_index(ts) * self.m + a
@@ -314,29 +304,13 @@ def coboundary_matrix_for(alg, rep, p):
             for r in range(n):
                 out.add(ob * n + r, ib * n + r, s)
 
-    if p == 1:
-        for t, (a, b) in enumerate(prs):
-            ob = lout.f_block((t,))
-            add_block(ob, a, _neg(rep.rho[b]))
-            add_block(ob, b, rep.rho[a])
-            for s, cs in enumerate(alg.binary[a][b]):
-                add_scalar(ob, s, -cs)
-            for c in range(m):
-                og = lout.g_block((t,), c)
-                add_block(og, c, rep.derived_D[a][b])
-                add_block(og, a, rep.mu[b][c])
-                add_block(og, b, _neg(rep.mu[a][c]))
-                for s, cs in enumerate(alg.ternary[a][b][c]):
-                    add_scalar(og, s, -cs)
-        return out
-
     nn = p - 1  # input cochains take nn wedge slots
     sign_n = Q1 if nn % 2 == 0 else -Q1
     import itertools
     for tup in itertools.product(range(lin.M), repeat=nn + 1):
         pairs = [prs[t] for t in tup]
         # delta_I output block at tup
-        ob = lout.f_block(tup)
+        ob = lout.tuple_index(tup)
         a1, b1 = pairs[-1]
         head = tup[:-1]
         add_block(ob, lin.g_block(head, b1), _scale(sign_n, rep.rho[a1]))
@@ -346,7 +320,8 @@ def coboundary_matrix_for(alg, rep, p):
         for k in range(nn):
             rest = tup[:k] + tup[k + 1:]
             sgn = Q1 if k % 2 == 0 else -Q1  # (-1)^{k+1} with 1-based k
-            add_block(ob, lin.f_block(rest), _scale(sgn, rep.derived_D[pairs[k][0]][pairs[k][1]]))
+            add_block(ob, lin.tuple_index(rest),
+                      _scale(sgn, rep.derived_D[pairs[k][0]][pairs[k][1]]))
         for k in range(nn + 1):
             for l in range(k + 1, nn + 1):
                 sgn = -Q1 if k % 2 == 0 else Q1  # (-1)^k with 1-based k
@@ -355,7 +330,7 @@ def coboundary_matrix_for(alg, rep, p):
                     slots = list(tup)
                     slots[l] = t2
                     del slots[k]
-                    add_scalar(ob, lin.f_block(tuple(slots)), sgn * cv)
+                    add_scalar(ob, lin.tuple_index(tuple(slots)), sgn * cv)
         # delta_II output blocks at (tup, c)
         for c in range(m):
             og = lout.g_block(tup, c)
@@ -376,10 +351,6 @@ def coboundary_matrix_for(alg, rep, p):
                         del slots[k]
                         add_scalar(og, lin.g_block(tuple(slots), c), -sgn * cv)
     return out
-
-
-def _neg(mx):
-    return tuple(tuple(-v for v in row) for row in mx)
 
 
 def _scale(s, mx):

@@ -164,10 +164,10 @@ def check_homomorphism(A, B, phi, all_violations=False):
     if len(phi) != B.dim or any(len(r) != A.dim for r in phi):
         raise DimMismatch("map must be %dx%d" % (B.dim, A.dim))
     ck = Checker("homomorphism(%s->%s)" % (A.name, B.name), all_violations)
-    M = sparse_map(phi)
+    rows, cols = sparse_map(phi)
     shape = (B.dim,)
-    ck.table(shape, ("hom-binary", hom_table(A.binary, B.binary, M)))
-    ck.table(shape, ("hom-ternary", hom_table(A.ternary, B.ternary, M)))
+    ck.table(shape, ("hom-binary", hom_table(A.binary, B.binary, cols, (rows,) * 2)))
+    ck.table(shape, ("hom-ternary", hom_table(A.ternary, B.ternary, cols, (rows,) * 3)))
     return ck.report()
 
 

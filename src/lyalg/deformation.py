@@ -16,7 +16,9 @@ of delta^T(T_{n+1}) = -Ob over Hom(h, g).
 Every coefficient comes from ``rrb.coefficients``, which tabulates it over the
 supports of the brackets and the action and the nonzero entries of the T_i:
 the checks scan the t^1..t^n tables, the obstruction reads the t^(n+1) table
-of the same cached set, and a linear deformation reads t^1..t^3.
+of the same cached set, and a linear deformation reads t^1..t^3.  An
+equivalence is tabulated the same way, each identity of (Id + t L(X),
+Id + t D(X)) graded by the power of t.
 """
 
 import itertools
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 
 from .cohomology import Cochain, TComplex, pair_basis, partial_matrix, zero_cochain_map
 from .errors import DimMismatch, Inconsistent, InvalidDeformation
-from .linalg import (Q1, axpy, dense, is_zero_mat, is_zero_vec, mat, mat_add, mat_col,
-                     mat_id, mat_mul, mat_sub, mat_vec, mat_zero, rank, skew_faults,
-                     vadd, vsub, vzero)
+from .linalg import (Q1, axpy, dense, is_zero_mat, mat, mat_add, mat_col, mat_id, mat_mul,
+                     mat_sub, mat_zero, matrix_values, pull, push, rank, skew_faults,
+                     sparse_map, transpose, vector_values)
 from .reports import Checker, Report
 from .rrb import coefficients
 
@@ -145,23 +147,22 @@ def _unflatten_map(flat, n, m):
     return tuple(tuple(cols[a][t] for a in range(m)) for t in range(n))
 
 
-def _by_degree(values, top, zero, add):
-    """The sums of {index tuple: value} by index sum: coefficients t^0..t^top."""
-    out = [zero] * (top + 1)
-    for key, v in values.items():
-        out[sum(key)] = add(out[sum(key)], v)
-    return out
-
-
 def check_equivalence(op, T1, T2, wedges, all_violations=False):
     """Whether (Id + t L(X), Id + t D(X)) is a homomorphism T+tT2 -> T+tT1.
 
     ``wedges`` lists (x, y) vector pairs whose sum is X in the wedge square of
     the acting algebra.  All homomorphism equations are expanded in t; the
     verdict covers the coefficients of t^0 and t^1 (the identities are read
-    modulo t^2), higher coefficients are reported in the data payload.  Each
-    product of the degree-0 and degree-1 parts at a basis tuple is formed
-    once and summed by degree.
+    modulo t^2), higher coefficients are reported in the data payload.
+
+    With psi = Id + t M, the t^s coefficient of an identity in k slots is the
+    sum over the s-subsets of its slots of the tensor with M in those slots,
+    less M applied to the tensor at s = 1; at s = 0 it vanishes.  L(X) fills
+    the acting algebra's slots and D(X) the carrier's, rho, mu and D being
+    read with the matrix column as one more slot, and every coefficient is
+    tabulated over all basis tuples (``linalg.pull``/``push``): witnesses come
+    psi_g's pairs and triples interleaved, then psi_h's, then the
+    equivariance, rho at (i,) before mu and D at (i, j).
     """
     op.ensure_verified()
     r = op.action
@@ -171,85 +172,52 @@ def check_equivalence(op, T1, T2, wedges, all_violations=False):
     LX = mat_zero(n, n)
     DX = mat_zero(m, m)
     for x, y in wedges:
-        LXc = [g.bracket3(x, y, g.e(i)) for i in range(n)]
-        LX = mat_add(LX, tuple(tuple(LXc[i][t] for i in range(n)) for t in range(n)))
+        LX = mat_add(LX, transpose([g.bracket3(x, y, g.e(i)) for i in range(n)]))
         DX = mat_add(DX, r.D_at(x, y))
     P, Q = (mat_id(n), LX), (mat_id(m), DX)
     ck = Checker("deformation-equivalence", all_violations)
     higher = {}
-
-    def note(eq, args, s, res, zero_test):
-        if zero_test(res):
-            return
-        if s <= 1:
-            ck.record("%s-t^%d" % (eq, s), args, res)
-        else:
-            higher.setdefault(eq, set()).add(s)
-
     from_poly, to_poly = (op.T, T2), (op.T, T1)
-    res = _by_degree({(a, b): mat_sub(mat_mul(P[a], from_poly[b]), mat_mul(to_poly[a], Q[b]))
-                      for a, b in itertools.product((0, 1), repeat=2)},
-                     2, mat_zero(n, m), mat_add)
-    for s in range(3):
-        note("intertwines-T", (), s, res[s], is_zero_mat)
-
-    def homomorphism(alg, M, eq):
-        """Both bracket equations for Id + t M on ``alg``."""
-        d = alg.dim
-        Ms = (mat_id(d), M)
-        cols = [[mat_col(Mi, i) for i in range(d)] for Mi in Ms]
-        for i, j in itertools.product(range(d), repeat=2):
-            res = _by_degree({(a, b): alg.bracket2(cols[a][i], cols[b][j])
-                              for a, b in itertools.product((0, 1), repeat=2)},
-                             2, vzero(d), vadd)
-            for s in range(3):
-                if s <= 1:
-                    res[s] = vsub(res[s], mat_vec(Ms[s], alg.binary[i][j]))
-                note(eq + "-binary", (i, j), s, res[s], is_zero_vec)
-            for k in range(d):
-                res = _by_degree({abc: alg.bracket3(cols[abc[0]][i], cols[abc[1]][j],
-                                                    cols[abc[2]][k])
-                                  for abc in itertools.product((0, 1), repeat=3)},
-                                 3, vzero(d), vadd)
-                for s in range(4):
-                    if s <= 1:
-                        res[s] = vsub(res[s], mat_vec(Ms[s], alg.ternary[i][j][k]))
-                    note(eq + "-ternary", (i, j, k), s, res[s], is_zero_vec)
-
-    homomorphism(g, LX, "psi_g")
-    homomorphism(h, DX, "psi_h")
-    pe = [[mat_col(Pa, i) for i in range(n)] for Pa in P]
-    zero = mat_zero(m, m)
-    for i in range(n):
-        rho = [r.rho_at(pe[a][i]) for a in (0, 1)]
-        res = _by_degree({(a, c): mat_mul(rho[a], Q[c])
-                          for a, c in itertools.product((0, 1), repeat=2)},
-                         2, zero, mat_add)
-        for s in range(3):
+    res = [mat_zero(n, m)] * 3
+    for a, b in itertools.product((0, 1), repeat=2):
+        res[a + b] = mat_add(res[a + b], mat_sub(mat_mul(P[a], from_poly[b]),
+                                                 mat_mul(to_poly[a], Q[b])))
+    for s, v in enumerate(res):
+        if not is_zero_mat(v):
             if s <= 1:
-                res[s] = mat_sub(res[s], mat_mul(Q[s], r.rho[i]))
-            note("rho-equivariance", (i,), s, res[s], is_zero_mat)
-        for j in range(n):
-            mus, Ds = {}, {}
-            for a, b in itertools.product((0, 1), repeat=2):
-                mu_ab, D_ab = r.mu_at(pe[a][i], pe[b][j]), r.D_at(pe[a][i], pe[b][j])
-                for c in (0, 1):
-                    mus[a, b, c] = mat_mul(mu_ab, Q[c])
-                    Ds[a, b, c] = mat_mul(D_ab, Q[c])
-            resm = _by_degree(mus, 3, zero, mat_add)
-            resd = _by_degree(Ds, 3, zero, mat_add)
-            for s in range(4):
-                if s <= 1:
-                    resm[s] = mat_sub(resm[s], mat_mul(Q[s], r.mu[i][j]))
-                    resd[s] = mat_sub(resd[s], mat_mul(Q[s], r.derived_D[i][j]))
-                note("mu-equivariance", (i, j), s, resm[s], is_zero_mat)
-                note("D-equivariance", (i, j), s, resd[s], is_zero_mat)
+                ck.record("intertwines-T-t^%d" % s, (), v)
+            else:
+                higher.setdefault("intertwines-T", set()).add(s)
+
+    def graded(name, t, maps, cols):
+        """(name-t^1, the t^1 table) of ``t`` with slot p read through
+        maps[p] and psi_1 given by ``cols``; each degree above with a nonzero
+        table goes to ``higher``."""
+        values, k = vector_values(t), len(maps)
+        for s in range(1, k + 1):
+            acc = {}
+            for slots in itertools.combinations(range(k), s):
+                pull(acc, Q1, values, [maps[p] if p in slots else None for p in range(k)])
+            if s == 1:
+                push(acc, -Q1, cols, values)
+                first = ("%s-t^1" % name, acc)
+            elif acc:
+                higher.setdefault(name, set()).add(s)
+        return first
+
+    (L_rows, L_cols), (D_rows, D_cols) = sparse_map(LX), sparse_map(DX)
+    for name, alg, rows, cols in (("psi_g", g, L_rows, L_cols), ("psi_h", h, D_rows, D_cols)):
+        ck.table((alg.dim,), graded(name + "-binary", alg.binary, (rows,) * 2, cols),
+                 graded(name + "-ternary", alg.ternary, (rows,) * 3, cols))
+    ck.table((m, m), *[(name, matrix_values(acc)) for name, acc in (
+        graded(name, t, (L_rows,) * t.arity + (D_rows,), D_cols)
+        for name, t in (("rho-equivariance", r.rho), ("mu-equivariance", r.mu),
+                        ("D-equivariance", r.derived_D)))])
 
     boundary = mat_zero(n, m)
     for x, y in wedges:
         pc = zero_cochain_map(op, x, y)
-        boundary = mat_add(boundary, tuple(tuple(pc.f[a][t] for a in range(m))
-                                           for t in range(n)))
+        boundary = mat_add(boundary, transpose(pc.f))
     diff_ok = is_zero_mat(mat_sub(mat_sub(T2, T1), boundary))
     data = {"difference_equals_boundary": diff_ok,
             "higher_order_residual_degrees": {k: sorted(v) for k, v in sorted(higher.items())}}

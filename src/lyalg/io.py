@@ -26,7 +26,7 @@ import json
 import os
 
 from .core import LYAlgebra
-from .errors import FormatError
+from .errors import FormatError, TooLarge
 from .linalg import format_frac, frac, vzero
 from .postlya import PostLYAlgebra
 from .reps import RepAction
@@ -135,10 +135,20 @@ def _check_idx(where, dim, *idx):
             raise FormatError("%s: index %r out of range 0..%d" % (where, i, dim - 1))
 
 
+# The most coefficients a dense ternary structure tensor, dim^4 of them, may
+# hold: dim 32 is admitted and dim 33 is not.  Loading allocates the dense
+# tensors before any check, so a file of a few bytes could otherwise ask for
+# any amount of memory.
+MAX_TENSOR_COEFFICIENTS = 2 ** 20
+
+
 def _read_dim(doc, name):
     dim = _field(doc, "dim", name)
     if not _is_int(dim) or dim < 0:
         raise FormatError("%s: dim must be a non-negative integer" % name)
+    if dim ** 4 > MAX_TENSOR_COEFFICIENTS:
+        raise TooLarge("%s: dim %d needs %d ternary coefficients, over the budget of %d"
+                       % (name, dim, dim ** 4, MAX_TENSOR_COEFFICIENTS))
     return dim
 
 

@@ -216,6 +216,30 @@ def sparse_values(t):
     return {key: {divmod(p, w): x for p, x in terms} for key, terms in t._terms.items()}
 
 
+def vector_values(t):
+    """The support of ``t`` as {index tuple: {row: q}}; a matrix value's
+    column is one more slot at the end."""
+    if len(t.shape) == 1:
+        return sparse_values(t)
+    w = t.shape[1]
+    out = {}
+    for key, terms in t._terms.items():
+        for p, x in terms:
+            r, c = divmod(p, w)
+            out.setdefault(key + (c,), {})[r] = x
+    return out
+
+
+def matrix_values(table):
+    """A table read as by ``vector_values``, with the column in its last slot,
+    regrouped as {index tuple: {(r, c): q}}."""
+    out = {}
+    for key, v in table.items():
+        c = key[-1]
+        out.setdefault(key[:-1], {}).update({(r, c): q for r, q in v.items()})
+    return out
+
+
 def axpy(acc, f, x):
     """acc += f * x on sparse dicts, in place, dropping entries that cancel."""
     for k, v in x.items():
@@ -437,13 +461,13 @@ def push(acc, sign, cols, table):
         _add_at(acc, key, sign, {x: q for x, q in out.items() if q})
 
 
-def hom_table(src, dst, M):
-    """M(src(e_i, ..)) - dst(M e_i, ..) over the basis tuples of src's space,
-    for vector-valued tensors and M given by ``sparse_map``."""
-    rows, cols = M
+def hom_table(src, dst, cols, maps):
+    """M(src(e_i, ..)) - dst(..) with slot p of dst read through maps[p], over
+    the basis tuples of src's slots, M given by its columns (see
+    ``sparse_map``); both tensors are read by ``vector_values``."""
     acc = {}
-    push(acc, Q1, cols, sparse_values(src))
-    pull(acc, -Q1, sparse_values(dst), (rows,) * src.arity)
+    push(acc, Q1, cols, vector_values(src))
+    pull(acc, -Q1, vector_values(dst), maps)
     return acc
 
 

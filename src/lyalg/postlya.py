@@ -239,8 +239,9 @@ def check_post_homomorphism(A, B, psi, all_violations=False):
     if len(psi) != B.dim or any(len(r) != A.dim for r in psi):
         raise DimMismatch("map must be %dx%d" % (B.dim, A.dim))
     ck = Checker("post-homomorphism(%s->%s)" % (A.name, B.name), all_violations)
-    M = sparse_map(psi)
-    ck.table((B.dim,), *[("hom-" + op, hom_table(getattr(A, op), getattr(B, op), M))
+    rows, cols = sparse_map(psi)
+    ck.table((B.dim,), *[("hom-" + op, hom_table(getattr(A, op), getattr(B, op), cols,
+                                                 (rows,) * getattr(A, op).arity))
                          for op in ("dot", "star", "angle", "brace")])
     rep = ck.report()
     if rep.passed and A.verified and B.verified:

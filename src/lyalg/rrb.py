@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .core import LYAlgebra, check_homomorphism, derived_algebra
 from .errors import DimMismatch, PreconditionFailed, Unverified
-from .linalg import (Q1, invert, is_zero_mat, is_zero_vec, mat, mat_col, mat_id, mat_mul,
-                     mat_sub, mat_vec, pull, push, sparse_map, sparse_values, transpose,
-                     vadd, vsub)
+from .linalg import (Q1, hom_table, invert, is_zero_mat, is_zero_vec, mat, mat_col, mat_id,
+                     mat_mul, mat_sub, mat_vec, matrix_values, pull, push, sparse_map,
+                     sparse_values, transpose, vadd, vector_values, vsub)
 from .reports import Checker
 from .reps import adjoint_rep
 
@@ -81,20 +81,6 @@ class HomPair:
 # and ``linalg.push``); the tables are expanded over the supports and the
 # nonzero entries of the T_i only.
 
-def _vector_values(t):
-    """The support of ``t`` as {index tuple: {row: q}}; a matrix value's
-    column is one more slot at the end."""
-    if len(t.shape) == 1:
-        return sparse_values(t)
-    w = t.shape[1]
-    out = {}
-    for key, terms in t._terms.items():
-        for p, x in terms:
-            r, c = divmod(p, w)
-            out.setdefault(key + (c,), {})[r] = x
-    return out
-
-
 def coefficients(r, Ts, degrees):
     """{s: (binary, ternary)} for each s in ``degrees``: the t^s coefficients
     of RRB1 and RRB2 for T_t = sum_i t^i Ts[i] over the action ``r``, as
@@ -112,7 +98,7 @@ def coefficients(r, Ts, degrees):
     maps = [sparse_map(T) for T in Ts]
     rows, cols = [r for r, _ in maps], [c for _, c in maps]
     c, d = sparse_values(g.binary), sparse_values(g.ternary)
-    rho, mu, D = (_vector_values(t) for t in (r.rho, r.mu, r.derived_D))
+    rho, mu, D = (vector_values(t) for t in (r.rho, r.mu, r.derived_D))
     top = len(Ts) - 1
 
     def pairs(p):
@@ -313,7 +299,10 @@ def check_rrb_homomorphism(from_op, to_op, pair, all_violations=False):
     """Verify a pair (psi_g, psi_h) as a morphism from one operator to another.
 
     Requires both psi maps to be homomorphisms of their algebras,
-    psi_g T' = T psi_h, and the rho-, mu- (and derived D-) equivariance.
+    psi_g T' = T psi_h, and the rho-, mu- (and derived D-) equivariance
+    psi_h rho(x) - rho'(psi_g x) psi_h and likewise for mu and D, each
+    tabulated over the basis tuples of g (``linalg.hom_table``, the matrix
+    column read as one more slot): rho at (i,), then mu and D at (i, j).
     """
     rf, rt = from_op.action, to_op.action
     g, h = rf.acting, rf.carrier
@@ -329,20 +318,10 @@ def check_rrb_homomorphism(from_op, to_op, pair, all_violations=False):
     res = mat_sub(mat_mul(pg, from_op.T), mat_mul(to_op.T, ph))
     if not is_zero_mat(res):
         ck.record("intertwines-T", (), res)
-    pg_cols = [mat_col(pg, i) for i in range(g.dim)]
-    for i in range(g.dim):
-        if ck.done:
-            break
-        res = mat_sub(mat_mul(ph, rf.rho[i]), mat_mul(rt.rho_at(pg_cols[i]), ph))
-        if not is_zero_mat(res):
-            ck.record("rho-equivariance", (i,), res)
-        for j in range(g.dim):
-            res = mat_sub(mat_mul(ph, rf.mu[i][j]),
-                          mat_mul(rt.mu_at(pg_cols[i], pg_cols[j]), ph))
-            if not is_zero_mat(res):
-                ck.record("mu-equivariance", (i, j), res)
-            res = mat_sub(mat_mul(ph, rf.derived_D[i][j]),
-                          mat_mul(rt.D_at(pg_cols[i], pg_cols[j]), ph))
-            if not is_zero_mat(res):
-                ck.record("D-equivariance", (i, j), res)
+    (g_rows, _), (h_rows, h_cols) = sparse_map(pg), sparse_map(ph)
+    ck.table((h.dim, h.dim), *[
+        (name, matrix_values(hom_table(src, dst, h_cols, (g_rows,) * src.arity + (h_rows,))))
+        for name, src, dst in (("rho-equivariance", rf.rho, rt.rho),
+                               ("mu-equivariance", rf.mu, rt.mu),
+                               ("D-equivariance", rf.derived_D, rt.derived_D))])
     return ck.report()

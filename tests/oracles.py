@@ -5,7 +5,7 @@ assembly or tensor evaluation code: ranks come from a plain dense Gaussian
 elimination, brackets and actions from a dense sum over the public nested
 structure tensors (with D rebuilt from its closed form), coboundary matrices
 from direct column-by-column evaluation of the defining formulas, and
-deformation coefficients from truncated polynomial expansion.
+deformation coefficients and equivalences from polynomial expansion in t.
 """
 
 import functools
@@ -408,6 +408,155 @@ def o_hom_violations(phi, families, interleaved=False):
                 key = (args, f) if interleaved else (arity, args, f)
                 found.append((key, (eq, args, res)))
     return [w for _, w in sorted(found)]
+
+
+def o_equivariance_violations(rf, rt, pg, ph):
+    """ph rho_f(x) - rho_t(pg x) ph, ph mu_f(x,y) - mu_t(pg x, pg y) ph and
+    ph D_f(x,y) - D_t(pg x, pg y) ph (D from its closed form on both actions):
+    at each i the rho witness, then for each j the mu and D witnesses at (i, j)."""
+    n = len(pg[0])
+    e = [_unit(n, i) for i in range(n)]
+    ge = [col(pg, i) for i in range(n)]
+    out = []
+
+    def note(eq, args, src, dst):
+        res = _sum(_mm(ph, src), _neg(_mm(dst, ph)))
+        if _nonzero(res):
+            out.append((eq, args, res))
+
+    for i in range(n):
+        note("rho-equivariance", (i,), rho_at(rf, e[i]), rho_at(rt, ge[i]))
+        for j in range(n):
+            note("mu-equivariance", (i, j), mu_at(rf, e[i], e[j]), mu_at(rt, ge[i], ge[j]))
+            note("D-equivariance", (i, j), D_at(rf, e[i], e[j]), D_at(rt, ge[i], ge[j]))
+    return out
+
+
+class TPoly:
+    """A polynomial in t with rational coefficients, lowest degree first, that
+    mixes with Fraction and int in + - * and ==: an identity between maps of
+    the form Id + tM expands in t by the plain dense helpers above."""
+
+    def __init__(self, coeffs):
+        c = [Fraction(x) for x in coeffs]
+        while c and c[-1] == 0:
+            c.pop()
+        self.c = tuple(c)
+
+    @staticmethod
+    def lift(x):
+        return x if isinstance(x, TPoly) else TPoly([x])
+
+    def coeff(self, s):
+        return self.c[s] if s < len(self.c) else Z
+
+    def __add__(self, other):
+        o = TPoly.lift(other)
+        return TPoly([self.coeff(s) + o.coeff(s) for s in range(max(len(self.c), len(o.c)))])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TPoly([-x for x in self.c])
+
+    def __sub__(self, other):
+        return self + -TPoly.lift(other)
+
+    def __rsub__(self, other):
+        return TPoly.lift(other) - self
+
+    def __mul__(self, other):
+        o = TPoly.lift(other)
+        out = [Z] * max(0, len(self.c) + len(o.c) - 1)
+        for a, x in enumerate(self.c):
+            for b, y in enumerate(o.c):
+                out[a + b] += x * y
+        return TPoly(out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return self.c == TPoly.lift(other).c
+
+    __hash__ = None
+
+    def __bool__(self):
+        return bool(self.c)
+
+
+def _coeff(x, s):
+    """The t^s coefficient of a nested tuple of TPoly/Fraction entries."""
+    if isinstance(x, tuple):
+        return tuple(_coeff(y, s) for y in x)
+    return TPoly.lift(x).coeff(s)
+
+
+def _degree(x):
+    if isinstance(x, tuple):
+        return max((_degree(y) for y in x), default=0)
+    return len(TPoly.lift(x).c) - 1
+
+
+def o_equivalence(op, T1, T2, wedges):
+    """(witnesses, data) of the equivalence check for the pair
+    (Id + tL(X), Id + tD(X)) from T + tT2 to T + tT1, X the sum of the wedges:
+    every identity of an operator homomorphism expanded in t with TPoly
+    entries.  The residuals are psi_g T_from - T_to psi_h, the bracket at
+    psi-images less psi of the bracket, and rho(psi_g x) psi_h - psi_h rho(x)
+    and likewise for mu and D.
+
+    Witnesses are the nonzero t^0 and t^1 coefficients: intertwines-T at (),
+    then psi_g's binary and ternary identities in mixed-length lexicographic
+    order, psi_h's likewise, then the rho-, mu- and D-equivariance, at one
+    tuple by degree and then in that order.  The data gives, per identity,
+    the degrees >= 2 with a nonzero coefficient, and whether T2 - T1 is the
+    boundary of X."""
+    r = op.action
+    g, h = r.acting, r.carrier
+    n, m = g.dim, h.dim
+    t = TPoly([0, 1])
+    LX = [[Z] * n for _ in range(n)]
+    DX = [[Z] * m for _ in range(m)]
+    for x, y in wedges:
+        for i in range(n):
+            for s, v in enumerate(br3(g, x, y, _unit(n, i))):
+                LX[s][i] += v
+        for a, row in enumerate(D_at(r, x, y)):
+            for b, v in enumerate(row):
+                DX[a][b] += v
+
+    def plus_t(A, B):
+        return tuple(tuple(a + t * b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+
+    P = plus_t([_unit(n, i) for i in range(n)], LX)
+    Q = plus_t([_unit(m, a) for a in range(m)], DX)
+    intertwines = _sum(mm(P, plus_t(op.T, T2)), _neg(mm(plus_t(op.T, T1), Q)))
+    groups = [[("intertwines-T", (), intertwines)]]
+    for name, M, alg in (("psi_g", P, g), ("psi_h", Q, h)):
+        groups.append([(eq, args, _neg(res)) for eq, args, res in o_hom_violations(
+            M, [(name + "-binary", 2, alg.binary, alg.binary),
+                (name + "-ternary", 3, alg.ternary, alg.ternary)], interleaved=True)])
+    groups.append([(eq, args, _neg(res)) for eq, args, res in o_equivariance_violations(r, r, P, Q)])
+    found, higher = [], {}
+    for group in groups:
+        split = []
+        for eq, args, res in group:
+            for s in range(_degree(res) + 1):
+                c = _coeff(res, s)
+                if not _nonzero(c):
+                    continue
+                if s <= 1:
+                    split.append((args, s, ("%s-t^%d" % (eq, s), args, c)))
+                else:
+                    higher.setdefault(eq, set()).add(s)
+        found += [w for _, _, w in sorted(split, key=lambda x: x[:2])]
+    oc = OpOracle(op)
+    boundary = [[sum((oc.partial(x, y, _unit(m, a))[s] for x, y in wedges), Z) for a in range(m)]
+                for s in range(n)]
+    diff = [[b - a for a, b in zip(ra, rb)] for ra, rb in zip(T1, T2)]
+    return found, {"difference_equals_boundary": diff == boundary,
+                   "higher_order_residual_degrees": {k: sorted(v)
+                                                     for k, v in sorted(higher.items())}}
 
 
 # ---------------------------------------------------------------------------

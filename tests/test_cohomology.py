@@ -153,6 +153,36 @@ def test_cli_witness_bytes_pinned(degree, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == WITNESS_SHA256[degree]
 
 
+# SHA-256 of repr((rows, cols, sorted (row, col, str(value)) entries)) of the
+# coboundary matrices of p3's complex and of nilpotent4's adjoint action
+DELTA_SHA256 = {
+    ("p3", 1): "5dbeba89d22137dab5bd2e647014ed1c21e06e81639045f044c6f0ff39201f11",
+    ("p3", 2): "e9833daffa11672d3ac571a144818ef5a5210724c3b1f57f613da879fe698aea",
+    ("p3", 3): "aa3e4f01b8cf9fb10672b7b750e42e0919456bff9f12685707ee414dfe08e401",
+    ("adjoint", 1): "98e43f641d48fdd3bd22ad3e0cf212b14526f44e6ede000f6a834917f83263a6",
+    ("adjoint", 2): "a4d1dc11bed32d779970e13dd8a8539f1924d1d893ead908492aada8e5c6789c",
+}
+
+
+def test_coboundary_entries_pinned(tcomplex, adjoint_action):
+    cases = {"p3": (tcomplex.descent, tcomplex.rep), "adjoint": (adjoint_action.acting,
+                                                                adjoint_action)}
+    got = {}
+    for name, p in DELTA_SHA256:
+        M = coboundary_matrix_for(*cases[name], p)
+        entries = sorted((r, c, str(v)) for (r, c), v in M.data.items())
+        got[name, p] = hashlib.sha256(repr((M.rows, M.cols, entries)).encode()).hexdigest()
+    assert got == DELTA_SHA256
+
+
+def test_degrees_below_one_raise(tcomplex):
+    for p in (0, -1):
+        with pytest.raises(ShapeMismatch):
+            coboundary_matrix_for(tcomplex.descent, tcomplex.rep, p)
+        with pytest.raises(ShapeMismatch):
+            Cochain.zero(p, 4, 4)
+
+
 def test_witnesses_complement_coboundaries(tcomplex):
     # the witnesses of H^2 are cocycles, and together with the coboundaries
     # they span Z^2 without redundancy (dense oracle ranks)

@@ -4,7 +4,7 @@ import pytest
 
 from lyalg import io as lyio
 from lyalg.cli import run
-from lyalg.errors import FormatError
+from lyalg.errors import FormatError, TooLarge
 
 from conftest import fx
 
@@ -94,6 +94,29 @@ def test_basis_labels_load_when_valid():
     assert lyio.load_algebra(doc).basis == doc["basis"]
     del doc["basis"]
     assert lyio.load_algebra(doc).basis == ["e1", "e2", "e3", "e4"]
+
+
+def test_oversized_dim_raises_before_allocating(monkeypatch, tmp_path, capsys):
+    def no_tensor(*args):
+        raise AssertionError("a tensor was allocated")
+    for name in ("_read_sparse2", "_read_sparse3", "vzero"):
+        monkeypatch.setattr(lyio, name, no_tensor)
+    doc = {"dim": 10 ** 6, "binary": [], "ternary": []}
+    with pytest.raises(TooLarge):
+        lyio.load_algebra(doc)
+    with pytest.raises(TooLarge):
+        lyio.load_post({"dim": 10 ** 6})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", "algebra", str(path)]) == 2
+    assert "over the budget" in capsys.readouterr().err
+
+
+def test_dim_budget_admits_32():
+    assert 32 ** 4 <= lyio.MAX_TENSOR_COEFFICIENTS < 33 ** 4
+    assert lyio._read_dim({"dim": 32}, "algebra") == 32
+    with pytest.raises(TooLarge):
+        lyio._read_dim({"dim": 33}, "algebra")
 
 
 def test_dump_load_roundtrip(nilpotent4):

@@ -12,7 +12,7 @@ from lyalg.deformation import check_equivalence, check_linear_deformation
 from lyalg.linalg import mat_id
 from lyalg.reports import Checker
 from lyalg.reps import RepAction, adjoint_rep, check_representation
-from lyalg.rrb import graph_subalgebra_check
+from lyalg.rrb import HomPair, check_rrb_homomorphism, graph_subalgebra_check
 
 from conftest import fx
 
@@ -120,6 +120,28 @@ def perturbed_adjoint(rng):
     rho[rng.randrange(4)][rng.randrange(4)][rng.randrange(4)] += 1
     mu[rng.randrange(4)][rng.randrange(4)][rng.randrange(4)][rng.randrange(4)] -= 1
     return RepAction(A, A, rho, mu)
+
+
+def forced_operator(rng, n, m):
+    """An operator over random brackets, rho and mu, marked verified without a
+    check: the t^1 identities of an equivalence then fail at many tuples."""
+    g = L.LYAlgebra(n, antisym2(rng, n), antisym3(rng, n))
+    h = L.LYAlgebra(m, antisym2(rng, m), antisym3(rng, m))
+    g.verified = h.verified = True
+    r = RepAction(g, h, plain(rng, n, m, m), plain(rng, n, n, m, m))
+    r.action_certified = True
+    op = L.RRBOperator(r, plain(rng, n, m))
+    op.verified = True
+    return op
+
+
+def wedge_pairs(rng, n, count=2):
+    return [(tuple(dense(rng, 1, n)[0]), tuple(dense(rng, 1, n)[0])) for _ in range(count)]
+
+
+def scalar_pair(c):
+    psi = [[F(c) if i == j else F(0) for j in range(4)] for i in range(4)]
+    return HomPair(psi, psi)
 
 
 def p3_operator():
@@ -240,8 +262,27 @@ def test_capped_graph_check_is_a_prefix():
     assert_capped_prefix(graph_subalgebra_check, op)
 
 
+def test_capped_rrb_homomorphism_is_a_prefix():
+    p3 = p3_operator()
+    assert_capped_prefix(check_rrb_homomorphism, p3, p3, scalar_pair(2))
+    rng = random.Random(7001)
+    assert_capped_prefix(check_rrb_homomorphism, p3, p3,
+                         HomPair(dense(rng, 4, 4), dense(rng, 4, 4)))
+
+
+def test_capped_equivalence_is_a_prefix():
+    rng = random.Random(7101)
+    op = forced_operator(rng, 3, 3)
+    args = (op, dense(rng, 3, 3), dense(rng, 3, 3), wedge_pairs(rng, 3))
+    assert_capped_prefix(check_equivalence, *args)
+    # the higher-degree data covers every tuple, capped or not
+    assert (check_equivalence(*args).data
+            == check_equivalence(*args, all_violations=True).data)
+
+
 def _seeded_reports():
-    """The seeded failing inputs above, each checked with every witness kept."""
+    """The seeded failing inputs above, each checked with every witness kept,
+    and the operator homomorphisms also capped."""
     rng = random.Random(5150)
     yield "ly", L.check_ly_axioms(L.LYAlgebra(5, antisym2(rng, 5), antisym3(rng, 5)),
                                   all_violations=True)
@@ -304,9 +345,16 @@ def _seeded_reports():
                                                     all_violations=True)
     op = L.RRBOperator(p3.action, dense(random.Random(5172), 4, 4))
     yield "graph-p3-dense", graph_subalgebra_check(op, all_violations=True)
+    for av, suffix in ((True, ""), (False, "-capped")):
+        yield "rrb-hom-2id" + suffix, check_rrb_homomorphism(p3, p3, scalar_pair(2),
+                                                             all_violations=av)
+        rng = random.Random(7001)
+        yield "rrb-hom-dense" + suffix, check_rrb_homomorphism(
+            p3, p3, HomPair(dense(rng, 4, 4), dense(rng, 4, 4)), all_violations=av)
 
 
-# SHA-256 of the canonical JSON of each full report, and its witness count
+# SHA-256 of the canonical JSON of each report, and its witness count; every
+# report keeps all its witnesses except those named "-capped"
 WITNESS_DIGESTS = {
     "ly": ("2a68938baf706d69933689085c738f0096236a34d0f5e1fd7109b743494daa39", 2756),
     "rep": ("cf31bd7506baf4d54406ed7344e656d5bd291b4c83f614ac81a4e8c1eddfd2cb", 1300),
@@ -336,6 +384,12 @@ WITNESS_DIGESTS = {
     "hom-dense": ("d7f4eb62378f731977ff88187519996b4c4ad3f877999583179b26571a7ad982", 34),
     "post-hom-dense": ("12d20c1bed32b8a5349db539b4ed48acd484356f387fc4c9518bea61e16038ba", 30),
     "graph-p3-dense": ("b7528daadb391d5ef926ba70cbf6daa8e2a86d0319906b1dc9413aa16a3f4986", 60),
+    "rrb-hom-2id": ("38c2c0db707847b1444e8860d376ed9c8dc053215acaec6449f8cdd360519ced", 14),
+    "rrb-hom-2id-capped": ("650582fdada117f4edab3196c05db1653aad9a5f09eda43b2706facd2288216c",
+                           10),
+    "rrb-hom-dense": ("664cb9a1315861b5e87e3ec704cbda60e773d9652a4291f7312c8545908b9bdf", 51),
+    "rrb-hom-dense-capped": (
+        "363fe914de067119609f848d31bdf932f3e4da606c1334fab604e648fa941105", 10),
 }
 
 

@@ -1,8 +1,8 @@
 """The support-driven axiom scans and the pulled-back tables list exactly the
 witnesses of a dense scan.
 
-Every input here is sparse and failing, so most basis tuples have no live term
-and are skipped, while the oracle in ``tests/oracles.py`` evaluates every
+Most inputs here are sparse and failing, so most basis tuples have no live
+term and are skipped, while the oracle in ``tests/oracles.py`` evaluates every
 equation at every tuple.
 """
 
@@ -12,14 +12,18 @@ from fractions import Fraction as F
 import pytest
 
 import lyalg as L
+from lyalg import io as lyio
 from lyalg.cohomology import induced_rep
+from lyalg.deformation import check_equivalence
 from lyalg.postlya import check_post_axioms, check_post_homomorphism, induced_post_from_rrb
 from lyalg.reps import RepAction, adjoint_rep, check_lemma_identities, check_representation
 from lyalg.rrb import lift_operator
 
 import oracles
-from test_reports import (heisenberg5, nilpotent4, perturbed_adjoint, perturbed_post,
-                          perturbed_semidirect)
+from conftest import family_matrix, fx
+from test_reports import (dense, forced_operator, heisenberg5, nilpotent4, p3_operator,
+                          perturbed_adjoint, perturbed_post, perturbed_semidirect, sl2_operator,
+                          wedge_pairs)
 
 POOL = [F(-1), F(0), F(0), F(0), F(1), F(2)]
 
@@ -182,3 +186,84 @@ def test_as_printed_p4_reads_every_y():
     rep = check_post_axioms(P, all_violations=True, as_printed=True)
     assert any(v.eq == "P4" and v.args[1] != 0 for v in rep.violations)
     assert listed(rep) == oracles.o_post_violations(P, as_printed=True)
+
+
+def full_rrb_hom_oracle(from_op, to_op, pg, ph):
+    """The dense witness list of an operator homomorphism: each psi's
+    homomorphism witnesses (prefixed; the library runs those two checks
+    capped, so at most ten of each), intertwines-T, then the equivariance."""
+    rf, rt = from_op.action, to_op.action
+    out = []
+    for eq, phi, a, b in (("psi_g-not-homomorphism:", pg, rf.acting, rt.acting),
+                          ("psi_h-not-homomorphism:", ph, rf.carrier, rt.carrier)):
+        out += [(eq + e, args, res) for e, args, res in oracles.o_hom_violations(phi, [
+            ("hom-binary", 2, a.binary, b.binary), ("hom-ternary", 3, a.ternary, b.ternary)])][:10]
+    res = tuple(oracles.vs(a, b)
+                for a, b in zip(oracles.mm(pg, from_op.T), oracles.mm(to_op.T, ph)))
+    if any(any(row) for row in res):
+        out.append(("intertwines-T", (), res))
+    return out + oracles.o_equivariance_violations(rf, rt, pg, ph)
+
+
+@pytest.mark.parametrize("g_entries,h_entries", [
+    ([], []), ([(0, 1)], []), ([], [(2, 3)]), ([(0, 3)], [(0, 3)]), ([(2, 3), (1, 0)], [(3, 1)])])
+def test_near_identity_rrb_homomorphism_matches_dense_oracle(p3, g_entries, h_entries):
+    pg, ph = near_identity(4, g_entries), near_identity(4, h_entries)
+    rep = L.check_rrb_homomorphism(p3, p3, L.HomPair(pg, ph), all_violations=True)
+    assert listed(rep) == full_rrb_hom_oracle(p3, p3, pg, ph)
+
+
+@pytest.mark.parametrize("entries", [[(0, 1)], [(1, 3), (3, 0)]])
+def test_rrb_homomorphism_over_nilpotent4_adjoint_matches_dense_oracle(p3, entries):
+    """From an operator over the adjoint action built by ``adjoint_rep`` into
+    p3 (over the action read from its file), near-identity maps on both sides."""
+    src = L.RRBOperator(adjoint_rep(nilpotent4()).ensure_action(),
+                        family_matrix(random.Random(81)))
+    pg, ph = near_identity(4, entries), near_identity(4, entries[::-1])
+    rep = L.check_rrb_homomorphism(src, p3, L.HomPair(pg, ph), all_violations=True)
+    assert not rep.passed
+    assert listed(rep) == full_rrb_hom_oracle(src, p3, pg, ph)
+
+
+def test_rrb_homomorphism_between_random_actions_matches_dense_oracle():
+    rng = random.Random(83)
+    a, b = forced_operator(rng, 3, 2), forced_operator(rng, 3, 2)
+    pg, ph = dense(rng, 3, 3), dense(rng, 2, 2)
+    rep = L.check_rrb_homomorphism(a, b, L.HomPair(pg, ph), all_violations=True)
+    assert listed(rep) == full_rrb_hom_oracle(a, b, pg, ph)
+
+
+def equivalence_inputs():
+    """(name, op, T1, T2, wedges): p3 and sl2 with dense maps and wedges, the
+    p3 fixtures, and random forced operators whose t^1 identities fail."""
+    p3 = p3_operator()
+    for seed in (5165, 91):
+        rng = random.Random(seed)
+        wedges = wedge_pairs(rng, 4)
+        yield "p3-%d" % seed, p3, dense(rng, 4, 4), dense(rng, 4, 4), wedges
+    yield ("p3-fixtures", p3, lyio.load_matrix(fx("t1_family.json")),
+           lyio.load_matrix(fx("t1_family_b.json")), lyio.load_wedges(fx("x_e1e2.json")))
+    for seed in (5166, 92):
+        rng = random.Random(seed)
+        op = sl2_operator(rng)
+        wedges = wedge_pairs(rng, 3)
+        yield "sl2-%d" % seed, op, dense(rng, 3, 2), dense(rng, 3, 2), wedges
+    for seed, n, m in ((93, 3, 2), (94, 2, 3)):
+        rng = random.Random(seed)
+        op = forced_operator(rng, n, m)
+        yield "forced-%d" % seed, op, dense(rng, n, m), dense(rng, n, m), wedge_pairs(rng, n)
+
+
+def test_equivalence_matches_dense_polynomial_oracle():
+    higher = {}
+    for name, op, T1, T2, wedges in equivalence_inputs():
+        rep = check_equivalence(op, T1, T2, wedges, all_violations=True)
+        want, data = oracles.o_equivalence(op, T1, T2, wedges)
+        assert (listed(rep), rep.data) == (want, data), name
+        higher[name] = data["higher_order_residual_degrees"]
+    # the inputs reach past t^1: psi_g on p3 and sl2, and psi_h and the
+    # equivariance up to t^3 on a forced operator
+    assert higher["p3-5165"] and higher["sl2-5166"]
+    forced = higher["forced-93"]
+    assert max(forced["psi_h-ternary"]) == 3
+    assert max(forced["mu-equivariance"]) == 3 and max(forced["D-equivariance"]) == 3
