@@ -26,13 +26,19 @@ gives
   (delta_I f)(x, y)    = rho(x)f(y) - rho(y)f(x) - f([x, y])
   (delta_II f)(x, y, z) = D(x,y)f(z) + mu(y,z)f(x) - mu(x,z)f(y) - f(<x,y,z>).
 
-Coboundary matrices of every degree are assembled block-by-block from these
-formulas, stored sparsely; composites delta о delta are exact sparse products.
+Coboundary matrices of every degree are assembled from these formulas term by
+term, and every entry comes from a nonzero entry of a structure tensor: the
+composites X_k o X_l, one per two basis pairs, are tabulated once per matrix,
+and rho, mu, D and both brackets are read from their supports
+(``linalg.sparse_values``), so a zero block or bracket coefficient emits
+nothing.  The matrices are stored sparsely.
 """
 
+import itertools
+
 from .errors import AxiomsFailed, ShapeMismatch, TooLarge
-from .linalg import (Q0, Q1, Echelon, frac, invert, is_zero_vec, mat_col,
-                     mat_vec, solve, vadd, vscale, vsub, vzero)
+from .linalg import (Q0, Q1, Echelon, axpy, frac, invert, is_zero_vec, mat_col,
+                     mat_vec, solve, sparse_values, vadd, vscale, vsub, vzero)
 from .reps import RepAction
 
 
@@ -42,10 +48,10 @@ from .reps import RepAction
 class SparseMat:
     """A rows x cols rational matrix stored as {(r, c): value}."""
 
-    def __init__(self, rows, cols):
+    def __init__(self, rows, cols, data=None):
         self.rows = rows
         self.cols = cols
-        self.data = {}
+        self.data = {} if data is None else data
 
     def add(self, r, c, v):
         if v == 0:
@@ -59,19 +65,6 @@ class SparseMat:
 
     def is_zero(self):
         return not self.data
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise ShapeMismatch("cannot multiply %dx%d by %dx%d"
-                                % (self.rows, self.cols, other.rows, other.cols))
-        by_row = {}
-        for (r, c), v in other.data.items():
-            by_row.setdefault(r, []).append((c, v))
-        out = SparseMat(self.rows, other.cols)
-        for (r, k), v in self.data.items():
-            for c, w in by_row.get(k, ()):
-                out.add(r, c, v * w)
-        return out
 
     def apply(self, vec):
         if len(vec) != self.cols:
@@ -111,10 +104,6 @@ class SparseMat:
     def solve(self, b):
         """Some x with self . x = b (free coordinates 0); raises Inconsistent."""
         return solve(self.row_dicts(), b, ncols=self.cols)
-
-    def to_dense(self):
-        return tuple(tuple(self.data.get((r, c), Q0) for c in range(self.cols))
-                     for r in range(self.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +156,6 @@ class _Layout:
         for t in ts:
             idx = idx * self.M + t
         return idx
-
-    def g_block(self, ts, a):
-        return self.f_blocks + self.tuple_index(ts) * self.m + a
 
 
 class Cochain:
@@ -277,7 +263,10 @@ def coboundary_matrix_for(alg, rep, p):
     Rows follow the degree-(p+1) layout, columns the degree-p layout, both in
     the documented lexicographic order with value components innermost.  A
     matrix of more than MAX_COBOUNDARY_ROWS rows raises TooLarge before
-    anything is built.
+    anything is built.  Each term of the formula emits only the nonzero
+    entries of its structure tensor: rho, mu and D blocks entry by entry,
+    bracket coefficients as scalar diagonals, and the composites X_k o X_l
+    from a table made once per matrix.
     """
     if rep.acting.dim != alg.dim:
         raise ShapeMismatch("representation does not act on the given algebra")
@@ -290,90 +279,79 @@ def coboundary_matrix_for(alg, rep, p):
                        % (p, lout.total, MAX_COBOUNDARY_ROWS))
     prs = pair_basis(m)
     pidx = {pr: t for t, pr in enumerate(prs)}
-    out = SparseMat(lout.total, lin.total)
+    comp = [[_composite(alg, pk, pl, pidx) for pl in prs] for pk in prs]
+    rho, mu, D = (_signed_blocks(t) for t in (rep.rho, rep.mu, rep.derived_D))
+    binary, ternary = sparse_values(alg.binary), sparse_values(alg.ternary)
+    data = {}
 
-    def add_block(ob, ib, matrix):
+    def block(ob, ib, entries):
+        ro, co = ob * n, ib * n
+        for r, c, q in entries:
+            key = (ro + r, co + c)
+            data[key] = data.get(key, Q0) + q
+
+    def scalar(ob, ib, q):
+        ro, co = ob * n, ib * n
         for r in range(n):
-            row = matrix[r]
-            for c in range(n):
-                if row[c] != 0:
-                    out.add(ob * n + r, ib * n + c, row[c])
+            key = (ro + r, co + r)
+            data[key] = data.get(key, Q0) + q
 
-    def add_scalar(ob, ib, s):
-        if s != 0:
-            for r in range(n):
-                out.add(ob * n + r, ib * n + r, s)
-
-    nn = p - 1  # input cochains take nn wedge slots
-    sign_n = Q1 if nn % 2 == 0 else -Q1
-    import itertools
-    for tup in itertools.product(range(lin.M), repeat=nn + 1):
+    none = ((), ())
+    odd = (p - 1) % 2       # the head terms carry (-1)^(p-1)
+    gin = lin.f_blocks      # the input's first g block
+    for tup in itertools.product(range(lin.M), repeat=p):
         pairs = [prs[t] for t in tup]
-        # delta_I output block at tup
-        ob = lout.tuple_index(tup)
         a1, b1 = pairs[-1]
-        head = tup[:-1]
-        add_block(ob, lin.g_block(head, b1), _scale(sign_n, rep.rho[a1]))
-        add_block(ob, lin.g_block(head, a1), _scale(-sign_n, rep.rho[b1]))
-        for s, cs in enumerate(alg.binary[a1][b1]):
-            add_scalar(ob, lin.g_block(head, s), -sign_n * cs)
-        for k in range(nn):
-            rest = tup[:k] + tup[k + 1:]
-            sgn = Q1 if k % 2 == 0 else -Q1  # (-1)^{k+1} with 1-based k
-            add_block(ob, lin.tuple_index(rest),
-                      _scale(sgn, rep.derived_D[pairs[k][0]][pairs[k][1]]))
-        for k in range(nn + 1):
-            for l in range(k + 1, nn + 1):
-                sgn = -Q1 if k % 2 == 0 else Q1  # (-1)^k with 1-based k
-                comp = _composite(alg, pairs[k], pairs[l], pidx)
-                for t2, cv in comp.items():
+        head = gin + lin.tuple_index(tup[:-1]) * m
+        rests = [lin.tuple_index(tup[:k] + tup[k + 1:]) for k in range(p)]
+        # (-1)^k cv for X_k o X_l in slot l (1-based k), slot k dropped
+        comps = []
+        for k in range(p):
+            for l in range(k + 1, p):
+                for t2, cv in comp[tup[k]][tup[l]].items():
                     slots = list(tup)
                     slots[l] = t2
                     del slots[k]
-                    add_scalar(ob, lin.tuple_index(tuple(slots)), sgn * cv)
-        # delta_II output blocks at (tup, c)
+                    comps.append((lin.tuple_index(slots), cv if k % 2 else -cv))
+        # delta_I at the output block tup; D(X_k) has sign (-1)^(k+1), 1-based
+        ob = lout.tuple_index(tup)
+        block(ob, head + b1, rho.get((a1,), none)[odd])
+        block(ob, head + a1, rho.get((b1,), none)[1 - odd])
+        for s, cs in binary.get((a1, b1), {}).items():
+            scalar(ob, head + s, cs if odd else -cs)
+        for k in range(p - 1):
+            block(ob, rests[k], D.get(pairs[k], none)[k % 2])
+        for ti, cv in comps:
+            scalar(ob, ti, cv)
+        # delta_II at the output blocks (tup, c)
+        og = lout.f_blocks + ob * m
         for c in range(m):
-            og = lout.g_block(tup, c)
-            add_block(og, lin.g_block(head, a1), _scale(sign_n, rep.mu[b1][c]))
-            add_block(og, lin.g_block(head, b1), _scale(-sign_n, rep.mu[a1][c]))
-            for k in range(nn + 1):
-                rest = tup[:k] + tup[k + 1:]
-                ak, bk = pairs[k]
-                sgn = Q1 if k % 2 == 0 else -Q1
-                add_block(og, lin.g_block(rest, c), _scale(sgn, rep.derived_D[ak][bk]))
-                for s, cs in enumerate(alg.ternary[ak][bk][c]):
-                    add_scalar(og, lin.g_block(rest, s), -sgn * cs)
-                for l in range(k + 1, nn + 1):
-                    comp = _composite(alg, pairs[k], pairs[l], pidx)
-                    for t2, cv in comp.items():
-                        slots = list(tup)
-                        slots[l] = t2
-                        del slots[k]
-                        add_scalar(og, lin.g_block(tuple(slots), c), -sgn * cv)
-    return out
+            block(og + c, head + a1, mu.get((b1, c), none)[odd])
+            block(og + c, head + b1, mu.get((a1, c), none)[1 - odd])
+            for k in range(p):
+                gk = gin + rests[k] * m
+                block(og + c, gk + c, D.get(pairs[k], none)[k % 2])
+                for s, cs in ternary.get(pairs[k] + (c,), {}).items():
+                    scalar(og + c, gk + s, cs if k % 2 else -cs)
+            for ti, cv in comps:
+                scalar(og + c, gin + ti * m + c, cv)
+    return SparseMat(lout.total, lin.total, {key: v for key, v in data.items() if v})
 
 
-def _scale(s, mx):
-    if s == 1:
-        return mx
-    return tuple(tuple(s * v for v in row) for row in mx)
+def _signed_blocks(t):
+    """A matrix-valued tensor's support as {key: (entries, negated entries)},
+    each entry (row, col, value)."""
+    return {key: (tuple((r, c, q) for (r, c), q in v.items()),
+                  tuple((r, c, -q) for (r, c), q in v.items()))
+            for key, v in sparse_values(t).items()}
 
 
 def _composite(alg, pk, pl, pidx):
     """X_k o X_l = <x_k,y_k,x_l> /\\ y_l + x_l /\\ <x_k,y_k,y_l> on pair coords."""
-    ak, bk = pk
-    al, bl = pl
-    m = alg.dim
-    ea = [alg.e(i) for i in range(m)]
-    d1 = wedge_coords(alg.ternary[ak][bk][al], ea[bl], pidx)
-    d2 = wedge_coords(ea[al], alg.ternary[ak][bk][bl], pidx)
-    for t, c in d2.items():
-        new = d1.get(t, Q0) + c
-        if new == 0:
-            d1.pop(t, None)
-        else:
-            d1[t] = new
-    return d1
+    (ak, bk), (al, bl) = pk, pl
+    d = wedge_coords(alg.ternary[ak][bk][al], alg.e(bl), pidx)
+    axpy(d, Q1, wedge_coords(alg.e(al), alg.ternary[ak][bk][bl], pidx))
+    return d
 
 
 def yamaguti_coboundary(alg, rep, c):
@@ -540,7 +518,6 @@ def pushforward_cochain(pair, c):
     prs = pair_basis(m)
     pidx = {pr: t for t, pr in enumerate(prs)}
     arg_of = [wedge_coords(inv_cols[a], inv_cols[b], pidx) for (a, b) in prs]
-    import itertools
     fs, gs = [], []
     for tup in itertools.product(range(c.layout.M), repeat=c.p - 1):
         args = [arg_of[t] for t in tup]

@@ -310,11 +310,9 @@ def check_rrb_homomorphism(from_op, to_op, pair, all_violations=False):
         raise DimMismatch("operators live over different action shapes")
     pg, ph = pair.psi_g, pair.psi_h
     ck = Checker("rrb-homomorphism", all_violations)
-    for rep, eq in ((check_homomorphism(g, rt.acting, pg), "psi_g-not-homomorphism"),
-                    (check_homomorphism(h, rt.carrier, ph), "psi_h-not-homomorphism")):
-        if not rep.passed:
-            for v in rep.violations:
-                ck.record(eq + ":" + v.eq, v.args, v.residual)
+    for src, dst, psi, name in ((g, rt.acting, pg, "psi_g"), (h, rt.carrier, ph, "psi_h")):
+        for v in check_homomorphism(src, dst, psi, all_violations).violations:
+            ck.record(name + "-not-homomorphism:" + v.eq, v.args, v.residual)
     res = mat_sub(mat_mul(pg, from_op.T), mat_mul(to_op.T, ph))
     if not is_zero_mat(res):
         ck.record("intertwines-T", (), res)

@@ -4,8 +4,10 @@ Nothing here touches the library's elimination, sparse-matrix, coboundary
 assembly or tensor evaluation code: ranks come from a plain dense Gaussian
 elimination, brackets and actions from a dense sum over the public nested
 structure tensors (with D rebuilt from its closed form), coboundary matrices
-from direct column-by-column evaluation of the defining formulas, and
-deformation coefficients and equivalences from polynomial expansion in t.
+from direct evaluation of the defining formulas (column by column, or at a
+generic cochain of linear forms), and deformation coefficients and
+equivalences from polynomial expansion in t.  The library's sparse matrices
+are read through their ``rows``, ``cols`` and ``data`` fields only.
 """
 
 import functools
@@ -803,6 +805,269 @@ def delta2_matrix(oc):
     nrows = len(cols[0])
     ncols = len(cols)
     return [tuple(cols[c][r] for c in range(ncols)) for r in range(nrows)]
+
+
+# ---------------------------------------------------------------------------
+# the coboundary of every degree, by direct formula
+
+class RepOracle:
+    """The interface of OpOracle (br2, br3, rho, mu, D, m, n) for a plain
+    algebra and a representation of it: brackets and actions from the public
+    nested tensors, D from its closed form (memoized per argument)."""
+
+    def __init__(self, alg, rep):
+        self.alg, self.r = alg, rep
+        self.m, self.n = alg.dim, rep.carrier.dim
+        self._memo = {}
+
+    def _map(self, key, fn):
+        if key not in self._memo:
+            self._memo[key] = fn()
+        return self._memo[key]
+
+    def br2(self, u, v):
+        return br2(self.alg, u, v)
+
+    def br3(self, u, v, w):
+        return br3(self.alg, u, v, w)
+
+    def rho(self, u, x):
+        return mv(self._map(("rho", u), lambda: rho_at(self.r, u)), x)
+
+    def mu(self, u, v, x):
+        return mv(self._map(("mu", u, v), lambda: mu_at(self.r, u, v)), x)
+
+    def D(self, u, v, x):
+        return mv(self._map(("D", u, v), lambda: D_at(self.r, u, v)), x)
+
+
+class Form:
+    """A linear form sum_j c_j x_j in unknowns x_j with rational c_j, which mixes
+    with Fraction and int in + - and scalar *: the coordinates of a generic
+    cochain, so that one evaluation of a linear formula gives all the columns
+    of its matrix at once."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = c
+
+    @staticmethod
+    def lift(x):
+        if isinstance(x, Form):
+            return x
+        if x == 0:
+            return Form({})
+        raise TypeError("a linear form has no constant term")
+
+    def __add__(self, other):
+        out = dict(self.c)
+        for j, v in Form.lift(other).c.items():
+            s = out.get(j, Z) + v
+            if s:
+                out[j] = s
+            else:
+                del out[j]
+        return Form(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Form({j: -v for j, v in self.c.items()})
+
+    def __sub__(self, other):
+        return self + -Form.lift(other)
+
+    def __rsub__(self, other):
+        return Form.lift(other) - self
+
+    def __mul__(self, s):
+        if isinstance(s, Form):
+            raise TypeError("a product of linear forms is not linear")
+        return Form({j: v * s for j, v in self.c.items()} if s else {})
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.c)
+
+
+def _wedge(x, y):
+    """x /\\ y on the pairs (i, j), i < j, as a dict of its nonzero coordinates."""
+    out = {}
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if xi != 0 and yj != 0 and i != j:
+                key, c = ((i, j), xi * yj) if i < j else ((j, i), -xi * yj)
+                out[key] = out.get(key, Z) + c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def o_delta_eval(oc, p, f, g):
+    """delta of the degree-p cochain (f, g), p >= 1, from the Yamaguti formula.
+
+    f maps tuples of p-1 carrier pairs (a, b), a < b, to value vectors, and g
+    maps (pairs, c), c a plain index, to value vectors; absent keys are zero
+    and f is empty at p = 1.  Entries may be Fractions or Forms.  Returns
+    (fs, gs), fs over every tuple of p pairs and gs over (pairs, c).  With
+    X_i = x_i /\\ y_i, n = p - 1 and hats marking omitted slots,
+
+      delta_I(X_1..X_{n+1}) =
+          (-1)^n ( rho(x_{n+1}) g(X_1..X_n, y_{n+1}) - rho(y_{n+1}) g(X_1..X_n, x_{n+1})
+                   - g(X_1..X_n, [x_{n+1}, y_{n+1}]) )
+        + sum_{k=1..n} (-1)^{k+1} D(X_k) f(..^X_k..)
+        + sum_{k<l} (-1)^k f(..^X_k..(X_k o X_l at slot l)..)
+      delta_II(X_1..X_{n+1}, z) =
+          (-1)^n ( mu(y_{n+1}, z) g(X_1..X_n, x_{n+1}) - mu(x_{n+1}, z) g(X_1..X_n, y_{n+1}) )
+        + sum_{k=1..n+1} (-1)^{k+1} D(X_k) g(..^X_k.., z)
+        + sum_{k<l} (-1)^k g(..^X_k..(X_k o X_l at slot l).., z)
+        + sum_{k=1..n+1} (-1)^k g(..^X_k.., <x_k, y_k, z>)
+
+    with X_k o X_l = <x_k, y_k, x_l> /\\ y_l + x_l /\\ <x_k, y_k, y_l>.
+    """
+    m, n = oc.m, oc.n
+    e = [_unit(m, a) for a in range(m)]
+    zero = (Z,) * n
+    one = Fraction(1)
+
+    def lin(fn, v):
+        """fn, a linear map of value vectors, at v through the unit vectors."""
+        out = zero
+        for t, c in enumerate(v):
+            if c:
+                out = va(out, sc(c, fn(_unit(n, t))))
+        return out
+
+    def expand(args):
+        """(pair tuple, coefficient) over the product of the wedge dicts."""
+        for combo in itertools.product(*(d.items() for d in args)):
+            yield (tuple(P for P, _ in combo),
+                   functools.reduce(operator.mul, (c for _, c in combo), one))
+
+    def f_at(args):
+        out = zero
+        for key, c in expand(args):
+            if key in f:
+                out = va(out, sc(c, f[key]))
+        return out
+
+    def g_at(args, z):
+        out = zero
+        for key, c in expand(args):
+            for s, cz in enumerate(z):
+                if cz != 0 and (key, s) in g:
+                    out = va(out, sc(c * cz, g[key, s]))
+        return out
+
+    def comp(Pk, Pl):
+        (ak, bk), (al, bl) = Pk, Pl
+        d = _wedge(oc.br3(e[ak], e[bk], e[al]), e[bl])
+        for key, c in _wedge(e[al], oc.br3(e[ak], e[bk], e[bl])).items():
+            d[key] = d.get(key, Z) + c
+        return {k: c for k, c in d.items() if c != 0}
+
+    def D(P, v):
+        return lin(lambda w: oc.D(e[P[0]], e[P[1]], w), v)
+
+    sn = one if (p - 1) % 2 == 0 else -one
+    fs, gs = {}, {}
+    for Ps in itertools.product(pair_list(m), repeat=p):
+        X = [{P: one} for P in Ps]
+        head = X[:-1]
+        x, y = (e[i] for i in Ps[-1])
+        comps = {(k, l): comp(Ps[k], Ps[l]) for k in range(p) for l in range(k + 1, p)}
+
+        def composed(k, l):
+            args = list(X)
+            args[l] = comps[k, l]
+            del args[k]
+            return args
+
+        # 0-based k below: (-1)^{k+1} of the 1-based formula is (-1)^k here
+        val = vs(lin(lambda w: oc.rho(x, w), g_at(head, y)),
+                 lin(lambda w: oc.rho(y, w), g_at(head, x)))
+        val = sc(sn, vs(val, g_at(head, oc.br2(x, y))))
+        for k in range(p - 1):
+            val = va(val, sc((-1) ** k, D(Ps[k], f_at(X[:k] + X[k + 1:]))))
+        for k, l in comps:
+            val = va(val, sc((-1) ** (k + 1), f_at(composed(k, l))))
+        fs[Ps] = val
+        for c in range(m):
+            z = e[c]
+            val = vs(lin(lambda w: oc.mu(y, z, w), g_at(head, x)),
+                     lin(lambda w: oc.mu(x, z, w), g_at(head, y)))
+            val = sc(sn, val)
+            for k in range(p):
+                rest = X[:k] + X[k + 1:]
+                val = va(val, sc((-1) ** k, D(Ps[k], g_at(rest, z))))
+                a, b = Ps[k]
+                val = va(val, sc((-1) ** (k + 1), g_at(rest, oc.br3(e[a], e[b], z))))
+            for k, l in comps:
+                val = va(val, sc((-1) ** (k + 1), g_at(composed(k, l), z)))
+            gs[Ps, c] = val
+    return fs, gs
+
+
+def _cochain_keys(m, p):
+    """The blocks of a degree-p cochain in the library's flat layout: first the
+    pair tuples of f (none at p = 1), then (pair tuple, c) of g, each
+    lexicographic; every block holds one value vector."""
+    tuples = list(itertools.product(pair_list(m), repeat=p - 1))
+    return ([("f", ts) for ts in tuples] if p > 1 else []) + \
+        [("g", (ts, c)) for ts in tuples for c in range(m)]
+
+
+def o_delta_columns(oc, p, cols=None):
+    """{column: {row: value}} of the degree-p coboundary matrix in the library's
+    layout, at ``cols`` (every column by default), read off one evaluation of
+    o_delta_eval at the generic cochain whose coordinate j is the unknown x_j;
+    empty columns are left out."""
+    n = oc.n
+    keys = _cochain_keys(oc.m, p)
+    cols = range(len(keys) * n) if cols is None else cols
+    f, g = {}, {}
+    for j in cols:
+        part, key = keys[j // n]
+        table = f if part == "f" else g
+        vec = list(table.get(key, (Z,) * n))
+        vec[j % n] = Form({j: Fraction(1)})
+        table[key] = tuple(vec)
+    fs, gs = o_delta_eval(oc, p, f, g)
+    out = {}
+    for b, (part, key) in enumerate(_cochain_keys(oc.m, p + 1)):
+        for t, x in enumerate((fs if part == "f" else gs)[key]):
+            for j, v in Form.lift(x).c.items():
+                out.setdefault(j, {})[b * n + t] = v
+    return out
+
+
+# views of the library's sparse matrices, read from rows, cols and data alone
+
+def o_columns(M):
+    """{column: {row: value}} of a sparse matrix; empty columns are left out."""
+    out = {}
+    for (r, c), v in M.data.items():
+        if v != 0:
+            out.setdefault(c, {})[r] = v
+    return out
+
+
+def o_dense(M):
+    """The sparse matrix as a tuple of dense rows."""
+    return tuple(tuple(M.data.get((r, c), Z) for c in range(M.cols)) for r in range(M.rows))
+
+
+def o_product(A, B):
+    """The nonzero entries {(r, c): value} of the product A B of sparse matrices."""
+    assert A.cols == B.rows
+    rows = {}
+    for (k, c), w in B.data.items():
+        rows.setdefault(k, []).append((c, w))
+    out = {}
+    for (r, k), v in A.data.items():
+        for c, w in rows.get(k, ()):
+            out[r, c] = out.get((r, c), Z) + v * w
+    return {rc: v for rc, v in out.items() if v != 0}
 
 
 # ---------------------------------------------------------------------------

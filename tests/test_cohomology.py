@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,11 +13,13 @@ from lyalg.cli import run
 from lyalg import cohomology
 from lyalg.errors import ShapeMismatch, TooLarge
 from lyalg.linalg import mat_id, mat_vec
+from lyalg.reps import adjoint_rep
 from lyalg.rrb import HomPair
 
 import oracles
 from conftest import fx
 from oracles import OpOracle, o_rank
+from test_reports import forced_operator
 
 
 def test_sparse_mat_against_dense():
@@ -24,10 +27,10 @@ def test_sparse_mat_against_dense():
     a.add(0, 0, F(1)); a.add(0, 2, F(2)); a.add(1, 1, F(-1))
     b = SparseMat(3, 2)
     b.add(0, 0, F(3)); b.add(2, 1, F(1)); b.add(1, 0, F(5))
-    prod = a.mul(b)
-    assert prod.to_dense() == ((F(3), F(2)), (F(-5), F(0)))
+    prod = oracles.o_product(a, b)
+    assert prod == {(0, 0): F(3), (0, 1): F(2), (1, 0): F(-5)}
     assert a.apply((F(1), F(0), F(1))) == (F(3), F(0))
-    assert a.rank() == o_rank(a.to_dense()) == 2
+    assert a.rank() == o_rank(oracles.o_dense(a)) == 2
 
 
 def test_sparse_cancellation():
@@ -78,24 +81,24 @@ def test_induced_rep_closed_forms(p3):
 
 
 def test_partial_matrix_matches_oracle(tcomplex, oracle_matrices):
-    assert tcomplex.matrix(0).to_dense() == tuple(
+    assert oracles.o_dense(tcomplex.matrix(0)) == tuple(
         tuple(r) for r in oracle_matrices[0])
 
 
 def test_delta1_matrix_matches_oracle(tcomplex, oracle_matrices):
-    assert tcomplex.matrix(1).to_dense() == tuple(
+    assert oracles.o_dense(tcomplex.matrix(1)) == tuple(
         tuple(r) for r in oracle_matrices[1])
 
 
 def test_delta2_matrix_matches_oracle(tcomplex, oracle_matrices):
-    assert tcomplex.matrix(2).to_dense() == tuple(
+    assert oracles.o_dense(tcomplex.matrix(2)) == tuple(
         tuple(r) for r in oracle_matrices[2])
 
 
 def test_composites_vanish(tcomplex):
-    assert tcomplex.matrix(1).mul(tcomplex.matrix(0)).is_zero()
-    assert tcomplex.matrix(2).mul(tcomplex.matrix(1)).is_zero()
-    assert tcomplex.matrix(3).mul(tcomplex.matrix(2)).is_zero()
+    assert not oracles.o_product(tcomplex.matrix(1), tcomplex.matrix(0))
+    assert not oracles.o_product(tcomplex.matrix(2), tcomplex.matrix(1))
+    assert not oracles.o_product(tcomplex.matrix(3), tcomplex.matrix(2))
 
 
 def test_budget_admits_the_measured_sizes():
@@ -153,26 +156,104 @@ def test_cli_witness_bytes_pinned(degree, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == WITNESS_SHA256[degree]
 
 
+def two_step_operator(rng, v, free, targets):
+    """A weight-1 operator over the adjoint action of a two-step nilpotent
+    algebra of dim v + free + targets: brackets of the first v basis vectors
+    land in the last ``targets``, a bracket with any later vector vanishes, and
+    the ternary bracket is antisymmetric in its first two slots with zero
+    cyclic sum, so the LY axioms hold and the adjoint action is an action.  T
+    maps into the center and kills the targets, hence every bracket, so both
+    weight-1 equations hold."""
+    dim = v + free + targets
+    tgt = range(v + free, dim)
+    pool = [F(1), F(-1), F(2), F(-2), F(1, 2), F(3)]
+
+    def value():
+        return [rng.choice(pool) if s in tgt else F(0) for s in range(dim)]
+
+    zero = [F(0)] * dim
+    binary = [[list(zero) for _ in range(dim)] for _ in range(dim)]
+    for i in range(v):
+        for j in range(i + 1, v):
+            binary[i][j] = value()
+            binary[j][i] = [-x for x in binary[i][j]]
+    a = {}
+    for i in range(v):
+        for j in range(i + 1, v):
+            for k in range(v):
+                a[i, j, k] = value()
+                a[j, i, k] = [-x for x in a[i, j, k]]
+    ternary = [[[list(zero) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k) in a:
+        # 2a(i,j,k) - a(j,k,i) - a(k,i,j): antisymmetric in (i, j), zero cyclic sum
+        terms = [(2, a[i, j, k]), (-1, a.get((j, k, i), zero)), (-1, a.get((k, i, j), zero))]
+        ternary[i][j][k] = [sum(c * x[s] for c, x in terms) for s in range(dim)]
+    A = L.LYAlgebra(dim, binary, ternary)
+    T = [[rng.choice(pool) if c >= v and s not in tgt else F(0) for s in range(dim)]
+         for c in range(dim)]
+    return L.RRBOperator(adjoint_rep(A), T).ensure_verified()
+
+
+@pytest.fixture(scope="module")
+def dim5_complex():
+    return TComplex(two_step_operator(random.Random(5005), 3, 1, 1))
+
+
 # SHA-256 of repr((rows, cols, sorted (row, col, str(value)) entries)) of the
-# coboundary matrices of p3's complex and of nilpotent4's adjoint action
+# coboundary matrices of p3's complex, of nilpotent4's adjoint action and of
+# the complex of a dim-5 operator from ``two_step_operator``
 DELTA_SHA256 = {
     ("p3", 1): "5dbeba89d22137dab5bd2e647014ed1c21e06e81639045f044c6f0ff39201f11",
     ("p3", 2): "e9833daffa11672d3ac571a144818ef5a5210724c3b1f57f613da879fe698aea",
     ("p3", 3): "aa3e4f01b8cf9fb10672b7b750e42e0919456bff9f12685707ee414dfe08e401",
+    ("p3", 4): "d9507f7edc0294ddbe8ba2a11bcae54ecff88f696072c89765ccd32e4f24d754",
     ("adjoint", 1): "98e43f641d48fdd3bd22ad3e0cf212b14526f44e6ede000f6a834917f83263a6",
     ("adjoint", 2): "a4d1dc11bed32d779970e13dd8a8539f1924d1d893ead908492aada8e5c6789c",
+    ("dim5", 2): "605bed8cf51b63c12e7be3496f73eba96ec4c24d7bd9069330ad168574bca53a",
+    ("dim5", 3): "2fb5d0d5c97ed0e01a2b5ee3dcf4443d869bf91aa17a66827c3c959871da8d8b",
 }
 
 
-def test_coboundary_entries_pinned(tcomplex, adjoint_action):
-    cases = {"p3": (tcomplex.descent, tcomplex.rep), "adjoint": (adjoint_action.acting,
-                                                                adjoint_action)}
+def test_coboundary_entries_pinned(tcomplex, adjoint_action, dim5_complex):
+    cases = {"p3": (tcomplex.descent, tcomplex.rep),
+             "adjoint": (adjoint_action.acting, adjoint_action),
+             "dim5": (dim5_complex.descent, dim5_complex.rep)}
     got = {}
     for name, p in DELTA_SHA256:
         M = coboundary_matrix_for(*cases[name], p)
         entries = sorted((r, c, str(v)) for (r, c), v in M.data.items())
         got[name, p] = hashlib.sha256(repr((M.rows, M.cols, entries)).encode()).hexdigest()
     assert got == DELTA_SHA256
+
+
+def assert_columns_match(alg, rep, oc, p, cols=None):
+    M = coboundary_matrix_for(alg, rep, p)
+    got = oracles.o_columns(M)
+    want = oracles.o_delta_columns(oc, p, cols)
+    if cols is not None:
+        got = {c: got[c] for c in cols if c in got}
+    assert got == want
+    return want
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_coboundary_columns_match_yamaguti_oracle_on_p3(tcomplex, p3, p):
+    want = assert_columns_match(tcomplex.descent, tcomplex.rep, OpOracle(p3), p)
+    assert want
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_coboundary_columns_match_yamaguti_oracle_on_random_dim3(p):
+    # the random brackets, rho and mu of a seeded operator's action: every
+    # structure tensor of the formula is dense, and no axiom holds
+    r = forced_operator(random.Random(3003), 3, 3).action
+    assert_columns_match(r.acting, r, oracles.RepOracle(r.acting, r), p)
+
+
+def test_degree4_sampled_columns_match_yamaguti_oracle_on_p3(tcomplex, p3):
+    cols = sorted(random.Random(4004).sample(range(4320), 48))
+    want = assert_columns_match(tcomplex.descent, tcomplex.rep, OpOracle(p3), 4, cols)
+    assert len(want) > len(cols) // 2
 
 
 def test_degrees_below_one_raise(tcomplex):
@@ -187,7 +268,7 @@ def test_witnesses_complement_coboundaries(tcomplex):
     # the witnesses of H^2 are cocycles, and together with the coboundaries
     # they span Z^2 without redundancy (dense oracle ranks)
     ws = [w.as_flat() for w in tcomplex.cohomology_witnesses(2)]
-    m1, m2 = tcomplex.matrix(1).to_dense(), tcomplex.matrix(2)
+    m1, m2 = oracles.o_dense(tcomplex.matrix(1)), tcomplex.matrix(2)
     for w in ws:
         assert all(v == 0 for v in m2.apply(w))
     bcols = [tuple(row[j] for row in m1) for j in range(len(m1[0]))]
@@ -213,7 +294,7 @@ def test_yamaguti_complex_of_adjoint(nilpotent4, adjoint_action):
     # the plain complex over the algebra itself also composes to zero
     m1 = coboundary_matrix_for(nilpotent4, adjoint_action, 1)
     m2 = coboundary_matrix_for(nilpotent4, adjoint_action, 2)
-    assert m2.mul(m1).is_zero()
+    assert not oracles.o_product(m2, m1)
     c = Cochain(1, 4, 4, [nilpotent4.e(i) for i in range(4)])  # the identity map
     d = yamaguti_coboundary(nilpotent4, adjoint_action, c)
     assert d.p == 2

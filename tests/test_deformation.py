@@ -144,7 +144,7 @@ def test_extension_extends(p3, rng):
 def test_extension_rank_certificate_on_cocycle_terms(p3, tcomplex):
     # T + t*T1 with T1 a random combination of 1-cocycles is an order-1
     # deformation; some of these obstructions are not coboundaries
-    dense = tcomplex.matrix(1).to_dense()
+    dense = oracles.o_dense(tcomplex.matrix(1))
     outcomes = set()
     for T1 in cocycle_terms(tcomplex):
         d = OrderNDeformation(p3, [T1])

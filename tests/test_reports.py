@@ -387,7 +387,7 @@ WITNESS_DIGESTS = {
     "rrb-hom-2id": ("38c2c0db707847b1444e8860d376ed9c8dc053215acaec6449f8cdd360519ced", 14),
     "rrb-hom-2id-capped": ("650582fdada117f4edab3196c05db1653aad9a5f09eda43b2706facd2288216c",
                            10),
-    "rrb-hom-dense": ("664cb9a1315861b5e87e3ec704cbda60e773d9652a4291f7312c8545908b9bdf", 51),
+    "rrb-hom-dense": ("b31d3f7a0cc9f6ed54bb8c8341e2349d139f8e19e92169e2f19a244e0c600baf", 141),
     "rrb-hom-dense-capped": (
         "363fe914de067119609f848d31bdf932f3e4da606c1334fab604e648fa941105", 10),
 }
