@@ -31,14 +31,21 @@ term, and every entry comes from a nonzero entry of a structure tensor: the
 composites X_k o X_l, one per two basis pairs, are tabulated once per matrix,
 and rho, mu, D and both brackets are read from their supports
 (``linalg.sparse_values``), so a zero block or bracket coefficient emits
-nothing.  The matrices are stored sparsely.
+nothing.  The matrices are stored sparsely, and kernel vectors stay sparse
+until a witness is returned.
+
+The operator's own data, the descent algebra and the induced representation
+(rho_T, mu_T, D_T), is tabulated in the same way: the supports are pulled back
+along T's nonzero entries and pushed forward through T (``linalg.pull`` and
+``linalg.push``), so no dense evaluation of T or of the action takes place.
 """
 
 import itertools
 
 from .errors import AxiomsFailed, ShapeMismatch, TooLarge
-from .linalg import (Q0, Q1, Echelon, axpy, frac, invert, is_zero_vec, mat_col,
-                     mat_vec, solve, sparse_values, vadd, vscale, vsub, vzero)
+from .linalg import (Q0, Q1, Echelon, axpy, dense, frac, invert, is_zero_vec, mat_col,
+                     mat_vec, matrix_values, nested, pull, push, solve, sparse_map,
+                     sparse_values, vadd, vector_values, vscale, vsub, vzero)
 from .reps import RepAction
 
 
@@ -99,7 +106,7 @@ class SparseMat:
         return self.cols - self.rank()
 
     def nullspace(self):
-        return Echelon(self.row_dicts()).nullspace(self.cols)
+        return [dense(v, (self.cols,)) for v in Echelon(self.row_dicts()).nullspace(self.cols)]
 
     def solve(self, b):
         """Some x with self . x = b (free coordinates 0); raises Inconsistent."""
@@ -243,10 +250,6 @@ def _expand(arg_dicts):
     return combos
 
 
-def zero_cochain(p, m, n):
-    return Cochain.zero(p, m, n)
-
-
 # ---------------------------------------------------------------------------
 # coboundary matrices
 
@@ -372,43 +375,43 @@ def induced_rep(op):
     mu_T(u,v)x = <x,Tu,Tv> - T( D(x,Tu)v - mu(x,Tv)u )
     with derived D checked against
     D_T(u,v)x = <Tu,Tv,x> - T( mu(Tv,x)u - mu(Tu,x)v ).
+
+    Each is tabulated at once over the basis tuples (u, v, x) from the
+    supports, with T's nonzero entries pulled into the slots that read Tu
+    (``linalg.pull``) and the inner sums pushed through T (``linalg.push``).
     """
     from .rrb import descent_algebra
     op.ensure_verified()
     r = op.action
-    g, h = r.acting, r.carrier
-    n, m = g.dim, h.dim
+    g = r.acting
+    n, m = g.dim, r.carrier.dim
     desc = descent_algebra(op)
-    Tc = op._cols
-    rho = []
-    for a in range(m):
-        cols = [vadd(g.bracket2(Tc[a], g.e(i)),
-                     op.apply(mat_col(r.rho[i], a))) for i in range(n)]
-        rho.append(tuple(tuple(cols[i][t] for i in range(n)) for t in range(n)))
-    # D(e_i, Tu_a), mu(e_i, Tu_a) and mu(Tu_a, e_i), each formed once
-    D_xT = [[r.D_at(i, Tc[a]) for a in range(m)] for i in range(n)]
-    mu_xT = [[r.mu_at(i, Tc[a]) for a in range(m)] for i in range(n)]
-    mu_Tx = [[r.mu_at(Tc[a], i) for a in range(m)] for i in range(n)]
-    mu = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            cols = []
-            for i in range(n):
-                inner = vsub(mat_col(D_xT[i][a], b), mat_col(mu_xT[i][b], a))
-                cols.append(vsub(g.bracket3(i, Tc[a], Tc[b]), op.apply(inner)))
-            row.append(tuple(tuple(cols[i][t] for i in range(n)) for t in range(n)))
-        mu.append(row)
-    rep = RepAction(desc, g, rho, mu)
-    for a in range(m):
-        for b in range(m):
-            for i in range(n):
-                inner = vsub(mat_col(mu_Tx[i][b], a), mat_col(mu_Tx[i][a], b))
-                want = vsub(g.bracket3(Tc[a], Tc[b], i), op.apply(inner))
-                if mat_col(rep.derived_D[a][b], i) != want:
-                    raise AxiomsFailed(
-                        "derived D of the induced pair deviates from its closed "
-                        "form at (%d,%d,%d)" % (a, b, i))
+    rows, cols = sparse_map(op.T)
+    c, d = sparse_values(g.binary), sparse_values(g.ternary)
+    rho, mu, D = (vector_values(t) for t in (r.rho, r.mu, r.derived_D))
+    # each table is {(a, i) or (a, b, i): {t: q}}, the value at (u_a, .., e_i)
+    rho_T, inner = {}, {}
+    pull(rho_T, Q1, c, (rows, None))
+    pull(inner, Q1, rho, (None, None), (1, 0))
+    push(rho_T, Q1, cols, inner)
+    mu_T, inner = {}, {}
+    pull(mu_T, Q1, d, (None, rows, rows), (2, 0, 1))
+    pull(inner, Q1, D, (None, rows, None), (2, 0, 1))
+    pull(inner, -Q1, mu, (None, rows, None), (2, 1, 0))
+    push(mu_T, -Q1, cols, inner)
+    D_T, inner = {}, {}
+    pull(D_T, Q1, d, (rows, rows, None))
+    pull(inner, Q1, mu, (rows, None, None), (1, 2, 0))
+    pull(inner, -Q1, mu, (rows, None, None), (0, 2, 1))
+    push(D_T, -Q1, cols, inner)
+    shape = (n, n)
+    rep = RepAction(desc, g, nested(matrix_values(rho_T), m, 1, shape),
+                    nested(matrix_values(mu_T), m, 2, shape))
+    derived = vector_values(rep.derived_D)
+    bad = [key for key in derived.keys() | D_T.keys() if derived.get(key) != D_T.get(key)]
+    if bad:
+        raise AxiomsFailed("derived D of the induced pair deviates from its closed "
+                           "form at (%d,%d,%d)" % min(bad))
     return rep
 
 
@@ -495,8 +498,9 @@ class TComplex:
         vector, in order, that is independent of everything kept before it.
         """
         span = Echelon(self.matrix(p - 1).col_dicts())
-        chosen = [v for v in self.matrix(p).nullspace() if span.insert(v)]
-        return [Cochain.from_flat(p, self.m, self.n, v) for v in chosen]
+        M = self.matrix(p)
+        chosen = [v for v in Echelon(M.row_dicts()).nullspace(M.cols) if span.insert(v)]
+        return [Cochain.from_flat(p, self.m, self.n, dense(v, (M.cols,))) for v in chosen]
 
 
 def pushforward_cochain(pair, c):

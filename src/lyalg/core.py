@@ -9,7 +9,7 @@ that equivalent to checking on arbitrary vectors.
 
 from .errors import AxiomsFailed, DimMismatch, NotLieAlgebra, StructureError
 from .linalg import (Q0, Subspace, Tensor, contract, frac, hom_table, is_zero_vec,
-                     skew_fault, sparse_map, sparse_values, vadd, vzero)
+                     nullspace_basis, skew_fault, sparse_map, sparse_values, vadd, vzero)
 from .reports import Checker
 
 
@@ -127,22 +127,20 @@ def from_lie_algebra(dim, binary, basis=None, name=None):
 
 
 def center(A):
-    """{x : [x,g]=0} n {x : <x,g,g>=0} n {x : <g,g,x>=0} as a subspace."""
-    n = A.dim
-    rows = []
-    for j in range(n):
-        for r in range(n):
-            rows.append(tuple(A.binary[i][j][r] for i in range(n)))
-    for j in range(n):
-        for k in range(n):
-            for r in range(n):
-                rows.append(tuple(A.ternary[i][j][k][r] for i in range(n)))
-    for j in range(n):
-        for k in range(n):
-            for r in range(n):
-                rows.append(tuple(A.ternary[j][k][i][r] for i in range(n)))
-    from .linalg import nullspace_basis
-    return Subspace(n, nullspace_basis(tuple(rows)))
+    """{x : [x,g]=0} n {x : <x,g,g>=0} n {x : <g,g,x>=0} as a subspace.
+
+    Each coordinate r of [x, e_j], <x, e_j, e_k> and <e_j, e_k, x> is one
+    equation in x, its coefficients read off the supports of the brackets.
+    """
+    rows = {}
+    for (i, j), v in sparse_values(A.binary).items():
+        for r, q in v.items():
+            rows.setdefault(("binary", j, r), {})[i] = q
+    for (i, j, k), v in sparse_values(A.ternary).items():
+        for r, q in v.items():
+            rows.setdefault(("first", j, k, r), {})[i] = q
+            rows.setdefault(("last", i, j, r), {})[k] = q
+    return Subspace(A.dim, nullspace_basis(list(rows.values()), A.dim))
 
 
 def derived_algebra(A):

@@ -110,10 +110,6 @@ def is_zero_mat(m):
     return all(x == 0 for row in m for x in row)
 
 
-def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
 def mat_col(m, j):
     return tuple(row[j] for row in m)
 
@@ -478,6 +474,20 @@ def dense(x, shape):
     return tuple(tuple(x.get((r, c), Q0) for c in range(shape[1])) for r in range(shape[0]))
 
 
+def nested(values, dim, arity, shape):
+    """The nested values over the basis tuples of Q^dim of a sparse table
+    {index tuple: sparse value} (see ``sparse_values``), zero where a tuple is
+    absent, as a ``Tensor`` takes them."""
+    zero = dense({}, shape)
+
+    def level(key):
+        if len(key) == arity:
+            v = values.get(key)
+            return zero if v is None else dense(v, shape)
+        return [level(key + (i,)) for i in range(dim)]
+    return level(())
+
+
 # ---------------------------------------------------------------------------
 # elimination
 #
@@ -559,7 +569,8 @@ class Echelon:
         return tuple(tuple(row.get(c, Q0) for c in range(ncols)) for _, row in self.items())
 
     def nullspace(self, ncols):
-        """Kernel basis of the rows in Q^ncols, one vector per free column."""
+        """Kernel basis of the rows in Q^ncols, one sparse vector {col: q} per
+        free column."""
         hits = {}
         for pc, row in self.items():
             for c, v in row.items():
@@ -569,11 +580,10 @@ class Echelon:
         for c in range(ncols):
             if c in self._rows:
                 continue
-            v = [Q0] * ncols
-            v[c] = Q1
+            v = {c: Q1}
             for pc, val in hits.get(c, ()):
                 v[pc] = -val
-            basis.append(tuple(v))
+            basis.append(v)
         return basis
 
 
@@ -598,7 +608,7 @@ def nullspace_basis(rows, ncols=None):
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    return Echelon(rows).nullspace(ncols)
+    return [dense(v, (ncols,)) for v in Echelon(rows).nullspace(ncols)]
 
 
 def solve(rows, b, ncols=None):

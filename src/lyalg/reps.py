@@ -6,15 +6,18 @@ to five compatibility equations (R1-R5 below).  The derived skew map
 
     D(x, y) = mu(y, x) - mu(x, y) + [rho(x), rho(y)] - rho([x, y])
 
-is cached at construction.  An *action* additionally lands in the center of the
-carrier algebra and kills its brackets, which is exactly what makes the
-semidirect brackets on g (+) h satisfy the Lie-Yamaguti axioms.
+is computed once, at construction, from the supports of rho, mu and the acting
+bracket.  An *action* additionally lands in the center of the carrier algebra
+and kills its brackets, which is exactly what makes the semidirect brackets on
+g (+) h satisfy the Lie-Yamaguti axioms.  The action test reads supports too:
+each nonzero column of rho, mu and D is tested against the center, and each
+nonzero block is applied to the nonzero bracket values only.
 """
 
 from .core import LYAlgebra, center
 from .errors import AxiomsFailed, DimMismatch, NotAnAction
-from .linalg import (Tensor, commutator, contract, is_zero_vec, mat_add, mat_col, mat_sub,
-                     mat_vec, sparse_values, vscale, vzero)
+from .linalg import (Q1, Tensor, axpy, contract, dense, mat_col, nested, sparse_mul,
+                     sparse_values, vscale, vzero)
 from .reports import Checker
 
 
@@ -76,14 +79,30 @@ class RepAction:
 
 
 def derive_D(r):
-    """The skew bilinear map D(x,y) = mu(y,x) - mu(x,y) + [rho(x),rho(y)] - rho([x,y])."""
-    g = r.acting
-    n = g.dim
-    return Tensor([[mat_sub(mat_add(mat_sub(r.mu[j][i], r.mu[i][j]),
-                                    commutator(r.rho[i], r.rho[j])),
-                            r.rho_at(g.binary[i][j]))
-                    for j in range(n)] for i in range(n)],
-                  n, 2, r.rho.shape)
+    """The skew bilinear map D(x,y) = mu(y,x) - mu(x,y) + [rho(x),rho(y)] - rho([x,y]).
+
+    Only the supports are multiplied: the products of nonzero rho blocks, and
+    each rho block by a nonzero bracket coefficient.  The acting bracket is
+    antisymmetric (``LYAlgebra`` enforces it), so D is, and D(e_j, e_i) is
+    -D(e_i, e_j) for i < j.
+    """
+    n, shape = r.acting.dim, r.rho.shape
+    c, rho, mu = (sparse_values(t) for t in (r.acting.binary, r.rho, r.mu))
+    values = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = dict(mu.get((j, i), {}))
+            axpy(d, -Q1, mu.get((i, j), {}))
+            a, b = rho.get((i,)), rho.get((j,))
+            if a and b:
+                axpy(d, Q1, sparse_mul(a, b))
+                axpy(d, -Q1, sparse_mul(b, a))
+            for k, q in c.get((i, j), {}).items():
+                axpy(d, -q, rho.get((k,), {}))
+            if d:
+                values[i, j] = d
+                values[j, i] = {rc: -q for rc, q in d.items()}
+    return Tensor(nested(values, n, 2, shape), n, 2, shape)
 
 
 def _supports(r):
@@ -184,30 +203,31 @@ def check_action(r, all_violations=False):
         return rep
     g, h = r.acting, r.carrier
     h.ensure_verified()
-    n, m = g.dim, h.dim
+    shape = (h.dim,)
     C = center(h)
     ck = Checker("action(%s on %s)" % (g.name, h.name), all_violations)
-
-    families = [("rho", r.rho.support.items()), ("mu", r.mu.support.items()),
-                ("D", r.derived_D.support.items())]
-    brackets2 = [(ab, v) for ab, v in h.binary.support.items() if ab[0] < ab[1]]
-    brackets3 = h.ternary.support.items()
-    for fam, mats in families:
-        for args, M in mats:
+    brackets = [("-kills-binary", [(ab, v) for ab, v in sparse_values(h.binary).items()
+                                   if ab[0] < ab[1]]),
+                ("-kills-ternary", sparse_values(h.ternary).items())]
+    for fam, t in (("rho", r.rho), ("mu", r.mu), ("D", r.derived_D)):
+        for args, M in sparse_values(t).items():
             if ck.done:
                 break
-            for col in range(m):
-                v = mat_col(M, col)
-                if not is_zero_vec(v) and not C.contains(v):
+            cols = {}
+            for (row, col), q in M.items():
+                cols.setdefault(col, {})[row] = q
+            for col in sorted(cols):
+                v = dense(cols[col], shape)
+                if not C.contains(v):
                     ck.record(fam + "-image-central", args + (col,), v)
-            for bargs, v in brackets2:
-                w = mat_vec(M, v)
-                if not is_zero_vec(w):
-                    ck.record(fam + "-kills-binary", args + bargs, w)
-            for bargs, v in brackets3:
-                w = mat_vec(M, v)
-                if not is_zero_vec(w):
-                    ck.record(fam + "-kills-ternary", args + bargs, w)
+            # M applied to each nonzero bracket value, column by column
+            for eq, values in brackets:
+                for bargs, v in values:
+                    w = {}
+                    for col, q in v.items():
+                        axpy(w, q, cols.get(col, {}))
+                    if w:
+                        ck.record(fam + eq, args + bargs, dense(w, shape))
     out = ck.report({"center_dim": C.dim})
     if out.passed:
         r.action_certified = True

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .core import LYAlgebra, check_homomorphism, derived_algebra
 from .errors import DimMismatch, PreconditionFailed, Unverified
 from .linalg import (Q1, hom_table, invert, is_zero_mat, is_zero_vec, mat, mat_col, mat_id,
-                     mat_mul, mat_sub, mat_vec, matrix_values, pull, push, sparse_map,
-                     sparse_values, transpose, vadd, vector_values, vsub)
+                     mat_mul, mat_sub, mat_vec, matrix_values, nested, pull, push, sparse_map,
+                     sparse_values, transpose, vector_values)
 from .reports import Checker
 from .reps import adjoint_rep
 
@@ -81,6 +81,38 @@ class HomPair:
 # and ``linalg.push``); the tables are expanded over the supports and the
 # nonzero entries of the T_i only.
 
+def _splits(p, top):
+    """(j, p - j) with both indices in range(top + 1)."""
+    return [(j, p - j) for j in range(max(0, p - top), min(p, top) + 1)]
+
+
+def _inner_sums(r, rows, degree):
+    """([I_0, .., I_degree], [J_0, .., J_degree]) for T_t = sum_i t^i T_i over
+    the action ``r``, each T_i given by the rows of its nonzero entries
+    (``linalg.sparse_map``), as sparse tables over the carrier's basis tuples.
+    I_0 and J_0 for T alone are the brackets of the descent algebra.
+    """
+    h = r.carrier
+    rho, mu, D = (vector_values(t) for t in (r.rho, r.mu, r.derived_D))
+    top = len(rows) - 1
+    inner2, inner3 = [], []
+    for p in range(degree + 1):
+        I, J = {}, {}
+        if p == 0:
+            pull(I, Q1, sparse_values(h.binary), (None, None), (0, 1))
+            pull(J, Q1, sparse_values(h.ternary), (None, None, None), (0, 1, 2))
+        if p <= top:
+            pull(I, Q1, rho, (rows[p], None), (0, 1))
+            pull(I, -Q1, rho, (rows[p], None), (1, 0))
+        for j, k in _splits(p, top):
+            pull(J, Q1, D, (rows[j], rows[k], None), (0, 1, 2))
+            pull(J, Q1, mu, (rows[j], rows[k], None), (1, 2, 0))
+            pull(J, -Q1, mu, (rows[j], rows[k], None), (0, 2, 1))
+        inner2.append(I)
+        inner3.append(J)
+    return inner2, inner3
+
+
 def coefficients(r, Ts, degrees):
     """{s: (binary, ternary)} for each s in ``degrees``: the t^s coefficients
     of RRB1 and RRB2 for T_t = sum_i t^i Ts[i] over the action ``r``, as
@@ -98,35 +130,15 @@ def coefficients(r, Ts, degrees):
     maps = [sparse_map(T) for T in Ts]
     rows, cols = [r for r, _ in maps], [c for _, c in maps]
     c, d = sparse_values(g.binary), sparse_values(g.ternary)
-    rho, mu, D = (vector_values(t) for t in (r.rho, r.mu, r.derived_D))
     top = len(Ts) - 1
-
-    def pairs(p):
-        """(j, p - j) with both indices of a T_i."""
-        return [(j, p - j) for j in range(max(0, p - top), min(p, top) + 1)]
-
-    inner2, inner3 = [], []
-    for p in range(max(degrees, default=-1) + 1):
-        I, J = {}, {}
-        if p == 0:
-            pull(I, Q1, sparse_values(h.binary), (None, None), (0, 1))
-            pull(J, Q1, sparse_values(h.ternary), (None, None, None), (0, 1, 2))
-        if p <= top:
-            pull(I, Q1, rho, (rows[p], None), (0, 1))
-            pull(I, -Q1, rho, (rows[p], None), (1, 0))
-        for j, k in pairs(p):
-            pull(J, Q1, D, (rows[j], rows[k], None), (0, 1, 2))
-            pull(J, Q1, mu, (rows[j], rows[k], None), (1, 2, 0))
-            pull(J, -Q1, mu, (rows[j], rows[k], None), (0, 2, 1))
-        inner2.append(I)
-        inner3.append(J)
+    inner2, inner3 = _inner_sums(r, rows, max(degrees, default=-1))
     out = {}
     for s in degrees:
         B, C = {}, {}
-        for i, j in pairs(s):
+        for i, j in _splits(s, top):
             pull(B, Q1, c, (rows[i], rows[j]), (0, 1))
         for i in range(min(s, top) + 1):
-            for j, k in pairs(s - i):
+            for j, k in _splits(s - i, top):
                 pull(C, Q1, d, (rows[i], rows[j], rows[k]), (0, 1, 2))
             push(B, -Q1, cols[i], inner2[s - i])
             push(C, -Q1, cols[i], inner3[s - i])
@@ -224,25 +236,17 @@ def descent_algebra(op):
 
     [u,v]_T   = rho(Tu)v - rho(Tv)u + [u,v]_h
     <u,v,w>_T = D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v + <u,v,w>_h
+
+    Both are the degree-0 inner sums of the weight-1 equations
+    (``_inner_sums``), tabulated over the supports and T's nonzero entries.
     """
     op.ensure_verified()
     r = op.action
     h = r.carrier
     m = h.dim
-    T = op._cols
-    rho_T = [r.rho_at(T[a]) for a in range(m)]
-    mu_T = [[r.mu_at(T[a], T[b]) for b in range(m)] for a in range(m)]
-    binary = [[None] * m for _ in range(m)]
-    ternary = [[[None] * m for _ in range(m)] for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            binary[a][b] = vadd(vsub(mat_col(rho_T[a], b), mat_col(rho_T[b], a)),
-                                h.binary[a][b])
-            D_T = r.D_at(T[a], T[b])
-            for c in range(m):
-                t = vadd(mat_col(D_T, c), vsub(mat_col(mu_T[b][c], a), mat_col(mu_T[a][c], b)))
-                ternary[a][b][c] = vadd(t, h.ternary[a][b][c])
-    D = LYAlgebra(m, binary, ternary, basis=h.basis, name="%s-descent" % h.name)
+    (binary,), (ternary,) = _inner_sums(r, [sparse_map(op.T)[0]], 0)
+    D = LYAlgebra(m, nested(binary, m, 2, (m,)), nested(ternary, m, 3, (m,)),
+                  basis=h.basis, name="%s-descent" % h.name)
     D.ensure_verified()
     hom = check_homomorphism(D, r.acting, op.T)
     if not hom.passed:

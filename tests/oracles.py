@@ -273,6 +273,57 @@ def o_lemma_violations(r):
     ])
 
 
+def o_action_violations(r):
+    """The witnesses of the action conditions on a representation: for rho at
+    each (i,), then mu and then D at each (i, j) with a nonzero value M, in
+    turn, every column c of M that is nonzero and not central in the carrier
+    ("<fam>-image-central" at args + (c,), residual the column), then M[e_a,
+    e_b] at each a < b ("<fam>-kills-binary" at args + (a, b)) and M<e_a, e_b,
+    e_c> at each triple ("<fam>-kills-ternary" at args + (a, b, c)) wherever
+    nonzero.  A vector v is central when [v, e_s], <v, e_s, e_t> and
+    <e_s, e_t, v> vanish for all basis vectors, checked on the brackets of the
+    carrier's basis vectors; D comes from its closed form."""
+    n, h = r.acting.dim, r.carrier
+    m = h.dim
+    eg, e = [_unit(n, i) for i in range(n)], [_unit(m, a) for a in range(m)]
+    b2 = [[br2(h, e[a], e[s]) for s in range(m)] for a in range(m)]
+    b3 = [[[br3(h, e[a], e[s], e[t]) for t in range(m)] for s in range(m)] for a in range(m)]
+
+    def central(v):
+        live = [(q, a) for a, q in enumerate(v) if q]
+
+        def vanishes(value):
+            return not _nonzero(_sum((Z,) * m, *(sc(q, value(a)) for q, a in live)))
+        return all(vanishes(lambda a: b2[a][s])
+                   and all(vanishes(lambda a: b3[a][s][t]) and vanishes(lambda a: b3[s][t][a])
+                           for t in range(m))
+                   for s in range(m))
+
+    # a zero bracket has a zero image, so only the nonzero ones are multiplied
+    pairs = [((a, b), b2[a][b]) for a in range(m) for b in range(a + 1, m)
+             if _nonzero(b2[a][b])]
+    triples = [((a, b, c), b3[a][b][c]) for a, b, c in itertools.product(range(m), repeat=3)
+               if _nonzero(b3[a][b][c])]
+    families = [("rho", [((i,), rho_at(r, eg[i])) for i in range(n)]),
+                ("mu", [((i, j), mu_at(r, eg[i], eg[j])) for i in range(n) for j in range(n)]),
+                ("D", [((i, j), D_at(r, eg[i], eg[j])) for i in range(n) for j in range(n)])]
+    out = []
+    for fam, values in families:
+        for args, M in values:
+            if not _nonzero(M):
+                continue
+            for c in range(m):
+                v = col(M, c)
+                if _nonzero(v) and not central(v):
+                    out.append((fam + "-image-central", args + (c,), v))
+            for eq, brackets in (("-kills-binary", pairs), ("-kills-ternary", triples)):
+                for key, v in brackets:
+                    w = mv(M, v)
+                    if _nonzero(w):
+                        out.append((fam + eq, args + key, w))
+    return out
+
+
 def _post_values(P):
     """dot, star, angle, brace, the derived brace, [,]_C and <,,>_C of a
     post-algebra, each slot a basis index or a vector; the three derived

@@ -14,7 +14,7 @@ from lyalg import cohomology
 from lyalg.errors import ShapeMismatch, TooLarge
 from lyalg.linalg import mat_id, mat_vec
 from lyalg.reps import adjoint_rep
-from lyalg.rrb import HomPair
+from lyalg.rrb import HomPair, descent_algebra
 
 import oracles
 from conftest import fx
@@ -66,18 +66,45 @@ def test_induced_rep_is_representation(p3):
     assert check_representation(rep).passed
 
 
-def test_induced_rep_closed_forms(p3):
-    rep = induced_rep(p3)
-    oc = OpOracle(p3)
-    m = rep.carrier.dim
-    eh = [p3.action.carrier.e(a) for a in range(4)]
-    for a in range(4):
-        for b in range(4):
-            for i in range(m):
-                x = rep.carrier.e(i)
+def assert_induced_closed_forms(op):
+    """rho_T, mu_T and D_T, and the descent brackets, against the oracle's
+    closed forms at every basis tuple."""
+    rep = induced_rep(op)
+    desc = descent_algebra(op)
+    oc = OpOracle(op)
+    n, m = rep.carrier.dim, rep.acting.dim
+    eh = [tuple(F(int(s == a)) for s in range(m)) for a in range(m)]
+    eg = [tuple(F(int(s == i)) for s in range(n)) for i in range(n)]
+    for a in range(m):
+        for b in range(m):
+            for i in range(n):
+                x = eg[i]
                 assert mat_vec(rep.rho[a], x) == oc.rho(eh[a], x)
                 assert mat_vec(rep.mu[a][b], x) == oc.mu(eh[a], eh[b], x)
                 assert mat_vec(rep.derived_D[a][b], x) == oc.D(eh[a], eh[b], x)
+            assert desc.binary[a][b] == oc.br2(eh[a], eh[b])
+            for c in range(m):
+                assert desc.ternary[a][b][c] == oc.br3(eh[a], eh[b], eh[c])
+
+
+def test_induced_rep_closed_forms(p3):
+    assert_induced_closed_forms(p3)
+
+
+@pytest.mark.parametrize("seed,shape", [(5005, (3, 1, 1)), (5006, (3, 1, 1)), (5007, (2, 2, 1)),
+                                        (5008, (2, 1, 2))])
+def test_induced_rep_and_descent_closed_forms_at_dim5(seed, shape):
+    assert_induced_closed_forms(two_step_operator(random.Random(seed), *shape))
+
+
+@pytest.mark.parametrize("seed,n,m,k", [(5101, 3, 3, 1), (5102, 4, 3, 2), (5103, 3, 4, 1)])
+def test_induced_rep_closed_forms_over_square_zero_action(seed, n, m, k):
+    # T's image is not central here, so the mu and rho terms pushed through T
+    # do not vanish, as they do for every operator over an adjoint action above
+    op = square_zero_operator(random.Random(seed), n, m, k)
+    assert_induced_closed_forms(op)
+    rep = TComplex(op).rep       # built and checked as a representation
+    assert rep.rho.support and rep.mu.support and rep.derived_D.support
 
 
 def test_partial_matrix_matches_oracle(tcomplex, oracle_matrices):
@@ -192,6 +219,32 @@ def two_step_operator(rng, v, free, targets):
     T = [[rng.choice(pool) if c >= v and s not in tgt else F(0) for s in range(dim)]
          for c in range(dim)]
     return L.RRBOperator(adjoint_rep(A), T).ensure_verified()
+
+
+def square_zero_operator(rng, n, m, k):
+    """A weight-1 operator from an abelian m-dim carrier into an abelian n-dim
+    algebra, with image in the span of the first k basis vectors, over the
+    action rho(e_i) = r_i N, mu(e_i, e_j) = c_ij N for a fixed N = v w^T with
+    w.v = 0, so every product of two action matrices vanishes.  r_i and c_ij
+    vanish for i, j < k, so rho(Tu), mu(Tu, Tv) and D(Tu, Tv) vanish and both
+    weight-1 equations hold, while T(mu(e_i, Tu)v), T(mu(Tu, e_i)v) and
+    T(rho(e_i)u) need not: every term of the induced representation is live."""
+    pool = [F(1), F(-1), F(2), F(1, 2)]
+    v = [rng.choice(pool) for _ in range(m - 1)]
+    v.append(F(1))
+    w = [rng.choice(pool) for _ in range(m - 1)]
+    w.append(-sum(a * b for a, b in zip(v, w)))
+    N = [[a * b for b in w] for a in v]
+
+    def times_N(*idx):
+        c = F(0) if all(i < k for i in idx) else rng.choice(pool + [F(0)])
+        return [[c * x for x in row] for row in N]
+
+    rho = [times_N(i) for i in range(n)]
+    mu = [[times_N(i, j) for j in range(n)] for i in range(n)]
+    r = L.RepAction(L.abelian(n), L.abelian(m), rho, mu)
+    T = [[rng.choice(pool) if i < k else F(0) for _ in range(m)] for i in range(n)]
+    return L.RRBOperator(r, T).ensure_verified()
 
 
 @pytest.fixture(scope="module")

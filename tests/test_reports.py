@@ -11,7 +11,7 @@ from lyalg.postlya import (PostLYAlgebra, check_post_axioms, check_post_homomorp
 from lyalg.deformation import check_equivalence, check_linear_deformation
 from lyalg.linalg import mat_id
 from lyalg.reports import Checker
-from lyalg.reps import RepAction, adjoint_rep, check_representation
+from lyalg.reps import RepAction, adjoint_rep, check_action, check_representation
 from lyalg.rrb import HomPair, check_rrb_homomorphism, graph_subalgebra_check
 
 from conftest import fx
@@ -68,14 +68,18 @@ def heisenberg5_operator(rng):
     return op.ensure_verified()
 
 
-def sl2_operator(rng):
-    """A rank-one weight-1 operator into sl2 over its trivial action on a
-    2-dim abelian carrier: the image is abelian, so both equations vanish."""
+def sl2():
     c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
     for a, b, v in ((2, 0, [2, 0, 0]), (2, 1, [0, -2, 0]), (0, 1, [0, 0, 1])):
         c[a][b] = [F(x) for x in v]
         c[b][a] = [-F(x) for x in v]
-    g = L.from_lie_algebra(3, c, basis=["e", "f", "h"], name="sl2")
+    return L.from_lie_algebra(3, c, basis=["e", "f", "h"], name="sl2")
+
+
+def sl2_operator(rng):
+    """A rank-one weight-1 operator into sl2 over its trivial action on a
+    2-dim abelian carrier: the image is abelian, so both equations vanish."""
+    g = sl2()
     zero = [[F(0)] * 2 for _ in range(2)]
     r = RepAction(g, L.abelian(2), [zero] * 3, [[zero] * 3 for _ in range(3)])
     T = [[F(0)] * 2, [F(0)] * 2, [rng.choice([F(-1), F(1), F(2)]) for _ in range(2)]]
@@ -94,10 +98,25 @@ def bump(rng, entries):
     return [x + y for x, y in zip(entries, out)]
 
 
+def filiform(n):
+    """The filiform Lie algebra [e1, e_k] = e_(k+1), 1 < k < n: its adjoint
+    representation is not an action, since rho(e1) moves e2 off the center."""
+    c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for k in range(1, n - 1):
+        c[0][k] = [F(int(s == k + 1)) for s in range(n)]
+        c[k][0] = [-x for x in c[0][k]]
+    return L.from_lie_algebra(n, c, name="filiform%d" % n)
+
+
+def semidirect8():
+    """The dim-8 semidirect algebra of nilpotent4's adjoint action."""
+    return adjoint_rep(nilpotent4()).ensure_action().semidirect()
+
+
 def perturbed_semidirect(rng):
     """The dim-8 semidirect algebra of nilpotent4's adjoint action with two
     brackets moved off the axioms: sparse, so most tuples have no live term."""
-    S = adjoint_rep(nilpotent4()).ensure_action().semidirect()
+    S = semidirect8()
     n = S.dim
     c = [[list(v) for v in row] for row in S.binary]
     d = [[[list(v) for v in row] for row in plane] for plane in S.ternary]
@@ -351,6 +370,11 @@ def _seeded_reports():
         rng = random.Random(7001)
         yield "rrb-hom-dense" + suffix, check_rrb_homomorphism(
             p3, p3, HomPair(dense(rng, 4, 4), dense(rng, 4, 4)), all_violations=av)
+    for name, A in (("sl2", sl2()), ("filiform6", filiform(6)),
+                    ("nilpotent4-sl2", L.direct_sum(nilpotent4(), sl2()))):
+        for av, suffix in ((True, ""), (False, "-capped")):
+            yield "action-" + name + suffix, check_action(adjoint_rep(A), all_violations=av)
+    yield "action-semidirect8", check_action(adjoint_rep(semidirect8()), all_violations=True)
 
 
 # SHA-256 of the canonical JSON of each report, and its witness count; every
@@ -390,6 +414,18 @@ WITNESS_DIGESTS = {
     "rrb-hom-dense": ("b31d3f7a0cc9f6ed54bb8c8341e2349d139f8e19e92169e2f19a244e0c600baf", 141),
     "rrb-hom-dense-capped": (
         "363fe914de067119609f848d31bdf932f3e4da606c1334fab604e648fa941105", 10),
+    "action-sl2": ("5c47d4cb0c5487a49a6377764446127ebd1499e51114cd12301bd265ae9b5825", 180),
+    "action-sl2-capped": ("112c0c09cbfa46b24349ef4bdd769402c8cb9d5e7c294eeb9edd1e791b57caf5",
+                          10),
+    "action-filiform6": ("3bc1aa0af757e1ae447f98d78f5f03a6b86102036cf0dc6a53383578dbea5ec2", 25),
+    "action-filiform6-capped": (
+        "f3d97317140b606d8fcb77e12e484d7913b54bd870f9bd11c9bb93177ac2c691", 10),
+    "action-nilpotent4-sl2": (
+        "476ded5d6f002df94536d742fcd34863362fbaa5074a4c512b1fb40dbaf707fb", 180),
+    "action-nilpotent4-sl2-capped": (
+        "bbea388588e23b9a65d6b6a8424e46e99266fd70dfeed1a0d72db3d56d5cd157", 10),
+    "action-semidirect8": ("186ebfe12b2af2bd407007df36e52d4af4ff1f1104b484e7a85db88de78ac958",
+                           0),
 }
 
 

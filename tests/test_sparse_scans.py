@@ -16,14 +16,15 @@ from lyalg import io as lyio
 from lyalg.cohomology import induced_rep
 from lyalg.deformation import check_equivalence
 from lyalg.postlya import check_post_axioms, check_post_homomorphism, induced_post_from_rrb
-from lyalg.reps import RepAction, adjoint_rep, check_lemma_identities, check_representation
+from lyalg.reps import (RepAction, adjoint_rep, check_action, check_lemma_identities,
+                        check_representation)
 from lyalg.rrb import lift_operator
 
 import oracles
 from conftest import family_matrix, fx
-from test_reports import (dense, forced_operator, heisenberg5, nilpotent4, p3_operator,
-                          perturbed_adjoint, perturbed_post, perturbed_semidirect, sl2_operator,
-                          wedge_pairs)
+from test_reports import (antisym2, antisym3, dense, filiform, forced_operator, heisenberg5,
+                          nilpotent4, p3_operator, perturbed_adjoint, perturbed_post,
+                          perturbed_semidirect, semidirect8, sl2, sl2_operator, wedge_pairs)
 
 POOL = [F(-1), F(0), F(0), F(0), F(1), F(2)]
 
@@ -91,10 +92,49 @@ def test_small_acting_or_carrier_matches_dense_oracle(n, m):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_small_algebras_match_dense_oracle(n):
-    from test_reports import antisym2, antisym3
     rng = random.Random(200 + n)
     A = L.LYAlgebra(n, antisym2(rng, n), antisym3(rng, n))
     assert listed(L.check_ly_axioms(A, all_violations=True)) == oracles.o_ly_violations(A)
+
+
+def unit(n, i):
+    return tuple(F(int(s == i)) for s in range(n))
+
+
+def assert_D_matches(r):
+    n = r.acting.dim
+    for i in range(n):
+        for j in range(n):
+            assert r.derived_D[i][j] == oracles.D_at(r, unit(n, i), unit(n, j)), (i, j)
+
+
+@pytest.mark.parametrize("n,m", [(0, 0), (0, 3), (1, 0), (1, 2), (2, 2), (2, 4), (3, 1),
+                                 (3, 3), (4, 2), (4, 4)])
+def test_derived_D_matches_closed_form_oracle(n, m):
+    """Random brackets, rho and mu: a representation only by accident."""
+    rng = random.Random(300 + 10 * n + m)
+    g = L.LYAlgebra(n, antisym2(rng, n), antisym3(rng, n))
+    r = RepAction(g, L.abelian(m), plain(rng, n, m, m), plain(rng, n, n, m, m))
+    assert_D_matches(r)
+
+
+def test_derived_D_of_representations_matches_closed_form_oracle(p3):
+    for r in (p3.action, induced_rep(p3), adjoint_rep(sl2()), adjoint_rep(filiform(5)),
+              adjoint_rep(heisenberg5())):
+        assert_D_matches(r)
+
+
+@pytest.mark.parametrize("name", ["sl2", "filiform6", "nilpotent4-sl2", "semidirect8",
+                                  "p3-induced"])
+def test_action_matches_dense_oracle(p3, name):
+    r = {"sl2": lambda: adjoint_rep(sl2()),
+         "filiform6": lambda: adjoint_rep(filiform(6)),
+         "nilpotent4-sl2": lambda: adjoint_rep(L.direct_sum(nilpotent4(), sl2())),
+         "semidirect8": lambda: adjoint_rep(semidirect8()),
+         "p3-induced": lambda: induced_rep(p3)}[name]()
+    rep = check_action(r, all_violations=True)
+    assert rep.passed == (name in ("semidirect8", "p3-induced"))
+    assert listed(rep) == oracles.o_action_violations(r)
 
 
 @pytest.mark.parametrize("as_printed", [False, True])

@@ -49,3 +49,50 @@ def test_no_unused_imports():
     bad = [(f, line, name) for f in modules
            for line, name in unused_imports(os.path.join(SRC, f))]
     assert bad == []
+
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+
+def sources(*dirs):
+    """{path: source} of every Python file under the given repository dirs."""
+    out = {}
+    for d in dirs:
+        for dirpath, _, files in os.walk(os.path.join(ROOT, d)):
+            for f in sorted(files):
+                if f.endswith(".py"):
+                    path = os.path.join(dirpath, f)
+                    with open(path, encoding="utf-8") as fh:
+                        out[path] = fh.read()
+    return out
+
+
+def unread_functions(library, readers):
+    """(file, line, name) of each module-level function defined in the
+    sources ``library`` that no source in ``readers`` reads, as a name or as
+    an attribute; a re-export by import is not a read."""
+    defined = []
+    for path, text in library.items():
+        for node in ast.parse(text, path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append((os.path.basename(path), node.lineno, node.name))
+    read = set()
+    for path, text in readers.items():
+        for node in ast.walk(ast.parse(text, path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_every_library_function_is_read():
+    library = sources(os.path.join("src", "lyalg"))
+    readers = {**library, **sources("tests", "perfbench")}
+    assert unread_functions(library, readers) == []
+
+
+def test_an_unread_function_is_caught():
+    library = {"m.py": "def used():\n    pass\n\n\ndef unused():\n    pass\n"}
+    readers = {**library, "t.py": "from m import unused\nused()\nx.unused_attr\n"}
+    assert unread_functions(library, readers) == [("m.py", 5, "unused")]
