@@ -30,7 +30,7 @@ Coboundary matrices of every degree are assembled from these formulas term by
 term, and every entry comes from a nonzero entry of a structure tensor: the
 composites X_k o X_l, one per two basis pairs, are tabulated once per matrix,
 and rho, mu, D and both brackets are read from their supports
-(``linalg.sparse_values``), so a zero block or bracket coefficient emits
+(``linalg.Tensor.support``), so a zero block or bracket coefficient emits
 nothing.  The matrices are stored sparsely, and kernel vectors stay sparse
 until a witness is returned.
 
@@ -43,9 +43,9 @@ along T's nonzero entries and pushed forward through T (``linalg.pull`` and
 import itertools
 
 from .errors import AxiomsFailed, ShapeMismatch, TooLarge
-from .linalg import (Q0, Q1, Echelon, axpy, dense, frac, invert, is_zero_vec, mat_col,
-                     mat_vec, matrix_values, nested, pull, push, solve, sparse_map,
-                     sparse_values, vadd, vector_values, vscale, vsub, vzero)
+from .linalg import (Q0, Q1, Echelon, Tensor, axpy, dense, frac, invert, is_zero_vec,
+                     mat_col, mat_vec, matrix_values, pull, push, solve, sparse_map, vadd,
+                     vector_values, vscale, vsub, vzero)
 from .reps import RepAction
 
 
@@ -121,12 +121,14 @@ def pair_basis(m):
 
 
 def wedge_coords(x, y, pidx):
-    """Sparse coordinates of x /\\ y on the reduced pair basis."""
+    """Sparse coordinates of x /\\ y on the reduced pair basis; x and y are
+    vectors or sparse dicts {index: q}."""
+    x, y = (v if isinstance(v, dict) else dict(enumerate(v)) for v in (x, y))
     out = {}
-    for i, xi in enumerate(x):
+    for i, xi in x.items():
         if xi == 0:
             continue
-        for j, yj in enumerate(y):
+        for j, yj in y.items():
             if yj == 0 or i == j:
                 continue
             if i < j:
@@ -282,9 +284,9 @@ def coboundary_matrix_for(alg, rep, p):
                        % (p, lout.total, MAX_COBOUNDARY_ROWS))
     prs = pair_basis(m)
     pidx = {pr: t for t, pr in enumerate(prs)}
-    comp = [[_composite(alg, pk, pl, pidx) for pl in prs] for pk in prs]
+    comp = [[_composite(alg.ternary.support, pk, pl, pidx) for pl in prs] for pk in prs]
     rho, mu, D = (_signed_blocks(t) for t in (rep.rho, rep.mu, rep.derived_D))
-    binary, ternary = sparse_values(alg.binary), sparse_values(alg.ternary)
+    binary, ternary = alg.binary.support, alg.ternary.support
     data = {}
 
     def block(ob, ib, entries):
@@ -346,14 +348,15 @@ def _signed_blocks(t):
     each entry (row, col, value)."""
     return {key: (tuple((r, c, q) for (r, c), q in v.items()),
                   tuple((r, c, -q) for (r, c), q in v.items()))
-            for key, v in sparse_values(t).items()}
+            for key, v in t.support.items()}
 
 
-def _composite(alg, pk, pl, pidx):
-    """X_k o X_l = <x_k,y_k,x_l> /\\ y_l + x_l /\\ <x_k,y_k,y_l> on pair coords."""
+def _composite(ternary, pk, pl, pidx):
+    """X_k o X_l = <x_k,y_k,x_l> /\\ y_l + x_l /\\ <x_k,y_k,y_l> on pair coords,
+    the ternary bracket given by its support."""
     (ak, bk), (al, bl) = pk, pl
-    d = wedge_coords(alg.ternary[ak][bk][al], alg.e(bl), pidx)
-    axpy(d, Q1, wedge_coords(alg.e(al), alg.ternary[ak][bk][bl], pidx))
+    d = wedge_coords(ternary.get((ak, bk, al), {}), {bl: Q1}, pidx)
+    axpy(d, Q1, wedge_coords({al: Q1}, ternary.get((ak, bk, bl), {}), pidx))
     return d
 
 
@@ -387,7 +390,7 @@ def induced_rep(op):
     n, m = g.dim, r.carrier.dim
     desc = descent_algebra(op)
     rows, cols = sparse_map(op.T)
-    c, d = sparse_values(g.binary), sparse_values(g.ternary)
+    c, d = g.binary.support, g.ternary.support
     rho, mu, D = (vector_values(t) for t in (r.rho, r.mu, r.derived_D))
     # each table is {(a, i) or (a, b, i): {t: q}}, the value at (u_a, .., e_i)
     rho_T, inner = {}, {}
@@ -405,8 +408,8 @@ def induced_rep(op):
     pull(inner, -Q1, mu, (rows, None, None), (0, 2, 1))
     push(D_T, -Q1, cols, inner)
     shape = (n, n)
-    rep = RepAction(desc, g, nested(matrix_values(rho_T), m, 1, shape),
-                    nested(matrix_values(mu_T), m, 2, shape))
+    rep = RepAction(desc, g, Tensor.from_support(matrix_values(rho_T), m, 1, shape),
+                    Tensor.from_support(matrix_values(mu_T), m, 2, shape))
     derived = vector_values(rep.derived_D)
     bad = [key for key in derived.keys() | D_T.keys() if derived.get(key) != D_T.get(key)]
     if bad:
@@ -513,11 +516,9 @@ def pushforward_cochain(pair, c):
     pg = pair.psi_g
     ph_inv = invert(pair.psi_h)
     m, n = c.m, c.n
-    inv_cols = [mat_col(ph_inv, a) for a in range(m)]
+    inv_cols = [{s: q for s, q in enumerate(mat_col(ph_inv, a)) if q} for a in range(m)]
     if c.p == 1:
-        f = [mat_vec(pg, c.eval_g([], dict((s, cv) for s, cv in enumerate(inv_cols[a])
-                                           if cv != 0)))
-             for a in range(m)]
+        f = [mat_vec(pg, c.eval_g([], inv_cols[a])) for a in range(m)]
         return Cochain(1, m, n, f)
     prs = pair_basis(m)
     pidx = {pr: t for t, pr in enumerate(prs)}
@@ -527,6 +528,5 @@ def pushforward_cochain(pair, c):
         args = [arg_of[t] for t in tup]
         fs.append(mat_vec(pg, c.eval_f(args)))
         for a in range(m):
-            plain = {s: cv for s, cv in enumerate(inv_cols[a]) if cv != 0}
-            gs.append(mat_vec(pg, c.eval_g(args, plain)))
+            gs.append(mat_vec(pg, c.eval_g(args, inv_cols[a])))
     return Cochain(c.p, m, n, fs, gs)

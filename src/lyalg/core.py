@@ -1,15 +1,15 @@
 """Lie-Yamaguti algebras: the type, its axioms, centers, derived algebras,
 constructors and homomorphism checking.
 
-An algebra is stored through structure tensors over a chosen basis:
-``binary[i][j]`` is the vector [e_i, e_j] and ``ternary[i][j][k]`` the vector
-<e_i, e_j, e_k>.  All axiom checks run over basis tuples; multilinearity makes
-that equivalent to checking on arbitrary vectors.
+An algebra is stored through structure tensors over a chosen basis (see
+``linalg.Tensor``): ``binary`` holds the vectors [e_i, e_j] and ``ternary``
+the vectors <e_i, e_j, e_k>.  All axiom checks run over basis tuples;
+multilinearity makes that equivalent to checking on arbitrary vectors.
 """
 
 from .errors import AxiomsFailed, DimMismatch, NotLieAlgebra, StructureError
-from .linalg import (Q0, Subspace, Tensor, contract, frac, hom_table, is_zero_vec,
-                     nullspace_basis, skew_fault, sparse_map, sparse_values, vadd, vzero)
+from .linalg import (Q0, Q1, Subspace, Tensor, compose, contract, dense, frac, hom_table,
+                     nullspace_basis, place, skew_fault, sparse_map)
 from .reports import Checker
 
 
@@ -70,7 +70,7 @@ def check_ly_axioms(A, all_violations=False):
     residual, is zero.
     """
     ck = Checker("ly-axioms(%s)" % A.name, all_violations)
-    c, d = sparse_values(A.binary), sparse_values(A.ternary)
+    c, d = A.binary.support, A.ternary.support
     # basis vectors x, y, z, w, v sit at tuple positions 0..4
     shape = A.binary.shape
     ck.equations(A.dim, shape, [
@@ -93,10 +93,8 @@ def check_ly_axioms(A, all_violations=False):
 
 
 def abelian(dim, name=None):
-    zero = vzero(dim)
-    binary = [[zero] * dim for _ in range(dim)]
-    ternary = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    A = LYAlgebra(dim, binary, ternary, name=name or "abelian%d" % dim)
+    A = LYAlgebra(dim, Tensor.from_support({}, dim, 2, (dim,)),
+                  Tensor.from_support({}, dim, 3, (dim,)), name=name or "abelian%d" % dim)
     A.verified = True
     return A
 
@@ -111,15 +109,13 @@ def from_lie_algebra(dim, binary, basis=None, name=None):
     fault = skew_fault(c)
     if fault is not None:
         raise NotLieAlgebra("bracket not antisymmetric at (%d,%d)" % fault)
-    ternary = [[[contract(c, c[i][j], k) for k in range(dim)] for j in range(dim)]
-               for i in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                jac = vadd(vadd(ternary[i][j][k], ternary[j][k][i]), ternary[k][i][j])
-                if not is_zero_vec(jac):
-                    raise NotLieAlgebra("Jacobi fails at (%d,%d,%d)" % (i, j, k))
-    A = LYAlgebra(dim, c, ternary, basis=basis, name=name or "lie-induced")
+    ternary = compose(c.support, 0, c.support)
+    # <x,y,z> + <y,z,x> + <z,x,y> at (x, y, z)
+    jacobi = place([(Q1, ternary, positions) for positions in ((0, 1, 2), (2, 0, 1), (1, 2, 0))])
+    if jacobi:
+        raise NotLieAlgebra("Jacobi fails at (%d,%d,%d)" % min(jacobi))
+    A = LYAlgebra(dim, c, Tensor.from_support(ternary, dim, 3, (dim,)), basis=basis,
+                  name=name or "lie-induced")
     rep = check_ly_axioms(A)
     if not rep.passed:
         raise AxiomsFailed("lie-induced algebra fails axioms", rep)
@@ -133,10 +129,10 @@ def center(A):
     equation in x, its coefficients read off the supports of the brackets.
     """
     rows = {}
-    for (i, j), v in sparse_values(A.binary).items():
+    for (i, j), v in A.binary.support.items():
         for r, q in v.items():
             rows.setdefault(("binary", j, r), {})[i] = q
-    for (i, j, k), v in sparse_values(A.ternary).items():
+    for (i, j, k), v in A.ternary.support.items():
         for r, q in v.items():
             rows.setdefault(("first", j, k, r), {})[i] = q
             rows.setdefault(("last", i, j, r), {})[k] = q
@@ -145,10 +141,9 @@ def center(A):
 
 def derived_algebra(A):
     """[g,g] intersected with <g,g,g>."""
-    n = A.dim
-    span2 = Subspace(n, [A.binary[i][j] for i in range(n) for j in range(i + 1, n)])
-    span3 = Subspace(n, [A.ternary[i][j][k]
-                         for i in range(n) for j in range(n) for k in range(n)])
+    shape = (A.dim,)
+    span2 = Subspace(A.dim, [dense(v, shape) for v in A.binary.support.values()])
+    span3 = Subspace(A.dim, [dense(v, shape) for v in A.ternary.support.values()])
     return span2.intersect(span3)
 
 
@@ -170,29 +165,14 @@ def check_homomorphism(A, B, phi, all_violations=False):
 
 
 def direct_sum(A, B, name=None):
-    n, m = A.dim, B.dim
-    dim = n + m
-
-    def emb_a(v):
-        return tuple(v) + vzero(m)
-
-    def emb_b(v):
-        return vzero(n) + tuple(v)
-
-    zero = vzero(dim)
-    binary = [[zero] * dim for _ in range(dim)]
-    ternary = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            binary[i][j] = emb_a(A.binary[i][j])
-            for k in range(n):
-                ternary[i][j][k] = emb_a(A.ternary[i][j][k])
-    for i in range(m):
-        for j in range(m):
-            binary[n + i][n + j] = emb_b(B.binary[i][j])
-            for k in range(m):
-                ternary[n + i][n + j][n + k] = emb_b(B.ternary[i][j][k])
-    S = LYAlgebra(dim, binary, ternary,
+    n, dim = A.dim, A.dim + B.dim
+    tensors = []
+    for a, b in ((A.binary, B.binary), (A.ternary, B.ternary)):
+        table = dict(a.support)
+        for key, v in b.support.items():
+            table[tuple(n + i for i in key)] = {n + r: q for r, q in v.items()}
+        tensors.append(Tensor.from_support(table, dim, a.arity, (dim,)))
+    S = LYAlgebra(dim, *tensors,
                   basis=list(A.basis) + list(B.basis),
                   name=name or "%s(+)%s" % (A.name, B.name))
     if A.verified and B.verified:

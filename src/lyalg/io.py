@@ -1,25 +1,34 @@
 """JSON file formats.
 
 Algebra files carry sparse structure constants as index tuples with a rational
-string value:
+value:
 
     {"name": "...", "dim": 4, "basis": ["e1", ...],
      "binary":  [[i, j, k, "p/q"], ...],      # coefficient of e_k in [e_i, e_j]
      "ternary": [[i, j, k, l, "p/q"], ...]}   # coefficient of e_l in <e_i,e_j,e_k>
 
-Indices are 0-based.  Tensors antisymmetric by definition (binary; ternary in
-its first two slots; a post-algebra's dot and angle) may list either
-orientation; the missing one is filled in, and listing both with inconsistent
-values is an error.  Representation files are
+Indices are 0-based.  The entries are read straight into each tensor's
+support (``linalg.Tensor.from_support``); entries at one place add up.
+Tensors antisymmetric by definition (binary; ternary in its first two slots; a
+post-algebra's dot and angle) may list either orientation; the missing one is
+filled in, and listing both with inconsistent values, or a nonzero value with
+i = j, is an error.  An entry listed with the value "0" counts as listed.
+Representation files are
 
     {"acting": <inline algebra or file path>, "carrier": ...,
      "rho": [matrix, ...], "mu": [[matrix, ...], ...]}
 
-with matrices as row-major arrays of rational strings; operator files are
+with matrices as row-major arrays of rationals; operator files are
 {"action": ..., "T": matrix}; post-algebra files replace binary/ternary with
 the four keys dot/star/angle/brace.  File references resolve relative to the
-referencing file's directory.  JSON booleans are never read as numbers: as an
-index, a dim or a rational they are a FormatError.
+referencing file's directory.
+
+A rational is an integer, a string "p/q" or a decimal string such as "0.5".
+A JSON float is read as its shortest decimal string, so 0.1 is 1/10, not the
+binary double nearest to it; NaN, Infinity and floats out of range (1e400)
+are a FormatError.  JSON booleans are never read as numbers: as an index, a
+dim or a rational they are a FormatError.  A container of the wrong type (an
+entry list, a name, a wedge vector) is a FormatError too.
 """
 
 import json
@@ -27,7 +36,7 @@ import os
 
 from .core import LYAlgebra
 from .errors import FormatError, TooLarge
-from .linalg import format_frac, frac, vzero
+from .linalg import Q0, Tensor, format_frac, frac
 from .postlya import PostLYAlgebra
 from .reps import RepAction
 from .rrb import RRBOperator
@@ -67,62 +76,42 @@ def _frac_str(v, where):
         raise FormatError("%s: bad rational %r" % (where, v)) from e
 
 
-def _read_sparse2(entries, dim, where, antisym):
-    tensor = [[list(vzero(dim)) for _ in range(dim)] for _ in range(dim)]
-    seen = set()
-    for ent in entries or []:
-        if not isinstance(ent, list) or len(ent) != 4:
-            raise FormatError("%s: entries must be [i, j, k, value]" % where)
-        i, j, k, v = ent
-        _check_idx(where, dim, i, j, k)
-        tensor[i][j][k] += _frac_str(v, where)
-        seen.add((i, j))
+def _read_sparse(entries, dim, arity, where, antisym):
+    """The tensor of vector values listed by ``entries``, [i, .., value] with
+    ``arity`` indices before the row.  Entries at one place add up.  With
+    ``antisym`` a tensor antisymmetric in its first two slots is completed
+    from either orientation; an entry counts as listed even when its value
+    is zero, and the first fault in lexicographic order of (i <= j, ..) is
+    reported."""
+    if entries is None:
+        entries = []
+    if not isinstance(entries, list):
+        raise FormatError("%s: entries must be a list" % where)
+    table, seen = {}, set()
+    for ent in entries:
+        if not isinstance(ent, list) or len(ent) != arity + 2:
+            raise FormatError("%s: entries must be [%s, value]"
+                              % (where, ", ".join("ijkl"[:arity + 1])))
+        _check_idx(where, dim, *ent[:-1])
+        key, row = tuple(ent[:arity]), ent[arity]
+        v = table.setdefault(key, {})
+        v[row] = v.get(row, Q0) + _frac_str(ent[-1], where)
+        seen.add(key)
     if antisym:
-        _complete2(tensor, dim, seen, where)
-    return tensor
-
-
-def _read_sparse3(entries, dim, where, antisym):
-    tensor = [[[list(vzero(dim)) for _ in range(dim)] for _ in range(dim)]
-              for _ in range(dim)]
-    seen = set()
-    for ent in entries or []:
-        if not isinstance(ent, list) or len(ent) != 5:
-            raise FormatError("%s: entries must be [i, j, k, l, value]" % where)
-        i, j, k, l, v = ent
-        _check_idx(where, dim, i, j, k, l)
-        tensor[i][j][k][l] += _frac_str(v, where)
-        seen.add((i, j, k))
-    if antisym:
-        for i in range(dim):
-            for j in range(i, dim):
-                for k in range(dim):
-                    _fill_antisym(tensor[i][j][k], tensor[j][i][k], i == j,
-                                  (i, j, k) in seen, (j, i, k) in seen,
-                                  where, (i, j, k))
-    return tensor
-
-
-def _complete2(tensor, dim, seen, where):
-    for i in range(dim):
-        for j in range(i, dim):
-            _fill_antisym(tensor[i][j], tensor[j][i], i == j,
-                          (i, j) in seen, (j, i) in seen, where, (i, j))
-
-
-def _fill_antisym(a, b, diag, fwd, bwd, where, label):
-    neg_b = [-x for x in b]
-    if diag:
-        if any(x != 0 for x in a):
-            raise FormatError("%s: diagonal entry %s must vanish" % (where, label))
-        return
-    if fwd and bwd:
-        if a != neg_b:
-            raise FormatError("%s: entries at %s break antisymmetry" % (where, label))
-    elif fwd:
-        b[:] = [-x for x in a]
-    elif bwd:
-        a[:] = neg_b
+        for key in sorted({(min(k[:2]), max(k[:2])) + k[2:] for k in seen}):
+            swap = (key[1], key[0]) + key[2:]
+            a = {r: q for r, q in table.get(key, {}).items() if q}
+            b = {r: -q for r, q in table.get(swap, {}).items() if q}
+            if key == swap:
+                if a:
+                    raise FormatError("%s: diagonal entry %s must vanish" % (where, key))
+            elif swap not in seen:
+                table[swap] = {r: -q for r, q in a.items()}
+            elif key not in seen:
+                table[key] = b
+            elif a != b:
+                raise FormatError("%s: entries at %s break antisymmetry" % (where, key))
+    return Tensor.from_support(table, dim, arity, (dim,))
 
 
 def _is_int(x):
@@ -136,9 +125,11 @@ def _check_idx(where, dim, *idx):
 
 
 # The most coefficients a dense ternary structure tensor, dim^4 of them, may
-# hold: dim 32 is admitted and dim 33 is not.  Loading allocates the dense
-# tensors before any check, so a file of a few bytes could otherwise ask for
-# any amount of memory.
+# hold: dim 32 is admitted and dim 33 is not.  Loading reads only the listed
+# entries, but every tensor also carries its nested view of dim^arity values,
+# and the downstream layouts (semidirect sums, cochain spaces) grow with dim
+# alone, so a file of a few bytes could otherwise ask for any amount of
+# memory.
 MAX_TENSOR_COEFFICIENTS = 2 ** 20
 
 
@@ -177,12 +168,19 @@ def _read_matrix(rows, where, nr=None, nc=None):
     return tuple(out)
 
 
+def _read_name(doc, default):
+    name = doc.get("name", default)
+    if not isinstance(name, str):
+        raise FormatError("%s: name must be a string" % default)
+    return name
+
+
 def load_algebra(source, base_dir=None):
     doc, here = _load_doc(source, base_dir)
-    name = doc.get("name", "algebra")
+    name = _read_name(doc, "algebra")
     dim = _read_dim(doc, name)
-    binary = _read_sparse2(doc.get("binary"), dim, name + ".binary", antisym=True)
-    ternary = _read_sparse3(doc.get("ternary"), dim, name + ".ternary", antisym=True)
+    binary = _read_sparse(doc.get("binary"), dim, 2, name + ".binary", antisym=True)
+    ternary = _read_sparse(doc.get("ternary"), dim, 3, name + ".ternary", antisym=True)
     return LYAlgebra(dim, binary, ternary, basis=_read_basis(doc, dim, name), name=name)
 
 
@@ -219,12 +217,12 @@ def load_operator(source, base_dir=None):
 
 def load_post(source, base_dir=None):
     doc, here = _load_doc(source, base_dir)
-    name = doc.get("name", "post-algebra")
+    name = _read_name(doc, "post-algebra")
     dim = _read_dim(doc, name)
-    dot = _read_sparse2(doc.get("dot"), dim, name + ".dot", antisym=True)
-    star = _read_sparse2(doc.get("star"), dim, name + ".star", antisym=False)
-    angle = _read_sparse3(doc.get("angle"), dim, name + ".angle", antisym=True)
-    brace = _read_sparse3(doc.get("brace"), dim, name + ".brace", antisym=False)
+    dot = _read_sparse(doc.get("dot"), dim, 2, name + ".dot", antisym=True)
+    star = _read_sparse(doc.get("star"), dim, 2, name + ".star", antisym=False)
+    angle = _read_sparse(doc.get("angle"), dim, 3, name + ".angle", antisym=True)
+    brace = _read_sparse(doc.get("brace"), dim, 3, name + ".brace", antisym=False)
     return PostLYAlgebra(dim, dot, star, angle, brace, basis=_read_basis(doc, dim, name),
                          name=name)
 
@@ -253,9 +251,13 @@ def load_nijenhuis(source, base_dir=None):
 def load_wedges(source, base_dir=None):
     """{"wedges": [[vector, vector], ...]} with rational-string vectors."""
     doc, here = _load_doc(source, base_dir)
+    wedges = _field(doc, "wedges", "wedge file")
+    if not isinstance(wedges, list):
+        raise FormatError("wedge file: wedges must be a list of pairs of vectors")
     out = []
-    for i, pair in enumerate(_field(doc, "wedges", "wedge file")):
-        if not isinstance(pair, list) or len(pair) != 2:
+    for i, pair in enumerate(wedges):
+        if not isinstance(pair, list) or len(pair) != 2 \
+                or not all(isinstance(v, list) for v in pair):
             raise FormatError("wedges[%d]: expected a pair of vectors" % i)
         x = tuple(_frac_str(v, "wedges[%d]" % i) for v in pair[0])
         y = tuple(_frac_str(v, "wedges[%d]" % i) for v in pair[1])
@@ -268,51 +270,22 @@ def load_wedges(source, base_dir=None):
 # ---------------------------------------------------------------------------
 # writers
 
+def _dump_sparse(t, antisym):
+    """The entries [i, .., row, value] of the tensor ``t``, in lexicographic
+    order; with ``antisym`` only the orientations i < j."""
+    return [list(key) + [r, format_frac(q)] for key, v in t.support.items()
+            if not antisym or key[0] < key[1] for r, q in v.items()]
+
+
 def dump_algebra(A):
-    binary = []
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            for k, v in enumerate(A.binary[i][j]):
-                if v != 0:
-                    binary.append([i, j, k, format_frac(v)])
-    ternary = []
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            for k in range(A.dim):
-                for l, v in enumerate(A.ternary[i][j][k]):
-                    if v != 0:
-                        ternary.append([i, j, k, l, format_frac(v)])
     return {"name": A.name, "dim": A.dim, "basis": list(A.basis),
-            "binary": binary, "ternary": ternary}
-
-
-def _dump_sparse2(t, dim, antisym):
-    out = []
-    for i in range(dim):
-        for j in range(i + 1 if antisym else 0, dim):
-            for k, v in enumerate(t[i][j]):
-                if v != 0:
-                    out.append([i, j, k, format_frac(v)])
-    return out
-
-
-def _dump_sparse3(t, dim, antisym):
-    out = []
-    for i in range(dim):
-        for j in range(i + 1 if antisym else 0, dim):
-            for k in range(dim):
-                for l, v in enumerate(t[i][j][k]):
-                    if v != 0:
-                        out.append([i, j, k, l, format_frac(v)])
-    return out
+            "binary": _dump_sparse(A.binary, True), "ternary": _dump_sparse(A.ternary, True)}
 
 
 def dump_post(P):
     return {"name": P.name, "dim": P.dim, "basis": list(P.basis),
-            "dot": _dump_sparse2(P.dot, P.dim, True),
-            "star": _dump_sparse2(P.star, P.dim, False),
-            "angle": _dump_sparse3(P.angle, P.dim, True),
-            "brace": _dump_sparse3(P.brace, P.dim, False)}
+            "dot": _dump_sparse(P.dot, True), "star": _dump_sparse(P.star, False),
+            "angle": _dump_sparse(P.angle, True), "brace": _dump_sparse(P.brace, False)}
 
 
 def dump_matrix(mx):

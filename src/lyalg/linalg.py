@@ -3,9 +3,11 @@
 Scalars are ``fractions.Fraction`` (always reduced, positive denominator).
 Vectors are tuples of Fraction; matrices are tuples of row tuples.  The
 elimination routine also takes sparse rows, dicts {column: Fraction}.
-Structure tensors (``Tensor``) are nested tuples of vectors or matrices,
-evaluated by ``contract``; the axiom scans read their support as sparse values,
-and the equations a linear map enters are tabulated by ``pull``/``push``.
+Structure tensors (``Tensor``) are stored as their support, the nonzero
+vector or matrix values as sparse dicts, and read as nested tuples through a
+view built from it; ``contract`` evaluates them, the axiom scans read the
+support, and the equations a linear map enters are tabulated by
+``pull``/``push``.
 There are no tolerances anywhere: equality means exact equality.
 """
 
@@ -118,47 +120,68 @@ def mat_col(m, j):
 # structure tensors
 #
 # Every bracket, action and post-operation is a multilinear map given by its
-# values on basis tuples.  A Tensor stores those values as nested tuples, so
-# t[i][j] is the value at (e_i, e_j) exactly as a plain nested tuple would
-# give it, and ``contract`` is the one routine that evaluates it.
+# values on basis tuples.  A Tensor is stored as its support, the nonzero
+# values as sparse dicts; the nested tuples it also is, so that t[i][j] is the
+# value at (e_i, e_j) as a plain nested tuple would give it, are a view filled
+# from the support.  ``contract`` is the one routine that evaluates a tensor.
 
 class Tensor(tuple):
     """Values t[i]...[k] of a multilinear map on basis tuples of Q^dim.
 
     Every value has ``shape``: (d,) for a vector, (r, c) for a matrix.
-    ``support`` maps each index tuple whose value is nonzero to that value,
-    in lexicographic order; it is computed once, here.
+    ``support`` maps each index tuple whose value is nonzero to that value as
+    a sparse dict, {r: q} for a vector and {(r, c): q} for a matrix; keys are
+    in lexicographic order and entries in ascending order, and callers
+    never change the table in place.  Built from nested values, or, inside the
+    library, from a support table by ``from_support``; a Tensor of the
+    requested dim, arity and shape is taken as it is.
     """
 
     def __new__(cls, values, dim, arity, shape):
-        def freeze(v, depth):
-            if depth < arity:
-                return tuple(freeze(v[i], depth + 1) for i in range(dim))
-            out = tuple(frac(x) for x in v) if len(shape) == 1 else mat(v)
-            if len(out) != shape[0] or (len(shape) == 2
-                                        and any(len(row) != shape[1] for row in out)):
+        if isinstance(values, Tensor) and (values.dim, values.arity, values.shape) \
+                == (dim, arity, shape):
+            return values
+        table = {}
+
+        def walk(v, key):
+            if len(key) < arity:
+                for i in range(dim):
+                    walk(v[i], key + (i,))
+                return
+            vec = len(shape) == 1
+            rows = mat([v] if vec else v)
+            if len(rows) != (1 if vec else shape[0]) \
+                    or any(len(row) != shape[-1] for row in rows):
                 raise DimMismatch("tensor values must have shape %s"
                                   % "x".join(map(str, shape)))
-            return out
+            table[key] = {c if vec else (r, c): x
+                          for r, row in enumerate(rows) for c, x in enumerate(row)}
+        walk(values, ())
+        return cls.from_support(table, dim, arity, shape)
 
-        self = super().__new__(cls, freeze(values, 0))
-        self.dim, self.arity, self.shape = dim, arity, shape
-        self.support = {}
-        self._terms = {}           # index tuple -> [(flat position, nonzero entry)]
-        for key in itertools.product(range(dim), repeat=arity):
-            v = self
-            for i in key:
-                v = v[i]
-            flat = v if len(shape) == 1 else [x for row in v for x in row]
-            terms = [(p, x) for p, x in enumerate(flat) if x]
-            if terms:
-                self.support[key] = v
-                self._terms[key] = terms
+    @classmethod
+    def from_support(cls, table, dim, arity, shape):
+        """The tensor whose nonzero values are those of the sparse ``table``
+        {index tuple: sparse value}, in any order; zero entries are dropped."""
+        support = {}
+        for key in sorted(table):
+            v = {e: q for e, q in sorted(table[key].items()) if q}
+            if v:
+                support[key] = v
+        zero = dense({}, shape)
+
+        def level(key):
+            if len(key) == arity:
+                v = support.get(key)
+                return zero if v is None else dense(v, shape)
+            return tuple(level(key + (i,)) for i in range(dim))
+        self = super().__new__(cls, level(()))
+        self.dim, self.arity, self.shape, self.support = dim, arity, shape, support
         return self
 
-    def __getnewargs__(self):
-        # copy and pickle rebuild a tensor through __new__
-        return tuple(self), self.dim, self.arity, self.shape
+    def __reduce__(self):
+        # copy and pickle rebuild a tensor from its support
+        return Tensor.from_support, (self.support, self.dim, self.arity, self.shape)
 
 
 def contract(t, *slots):
@@ -179,49 +202,34 @@ def contract(t, *slots):
                 raise DimMismatch("vectors must have length %d" % t.dim)
             picks.append([i for i, x in enumerate(s) if x])
             vecs.append(k)
-    shape = t.shape
-    acc = [Q0] * (shape[0] if len(shape) == 1 else shape[0] * shape[1])
-    terms = t._terms
+    acc = {}
+    support = t.support
     for key in itertools.product(*picks):
-        entries = terms.get(key)
-        if entries is None:
+        v = support.get(key)
+        if v is None:
             continue
         c = Q1
         for k in vecs:
             c *= slots[k][key[k]]
-        for p, x in entries:
-            acc[p] += c * x
-    if len(shape) == 1:
-        return tuple(acc)
-    w = shape[1]
-    return tuple(tuple(acc[r * w:(r + 1) * w]) for r in range(shape[0]))
+        for e, x in v.items():
+            acc[e] = acc.get(e, Q0) + c * x
+    return dense(acc, t.shape)
 
 
 # ---------------------------------------------------------------------------
 # sparse values
 #
-# The axiom scans work on the support of each tensor with every value as a
-# dict of its nonzero entries, {r: q} for a vector and {(r, c): q} for a
-# matrix, and build the dense residual only for a recorded witness.
-
-def sparse_values(t):
-    """The support of ``t`` as {index tuple: sparse value}, in lexicographic order."""
-    if len(t.shape) == 1:
-        return {key: dict(terms) for key, terms in t._terms.items()}
-    w = t.shape[1]
-    return {key: {divmod(p, w): x for p, x in terms} for key, terms in t._terms.items()}
-
+# The axiom scans work on the support of each tensor and build the dense
+# residual only for a recorded witness.
 
 def vector_values(t):
     """The support of ``t`` as {index tuple: {row: q}}; a matrix value's
     column is one more slot at the end."""
     if len(t.shape) == 1:
-        return sparse_values(t)
-    w = t.shape[1]
+        return t.support
     out = {}
-    for key, terms in t._terms.items():
-        for p, x in terms:
-            r, c = divmod(p, w)
+    for key, v in t.support.items():
+        for (r, c), x in v.items():
             out.setdefault(key + (c,), {})[r] = x
     return out
 
@@ -266,9 +274,9 @@ def skew_fault(binary, ternary=None):
     "First" is the order of nested loops over i, j that check binary[i][j]
     and then ternary[i][j][k] for each k; only the supports are read.
     """
-    faults = [key + (-1,) for key in skew_faults(sparse_values(binary))]
+    faults = [key + (-1,) for key in skew_faults(binary.support)]
     if ternary is not None:
-        faults.extend(skew_faults(sparse_values(ternary)))
+        faults.extend(skew_faults(ternary.support))
     if not faults:
         return None
     key = min(faults)
@@ -291,8 +299,7 @@ def sparse_mul(a, b):
 class Terms:
     """Signed sums of terms over sparse supports, at basis tuples.
 
-    A factor is ``(values, slot, ...)``: a tensor's sparse support (see
-    ``sparse_values``) read with each slot a position in the basis tuple,
+    A factor is ``(values, slot, ...)``: a tensor's ``support`` read with each slot a position in the basis tuple,
     except that one slot may hold a factor of positions only, whose value
     then fills that slot as a vector.  A term is ``(sign, factor)`` or
     ``(sign, factor, factor)``, the product of the matrix values of two
@@ -447,6 +454,15 @@ def pull(acc, sign, values, maps, positions=None):
         _add_at(acc, key, sign, v)
 
 
+def place(terms):
+    """The sum of sign * values over the (sign, values, positions) of
+    ``terms``, slot p of each table placed at tuple position positions[p]."""
+    acc = {}
+    for sign, values, positions in terms:
+        pull(acc, sign, values, (), positions)
+    return acc
+
+
 def push(acc, sign, cols, table):
     """acc += sign * M(table), M given by its columns (see ``sparse_map``)."""
     for key, v in table.items():
@@ -455,6 +471,21 @@ def push(acc, sign, cols, table):
             for x, t in cols.get(y, ()):
                 out[x] = out.get(x, Q0) + q * t
         _add_at(acc, key, sign, {x: q for x, q in out.items() if q})
+
+
+def compose(outer, p, inner):
+    """The table of ``outer`` with the value of ``inner`` in its slot p: the
+    key is outer's with slot p replaced by inner's slots (both tables read as
+    by ``vector_values``)."""
+    at = {}
+    for key, v in outer.items():
+        at.setdefault(key[p], []).append((key[:p], key[p + 1:], v))
+    acc = {}
+    for key, w in inner.items():
+        for s, q in w.items():
+            for head, tail, v in at.get(s, ()):
+                _add_at(acc, head + key + tail, q, v)
+    return acc
 
 
 def hom_table(src, dst, cols, maps):
@@ -472,20 +503,6 @@ def dense(x, shape):
     if len(shape) == 1:
         return tuple(x.get(r, Q0) for r in range(shape[0]))
     return tuple(tuple(x.get((r, c), Q0) for c in range(shape[1])) for r in range(shape[0]))
-
-
-def nested(values, dim, arity, shape):
-    """The nested values over the basis tuples of Q^dim of a sparse table
-    {index tuple: sparse value} (see ``sparse_values``), zero where a tuple is
-    absent, as a ``Tensor`` takes them."""
-    zero = dense({}, shape)
-
-    def level(key):
-        if len(key) == arity:
-            v = values.get(key)
-            return zero if v is None else dense(v, shape)
-        return [level(key + (i,)) for i in range(dim)]
-    return level(())
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ variants of the compatibility equations are available via ``as_printed``.
 
 from .core import LYAlgebra, check_homomorphism, check_ly_axioms
 from .errors import AxiomsFailed, DimMismatch, StructureError, Unverified
-from .linalg import (Tensor, contract, hom_table, mat, mat_col, mat_id, skew_fault,
-                     sparse_map, sparse_values, vadd, vsub, vzero)
+from .linalg import (Q1, Tensor, compose, hom_table, mat, mat_id, place, pull, skew_fault,
+                     sparse_map, vector_values)
 from .reports import Checker
-from .reps import RepAction, check_action
+from .reps import RepAction, check_action, regular_pair
 
 
 class PostLYAlgebra:
@@ -43,31 +43,21 @@ class PostLYAlgebra:
         if fault is not None:
             raise StructureError(
                 "angle not antisymmetric in first two slots at (%d,%d,%d)" % fault)
-        rng = range(dim)
-        self.brace_D = Tensor([[[self._brace_D_formula(i, j, k) for k in rng] for j in rng]
-                               for i in rng], dim, 3, (dim,))
-        self.sub_binary = Tensor(
-            [[vadd(vsub(self.star[i][j], self.star[j][i]), self.dot[i][j]) for j in rng]
-             for i in rng], dim, 2, (dim,))
-        self.sub_ternary = Tensor(
-            [[[vadd(vadd(self.brace_D[i][j][k],
-                         vsub(self.brace[i][j][k], self.brace[j][i][k])),
-                    self.angle[i][j][k])
-               for k in rng] for j in rng] for i in rng], dim, 3, (dim,))
+        dot, star, angle, brace = (t.support for t in (self.dot, self.star, self.angle,
+                                                       self.brace))
+        # (a,b,c) = (a*b)*c - a*(b*c), and each derived operation at (x, y[, z])
+        xyz = (0, 1, 2)
+        assoc = place([(Q1, compose(star, 0, star), xyz), (-Q1, compose(star, 1, star), xyz)])
+        bD = place([(Q1, brace, (2, 1, 0)), (-Q1, brace, (2, 0, 1)), (Q1, assoc, (1, 0, 2)),
+                    (-Q1, assoc, xyz), (-Q1, compose(star, 0, dot), xyz)])
+        cb = place([(Q1, star, (0, 1)), (-Q1, star, (1, 0)), (Q1, dot, (0, 1))])
+        ct = place([(Q1, bD, xyz), (Q1, brace, xyz), (-Q1, brace, (1, 0, 2)), (Q1, angle, xyz)])
+        self.brace_D = Tensor.from_support(bD, dim, 3, (dim,))
+        self.sub_binary = Tensor.from_support(cb, dim, 2, (dim,))
+        self.sub_ternary = Tensor.from_support(ct, dim, 3, (dim,))
         self._ly = None
         self._sub = None
         self.verified = False
-
-    def _brace_D_formula(self, i, j, k):
-        """{e_i,e_j,e_k}_D from the module docstring's formula."""
-        star = self.star
-
-        def assoc(a, b, c):
-            return vsub(contract(star, star[a][b], c), contract(star, a, star[b][c]))
-
-        out = vsub(self.brace[k][j][i], self.brace[k][i][j])
-        out = vadd(out, vsub(assoc(j, i, k), assoc(i, j, k)))
-        return vsub(out, contract(star, self.dot[i][j], k))
 
     def base_ly(self):
         """(A, dot, angle) as a Lie-Yamaguti algebra (not yet axiom-checked)."""
@@ -88,9 +78,7 @@ class PostLYAlgebra:
 
 
 def zero_post(dim, name=None):
-    z = vzero(dim)
-    t2 = [[z] * dim for _ in range(dim)]
-    t3 = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
+    t2, t3 = (Tensor.from_support({}, dim, arity, (dim,)) for arity in (2, 3))
     return PostLYAlgebra(dim, t2, t2, t3, t3, name=name or "zero-post%d" % dim)
 
 
@@ -109,8 +97,8 @@ def check_post_axioms(A, all_violations=False, as_printed=False):
     for v in base.violations:
         ck.record("base-" + v.eq, v.args, v.residual)
     dot, star, angle, brace, bD, cb, ct = (
-        sparse_values(t) for t in (A.dot, A.star, A.angle, A.brace, A.brace_D,
-                                   A.sub_binary, A.sub_ternary))
+        t.support for t in (A.dot, A.star, A.angle, A.brace, A.brace_D,
+                            A.sub_binary, A.sub_ternary))
     n, shape = A.dim, (A.dim,)
     # basis vectors x, y, z, w, t sit at tuple positions 0..4
     ck.equations(n, shape, [
@@ -182,19 +170,12 @@ def induced_action(A):
     S = subadjacent(A)
     base = A.base_ly()
     base.ensure_verified()
-    n = A.dim
-    rho = [tuple(tuple(A.star[i][s][t] for s in range(n)) for t in range(n))
-           for i in range(n)]
-    mu = [[tuple(tuple(A.brace[s][i][j][t] for s in range(n)) for t in range(n))
-           for j in range(n)] for i in range(n)]
-    r = RepAction(S, base, rho, mu)
-    for i in range(n):
-        for j in range(n):
-            for s in range(n):
-                if mat_col(r.derived_D[i][j], s) != A.brace_D[i][j][s]:
-                    raise AxiomsFailed(
-                        "derived D of (L, R) differs from the derived brace at "
-                        "(%d,%d,%d)" % (i, j, s))
+    r = RepAction(S, base, *regular_pair(A.star, A.brace))
+    derived, bD = vector_values(r.derived_D), A.brace_D.support
+    bad = [key for key in derived.keys() | bD.keys() if derived.get(key) != bD.get(key)]
+    if bad:
+        raise AxiomsFailed("derived D of (L, R) differs from the derived brace at "
+                           "(%d,%d,%d)" % min(bad))
     rep = check_action(r)
     if not rep.passed:
         raise AxiomsFailed("(L, R) is not an action", rep)
@@ -218,10 +199,13 @@ def induced_post_from_rrb(op):
     r = op.action
     h = r.carrier
     m = h.dim
-    star = [[mat_col(r.rho_at(op._cols[i]), j) for j in range(m)] for i in range(m)]
-    brace = [[[mat_col(r.mu_at(op._cols[j], op._cols[k]), i) for k in range(m)]
-              for j in range(m)] for i in range(m)]
-    A = PostLYAlgebra(m, h.binary, star, h.ternary, brace,
+    rows, _ = sparse_map(op.T)
+    # x*y at (x, y) and {x,y,z} at (x, y, z), T pulled into the slots of rho and mu
+    star, brace = {}, {}
+    pull(star, Q1, vector_values(r.rho), (rows, None))
+    pull(brace, Q1, vector_values(r.mu), (rows, rows, None), (1, 2, 0))
+    A = PostLYAlgebra(m, h.binary, Tensor.from_support(star, m, 2, (m,)), h.ternary,
+                      Tensor.from_support(brace, m, 3, (m,)),
                       basis=h.basis, name="%s-post" % h.name)
     rep = check_post_axioms(A)
     if not rep.passed:

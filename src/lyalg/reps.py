@@ -16,8 +16,7 @@ nonzero block is applied to the nonzero bracket values only.
 
 from .core import LYAlgebra, center
 from .errors import AxiomsFailed, DimMismatch, NotAnAction
-from .linalg import (Q1, Tensor, axpy, contract, dense, mat_col, nested, sparse_mul,
-                     sparse_values, vscale, vzero)
+from .linalg import Q1, Tensor, axpy, contract, dense, sparse_mul, vector_values
 from .reports import Checker
 
 
@@ -25,9 +24,9 @@ class RepAction:
     """A pair (rho, mu) of an algebra ``acting`` on the carrier's space.
 
     ``rho`` is a list of dim(g) matrices; ``mu`` a dim(g) x dim(g) array of
-    matrices, each dim(h) x dim(h).  The carrier is itself an algebra (often
-    abelian); its brackets only matter for action checks and semidirect
-    products.
+    matrices, each dim(h) x dim(h); either may be a ``linalg.Tensor`` of that
+    shape already.  The carrier is itself an algebra (often abelian); its
+    brackets only matter for action checks and semidirect products.
     """
 
     def __init__(self, acting, carrier, rho, mu):
@@ -87,7 +86,7 @@ def derive_D(r):
     -D(e_i, e_j) for i < j.
     """
     n, shape = r.acting.dim, r.rho.shape
-    c, rho, mu = (sparse_values(t) for t in (r.acting.binary, r.rho, r.mu))
+    c, rho, mu = r.acting.binary.support, r.rho.support, r.mu.support
     values = {}
     for i in range(n):
         for j in range(i + 1, n):
@@ -102,13 +101,13 @@ def derive_D(r):
             if d:
                 values[i, j] = d
                 values[j, i] = {rc: -q for rc, q in d.items()}
-    return Tensor(nested(values, n, 2, shape), n, 2, shape)
+    return Tensor.from_support(values, n, 2, shape)
 
 
 def _supports(r):
     """The acting brackets, rho, mu and D as sparse supports."""
     g = r.acting
-    return [sparse_values(t) for t in (g.binary, g.ternary, r.rho, r.mu, r.derived_D)]
+    return [t.support for t in (g.binary, g.ternary, r.rho, r.mu, r.derived_D)]
 
 
 def check_representation(r, all_violations=False):
@@ -168,6 +167,19 @@ def check_lemma_identities(r, all_violations=False):
     return ck.report()
 
 
+def regular_pair(binary, ternary):
+    """(rho, mu) with rho(x)z = x.z and mu(x, y)z = {z, x, y} for a binary
+    and a ternary operation on one space: column s of rho(e_i) is
+    binary(e_i, e_s) and column s of mu(e_i, e_j) is ternary(e_s, e_i, e_j)."""
+    n = binary.dim
+    rho, mu = {}, {}
+    for (i, s), v in binary.support.items():
+        rho.setdefault((i,), {}).update({(t, s): q for t, q in v.items()})
+    for (s, i, j), v in ternary.support.items():
+        mu.setdefault((i, j), {}).update({(t, s): q for t, q in v.items()})
+    return (Tensor.from_support(rho, n, 1, (n, n)), Tensor.from_support(mu, n, 2, (n, n)))
+
+
 def adjoint_rep(A):
     """The adjoint representation of A on itself.
 
@@ -176,20 +188,7 @@ def adjoint_rep(A):
     central.
     """
     A.ensure_verified()
-    n = A.dim
-    # matrix of z -> [e_i, z]: column s is [e_i, e_s]
-    rho = []
-    for i in range(n):
-        cols = [A.binary[i][s] for s in range(n)]
-        rho.append(tuple(tuple(cols[s][t] for s in range(n)) for t in range(n)))
-    mu = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cols = [A.ternary[s][i][j] for s in range(n)]
-            row.append(tuple(tuple(cols[s][t] for s in range(n)) for t in range(n)))
-        mu.append(row)
-    return RepAction(A, A, rho, mu)
+    return RepAction(A, A, *regular_pair(A.binary, A.ternary))
 
 
 def check_action(r, all_violations=False):
@@ -206,11 +205,11 @@ def check_action(r, all_violations=False):
     shape = (h.dim,)
     C = center(h)
     ck = Checker("action(%s on %s)" % (g.name, h.name), all_violations)
-    brackets = [("-kills-binary", [(ab, v) for ab, v in sparse_values(h.binary).items()
+    brackets = [("-kills-binary", [(ab, v) for ab, v in h.binary.support.items()
                                    if ab[0] < ab[1]]),
-                ("-kills-ternary", sparse_values(h.ternary).items())]
+                ("-kills-ternary", h.ternary.support.items())]
     for fam, t in (("rho", r.rho), ("mu", r.mu), ("D", r.derived_D)):
-        for args, M in sparse_values(t).items():
+        for args, M in t.support.items():
             if ck.done:
                 break
             cols = {}
@@ -243,40 +242,29 @@ def semidirect_product(r):
     if not r.action_certified:
         raise NotAnAction("action not certified; run check_action first")
     g, h = r.acting, r.carrier
-    n, m = g.dim, h.dim
-    dim = n + m
+    n = g.dim
+    dim = n + h.dim
+    binary, ternary = dict(g.binary.support), dict(g.ternary.support)
 
-    def pack(xg, xh):
-        return tuple(xg) + tuple(xh)
+    def put(table, key, v, sign=1):
+        table[key] = {n + t: sign * q for t, q in v.items()}
 
-    zg, zh = vzero(n), vzero(m)
-    binary = [[pack(zg, zh)] * dim for _ in range(dim)]
-    ternary = [[[pack(zg, zh)] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            if i < n and j < n:
-                binary[i][j] = pack(g.binary[i][j], zh)
-            elif i < n:
-                binary[i][j] = pack(zg, mat_col(r.rho[i], j - n))
-            elif j < n:
-                binary[i][j] = pack(zg, vscale(-1, mat_col(r.rho[j], i - n)))
-            else:
-                binary[i][j] = pack(zg, h.binary[i - n][j - n])
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                ig, jg, kg = i < n, j < n, k < n
-                if ig and jg and kg:
-                    ternary[i][j][k] = pack(g.ternary[i][j][k], zh)
-                elif ig and jg:
-                    ternary[i][j][k] = pack(zg, mat_col(r.derived_D[i][j], k - n))
-                elif jg and kg:
-                    ternary[i][j][k] = pack(zg, mat_col(r.mu[j][k], i - n))
-                elif ig and kg:
-                    ternary[i][j][k] = pack(zg, vscale(-1, mat_col(r.mu[i][k], j - n)))
-                elif not ig and not jg and not kg:
-                    ternary[i][j][k] = pack(zg, h.ternary[i - n][j - n][k - n])
-                # mixed tuples with two carrier entries vanish
+    for key, v in h.binary.support.items():
+        put(binary, tuple(n + i for i in key), v)
+    for key, v in h.ternary.support.items():
+        put(ternary, tuple(n + i for i in key), v)
+    # column c of a block is its value at the carrier's basis vector c
+    for (i, c), v in vector_values(r.rho).items():
+        put(binary, (i, n + c), v)
+        put(binary, (n + c, i), v, -1)
+    for (i, j, c), v in vector_values(r.derived_D).items():
+        put(ternary, (i, j, n + c), v)
+    for (i, j, c), v in vector_values(r.mu).items():
+        put(ternary, (n + c, i, j), v)
+        put(ternary, (i, n + c, j), v, -1)
+    # mixed tuples with two carrier entries vanish
+    binary = Tensor.from_support(binary, dim, 2, (dim,))
+    ternary = Tensor.from_support(ternary, dim, 3, (dim,))
     S = LYAlgebra(dim, binary, ternary,
                   basis=["g:%s" % b for b in g.basis] + ["h:%s" % b for b in h.basis],
                   name="%s|x%s" % (g.name, h.name))

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .core import LYAlgebra, check_homomorphism, derived_algebra
 from .errors import DimMismatch, PreconditionFailed, Unverified
-from .linalg import (Q1, hom_table, invert, is_zero_mat, is_zero_vec, mat, mat_col, mat_id,
-                     mat_mul, mat_sub, mat_vec, matrix_values, nested, pull, push, sparse_map,
-                     sparse_values, transpose, vector_values)
+from .linalg import (Q1, Tensor, hom_table, invert, is_zero_mat, is_zero_vec, mat, mat_col,
+                     mat_id, mat_mul, mat_sub, mat_vec, matrix_values, pull, push, sparse_map,
+                     transpose, vector_values)
 from .reports import Checker
 from .reps import adjoint_rep
 
@@ -99,8 +99,8 @@ def _inner_sums(r, rows, degree):
     for p in range(degree + 1):
         I, J = {}, {}
         if p == 0:
-            pull(I, Q1, sparse_values(h.binary), (None, None), (0, 1))
-            pull(J, Q1, sparse_values(h.ternary), (None, None, None), (0, 1, 2))
+            pull(I, Q1, h.binary.support, (None, None), (0, 1))
+            pull(J, Q1, h.ternary.support, (None, None, None), (0, 1, 2))
         if p <= top:
             pull(I, Q1, rho, (rows[p], None), (0, 1))
             pull(I, -Q1, rho, (rows[p], None), (1, 0))
@@ -129,7 +129,7 @@ def coefficients(r, Ts, degrees):
             raise DimMismatch("each T_i must be %dx%d (carrier -> acting)" % (n, m))
     maps = [sparse_map(T) for T in Ts]
     rows, cols = [r for r, _ in maps], [c for _, c in maps]
-    c, d = sparse_values(g.binary), sparse_values(g.ternary)
+    c, d = g.binary.support, g.ternary.support
     top = len(Ts) - 1
     inner2, inner3 = _inner_sums(r, rows, max(degrees, default=-1))
     out = {}
@@ -181,7 +181,7 @@ def graph_subalgebra_check(op, all_violations=False):
     ck = Checker("graph-subalgebra(%s)" % (op.action,), all_violations)
     for name, t in (("graph-binary", S.binary), ("graph-ternary", S.ternary)):
         w, off = {}, {}
-        pull(w, Q1, sparse_values(t), (lift,) * t.arity)
+        pull(w, Q1, t.support, (lift,) * t.arity)
         push(off, Q1, defect, w)
         ck.table((n + m,), (name, {key: w[key] for key in off}))
     return ck.report({"graph_dim": m})
@@ -206,7 +206,7 @@ def check_nijenhuis(A, N, all_violations=False):
     rows, cols = sparse_map(N)
 
     def residual(t):
-        values, k = sparse_values(t), t.arity
+        values, k = t.support, t.arity
         acc = {}
         for j in range(k + 1):
             nxt = {}
@@ -245,7 +245,8 @@ def descent_algebra(op):
     h = r.carrier
     m = h.dim
     (binary,), (ternary,) = _inner_sums(r, [sparse_map(op.T)[0]], 0)
-    D = LYAlgebra(m, nested(binary, m, 2, (m,)), nested(ternary, m, 3, (m,)),
+    D = LYAlgebra(m, Tensor.from_support(binary, m, 2, (m,)),
+                  Tensor.from_support(ternary, m, 3, (m,)),
                   basis=h.basis, name="%s-descent" % h.name)
     D.ensure_verified()
     hom = check_homomorphism(D, r.acting, op.T)

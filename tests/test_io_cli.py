@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +26,74 @@ def test_load_algebra_rejects_nonzero_diagonal():
     doc = {"dim": 2, "binary": [[0, 0, 1, "1"]], "ternary": []}
     with pytest.raises(FormatError):
         lyio.load_algebra(doc)
+
+
+def test_load_algebra_rejects_inconsistent_ternary_orientations():
+    doc = {"dim": 3, "binary": [], "ternary": [[0, 1, 2, 0, "1"], [1, 0, 2, 0, "1"]]}
+    with pytest.raises(FormatError):
+        lyio.load_algebra(doc)
+
+
+def test_load_algebra_rejects_nonzero_ternary_diagonal():
+    doc = {"dim": 3, "binary": [], "ternary": [[1, 1, 0, 2, "1"]]}
+    with pytest.raises(FormatError):
+        lyio.load_algebra(doc)
+
+
+def test_load_algebra_completes_ternary_in_its_first_two_slots():
+    doc = {"dim": 3, "binary": [], "ternary": [[1, 0, 2, 0, "2"]]}
+    A = lyio.load_algebra(doc)
+    assert A.ternary[0][1][2][0] == -2 and A.ternary[1][0][2][0] == 2
+
+
+def test_an_explicit_zero_entry_counts_as_listed():
+    doc = {"dim": 2, "binary": [[0, 1, 0, "0"], [1, 0, 0, "1"]], "ternary": []}
+    with pytest.raises(FormatError):
+        lyio.load_algebra(doc)
+    # without the zero entry the listed orientation is completed
+    A = lyio.load_algebra({"dim": 2, "binary": [[1, 0, 0, "1"]], "ternary": []})
+    assert A.binary[0][1][0] == -1
+
+
+def test_duplicate_entries_sum():
+    doc = {"dim": 2, "binary": [[0, 1, 0, "1"], [0, 1, 0, "1/2"]],
+           "ternary": [[0, 1, 1, 1, "1"], [0, 1, 1, 1, "-1"]]}
+    A = lyio.load_algebra(doc)
+    assert A.binary[0][1][0] == Fraction(3, 2) and A.binary[1][0][0] == Fraction(-3, 2)
+    assert A.ternary.support == {}
+
+
+def test_post_files_complete_dot_and_angle_only():
+    doc = {"dim": 3, "dot": [[0, 1, 0, "1"]], "star": [[0, 1, 0, "1"]],
+           "angle": [[0, 1, 2, 0, "1"]], "brace": [[0, 1, 2, 0, "1"]]}
+    P = lyio.load_post(doc)
+    assert P.dot[1][0][0] == -1 and P.angle[1][0][2][0] == -1
+    assert P.star[1][0][0] == 0 and P.brace[1][0][2][0] == 0
+    # star and brace may list both orientations with unrelated values
+    doc["star"] = [[0, 1, 0, "1"], [1, 0, 0, "1"]]
+    doc["brace"] = [[0, 1, 2, 0, "1"], [1, 0, 2, 0, "1"], [2, 2, 2, 2, "1"]]
+    P = lyio.load_post(doc)
+    assert P.star[1][0][0] == 1 and P.brace[2][2][2][2] == 1
+
+
+@pytest.mark.parametrize("value", ['0.5', '"1/2"', '"0.5"'])
+def test_json_numbers_read_as_their_decimal_strings(value, tmp_path):
+    path = tmp_path / "algebra.json"
+    path.write_text('{"dim": 2, "binary": [[0, 1, 0, %s]], "ternary": []}' % value)
+    assert lyio.load_algebra(str(path)).binary[0][1][0] == Fraction(1, 2)
+
+
+def test_a_json_float_is_its_decimal_string_not_its_binary_value():
+    A = lyio.load_algebra({"dim": 2, "binary": [[0, 1, 0, 0.1]], "ternary": []})
+    assert A.binary[0][1][0] == Fraction(1, 10)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_json_floats_without_a_rational_value_are_rejected(value, tmp_path):
+    path = tmp_path / "algebra.json"
+    path.write_text('{"dim": 2, "binary": [[0, 1, 0, %s]], "ternary": []}' % value)
+    with pytest.raises(FormatError):
+        lyio.load_algebra(str(path))
 
 
 def test_load_rejects_bad_index_and_rational():
@@ -54,6 +123,35 @@ def test_load_rejects_json_booleans(doc, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["check", "algebra", str(path)]) == 2
     capsys.readouterr()
+
+
+MALFORMED_CONTAINERS = [
+    ("algebra", {"dim": 2, "binary": 5, "ternary": []}),
+    ("algebra", {"dim": 2, "binary": True, "ternary": []}),
+    ("algebra", {"dim": 2, "binary": [], "ternary": 1.5}),
+    ("algebra", {"name": ["x"], "dim": 2, "binary": [], "ternary": []}),
+    ("post", {"dim": 2, "dot": 5}),
+    ("post", {"dim": 2, "star": True}),
+    ("post", {"dim": 2, "angle": 1.5}),
+    ("post", {"dim": 2, "brace": 5}),
+    ("post", {"name": ["x"], "dim": 2}),
+    ("wedges", {"wedges": 5}),
+    ("wedges", {"wedges": [[1, 2]]}),
+]
+
+
+@pytest.mark.parametrize("kind, doc", MALFORMED_CONTAINERS)
+def test_cli_rejects_malformed_containers(kind, doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    if kind == "wedges":
+        argv = ["deform", "equiv", "--op", fx("p3_on_nilpotent4.json"),
+                "--t1", fx("t1_family.json"), "--t2", fx("t1_family.json"), "--x", str(path)]
+    else:
+        argv = ["check", kind, str(path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_load_post_rejects_boolean_dim():
@@ -99,7 +197,7 @@ def test_basis_labels_load_when_valid():
 def test_oversized_dim_raises_before_allocating(monkeypatch, tmp_path, capsys):
     def no_tensor(*args):
         raise AssertionError("a tensor was allocated")
-    for name in ("_read_sparse2", "_read_sparse3", "vzero"):
+    for name in ("_read_sparse", "Tensor"):
         monkeypatch.setattr(lyio, name, no_tensor)
     doc = {"dim": 10 ** 6, "binary": [], "ternary": []}
     with pytest.raises(TooLarge):

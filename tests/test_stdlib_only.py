@@ -96,3 +96,34 @@ def test_an_unread_function_is_caught():
     library = {"m.py": "def used():\n    pass\n\n\ndef unused():\n    pass\n"}
     readers = {**library, "t.py": "from m import unused\nused()\nx.unused_attr\n"}
     assert unread_functions(library, readers) == [("m.py", 5, "unused")]
+
+
+# Structure tensors are stored as their support; the library reads that, and
+# only tests and oracles index the nested view.
+TENSOR_ATTRIBUTES = {"binary", "ternary", "rho", "mu", "derived_D", "dot", "star", "angle",
+                     "brace", "brace_D", "sub_binary", "sub_ternary"}
+
+
+def tensor_subscripts(sources_by_path):
+    """(file, line, attribute) of each subscript of a structure-tensor
+    attribute, such as ``A.binary[i]``."""
+    out = []
+    for path, text in sources_by_path.items():
+        for node in ast.walk(ast.parse(text, path)):
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute) \
+                    and node.value.attr in TENSOR_ATTRIBUTES:
+                out.append((os.path.basename(path), node.lineno, node.value.attr))
+    return sorted(out)
+
+
+def test_no_library_module_indexes_a_structure_tensor():
+    assert tensor_subscripts(sources(os.path.join("src", "lyalg"))) == []
+
+
+def test_an_indexed_structure_tensor_is_caught():
+    snippet = ("def f(A, r, t):\n"
+               "    v = A.binary[0][1]\n"
+               "    w = r.derived_D[0]\n"
+               "    return A.binary.support[0, 1], t[0], A.name[0]\n")
+    assert tensor_subscripts({"m.py": snippet}) == [("m.py", 2, "binary"),
+                                                    ("m.py", 3, "derived_D")]
