@@ -23,6 +23,15 @@ with matrices as row-major arrays of rationals; operator files are
 the four keys dot/star/angle/brace.  File references resolve relative to the
 referencing file's directory.
 
+Every input is read once, straight into the form the library uses.  Matrices
+are read as their supports {(r, c): q}: rho and mu become tensors through
+``Tensor.from_support``, and only the API's dense matrices (T, N, a
+homomorphism's matrix, ``load_matrix``) are filled from that support.  Within
+one top-level load, each distinct rational value is parsed once, and two
+references to one algebra (the same file by absolute path, or equal inline
+objects, such as an adjoint action's acting and carrier) load and verify one
+``LYAlgebra``, used in both slots.  Nothing is kept from one load to the next.
+
 A rational is an integer, a string "p/q" or a decimal string such as "0.5".
 A JSON float is read as its shortest decimal string, so 0.1 is 1/10, not the
 binary double nearest to it; NaN, Infinity and floats out of range (1e400)
@@ -36,10 +45,14 @@ import os
 
 from .core import LYAlgebra
 from .errors import FormatError, TooLarge
-from .linalg import Q0, Tensor, format_frac, frac
+from .linalg import Q0, Tensor, dense, format_frac, frac
 from .postlya import PostLYAlgebra
 from .reps import RepAction
 from .rrb import RRBOperator
+
+
+def _path(source, base_dir):
+    return source if os.path.isabs(source) else os.path.join(base_dir or ".", source)
 
 
 def _load_doc(source, base_dir):
@@ -47,7 +60,7 @@ def _load_doc(source, base_dir):
     if isinstance(source, dict):
         return source, base_dir
     if isinstance(source, str):
-        path = source if os.path.isabs(source) else os.path.join(base_dir or ".", source)
+        path = _path(source, base_dir)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -76,13 +89,13 @@ def _frac_str(v, where):
         raise FormatError("%s: bad rational %r" % (where, v)) from e
 
 
-def _read_sparse(entries, dim, arity, where, antisym):
+def _read_sparse(entries, dim, arity, where, antisym, rational):
     """The tensor of vector values listed by ``entries``, [i, .., value] with
-    ``arity`` indices before the row.  Entries at one place add up.  With
-    ``antisym`` a tensor antisymmetric in its first two slots is completed
-    from either orientation; an entry counts as listed even when its value
-    is zero, and the first fault in lexicographic order of (i <= j, ..) is
-    reported."""
+    ``arity`` indices before the row, each value read by ``rational``.
+    Entries at one place add up.  With ``antisym`` a tensor antisymmetric in
+    its first two slots is completed from either orientation; an entry counts
+    as listed even when its value is zero, and the first fault in
+    lexicographic order of (i <= j, ..) is reported."""
     if entries is None:
         entries = []
     if not isinstance(entries, list):
@@ -95,7 +108,7 @@ def _read_sparse(entries, dim, arity, where, antisym):
         _check_idx(where, dim, *ent[:-1])
         key, row = tuple(ent[:arity]), ent[arity]
         v = table.setdefault(key, {})
-        v[row] = v.get(row, Q0) + _frac_str(ent[-1], where)
+        v[row] = v.get(row, Q0) + rational(ent[-1], where)
         seen.add(key)
     if antisym:
         for key in sorted({(min(k[:2]), max(k[:2])) + k[2:] for k in seen}):
@@ -154,20 +167,6 @@ def _read_basis(doc, dim, name):
     return basis
 
 
-def _read_matrix(rows, where, nr=None, nc=None):
-    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
-        raise FormatError("%s: matrix must be a non-empty array of rows" % where)
-    width = len(rows[0])
-    out = []
-    for r in rows:
-        if len(r) != width:
-            raise FormatError("%s: ragged matrix" % where)
-        out.append(tuple(_frac_str(v, where) for v in r))
-    if nr is not None and len(out) != nr or nc is not None and width != nc:
-        raise FormatError("%s: matrix must be %sx%s" % (where, nr, nc))
-    return tuple(out)
-
-
 def _read_name(doc, default):
     name = doc.get("name", default)
     if not isinstance(name, str):
@@ -175,81 +174,156 @@ def _read_name(doc, default):
     return name
 
 
+def _same(a, b):
+    """Equal JSON values of equal types at every level (1, 1.0 and true differ)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+class _Load:
+    """The state of one top-level load: the rationals parsed so far, keyed
+    by the raw JSON value and its type, and the algebras loaded so far, keyed
+    by their absolute path or their inline object."""
+
+    def __init__(self):
+        self.fracs = {}
+        self.algebras = []
+
+    def rational(self, v, where):
+        key = (type(v), v)
+        try:
+            q = self.fracs.get(key)
+        except TypeError:  # a list or an object: never a rational
+            return _frac_str(v, where)
+        if q is None:
+            q = self.fracs[key] = _frac_str(v, where)
+        return q
+
+    def algebra(self, source, base_dir):
+        key = os.path.abspath(_path(source, base_dir)) if isinstance(source, str) else source
+        for k, A in self.algebras:
+            if _same(k, key):
+                return A
+        doc, here = _load_doc(source, base_dir)
+        name = _read_name(doc, "algebra")
+        dim = _read_dim(doc, name)
+        binary = _read_sparse(doc.get("binary"), dim, 2, name + ".binary", True,
+                              self.rational)
+        ternary = _read_sparse(doc.get("ternary"), dim, 3, name + ".ternary", True,
+                               self.rational)
+        A = LYAlgebra(dim, binary, ternary, basis=_read_basis(doc, dim, name), name=name)
+        self.algebras.append((key, A))
+        return A
+
+    def action(self, source, base_dir, certify=True):
+        doc, here = _load_doc(source, base_dir)
+        acting = self.algebra(_field(doc, "acting", "action"), here)
+        carrier = self.algebra(_field(doc, "carrier", "action"), here)
+        n, m = acting.dim, carrier.dim
+        rho_doc = _field(doc, "rho", "action")
+        mu_doc = _field(doc, "mu", "action")
+        if not isinstance(rho_doc, list) or len(rho_doc) != n:
+            raise FormatError("action.rho: need %d matrices" % n)
+        if not isinstance(mu_doc, list) or len(mu_doc) != n \
+                or any(not isinstance(row, list) or len(row) != n for row in mu_doc):
+            raise FormatError("action.mu: need a %dx%d array of matrices" % (n, n))
+        rho = {(i,): self.matrix(mx, "action.rho[%d]" % i, m, m)[0]
+               for i, mx in enumerate(rho_doc)}
+        mu = {(i, j): self.matrix(mu_doc[i][j], "action.mu[%d][%d]" % (i, j), m, m)[0]
+              for i in range(n) for j in range(n)}
+        acting.ensure_verified()
+        carrier.ensure_verified()
+        r = RepAction(acting, carrier, Tensor.from_support(rho, n, 1, (m, m)),
+                      Tensor.from_support(mu, n, 2, (m, m)))
+        if certify:
+            r.ensure_action()
+        return r
+
+    def matrix(self, rows, where, nr=None, nc=None):
+        """The nonzero entries {(r, c): q} of a row-major array of rationals,
+        and its shape.  A ragged row is reported before a wrong size, and the
+        first bad entry in row-major order."""
+        if not isinstance(rows, list) or not rows \
+                or not all(isinstance(r, list) for r in rows):
+            raise FormatError("%s: matrix must be a non-empty array of rows" % where)
+        width = len(rows[0])
+        table = {}
+        for r, row in enumerate(rows):
+            if len(row) != width:
+                raise FormatError("%s: ragged matrix" % where)
+            for c, v in enumerate(row):
+                q = self.rational(v, where)
+                if q:
+                    table[r, c] = q
+        if nr is not None and len(rows) != nr or nc is not None and width != nc:
+            raise FormatError("%s: matrix must be %sx%s" % (where, nr, nc))
+        return table, (len(rows), width)
+
+    def dense_matrix(self, rows, where, nr=None, nc=None):
+        return dense(*self.matrix(rows, where, nr, nc))
+
+
 def load_algebra(source, base_dir=None):
-    doc, here = _load_doc(source, base_dir)
-    name = _read_name(doc, "algebra")
-    dim = _read_dim(doc, name)
-    binary = _read_sparse(doc.get("binary"), dim, 2, name + ".binary", antisym=True)
-    ternary = _read_sparse(doc.get("ternary"), dim, 3, name + ".ternary", antisym=True)
-    return LYAlgebra(dim, binary, ternary, basis=_read_basis(doc, dim, name), name=name)
+    return _Load().algebra(source, base_dir)
 
 
 def load_action(source, base_dir=None, certify=True):
-    doc, here = _load_doc(source, base_dir)
-    acting = load_algebra(_field(doc, "acting", "action"), here)
-    carrier = load_algebra(_field(doc, "carrier", "action"), here)
-    n, m = acting.dim, carrier.dim
-    rho_doc = _field(doc, "rho", "action")
-    mu_doc = _field(doc, "mu", "action")
-    if not isinstance(rho_doc, list) or len(rho_doc) != n:
-        raise FormatError("action.rho: need %d matrices" % n)
-    if not isinstance(mu_doc, list) or len(mu_doc) != n \
-            or any(not isinstance(row, list) or len(row) != n for row in mu_doc):
-        raise FormatError("action.mu: need a %dx%d array of matrices" % (n, n))
-    rho = [_read_matrix(mx, "action.rho[%d]" % i, m, m) for i, mx in enumerate(rho_doc)]
-    mu = [[_read_matrix(mu_doc[i][j], "action.mu[%d][%d]" % (i, j), m, m)
-           for j in range(n)] for i in range(n)]
-    acting.ensure_verified()
-    carrier.ensure_verified()
-    r = RepAction(acting, carrier, rho, mu)
-    if certify:
-        r.ensure_action()
-    return r
+    return _Load().action(source, base_dir, certify)
 
 
 def load_operator(source, base_dir=None):
+    ld = _Load()
     doc, here = _load_doc(source, base_dir)
-    action = load_action(_field(doc, "action", "operator"), here)
-    T = _read_matrix(_field(doc, "T", "operator"), "operator.T",
-                     action.acting.dim, action.carrier.dim)
+    action = ld.action(_field(doc, "action", "operator"), here)
+    T = ld.dense_matrix(_field(doc, "T", "operator"), "operator.T",
+                        action.acting.dim, action.carrier.dim)
     return RRBOperator(action, T)
 
 
 def load_post(source, base_dir=None):
+    rational = _Load().rational
     doc, here = _load_doc(source, base_dir)
     name = _read_name(doc, "post-algebra")
     dim = _read_dim(doc, name)
-    dot = _read_sparse(doc.get("dot"), dim, 2, name + ".dot", antisym=True)
-    star = _read_sparse(doc.get("star"), dim, 2, name + ".star", antisym=False)
-    angle = _read_sparse(doc.get("angle"), dim, 3, name + ".angle", antisym=True)
-    brace = _read_sparse(doc.get("brace"), dim, 3, name + ".brace", antisym=False)
+    dot = _read_sparse(doc.get("dot"), dim, 2, name + ".dot", True, rational)
+    star = _read_sparse(doc.get("star"), dim, 2, name + ".star", False, rational)
+    angle = _read_sparse(doc.get("angle"), dim, 3, name + ".angle", True, rational)
+    brace = _read_sparse(doc.get("brace"), dim, 3, name + ".brace", False, rational)
     return PostLYAlgebra(dim, dot, star, angle, brace, basis=_read_basis(doc, dim, name),
                          name=name)
 
 
 def load_matrix(source, base_dir=None, key="matrix"):
     doc, here = _load_doc(source, base_dir)
-    return _read_matrix(_field(doc, key, "matrix file"), key)
+    return _Load().dense_matrix(_field(doc, key, "matrix file"), key)
 
 
 def load_homomorphism(source, base_dir=None):
+    ld = _Load()
     doc, here = _load_doc(source, base_dir)
-    src = load_algebra(_field(doc, "from", "homomorphism"), here)
-    dst = load_algebra(_field(doc, "to", "homomorphism"), here)
-    mx = _read_matrix(_field(doc, "matrix", "homomorphism"), "homomorphism.matrix",
-                      dst.dim, src.dim)
+    src = ld.algebra(_field(doc, "from", "homomorphism"), here)
+    dst = ld.algebra(_field(doc, "to", "homomorphism"), here)
+    mx = ld.dense_matrix(_field(doc, "matrix", "homomorphism"), "homomorphism.matrix",
+                         dst.dim, src.dim)
     return src, dst, mx
 
 
 def load_nijenhuis(source, base_dir=None):
+    ld = _Load()
     doc, here = _load_doc(source, base_dir)
-    A = load_algebra(_field(doc, "algebra", "nijenhuis file"), here)
-    N = _read_matrix(_field(doc, "N", "nijenhuis file"), "N", A.dim, A.dim)
+    A = ld.algebra(_field(doc, "algebra", "nijenhuis file"), here)
+    N = ld.dense_matrix(_field(doc, "N", "nijenhuis file"), "N", A.dim, A.dim)
     return A, N
 
 
 def load_wedges(source, base_dir=None):
     """{"wedges": [[vector, vector], ...]} with rational-string vectors."""
+    rational = _Load().rational
     doc, here = _load_doc(source, base_dir)
     wedges = _field(doc, "wedges", "wedge file")
     if not isinstance(wedges, list):
@@ -259,8 +333,8 @@ def load_wedges(source, base_dir=None):
         if not isinstance(pair, list) or len(pair) != 2 \
                 or not all(isinstance(v, list) for v in pair):
             raise FormatError("wedges[%d]: expected a pair of vectors" % i)
-        x = tuple(_frac_str(v, "wedges[%d]" % i) for v in pair[0])
-        y = tuple(_frac_str(v, "wedges[%d]" % i) for v in pair[1])
+        x = tuple(rational(v, "wedges[%d]" % i) for v in pair[0])
+        y = tuple(rational(v, "wedges[%d]" % i) for v in pair[1])
         if len(x) != len(y):
             raise FormatError("wedges[%d]: vectors of unequal length" % i)
         out.append((x, y))

@@ -115,10 +115,6 @@ class Checker:
             name, values = named[e]
             self.record(name, args, dense(values[args], shape))
 
-    @property
-    def failed(self):
-        return bool(self.violations)
-
     def report(self, data=None):
         return Report(self.subject,
                       "fail" if self.violations else "pass",
