@@ -262,6 +262,22 @@ def _expand(arg_dicts):
 MAX_COBOUNDARY_ROWS = 100_000
 
 
+def _check_rows(p, m, n):
+    """Raise TooLarge when the degree-p coboundary, with M^p (m + 1) n rows
+    for M = m(m-1)/2, has more than MAX_COBOUNDARY_ROWS of them.  The count
+    is multiplied up one degree at a time and stops at the first degree
+    over the budget, so M^p is never formed for a huge p."""
+    M = m * (m - 1) // 2
+    rows = (m + 1) * n
+    for _ in range(p):
+        rows *= M
+        if rows > MAX_COBOUNDARY_ROWS:
+            raise TooLarge("the degree-%d coboundary has at least %d rows, over the budget "
+                           "of %d" % (p, rows, MAX_COBOUNDARY_ROWS))
+        if M < 2 or not rows:
+            break        # M^p = M for M < 2, and zero rows stay zero
+
+
 def coboundary_matrix_for(alg, rep, p):
     """The matrix of the degree-p coboundary over the rep's carrier.
 
@@ -277,11 +293,9 @@ def coboundary_matrix_for(alg, rep, p):
         raise ShapeMismatch("representation does not act on the given algebra")
     m = alg.dim
     n = rep.carrier.dim
+    _check_rows(p, m, n)
     lin = _Layout(p, m, n)
     lout = _Layout(p + 1, m, n)
-    if lout.total > MAX_COBOUNDARY_ROWS:
-        raise TooLarge("the degree-%d coboundary has %d rows, over the budget of %d"
-                       % (p, lout.total, MAX_COBOUNDARY_ROWS))
     prs = pair_basis(m)
     pidx = {pr: t for t, pr in enumerate(prs)}
     comp = [[_composite(alg.ternary.support, pk, pl, pidx) for pl in prs] for pk in prs]

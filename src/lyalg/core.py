@@ -4,12 +4,14 @@ constructors and homomorphism checking.
 An algebra is stored through structure tensors over a chosen basis (see
 ``linalg.Tensor``): ``binary`` holds the vectors [e_i, e_j] and ``ternary``
 the vectors <e_i, e_j, e_k>.  All axiom checks run over basis tuples;
-multilinearity makes that equivalent to checking on arbitrary vectors.
+multilinearity makes that equivalent to checking on arbitrary vectors.  Each
+axiom is tabulated over every basis tuple at once from the brackets' supports
+(``linalg.signed_sum``) and its nonzero residuals are the witnesses.
 """
 
 from .errors import AxiomsFailed, DimMismatch, NotLieAlgebra, StructureError
-from .linalg import (Q0, Q1, Subspace, Tensor, compose, contract, dense, frac, hom_table,
-                     nullspace_basis, place, skew_fault, sparse_map)
+from .linalg import (Q0, Q1, Subspace, Tensor, contract, dense, frac, hom_table,
+                     nullspace_basis, signed_sum, skew_fault, sparse_map)
 from .reports import Checker
 
 
@@ -65,26 +67,22 @@ def check_ly_axioms(A, all_violations=False):
     LY3: <x,y,[z,w]> = [<x,y,z>,w] + [z,<x,y,w>]
     LY4: <x,y,<z,w,v>> = <<x,y,z>,w,v> + <z,<x,y,w>,v> + <z,w,<x,y,v>>
 
-    A tuple is evaluated only when some term of the equation has every factor
-    in the support of the brackets; at any other tuple each term, and so the
-    residual, is zero.
+    Each axiom is one table of its residuals over all basis tuples, a signed
+    sum of compositions of the brackets' supports, so only tuples where some
+    term has every factor in the support are ever formed.
     """
     ck = Checker("ly-axioms(%s)" % A.name, all_violations)
     c, d = A.binary.support, A.ternary.support
-    # basis vectors x, y, z, w, v sit at tuple positions 0..4
-    shape = A.binary.shape
-    ck.equations(A.dim, shape, [
-        ("LY1", [(1, (c, (c, 0, 1), 2)), (1, (c, (c, 1, 2), 0)), (1, (c, (c, 2, 0), 1)),
-                 (1, (d, 0, 1, 2)), (1, (d, 1, 2, 0)), (1, (d, 2, 0, 1))])])
-    ck.equations(A.dim, shape, [
-        ("LY2", [(1, (d, (c, 0, 1), 2, 3)), (1, (d, (c, 1, 2), 0, 3)),
-                 (1, (d, (c, 2, 0), 1, 3))])])
-    ck.equations(A.dim, shape, [
-        ("LY3", [(1, (d, 0, 1, (c, 2, 3))), (-1, (c, (d, 0, 1, 2), 3)),
-                 (-1, (c, 2, (d, 0, 1, 3)))])])
-    ck.equations(A.dim, shape, [
-        ("LY4", [(1, (d, 0, 1, (d, 2, 3, 4))), (-1, (d, (d, 0, 1, 2), 3, 4)),
-                 (-1, (d, 2, (d, 0, 1, 3), 4)), (-1, (d, 2, 3, (d, 0, 1, 4)))])])
+    # basis vectors x, y, z, w, v sit at tuple positions 0..4 (see
+    # ``linalg.signed_sum``); LY4 takes the commutator of <x,y,.> and
+    # <z,w,.> first, so that fewer tuples are live in its table at once
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    ck.tabulate(A.binary.shape, [
+        ("LY1", [(Q1, c, 0, c, xyz) for xyz in cyclic] + [(Q1, d, xyz) for xyz in cyclic])], [
+        ("LY2", [(Q1, d, 0, c, xyz + (3,)) for xyz in cyclic])], [
+        ("LY3", [(Q1, d, 2, c), (-Q1, c, 0, d), (-Q1, c, 1, d, (2, 0, 1, 3))])], [
+        ("LY4", [(Q1, d, 2, d), (-Q1, d, 2, d, (2, 3, 0, 1, 4)), (-Q1, d, 0, d),
+                 (-Q1, d, 1, d, (2, 0, 1, 3, 4))])])
     rep = ck.report()
     if rep.passed:
         A.verified = True
@@ -109,9 +107,9 @@ def from_lie_algebra(dim, binary, basis=None, name=None):
     fault = skew_fault(c)
     if fault is not None:
         raise NotLieAlgebra("bracket not antisymmetric at (%d,%d)" % fault)
-    ternary = compose(c.support, 0, c.support)
+    ternary = signed_sum([(Q1, c.support, 0, c.support)])
     # <x,y,z> + <y,z,x> + <z,x,y> at (x, y, z)
-    jacobi = place([(Q1, ternary, positions) for positions in ((0, 1, 2), (2, 0, 1), (1, 2, 0))])
+    jacobi = signed_sum([(Q1, ternary, xyz) for xyz in ((0, 1, 2), (2, 0, 1), (1, 2, 0))])
     if jacobi:
         raise NotLieAlgebra("Jacobi fails at (%d,%d,%d)" % min(jacobi))
     A = LYAlgebra(dim, c, Tensor.from_support(ternary, dim, 3, (dim,)), basis=basis,

@@ -58,17 +58,22 @@ def ternary_coefficient(r, Ts, s, u, v, w):
     return _contract(r, coefficients(r, Ts, (s,))[s][1], u, v, w)
 
 
+def _operator_matrix(op, T, what):
+    """T as a matrix of the operator's shape, dim(acting) x dim(carrier)."""
+    n, m = op.action.acting.dim, op.action.carrier.dim
+    T = mat(T)
+    if len(T) != n or any(len(row) != m for row in T):
+        raise DimMismatch("%s must be %dx%d (carrier -> acting)" % (what, n, m))
+    return T
+
+
 class OrderNDeformation:
     """T_t = T + t T_1 + ... + t^n T_n over a verified base operator."""
 
     def __init__(self, base, terms):
         base.ensure_verified()
         self.base = base
-        n, m = base.action.acting.dim, base.action.carrier.dim
-        self.terms = [mat(t) for t in terms]
-        for t in self.terms:
-            if len(t) != n or any(len(r) != m for r in t):
-                raise DimMismatch("deformation terms must be %dx%d" % (n, m))
+        self.terms = [_operator_matrix(base, t, "deformation terms") for t in terms]
         self.order = len(self.terms)
         self._cx = None
         self._ob = None
@@ -168,7 +173,7 @@ def check_equivalence(op, T1, T2, wedges, all_violations=False):
     r = op.action
     g, h = r.acting, r.carrier
     n, m = g.dim, h.dim
-    T1, T2 = mat(T1), mat(T2)
+    T1, T2 = (_operator_matrix(op, T, "T1 and T2") for T in (T1, T2))
     LX = mat_zero(n, n)
     DX = mat_zero(m, m)
     for x, y in wedges:
@@ -296,7 +301,8 @@ def difference_class(op, T1, T2):
     coordinates on the (i < j) pair basis of the acting algebra.
     """
     op.ensure_verified()
-    diff = mat_sub(mat(T2), mat(T1))
+    T1, T2 = (_operator_matrix(op, T, "T1 and T2") for T in (T1, T2))
+    diff = mat_sub(T2, T1)
     rhs = _flatten_map(diff, op.action.carrier.dim)
     try:
         x = partial_matrix(op).solve(rhs)

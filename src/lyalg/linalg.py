@@ -5,13 +5,15 @@ Vectors are tuples of Fraction; matrices are tuples of row tuples.  The
 elimination routine also takes sparse rows, dicts {column: Fraction}.
 Structure tensors (``Tensor``) are stored as their support, the nonzero
 vector or matrix values as sparse dicts, and read as nested tuples through a
-view built from it; ``contract`` evaluates them, the axiom scans read the
-support, and the equations a linear map enters are tabulated by
-``pull``/``push``.
+view built from it.  ``contract`` evaluates them at vectors; every equation
+is tabulated from the supports as one sparse table, a signed sum of
+compositions (``compose``) and of supports pulled back along or pushed
+through a linear map (``pull``/``push``).
 There are no tolerances anywhere: equality means exact equality.
 """
 
 import itertools
+import operator
 from fractions import Fraction
 
 from .errors import AmbientMismatch, DimMismatch, Inconsistent, NotInvertible
@@ -219,8 +221,8 @@ def contract(t, *slots):
 # ---------------------------------------------------------------------------
 # sparse values
 #
-# The axiom scans work on the support of each tensor and build the dense
-# residual only for a recorded witness.
+# The equation tables read the support of each tensor, a matrix value's column
+# as one more slot; the dense residual is built only for a recorded witness.
 
 def vector_values(t):
     """The support of ``t`` as {index tuple: {row: q}}; a matrix value's
@@ -246,12 +248,18 @@ def matrix_values(table):
 
 def axpy(acc, f, x):
     """acc += f * x on sparse dicts, in place, dropping entries that cancel."""
-    for k, v in x.items():
-        new = acc.get(k, Q0) + f * v
-        if new:
-            acc[k] = new
+    if not f:
+        return
+    for k, v in (x.items() if f == 1 else ((k, f * v) for k, v in x.items())):
+        old = acc.get(k)
+        if old is None:
+            acc[k] = v
         else:
-            del acc[k]
+            new = old + v
+            if new:
+                acc[k] = new
+            else:
+                del acc[k]
 
 
 def skew_faults(values):
@@ -296,119 +304,16 @@ def sparse_mul(a, b):
     return {rc: v for rc, v in out.items() if v}
 
 
-class Terms:
-    """Signed sums of terms over sparse supports, at basis tuples.
-
-    A factor is ``(values, slot, ...)``: a tensor's ``support`` read with each slot a position in the basis tuple,
-    except that one slot may hold a factor of positions only, whose value
-    then fills that slot as a vector.  A term is ``(sign, factor)`` or
-    ``(sign, factor, factor)``, the product of the matrix values of two
-    factors of positions only.  A term is live at a tuple when every factor
-    it reads there meets the support; at any other tuple it is zero.  The
-    tuples of an equation have one position for each position its terms
-    read, and a position one term leaves unread ranges over range(dim) for
-    that term.  ``live`` lists the tuples where a term is live and
-    ``residual`` sums the terms at one tuple.  One ``Terms`` serves one
-    scan: it keeps each product it forms, with the operands, so that no
-    other object can take their ids while the memo lives.
-    """
-
-    def __init__(self, dim):
-        self.dim = dim
-        self._products = {}        # (id(a), id(b)) -> (a, b, a b)
-
-    @staticmethod
-    def _read(factor):
-        """The tuple positions ``factor`` reads."""
-        out = set()
-        for s in factor[1:]:
-            out.update((s,) if isinstance(s, int) else s[1:])
-        return out
-
-    @staticmethod
-    def _live(factor):
-        """Each assignment {position: index} at which ``factor`` meets the support."""
-        values, slots = factor[0], factor[1:]
-        nested = [k for k, s in enumerate(slots) if not isinstance(s, int)]
-        if nested:
-            k = nested[0]
-            index = {}             # slot-k index -> the rest of each key
-            for key in values:
-                index.setdefault(key[k], []).append(key[:k] + key[k + 1:])
-            inner, inner_slots = slots[k][0], slots[k][1:]
-            positions = inner_slots + slots[:k] + slots[k + 1:]
-            keys = (key + rest for key, v in inner.items() for x in v
-                    for rest in index.get(x, ()))
-        else:
-            positions, keys = slots, values
-        for key in keys:
-            a = {}
-            if all(a.setdefault(p, i) == i for p, i in zip(positions, key)):
-                yield a
-
-    def live(self, terms):
-        """The basis tuples at which some term is live, with repeats."""
-        reads = [set().union(*map(self._read, term[1:])) for term in terms]
-        arity = 1 + max(max(r) for r in reads)
-        for term, read in zip(terms, reads):
-            free = [p for p in range(arity) if p not in read]
-            fills = list(itertools.product(range(self.dim), repeat=len(free)))
-            for a in self._live(term[1]):
-                for b in (self._live(term[2]) if len(term) > 2 else ({},)):
-                    if all(a.get(p, i) == i for p, i in b.items()):
-                        ab = {**a, **b}
-                        for fill in fills:
-                            ab.update(zip(free, fill))
-                            yield tuple(ab[p] for p in range(arity))
-
-    @staticmethod
-    def _add(acc, f, factor, args):
-        """acc += f * (the value of ``factor`` at the basis tuple ``args``)."""
-        values, slots = factor[0], factor[1:]
-        key, nested = [], None
-        for s in slots:
-            if isinstance(s, int):
-                key.append(args[s])
-            else:
-                nested = len(key), s[0].get(tuple(args[p] for p in s[1:]))
-                if nested[1] is None:
-                    return
-        if nested is None:
-            w = values.get(tuple(key))
-            if w is not None:
-                axpy(acc, f, w)
-            return
-        at, vec = nested
-        head, tail = tuple(key[:at]), tuple(key[at:])
-        for x, q in vec.items():
-            w = values.get(head + (x,) + tail)
-            if w is not None:
-                axpy(acc, f * q, w)
-
-    def residual(self, terms, args):
-        """The sum of ``terms`` at the basis tuple ``args``, as a sparse dict."""
-        acc = {}
-        for term in terms:
-            if len(term) == 2:
-                self._add(acc, term[0], term[1], args)
-                continue
-            a, b = (f[0].get(tuple(args[p] for p in f[1:])) for f in term[1:])
-            if a is None or b is None:
-                continue
-            key = (id(a), id(b))
-            if key not in self._products:
-                self._products[key] = (a, b, sparse_mul(a, b))
-            axpy(acc, term[0], self._products[key][2])
-        return acc
-
-
 # ---------------------------------------------------------------------------
-# pulled-back tables
+# equation tables
 #
-# An equation in which a linear map enters a slot is tabulated over all basis
-# tuples at once: a tensor's support is pulled back along the nonzero entries
-# of the map, slot by slot, and a table is pushed forward through a map.  A
-# table is {index tuple: {row: q}}; a tuple whose value vanishes is absent.
+# Every equation is tabulated over all basis tuples at once, as one sparse
+# table {index tuple: {row: q}} in which a tuple whose value vanishes is
+# absent.  Each signed term is added straight into the equation's table: a
+# tensor's support pulled back along the nonzero entries of a linear map, slot
+# by slot (``pull``), a table pushed forward through a map (``push``), or one
+# support composed into a slot of another (``compose``).  The slots of a term
+# are placed at the tuple positions of the equation's arguments.
 
 def sparse_map(M):
     """The nonzero entries of the matrix M as (rows, cols), rows {r: [(c, q)]}
@@ -430,6 +335,17 @@ def _add_at(table, key, f, x):
         del table[key]
 
 
+def _placement(positions):
+    """The map taking a key to the tuple with slot p at position
+    positions[p], or None for slot order."""
+    if positions is None or len(positions) < 2:
+        return None
+    slots = [0] * len(positions)
+    for p, x in enumerate(positions):
+        slots[x] = p
+    return operator.itemgetter(*slots)
+
+
 def pull(acc, sign, values, maps, positions=None):
     """acc += sign * ``values`` with slot p read through maps[p] (the rows of a
     map, see ``sparse_map``, or None to read the slot as it is) and placed at
@@ -445,22 +361,9 @@ def pull(acc, sign, values, maps, positions=None):
                 for a, q in rows.get(key[p], ()):
                     _add_at(table, key[:p] + (a,) + key[p + 1:], q, v)
             values = table
+    place = _placement(positions)
     for key, v in values.items():
-        if positions is not None:
-            args = [0] * len(key)
-            for p, x in zip(positions, key):
-                args[p] = x
-            key = tuple(args)
-        _add_at(acc, key, sign, v)
-
-
-def place(terms):
-    """The sum of sign * values over the (sign, values, positions) of
-    ``terms``, slot p of each table placed at tuple position positions[p]."""
-    acc = {}
-    for sign, values, positions in terms:
-        pull(acc, sign, values, (), positions)
-    return acc
+        _add_at(acc, place(key) if place else key, sign, v)
 
 
 def push(acc, sign, cols, table):
@@ -473,19 +376,35 @@ def push(acc, sign, cols, table):
         _add_at(acc, key, sign, {x: q for x, q in out.items() if q})
 
 
-def compose(outer, p, inner):
-    """The table of ``outer`` with the value of ``inner`` in its slot p: the
-    key is outer's with slot p replaced by inner's slots (both tables read as
-    by ``vector_values``)."""
+def signed_sum(terms):
+    """One table summing ``terms``: (sign, values, positions) adds ``values``
+    placed as by ``pull``, and (sign, outer, p, inner[, positions]) adds a
+    composition (see ``compose``)."""
+    acc = {}
+    for sign, values, *rest in terms:
+        if len(rest) == 1:
+            pull(acc, sign, values, (), rest[0])
+        else:
+            compose(acc, sign, values, *rest)
+    return acc
+
+
+def compose(acc, sign, outer, p, inner, positions=None):
+    """acc += sign * ``outer`` with the value of ``inner`` in its slot p, both
+    tables read as by ``vector_values``: the key is outer's with slot p
+    replaced by inner's slots, then placed as by ``pull``.  The product of
+    two matrix values is the composition into the outer one's column slot.
+    No table of the composition itself is formed."""
     at = {}
     for key, v in outer.items():
         at.setdefault(key[p], []).append((key[:p], key[p + 1:], v))
-    acc = {}
+    place = _placement(positions)
     for key, w in inner.items():
         for s, q in w.items():
+            f = sign * q
             for head, tail, v in at.get(s, ()):
-                _add_at(acc, head + key + tail, q, v)
-    return acc
+                k = head + key + tail
+                _add_at(acc, place(k) if place else k, f, v)
 
 
 def hom_table(src, dst, cols, maps):

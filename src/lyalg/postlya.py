@@ -16,11 +16,14 @@ The checker's default axiom set is the one under which the structure induced
 by any weight-1 operator (dot = carrier binary, x*y = rho(Tx)y,
 {x,y,z} = mu(Ty,Tz)x, angle = carrier ternary) always passes; a few alternate
 variants of the compatibility equations are available via ``as_printed``.
+The derived operations and every axiom are tabulated as signed sums of
+compositions of the four operations' supports (``linalg.signed_sum``), so
+no basis tuple is visited.
 """
 
 from .core import LYAlgebra, check_homomorphism, check_ly_axioms
 from .errors import AxiomsFailed, DimMismatch, StructureError, Unverified
-from .linalg import (Q1, Tensor, compose, hom_table, mat, mat_id, place, pull, skew_fault,
+from .linalg import (Q1, Tensor, hom_table, mat, mat_id, pull, signed_sum, skew_fault,
                      sparse_map, vector_values)
 from .reports import Checker
 from .reps import RepAction, check_action, regular_pair
@@ -46,12 +49,12 @@ class PostLYAlgebra:
         dot, star, angle, brace = (t.support for t in (self.dot, self.star, self.angle,
                                                        self.brace))
         # (a,b,c) = (a*b)*c - a*(b*c), and each derived operation at (x, y[, z])
-        xyz = (0, 1, 2)
-        assoc = place([(Q1, compose(star, 0, star), xyz), (-Q1, compose(star, 1, star), xyz)])
-        bD = place([(Q1, brace, (2, 1, 0)), (-Q1, brace, (2, 0, 1)), (Q1, assoc, (1, 0, 2)),
-                    (-Q1, assoc, xyz), (-Q1, compose(star, 0, dot), xyz)])
-        cb = place([(Q1, star, (0, 1)), (-Q1, star, (1, 0)), (Q1, dot, (0, 1))])
-        ct = place([(Q1, bD, xyz), (Q1, brace, xyz), (-Q1, brace, (1, 0, 2)), (Q1, angle, xyz)])
+        assoc = signed_sum([(Q1, star, 0, star), (-Q1, star, 1, star)])
+        bD = signed_sum([(Q1, brace, (2, 1, 0)), (-Q1, brace, (2, 0, 1)), (Q1, assoc, (1, 0, 2)),
+                         (-Q1, assoc, None), (-Q1, star, 0, dot)])
+        cb = signed_sum([(Q1, star, None), (-Q1, star, (1, 0)), (Q1, dot, None)])
+        ct = signed_sum([(Q1, bD, None), (Q1, brace, None), (-Q1, brace, (1, 0, 2)),
+                         (Q1, angle, None)])
         self.brace_D = Tensor.from_support(bD, dim, 3, (dim,))
         self.sub_binary = Tensor.from_support(cb, dim, 2, (dim,))
         self.sub_ternary = Tensor.from_support(ct, dim, 3, (dim,))
@@ -89,8 +92,8 @@ def check_post_axioms(A, all_violations=False, as_printed=False):
     transported from the representation/action axioms are replaced by their
     close variants (P4's first summand uses {{x,w,z},w,t}, P5 carries the
     derived brace on the inner slots, and P6 constrains only star images).
-    As in ``core.check_ly_axioms``, each equation is a table of signed terms
-    evaluated only at the basis tuples where one of them is live.
+    As in ``core.check_ly_axioms``, each equation is one table of its
+    residuals, a signed sum of compositions of the operations' supports.
     """
     ck = Checker("post-axioms(%s)" % A.name, all_violations)
     base = check_ly_axioms(A.base_ly(), all_violations)
@@ -99,50 +102,48 @@ def check_post_axioms(A, all_violations=False, as_printed=False):
     dot, star, angle, brace, bD, cb, ct = (
         t.support for t in (A.dot, A.star, A.angle, A.brace, A.brace_D,
                             A.sub_binary, A.sub_ternary))
-    n, shape = A.dim, (A.dim,)
+    # P4's first summand -{{x,y,z},w,t}; the printed {{x,w,z},w,t} repeats w
+    # and never reads y: the w-diagonal of brace o brace, at every y
+    p4_first = (-Q1, brace, 0, brace)
+    if as_printed:
+        bb = signed_sum([(Q1, brace, 0, brace)])
+        p4_first = (-Q1, {(x, y, z, w, t): v for (x, w, z, u, t), v in bb.items() if u == w
+                          for y in range(A.dim)}, None)
+
+    def central(eq, image, k, *order):
+        """``image``, a table over positions 0..k-1, central in (dot, angle)."""
+        return [(eq + "-dot", [(Q1, dot, 0, image)]) + order,
+                (eq + "-angle12", [(Q1, angle, 0, image)]) + order,
+                (eq + "-angle3", [(Q1, angle, 2, image, (k, k + 1) + tuple(range(k)))]) + order]
+
     # basis vectors x, y, z, w, t sit at tuple positions 0..4
-    ck.equations(n, shape, [
+    ck.tabulate((A.dim,), [
         # P1: {z,[x,y]_C,w} = {y*z,x,w} - {x*z,y,w}
-        ("P1", [(1, (brace, 2, (cb, 0, 1), 3)), (-1, (brace, (star, 1, 2), 0, 3)),
-                (1, (brace, (star, 0, 2), 1, 3))]),
+        ("P1", [(Q1, brace, 1, cb, (2, 0, 1, 3)), (-Q1, brace, 0, star, (1, 2, 0, 3)),
+                (Q1, brace, 0, star, (0, 2, 1, 3))]),
         # P2: {x,y,[z,w]_C} = z*{x,y,w} - w*{x,y,z}
-        ("P2", [(1, (brace, 0, 1, (cb, 2, 3))), (-1, (star, 2, (brace, 0, 1, 3))),
-                (1, (star, 3, (brace, 0, 1, 2)))]),
+        ("P2", [(Q1, brace, 2, cb), (-Q1, star, 1, brace, (2, 0, 1, 3)),
+                (Q1, star, 1, brace, (3, 0, 1, 2))]),
         # P3: <x,y,z>_C*w = {x,y,z*w}_D - z*{x,y,w}_D
-        ("P3", [(1, (star, (ct, 0, 1, 2), 3)), (-1, (bD, 0, 1, (star, 2, 3))),
-                (1, (star, 2, (bD, 0, 1, 3)))])])
-    # P4: {x,y,<z,w,t>_C} = {{x,y,z},w,t} - {{x,y,w},z,t} + {z,w,{x,y,t}}_D
-    # P5: {x,y,{z,w,t}}_D = {{x,y,z}_D,w,t} + {z,<x,y,w>_C,t} + {z,w,<x,y,t>_C}
-    ck.equations(n, shape, [
-        ("P4", [(1, (brace, 0, 1, (ct, 2, 3, 4))),
-                (-1, (brace, (brace, 0, 3, 2) if as_printed else (brace, 0, 1, 2), 3, 4)),
-                (1, (brace, (brace, 0, 1, 3), 2, 4)), (-1, (bD, 2, 3, (brace, 0, 1, 4)))]),
-        ("P5", [(1, (brace, 0, 1, (bD, 2, 3, 4)) if as_printed
-                 else (bD, 0, 1, (brace, 2, 3, 4))),
-                (-1, (brace, (bD, 0, 1, 2), 3, 4)), (-1, (brace, 2, (ct, 0, 1, 3), 4)),
-                (-1, (brace, 2, 3, (ct, 0, 1, 4)))])])
-
-    def central(eq, v, k, *order):
-        """The image v, a factor over positions 0..k-1, central in (dot, angle)."""
-        return [(eq + "-dot", [(1, (dot, v, k))]) + order,
-                (eq + "-angle12", [(1, (angle, v, k, k + 1))]) + order,
-                (eq + "-angle3", [(1, (angle, k, k + 1, v))]) + order]
-
-    # per pair (i, j), P6: star images are central in (dot, angle); P7: star
-    # kills dot-products, brace kills them in slot one.  P6 comes first, at
-    # (i, j, s[, t]), then P7 at (s, i, j) and (i, j, s, t).
-    p6 = central("P6-star", (star, 0, 1), 2, lambda a: a[:2] + (0,) + a[2:])
-    ck.equations(n, shape, p6 + [
-        ("P7-star", [(1, (star, 0, (dot, 1, 2)))], lambda a: a[1:] + (1, a[0])),
-        ("P7-brace", [(1, (brace, (dot, 0, 1), 2, 3))], lambda a: a[:2] + (1,) + a[2:])])
-    if not as_printed:
+        ("P3", [(Q1, star, 0, ct), (-Q1, bD, 2, star), (Q1, star, 1, bD, (2, 0, 1, 3))])], [
+        # P4: {x,y,<z,w,t>_C} = {{x,y,z},w,t} - {{x,y,w},z,t} + {z,w,{x,y,t}}_D
+        ("P4", [(Q1, brace, 2, ct), p4_first, (Q1, brace, 0, brace, (0, 1, 3, 2, 4)),
+                (-Q1, bD, 2, brace, (2, 3, 0, 1, 4))]),
+        # P5: {x,y,{z,w,t}}_D = {{x,y,z}_D,w,t} + {z,<x,y,w>_C,t} + {z,w,<x,y,t>_C}
+        ("P5", [(Q1, brace, 2, bD) if as_printed else (Q1, bD, 2, brace), (-Q1, brace, 0, bD),
+                (-Q1, brace, 1, ct, (2, 0, 1, 3, 4)), (-Q1, brace, 2, ct, (2, 3, 0, 1, 4))])],
+        # per pair (i, j), P6: star images are central in (dot, angle); P7:
+        # star kills dot-products, brace kills them in slot one.  P6 comes
+        # first, at (i, j, s[, t]), then P7 at (s, i, j) and (i, j, s, t).
+        central("P6-star", star, 2, lambda a: a[:2] + (0,) + a[2:]) + [
+            ("P7-star", [(Q1, star, 1, dot)], lambda a: a[1:] + (1, a[0])),
+            ("P7-brace", [(Q1, brace, 0, dot)], lambda a: a[:2] + (1,) + a[2:])],
         # by default brace images are central too (needed for R(x,y) to be an action)
-        ck.equations(n, shape, central("P6-brace", (brace, 0, 1, 2), 3))
-    # per triple (i, j, k), P8: star and brace (slot one) kill angle-products,
-    # at (s, i, j, k) and (i, j, k, s, t)
-    ck.equations(n, shape, [
-        ("P8-star", [(1, (star, 0, (angle, 1, 2, 3)))], lambda a: a[1:] + a[:1]),
-        ("P8-brace", [(1, (brace, (angle, 0, 1, 2), 3, 4))])])
+        [] if as_printed else central("P6-brace", brace, 3),
+        # per triple (i, j, k), P8: star and brace (slot one) kill
+        # angle-products, at (s, i, j, k) and (i, j, k, s, t)
+        [("P8-star", [(Q1, star, 1, angle)], lambda a: a[1:] + a[:1]),
+         ("P8-brace", [(Q1, brace, 0, angle)])])
     rep = ck.report()
     if rep.passed and not as_printed:
         A.verified = True

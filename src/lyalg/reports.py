@@ -1,8 +1,14 @@
-"""Pass/fail reports with equation witnesses."""
+"""Pass/fail reports with equation witnesses.
+
+A check tabulates each equation as one sparse table {args: residual} over the
+basis tuples, a signed sum of compositions of supports (``linalg.signed_sum``),
+and hands it to ``Checker.table``, which records the nonzero residuals in a
+fixed order and stops once a capped report is settled.
+"""
 
 from dataclasses import dataclass, field
 
-from .linalg import Terms, dense, format_frac
+from .linalg import dense, format_frac, matrix_values, signed_sum
 
 DEFAULT_CAP = 10
 
@@ -86,34 +92,31 @@ class Checker:
                 return
             yield t
 
-    def equations(self, dim, shape, equations):
-        """Check each (name, terms[, order]) of ``equations`` at the basis
-        tuples over range(dim), as many positions as its terms read.
-
-        ``terms`` is a signed sum as in ``linalg.Terms`` with values of
-        ``shape``.  Only tuples where some term is live are visited: at any
-        other tuple every term has a zero factor, so the residual is zero.
-        Witnesses come sorted by ``order(args)`` (the tuple itself when no
-        order is given), a tuple before its extensions, and at one key in
-        list order.
-        """
-        terms = Terms(dim)
-        live = ((eq[2](args) if len(eq) > 2 else args, e, args)
-                for e, eq in enumerate(equations) for args in terms.live(eq[1]))
-        for _, e, args in self.scan(live):
-            acc = terms.residual(equations[e][1], args)
-            if acc:
-                self.record(equations[e][0], args, dense(acc, shape))
-
     def table(self, shape, *named):
-        """Record each (name, values) of ``named`` at every tuple of its sparse
-        table {args: sparse value} (see ``linalg.pull``), tuples in
-        lexicographic order, a tuple before its extensions, and at one tuple
-        in argument order."""
-        live = ((args, e) for e, (_, values) in enumerate(named) for args in values)
-        for args, e in self.scan(live):
-            name, values = named[e]
+        """Record each (name, values[, order]) of ``named`` at every tuple of
+        its sparse table {args: sparse value} of ``shape`` (see
+        ``linalg.signed_sum``).  Witnesses come sorted by ``order(args)``, the
+        tuple itself when no order is given, so a tuple comes before its
+        extensions, and at one key in the order of ``named``."""
+        live = ((eq[2](args) if len(eq) > 2 else args, e, args)
+                for e, eq in enumerate(named) for args in eq[1])
+        for _, e, args in self.scan(live):
+            name, values = named[e][:2]
             self.record(name, args, dense(values[args], shape))
+
+    def tabulate(self, shape, *groups):
+        """``table`` each group of (name, terms[, order]) in turn: an
+        equation's table is the ``linalg.signed_sum`` of its terms, with a
+        matrix value's column in the last slot when ``shape`` is a matrix's.
+        No table is built once the report is settled."""
+        for group in groups:
+            if self.done:
+                return
+            tables = []
+            for name, terms, *order in group:
+                table = signed_sum(terms)
+                tables.append((name, matrix_values(table) if len(shape) == 2 else table, *order))
+            self.table(shape, *tables)
 
     def report(self, data=None):
         return Report(self.subject,

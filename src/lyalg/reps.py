@@ -7,7 +7,11 @@ to five compatibility equations (R1-R5 below).  The derived skew map
     D(x, y) = mu(y, x) - mu(x, y) + [rho(x), rho(y)] - rho([x, y])
 
 is computed once, at construction, from the supports of rho, mu and the acting
-bracket.  An *action* additionally lands in the center of the carrier algebra
+bracket.  R1-R5 and the lemma identities are each one table of residuals
+over all basis tuples, a signed sum of compositions of the supports of the
+brackets, rho, mu and D, each read with its matrix column as one more slot;
+a product of two action matrices is a composition into the column slot of
+the left one.  An *action* additionally lands in the center of the carrier algebra
 and kills its brackets, which is exactly what makes the semidirect brackets on
 g (+) h satisfy the Lie-Yamaguti axioms.  The action test reads supports too:
 each nonzero column of rho, mu and D is tested against the center, and each
@@ -104,12 +108,6 @@ def derive_D(r):
     return Tensor.from_support(values, n, 2, shape)
 
 
-def _supports(r):
-    """The acting brackets, rho, mu and D as sparse supports."""
-    g = r.acting
-    return [t.support for t in (g.binary, g.ternary, r.rho, r.mu, r.derived_D)]
-
-
 def check_representation(r, all_violations=False):
     """Verify the five representation equations on all basis tuples of g.
 
@@ -119,24 +117,25 @@ def check_representation(r, all_violations=False):
     R4: mu(z,w)mu(x,y) - mu(y,w)mu(x,z) - mu(x,<y,z,w>) + D(y,z)mu(x,w) = 0
     R5: mu(<x,y,z>,w) + mu(z,<x,y,w>) = [D(x,y), mu(z,w)]
 
-    A tuple is evaluated only when some term has every factor in the support;
-    at any other tuple each term, and so the residual, is zero.
+    Each equation is one table of its residuals over all basis tuples, a
+    signed sum of compositions of the supports (``linalg.signed_sum``): rho,
+    mu and D are read with the matrix column as one more slot, so a product
+    such as mu(x,z)rho(y) is rho composed into mu's column slot, and the
+    table is regrouped into matrices to be scanned (``Checker.tabulate``).
     """
     g = r.acting
     ck = Checker("representation(%s on %s)" % (g.name, r.carrier.name), all_violations)
-    c, d, rho, mu, D = _supports(r)
-    # basis vectors x, y, z, w sit at tuple positions 0..3
-    ck.equations(g.dim, r.rho.shape, [
-        ("R1", [(1, (mu, (c, 0, 1), 2)), (-1, (mu, 0, 2), (rho, 1)), (1, (mu, 1, 2), (rho, 0))]),
-        ("R2", [(1, (mu, 0, (c, 1, 2))), (-1, (rho, 1), (mu, 0, 2)), (1, (rho, 2), (mu, 0, 1))]),
-        ("R3", [(1, (rho, (d, 0, 1, 2))), (-1, (D, 0, 1), (rho, 2)), (1, (rho, 2), (D, 0, 1))]),
-    ])
-    ck.equations(g.dim, r.rho.shape, [
-        ("R4", [(1, (mu, 2, 3), (mu, 0, 1)), (-1, (mu, 1, 3), (mu, 0, 2)),
-                (-1, (mu, 0, (d, 1, 2, 3))), (1, (D, 1, 2), (mu, 0, 3))]),
-        ("R5", [(1, (mu, (d, 0, 1, 2), 3)), (1, (mu, 2, (d, 0, 1, 3))),
-                (-1, (D, 0, 1), (mu, 2, 3)), (1, (mu, 2, 3), (D, 0, 1))]),
-    ])
+    c, d = g.binary.support, g.ternary.support
+    rho, mu, D = (vector_values(t) for t in (r.rho, r.mu, r.derived_D))
+    # basis vectors x, y, z, w sit at tuple positions 0..3, the column last
+    ck.tabulate(r.rho.shape, [
+        ("R1", [(Q1, mu, 0, c), (-Q1, mu, 2, rho, (0, 2, 1, 3)), (Q1, mu, 2, rho, (1, 2, 0, 3))]),
+        ("R2", [(Q1, mu, 1, c), (-Q1, rho, 1, mu, (1, 0, 2, 3)), (Q1, rho, 1, mu, (2, 0, 1, 3))]),
+        ("R3", [(Q1, rho, 0, d), (-Q1, D, 2, rho), (Q1, rho, 1, D, (2, 0, 1, 3))])], [
+        ("R4", [(Q1, mu, 2, mu, (2, 3, 0, 1, 4)), (-Q1, mu, 2, mu, (1, 3, 0, 2, 4)),
+                (-Q1, mu, 1, d), (Q1, D, 2, mu, (1, 2, 0, 3, 4))]),
+        ("R5", [(Q1, mu, 0, d), (Q1, mu, 1, d, (2, 0, 1, 3, 4)), (-Q1, D, 2, mu),
+                (Q1, mu, 2, D, (2, 3, 0, 1, 4))])])
     rep = ck.report()
     if r._rep_report is None or not r._rep_report.passed:
         r._rep_report = rep
@@ -150,20 +149,18 @@ def check_lemma_identities(r, all_violations=False):
     L2: D(<x,y,z>,w) + D(z,<x,y,w>) = [D(x,y), D(z,w)]
     L3: mu(<x,y,z>,w) = mu(x,w)mu(z,y) - mu(y,w)mu(z,x) - mu(z,w)D(x,y)
 
-    Tuples are visited as in ``check_representation``.
+    Tabulated as in ``check_representation``.
     """
     g = r.acting
     ck = Checker("lemma-identities(%s on %s)" % (g.name, r.carrier.name), all_violations)
-    c, d, _, mu, D = _supports(r)
-    ck.equations(g.dim, r.rho.shape, [
-        ("L1", [(1, (D, (c, 0, 1), 2)), (1, (D, (c, 1, 2), 0)), (1, (D, (c, 2, 0), 1))]),
-    ])
-    ck.equations(g.dim, r.rho.shape, [
-        ("L2", [(1, (D, (d, 0, 1, 2), 3)), (1, (D, 2, (d, 0, 1, 3))),
-                (-1, (D, 0, 1), (D, 2, 3)), (1, (D, 2, 3), (D, 0, 1))]),
-        ("L3", [(1, (mu, (d, 0, 1, 2), 3)), (-1, (mu, 0, 3), (mu, 2, 1)),
-                (1, (mu, 1, 3), (mu, 2, 0)), (1, (mu, 2, 3), (D, 0, 1))]),
-    ])
+    c, d = g.binary.support, g.ternary.support
+    mu, D = vector_values(r.mu), vector_values(r.derived_D)
+    ck.tabulate(r.rho.shape, [
+        ("L1", [(Q1, D, 0, c, xyz + (3,)) for xyz in ((0, 1, 2), (1, 2, 0), (2, 0, 1))])], [
+        ("L2", [(Q1, D, 0, d), (Q1, D, 1, d, (2, 0, 1, 3, 4)), (-Q1, D, 2, D),
+                (Q1, D, 2, D, (2, 3, 0, 1, 4))]),
+        ("L3", [(Q1, mu, 0, d), (-Q1, mu, 2, mu, (0, 3, 2, 1, 4)),
+                (Q1, mu, 2, mu, (1, 3, 2, 0, 4)), (Q1, mu, 2, D, (2, 3, 0, 1, 4))])])
     return ck.report()
 
 

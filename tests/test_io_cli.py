@@ -314,3 +314,52 @@ def test_cli_all_violations(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "fail"
     assert len(payload["violations"]) >= 1
+
+
+def _matrix_file(tmp_path, rows, cols):
+    path = tmp_path / ("m%dx%d.json" % (rows, cols))
+    path.write_text(json.dumps({"matrix": [[str(r + c) for c in range(cols)]
+                                           for r in range(rows)]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("flag,rows,cols", [("--t2", 4, 3), ("--t2", 4, 5), ("--t1", 5, 4)])
+def test_deform_equiv_refuses_a_misshaped_matrix(tmp_path, capsys, flag, rows, cols):
+    """T1 and T2 map the 4-dim carrier into the 4-dim acting algebra: any
+    other shape is a usage error, not a verdict over truncated rows."""
+    files = {"--t1": fx("t1_family.json"), "--t2": fx("t1_family.json")}
+    files[flag] = _matrix_file(tmp_path, rows, cols)
+    argv = ["deform", "equiv", "--op", fx("p3_on_nilpotent4.json"), "--t1", files["--t1"],
+            "--t2", files["--t2"], "--x", fx("x_e1e2.json"), "--json"]
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "must be 4x4" in out.err and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (4, 5), (5, 4)])
+def test_difference_class_refuses_a_misshaped_matrix(shape):
+    from lyalg.deformation import difference_class
+    from lyalg.errors import DimMismatch
+    op = lyio.load_operator(fx("p3_on_nilpotent4.json"))
+    T = lyio.load_matrix(fx("t1_family.json"))
+    bad = [[Fraction(1)] * shape[1] for _ in range(shape[0])]
+    for T1, T2 in ((T, bad), (bad, T)):
+        with pytest.raises(DimMismatch):
+            difference_class(op, T1, T2)
+
+
+def test_huge_cohomology_degree_fails_fast(monkeypatch, capsys):
+    """The row count of degree 10**9 is never formed: TooLarge from the
+    first degree over the budget, before any cochain layout exists."""
+    from lyalg import cohomology
+
+    def no_layout(*args):
+        raise AssertionError("a cochain layout was built")
+    monkeypatch.setattr(cohomology, "_Layout", no_layout)
+    assert run(["cohomology", "--op", fx("p3_on_nilpotent4.json"),
+                "--degree", str(10 ** 9)]) == 2
+    err = capsys.readouterr().err
+    assert "over the budget of 100000" in err and "Traceback" not in err
+    op = lyio.load_operator(fx("p3_on_nilpotent4.json"))
+    with pytest.raises(TooLarge):
+        cohomology.TComplex(op).cohomology_dims(10 ** 9)

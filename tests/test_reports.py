@@ -171,7 +171,12 @@ def perturbed_post(rng):
     """The post-algebra induced by p3 with one star, one brace, one dot and one
     angle entry moved (dot and angle kept antisymmetric): sparse, and the
     centrality and annihilation axioms P6-P8 fail along with P1-P5."""
-    P = induced_post_from_rrb(p3_operator())
+    return perturb_post(rng, induced_post_from_rrb(p3_operator()))
+
+
+def perturb_post(rng, P):
+    """``P`` with one star, one brace, one dot and one angle entry moved, dot
+    and angle kept antisymmetric."""
     n = P.dim
     dot = [[list(v) for v in row] for row in P.dot]
     star = [[list(v) for v in row] for row in P.star]

@@ -6,6 +6,7 @@ term and are skipped, while the oracle in ``tests/oracles.py`` evaluates every
 equation at every tuple.
 """
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -23,8 +24,9 @@ from lyalg.rrb import lift_operator
 import oracles
 from conftest import family_matrix, fx
 from test_reports import (antisym2, antisym3, dense, filiform, forced_operator, heisenberg5,
-                          nilpotent4, p3_operator, perturbed_adjoint, perturbed_post,
-                          perturbed_semidirect, semidirect8, sl2, sl2_operator, wedge_pairs)
+                          nilpotent4, p3_operator, perturb_post, perturbed_adjoint,
+                          perturbed_post, perturbed_semidirect, semidirect8, sl2, sl2_operator,
+                          wedge_pairs)
 
 POOL = [F(-1), F(0), F(0), F(0), F(1), F(2)]
 
@@ -143,6 +145,17 @@ def test_perturbed_induced_post_matches_dense_oracle(seed, as_printed):
     P = perturbed_post(random.Random(seed))
     rep = check_post_axioms(P, all_violations=True, as_printed=as_printed)
     assert not rep.passed
+    assert listed(rep) == oracles.o_post_violations(P, as_printed)
+
+
+@pytest.mark.parametrize("as_printed", [False, True])
+def test_dense_post_matches_dense_oracle(as_printed):
+    """Random dense operations: brace o brace has keys off the w-diagonal of
+    the printed P4 summand {{x,w,z},w,t}, and they must not enter P4."""
+    rng = random.Random(5173)
+    P = L.PostLYAlgebra(3, antisym2(rng, 3), plain(rng, 3, 3, 3), antisym3(rng, 3),
+                        plain(rng, 3, 3, 3, 3))
+    rep = check_post_axioms(P, all_violations=True, as_printed=as_printed)
     assert listed(rep) == oracles.o_post_violations(P, as_printed)
 
 
@@ -306,3 +319,104 @@ def test_equivalence_matches_dense_polynomial_oracle():
     forced = higher["forced-93"]
     assert max(forced["psi_h-ternary"]) == 3
     assert max(forced["mu-equivariance"]) == 3 and max(forced["D-equivariance"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# wide supports: Lie algebras made into LY algebras by ``from_lie_algebra``,
+# whose ternary bracket <x,y,z> = [[x,y],z] is live at most triples, and the
+# post-algebras induced by generated operators
+
+def gl(n):
+    """gl_n on the basis E_ij (index i n + j): [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    dim = n * n
+    c = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        if j == k:
+            c[i * n + j][k * n + l][i * n + l] += 1
+        if l == i:
+            c[i * n + j][k * n + l][k * n + j] -= 1
+    return L.from_lie_algebra(dim, c, name="gl%d" % n)
+
+
+WIDE = {"gl2": lambda: gl(2), "sl2": sl2}
+
+
+def assert_capped_and_full(check, want, *args, **kwargs):
+    """The full witness list of ``check`` is ``want``, and the capped one its
+    first ten."""
+    assert listed(check(*args, all_violations=True, **kwargs)) == want
+    assert listed(check(*args, **kwargs)) == want[:10]
+    return {eq.split("-")[0] for eq, _, _ in want}
+
+
+def with_ternary_moved(A, *keys):
+    """A with the last coordinate of <e_i, e_j, e_k> moved at each (i, j, k)
+    of ``keys`` (kept antisymmetric in i, j)."""
+    d = [[[list(v) for v in row] for row in plane] for plane in A.ternary]
+    for i, j, k in keys:
+        d[i][j][k][-1] += 1
+        d[j][i][k] = [-x for x in d[i][j][k]]
+    return L.LYAlgebra(A.dim, A.binary, d, name=A.name + "-moved")
+
+
+def with_action_moved(r, i):
+    """r with rho(e_i), mu(e_i, e_i) and mu(e_0, e_i) moved at entry (0, i)."""
+    rho = [[list(row) for row in M] for M in r.rho]
+    mu = [[[list(row) for row in M] for M in line] for line in r.mu]
+    rho[i][0][i] += 1
+    mu[i][i][0][i] -= 2
+    mu[0][i][0][i] += 1
+    return RepAction(r.acting, r.carrier, rho, mu)
+
+
+@pytest.mark.parametrize("name", sorted(WIDE))
+def test_wide_lie_algebras_pass_every_table(name):
+    A = WIDE[name]()
+    r = adjoint_rep(A)
+    assert assert_capped_and_full(L.check_ly_axioms, oracles.o_ly_violations(A), A) == set()
+    assert assert_capped_and_full(check_representation, oracles.o_rep_violations(r), r) == set()
+    assert assert_capped_and_full(check_lemma_identities, oracles.o_lemma_violations(r),
+                                  r) == set()
+
+
+def test_perturbed_wide_lie_algebras_match_dense_oracle():
+    """Entries moved at keys with a repeated index: <e_0, e_1, e_0> (and
+    <e_0, e_1, e_2>, since a cyclic sum cancels the first), rho(e_1) and
+    mu(e_1, e_1) (and mu(e_0, e_1), since D cancels the second).  Some
+    witnesses repeat an index, and every equation fails on gl_2 or sl2 (LY2
+    and L1 cannot fail on sl2 with its bracket kept)."""
+    seen = set()
+    for name in sorted(WIDE):
+        A = WIDE[name]()
+        B = with_ternary_moved(A, (0, 1, 0), (0, 1, 2))
+        want = oracles.o_ly_violations(B)
+        seen |= assert_capped_and_full(L.check_ly_axioms, want, B)
+        assert any(len(set(args)) < len(args) for _, args, _ in want), name
+        r = with_action_moved(adjoint_rep(A), 1)
+        want = oracles.o_rep_violations(r)
+        seen |= assert_capped_and_full(check_representation, want, r)
+        assert any(len(set(args)) < len(args) for _, args, _ in want), name
+        seen |= assert_capped_and_full(check_lemma_identities, oracles.o_lemma_violations(r), r)
+    assert seen == {"LY1", "LY2", "LY3", "LY4", "R1", "R2", "R3", "R4", "R5", "L1", "L2", "L3"}
+
+
+def generated_posts():
+    """The post-algebras induced by seeded generated operators, each with one
+    entry of every operation moved as in ``perturbed_post``."""
+    from test_cohomology import square_zero_operator, two_step_operator
+    for seed in (401, 402):
+        rng = random.Random(seed)
+        yield "two-step-%d" % seed, perturb_post(
+            rng, induced_post_from_rrb(two_step_operator(rng, 3, 1, 1)))
+        yield "square-zero-%d" % seed, perturb_post(
+            rng, induced_post_from_rrb(square_zero_operator(rng, 3, 3, 1)))
+
+
+@pytest.mark.parametrize("as_printed", [False, True])
+def test_perturbed_generated_posts_match_dense_oracle(as_printed):
+    seen = set()
+    for name, P in generated_posts():
+        want = oracles.o_post_violations(P, as_printed)
+        assert want, name
+        seen |= assert_capped_and_full(check_post_axioms, want, P, as_printed=as_printed)
+    assert {"P%d" % k for k in range(1, 9)} <= seen
