@@ -31,21 +31,23 @@ term, and every entry comes from a nonzero entry of a structure tensor: the
 composites X_k o X_l, one per two basis pairs, are tabulated once per matrix,
 and rho, mu, D and both brackets are read from their supports
 (``linalg.Tensor.support``), so a zero block or bracket coefficient emits
-nothing.  The matrices are stored sparsely, and kernel vectors stay sparse
-until a witness is returned.
+nothing.  The matrices are stored sparsely, and so is a cochain: it is its
+support {flat index: q}, which a matrix applies to (``SparseMat.apply``), the
+elimination returns as a witness, and transport pulls back and pushes
+forward slot by slot (``pushforward_cochain``).
 
 The operator's own data, the descent algebra and the induced representation
 (rho_T, mu_T, D_T), is tabulated in the same way: the supports are pulled back
 along T's nonzero entries and pushed forward through T (``linalg.pull`` and
-``linalg.push``), so no dense evaluation of T or of the action takes place.
+``linalg.push``), so no dense evaluation of T or of the action takes place;
+the map partial on the wedge square of the acting algebra is one such table.
 """
 
 import itertools
 
-from .errors import AxiomsFailed, ShapeMismatch, TooLarge
-from .linalg import (Q0, Q1, Echelon, Tensor, axpy, dense, frac, invert, is_zero_vec,
-                     mat_col, mat_vec, matrix_values, pull, push, solve, sparse_map, vadd,
-                     vector_values, vscale, vsub, vzero)
+from .errors import AxiomsFailed, DimMismatch, ShapeMismatch, TooLarge
+from .linalg import (Q0, Q1, Echelon, Tensor, axpy, dense, frac, invert, matrix_values, pull,
+                     push, solve, sparse_map, vector_values)
 from .reps import RepAction
 
 
@@ -53,16 +55,19 @@ from .reps import RepAction
 # sparse matrices over the rationals
 
 class SparseMat:
-    """A rows x cols rational matrix stored as {(r, c): value}."""
+    """A rows x cols rational matrix stored as {(r, c): value}; the echelon
+    form of its rows is built once, when first needed, and ``add`` drops it."""
 
     def __init__(self, rows, cols, data=None):
         self.rows = rows
         self.cols = cols
         self.data = {} if data is None else data
+        self._ech = None
 
     def add(self, r, c, v):
         if v == 0:
             return
+        self._ech = None
         key = (r, c)
         new = self.data.get(key, Q0) + v
         if new == 0:
@@ -70,17 +75,16 @@ class SparseMat:
         else:
             self.data[key] = new
 
-    def is_zero(self):
-        return not self.data
-
     def apply(self, vec):
-        if len(vec) != self.cols:
-            raise ShapeMismatch("vector length %d != %d columns" % (len(vec), self.cols))
-        out = [Q0] * self.rows
+        """The product with a sparse vector {col: q}, as a sparse vector {row: q}."""
+        if vec and not 0 <= min(vec) <= max(vec) < self.cols:
+            raise ShapeMismatch("vector index outside the %d columns" % self.cols)
+        out = {}
         for (r, c), v in self.data.items():
-            if vec[c] != 0:
-                out[r] += v * vec[c]
-        return tuple(out)
+            x = vec.get(c)
+            if x:
+                out[r] = out.get(r, Q0) + v * x
+        return {r: q for r, q in out.items() if q}
 
     def row_dicts(self):
         """One {col: value} dict per row; zero rows give empty dicts."""
@@ -99,14 +103,20 @@ class SparseMat:
     def nonzero_rows(self):
         return [tuple(d.get(c, Q0) for c in range(self.cols)) for d in self.row_dicts() if d]
 
+    def _echelon(self):
+        if self._ech is None:
+            self._ech = Echelon(self.row_dicts())
+        return self._ech
+
     def rank(self):
-        return Echelon(self.row_dicts()).rank
+        return self._echelon().rank
 
     def nullity(self):
         return self.cols - self.rank()
 
     def nullspace(self):
-        return [dense(v, (self.cols,)) for v in Echelon(self.row_dicts()).nullspace(self.cols)]
+        """A kernel basis, one sparse vector {col: q} per free column."""
+        return self._echelon().nullspace(self.cols)
 
     def solve(self, b):
         """Some x with self . x = b (free coordinates 0); raises Inconsistent."""
@@ -144,7 +154,12 @@ def wedge_coords(x, y, pidx):
 
 
 class _Layout:
-    """Flat indexing of degree-p cochains on an m-dim algebra with n-dim values."""
+    """Flat indexing of degree-p cochains on an m-dim algebra with n-dim values.
+
+    The coordinate r of block b has flat index b n + r.  The f blocks come
+    first, one per slot tuple of p - 1 pair indices, then the g blocks, one
+    per slot tuple of those and a plain index, each in lexicographic order.
+    """
 
     def __init__(self, p, m, n):
         if p < 1:
@@ -166,90 +181,102 @@ class _Layout:
             idx = idx * self.M + t
         return idx
 
+    def block(self, key):
+        """The block of a slot tuple, f's with p - 1 slots or g's with p."""
+        if len(key) < self.p:
+            return self.tuple_index(key)
+        return self.f_blocks + self.tuple_index(key[:-1]) * self.m + key[-1]
+
+    def split(self, support):
+        """A support {flat index: q} as slot tables (f, g), {slot tuple: {r: q}}."""
+        tables = ({}, {})
+        for k, q in support.items():
+            b, r = divmod(k, self.n)
+            key = ()
+            if b >= self.f_blocks:
+                b, c = divmod(b - self.f_blocks, self.m)
+                key = (c,)
+            for _ in range(self.p - 1):
+                b, t = divmod(b, self.M)
+                key = (t,) + key
+            tables[len(key) == self.p].setdefault(key, {})[r] = q
+        return tables
+
 
 class Cochain:
     """A degree-p cochain with values in an n-dimensional space.
 
-    For p = 1, ``f`` lists the m value vectors on the basis; for p >= 2, ``f``
-    has M^(p-1) vectors (lexicographic over pair-index tuples) and ``g`` has
-    M^(p-1) * m vectors (pair-index tuples, then the plain slot).
+    It is stored as its support, ``support`` = {flat index: q} over the
+    nonzero coordinates (see ``_Layout``); the dense views are built on
+    demand.  ``as_flat()`` lists every coordinate.  For p = 1, ``f`` lists
+    the m value vectors on the basis; for p >= 2, ``f`` has M^(p-1) vectors
+    (lexicographic over pair-index tuples) and ``g`` has M^(p-1) * m vectors
+    (pair-index tuples, then the plain slot).  Built from those vectors, or,
+    inside the library, from a support by ``from_support``.
     """
 
     def __init__(self, p, m, n, f, g=None):
-        self.p = p
-        self.m = m
-        self.n = n
-        self.layout = _Layout(p, m, n)
-        self.f = tuple(tuple(frac(x) for x in v) for v in f)
-        self.g = None if g is None else tuple(tuple(frac(x) for x in v) for v in g)
-        if p == 1:
-            if len(self.f) != m or self.g is not None:
-                raise ShapeMismatch("degree-1 cochain is %d plain vectors" % m)
-        else:
-            if len(self.f) != self.layout.f_blocks:
-                raise ShapeMismatch("first component needs %d vectors"
-                                    % self.layout.f_blocks)
-            if self.g is None or len(self.g) != self.layout.g_blocks:
-                raise ShapeMismatch("second component needs %d vectors"
-                                    % self.layout.g_blocks)
-        for v in self.f + (self.g or ()):
-            if len(v) != n:
-                raise ShapeMismatch("values must have length %d" % n)
+        lay = _Layout(p, m, n)
+        f = list(f)
+        want = (m, None) if p == 1 else (lay.f_blocks, lay.g_blocks)
+        if (len(f), None if g is None else len(g)) != want:
+            raise ShapeMismatch("a degree-%d cochain has (f, g) of %s vectors" % (p, want))
+        vecs = f + list(g or ())
+        if any(len(v) != n for v in vecs):
+            raise ShapeMismatch("values must have length %d" % n)
+        self._set(lay, {b * n + r: q for b, v in enumerate(vecs)
+                        for r, q in enumerate(map(frac, v)) if q})
+
+    @classmethod
+    def from_support(cls, p, m, n, support):
+        """The cochain whose nonzero coordinates are the sparse ``support``
+        {flat index: q}; zero entries are dropped."""
+        self = cls.__new__(cls)
+        self._set(_Layout(p, m, n), {k: q for k, q in support.items() if q})
+        return self
+
+    def _set(self, layout, support):
+        self.layout = layout
+        self.p, self.m, self.n = layout.p, layout.m, layout.n
+        self.support = support
+
+    @classmethod
+    def from_table(cls, p, m, n, table):
+        """The cochain with values {slot tuple: {r: q}}, f's keys with p - 1
+        slots and g's with p (see ``_Layout.block``)."""
+        lay = _Layout(p, m, n)
+        return cls.from_support(p, m, n, {lay.block(key) * n + r: q for key, v in table.items()
+                                          for r, q in v.items()})
 
     @classmethod
     def zero(cls, p, m, n):
-        lay = _Layout(p, m, n)
-        if p == 1:
-            return cls(p, m, n, [vzero(n)] * m)
-        return cls(p, m, n, [vzero(n)] * lay.f_blocks, [vzero(n)] * lay.g_blocks)
+        return cls.from_support(p, m, n, {})
 
     @classmethod
     def from_flat(cls, p, m, n, flat):
         lay = _Layout(p, m, n)
         if len(flat) != lay.total:
             raise ShapeMismatch("flat length %d != %d" % (len(flat), lay.total))
-        vecs = [tuple(flat[b * n:(b + 1) * n]) for b in range(lay.blocks)]
-        if p == 1:
-            return cls(p, m, n, vecs)
-        return cls(p, m, n, vecs[:lay.f_blocks], vecs[lay.f_blocks:])
+        return cls.from_support(p, m, n, dict(enumerate(map(frac, flat))))
 
     def as_flat(self):
-        out = []
-        for v in self.f + (self.g or ()):
-            out.extend(v)
-        return tuple(out)
+        return dense(self.support, (self.layout.total,))
+
+    def _vectors(self):
+        flat, n = self.as_flat(), self.n
+        return tuple(flat[b * n:(b + 1) * n] for b in range(self.layout.blocks))
+
+    @property
+    def f(self):
+        vecs = self._vectors()
+        return vecs if self.p == 1 else vecs[:self.layout.f_blocks]
+
+    @property
+    def g(self):
+        return None if self.p == 1 else self._vectors()[self.layout.f_blocks:]
 
     def is_zero(self):
-        return all(is_zero_vec(v) for v in self.f + (self.g or ()))
-
-    def eval_f(self, arg_dicts):
-        """f at wedge arguments given as sparse pair-index dicts."""
-        if self.p == 1:
-            raise ShapeMismatch("degree-1 cochains take a plain argument")
-        total = vzero(self.n)
-        for ts, coeff in _expand(arg_dicts):
-            total = vadd(total, vscale(coeff, self.f[self.layout.tuple_index(ts)]))
-        return total
-
-    def eval_g(self, arg_dicts, plain):
-        """g at wedge arguments plus a sparse plain-slot vector (index->coeff)."""
-        total = vzero(self.n)
-        if self.p == 1:
-            for a, c in plain.items():
-                total = vadd(total, vscale(c, self.f[a]))
-            return total
-        for ts, coeff in _expand(arg_dicts):
-            base = self.layout.tuple_index(ts) * self.m
-            for a, c in plain.items():
-                total = vadd(total, vscale(coeff * c, self.g[base + a]))
-        return total
-
-
-def _expand(arg_dicts):
-    combos = [((), Q1)]
-    for d in arg_dicts:
-        combos = [(ts + (t,), c * cv) for ts, c in combos for t, cv in d.items()]
-    return combos
+        return not self.support
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +406,7 @@ def yamaguti_coboundary(alg, rep, c):
     if c.m != alg.dim or c.n != rep.carrier.dim:
         raise ShapeMismatch("cochain shapes do not match the algebra and carrier")
     mat = coboundary_matrix_for(alg, rep, c.p)
-    return Cochain.from_flat(c.p + 1, c.m, c.n, mat.apply(c.as_flat()))
+    return Cochain.from_support(c.p + 1, c.m, c.n, mat.apply(c.support))
 
 
 # ---------------------------------------------------------------------------
@@ -433,30 +460,35 @@ def induced_rep(op):
 
 
 def zero_cochain_map(op, x, y):
-    """partial(x /\\ y) as a degree-1 cochain; always a 1-cocycle.
-
-    partial(x /\\ y)(u) = T(D(x,y)u) - <x,y,Tu> reads nothing but the
-    operator, so no complex is built for it.
-    """
+    """partial(x /\\ y) as a degree-1 cochain, always a 1-cocycle; it reads
+    nothing but the operator (``partial_matrix``), so no complex is built."""
     r = op.action
-    m, n = r.carrier.dim, r.acting.dim
-    D = r.D_at(x, y)
-    f = [vsub(op.apply(mat_col(D, a)), r.acting.bracket3(x, y, op._cols[a])) for a in range(m)]
-    return Cochain(1, m, n, f)
+    n = r.acting.dim
+    if len(x) != n or len(y) != n:
+        raise DimMismatch("vectors must have length %d" % n)
+    pidx = {pr: t for t, pr in enumerate(pair_basis(n))}
+    return Cochain.from_support(1, r.carrier.dim, n,
+                                partial_matrix(op).apply(wedge_coords(x, y, pidx)))
 
 
 def partial_matrix(op):
     """The matrix of partial on the (i < j) pair basis of the acting algebra's
-    wedge square, into degree-1 cochains."""
+    wedge square, into degree-1 cochains.
+
+    partial(x /\\ y)(u) = T(D(x,y)u) - <x,y,Tu> is tabulated once over the basis
+    tuples (x, y, u) from the supports: D pushed through T, less the ternary
+    bracket with T's nonzero entries pulled into its last slot.
+    """
     g = op.action.acting
     n, m = g.dim, op.action.carrier.dim
-    prs = pair_basis(n)
-    out = SparseMat(m * n, len(prs))
-    for col, (i, j) in enumerate(prs):
-        for a, v in enumerate(zero_cochain_map(op, g.e(i), g.e(j)).f):
-            for t, val in enumerate(v):
-                out.add(a * n + t, col, val)
-    return out
+    rows, cols = sparse_map(op.T)
+    table = {}
+    push(table, Q1, cols, vector_values(op.action.derived_D))
+    pull(table, -Q1, g.ternary.support, (None, None, rows))
+    pidx = {pr: t for t, pr in enumerate(pair_basis(n))}
+    return SparseMat(m * n, len(pidx), {(a * n + t, pidx[i, j]): q
+                                        for (i, j, a), v in table.items() if i < j
+                                        for t, q in v.items()})
 
 
 class TComplex:
@@ -498,7 +530,9 @@ class TComplex:
         return zero_cochain_map(self.op, x, y)
 
     def coboundary(self, c):
-        return Cochain.from_flat(c.p + 1, c.m, c.n, self.matrix(c.p).apply(c.as_flat()))
+        if (c.m, c.n) != (self.m, self.n):
+            raise ShapeMismatch("cochain shapes do not match the complex")
+        return Cochain.from_support(c.p + 1, c.m, c.n, self.matrix(c.p).apply(c.support))
 
     def cohomology_dims(self, p):
         """(dim Z^p, dim B^p, dim H^p) for p >= 1."""
@@ -515,32 +549,32 @@ class TComplex:
         vector, in order, that is independent of everything kept before it.
         """
         span = Echelon(self.matrix(p - 1).col_dicts())
-        M = self.matrix(p)
-        chosen = [v for v in Echelon(M.row_dicts()).nullspace(M.cols) if span.insert(v)]
-        return [Cochain.from_flat(p, self.m, self.n, dense(v, (M.cols,))) for v in chosen]
+        chosen = [v for v in self.matrix(p).nullspace() if span.insert(v)]
+        return [Cochain.from_support(p, self.m, self.n, v) for v in chosen]
 
 
 def pushforward_cochain(pair, c):
     """Transport a cochain along an operator homomorphism (psi_g, psi_h).
 
     p_I(f)(U_1..U_n) = psi_g( f(psi_h^{-1} U_1, .., psi_h^{-1} U_n) ) and
-    likewise for the second component with psi_h^{-1} on the plain slot;
-    psi_h must be invertible.
+    likewise for the second component with psi_h^{-1} on the plain slot, for
+    psi_g n x n and psi_h invertible m x m: the support is pulled back along
+    Lambda^2 psi_h^{-1} in each wedge slot and psi_h^{-1} in the plain slot
+    (``linalg.pull``), then pushed through psi_g (``linalg.push``).
     """
-    pg = pair.psi_g
-    ph_inv = invert(pair.psi_h)
     m, n = c.m, c.n
-    inv_cols = [{s: q for s, q in enumerate(mat_col(ph_inv, a)) if q} for a in range(m)]
-    if c.p == 1:
-        f = [mat_vec(pg, c.eval_g([], inv_cols[a])) for a in range(m)]
-        return Cochain(1, m, n, f)
-    prs = pair_basis(m)
-    pidx = {pr: t for t, pr in enumerate(prs)}
-    arg_of = [wedge_coords(inv_cols[a], inv_cols[b], pidx) for (a, b) in prs]
-    fs, gs = [], []
-    for tup in itertools.product(range(c.layout.M), repeat=c.p - 1):
-        args = [arg_of[t] for t in tup]
-        fs.append(mat_vec(pg, c.eval_f(args)))
-        for a in range(m):
-            gs.append(mat_vec(pg, c.eval_g(args, inv_cols[a])))
-    return Cochain(c.p, m, n, fs, gs)
+    for name, psi, k in (("psi_g", pair.psi_g, n), ("psi_h", pair.psi_h, m)):
+        if len(psi) != k or any(len(row) != k for row in psi):
+            raise DimMismatch("%s must be %dx%d" % (name, k, k))
+    plain, inv_cols = sparse_map(invert(pair.psi_h))
+    pidx = {pr: t for t, pr in enumerate(pair_basis(m))}
+    wedge = {}
+    for t, (a, b) in enumerate(pair_basis(m)):
+        for s, q in wedge_coords(dict(inv_cols[a]), dict(inv_cols[b]), pidx).items():
+            wedge.setdefault(s, []).append((t, q))
+    f, g = c.layout.split(c.support)
+    pulled, pushed = {}, {}
+    pull(pulled, Q1, f, (wedge,) * (c.p - 1))
+    pull(pulled, Q1, g, (wedge,) * (c.p - 1) + (plain,))
+    push(pushed, Q1, sparse_map(pair.psi_g)[1], pulled)
+    return Cochain.from_table(c.p, m, n, pushed)

@@ -15,18 +15,21 @@ of delta^T(T_{n+1}) = -Ob over Hom(h, g).
 
 Every coefficient comes from ``rrb.coefficients``, which tabulates it over the
 supports of the brackets and the action and the nonzero entries of the T_i:
-the checks scan the t^1..t^n tables, the obstruction reads the t^(n+1) table
-of the same cached set, and a linear deformation reads t^1..t^3.  An
-equivalence is tabulated the same way, each identity of (Id + t L(X),
-Id + t D(X)) graded by the power of t.
+the checks scan the t^1..t^n tables, the obstruction cochain is built
+straight from the t^(n+1) tables of the same cached set, and a linear
+deformation reads t^1..t^3.  An equivalence is tabulated the same way, each
+identity of (Id + t L(X), Id + t D(X)) graded by the power of t.  Maps h -> g
+and the obstruction are sparse degree-1 and degree-2 cochains
+(``cohomology.Cochain``); closedness is the coboundary matrix applied to one
+cochain, and the boundary partial(X) reads ``cohomology.partial_matrix``.
 """
 
 import itertools
 from dataclasses import dataclass
 
-from .cohomology import Cochain, TComplex, pair_basis, partial_matrix, zero_cochain_map
+from .cohomology import Cochain, TComplex, pair_basis, partial_matrix, wedge_coords
 from .errors import DimMismatch, Inconsistent, InvalidDeformation
-from .linalg import (Q1, axpy, dense, is_zero_mat, mat, mat_add, mat_col, mat_id, mat_mul,
+from .linalg import (Q1, axpy, contract, dense, is_zero_mat, mat, mat_add, mat_id, mat_mul,
                      mat_sub, mat_zero, matrix_values, pull, push, rank, skew_faults,
                      sparse_map, transpose, vector_values)
 from .reports import Checker, Report
@@ -134,22 +137,14 @@ def check_linear_deformation(op, T1, all_violations=False):
         ck.table(shape, ("deform-binary-t^%d" % s, binary))
         ck.table(shape, ("deform-ternary-t^%d" % s, ternary))
         per["t^%d" % s] = "fail" if binary or ternary else "pass"
-    cx = TComplex(op)
-    flat = _flatten_map(T1, m)
-    closed = all(v == 0 for v in cx.matrix(1).apply(flat))
+    t1 = _map_cochain(T1, m, r.acting.dim)
+    closed = not TComplex(op).matrix(1).apply(t1.support)
     return ck.report({"coefficient_verdicts": per, "t1_closed": closed})
 
 
-def _flatten_map(T, m):
-    out = []
-    for a in range(m):
-        out.extend(mat_col(T, a))
-    return tuple(out)
-
-
-def _unflatten_map(flat, n, m):
-    cols = [flat[a * n:(a + 1) * n] for a in range(m)]
-    return tuple(tuple(cols[a][t] for a in range(m)) for t in range(n))
+def _map_cochain(T, m, n):
+    """The n x m matrix T as a degree-1 cochain, the map of its columns."""
+    return Cochain.from_table(1, m, n, {(a,): dict(col) for a, col in sparse_map(T)[1].items()})
 
 
 def check_equivalence(op, T1, T2, wedges, all_violations=False):
@@ -178,7 +173,7 @@ def check_equivalence(op, T1, T2, wedges, all_violations=False):
     DX = mat_zero(m, m)
     for x, y in wedges:
         LX = mat_add(LX, transpose([g.bracket3(x, y, g.e(i)) for i in range(n)]))
-        DX = mat_add(DX, r.D_at(x, y))
+        DX = mat_add(DX, contract(r.derived_D, x, y))
     P, Q = (mat_id(n), LX), (mat_id(m), DX)
     ck = Checker("deformation-equivalence", all_violations)
     higher = {}
@@ -219,22 +214,23 @@ def check_equivalence(op, T1, T2, wedges, all_violations=False):
         for name, t in (("rho-equivariance", r.rho), ("mu-equivariance", r.mu),
                         ("D-equivariance", r.derived_D)))])
 
-    boundary = mat_zero(n, m)
+    pidx = {pr: t for t, pr in enumerate(pair_basis(n))}
+    X = {}
     for x, y in wedges:
-        pc = zero_cochain_map(op, x, y)
-        boundary = mat_add(boundary, transpose(pc.f))
-    diff_ok = is_zero_mat(mat_sub(mat_sub(T2, T1), boundary))
-    data = {"difference_equals_boundary": diff_ok,
+        axpy(X, Q1, wedge_coords(x, y, pidx))
+    diff = _map_cochain(mat_sub(T2, T1), m, n)
+    data = {"difference_equals_boundary": partial_matrix(op).apply(X) == diff.support,
             "higher_order_residual_degrees": {k: sorted(v) for k, v in sorted(higher.items())}}
     return ck.report(data)
 
 
 @dataclass
 class ObstructionClass:
-    ob_I: list        # per pair (a < b) of carrier basis indices, a value vector
-    ob_II: list       # per (pair, plain index), a value vector
     as_cochain: Cochain
     closed: bool
+    # value vectors per pair (a < b) of carrier indices, and per (pair, c)
+    ob_I = property(lambda self: self.as_cochain.f)
+    ob_II = property(lambda self: self.as_cochain.g)
 
 
 def obstruction_class(d):
@@ -257,13 +253,11 @@ def obstruction_class(d):
     if fault is not None:
         raise InvalidDeformation("first component not alternating" if fault[0] == fault[1]
                                  else "first component not antisymmetric")
-    prs = pair_basis(m)
-    fs = [dense(first.get(p, {}), (n,)) for p in prs]
-    gs = [dense(second.get((a, b, c), {}), (n,)) for (a, b) in prs for c in range(m)]
-    c2 = Cochain(2, m, n, fs, gs)
-    cx = d.complex()
-    closed = all(v == 0 for v in cx.matrix(2).apply(c2.as_flat()))
-    d._ob = ObstructionClass(fs, gs, c2, closed)
+    pidx = {pr: t for t, pr in enumerate(pair_basis(m))}
+    c2 = Cochain.from_table(2, m, n, {(pidx[k[:2]],) + k[2:]: v for table in (first, second)
+                                      for k, v in table.items() if k[0] < k[1]})
+    closed = not d.complex().matrix(2).apply(c2.support)
+    d._ob = ObstructionClass(c2, closed)
     return d._ob
 
 
@@ -288,7 +282,7 @@ def extend(d):
         data.update({"extendable": False, "rank": rk, "rank_augmented": rk_aug})
         rep = Report("deformation-extension", "fail", [], data)
         return None, rep
-    t_next = _unflatten_map(x, n, m)
+    t_next = transpose(Cochain.from_flat(1, m, n, x).f) or mat_zero(n, m)
     data.update({"extendable": True})
     rep = Report("deformation-extension", "pass", [], data)
     return t_next, rep
@@ -302,8 +296,8 @@ def difference_class(op, T1, T2):
     """
     op.ensure_verified()
     T1, T2 = (_operator_matrix(op, T, "T1 and T2") for T in (T1, T2))
-    diff = mat_sub(T2, T1)
-    rhs = _flatten_map(diff, op.action.carrier.dim)
+    n, m = op.action.acting.dim, op.action.carrier.dim
+    rhs = _map_cochain(mat_sub(T2, T1), m, n).as_flat()
     try:
         x = partial_matrix(op).solve(rhs)
     except Inconsistent:

@@ -43,22 +43,6 @@ def format_frac(q):
 # ---------------------------------------------------------------------------
 # vectors
 
-def vzero(n):
-    return (Q0,) * n
-
-
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c, a):
-    return tuple(c * x for x in a)
-
-
 def is_zero_vec(a):
     return all(x == 0 for x in a)
 
@@ -80,12 +64,6 @@ def mat_id(n):
 
 def mat_shape(m):
     return (len(m), len(m[0]) if m else 0)
-
-
-def mat_vec(m, v):
-    if m and len(m[0]) != len(v):
-        raise DimMismatch("matrix cols %d != vector length %d" % (len(m[0]), len(v)))
-    return tuple(sum((r[j] * v[j] for j in range(len(v)) if v[j] != 0), Q0) for r in m)
 
 
 def mat_mul(a, b):
@@ -112,10 +90,6 @@ def transpose(m):
 
 def is_zero_mat(m):
     return all(x == 0 for row in m for x in row)
-
-
-def mat_col(m, j):
-    return tuple(row[j] for row in m)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ nonzero block is applied to the nonzero bracket values only.
 
 from .core import LYAlgebra, center
 from .errors import AxiomsFailed, DimMismatch, NotAnAction
-from .linalg import Q1, Tensor, axpy, contract, dense, sparse_mul, vector_values
+from .linalg import Q1, Tensor, axpy, dense, sparse_mul, vector_values
 from .reports import Checker
 
 
@@ -45,17 +45,6 @@ class RepAction:
         self.action_certified = False
         self._rep_report = None
         self._semidirect = None
-
-    # bilinear/linear evaluation at arbitrary g-vectors ---------------------
-
-    def rho_at(self, x):
-        return contract(self.rho, x)
-
-    def mu_at(self, x, y):
-        return contract(self.mu, x, y)
-
-    def D_at(self, x, y):
-        return contract(self.derived_D, x, y)
 
     def ensure_representation(self):
         if self._rep_report is None:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .core import LYAlgebra, check_homomorphism, derived_algebra
 from .errors import DimMismatch, PreconditionFailed, Unverified
-from .linalg import (Q1, Tensor, hom_table, invert, is_zero_mat, is_zero_vec, mat, mat_col,
-                     mat_id, mat_mul, mat_sub, mat_vec, matrix_values, pull, push, sparse_map,
-                     transpose, vector_values)
+from .linalg import (Q1, Tensor, hom_table, invert, is_zero_mat, is_zero_vec, mat, mat_id,
+                     mat_mul, mat_sub, matrix_values, pull, push, sparse_map, transpose,
+                     vector_values)
 from .reports import Checker
 from .reps import adjoint_rep
 
@@ -33,10 +33,6 @@ class RRBOperator:
         if len(self.T) != n or any(len(r) != m for r in self.T):
             raise DimMismatch("T must be %dx%d (carrier -> acting)" % (n, m))
         self.verified = False
-        self._cols = tuple(mat_col(self.T, a) for a in range(m))
-
-    def apply(self, u):
-        return mat_vec(self.T, u)
 
     def ensure_verified(self):
         if not self.verified:

@@ -1068,6 +1068,51 @@ def _cochain_keys(m, p):
         [("g", (ts, c)) for ts in tuples for c in range(m)]
 
 
+def o_inverse(M):
+    """The inverse of a square matrix by Gauss-Jordan elimination on [M | I]."""
+    k = len(M)
+    rows = [list(r) + [Fraction(int(i == j)) for j in range(k)] for i, r in enumerate(M)]
+    for c in range(k):
+        piv = next(r for r in range(c, k) if rows[r][c] != 0)
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(k):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return tuple(tuple(r[k:]) for r in rows)
+
+
+def o_pushforward(p, m, n, flat, psi_g, psi_h):
+    """The flat coordinates of the degree-p cochain ``flat`` (library layout,
+    m-dim arguments, n-dim values) carried along (psi_g, psi_h):
+
+      (f, g)'(U_1..U_{p-1}, z) = psi_g (f, g)(psi_h^-1 U_1, .., psi_h^-1 z)
+
+    with psi_h^-1 (a /\\ b) = psi_h^-1 a /\\ psi_h^-1 b expanded on the pairs and
+    the cochain read at every term of the expansion."""
+    inv = o_inverse(psi_h)
+    img = [tuple(row[a] for row in inv) for a in range(m)]      # psi_h^-1 e_a
+    keys = _cochain_keys(m, p)
+    val = {key: tuple(flat[b * n:(b + 1) * n]) for b, key in enumerate(keys)}
+    out = []
+    for part, key in keys:
+        ts, c = (key, None) if part == "f" else key
+        args = [_wedge(img[a], img[b]) for a, b in ts]
+        total = (Z,) * n
+        for combo in itertools.product(*(d.items() for d in args)):
+            coeff = functools.reduce(operator.mul, (q for _, q in combo), Fraction(1))
+            pairs = tuple(P for P, _ in combo)
+            if part == "f":
+                total = va(total, sc(coeff, val["f", pairs]))
+            else:
+                for s, q in enumerate(img[c]):
+                    if q != 0:
+                        total = va(total, sc(coeff * q, val["g", (pairs, s)]))
+        out.extend(mv(psi_g, total))
+    return tuple(out)
+
+
 def o_delta_columns(oc, p, cols=None):
     """{column: {row: value}} of the degree-p coboundary matrix in the library's
     layout, at ``cols`` (every column by default), read off one evaluation of

@@ -87,13 +87,17 @@ def test_linear_deformation_family(p3, rng):
 def test_linear_deformation_failure(p3):
     rep = check_linear_deformation(p3, mat_id(4))
     assert not rep.passed
+    # the identity is not a 1-cocycle of p3's complex either
+    assert rep.data["t1_closed"] is False
+    flat = [x for a in range(4) for x in (F(int(a == t)) for t in range(4))]
+    assert any(oracles.mv(oracles.delta1_matrix(oracles.OpOracle(p3)), flat))
 
 
 def cocycle_terms(tcomplex, count=6, seed=5):
     """T1 as random combinations of the degree-1 cocycles: each T + t*T1 is an
     order-1 deformation, and most of their obstructions are nonzero."""
     rng = random.Random(seed)
-    zbasis = tcomplex.matrix(1).nullspace()
+    zbasis = [to_dense(w, (16,)) for w in tcomplex.matrix(1).nullspace()]
     out = []
     for _ in range(count):
         v = [F(0)] * 16
@@ -230,3 +234,81 @@ def test_obstruct_extend_checks_the_deformation_once(monkeypatch, capsys):
     assert code == 0 and len(calls) == 1
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "6a7f0d42df3c4cfa013c830d6efc0c2e8aed910c53f9c089aa5ad16911bf8d2d")
+
+
+def nonzero_partial_cases():
+    """Square-zero operators with a nonzero partial map (see test_cohomology),
+    each with X = e0/\\e1 + 2 e1/\\e3."""
+    from test_cohomology import NONZERO_PARTIAL_SEEDS, square_zero_operator
+    for seed in NONZERO_PARTIAL_SEEDS:
+        op = square_zero_operator(random.Random(seed), 4, 3, 2)
+        g = op.action.acting
+        wedges = [(g.e(0), g.e(1)), (tuple(2 * x for x in g.e(1)), g.e(3))]
+        yield seed, op, wedges
+
+
+def oracle_boundary(op, wedges):
+    """partial(X) as an n x m matrix, from the oracle's closed form."""
+    oc = oracles.OpOracle(op)
+    h = op.action.carrier
+    n, m = op.action.acting.dim, h.dim
+    return tuple(tuple(sum((oc.partial(x, y, h.e(a))[t] for x, y in wedges), F(0))
+                       for a in range(m)) for t in range(n))
+
+
+def test_equivalence_difference_where_partial_is_nonzero():
+    for seed, op, wedges in nonzero_partial_cases():
+        n, m = op.action.acting.dim, op.action.carrier.dim
+        bound = oracle_boundary(op, wedges)
+        assert any(map(any, bound)), seed
+        rng = random.Random(seed)
+        T1 = mat(random_matrix(rng, n, m))
+        T2 = mat_add(T1, bound)
+        perturbed = [list(row) for row in T2]
+        perturbed[1][2] += 1
+        for t2, want in ((T2, True), (perturbed, False)):
+            rep = check_equivalence(op, T1, t2, wedges, all_violations=True)
+            assert rep.data["difference_equals_boundary"] is want, seed
+            assert rep.data == oracles.o_equivalence(op, T1, t2, wedges)[1], seed
+
+
+def test_difference_class_where_partial_is_nonzero():
+    for seed, op, wedges in nonzero_partial_cases():
+        n, m = op.action.acting.dim, op.action.carrier.dim
+        P = oracles.partial_matrix(oracles.OpOracle(op))
+        rng = random.Random(seed + 1)
+        T1 = mat(random_matrix(rng, n, m))
+        T2 = mat_add(T1, oracle_boundary(op, wedges))
+        rep = difference_class(op, T1, T2)
+        assert rep.passed and rep.data["cohomologous"], seed
+        x = [F(q) for q in rep.data["X_pair_coordinates"]]
+        diff = oracles.mv(P, x)
+        assert diff == tuple(T2[t][a] - T1[t][a] for a in range(m) for t in range(n))
+        assert any(diff)
+        off = [list(row) for row in T2]
+        off[0][0] += 1
+        want = oracles.o_in_column_space(P, [off[t][a] - T1[t][a]
+                                             for a in range(m) for t in range(n)])
+        assert difference_class(op, T1, off).passed is want is False
+
+
+def test_t1_closed_matches_oracle_where_partial_is_nonzero():
+    closed = set()
+    for seed, op, _ in nonzero_partial_cases():
+        n, m = op.action.acting.dim, op.action.carrier.dim
+        d1 = oracles.delta1_matrix(oracles.OpOracle(op))
+        rng = random.Random(seed + 2)
+        z = L.TComplex(op).matrix(1).nullspace()
+        for k in range(4):
+            if k % 2:
+                coeffs = [rng.choice([F(0), F(1), F(-2)]) for _ in z]
+                flat = [sum((c * w.get(j, F(0)) for c, w in zip(coeffs, z)), F(0))
+                        for j in range(m * n)]
+            else:
+                flat = [rng.choice([F(0), F(1), F(1, 2)]) for _ in range(m * n)]
+            T1 = tuple(tuple(flat[a * n + t] for a in range(m)) for t in range(n))
+            rep = check_linear_deformation(op, T1)
+            want = not any(oracles.mv(d1, flat))
+            assert rep.data["t1_closed"] is want, (seed, k)
+            closed.add(want)
+    assert closed == {True, False}

@@ -5,9 +5,9 @@ import pytest
 
 from lyalg.errors import Inconsistent, NotInvertible
 from lyalg.linalg import (Echelon, Subspace, frac, format_frac, invert, mat,
-                          mat_id, mat_mul, mat_vec, nullspace_basis, rank, rref,
+                          mat_id, mat_mul, nullspace_basis, rank, rref,
                           solve)
-from oracles import o_in_column_space, o_rank
+from oracles import mv, o_in_column_space, o_rank
 
 POOL = [F(-2), F(-1), F(0), F(0), F(1), F(2), F(1, 3)]
 
@@ -48,7 +48,7 @@ def test_nullspace_vectors_annihilate():
         ns = nullspace_basis(m)
         assert len(ns) == len(m[0]) - rank(m)
         for v in ns:
-            assert all(x == 0 for x in mat_vec(m, v))
+            assert all(x == 0 for x in mv(m, v))
 
 
 def test_solve_and_inconsistent():
@@ -56,9 +56,9 @@ def test_solve_and_inconsistent():
     for _ in range(25):
         m = rmat(rng, rng.randint(1, 5), rng.randint(1, 5))
         x0 = tuple(rng.choice(POOL) for _ in range(len(m[0])))
-        b = mat_vec(m, x0)
+        b = mv(m, x0)
         x = solve(m, b)
-        assert mat_vec(m, x) == b
+        assert mv(m, x) == b
     with pytest.raises(Inconsistent):
         solve(mat([[1, 0], [2, 0]]), (F(1), F(3)))
 
@@ -141,7 +141,7 @@ def test_sparse_nullspace_dimension_and_annihilation():
         assert len(ns) == c - o_rank(m)
         for v in ns:
             assert len(v) == c
-            assert all(x == 0 for x in mat_vec(m, v))
+            assert all(x == 0 for x in mv(m, v))
         assert nullspace_basis(as_dicts(m), ncols=c) == ns
 
 
@@ -197,11 +197,11 @@ def test_sparse_solve_inconsistent_exactly_off_column_space():
     rng = random.Random(505)
     for r, c, m in sparse_cases(505):
         x0 = tuple(rng.choice(SPARSE_POOL) for _ in range(c))
-        for b in (mat_vec(m, x0) if r else (),
+        for b in (mv(m, x0) if r else (),
                   tuple(rng.choice(SPARSE_POOL + [F(0)]) for _ in range(r))):
             if o_in_column_space(m, b):
                 x = solve(m, b, ncols=c)
-                assert len(x) == c and mat_vec(m, x) == b
+                assert len(x) == c and mv(m, x) == b
                 assert solve(as_dicts(m), b, ncols=c) == x
             else:
                 with pytest.raises(Inconsistent):

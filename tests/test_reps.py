@@ -3,18 +3,20 @@ from fractions import Fraction as F
 
 import lyalg as L
 from lyalg.errors import NotAnAction
-from lyalg.linalg import mat_col, mat_vec, mat_zero
+from lyalg.linalg import mat_zero
 from lyalg.reps import (adjoint_rep, check_action, check_lemma_identities,
                         check_representation, semidirect_product)
+
+from oracles import col
 
 
 def test_adjoint_is_representation(nilpotent4):
     r = adjoint_rep(nilpotent4)
     assert check_representation(r).passed
     # rho(e1) maps e2 to [e1, e2] = 2 e4
-    assert mat_col(r.rho[0], 1) == (F(0), F(0), F(0), F(2))
+    assert col(r.rho[0], 1) == (F(0), F(0), F(0), F(2))
     # mu(e2, e1) maps e1 to <e1, e2, e1> = e4
-    assert mat_col(r.mu[1][0], 0) == (F(0), F(0), F(0), F(1))
+    assert col(r.mu[1][0], 0) == (F(0), F(0), F(0), F(1))
 
 
 def test_derived_D_matches_definition(nilpotent4):
@@ -23,7 +25,7 @@ def test_derived_D_matches_definition(nilpotent4):
     for i in range(4):
         for j in range(4):
             for k in range(4):
-                assert mat_col(r.derived_D[i][j], k) == nilpotent4.ternary[i][j][k]
+                assert col(r.derived_D[i][j], k) == nilpotent4.ternary[i][j][k]
 
 
 def test_lemma_identities(nilpotent4):
@@ -73,10 +75,10 @@ def test_semidirect_brackets(nilpotent4, adjoint_action):
     assert S.binary[0][1] == (F(0),) * 3 + (F(2),) + (F(0),) * 4
     # [g:e1, h:e2] = h:rho(e1)e2
     assert S.binary[0][n + 1] == (F(0),) * 4 + tuple(
-        mat_col(adjoint_action.rho[0], 1))
+        col(adjoint_action.rho[0], 1))
     # <h:u, g:x, g:y> = h:mu(x,y)u
     assert S.ternary[n + 0][0][1] == (F(0),) * 4 + tuple(
-        mat_col(adjoint_action.mu[0][1], 0))
+        col(adjoint_action.mu[0][1], 0))
     # two carrier slots kill the ternary bracket
     assert S.ternary[n + 0][n + 1][0] == (F(0),) * 8
 

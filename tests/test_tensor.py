@@ -75,8 +75,8 @@ def test_abelian_in_dim_0_and_1(n):
 
 def test_action_of_a_zero_dim_algebra():
     r = RepAction(L.abelian(0), L.abelian(2), [], [])
-    assert r.rho_at(()) == mat_zero(2, 2)
-    assert r.mu_at((), ()) == mat_zero(2, 2) and r.D_at((), ()) == mat_zero(2, 2)
+    assert contract(r.rho, ()) == mat_zero(2, 2)
+    assert contract(r.mu, (), ()) == mat_zero(2, 2) == contract(r.derived_D, (), ())
     assert r.derived_D == ()
     assert check_representation(r).passed
     rep = check_action(r)
@@ -87,7 +87,8 @@ def test_action_on_a_zero_dim_carrier():
     e = ((), ())
     r = RepAction(L.abelian(2), L.abelian(0), list(e), [list(e), list(e)])
     x, y = (F(1), F(0)), (F(0), F(1))
-    assert r.rho_at(x) == () and r.mu_at(x, y) == () and r.D_at(x, y) == ()
+    assert contract(r.rho, x) == () and contract(r.mu, x, y) == ()
+    assert contract(r.derived_D, x, y) == ()
     assert r.derived_D == (e, e)
     assert check_representation(r).passed
     rep = check_action(r)
