@@ -7,6 +7,7 @@ matching ``check`` subcommand re-ingests.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,6 +29,7 @@ USAGE_ERRORS = (FormatError, DimMismatch, StructureError, NotLieAlgebra,
                 PreconditionFailed, NotInvertible, OSError)
 
 
+@functools.lru_cache(maxsize=None)       # built once per process; parsing leaves it as it was
 def _parser():
     p = argparse.ArgumentParser(prog="lyalg",
                                 description="Exact checks and constructions "

@@ -2,63 +2,47 @@
 equivalences, obstruction classes, and the extension solver.
 
 A polynomial family T_t = T + t T_1 + ... + t^n T_n is an order-n deformation
-when both defining equations hold over K[t]/(t^(n+1)); the coefficient of t^s
-in the binary equation is
+when both defining equations hold over K[t]/(t^(n+1)).  The coefficient of
+t^(n+1) of an extension splits as Ob + delta^T(T_{n+1}), Ob collecting exactly
+the summands with all indices at most n; extendability is solvability of
+delta^T(T_{n+1}) = -Ob over Hom(h, g), decided by one elimination.
 
-    sum_{i+j=s} ( [T_i u, T_j v] - T_i( rho(T_j u)v - rho(T_j v)u ) )
-    - T_s([u, v]_h)
-
-and analogously with a triple index sum for the ternary one.  The coefficient
-of t^(n+1) of an extension splits as Ob + delta^T(T_{n+1}) where Ob collects
-exactly the summands with all indices at most n; extendability is solvability
-of delta^T(T_{n+1}) = -Ob over Hom(h, g).
-
-Every coefficient comes from ``rrb.coefficients``, which tabulates it over the
-supports of the brackets and the action and the nonzero entries of the T_i:
-the checks scan the t^1..t^n tables, the obstruction cochain is built
-straight from the t^(n+1) tables of the same cached set, and a linear
-deformation reads t^1..t^3.  An equivalence is tabulated the same way, each
-identity of (Id + t L(X), Id + t D(X)) graded by the power of t.  Maps h -> g
-and the obstruction are sparse degree-1 and degree-2 cochains
-(``cohomology.Cochain``); closedness is the coboundary matrix applied to one
-cochain, and the boundary partial(X) reads ``cohomology.partial_matrix``.
+Every t-expansion is a truncated polynomial whose coefficients come from
+``linalg.graded``/``graded_push``: those of both defining equations
+(``rrb.coefficients``: the checks scan t^1..t^n, the obstruction cochain is
+built from t^(n+1) of the same cached tables, a linear deformation reads
+t^1..t^3) and every identity of an equivalence (Id + t L(X), Id + t D(X)),
+its intertwining (``rrb.intertwining``) included.  Maps h -> g and the
+obstruction are sparse degree-1 and degree-2 cochains (``cohomology.Cochain``);
+closedness is the coboundary matrix applied to one cochain, and the boundary
+partial(X) reads ``cohomology.partial_matrix``.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from .cohomology import Cochain, TComplex, pair_basis, partial_matrix, wedge_coords
 from .errors import DimMismatch, Inconsistent, InvalidDeformation
-from .linalg import (Q1, axpy, contract, dense, is_zero_mat, mat, mat_add, mat_id, mat_mul,
-                     mat_sub, mat_zero, matrix_values, pull, push, rank, skew_faults,
-                     sparse_map, transpose, vector_values)
+from .linalg import (Q1, Tensor, axpy, column_table, contract, dense, format_frac, graded,
+                     graded_push, mat, mat_id, mat_sub, matrix_values, skew_faults, sparse_map,
+                     vector_values)
 from .reports import Checker, Report
-from .rrb import coefficients
+from .rrb import coefficients, intertwining
 
 
-def _contract(r, table, *vecs):
-    """The table {basis tuple: sparse vector} of a coefficient at ``vecs``."""
-    m = r.carrier.dim
-    if any(len(x) != m for x in vecs):
-        raise DimMismatch("vectors must have length %d" % m)
-    acc = {}
-    for key, v in table.items():
-        f = Q1
-        for x, a in zip(vecs, key):
-            f *= x[a]
-        if f:
-            axpy(acc, f, v)
-    return dense(acc, (r.acting.dim,))
+def _at(r, table, *vecs):
+    """A coefficient table {basis tuple: sparse vector} evaluated at ``vecs``."""
+    m, n = r.carrier.dim, r.acting.dim
+    return contract(Tensor.from_support(table, m, len(vecs), (n,)), *vecs)
 
 
 def binary_coefficient(r, Ts, s, u, v):
     """t^s coefficient of the binary defining equation for sum_i t^i T_i."""
-    return _contract(r, coefficients(r, Ts, (s,))[s][0], u, v)
+    return _at(r, coefficients(r, Ts, (s,))[s][0], u, v)
 
 
 def ternary_coefficient(r, Ts, s, u, v, w):
     """t^s coefficient of the ternary defining equation for sum_i t^i T_i."""
-    return _contract(r, coefficients(r, Ts, (s,))[s][1], u, v, w)
+    return _at(r, coefficients(r, Ts, (s,))[s][1], u, v, w)
 
 
 def _operator_matrix(op, T, what):
@@ -144,7 +128,7 @@ def check_linear_deformation(op, T1, all_violations=False):
 
 def _map_cochain(T, m, n):
     """The n x m matrix T as a degree-1 cochain, the map of its columns."""
-    return Cochain.from_table(1, m, n, {(a,): dict(col) for a, col in sparse_map(T)[1].items()})
+    return Cochain.from_table(1, m, n, column_table(T))
 
 
 def check_equivalence(op, T1, T2, wedges, all_violations=False):
@@ -155,12 +139,11 @@ def check_equivalence(op, T1, T2, wedges, all_violations=False):
     verdict covers the coefficients of t^0 and t^1 (the identities are read
     modulo t^2), higher coefficients are reported in the data payload.
 
-    With psi = Id + t M, the t^s coefficient of an identity in k slots is the
-    sum over the s-subsets of its slots of the tensor with M in those slots,
-    less M applied to the tensor at s = 1; at s = 0 it vanishes.  L(X) fills
-    the acting algebra's slots and D(X) the carrier's, rho, mu and D being
-    read with the matrix column as one more slot, and every coefficient is
-    tabulated over all basis tuples (``linalg.pull``/``push``): witnesses come
+    An identity of psi = Id + tM in k slots is the t^s coefficient of the
+    tensor with each slot read through psi, less psi applied to the tensor,
+    zero at s = 0; L(X) fills the acting algebra's slots and D(X) the
+    carrier's, rho, mu and D being read with the matrix column as one more
+    slot.  Witnesses come intertwines-T first (``rrb.intertwining``), then
     psi_g's pairs and triples interleaved, then psi_h's, then the
     equivariance, rho at (i,) before mu and D at (i, j).
     """
@@ -169,48 +152,43 @@ def check_equivalence(op, T1, T2, wedges, all_violations=False):
     g, h = r.acting, r.carrier
     n, m = g.dim, h.dim
     T1, T2 = (_operator_matrix(op, T, "T1 and T2") for T in (T1, T2))
-    LX = mat_zero(n, n)
-    DX = mat_zero(m, m)
+    LX, DX = {}, {}                       # the nonzero entries of L(X) and D(X)
     for x, y in wedges:
-        LX = mat_add(LX, transpose([g.bracket3(x, y, g.e(i)) for i in range(n)]))
-        DX = mat_add(DX, contract(r.derived_D, x, y))
-    P, Q = (mat_id(n), LX), (mat_id(m), DX)
+        for c in range(n):
+            axpy(LX, Q1, {(i, c): q for i, q in enumerate(contract(g.ternary, x, y, c)) if q})
+        axpy(DX, Q1, {(a, b): q for a, row in enumerate(contract(r.derived_D, x, y))
+                      for b, q in enumerate(row) if q})
     ck = Checker("deformation-equivalence", all_violations)
     higher = {}
-    from_poly, to_poly = (op.T, T2), (op.T, T1)
-    res = [mat_zero(n, m)] * 3
-    for a, b in itertools.product((0, 1), repeat=2):
-        res[a + b] = mat_add(res[a + b], mat_sub(mat_mul(P[a], from_poly[b]),
-                                                 mat_mul(to_poly[a], Q[b])))
+    res = intertwining((mat_id(n), LX), (op.T, T2), (op.T, T1), (mat_id(m), DX))
     for s, v in enumerate(res):
-        if not is_zero_mat(v):
+        if v:
             if s <= 1:
-                ck.record("intertwines-T-t^%d" % s, (), v)
+                ck.record("intertwines-T-t^%d" % s, (), dense(v, (n, m)))
             else:
                 higher.setdefault("intertwines-T", set()).add(s)
 
-    def graded(name, t, maps, cols):
-        """(name-t^1, the t^1 table) of ``t`` with slot p read through
-        maps[p] and psi_1 given by ``cols``; each degree above with a nonzero
-        table goes to ``higher``."""
-        values, k = vector_values(t), len(maps)
-        for s in range(1, k + 1):
+    def identity(name, t, polys, cols):
+        """(name-t^1, the t^1 table) of ``t`` with slot p read through polys[p],
+        less (Id + t M) t, M given by ``cols``; higher nonzero degrees go to ``higher``."""
+        values = vector_values(t)
+        for s in range(1, len(polys) + 1):
             acc = {}
-            for slots in itertools.combinations(range(k), s):
-                pull(acc, Q1, values, [maps[p] if p in slots else None for p in range(k)])
+            graded(acc, Q1, values, polys, s)
+            graded_push(acc, -Q1, (None, cols), [values], s)
             if s == 1:
-                push(acc, -Q1, cols, values)
                 first = ("%s-t^1" % name, acc)
             elif acc:
                 higher.setdefault(name, set()).add(s)
         return first
 
     (L_rows, L_cols), (D_rows, D_cols) = sparse_map(LX), sparse_map(DX)
-    for name, alg, rows, cols in (("psi_g", g, L_rows, L_cols), ("psi_h", h, D_rows, D_cols)):
-        ck.table((alg.dim,), graded(name + "-binary", alg.binary, (rows,) * 2, cols),
-                 graded(name + "-ternary", alg.ternary, (rows,) * 3, cols))
+    L, D = (None, L_rows), (None, D_rows)
+    for name, alg, psi, cols in (("psi_g", g, L, L_cols), ("psi_h", h, D, D_cols)):
+        ck.table((alg.dim,), identity(name + "-binary", alg.binary, (psi,) * 2, cols),
+                 identity(name + "-ternary", alg.ternary, (psi,) * 3, cols))
     ck.table((m, m), *[(name, matrix_values(acc)) for name, acc in (
-        graded(name, t, (L_rows,) * t.arity + (D_rows,), D_cols)
+        identity(name, t, (L,) * t.arity + (D,), D_cols)
         for name, t in (("rho-equivariance", r.rho), ("mu-equivariance", r.mu),
                         ("D-equivariance", r.derived_D)))])
 
@@ -268,24 +246,18 @@ def extend(d):
     side lies outside the column space of the degree-1 coboundary matrix.
     """
     ob = obstruction_class(d)
-    cx = d.complex()
-    A = cx.matrix(1)
-    rhs = tuple(-v for v in ob.as_cochain.as_flat())
+    A = d.complex().matrix(1)
     m, n = d.base.action.carrier.dim, d.base.action.acting.dim
     data = {"obstruction_closed": ob.closed}
     try:
-        x = A.solve(rhs)
-    except Inconsistent:
-        rows = A.row_dicts()
-        rk = rank(rows)
-        rk_aug = rank([{**row, A.cols: b} for row, b in zip(rows, rhs)])
-        data.update({"extendable": False, "rank": rk, "rank_augmented": rk_aug})
-        rep = Report("deformation-extension", "fail", [], data)
-        return None, rep
-    t_next = transpose(Cochain.from_flat(1, m, n, x).f) or mat_zero(n, m)
-    data.update({"extendable": True})
-    rep = Report("deformation-extension", "pass", [], data)
-    return t_next, rep
+        x = A.solve({k: -q for k, q in ob.as_cochain.support.items()})
+    except Inconsistent as e:
+        data.update({"extendable": False, "rank": e.rank, "rank_augmented": e.rank_augmented})
+        return None, Report("deformation-extension", "fail", [], data)
+    # coordinate a n + r of a degree-1 cochain is row r of column a
+    t_next = dense({(k % n, k // n): q for k, q in enumerate(x) if q}, (n, m))
+    data["extendable"] = True
+    return t_next, Report("deformation-extension", "pass", [], data)
 
 
 def difference_class(op, T1, T2):
@@ -297,13 +269,11 @@ def difference_class(op, T1, T2):
     op.ensure_verified()
     T1, T2 = (_operator_matrix(op, T, "T1 and T2") for T in (T1, T2))
     n, m = op.action.acting.dim, op.action.carrier.dim
-    rhs = _map_cochain(mat_sub(T2, T1), m, n).as_flat()
     try:
-        x = partial_matrix(op).solve(rhs)
+        x = partial_matrix(op).solve(_map_cochain(mat_sub(T2, T1), m, n).support)
     except Inconsistent:
         return Report("difference-class", "fail", [],
                       {"cohomologous": False})
-    from .linalg import format_frac
     return Report("difference-class", "pass", [],
                   {"cohomologous": True,
                    "X_pair_coordinates": [format_frac(c) for c in x]})

@@ -14,7 +14,12 @@ class ShapeMismatch(DimMismatch):
 
 
 class Inconsistent(LyalgError):
-    """Linear system has no solution (b outside the column space)."""
+    """Linear system has no solution (b outside the column space); ``rank``
+    and ``rank_augmented`` are the ranks of its rows without and with b."""
+
+    def __init__(self, message, rank=None, rank_augmented=None):
+        super().__init__(message)
+        self.rank, self.rank_augmented = rank, rank_augmented
 
 
 class AmbientMismatch(LyalgError):

@@ -8,10 +8,14 @@ vector or matrix values as sparse dicts, and read as nested tuples through a
 view built from it.  ``contract`` evaluates them at vectors; every equation
 is tabulated from the supports as one sparse table, a signed sum of
 compositions (``compose``) and of supports pulled back along or pushed
-through a linear map (``pull``/``push``).
+through a linear map (``pull``/``push``).  Every expansion in t is a truncated
+polynomial whose t^s coefficient is read off by one routine: ``graded`` for a
+support with its slots read through polynomial maps, ``graded_push`` for a
+polynomial map applied to tables graded by degree.
 There are no tolerances anywhere: equality means exact equality.
 """
 
+import functools
 import itertools
 import operator
 from fractions import Fraction
@@ -41,55 +45,18 @@ def format_frac(q):
 
 
 # ---------------------------------------------------------------------------
-# vectors
-
-def is_zero_vec(a):
-    return all(x == 0 for x in a)
-
-
-# ---------------------------------------------------------------------------
 # matrices (tuple of row tuples)
 
 def mat(rows):
     return tuple(tuple(frac(x) for x in row) for row in rows)
 
 
-def mat_zero(r, c):
-    return tuple((Q0,) * c for _ in range(r))
-
-
 def mat_id(n):
     return tuple(tuple(Q1 if i == j else Q0 for j in range(n)) for i in range(n))
 
 
-def mat_shape(m):
-    return (len(m), len(m[0]) if m else 0)
-
-
-def mat_mul(a, b):
-    ra, ca = mat_shape(a)
-    rb, cb = mat_shape(b)
-    if ca != rb:
-        raise DimMismatch("cannot multiply %dx%d by %dx%d" % (ra, ca, rb, cb))
-    bt = transpose(b)
-    return tuple(tuple(sum((row[k] * col[k] for k in range(ca) if row[k] != 0), Q0)
-                       for col in bt) for row in a)
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
 def mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
-def transpose(m):
-    return tuple(zip(*m)) if m else ()
-
-
-def is_zero_mat(m):
-    return all(x == 0 for row in m for x in row)
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +257,21 @@ def sparse_mul(a, b):
 # are placed at the tuple positions of the equation's arguments.
 
 def sparse_map(M):
-    """The nonzero entries of the matrix M as (rows, cols), rows {r: [(c, q)]}
-    and cols {c: [(r, q)]}."""
+    """The nonzero entries of the matrix M, dense or sparse {(r, c): q}, as
+    (rows, cols), rows {r: [(c, q)]} and cols {c: [(r, q)]}."""
     rows, cols = {}, {}
-    for r, row in enumerate(M):
-        for c, q in enumerate(row):
-            if q:
-                rows.setdefault(r, []).append((c, q))
-                cols.setdefault(c, []).append((r, q))
+    entries = sorted(M.items()) if isinstance(M, dict) else (
+        ((r, c), q) for r, row in enumerate(M) for c, q in enumerate(row))
+    for (r, c), q in entries:
+        if q:
+            rows.setdefault(r, []).append((c, q))
+            cols.setdefault(c, []).append((r, q))
     return rows, cols
+
+
+def column_table(M):
+    """The matrix M as the table {(c,): {r: q}} of its nonzero columns."""
+    return {(c,): dict(col) for c, col in sparse_map(M)[1].items()}
 
 
 def _add_at(table, key, f, x):
@@ -348,6 +321,44 @@ def push(acc, sign, cols, table):
             for x, t in cols.get(y, ()):
                 out[x] = out.get(x, Q0) + q * t
         _add_at(acc, key, sign, {x: q for x, q in out.items() if q})
+
+
+# ---------------------------------------------------------------------------
+# truncated polynomials in t
+#
+# A polynomial map sum_i t^i P_i is the tuple (P_0, P_1, ..), each P_i given
+# by its nonzero entries or None for the identity.  Every t-expansion takes
+# its t^s coefficient from one of the two routines below.
+
+@functools.lru_cache(maxsize=1024)
+def _degrees(lengths, s):
+    """Every (d_0, d_1, ..) with d_p < lengths[p] summing to s, in lexicographic order."""
+    if not lengths:
+        return ((),) if s == 0 else ()
+    return tuple((d,) + rest for d in range(min(s + 1, lengths[0]))
+                 for rest in _degrees(lengths[1:], s - d))
+
+
+def graded(acc, sign, values, polys, s, positions=None):
+    """acc += sign * the t^s coefficient of ``values`` with slot p read
+    through the polynomial map polys[p] = (P_0, P_1, ..), each P_i given by
+    its rows (see ``sparse_map``) or None for the identity, and placed as by
+    ``pull``; polys[p] = None reads slot p as it is, at degree 0 only."""
+    polys = [(None,) if P is None else P for P in polys]
+    for degrees in _degrees(tuple(map(len, polys)), s):
+        pull(acc, sign, values, [P[d] for P, d in zip(polys, degrees)], positions)
+
+
+def graded_push(acc, sign, poly, tables, s):
+    """acc += sign * the t^s coefficient of P(t) applied to the graded table
+    sum_j t^j tables[j], P(t) = sum_i t^i poly[i] with each poly[i] given by
+    its columns (see ``sparse_map``) or None for the identity."""
+    for i, cols in enumerate(poly[:s + 1]):
+        if s - i < len(tables):
+            if cols is None:
+                pull(acc, sign, tables[s - i], ())
+            else:
+                push(acc, sign, cols, tables[s - i])
 
 
 def signed_sum(terms):
@@ -506,11 +517,6 @@ def rref(rows):
     return red + ((Q0,) * nc,) * (nr - len(red)), ech.pivots
 
 
-def rank(rows):
-    """Rank of dense or sparse (dict) rows."""
-    return Echelon(rows).rank
-
-
 def nullspace_basis(rows, ncols=None):
     """Vectors spanning {v : rows . v = 0}; one per free column.
 
@@ -522,23 +528,27 @@ def nullspace_basis(rows, ncols=None):
 
 
 def solve(rows, b, ncols=None):
-    """Some x with rows . x = b; raises Inconsistent when there is none.
+    """Some x with rows . x = b (dense or sparse {row: q}); raises
+    Inconsistent, with the ranks of the rows without and with b, when there
+    is none.  One elimination of the rows with b as one more column.
 
     The free coordinates of x are 0.  Sparse (dict) rows need ``ncols``.
     """
     nr = len(rows)
-    if len(b) != nr:
-        raise DimMismatch("rhs length %d != %d rows" % (len(b), nr))
+    if not isinstance(b, dict):
+        if len(b) != nr:
+            raise DimMismatch("rhs length %d != %d rows" % (len(b), nr))
+        b = _as_dict(b)
     if ncols is None:
         ncols = len(rows[0]) if nr else 0
     ech = Echelon()
-    for row, bv in zip(rows, b):
+    for i, row in enumerate(rows):
         row = _as_dict(row)
-        if bv != 0:
-            row[ncols] = bv
+        if b.get(i):
+            row[ncols] = b[i]
         ech.insert(row)
     if ncols in ech._rows:
-        raise Inconsistent("rhs outside column space")
+        raise Inconsistent("rhs outside column space", ech.rank - 1, ech.rank)
     x = [Q0] * ncols
     for pc, row in ech.items():
         x[pc] = row.get(ncols, Q0)

@@ -10,13 +10,12 @@ the block lift [[Id, T], [0, 0]] is a Nijenhuis operator there; both
 characterizations are implemented and exercised against each other.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from .core import LYAlgebra, check_homomorphism, derived_algebra
 from .errors import DimMismatch, PreconditionFailed, Unverified
-from .linalg import (Q1, Tensor, hom_table, invert, is_zero_mat, is_zero_vec, mat, mat_id,
-                     mat_mul, mat_sub, matrix_values, pull, push, sparse_map, transpose,
+from .linalg import (Q1, Tensor, column_table, dense, graded, graded_push, hom_table, invert, mat,
+                     mat_id, matrix_values, pull, push, sparse_map, sparse_mul,
                      vector_values)
 from .reports import Checker
 from .reps import adjoint_rep
@@ -61,51 +60,42 @@ class HomPair:
 #
 # For T_t = sum_i t^i T_i the t^s coefficients of RRB1 and RRB2 are
 #
-#   B_s(u,v)   = sum_{i+j=s} [T_i u, T_j v]      - sum_i T_i(I_{s-i}(u,v))
-#   C_s(u,v,w) = sum_{i+j+k=s} <T_i u, T_j v, T_k w> - sum_i T_i(J_{s-i}(u,v,w))
+#   B_s(u,v)   = [T_t u, T_t v]_s        - sum_i T_i(I_{s-i}(u,v))
+#   C_s(u,v,w) = <T_t u, T_t v, T_t w>_s - sum_i T_i(J_{s-i}(u,v,w))
 #
 # with the inner sums grouped by degree:
 #
-#   I_p(u,v)   = rho(T_p u)v - rho(T_p v)u                  (+ [u,v]_h at p = 0)
-#   J_p(u,v,w) = sum_{j+k=p} D(T_j u, T_k v)w + mu(T_j v, T_k w)u - mu(T_j u, T_k w)v
-#                                                           (+ <u,v,w>_h at p = 0)
+#   I_p(u,v)   = (rho(T_t u)v - rho(T_t v)u + [u,v]_h)_p
+#   J_p(u,v,w) = (D(T_t u, T_t v)w + mu(T_t v, T_t w)u - mu(T_t u, T_t w)v + <u,v,w>_h)_p
 #
-# s = 0 is the operator's own residual and s = 1 the 1-cocycle condition.
-# Every term is one vector-valued tensor (rho, mu and D read with the column
-# as one more slot) with some slots pulled back along a T_j and its slots
-# moved to tuple positions, optionally pushed forward by a T_i (``linalg.pull``
-# and ``linalg.push``); the tables are expanded over the supports and the
-# nonzero entries of the T_i only.
+# where (..)_p is the t^p coefficient.  s = 0 is the operator's own residual
+# and s = 1 the 1-cocycle condition.  Every term is one vector-valued tensor
+# (rho, mu and D read with the column as one more slot) with each slot read
+# through T_t or as it is, so the brackets of h count at degree 0 only, and
+# its slots moved to tuple positions (``linalg.graded``); the outer T_t is
+# applied to the inner sums graded by degree (``linalg.graded_push``).  The
+# tables are expanded over the supports and the nonzero entries of the T_i.
 
-def _splits(p, top):
-    """(j, p - j) with both indices in range(top + 1)."""
-    return [(j, p - j) for j in range(max(0, p - top), min(p, top) + 1)]
-
-
-def _inner_sums(r, rows, degree):
+def _inner_sums(r, T, degree):
     """([I_0, .., I_degree], [J_0, .., J_degree]) for T_t = sum_i t^i T_i over
-    the action ``r``, each T_i given by the rows of its nonzero entries
-    (``linalg.sparse_map``), as sparse tables over the carrier's basis tuples.
+    the action ``r``, T = (T_0, T_1, ..) each given by the rows of its nonzero
+    entries (``linalg.sparse_map``), as sparse tables over the carrier's basis tuples.
     I_0 and J_0 for T alone are the brackets of the descent algebra.
     """
     h = r.carrier
     rho, mu, D = (vector_values(t) for t in (r.rho, r.mu, r.derived_D))
-    top = len(rows) - 1
+    terms2 = [(Q1, h.binary.support, (None, None), None),
+              (Q1, rho, (T, None), None), (-Q1, rho, (T, None), (1, 0))]
+    terms3 = [(Q1, h.ternary.support, (None, None, None), None),
+              (Q1, D, (T, T, None), None), (Q1, mu, (T, T, None), (1, 2, 0)),
+              (-Q1, mu, (T, T, None), (0, 2, 1))]
     inner2, inner3 = [], []
-    for p in range(degree + 1):
-        I, J = {}, {}
-        if p == 0:
-            pull(I, Q1, h.binary.support, (None, None), (0, 1))
-            pull(J, Q1, h.ternary.support, (None, None, None), (0, 1, 2))
-        if p <= top:
-            pull(I, Q1, rho, (rows[p], None), (0, 1))
-            pull(I, -Q1, rho, (rows[p], None), (1, 0))
-        for j, k in _splits(p, top):
-            pull(J, Q1, D, (rows[j], rows[k], None), (0, 1, 2))
-            pull(J, Q1, mu, (rows[j], rows[k], None), (1, 2, 0))
-            pull(J, -Q1, mu, (rows[j], rows[k], None), (0, 2, 1))
-        inner2.append(I)
-        inner3.append(J)
+    for terms, inner in ((terms2, inner2), (terms3, inner3)):
+        for p in range(degree + 1):
+            acc = {}
+            for sign, values, polys, positions in terms:
+                graded(acc, sign, values, polys, p, positions)
+            inner.append(acc)
     return inner2, inner3
 
 
@@ -124,20 +114,15 @@ def coefficients(r, Ts, degrees):
         if len(T) != n or any(len(row) != m for row in T):
             raise DimMismatch("each T_i must be %dx%d (carrier -> acting)" % (n, m))
     maps = [sparse_map(T) for T in Ts]
-    rows, cols = [r for r, _ in maps], [c for _, c in maps]
-    c, d = g.binary.support, g.ternary.support
-    top = len(Ts) - 1
+    rows, cols = tuple(rw for rw, _ in maps), tuple(cl for _, cl in maps)
     inner2, inner3 = _inner_sums(r, rows, max(degrees, default=-1))
     out = {}
     for s in degrees:
         B, C = {}, {}
-        for i, j in _splits(s, top):
-            pull(B, Q1, c, (rows[i], rows[j]), (0, 1))
-        for i in range(min(s, top) + 1):
-            for j, k in _splits(s - i, top):
-                pull(C, Q1, d, (rows[i], rows[j], rows[k]), (0, 1, 2))
-            push(B, -Q1, cols[i], inner2[s - i])
-            push(C, -Q1, cols[i], inner3[s - i])
+        graded(B, Q1, g.binary.support, (rows,) * 2, s)
+        graded(C, Q1, g.ternary.support, (rows,) * 3, s)
+        graded_push(B, -Q1, cols, inner2, s)
+        graded_push(C, -Q1, cols, inner3, s)
         out[s] = (B, C)
     return out
 
@@ -190,26 +175,29 @@ def check_nijenhuis(A, N, all_violations=False):
     <Nx,Ny,Nz> = N( <Nx,Ny,z> + <Nx,y,Nz> + <x,Ny,Nz>
                     - N<Nx,y,z> - N<x,Ny,z> - N<x,y,Nz> + N^2<x,y,z> )
 
-    Each residual, the sum over j of (-N)^(k-j) applied to the bracket with N
-    in j of its k slots, is tabulated over all basis tuples: every pair
-    first, then every triple.
+    The residual of a bracket in k slots is the t^k coefficient of
+    (Id + tN)^-1 [(Id + tN)x, ..], the sum over j of (-N)^(k-j) applied to the
+    bracket with N in j of its slots; it is tabulated over all basis tuples,
+    every pair first, then every triple.
     """
     A.ensure_verified()
     N = mat(N)
     n = A.dim
     if len(N) != n or any(len(r) != n for r in N):
         raise DimMismatch("N must be %dx%d" % (n, n))
-    rows, cols = sparse_map(N)
+    rows, _ = sparse_map(N)
+    minus = {(r, c): -q for r, row in enumerate(N) for c, q in enumerate(row) if q}
+    square = sparse_mul(minus, minus)
+    # (Id + tN)^-1 = Id - tN + t^2 N^2 - t^3 N^3 mod t^4, by columns
+    inverse = [None] + [sparse_map(P)[1] for P in (minus, square, sparse_mul(square, minus))]
 
     def residual(t):
-        values, k = t.support, t.arity
+        k = t.arity
+        inner = [{} for _ in range(k + 1)]
+        for j, table in enumerate(inner):
+            graded(table, Q1, t.support, ((None, rows),) * k, j)
         acc = {}
-        for j in range(k + 1):
-            nxt = {}
-            push(nxt, -Q1, cols, acc)
-            for slots in itertools.combinations(range(k), j):
-                pull(nxt, Q1, values, [rows if p in slots else None for p in range(k)])
-            acc = nxt
+        graded_push(acc, Q1, inverse, inner, k)
         return acc
 
     ck = Checker("nijenhuis(%s)" % A.name, all_violations)
@@ -240,7 +228,7 @@ def descent_algebra(op):
     r = op.action
     h = r.carrier
     m = h.dim
-    (binary,), (ternary,) = _inner_sums(r, [sparse_map(op.T)[0]], 0)
+    (binary,), (ternary,) = _inner_sums(r, (sparse_map(op.T)[0],), 0)
     D = LYAlgebra(m, Tensor.from_support(binary, m, 2, (m,)),
                   Tensor.from_support(ternary, m, 3, (m,)),
                   basis=h.basis, name="%s-descent" % h.name)
@@ -271,11 +259,11 @@ def projection_operator(A, h_sub, t_sub):
     hb = h_sub.basis
     for u in hb:
         for v in hb:
-            if not is_zero_vec(A.bracket2(u, v)):
+            if any(A.bracket2(u, v)):
                 raise PreconditionFailed("h-abelian-subalgebra",
                                          "binary bracket does not vanish on h")
             for w in hb:
-                if not is_zero_vec(A.bracket3(u, v, w)):
+                if any(A.bracket3(u, v, w)):
                     raise PreconditionFailed("h-abelian-subalgebra",
                                              "ternary bracket does not vanish on h")
     if derived_algebra(A).intersect(h_sub).dim != 0:
@@ -286,11 +274,9 @@ def projection_operator(A, h_sub, t_sub):
                                  "t and h do not decompose the algebra")
     # P = B diag(0,..,0,1,..,1) B^{-1} with columns of B listing t then h
     cols = list(t_sub.basis) + list(h_sub.basis)
-    B = transpose(tuple(cols))
-    Binv = invert(B)
-    sel = tuple(tuple((1 if (i == j and i >= t_sub.dim) else 0) for j in range(n))
-                for i in range(n))
-    P = mat_mul(mat_mul(B, mat(sel)), Binv)
+    Binv = invert(tuple(zip(*cols)))
+    P = tuple(tuple(sum(cols[k][i] * Binv[k][j] for k in range(t_sub.dim, n))
+                    for j in range(n)) for i in range(n))
     op = RRBOperator(r, P)
     op.ensure_verified()
     return op
@@ -314,9 +300,9 @@ def check_rrb_homomorphism(from_op, to_op, pair, all_violations=False):
     for src, dst, psi, name in ((g, rt.acting, pg, "psi_g"), (h, rt.carrier, ph, "psi_h")):
         for v in check_homomorphism(src, dst, psi, all_violations).violations:
             ck.record(name + "-not-homomorphism:" + v.eq, v.args, v.residual)
-    res = mat_sub(mat_mul(pg, from_op.T), mat_mul(to_op.T, ph))
-    if not is_zero_mat(res):
-        ck.record("intertwines-T", (), res)
+    res, = intertwining((pg,), (from_op.T,), (to_op.T,), (ph,))
+    if res:
+        ck.record("intertwines-T", (), dense(res, (g.dim, h.dim)))
     (g_rows, _), (h_rows, h_cols) = sparse_map(pg), sparse_map(ph)
     ck.table((h.dim, h.dim), *[
         (name, matrix_values(hom_table(src, dst, h_cols, (g_rows,) * src.arity + (h_rows,))))
@@ -324,3 +310,18 @@ def check_rrb_homomorphism(from_op, to_op, pair, all_violations=False):
                                ("mu-equivariance", rf.mu, rt.mu),
                                ("D-equivariance", rf.derived_D, rt.derived_D))])
     return ck.report()
+
+
+def intertwining(P, A, B, Q):
+    """The coefficients of P A - B Q as sparse matrices {(r, c): q}, for
+    polynomials in t given by their matrices, lowest degree first: P and B
+    are applied to A and Q read as the tables of their columns."""
+    terms = [(sign, [sparse_map(M)[1] for M in outer], [column_table(M) for M in inner])
+             for sign, outer, inner in ((Q1, P, A), (-Q1, B, Q))]
+    out = []
+    for s in range(len(P) + len(A) - 1):
+        acc = {}
+        for sign, poly, tables in terms:
+            graded_push(acc, sign, poly, tables, s)
+        out.append(matrix_values(acc).get((), {}))
+    return out

@@ -81,6 +81,14 @@ def mm(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, c)) for c in zip(*b)) for row in a)
 
 
+def madd(a, b):
+    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
+
+
+def mzero(r, c):
+    return tuple((Z,) * c for _ in range(r))
+
+
 def _lin(c, a, b=None):
     """c * a (+ b), entrywise on nested tuples of scalars."""
     if isinstance(a, tuple):

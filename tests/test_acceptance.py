@@ -16,7 +16,7 @@ import lyalg as L
 from lyalg import io as lyio
 from lyalg.cli import run
 from lyalg.deformation import OrderNDeformation, check_order_n, extend, obstruction_class
-from lyalg.linalg import Subspace, mat, mat_zero
+from lyalg.linalg import Subspace, mat
 from lyalg.postlya import identity_is_rrb, induced_post_from_rrb, subadjacent
 from lyalg.reps import check_representation
 from lyalg.rrb import (check_nijenhuis, check_rrb, descent_algebra,
@@ -25,6 +25,7 @@ from lyalg.rrb import (check_nijenhuis, check_rrb, descent_algebra,
 import conftest
 import oracles
 from conftest import family_matrix, fx, random_matrix
+from oracles import mzero
 
 
 def announce(num, label, ok):
@@ -87,7 +88,7 @@ def test_criterion_3_theorem_equivalence(adjoint_action):
 def test_criterion_4_construction_coherence(adjoint_action, p3):
     rng = random.Random(27182)
     ops = [p3,
-           L.RRBOperator(adjoint_action, mat_zero(4, 4)).ensure_verified()]
+           L.RRBOperator(adjoint_action, mzero(4, 4)).ensure_verified()]
     for _ in range(3):
         ops.append(L.RRBOperator(adjoint_action,
                                  family_matrix(rng)).ensure_verified())

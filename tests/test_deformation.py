@@ -12,21 +12,22 @@ from lyalg.deformation import (OrderNDeformation, binary_coefficient,
                                check_order_n, difference_class, extend,
                                obstruction_class, ternary_coefficient)
 from lyalg.errors import InvalidDeformation
-from lyalg.linalg import dense as to_dense, mat, mat_add, mat_id, mat_zero
+from lyalg.linalg import dense as to_dense, mat, mat_id
 from lyalg.rrb import coefficients
 
 import oracles
 from conftest import family_matrix, fx, random_matrix
+from oracles import madd, mzero
 from test_reports import dense, heisenberg5_operator
 
 
 def test_zero_terms_pass(p3):
-    d = OrderNDeformation(p3, [mat_zero(4, 4)])
+    d = OrderNDeformation(p3, [mzero(4, 4)])
     assert check_order_n(d).passed
     ob = obstruction_class(d)
     assert ob.as_cochain.is_zero() and ob.closed
     t2, rep = extend(d)
-    assert rep.passed and t2 == mat_zero(4, 4)
+    assert rep.passed and t2 == mzero(4, 4)
 
 
 def test_order_zero_reduces_to_base(p3):
@@ -172,7 +173,7 @@ def test_obstruction_requires_valid_deformation(p3):
 
 
 def test_equivalence_trivial(p3):
-    T1 = mat_zero(4, 4)
+    T1 = mzero(4, 4)
     rep = check_equivalence(p3, T1, T1, [])
     assert rep.passed
     assert rep.data["difference_equals_boundary"]
@@ -184,7 +185,7 @@ def test_equivalence_with_boundary(p3, tcomplex, rng):
     x, y = g.e(0), g.e(1)
     pc = tcomplex.zero_cochain_map(x, y)
     bound = tuple(tuple(pc.f[a][t] for a in range(4)) for t in range(4))
-    T2 = mat_add(T1, bound)
+    T2 = madd(T1, bound)
     rep = check_equivalence(p3, T1, T2, [(x, y)])
     assert rep.passed and rep.data["difference_equals_boundary"]
 
@@ -195,14 +196,14 @@ def test_difference_class(p3, rng):
     assert rep.passed and rep.data["cohomologous"]
     # the partial map is zero on this fixture, so any nonzero difference is
     # not a boundary
-    T2 = mat_add(T1, mat_id(4))
+    T2 = madd(T1, mat_id(4))
     rep = difference_class(p3, T1, T2)
     assert not rep.passed and not rep.data["cohomologous"]
 
 
 def test_abelian_fixture_everything_trivial():
     A = L.abelian(2)
-    zero = mat_zero(2, 2)
+    zero = mzero(2, 2)
     rho = [zero, zero]
     mu = [[zero, zero], [zero, zero]]
     r = L.RepAction(A, A, rho, mu)
@@ -263,7 +264,7 @@ def test_equivalence_difference_where_partial_is_nonzero():
         assert any(map(any, bound)), seed
         rng = random.Random(seed)
         T1 = mat(random_matrix(rng, n, m))
-        T2 = mat_add(T1, bound)
+        T2 = madd(T1, bound)
         perturbed = [list(row) for row in T2]
         perturbed[1][2] += 1
         for t2, want in ((T2, True), (perturbed, False)):
@@ -278,7 +279,7 @@ def test_difference_class_where_partial_is_nonzero():
         P = oracles.partial_matrix(oracles.OpOracle(op))
         rng = random.Random(seed + 1)
         T1 = mat(random_matrix(rng, n, m))
-        T2 = mat_add(T1, oracle_boundary(op, wedges))
+        T2 = madd(T1, oracle_boundary(op, wedges))
         rep = difference_class(op, T1, T2)
         assert rep.passed and rep.data["cohomologous"], seed
         x = [F(q) for q in rep.data["X_pair_coordinates"]]

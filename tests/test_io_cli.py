@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from lyalg import io as lyio
+from lyalg import cli, io as lyio
 from lyalg.cli import run
 from lyalg.errors import FormatError, TooLarge
 
@@ -241,6 +244,23 @@ def test_cli_check_rep_action(capsys):
     assert run(["check", "rep", fx("nilpotent4_adjoint.json")]) == 0
     assert run(["check", "action", fx("nilpotent4_adjoint.json")]) == 0
     capsys.readouterr()
+
+
+def test_a_reused_parser_reads_like_a_fresh_process(capsys):
+    """The parser is built once per process; after a usage error and --help,
+    a check prints the bytes and exit code of a fresh interpreter."""
+    argv = ["check", "algebra", fx("nilpotent4.json"), "--json"]
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    fresh = subprocess.run(
+        [sys.executable, "-c", "import sys; from lyalg.cli import run; sys.exit(run(sys.argv[1:]))"]
+        + argv, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run(["check", "algebra", "--format", "xml"]) == 2
+    assert run(["--help"]) == 0
+    assert cli._parser() is cli._parser()
+    capsys.readouterr()
+    assert run(argv) == fresh.returncode == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (fresh.stdout, fresh.stderr)
 
 
 def test_cli_json_byte_stable(capsys):

@@ -1,13 +1,13 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from lyalg.errors import Inconsistent, NotInvertible
-from lyalg.linalg import (Echelon, Subspace, frac, format_frac, invert, mat,
-                          mat_id, mat_mul, nullspace_basis, rank, rref,
-                          solve)
-from oracles import mv, o_in_column_space, o_rank
+from lyalg.linalg import (Echelon, Subspace, frac, format_frac, graded, graded_push, invert,
+                          mat, mat_id, nullspace_basis, rref, solve, sparse_map)
+from oracles import TPoly, mm, mv, o_in_column_space, o_rank
 
 POOL = [F(-2), F(-1), F(0), F(0), F(1), F(2), F(1, 3)]
 
@@ -28,7 +28,7 @@ def test_frac_roundtrip():
 def test_rref_idempotent_and_rank():
     m = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     red, pivots = rref(m)
-    assert rank(m) == 2 == len(pivots)
+    assert Echelon(m).rank == 2 == len(pivots)
     again, _ = rref(red)
     assert again == red
 
@@ -38,7 +38,7 @@ def test_rank_matches_oracle_random():
     for _ in range(40):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         m = rmat(rng, r, c)
-        assert rank(m) == o_rank(m)
+        assert Echelon(m).rank == o_rank(m)
 
 
 def test_nullspace_vectors_annihilate():
@@ -46,7 +46,7 @@ def test_nullspace_vectors_annihilate():
     for _ in range(25):
         m = rmat(rng, rng.randint(1, 5), rng.randint(1, 6))
         ns = nullspace_basis(m)
-        assert len(ns) == len(m[0]) - rank(m)
+        assert len(ns) == len(m[0]) - Echelon(m).rank
         for v in ns:
             assert all(x == 0 for x in mv(m, v))
 
@@ -65,7 +65,7 @@ def test_solve_and_inconsistent():
 
 def test_invert():
     m = mat([[2, 1], [1, 1]])
-    assert mat_mul(m, invert(m)) == mat_id(2)
+    assert mm(m, invert(m)) == mat_id(2)
     with pytest.raises(NotInvertible):
         invert(mat([[1, 2], [2, 4]]))
 
@@ -130,8 +130,7 @@ def as_dicts(m):
 
 def test_sparse_rank_matches_oracle():
     for r, c, m in sparse_cases(501):
-        assert rank(m) == o_rank(m)
-        assert rank(as_dicts(m)) == o_rank(m)
+        assert Echelon(m).rank == o_rank(m)
         assert Echelon(as_dicts(m)).rank == o_rank(m)
 
 
@@ -203,9 +202,14 @@ def test_sparse_solve_inconsistent_exactly_off_column_space():
                 x = solve(m, b, ncols=c)
                 assert len(x) == c and mv(m, x) == b
                 assert solve(as_dicts(m), b, ncols=c) == x
+                assert solve(m, dict(enumerate(b)), ncols=c) == x
             else:
-                with pytest.raises(Inconsistent):
+                with pytest.raises(Inconsistent) as err:
                     solve(m, b, ncols=c)
+                assert err.value.rank == o_rank(m)
+                assert err.value.rank_augmented == o_rank([row + (q,) for row, q in zip(m, b)])
+                with pytest.raises(Inconsistent):
+                    solve(as_dicts(m), {i: q for i, q in enumerate(b) if q}, ncols=c)
 
 
 def test_echelon_insert_reports_independence():
@@ -220,3 +224,119 @@ def test_echelon_insert_reports_independence():
                 kept.append(row)
         assert ech.rank == len(kept)
         assert all(not ech.reduce(row) for row in m)
+
+
+# ---------------------------------------------------------------------------
+# truncated polynomials: graded / graded_push against a dense expansion in t
+
+def random_table(rng, dims, value_keys, density=0.5):
+    """A sparse table over the index tuples of ``dims`` with sparse values on
+    ``value_keys``; every kept value is nonzero."""
+    table = {}
+    for key in itertools.product(*(range(d) for d in dims)):
+        if rng.random() < density:
+            v = {e: rng.choice(SPARSE_POOL) for e in value_keys if rng.random() < 0.6}
+            if v:
+                table[key] = v
+    return table
+
+
+def random_poly(rng, src):
+    """(dst, coefficient matrices or None, dense src x dst matrix of TPoly):
+    a polynomial map of degree 0-2 into slot dims dst, None for the identity
+    (and a None coefficient for an identity term), reading a slot of dim src."""
+    if rng.random() < 0.2:
+        return src, None, [[TPoly([int(x == y)]) for y in range(src)] for x in range(src)]
+    degree = rng.randrange(3)
+    square = rng.random() < 0.5
+    dst = src if square else rng.randint(1, 3)
+    coeffs = [None if square and rng.random() < 0.3 else
+              [[rng.choice(POOL) for _ in range(dst)] for _ in range(src)]
+              for _ in range(degree + 1)]
+    dense = [[TPoly([int(x == y) if P is None else P[x][y] for P in coeffs])
+              for y in range(dst)] for x in range(src)]
+    return dst, coeffs, dense
+
+
+def oracle_graded(values, dense_polys, dst, positions, s):
+    """The t^s coefficient of ``values`` with slot p read through the dense
+    TPoly matrix dense_polys[p], key slot p placed at positions[p]."""
+    out = {}
+    for a in itertools.product(*(range(d) for d in dst)):
+        key = [None] * len(a)
+        for p, x in enumerate(a):
+            key[positions[p]] = x
+        for src_key, v in values.items():
+            c = TPoly([1])
+            for p, P in enumerate(dense_polys):
+                c = c * P[src_key[p]][a[p]]
+            for e, q in v.items():
+                if c.coeff(s):
+                    w = out.setdefault(tuple(key), {})
+                    w[e] = w.get(e, F(0)) + c.coeff(s) * q
+    return out
+
+
+def added(acc, sign, table):
+    """acc + sign * table, dropping entries and keys that vanish."""
+    out = {k: dict(v) for k, v in acc.items()}
+    for k, v in table.items():
+        w = out.setdefault(k, {})
+        for e, q in v.items():
+            w[e] = w.get(e, F(0)) + sign * q
+    return {k: {e: q for e, q in v.items() if q} for k, v in out.items()
+            if any(v.values())}
+
+
+def test_graded_matches_dense_polynomial_expansion():
+    """Supports of arity 1-3 with vector and matrix values, polynomial maps
+    of degree 0-2 per slot (the identity and identity coefficients included),
+    permuted positions, every s up to one past the total degree."""
+    rng = random.Random(1414)
+    seen = set()
+    for case in range(60):
+        k = 1 + case % 3
+        src = [rng.randint(1, 3) for _ in range(k)]
+        value_keys = ([(r, c) for r in range(2) for c in range(2)] if case % 2 else range(3))
+        values = random_table(rng, src, value_keys)
+        dst, coeffs, dense_polys = zip(*(random_poly(rng, d) for d in src))
+        polys = [None if P is None else tuple(None if M is None else sparse_map(M)[0] for M in P)
+                 for P in coeffs]
+        positions = list(range(k))
+        rng.shuffle(positions)
+        top = sum(0 if P is None else len(P) - 1 for P in coeffs)
+        sign = rng.choice([F(1), F(-1), F(2)])
+        for s in range(top + 2):
+            acc = random_table(rng, [max(dst)] * k, value_keys, 0.3)
+            want = added(acc, sign, oracle_graded(values, dense_polys, dst, positions, s))
+            graded(acc, sign, values, polys, s, positions)
+            assert acc == want
+            seen.add((k, s, bool(want)))
+    assert {(k, s, True) for k in (1, 2, 3) for s in (0, 1, 2)} <= seen
+
+
+def test_graded_push_matches_dense_polynomial_expansion():
+    """An outer polynomial map of degree 0-2 (the identity and identity
+    coefficients included) applied to tables graded by degree 0-2."""
+    rng = random.Random(1415)
+    for case in range(40):
+        k = 1 + case % 3
+        keys, src = [rng.randint(1, 2) for _ in range(k)], rng.randint(1, 3)
+        tables = [random_table(rng, keys, range(src)) for _ in range(rng.randint(1, 3))]
+        dst, coeffs, dense_poly = random_poly(rng, src)
+        # the map from dim src to dst is the dst x src transpose of each coefficient
+        poly = ((None,) if coeffs is None else
+                tuple(None if M is None else sparse_map(tuple(zip(*M)))[1] for M in coeffs))
+        sign = rng.choice([F(1), F(-1), F(2)])
+        for s in range(len(poly) + len(tables)):
+            want = {}
+            for key in set().union(*tables):
+                vec = [TPoly([t.get(key, {}).get(y, 0) for t in tables]) for y in range(src)]
+                out = {x: sum((dense_poly[y][x] * vec[y] for y in range(src)), TPoly([]))
+                       .coeff(s) for x in range(dst)}
+                if any(out.values()):
+                    want[key] = {x: q for x, q in out.items() if q}
+            acc = random_table(rng, keys, range(dst), 0.3)
+            want = added(acc, sign, want)
+            graded_push(acc, sign, poly, tables, s)
+            assert acc == want

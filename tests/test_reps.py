@@ -3,11 +3,10 @@ from fractions import Fraction as F
 
 import lyalg as L
 from lyalg.errors import NotAnAction
-from lyalg.linalg import mat_zero
 from lyalg.reps import (adjoint_rep, check_action, check_lemma_identities,
                         check_representation, semidirect_product)
 
-from oracles import col
+from oracles import col, mzero
 
 
 def test_adjoint_is_representation(nilpotent4):
@@ -90,7 +89,7 @@ def test_action_fails_for_noncentral_images():
     b = [[[0, 0], [0, 1]], [[0, -1], [0, 0]]]
     h = L.from_lie_algebra(2, b)
     rho = [((F(0), F(0)), (F(0), F(1)))]  # rho(e1) = E22: image span{f2} noncentral
-    mu = [[tuple(mat_zero(2, 2))]]
+    mu = [[tuple(mzero(2, 2))]]
     r = L.RepAction(g, h, rho, mu)
     rep = check_action(r)
     assert not rep.passed

@@ -10,13 +10,14 @@ import pytest
 
 import lyalg as L
 from lyalg.errors import DimMismatch
-from lyalg.linalg import Tensor, contract, dense, mat_zero
+from lyalg.linalg import Tensor, contract, dense
 from lyalg import io as lyio
 from lyalg.reps import RepAction, check_action, check_representation
 from lyalg.rrb import check_rrb
 
 import oracles
 from conftest import fx
+from oracles import mzero
 
 POOL = [F(-1), F(0), F(0), F(0), F(1), F(1, 2)]
 
@@ -75,8 +76,8 @@ def test_abelian_in_dim_0_and_1(n):
 
 def test_action_of_a_zero_dim_algebra():
     r = RepAction(L.abelian(0), L.abelian(2), [], [])
-    assert contract(r.rho, ()) == mat_zero(2, 2)
-    assert contract(r.mu, (), ()) == mat_zero(2, 2) == contract(r.derived_D, (), ())
+    assert contract(r.rho, ()) == mzero(2, 2)
+    assert contract(r.mu, (), ()) == mzero(2, 2) == contract(r.derived_D, (), ())
     assert r.derived_D == ()
     assert check_representation(r).passed
     rep = check_action(r)
