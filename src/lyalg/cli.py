@@ -156,10 +156,13 @@ def _cmd_cohomology(args, fmt):
     if args.degree < 1:
         raise FormatError("cohomology degrees start at 1")
     cx = TComplex(lyio.load_operator(args.op))
+    # the witnesses first: they build the echelons that the dims then read
+    coords = [_coordinates(c) for c in cx.cohomology_witnesses(args.degree)] \
+        if args.witness else None
     z, b, h = cx.cohomology_dims(args.degree)
     data = {"degree": args.degree, "cocycles": z, "coboundaries": b, "cohomology": h}
     if args.witness:
-        data["witnesses"] = [_coordinates(c) for c in cx.cohomology_witnesses(args.degree)]
+        data["witnesses"] = coords
     return _emit_report(Report("cohomology(degree %d)" % args.degree,
                                "pass", [], data), fmt)
 

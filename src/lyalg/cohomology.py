@@ -55,19 +55,21 @@ from .reps import RepAction
 # sparse matrices over the rationals
 
 class SparseMat:
-    """A rows x cols rational matrix stored as {(r, c): value}; the echelon
-    form of its rows is built once, when first needed, and ``add`` drops it."""
+    """A rows x cols rational matrix stored as {(r, c): value}.  The echelon
+    forms of its nonzero rows and of its nonzero columns are each built once,
+    when first needed, and ``add`` drops both; the rank is read from either
+    one already built, or else from the narrow side."""
 
     def __init__(self, rows, cols, data=None):
         self.rows = rows
         self.cols = cols
         self.data = {} if data is None else data
-        self._ech = None
+        self._ech = self._col_ech = None
 
     def add(self, r, c, v):
         if v == 0:
             return
-        self._ech = None
+        self._ech = self._col_ech = None
         key = (r, c)
         new = self.data.get(key, Q0) + v
         if new == 0:
@@ -105,11 +107,20 @@ class SparseMat:
 
     def _echelon(self):
         if self._ech is None:
-            self._ech = Echelon(self.row_dicts())
+            self._ech = Echelon(d for d in self.row_dicts() if d)
         return self._ech
 
+    def column_echelon(self):
+        """The echelon form of the columns, in the coordinates of the rows."""
+        if self._col_ech is None:
+            self._col_ech = Echelon(d for d in self.col_dicts() if d)
+        return self._col_ech
+
     def rank(self):
-        return self._echelon().rank
+        ech = self._ech or self._col_ech
+        if ech is None:
+            ech = self.column_echelon() if self.rows > self.cols else self._echelon()
+        return ech.rank
 
     def nullity(self):
         return self.cols - self.rank()
@@ -545,11 +556,13 @@ class TComplex:
     def cohomology_witnesses(self, p):
         """Cocycle representatives spanning H^p.
 
-        Seeded with the coboundaries, an elimination keeps each Z^p basis
+        Seeded with the coboundaries, a copy of the column echelon of the
+        matrix out of degree p - 1, an elimination keeps each Z^p basis
         vector, in order, that is independent of everything kept before it.
         """
-        span = Echelon(self.matrix(p - 1).col_dicts())
-        chosen = [v for v in self.matrix(p).nullspace() if span.insert(v)]
+        kernel = self.matrix(p).nullspace()
+        span = self.matrix(p - 1).column_echelon().copy()
+        chosen = [v for v in kernel if span.insert(v)]
         return [Cochain.from_support(p, self.m, self.n, v) for v in chosen]
 
 

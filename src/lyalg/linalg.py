@@ -2,7 +2,8 @@
 
 Scalars are ``fractions.Fraction`` (always reduced, positive denominator).
 Vectors are tuples of Fraction; matrices are tuples of row tuples.  The
-elimination routine also takes sparse rows, dicts {column: Fraction}.
+elimination routine also takes sparse rows, dicts {column: Fraction}; it works
+fraction-free on primitive integer rows inside and hands back Fractions.
 Structure tensors (``Tensor``) are stored as their support, the nonzero
 vector or matrix values as sparse dicts, and read as nested tuples through a
 view built from it.  ``contract`` evaluates them at vectors; every equation
@@ -17,6 +18,7 @@ There are no tolerances anywhere: equality means exact equality.
 
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -413,12 +415,13 @@ def dense(x, shape):
 # elimination
 #
 # Every rank, kernel, solve and subspace below goes through one sparse
-# row-echelon routine.  Rows are dicts {column: value} of nonzero entries; a
-# stored row starts at its pivot, the smallest column it touches, with the
-# pivot entry normalised to 1, and no two stored rows share a pivot.  The
-# pivots are therefore the leftmost possible ones, and after back-substitution
-# the rows are the canonical reduced echelon form of their span, whatever the
-# order the rows came in.
+# row-echelon routine, fraction-free: a row is scaled to integers once, by the
+# lcm of its denominators, and every row it keeps is primitive, {column: int}
+# with content 1 and a positive entry at its pivot, the smallest column it
+# touches.  No two stored rows share a pivot, so the pivots are the leftmost
+# possible ones, and after back-substitution each row divided by its pivot
+# entry is a row of the canonical reduced echelon form of the span, whatever
+# the order the rows came in.
 
 def _as_dict(row):
     if isinstance(row, dict):
@@ -426,19 +429,67 @@ def _as_dict(row):
     return {c: v for c, v in enumerate(row) if v != 0}
 
 
-class Echelon:
-    """Incremental sparse row echelon form over Q.
+def _primitive(r):
+    """The sparse row ``r`` in place divided by the gcd of its entries."""
+    g = math.gcd(*r.values())
+    if g != 1:
+        for k in r:
+            r[k] //= g
+    return r
 
-    ``insert`` adds a row (a dict {col: value} or a dense sequence) and reports
-    whether it was independent of the rows before it.  ``items`` back-substitutes
-    on demand and returns the canonical reduced echelon basis.
+
+def _integer_row(row):
+    """The nonzero entries of a rational row, scaled to a primitive integer row."""
+    r = {c: v.as_integer_ratio()
+         for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v}
+    if not r:
+        return r
+    den = math.lcm(*(d for _, d in r.values()))
+    return _primitive({c: n * (den // d) for c, (n, d) in r.items()})
+
+
+def _eliminate(r, p, c):
+    """The primitive integer row a*r - b*p, with a = p[c] and b = r[c] divided
+    by their gcd, which has no entry at column c; r may be changed in place."""
+    a, b = p[c], r[c]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        r = {k: a * v for k, v in r.items()}
+    for k, v in p.items():
+        x = r.get(k)
+        if x is None:
+            r[k] = -b * v
+        else:
+            x -= b * v
+            if x:
+                r[k] = x
+            else:
+                del r[k]
+    return _primitive(r) if r else r
+
+
+class Echelon:
+    """Incremental sparse row echelon form over Q, on primitive integer rows.
+
+    ``insert`` adds a row (a dict {col: value} or a dense sequence of ints or
+    Fractions) and reports whether it was independent of the rows before it.
+    ``items`` back-substitutes on demand and returns the canonical reduced
+    echelon basis in Fractions, kept until the next ``insert``.
     """
 
     def __init__(self, rows=()):
-        self._rows = {}            # pivot column -> row dict with row[pivot] == 1
-        self._reduced = True
+        self._rows = {}            # pivot column -> primitive row, row[pivot] > 0
+        self._basis = None         # the cached ``items``
         for row in rows:
             self.insert(row)
+
+    def copy(self):
+        """An independent echelon of the same rows; stored rows are never
+        changed in place, so they are shared."""
+        new = Echelon()
+        new._rows, new._basis = dict(self._rows), self._basis
+        return new
 
     @property
     def rank(self):
@@ -449,18 +500,19 @@ class Echelon:
         return sorted(self._rows)
 
     def reduce(self, row):
-        """What is left of ``row`` after eliminating its leading entries.
+        """What is left of ``row`` after eliminating its leading entries, as an
+        integer row defined up to a nonzero factor.
 
         The result is empty exactly when the row lies in the span.
         """
-        r = _as_dict(row)
+        r = _integer_row(row)
         stored = self._rows
         while r:
             c = min(r)
             p = stored.get(c)
             if p is None:
                 break
-            axpy(r, -r[c], p)
+            r = _eliminate(r, p, c)
         return r
 
     def insert(self, row):
@@ -469,22 +521,31 @@ class Echelon:
         if not r:
             return False
         c = min(r)
-        inv = Q1 / r[c]
-        self._rows[c] = {k: v * inv for k, v in r.items()}
-        self._reduced = False
+        self._rows[c] = r if r[c] > 0 else {k: -v for k, v in r.items()}
+        self._basis = None
         return True
 
     def items(self):
-        """The reduced echelon basis as (pivot, row dict), pivots increasing."""
-        stored = self._rows
-        if not self._reduced:
+        """The reduced echelon basis as (pivot, row dict), pivots increasing,
+        each row a dict of Fractions with 1 at its pivot."""
+        if self._basis is None:
+            stored = self._rows
             # a row only meets pivots to its right, which are reduced first
             for c in sorted(stored, reverse=True):
                 row = stored[c]
-                for k in [k for k in row if k != c and k in stored]:
-                    axpy(row, -row[k], stored[k])
-            self._reduced = True
-        return sorted(stored.items())
+                hits = [k for k in row if k != c and k in stored]
+                if hits:
+                    row = dict(row)
+                    for k in hits:
+                        row = _eliminate(row, stored[k], k)
+                    stored[c] = row
+            basis = []
+            for c, row in sorted(stored.items()):
+                d = row[c]
+                basis.append((c, {k: Q1 if k == c else Fraction(v, d)
+                                  for k, v in row.items()}))
+            self._basis = basis
+        return self._basis
 
     def dense_rows(self, ncols):
         return tuple(tuple(row.get(c, Q0) for c in range(ncols)) for _, row in self.items())

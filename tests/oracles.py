@@ -21,27 +21,47 @@ Z = Fraction(0)
 # ---------------------------------------------------------------------------
 # dense elimination
 
-def o_rank(rows):
+def o_rref(rows):
+    """The reduced row echelon form by dense Gauss-Jordan elimination, zero
+    rows last, and its pivot columns."""
     rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    lead = 0
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
     for col in range(ncols):
+        lead = len(pivots)
+        if lead == len(rows):
+            break
         piv = next((r for r in range(lead, len(rows)) if rows[r][col] != 0), None)
         if piv is None:
             continue
         rows[lead], rows[piv] = rows[piv], rows[lead]
-        pv = rows[lead][col]
+        pv = Fraction(rows[lead][col])
         rows[lead] = [x / pv for x in rows[lead]]
         for r in range(len(rows)):
             if r != lead and rows[r][col] != 0:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[lead])]
-        lead += 1
-        if lead == len(rows):
-            break
-    return lead
+        pivots.append(col)
+    return [tuple(r) for r in rows], pivots
+
+
+def o_rank(rows):
+    return len(o_rref(rows)[1])
+
+
+def o_nullspace(rows, ncols):
+    """The kernel basis read off the reduced echelon form: for each free
+    column c, e_c minus the pivot coordinates of column c."""
+    red, pivots = o_rref(rows)
+    basis = []
+    for c in range(ncols):
+        if c not in pivots:
+            v = [Z] * ncols
+            v[c] = Fraction(1)
+            for row, pc in zip(red, pivots):
+                v[pc] = -row[c]
+            basis.append(tuple(v))
+    return basis
 
 
 def o_nullity(rows, ncols):

@@ -36,6 +36,15 @@ def test_sparse_mat_against_dense():
     assert a.rank() == o_rank(oracles.o_dense(a)) == 2
 
 
+def test_add_drops_both_echelons():
+    # 3 x 2: the rank is read from the columns and the kernel from the rows
+    c = SparseMat(3, 2, {(0, 0): F(1), (1, 0): F(2)})
+    assert c.rank() == 1 and c.nullspace() == [{1: F(1)}]
+    c.add(2, 1, F(5))
+    assert c.rank() == 2 == o_rank(oracles.o_dense(c))
+    assert c.nullspace() == []
+
+
 def test_sparse_cancellation():
     a = SparseMat(1, 1)
     a.add(0, 0, F(2))
@@ -168,6 +177,10 @@ def test_cohomology_dims_degree3(tcomplex):
     assert o_rank(tcomplex.matrix(2).nonzero_rows()) == 52
 
 
+def test_cohomology_dims_degree4(tcomplex):
+    assert tcomplex.cohomology_dims(4) == (1436, 412, 1024)
+
+
 # SHA-256 of `lyalg cohomology --op fixtures/p3_on_nilpotent4.json --degree N
 # --witness --json` stdout, recorded with the dense elimination that the
 # sparse routine replaced; the witnesses are canonical, so they must not move
@@ -254,6 +267,12 @@ def square_zero_operator(rng, n, m, k):
 @pytest.fixture(scope="module")
 def dim5_complex():
     return TComplex(two_step_operator(random.Random(5005), 3, 1, 1))
+
+
+def test_cohomology_dims_dim5(dim5_complex):
+    # recorded with the Fraction elimination; the largest ranks in the suite
+    assert [dim5_complex.cohomology_dims(p) for p in (1, 2, 3)] == \
+        [(20, 0, 20), (150, 5, 145), (935, 150, 785)]
 
 
 # SHA-256 of repr((rows, cols, sorted (row, col, str(value)) entries)) of the

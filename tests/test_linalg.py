@@ -1,13 +1,16 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from lyalg import linalg
 from lyalg.errors import Inconsistent, NotInvertible
 from lyalg.linalg import (Echelon, Subspace, frac, format_frac, graded, graded_push, invert,
                           mat, mat_id, nullspace_basis, rref, solve, sparse_map)
-from oracles import TPoly, mm, mv, o_in_column_space, o_rank
+from oracles import (TPoly, mm, mv, o_in_column_space, o_inverse, o_nullspace, o_rank,
+                     o_rref)
 
 POOL = [F(-2), F(-1), F(0), F(0), F(1), F(2), F(1, 3)]
 
@@ -224,6 +227,120 @@ def test_echelon_insert_reports_independence():
                 kept.append(row)
         assert ech.rank == len(kept)
         assert all(not ech.reduce(row) for row in m)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernel on rows of high-height rationals
+
+def height_q(rng):
+    return F(rng.randint(-2 ** 64, 2 ** 64), rng.randint(1, 10 ** 9))
+
+
+def height_cases(seed):
+    """Matrices of high-height rationals, of rank below the smaller side when
+    the rows are combinations of fewer base rows, some with leading zero
+    columns; square full-rank ones come along."""
+    rng = random.Random(seed)
+    for _ in range(24):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        lead = rng.choice((0, 0, 1, 2))
+        base = [[F(0)] * min(lead, c) + [height_q(rng) if rng.random() < 0.7 else F(0)
+                                         for _ in range(c - min(lead, c))]
+                for _ in range(rng.randint(1, r))]
+        rows = []
+        for _ in range(r):
+            coef = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in base]
+            rows.append(tuple(sum((k * b[j] for k, b in zip(coef, base)), F(0))
+                              for j in range(c)))
+        yield tuple(rows)
+        if r == c:
+            yield tuple(tuple(height_q(rng) for _ in range(c)) for _ in range(r))
+
+
+def as_ints(m):
+    """Each row times the lcm of its denominators: the same row space in int entries."""
+    return tuple(tuple(int(q * math.lcm(*(x.denominator for x in row))) for q in row)
+                 for row in m)
+
+
+def fractions_only(x):
+    if isinstance(x, dict):
+        return all(fractions_only(v) for v in x.values())
+    if isinstance(x, (tuple, list)):
+        return all(fractions_only(v) for v in x)
+    return type(x) is F
+
+
+def test_high_height_rank_rref_and_nullspace_match_oracle():
+    for m in height_cases(601):
+        c = len(m[0])
+        red, pivots = o_rref(m)
+        kernel = o_nullspace(m, c)
+        for rows in (m, as_dicts(m), as_ints(m), as_dicts(as_ints(m))):
+            ech = Echelon(rows)
+            assert ech.rank == len(pivots) and ech.pivots == pivots
+            assert fractions_only([row for _, row in ech.items()])
+            assert fractions_only(ech.nullspace(c))
+            got = nullspace_basis(rows, c)
+            assert got == kernel and fractions_only(got)
+        for rows in (m, as_ints(m)):
+            got = rref(rows)
+            assert got == (tuple(red), pivots) and fractions_only(got[0])
+            basis = Subspace(c, rows).basis
+            assert basis == tuple(red[:len(pivots)]) and fractions_only(basis)
+
+
+def test_high_height_solve_and_invert_match_oracle():
+    rng = random.Random(602)
+    for m in height_cases(602):
+        r, c = len(m), len(m[0])
+        x0 = tuple(height_q(rng) for _ in range(c))
+        for b in (mv(m, x0), tuple(height_q(rng) for _ in range(r))):
+            aug = [row + (q,) for row, q in zip(m, b)]
+            red, pivots = o_rref(aug)
+            if c in pivots:
+                for rows in (m, as_dicts(m)):
+                    with pytest.raises(Inconsistent) as err:
+                        solve(rows, b, ncols=c)
+                    assert (err.value.rank, err.value.rank_augmented) == \
+                        (o_rank(m), len(pivots))
+                continue
+            want = [F(0)] * c
+            for row, pc in zip(red, pivots):
+                want[pc] = row[c]
+            for rows in (m, as_dicts(m)):
+                got = solve(rows, b, ncols=c)
+                assert got == tuple(want) and fractions_only(got)
+            assert mv(m, tuple(want)) == b
+        if r == c:
+            for rows in (m, as_ints(m)):
+                if o_rank(m) == r:
+                    got = invert(rows)
+                    assert got == o_inverse([[F(x) for x in row] for row in rows])
+                    assert fractions_only(got)
+                else:
+                    with pytest.raises(NotInvertible):
+                        invert(rows)
+
+
+def test_stored_rows_are_primitive_integer_rows():
+    for m in height_cases(603):
+        for rows in (m, as_ints(m)):
+            ech = Echelon(rows)
+            for pc, row in ech._rows.items():
+                assert pc == min(row) and row[pc] > 0
+                assert all(type(v) is int for v in row.values())
+                assert math.gcd(*row.values()) == 1
+            for row in rows:
+                assert ech.reduce(row) == {}
+
+
+def test_one_elimination_step_uses_coprime_multipliers(monkeypatch):
+    # the step itself, before the content is divided out: with a = 4 and
+    # b = 6 reduced to 2 and 3, 2 * (6, 1) - 3 * (4, 1) = (0, -1)
+    monkeypatch.setattr(linalg, "_primitive", lambda r: r)
+    assert linalg._eliminate({0: 6, 1: 1}, {0: 4, 1: 1}, 0) == {1: -1}
+    assert linalg._eliminate({0: 5, 2: 7}, {0: 5, 1: 3}, 0) == {1: -3, 2: 7}
 
 
 # ---------------------------------------------------------------------------
