@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 from fractions import Fraction as F
 
@@ -200,6 +201,22 @@ def test_cli_witness_bytes_pinned(degree, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == WITNESS_SHA256[degree]
 
 
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench")
+
+
+def test_cli_witness_bytes_pinned_on_the_benchmark_operator(tmp_path, monkeypatch, capsys):
+    # the fixed dim-5 operator of the benchmark's cohomology workload, written
+    # out as it is there, at degree 3: 9,423,113 bytes of witnesses
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import gen
+    import workloads
+    op = gen.write_operator(str(tmp_path), "c5", *workloads.cohomology_base())
+    assert run(["cohomology", "--op", op, "--degree", "3", "--witness", "--json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (
+        9423113, "d9a783cae0e906c1651b5fb4069ccfaccc899115324e7531049b0096e689b82d")
+
+
 def two_step_operator(rng, v, free, targets):
     """A weight-1 operator over the adjoint action of a two-step nilpotent
     algebra of dim v + free + targets: brackets of the first v basis vectors
@@ -287,13 +304,29 @@ DELTA_SHA256 = {
     ("adjoint", 2): "a4d1dc11bed32d779970e13dd8a8539f1924d1d893ead908492aada8e5c6789c",
     ("dim5", 2): "605bed8cf51b63c12e7be3496f73eba96ec4c24d7bd9069330ad168574bca53a",
     ("dim5", 3): "2fb5d0d5c97ed0e01a2b5ee3dcf4443d869bf91aa17a66827c3c959871da8d8b",
+    ("square_zero", 1): "2d447fc6937dec0f9b74a13a118cdb575f242a62770a7703dd9fd40b918d7edd",
+    ("square_zero", 2): "dceccf4acbd58d09c9815245e1c51ddf27738d7aaba230c0ac3f53a445c4605c",
+    ("square_zero", 3): "50ff08c883415cdcbf6c067d623097e6fc2b3f8b5ea8c93c3e9595b361662f75",
 }
 
 
-def test_coboundary_entries_pinned(tcomplex, adjoint_action, dim5_complex):
+@pytest.fixture(scope="module")
+def square_zero_complex():
+    # every term of the induced representation is live, and most entries of
+    # its coboundaries are not integers (1/2 is in the pool)
+    return TComplex(square_zero_operator(random.Random(5102), 4, 3, 2))
+
+
+def test_cohomology_dims_square_zero(square_zero_complex):
+    assert [square_zero_complex.cohomology_dims(p) for p in (1, 2, 3)] == \
+        [(6, 1, 5), (24, 6, 18), (81, 24, 57)]
+
+
+def test_coboundary_entries_pinned(tcomplex, adjoint_action, dim5_complex, square_zero_complex):
     cases = {"p3": (tcomplex.descent, tcomplex.rep),
              "adjoint": (adjoint_action.acting, adjoint_action),
-             "dim5": (dim5_complex.descent, dim5_complex.rep)}
+             "dim5": (dim5_complex.descent, dim5_complex.rep),
+             "square_zero": (square_zero_complex.descent, square_zero_complex.rep)}
     got = {}
     for name, p in DELTA_SHA256:
         M = coboundary_matrix_for(*cases[name], p)
