@@ -26,15 +26,20 @@ gives
   (delta_I f)(x, y)    = rho(x)f(y) - rho(y)f(x) - f([x, y])
   (delta_II f)(x, y, z) = D(x,y)f(z) + mu(y,z)f(x) - mu(x,z)f(y) - f(<x,y,z>).
 
-Coboundary matrices of every degree are assembled from these formulas term by
-term, and every entry comes from a nonzero entry of a structure tensor: the
-composites X_k o X_l, one per two basis pairs, are tabulated once per matrix,
-and rho, mu, D and both brackets are read from their supports
-(``linalg.Tensor.support``), so a zero block or bracket coefficient emits
-nothing.  The matrices are stored sparsely, and so is a cochain: it is its
-support {flat index: q}, which a matrix applies to (``SparseMat.apply``), the
-elimination returns as a witness, and transport pulls back and pushes
-forward slot by slot (``pushforward_cochain``).
+The coboundary of every degree is emitted column by column (``Coboundary``):
+column j is delta of the j-th basis cochain, and each term of the formula
+reaches from that cochain's block only the output blocks that a nonzero entry
+of its structure tensor links to it.  rho, mu, D, both brackets and the
+composites X_k o X_l are tabulated once per complex from their supports
+(``linalg.Tensor.support``), keyed by the slot that reads them, so an output
+block that receives nothing is never visited.  Constants whose denominator is
+1 are read as ints, so integral data is assembled with no Fraction
+arithmetic.  A matrix (``SparseMat``) keeps the columns as they were emitted,
+and its column echelon reads them as they are; delta of one cochain reads
+only the columns in its support.  A cochain is its support {flat index: q},
+which a matrix applies to (``SparseMat.apply``), the elimination returns as a
+witness, and transport pulls back and pushes forward slot by slot
+(``pushforward_cochain``).
 
 The operator's own data, the descent algebra and the induced representation
 (rho_T, mu_T, D_T), is tabulated in the same way: the supports are pulled back
@@ -44,6 +49,7 @@ the map partial on the wedge square of the acting algebra is one such table.
 """
 
 import itertools
+from collections.abc import Mapping
 
 from .errors import AxiomsFailed, DimMismatch, ShapeMismatch, TooLarge
 from .linalg import (Q0, Q1, Echelon, Tensor, axpy, dense, frac, invert, matrix_values, pull,
@@ -55,55 +61,64 @@ from .reps import RepAction
 # sparse matrices over the rationals
 
 class SparseMat:
-    """A rows x cols rational matrix stored as {(r, c): value}.  The echelon
-    forms of its nonzero rows and of its nonzero columns are each built once,
-    when first needed, and ``add`` drops both; the rank is read from either
-    one already built, or else from the narrow side."""
+    """A rows x cols rational matrix stored by its columns, ``columns[c]`` =
+    {row: value} over the nonzero entries, each value an int or a Fraction.
+    ``data`` reads the same entries as {(r, c): value}.  The echelon forms
+    of its nonzero rows and of its nonzero columns are each built once, when
+    first needed, and ``add`` drops both; the rank is read from either one
+    already built, or else from the narrow side."""
 
     def __init__(self, rows, cols, data=None):
         self.rows = rows
         self.cols = cols
-        self.data = {} if data is None else data
+        self.columns = [{} for _ in range(cols)]
+        for (r, c), v in (data or {}).items():
+            if v:
+                self.columns[c][r] = v
         self._ech = self._col_ech = None
+
+    @classmethod
+    def from_columns(cls, rows, columns):
+        """The matrix whose column c is the sparse ``columns[c]``, taken as it is."""
+        self = cls(rows, 0)
+        self.cols, self.columns = len(columns), columns
+        return self
+
+    @property
+    def data(self):
+        return _Entries(self.columns)
 
     def add(self, r, c, v):
         if v == 0:
             return
         self._ech = self._col_ech = None
-        key = (r, c)
-        new = self.data.get(key, Q0) + v
+        col = self.columns[c]
+        new = col.get(r, 0) + v
         if new == 0:
-            self.data.pop(key, None)
+            col.pop(r, None)
         else:
-            self.data[key] = new
+            col[r] = new
 
     def apply(self, vec):
         """The product with a sparse vector {col: q}, as a sparse vector {row: q}."""
         if vec and not 0 <= min(vec) <= max(vec) < self.cols:
             raise ShapeMismatch("vector index outside the %d columns" % self.cols)
         out = {}
-        for (r, c), v in self.data.items():
-            x = vec.get(c)
-            if x:
-                out[r] = out.get(r, Q0) + v * x
-        return {r: q for r, q in out.items() if q}
+        for c, x in vec.items():
+            axpy(out, x, self.columns[c])
+        return {r: frac(q) for r, q in out.items()}
 
     def row_dicts(self):
         """One {col: value} dict per row; zero rows give empty dicts."""
         rows = [{} for _ in range(self.rows)]
-        for (r, c), v in self.data.items():
-            rows[r][c] = v
+        for c, col in enumerate(self.columns):
+            for r, v in col.items():
+                rows[r][c] = v
         return rows
 
-    def col_dicts(self):
-        """One {row: value} dict per column; zero columns give empty dicts."""
-        cols = [{} for _ in range(self.cols)]
-        for (r, c), v in self.data.items():
-            cols[c][r] = v
-        return cols
-
     def nonzero_rows(self):
-        return [tuple(d.get(c, Q0) for c in range(self.cols)) for d in self.row_dicts() if d]
+        return [tuple(frac(d[c]) if c in d else Q0 for c in range(self.cols))
+                for d in self.row_dicts() if d]
 
     def _echelon(self):
         if self._ech is None:
@@ -113,7 +128,7 @@ class SparseMat:
     def column_echelon(self):
         """The echelon form of the columns, in the coordinates of the rows."""
         if self._col_ech is None:
-            self._col_ech = Echelon(d for d in self.col_dicts() if d)
+            self._col_ech = Echelon(d for d in self.columns if d)
         return self._col_ech
 
     def rank(self):
@@ -132,6 +147,27 @@ class SparseMat:
     def solve(self, b):
         """Some x with self . x = b (free coordinates 0); raises Inconsistent."""
         return solve(self.row_dicts(), b, ncols=self.cols)
+
+
+class _Entries(Mapping):
+    """The entries of a matrix's columns read as {(r, c): value}, a view."""
+
+    def __init__(self, columns):
+        self._columns = columns
+
+    def __getitem__(self, key):
+        r, c = key
+        if not 0 <= c < len(self._columns):
+            raise KeyError(key)
+        return self._columns[c][r]
+
+    def __iter__(self):
+        for c, col in enumerate(self._columns):
+            for r in col:
+                yield r, c
+
+    def __len__(self):
+        return sum(map(len, self._columns))
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +233,11 @@ class _Layout:
         if len(key) < self.p:
             return self.tuple_index(key)
         return self.f_blocks + self.tuple_index(key[:-1]) * self.m + key[-1]
+
+    def keys(self):
+        """Every slot tuple, in the order of the blocks."""
+        pairs = list(itertools.product(range(self.M), repeat=self.p - 1))
+        return pairs[:self.f_blocks] + [t + (c,) for t in pairs for c in range(self.m)]
 
     def split(self, support):
         """A support {flat index: q} as slot tables (f, g), {slot tuple: {r: q}}."""
@@ -316,108 +357,190 @@ def _check_rows(p, m, n):
             break        # M^p = M for M < 2, and zero rows stay zero
 
 
-def coboundary_matrix_for(alg, rep, p):
+def coboundary_matrix_for(alg, rep, p, delta=None):
     """The matrix of the degree-p coboundary over the rep's carrier.
 
     Rows follow the degree-(p+1) layout, columns the degree-p layout, both in
     the documented lexicographic order with value components innermost.  A
     matrix of more than MAX_COBOUNDARY_ROWS rows raises TooLarge before
-    anything is built.  Each term of the formula emits only the nonzero
-    entries of its structure tensor: rho, mu and D blocks entry by entry,
-    bracket coefficients as scalar diagonals, and the composites X_k o X_l
-    from a table made once per matrix.
+    anything is built.  Column j is delta of the j-th basis cochain, emitted
+    by ``Coboundary.columns`` from the supports of the structure tensors and
+    stored as it is; ``delta`` is the (alg, rep) coboundary to read, made
+    here when not given.
     """
-    if rep.acting.dim != alg.dim:
-        raise ShapeMismatch("representation does not act on the given algebra")
-    m = alg.dim
-    n = rep.carrier.dim
-    _check_rows(p, m, n)
-    lin = _Layout(p, m, n)
-    lout = _Layout(p + 1, m, n)
-    prs = pair_basis(m)
-    pidx = {pr: t for t, pr in enumerate(prs)}
-    comp = [[_composite(alg.ternary.support, pk, pl, pidx) for pl in prs] for pk in prs]
-    rho, mu, D = (_signed_blocks(t) for t in (rep.rho, rep.mu, rep.derived_D))
-    binary, ternary = alg.binary.support, alg.ternary.support
-    data = {}
-
-    def block(ob, ib, entries):
-        ro, co = ob * n, ib * n
-        for r, c, q in entries:
-            key = (ro + r, co + c)
-            data[key] = data.get(key, Q0) + q
-
-    def scalar(ob, ib, q):
-        ro, co = ob * n, ib * n
-        for r in range(n):
-            key = (ro + r, co + r)
-            data[key] = data.get(key, Q0) + q
-
-    none = ((), ())
-    odd = (p - 1) % 2       # the head terms carry (-1)^(p-1)
-    gin = lin.f_blocks      # the input's first g block
-    for tup in itertools.product(range(lin.M), repeat=p):
-        pairs = [prs[t] for t in tup]
-        a1, b1 = pairs[-1]
-        head = gin + lin.tuple_index(tup[:-1]) * m
-        rests = [lin.tuple_index(tup[:k] + tup[k + 1:]) for k in range(p)]
-        # (-1)^k cv for X_k o X_l in slot l (1-based k), slot k dropped
-        comps = []
-        for k in range(p):
-            for l in range(k + 1, p):
-                for t2, cv in comp[tup[k]][tup[l]].items():
-                    slots = list(tup)
-                    slots[l] = t2
-                    del slots[k]
-                    comps.append((lin.tuple_index(slots), cv if k % 2 else -cv))
-        # delta_I at the output block tup; D(X_k) has sign (-1)^(k+1), 1-based
-        ob = lout.tuple_index(tup)
-        block(ob, head + b1, rho.get((a1,), none)[odd])
-        block(ob, head + a1, rho.get((b1,), none)[1 - odd])
-        for s, cs in binary.get((a1, b1), {}).items():
-            scalar(ob, head + s, cs if odd else -cs)
-        for k in range(p - 1):
-            block(ob, rests[k], D.get(pairs[k], none)[k % 2])
-        for ti, cv in comps:
-            scalar(ob, ti, cv)
-        # delta_II at the output blocks (tup, c)
-        og = lout.f_blocks + ob * m
-        for c in range(m):
-            block(og + c, head + a1, mu.get((b1, c), none)[odd])
-            block(og + c, head + b1, mu.get((a1, c), none)[1 - odd])
-            for k in range(p):
-                gk = gin + rests[k] * m
-                block(og + c, gk + c, D.get(pairs[k], none)[k % 2])
-                for s, cs in ternary.get(pairs[k] + (c,), {}).items():
-                    scalar(og + c, gk + s, cs if k % 2 else -cs)
-            for ti, cv in comps:
-                scalar(og + c, gin + ti * m + c, cv)
-    return SparseMat(lout.total, lin.total, {key: v for key, v in data.items() if v})
+    delta = delta or Coboundary(alg, rep)
+    _check_rows(p, delta.m, delta.n)
+    return SparseMat.from_columns(_Layout(p + 1, delta.m, delta.n).total, delta.columns(p))
 
 
-def _signed_blocks(t):
-    """A matrix-valued tensor's support as {key: (entries, negated entries)},
-    each entry (row, col, value)."""
-    return {key: (tuple((r, c, q) for (r, c), q in v.items()),
-                  tuple((r, c, -q) for (r, c), q in v.items()))
-            for key, v in t.support.items()}
+def _number(q):
+    """q as an int when its denominator is 1."""
+    return q.numerator if q.denominator == 1 else q
 
 
-def _composite(ternary, pk, pl, pidx):
-    """X_k o X_l = <x_k,y_k,x_l> /\\ y_l + x_l /\\ <x_k,y_k,y_l> on pair coords,
-    the ternary bracket given by its support."""
-    (ak, bk), (al, bl) = pk, pl
-    d = wedge_coords(ternary.get((ak, bk, al), {}), {bl: Q1}, pidx)
-    axpy(d, Q1, wedge_coords({al: Q1}, ternary.get((ak, bk, bl), {}), pidx))
-    return d
+def _by_column(t):
+    """A matrix-valued tensor's support as {key: (columns, negated columns)},
+    columns {c: [(r, q)]}, the constants read by ``_number``."""
+    out = {}
+    for key, v in t.support.items():
+        cols = {}
+        for (r, c), q in v.items():
+            cols.setdefault(c, []).append((r, _number(q)))
+        out[key] = (cols, {c: [(r, -q) for r, q in col] for c, col in cols.items()})
+    return out
+
+
+def _by_value(t, pidx):
+    """A bracket's support as {s: [(pair, *rest, q)]}: the coefficient q of e_s
+    at the key (i, j, *rest), i < j, with pair the index of (i, j)."""
+    out = {}
+    for (i, j, *rest), v in t.support.items():
+        if i < j:
+            for s, q in v.items():
+                out.setdefault(s, []).append((pidx[i, j], *rest, _number(q)))
+    return out
+
+
+class Coboundary:
+    """The Yamaguti coboundary of every degree over (alg, rep), by its columns.
+
+    Each term of the formula is read from a table made once here from a
+    structure tensor's support and keyed by the input slot that reads it: the
+    rho, mu and bracket heads by the plain slot s of a g block, D(X_k) as the
+    pairs where D is nonzero, the ternary term by s, and the composites
+    X_k o X_l by the pair they touch in slot l.  An input block thus reaches
+    only the output blocks that a nonzero constant links to it.  The scalar
+    terms are summed per output block before the block is expanded into its n
+    columns; rho, mu and D are matrices read by columns.  Constants whose
+    denominator is 1 are ints.
+    """
+
+    def __init__(self, alg, rep):
+        if rep.acting.dim != alg.dim:
+            raise ShapeMismatch("representation does not act on the given algebra")
+        m = self.m = alg.dim
+        self.n = rep.carrier.dim
+        pidx = {pr: t for t, pr in enumerate(pair_basis(m))}
+        self.M = len(pidx)
+        rho, mu, D = (_by_column(t) for t in (rep.rho, rep.mu, rep.derived_D))
+        # a head term into the pair {a, s} has sign + for a < s with rho and
+        # a > s with mu; with the sign -, its two matrices swap
+        self.rho_head, self.mu_head = {}, {}
+        for s in range(m):
+            for (a,), mats in rho.items():
+                if a != s:
+                    self.rho_head.setdefault(s, []).append(
+                        (pidx[min(a, s), max(a, s)], mats if a < s else mats[::-1]))
+            for (a, z), mats in mu.items():
+                if a != s:
+                    self.mu_head.setdefault(s, []).append(
+                        (pidx[min(a, s), max(a, s)], z, mats if a > s else mats[::-1]))
+        self.D = [(pidx[key], mats) for key, mats in D.items() if key[0] < key[1]]
+        self.bracket, self.ternary = (_by_value(t, pidx) for t in (alg.binary, alg.ternary))
+        self.composite = _composites(alg.ternary.support, m, pidx)
+
+    def block(self, out, key):
+        """The blocks of the output layout ``out`` that the input block ``key``
+        reaches, as (scalars {block: q}, matrices [(block, columns {c: [(r, q)]})])."""
+        p = out.p - 1
+        odd = (p - 1) % 2           # the head terms carry (-1)^(p-1)
+        S, plain = key[:p - 1], key[p - 1:]     # plain = (s,) in a g block
+        scalars, mats = {}, []
+
+        def add(slots, q):
+            b = out.block(slots)
+            scalars[b] = scalars.get(b, 0) + q
+
+        for s in plain:
+            for P, mat in self.rho_head.get(s, ()):
+                mats.append((out.block(S + (P,)), mat[odd]))
+            for P, q in self.bracket.get(s, ()):
+                add(S + (P,), q if odd else -q)
+            for P, z, mat in self.mu_head.get(s, ()):
+                mats.append((out.block(S + (P, z)), mat[odd]))
+        # D(X_k) and <x_k, y_k, z> with X_k inserted at slot k, sign
+        # (-1)^(k+1) and (-1)^k for 1-based k; delta_I's D skips the last slot
+        for k in range(p - 1 + len(plain)):
+            head, tail = S[:k], S[k:]
+            for P, mat in self.D:
+                mats.append((out.block(head + (P,) + tail + plain), mat[k % 2]))
+            for s in plain:
+                for P, z, q in self.ternary.get(s, ()):
+                    add(head + (P,) + tail + (z,), q if k % 2 else -q)
+        # X_k o X_l in slot l, X_k dropped, sign (-1)^k for 1-based k
+        for l in range(1, p):
+            for P, Q, q in self.composite.get(S[l - 1], ()):
+                for k in range(l):
+                    add(S[:k] + (P,) + S[k:l - 1] + (Q,) + S[l:] + plain, q if k % 2 else -q)
+        return {b: q for b, q in scalars.items() if q}, mats
+
+    def column(self, terms, r):
+        """delta of the basis cochain at value coordinate r of the block with
+        ``terms`` (see ``block``), as a sparse column {row: q}."""
+        scalars, mats = terms
+        n = self.n
+        col = {b * n + r: q for b, q in scalars.items()}
+        if not mats:
+            return col
+        for b, mat in mats:
+            for t, q in mat.get(r, ()):
+                key = b * n + t
+                col[key] = col.get(key, 0) + q
+        return {key: q for key, q in col.items() if q}
+
+    def columns(self, p):
+        """Every column of the degree-p coboundary matrix, in the layout's order."""
+        out = _Layout(p + 1, self.m, self.n)
+        cols = []
+        for key in _Layout(p, self.m, self.n).keys():
+            terms = self.block(out, key)
+            cols.extend(self.column(terms, r) for r in range(self.n))
+        return cols
+
+    def __call__(self, c):
+        """delta of the cochain c, read from the columns of its support alone."""
+        if c.m != self.m or c.n != self.n:
+            raise ShapeMismatch("cochain shapes do not match the algebra and carrier")
+        out, acc = _Layout(c.p + 1, c.m, c.n), {}
+        for table in c.layout.split(c.support):
+            for key, vec in table.items():
+                terms = self.block(out, key)
+                for r, x in vec.items():
+                    axpy(acc, x, self.column(terms, r))
+        return Cochain.from_support(c.p + 1, c.m, c.n, {k: frac(q) for k, q in acc.items()})
+
+
+def _composites(ternary, m, pidx):
+    """X_k o X_l = <x_k,y_k,x_l> /\\ y_l + x_l /\\ <x_k,y_k,y_l> on the pair
+    basis, as {t: [(k, l, q)]} over the pair indices k, l with coefficient q
+    at pair t, from the ternary bracket's support.
+
+    A value <x_k, y_k, e_c> = sum_e q_e e_e sits in slot x_l of X_l = e_c /\\ e_d
+    for d > c and in slot y_l of X_l = e_d /\\ e_c for d < c; either way it
+    adds (+-) sum_e q_e e_e /\\ e_d, with + for c < d."""
+    acc = {}
+    for (a, b, c), v in ternary.items():
+        if a >= b:
+            continue
+        k = pidx[a, b]
+        for d in range(m):
+            if d == c:
+                continue
+            l = pidx[min(c, d), max(c, d)]
+            for e, q in v.items():
+                if e != d:
+                    key = (pidx[min(e, d), max(e, d)], k, l)
+                    acc[key] = acc.get(key, 0) + (q if (c < d) == (e < d) else -q)
+    out = {}
+    for (t, k, l), q in sorted(acc.items()):
+        if q:
+            out.setdefault(t, []).append((k, l, _number(q)))
+    return out
 
 
 def yamaguti_coboundary(alg, rep, c):
     """Apply the degree-p coboundary to a cochain over (alg, rep)."""
-    if c.m != alg.dim or c.n != rep.carrier.dim:
-        raise ShapeMismatch("cochain shapes do not match the algebra and carrier")
-    mat = coboundary_matrix_for(alg, rep, c.p)
-    return Cochain.from_support(c.p + 1, c.m, c.n, mat.apply(c.support))
+    return Coboundary(alg, rep)(c)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +639,7 @@ class TComplex:
         self.descent = self.rep.acting
         self.rep.ensure_representation()
         self._matrices = {}
+        self._delta = None
 
     @property
     def m(self):
@@ -533,17 +657,23 @@ class TComplex:
             if p == 0:
                 self._matrices[p] = partial_matrix(self.op)
             else:
-                self._matrices[p] = coboundary_matrix_for(self.descent, self.rep, p)
+                self._matrices[p] = coboundary_matrix_for(self.descent, self.rep, p,
+                                                          self.delta())
         return self._matrices[p]
+
+    def delta(self):
+        """The complex's ``Coboundary``, its tables made once, when first needed."""
+        if self._delta is None:
+            self._delta = Coboundary(self.descent, self.rep)
+        return self._delta
 
     def zero_cochain_map(self, x, y):
         """partial(x /\\ y) as a degree-1 cochain; always a 1-cocycle."""
         return zero_cochain_map(self.op, x, y)
 
     def coboundary(self, c):
-        if (c.m, c.n) != (self.m, self.n):
-            raise ShapeMismatch("cochain shapes do not match the complex")
-        return Cochain.from_support(c.p + 1, c.m, c.n, self.matrix(c.p).apply(c.support))
+        """delta of the cochain c, from the columns in its support alone."""
+        return self.delta()(c)
 
     def cohomology_dims(self, p):
         """(dim Z^p, dim B^p, dim H^p) for p >= 1."""

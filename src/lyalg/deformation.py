@@ -14,8 +14,9 @@ built from t^(n+1) of the same cached tables, a linear deformation reads
 t^1..t^3) and every identity of an equivalence (Id + t L(X), Id + t D(X)),
 its intertwining (``rrb.intertwining``) included.  Maps h -> g and the
 obstruction are sparse degree-1 and degree-2 cochains (``cohomology.Cochain``);
-closedness is the coboundary matrix applied to one cochain, and the boundary
-partial(X) reads ``cohomology.partial_matrix``.
+closedness is delta of one cochain, read from the columns in its support
+(``TComplex.coboundary``), and the boundary partial(X) reads
+``cohomology.partial_matrix``.
 """
 
 from dataclasses import dataclass
@@ -122,7 +123,7 @@ def check_linear_deformation(op, T1, all_violations=False):
         ck.table(shape, ("deform-ternary-t^%d" % s, ternary))
         per["t^%d" % s] = "fail" if binary or ternary else "pass"
     t1 = _map_cochain(T1, m, r.acting.dim)
-    closed = not TComplex(op).matrix(1).apply(t1.support)
+    closed = TComplex(op).coboundary(t1).is_zero()
     return ck.report({"coefficient_verdicts": per, "t1_closed": closed})
 
 
@@ -234,7 +235,7 @@ def obstruction_class(d):
     pidx = {pr: t for t, pr in enumerate(pair_basis(m))}
     c2 = Cochain.from_table(2, m, n, {(pidx[k[:2]],) + k[2:]: v for table in (first, second)
                                       for k, v in table.items() if k[0] < k[1]})
-    closed = not d.complex().matrix(2).apply(c2.support)
+    closed = d.complex().coboundary(c2).is_zero()
     d._ob = ObstructionClass(c2, closed)
     return d._ob
 

@@ -2,8 +2,9 @@
 
 Scalars are ``fractions.Fraction`` (always reduced, positive denominator).
 Vectors are tuples of Fraction; matrices are tuples of row tuples.  The
-elimination routine also takes sparse rows, dicts {column: Fraction}; it works
-fraction-free on primitive integer rows inside and hands back Fractions.
+elimination routine also takes sparse rows, dicts {column: Fraction or int}; it
+works fraction-free on primitive integer rows inside, takes a row of ints as
+it is, and hands back Fractions.
 Structure tensors (``Tensor``) are stored as their support, the nonzero
 vector or matrix values as sparse dicts, and read as nested tuples through a
 view built from it.  ``contract`` evaluates them at vectors; every equation
@@ -439,7 +440,10 @@ def _primitive(r):
 
 
 def _integer_row(row):
-    """The nonzero entries of a rational row, scaled to a primitive integer row."""
+    """The nonzero entries of a rational row, scaled to a primitive integer
+    row; a sparse row of ints is taken as it is and only divided by its gcd."""
+    if isinstance(row, dict) and all(type(v) is int for v in row.values()):
+        return _primitive({c: v for c, v in row.items() if v})
     r = {c: v.as_integer_ratio()
          for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v}
     if not r:

@@ -359,6 +359,41 @@ def test_coboundary_columns_match_yamaguti_oracle_on_random_dim3(p):
     assert_columns_match(r.acting, r, oracles.RepOracle(r.acting, r), p)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_coboundary_columns_match_yamaguti_oracle_on_adjoint(nilpotent4, adjoint_action, p):
+    # integral constants, with rho, mu and D all live
+    want = assert_columns_match(nilpotent4, adjoint_action,
+                                oracles.RepOracle(nilpotent4, adjoint_action), p)
+    assert want
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_coboundary_columns_match_yamaguti_oracle_on_square_zero(square_zero_complex, p):
+    # rational constants, every term of the induced representation live
+    cx = square_zero_complex
+    want = assert_columns_match(cx.descent, cx.rep, OpOracle(cx.op), p)
+    assert want
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_sparse_coboundary_builds_no_matrix(p3, tcomplex, monkeypatch, p):
+    # delta of single-coordinate cochains, through TComplex.coboundary and
+    # yamaguti_coboundary, reads the columns in the support alone
+    def no_matrix(*args):
+        raise AssertionError("a coboundary matrix was built")
+    monkeypatch.setattr(cohomology, "coboundary_matrix_for", no_matrix)
+    cx = TComplex(p3)
+    total = cohomology._Layout(p, 4, 4).total
+    cols = range(total) if total <= 120 else sorted(random.Random(4100 + p).sample(range(total), 40))
+    want = oracles.o_delta_columns(OpOracle(p3), p, cols)
+    for j in cols:
+        c = Cochain.from_support(p, 4, 4, {j: F(1)})
+        got = cx.coboundary(c)
+        assert got.p == p + 1 and got.support == want.get(j, {}), j
+        assert yamaguti_coboundary(tcomplex.descent, tcomplex.rep, c).support == got.support
+    assert want
+
+
 def test_degree4_sampled_columns_match_yamaguti_oracle_on_p3(tcomplex, p3):
     cols = sorted(random.Random(4004).sample(range(4320), 48))
     want = assert_columns_match(tcomplex.descent, tcomplex.rep, OpOracle(p3), 4, cols)
