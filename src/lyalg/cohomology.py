@@ -300,17 +300,6 @@ class Cochain:
         return cls.from_support(p, m, n, {lay.block(key) * n + r: q for key, v in table.items()
                                           for r, q in v.items()})
 
-    @classmethod
-    def zero(cls, p, m, n):
-        return cls.from_support(p, m, n, {})
-
-    @classmethod
-    def from_flat(cls, p, m, n, flat):
-        lay = _Layout(p, m, n)
-        if len(flat) != lay.total:
-            raise ShapeMismatch("flat length %d != %d" % (len(flat), lay.total))
-        return cls.from_support(p, m, n, dict(enumerate(map(frac, flat))))
-
     def as_flat(self):
         return dense(self.support, (self.layout.total,))
 

@@ -139,10 +139,9 @@ def _check_idx(where, dim, *idx):
 
 # The most coefficients a dense ternary structure tensor, dim^4 of them, may
 # hold: dim 32 is admitted and dim 33 is not.  Loading reads only the listed
-# entries, but every tensor also carries its nested view of dim^arity values,
-# and the downstream layouts (semidirect sums, cochain spaces) grow with dim
-# alone, so a file of a few bytes could otherwise ask for any amount of
-# memory.
+# entries and a tensor holds only its support, but the downstream layouts
+# (semidirect sums, cochain spaces) grow with dim alone, so a file of a few
+# bytes could otherwise ask for any amount of memory.
 MAX_TENSOR_COEFFICIENTS = 2 ** 20
 
 

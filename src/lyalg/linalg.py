@@ -5,15 +5,14 @@ Vectors are tuples of Fraction; matrices are tuples of row tuples.  The
 elimination routine also takes sparse rows, dicts {column: Fraction or int}; it
 works fraction-free on primitive integer rows inside, takes a row of ints as
 it is, and hands back Fractions.
-Structure tensors (``Tensor``) are stored as their support, the nonzero
-vector or matrix values as sparse dicts, and read as nested tuples through a
-view built from it.  ``contract`` evaluates them at vectors; every equation
-is tabulated from the supports as one sparse table, a signed sum of
-compositions (``compose``) and of supports pulled back along or pushed
-through a linear map (``pull``/``push``).  Every expansion in t is a truncated
-polynomial whose t^s coefficient is read off by one routine: ``graded`` for a
-support with its slots read through polynomial maps, ``graded_push`` for a
-polynomial map applied to tables graded by degree.
+Structure tensors (``Tensor``) are their support, the nonzero vector or
+matrix values as sparse dicts.  ``contract`` evaluates them at vectors and
+basis indices; every equation is tabulated from the supports as one sparse
+table, a signed sum of compositions (``compose``) and of supports pulled back
+along or pushed through a linear map (``pull``/``push``).  Every expansion in
+t is a truncated polynomial whose t^s coefficient is read off by one routine:
+``graded`` for a support with its slots read through polynomial maps,
+``graded_push`` for a polynomial map applied to tables graded by degree.
 There are no tolerances anywhere: equality means exact equality.
 """
 
@@ -66,35 +65,40 @@ def mat_sub(a, b):
 # structure tensors
 #
 # Every bracket, action and post-operation is a multilinear map given by its
-# values on basis tuples.  A Tensor is stored as its support, the nonzero
-# values as sparse dicts; the nested tuples it also is, so that t[i][j] is the
-# value at (e_i, e_j) as a plain nested tuple would give it, are a view filled
-# from the support.  ``contract`` is the one routine that evaluates a tensor.
+# values on basis tuples.  A Tensor is its support, the nonzero values as
+# sparse dicts, and nothing more: no dense view is built, so its size follows
+# the support, not dim^arity.  ``contract`` is the one routine that evaluates a
+# tensor, and reads a value when every slot is a basis index.
 
-class Tensor(tuple):
-    """Values t[i]...[k] of a multilinear map on basis tuples of Q^dim.
+class Tensor:
+    """A multilinear map on basis tuples of Q^dim, given by its values there.
 
     Every value has ``shape``: (d,) for a vector, (r, c) for a matrix.
     ``support`` maps each index tuple whose value is nonzero to that value as
     a sparse dict, {r: q} for a vector and {(r, c): q} for a matrix; keys are
-    in lexicographic order and entries in ascending order, and callers
-    never change the table in place.  Built from nested values, or, inside the
-    library, from a support table by ``from_support``; a Tensor of the
-    requested dim, arity and shape is taken as it is.
+    in lexicographic order and entries in ascending order, and callers never
+    change the table in place.  Built from nested values, values[i]...[k] at
+    (e_i, ..., e_k) with dim entries at every index level, or, inside the
+    library, from a support table by ``from_support``; a Tensor of the same
+    dim, arity and shape is taken as it is.  Equal when all four are equal.
     """
 
     def __new__(cls, values, dim, arity, shape):
-        if isinstance(values, Tensor) and (values.dim, values.arity, values.shape) \
-                == (dim, arity, shape):
-            return values
+        if isinstance(values, Tensor):
+            if (values.dim, values.arity, values.shape) == (dim, arity, shape):
+                return values
+            raise DimMismatch("a tensor of dim, arity, shape %s where %s is needed" % (
+                (values.dim, values.arity, values.shape), (dim, arity, shape)))
         table = {}
+        vec = len(shape) == 1
 
         def walk(v, key):
             if len(key) < arity:
-                for i in range(dim):
-                    walk(v[i], key + (i,))
+                if len(v) != dim:
+                    raise DimMismatch("%d entries at an index level of dim %d" % (len(v), dim))
+                for i, w in enumerate(v):
+                    walk(w, key + (i,))
                 return
-            vec = len(shape) == 1
             rows = mat([v] if vec else v)
             if len(rows) != (1 if vec else shape[0]) \
                     or any(len(row) != shape[-1] for row in rows):
@@ -114,16 +118,15 @@ class Tensor(tuple):
             v = {e: q for e, q in sorted(table[key].items()) if q}
             if v:
                 support[key] = v
-        zero = dense({}, shape)
-
-        def level(key):
-            if len(key) == arity:
-                v = support.get(key)
-                return zero if v is None else dense(v, shape)
-            return tuple(level(key + (i,)) for i in range(dim))
-        self = super().__new__(cls, level(()))
+        self = object.__new__(cls)
         self.dim, self.arity, self.shape, self.support = dim, arity, shape, support
         return self
+
+    def __eq__(self, other):
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        return (self.dim, self.arity, self.shape, self.support) \
+            == (other.dim, other.arity, other.shape, other.support)
 
     def __reduce__(self):
         # copy and pickle rebuild a tensor from its support

@@ -19,7 +19,7 @@ nonzero block is applied to the nonzero bracket values only.
 """
 
 from .core import LYAlgebra, center
-from .errors import AxiomsFailed, DimMismatch, NotAnAction
+from .errors import AxiomsFailed, NotAnAction
 from .linalg import Q1, Tensor, axpy, dense, sparse_mul, vector_values
 from .reports import Checker
 
@@ -29,16 +29,16 @@ class RepAction:
 
     ``rho`` is a list of dim(g) matrices; ``mu`` a dim(g) x dim(g) array of
     matrices, each dim(h) x dim(h); either may be a ``linalg.Tensor`` of that
-    shape already.  The carrier is itself an algebra (often abelian); its
-    brackets only matter for action checks and semidirect products.
+    signature already, and any other shape raises ``DimMismatch``.  Both, and
+    the derived D, are stored as Tensors and read by ``linalg.contract``.  The
+    carrier is itself an algebra (often abelian); its brackets only matter for
+    action checks and semidirect products.
     """
 
     def __init__(self, acting, carrier, rho, mu):
         self.acting = acting
         self.carrier = carrier
         n, m = acting.dim, carrier.dim
-        if len(rho) != n or len(mu) != n or any(len(row) != n for row in mu):
-            raise DimMismatch("rho needs %d matrices, mu a %dx%d array" % (n, n, n))
         self.rho = Tensor(rho, n, 1, (m, m))
         self.mu = Tensor(mu, n, 2, (m, m))
         self.derived_D = derive_D(self)

@@ -1,18 +1,21 @@
 """Independent brute-force implementations used to cross-check the library.
 
 Nothing here touches the library's elimination, sparse-matrix, coboundary
-assembly or tensor evaluation code: ranks come from a plain dense Gaussian
-elimination, brackets and actions from a dense sum over the public nested
-structure tensors (with D rebuilt from its closed form), coboundary matrices
-from direct evaluation of the defining formulas (column by column, or at a
-generic cochain of linear forms), and deformation coefficients and
-equivalences from polynomial expansion in t.  The library's sparse matrices
-are read through their ``rows``, ``cols`` and ``data`` fields only.
+assembly or tensor evaluation code, and imports nothing from it: ranks come
+from a plain dense Gaussian elimination, brackets and actions from a dense
+sum over nested tuples (with D rebuilt from its closed form), coboundary
+matrices from direct evaluation of the defining formulas (column by column,
+or at a generic cochain of linear forms), and deformation coefficients and
+equivalences from polynomial expansion in t.  The library's structure
+tensors are read through their ``dim``, ``arity``, ``shape`` and ``support``
+fields only, expanded into nested tuples by ``nested``; its sparse matrices
+through their ``rows``, ``cols`` and ``data`` fields only.
 """
 
 import functools
 import itertools
 import operator
+import weakref
 from fractions import Fraction
 
 Z = Fraction(0)
@@ -117,6 +120,35 @@ def _lin(c, a, b=None):
     return c * a + (b if b is not None else 0)
 
 
+# the library's structure tensors enter only through their nested tuples
+
+_NESTED = {}
+
+
+def nested(t):
+    """The nested tuples of a library structure tensor: nested(t)[i]...[k] is
+    its value at (e_i, ..., e_k), a vector or a tuple of matrix rows, read off
+    ``t.support`` with ``t.dim``, ``t.arity`` and ``t.shape``.  Built once per
+    tensor and dropped with it."""
+    view = _NESTED.get(id(t))
+    if view is None:
+        shape = t.shape
+
+        def value(v):
+            if len(shape) == 1:
+                return tuple(v.get(r, Z) for r in range(shape[0]))
+            return tuple(tuple(v.get((r, c), Z) for c in range(shape[1]))
+                         for r in range(shape[0]))
+
+        def level(key):
+            if len(key) == t.arity:
+                return value(t.support.get(key, {}))
+            return tuple(level(key + (i,)) for i in range(t.dim))
+        view = _NESTED[id(t)] = level(())
+        weakref.finalize(t, _NESTED.pop, id(t), None)
+    return view
+
+
 def ev(t, *vecs):
     """The multilinear map with nested structure tensor t at coordinate vectors:
     the sum over index tuples of the coefficient product times the value
@@ -133,22 +165,20 @@ def ev(t, *vecs):
     return out
 
 
-# the library's objects enter only through their nested tensors
-
 def br2(alg, x, y):
-    return ev(alg.binary, x, y)
+    return ev(nested(alg.binary), x, y)
 
 
 def br3(alg, x, y, z):
-    return ev(alg.ternary, x, y, z)
+    return ev(nested(alg.ternary), x, y, z)
 
 
 def rho_at(r, x):
-    return ev(r.rho, x)
+    return ev(nested(r.rho), x)
 
 
 def mu_at(r, x, y):
-    return ev(r.mu, x, y)
+    return ev(nested(r.mu), x, y)
 
 
 def D_at(r, x, y):
@@ -221,7 +251,8 @@ def _witnesses(n, families):
 
 def _brackets(alg):
     """The brackets with each slot a basis index or a vector."""
-    return (lambda *xs: _at(alg.binary, *xs)), (lambda *xs: _at(alg.ternary, *xs))
+    binary, ternary = nested(alg.binary), nested(alg.ternary)
+    return (lambda *xs: _at(binary, *xs)), (lambda *xs: _at(ternary, *xs))
 
 
 def o_ly_violations(A):
@@ -250,7 +281,8 @@ def _rep_values(r):
     n = r.acting.dim
     e = [_unit(n, i) for i in range(n)]
     D = tuple(tuple(D_at(r, e[i], e[j]) for j in range(n)) for i in range(n))
-    return _brackets(r.acting) + ((lambda x: _at(r.rho, x)), (lambda x, y: _at(r.mu, x, y)),
+    rho, mu = nested(r.rho), nested(r.mu)
+    return _brackets(r.acting) + ((lambda x: _at(rho, x)), (lambda x, y: _at(mu, x, y)),
                                   (lambda x, y: _at(D, x, y)))
 
 
@@ -364,7 +396,7 @@ def _post_values(P):
     with (a,b,c) = (a*b)*c - a*(b*c)."""
     n = P.dim
     dot, star, angle, brace = ((lambda *xs, t=t: _at(t, *xs))
-                               for t in (P.dot, P.star, P.angle, P.brace))
+                               for t in map(nested, (P.dot, P.star, P.angle, P.brace)))
 
     def assoc(x, y, z):
         return _sum(star(star(x, y), z), _neg(star(x, star(y, z))))
@@ -475,7 +507,7 @@ def o_nijenhuis_violations(A, N):
 
 def o_hom_violations(phi, families, interleaved=False):
     """phi(src(e_i, ..)) - dst(phi e_i, ..) for each family (eq, arity, src,
-    dst) of nested structure tensors and a matrix phi from src's space to
+    dst) of library structure tensors and a matrix phi from src's space to
     dst's: every tuple of the first arity, then of the next, or with
     ``interleaved`` each tuple directly followed by its extensions (mixed-length
     lexicographic order), families in list order at one tuple."""
@@ -483,6 +515,7 @@ def o_hom_violations(phi, families, interleaved=False):
     cols = [col(phi, i) for i in range(n)]
     found = []
     for f, (eq, arity, src, dst) in enumerate(families):
+        src, dst = nested(src), nested(dst)
         for args in itertools.product(range(n), repeat=arity):
             res = vs(mv(phi, _at(src, *args)), _at(dst, *[cols[a] for a in args]))
             if _nonzero(res):
@@ -891,8 +924,8 @@ def delta2_matrix(oc):
 
 class RepOracle:
     """The interface of OpOracle (br2, br3, rho, mu, D, m, n) for a plain
-    algebra and a representation of it: brackets and actions from the public
-    nested tensors, D from its closed form (memoized per argument)."""
+    algebra and a representation of it: brackets and actions from the nested
+    tuples of the library's tensors, D from its closed form (memoized per argument)."""
 
     def __init__(self, alg, rep):
         self.alg, self.r = alg, rep

@@ -25,7 +25,7 @@ from lyalg.rrb import (check_nijenhuis, check_rrb, descent_algebra,
 import conftest
 import oracles
 from conftest import family_matrix, fx, random_matrix
-from oracles import mzero
+from oracles import mzero, nested
 
 
 def announce(num, label, ok):
@@ -108,7 +108,7 @@ def test_criterion_4_construction_coherence(adjoint_action, p3):
             for b in range(4):
                 for i in range(4):
                     x = rep.carrier.e(i)
-                    ok &= tuple(rep.derived_D[a][b][t][i] for t in range(4)) \
+                    ok &= tuple(nested(rep.derived_D)[a][b][t][i] for t in range(4)) \
                         == oc.D(eh[a], eh[b], x)
     announce(4, "construction coherence on %d verified operators" % len(ops), ok)
 

@@ -8,12 +8,13 @@ from lyalg.errors import AxiomsFailed, NotLieAlgebra, StructureError
 from lyalg.linalg import Subspace, mat_id
 
 from conftest import fx
+from oracles import nested
 
 
 def test_fixture_passes_axioms(nilpotent4):
     assert nilpotent4.verified
-    assert nilpotent4.binary[0][1] == (F(0), F(0), F(0), F(2))
-    assert nilpotent4.ternary[0][1][0] == (F(0), F(0), F(0), F(1))
+    assert nested(nilpotent4.binary)[0][1] == (F(0), F(0), F(0), F(2))
+    assert nested(nilpotent4.ternary)[0][1][0] == (F(0), F(0), F(0), F(1))
 
 
 def test_bracket_multilinearity(nilpotent4):
@@ -134,7 +135,7 @@ def test_from_lie_algebra_solvable():
     A = L.from_lie_algebra(2, b)
     assert A.verified
     # <e1,e2,e2> = [[e1,e2],e2] = [e2,e2] = 0, <e2,e1,e1> = [-e2,e1] = e2
-    assert A.ternary[1][0][0] == (F(0), F(1))
+    assert nested(A.ternary)[1][0][0] == (F(0), F(1))
 
 
 def test_from_lie_algebra_rejects_non_jacobi():
@@ -165,4 +166,4 @@ def test_direct_sum(nilpotent4):
     S = L.direct_sum(nilpotent4, B)
     assert S.dim == 6 and S.verified
     assert L.check_ly_axioms(S).passed
-    assert S.binary[0][1] == (F(0), F(0), F(0), F(2), F(0), F(0))
+    assert nested(S.binary)[0][1] == (F(0), F(0), F(0), F(2), F(0), F(0))

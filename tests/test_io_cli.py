@@ -11,12 +11,13 @@ from lyalg.cli import run
 from lyalg.errors import FormatError, TooLarge
 
 from conftest import fx
+from oracles import nested
 
 
 def test_load_algebra_antisym_completion(tmp_path):
     doc = {"dim": 2, "binary": [[0, 1, 0, "1"]], "ternary": []}
     A = lyio.load_algebra(doc)
-    assert A.binary[1][0][0] == -1
+    assert nested(A.binary)[1][0][0] == -1
 
 
 def test_load_algebra_rejects_inconsistent_orientations():
@@ -46,7 +47,8 @@ def test_load_algebra_rejects_nonzero_ternary_diagonal():
 def test_load_algebra_completes_ternary_in_its_first_two_slots():
     doc = {"dim": 3, "binary": [], "ternary": [[1, 0, 2, 0, "2"]]}
     A = lyio.load_algebra(doc)
-    assert A.ternary[0][1][2][0] == -2 and A.ternary[1][0][2][0] == 2
+    d = nested(A.ternary)
+    assert d[0][1][2][0] == -2 and d[1][0][2][0] == 2
 
 
 def test_an_explicit_zero_entry_counts_as_listed():
@@ -55,14 +57,15 @@ def test_an_explicit_zero_entry_counts_as_listed():
         lyio.load_algebra(doc)
     # without the zero entry the listed orientation is completed
     A = lyio.load_algebra({"dim": 2, "binary": [[1, 0, 0, "1"]], "ternary": []})
-    assert A.binary[0][1][0] == -1
+    assert nested(A.binary)[0][1][0] == -1
 
 
 def test_duplicate_entries_sum():
     doc = {"dim": 2, "binary": [[0, 1, 0, "1"], [0, 1, 0, "1/2"]],
            "ternary": [[0, 1, 1, 1, "1"], [0, 1, 1, 1, "-1"]]}
     A = lyio.load_algebra(doc)
-    assert A.binary[0][1][0] == Fraction(3, 2) and A.binary[1][0][0] == Fraction(-3, 2)
+    c = nested(A.binary)
+    assert c[0][1][0] == Fraction(3, 2) and c[1][0][0] == Fraction(-3, 2)
     assert A.ternary.support == {}
 
 
@@ -70,25 +73,25 @@ def test_post_files_complete_dot_and_angle_only():
     doc = {"dim": 3, "dot": [[0, 1, 0, "1"]], "star": [[0, 1, 0, "1"]],
            "angle": [[0, 1, 2, 0, "1"]], "brace": [[0, 1, 2, 0, "1"]]}
     P = lyio.load_post(doc)
-    assert P.dot[1][0][0] == -1 and P.angle[1][0][2][0] == -1
-    assert P.star[1][0][0] == 0 and P.brace[1][0][2][0] == 0
+    assert nested(P.dot)[1][0][0] == -1 and nested(P.angle)[1][0][2][0] == -1
+    assert nested(P.star)[1][0][0] == 0 and nested(P.brace)[1][0][2][0] == 0
     # star and brace may list both orientations with unrelated values
     doc["star"] = [[0, 1, 0, "1"], [1, 0, 0, "1"]]
     doc["brace"] = [[0, 1, 2, 0, "1"], [1, 0, 2, 0, "1"], [2, 2, 2, 2, "1"]]
     P = lyio.load_post(doc)
-    assert P.star[1][0][0] == 1 and P.brace[2][2][2][2] == 1
+    assert nested(P.star)[1][0][0] == 1 and nested(P.brace)[2][2][2][2] == 1
 
 
 @pytest.mark.parametrize("value", ['0.5', '"1/2"', '"0.5"'])
 def test_json_numbers_read_as_their_decimal_strings(value, tmp_path):
     path = tmp_path / "algebra.json"
     path.write_text('{"dim": 2, "binary": [[0, 1, 0, %s]], "ternary": []}' % value)
-    assert lyio.load_algebra(str(path)).binary[0][1][0] == Fraction(1, 2)
+    assert nested(lyio.load_algebra(str(path)).binary)[0][1][0] == Fraction(1, 2)
 
 
 def test_a_json_float_is_its_decimal_string_not_its_binary_value():
     A = lyio.load_algebra({"dim": 2, "binary": [[0, 1, 0, 0.1]], "ternary": []})
-    assert A.binary[0][1][0] == Fraction(1, 10)
+    assert nested(A.binary)[0][1][0] == Fraction(1, 10)
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])

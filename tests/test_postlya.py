@@ -11,13 +11,14 @@ from lyalg.postlya import (PostLYAlgebra, check_post_axioms,
 from lyalg.rrb import descent_algebra
 
 from conftest import family_matrix
+from oracles import nested
 
 
 def test_zero_post_passes():
     A = zero_post(3)
     assert check_post_axioms(A).passed
     S = subadjacent(A)
-    assert all(all(all(c == 0 for c in S.binary[i][j]) for j in range(3))
+    assert all(all(all(c == 0 for c in nested(S.binary)[i][j]) for j in range(3))
                for i in range(3))
 
 
@@ -55,7 +56,7 @@ def test_induced_action_derived_matches(p3):
     # L(x)z = x * z columnwise
     for i in range(A.dim):
         for j in range(A.dim):
-            assert tuple(r.rho[i][t][j] for t in range(A.dim)) == A.star[i][j]
+            assert tuple(nested(r.rho)[i][t][j] for t in range(A.dim)) == nested(A.star)[i][j]
 
 
 def test_induced_post_family(adjoint_action, rng):

@@ -15,6 +15,7 @@ from lyalg.reps import RepAction, adjoint_rep, check_action, check_representatio
 from lyalg.rrb import HomPair, check_rrb_homomorphism, graph_subalgebra_check
 
 from conftest import fx
+from oracles import nested
 
 POOL = [F(-1), F(0), F(0), F(0), F(1), F(2)]
 
@@ -118,8 +119,8 @@ def perturbed_semidirect(rng):
     brackets moved off the axioms: sparse, so most tuples have no live term."""
     S = semidirect8()
     n = S.dim
-    c = [[list(v) for v in row] for row in S.binary]
-    d = [[[list(v) for v in row] for row in plane] for plane in S.ternary]
+    c = [[list(v) for v in row] for row in nested(S.binary)]
+    d = [[[list(v) for v in row] for row in plane] for plane in nested(S.ternary)]
     i, j = sorted(rng.sample(range(n), 2))
     c[i][j] = bump(rng, c[i][j])
     c[j][i] = [-x for x in c[i][j]]
@@ -134,8 +135,8 @@ def perturbed_adjoint(rng):
     """nilpotent4's adjoint representation with one rho and one mu entry moved."""
     A = nilpotent4()
     r = adjoint_rep(A)
-    rho = [[list(row) for row in M] for M in r.rho]
-    mu = [[[list(row) for row in M] for M in line] for line in r.mu]
+    rho = [[list(row) for row in M] for M in nested(r.rho)]
+    mu = [[[list(row) for row in M] for M in line] for line in nested(r.mu)]
     rho[rng.randrange(4)][rng.randrange(4)][rng.randrange(4)] += 1
     mu[rng.randrange(4)][rng.randrange(4)][rng.randrange(4)][rng.randrange(4)] -= 1
     return RepAction(A, A, rho, mu)
@@ -178,10 +179,10 @@ def perturb_post(rng, P):
     """``P`` with one star, one brace, one dot and one angle entry moved, dot
     and angle kept antisymmetric."""
     n = P.dim
-    dot = [[list(v) for v in row] for row in P.dot]
-    star = [[list(v) for v in row] for row in P.star]
-    angle = [[[list(v) for v in row] for row in plane] for plane in P.angle]
-    brace = [[[list(v) for v in row] for row in plane] for plane in P.brace]
+    dot = [[list(v) for v in row] for row in nested(P.dot)]
+    star = [[list(v) for v in row] for row in nested(P.star)]
+    angle = [[[list(v) for v in row] for row in plane] for plane in nested(P.angle)]
+    brace = [[[list(v) for v in row] for row in plane] for plane in nested(P.brace)]
     star[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += rng.choice([-1, 1, 2])
     brace[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += 1
     i, j = rng.sample(range(n), 2)

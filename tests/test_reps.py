@@ -6,16 +6,16 @@ from lyalg.errors import NotAnAction
 from lyalg.reps import (adjoint_rep, check_action, check_lemma_identities,
                         check_representation, semidirect_product)
 
-from oracles import col, mzero
+from oracles import col, mzero, nested
 
 
 def test_adjoint_is_representation(nilpotent4):
     r = adjoint_rep(nilpotent4)
     assert check_representation(r).passed
     # rho(e1) maps e2 to [e1, e2] = 2 e4
-    assert col(r.rho[0], 1) == (F(0), F(0), F(0), F(2))
+    assert col(nested(r.rho)[0], 1) == (F(0), F(0), F(0), F(2))
     # mu(e2, e1) maps e1 to <e1, e2, e1> = e4
-    assert col(r.mu[1][0], 0) == (F(0), F(0), F(0), F(1))
+    assert col(nested(r.mu)[1][0], 0) == (F(0), F(0), F(0), F(1))
 
 
 def test_derived_D_matches_definition(nilpotent4):
@@ -24,7 +24,7 @@ def test_derived_D_matches_definition(nilpotent4):
     for i in range(4):
         for j in range(4):
             for k in range(4):
-                assert col(r.derived_D[i][j], k) == nilpotent4.ternary[i][j][k]
+                assert col(nested(r.derived_D)[i][j], k) == nested(nilpotent4.ternary)[i][j][k]
 
 
 def test_lemma_identities(nilpotent4):
@@ -50,7 +50,7 @@ def test_loaded_action_matches_adjoint(nilpotent4, adjoint_action):
 def test_broken_representation_reports_equations(nilpotent4):
     # perturb rho(e3) to a non-central image: representation axioms break
     r = adjoint_rep(nilpotent4)
-    rho = list(r.rho)
+    rho = list(nested(r.rho))
     bad = [[F(0)] * 4 for _ in range(4)]
     bad[0][1] = F(1)
     rho[2] = tuple(tuple(row) for row in bad)
@@ -71,15 +71,15 @@ def test_semidirect_brackets(nilpotent4, adjoint_action):
     assert S.dim == 8 and S.verified
     n = 4
     # [g:e1, g:e2] = g:[e1,e2]
-    assert S.binary[0][1] == (F(0),) * 3 + (F(2),) + (F(0),) * 4
+    assert nested(S.binary)[0][1] == (F(0),) * 3 + (F(2),) + (F(0),) * 4
     # [g:e1, h:e2] = h:rho(e1)e2
-    assert S.binary[0][n + 1] == (F(0),) * 4 + tuple(
-        col(adjoint_action.rho[0], 1))
+    assert nested(S.binary)[0][n + 1] == (F(0),) * 4 + tuple(
+        col(nested(adjoint_action.rho)[0], 1))
     # <h:u, g:x, g:y> = h:mu(x,y)u
-    assert S.ternary[n + 0][0][1] == (F(0),) * 4 + tuple(
-        col(adjoint_action.mu[0][1], 0))
+    assert nested(S.ternary)[n + 0][0][1] == (F(0),) * 4 + tuple(
+        col(nested(adjoint_action.mu)[0][1], 0))
     # two carrier slots kill the ternary bracket
-    assert S.ternary[n + 0][n + 1][0] == (F(0),) * 8
+    assert nested(S.ternary)[n + 0][n + 1][0] == (F(0),) * 8
 
 
 def test_action_fails_for_noncentral_images():

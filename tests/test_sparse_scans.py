@@ -46,8 +46,8 @@ def assert_rep_matches(r):
 def moved(rng, r, count):
     """r with ``count`` random entries of rho and of mu moved by a nonzero amount."""
     n, m = r.acting.dim, r.carrier.dim
-    rho = [[list(row) for row in M] for M in r.rho]
-    mu = [[[list(row) for row in M] for M in line] for line in r.mu]
+    rho = [[list(row) for row in M] for M in oracles.nested(r.rho)]
+    mu = [[[list(row) for row in M] for M in line] for line in oracles.nested(r.mu)]
     for _ in range(count):
         rho[rng.randrange(n)][rng.randrange(m)][rng.randrange(m)] += rng.choice([-1, 1, 2])
         mu[rng.randrange(n)][rng.randrange(n)][rng.randrange(m)][rng.randrange(m)] += 1
@@ -104,10 +104,10 @@ def unit(n, i):
 
 
 def assert_D_matches(r):
-    n = r.acting.dim
+    n, D = r.acting.dim, oracles.nested(r.derived_D)
     for i in range(n):
         for j in range(n):
-            assert r.derived_D[i][j] == oracles.D_at(r, unit(n, i), unit(n, j)), (i, j)
+            assert D[i][j] == oracles.D_at(r, unit(n, i), unit(n, j)), (i, j)
 
 
 @pytest.mark.parametrize("n,m", [(0, 0), (0, 3), (1, 0), (1, 2), (2, 2), (2, 4), (3, 1),
@@ -352,7 +352,7 @@ def assert_capped_and_full(check, want, *args, **kwargs):
 def with_ternary_moved(A, *keys):
     """A with the last coordinate of <e_i, e_j, e_k> moved at each (i, j, k)
     of ``keys`` (kept antisymmetric in i, j)."""
-    d = [[[list(v) for v in row] for row in plane] for plane in A.ternary]
+    d = [[[list(v) for v in row] for row in plane] for plane in oracles.nested(A.ternary)]
     for i, j, k in keys:
         d[i][j][k][-1] += 1
         d[j][i][k] = [-x for x in d[i][j][k]]
@@ -361,8 +361,8 @@ def with_ternary_moved(A, *keys):
 
 def with_action_moved(r, i):
     """r with rho(e_i), mu(e_i, e_i) and mu(e_0, e_i) moved at entry (0, i)."""
-    rho = [[list(row) for row in M] for M in r.rho]
-    mu = [[[list(row) for row in M] for M in line] for line in r.mu]
+    rho = [[list(row) for row in M] for M in oracles.nested(r.rho)]
+    mu = [[[list(row) for row in M] for M in line] for line in oracles.nested(r.mu)]
     rho[i][0][i] += 1
     mu[i][i][0][i] -= 2
     mu[0][i][0][i] += 1

@@ -98,8 +98,10 @@ def test_an_unread_function_is_caught():
     assert unread_functions(library, readers) == [("m.py", 5, "unused")]
 
 
-# Structure tensors are stored as their support; the library reads that, and
-# only tests and oracles index the nested view.
+# Structure tensors are their support: the library reads that, and reads a
+# value with ``linalg.contract``.  A Tensor has no nested view to index; tests
+# and oracles build one with ``oracles.nested``.  The guard keeps library code
+# from subscripting a tensor attribute all the same.
 TENSOR_ATTRIBUTES = {"binary", "ternary", "rho", "mu", "derived_D", "dot", "star", "angle",
                      "brace", "brace_D", "sub_binary", "sub_ternary"}
 
@@ -127,3 +129,27 @@ def test_an_indexed_structure_tensor_is_caught():
                "    return A.binary.support[0, 1], t[0], A.name[0]\n")
     assert tensor_subscripts({"m.py": snippet}) == [("m.py", 2, "binary"),
                                                     ("m.py", 3, "derived_D")]
+
+
+def library_imports(text):
+    """(line, module) of each import of the library in the source ``text``."""
+    out = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        out += [(node.lineno, n) for n in names if n.split(".")[0] == "lyalg"]
+    return out
+
+
+def test_oracles_import_nothing_from_the_library():
+    with open(os.path.join(ROOT, "tests", "oracles.py"), encoding="utf-8") as fh:
+        assert library_imports(fh.read()) == []
+
+
+def test_a_library_import_is_caught():
+    snippet = "import os\nimport lyalg.linalg\nfrom lyalg import io\nfrom fractions import F\n"
+    assert library_imports(snippet) == [(2, "lyalg.linalg"), (3, "lyalg")]

@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -12,46 +13,69 @@ import lyalg as L
 from lyalg.errors import DimMismatch
 from lyalg.linalg import Tensor, contract, dense
 from lyalg import io as lyio
-from lyalg.reps import RepAction, check_action, check_representation
+from lyalg.postlya import PostLYAlgebra
+from lyalg.reps import RepAction, adjoint_rep, check_action, check_representation
 from lyalg.rrb import check_rrb
 
 import oracles
 from conftest import fx
-from oracles import mzero
+from oracles import mzero, nested
 
 POOL = [F(-1), F(0), F(0), F(0), F(1), F(1, 2)]
 
 
-def nested(rng, *shape):
+def random_values(rng, *shape):
     if not shape:
         return rng.choice(POOL)
-    return [nested(rng, *shape[1:]) for _ in range(shape[0])]
+    return [random_values(rng, *shape[1:]) for _ in range(shape[0])]
 
 
 def test_tensor_indexes_as_nested_tuples_and_keeps_its_support():
     rng = random.Random(7)
-    raw = nested(rng, 3, 3, 2)
+    raw = random_values(rng, 3, 3, 2)
     t = Tensor(raw, 3, 2, (2,))
-    assert t == tuple(tuple(tuple(v) for v in row) for row in raw)
-    assert t[1][2] == tuple(raw[1][2])
+    assert not isinstance(t, tuple)
+    assert nested(t) == tuple(tuple(tuple(v) for v in row) for row in raw)
+    assert nested(t)[1][2] == tuple(raw[1][2])
     assert list(t.support) == [(i, j) for i in range(3) for j in range(3) if any(raw[i][j])]
-    assert all(dense(t.support[i, j], t.shape) == t[i][j] for i, j in t.support)
+    assert all(dense(t.support[i, j], t.shape) == nested(t)[i][j] for i, j in t.support)
     for u in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
         assert u == t and u.support == t.support and u.shape == t.shape
+        assert not isinstance(u, tuple)
+    # equality is value equality: dim, arity, shape and support
+    assert t == Tensor(nested(t), 3, 2, (2,))
+    assert t != Tensor.from_support(t.support, 3, 2, (3,))
+    assert t != Tensor.from_support(t.support, 4, 2, (2,))
+    assert t != nested(t)
+
+
+def test_from_support_cost_follows_the_support():
+    """A dim-32 matrix-valued binary tensor with 128 nonzero keys: a dense
+    view would hold 1024 values of 32 x 32 entries."""
+    n = 32
+    table = {(i, (7 * i + k) % n): {(k, i): F(1)} for i in range(n) for k in range(4)}
+    tracemalloc.start()
+    try:
+        t = Tensor.from_support(table, n, 2, (n, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert len(t.support) == 128 and not isinstance(t, tuple)
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 2)])
 def test_contract_matches_the_dense_sum(shape):
     rng = random.Random(11)
-    t = Tensor(nested(rng, 3, 3, 3, *shape), 3, 3, shape)
+    t = Tensor(random_values(rng, 3, 3, 3, *shape), 3, 3, shape)
     for _ in range(20):
-        x, y, z = (tuple(nested(rng, 3)) for _ in range(3))
-        want = oracles.ev(t, x, y, z)
+        x, y, z = (tuple(random_values(rng, 3)) for _ in range(3))
+        want = oracles.ev(nested(t), x, y, z)
         assert contract(t, x, y, z) == want
         # a basis index in a slot is the same as the basis vector there
         e1 = tuple(F(int(s == 1)) for s in range(3))
-        assert contract(t, x, 1, z) == oracles.ev(t, x, e1, z)
-        assert contract(t, 2, 0, 1) == t[2][0][1]
+        assert contract(t, x, 1, z) == oracles.ev(nested(t), x, e1, z)
+        assert contract(t, 2, 0, 1) == nested(t)[2][0][1]
 
 
 def test_contract_rejects_wrong_lengths_and_arity():
@@ -62,6 +86,68 @@ def test_contract_rejects_wrong_lengths_and_arity():
         contract(t, 0)
     with pytest.raises(DimMismatch):
         Tensor([[(F(1),)] * 2] * 2, 2, 2, (2,))
+
+
+def levels_off(values, drop):
+    """Nested values with their last innermost index level made one entry
+    longer or, with ``drop``, one entry shorter."""
+    out = copy.deepcopy(values)
+    level = out
+    while isinstance(level[-1], list) and isinstance(level[-1][-1], list):
+        level = level[-1]
+    if drop:
+        level.pop()
+    else:
+        level.append(copy.deepcopy(level[-1]))
+    return out
+
+
+@pytest.mark.parametrize("drop", [False, True])
+def test_every_index_level_must_have_dim_entries(drop):
+    zero2 = [[[F(0)] * 2 for _ in range(2)] for _ in range(2)]
+    zero3 = [[[[F(0)] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
+    # [e1, e2] = e1, and a third row of brackets, with a nonzero bracket in it,
+    # that a dim-2 algebra has no room for
+    binary = copy.deepcopy(zero2)
+    binary[0][1], binary[1][0] = [F(1), F(0)], [F(-1), F(0)]
+    rows3 = binary + [[[F(1), F(0)], [F(0), F(0)]]]
+    with pytest.raises(DimMismatch):
+        L.LYAlgebra(2, rows3[:1] if drop else rows3, zero3)
+    with pytest.raises(DimMismatch):
+        L.LYAlgebra(2, binary, levels_off(zero3, drop))
+    for k in range(4):
+        ops = [zero2, zero2, zero3, zero3]
+        ops[k] = levels_off(ops[k], drop)
+        with pytest.raises(DimMismatch):
+            PostLYAlgebra(2, *ops)
+    A = L.abelian(2)
+    rho = [[[F(0)] * 2 for _ in range(2)] for _ in range(2)]
+    mu = [copy.deepcopy(rho) for _ in range(2)]
+    RepAction(A, A, rho, mu)
+    with pytest.raises(DimMismatch):
+        RepAction(A, A, rho[:1] if drop else rho + rho[:1], mu)
+    with pytest.raises(DimMismatch):
+        RepAction(A, A, rho, [mu[0], mu[1][:1] if drop else mu[1] + mu[1][:1]])
+
+
+def test_a_tensor_of_another_signature_is_refused(nilpotent4):
+    A, r = nilpotent4, adjoint_rep(nilpotent4)
+    for values, dim, arity, shape in ((A.binary, 4, 3, (4,)), (A.binary, 3, 2, (3,)),
+                                      (A.binary, 4, 2, (3,)), (r.rho, 4, 1, (4, 3))):
+        with pytest.raises(DimMismatch):
+            Tensor(values, dim, arity, shape)
+    with pytest.raises(DimMismatch):
+        L.LYAlgebra(4, A.binary, A.binary)
+    with pytest.raises(DimMismatch):
+        L.LYAlgebra(3, L.abelian(4).binary, L.abelian(3).ternary)
+    with pytest.raises(DimMismatch):
+        PostLYAlgebra(4, A.binary, A.binary, A.ternary, A.binary)
+    with pytest.raises(DimMismatch):
+        RepAction(A, A, r.mu, r.mu)
+    with pytest.raises(DimMismatch):
+        RepAction(A, A, r.rho, r.rho)
+    with pytest.raises(DimMismatch):
+        RepAction(A, L.abelian(3), r.rho, r.mu)
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -78,7 +164,7 @@ def test_action_of_a_zero_dim_algebra():
     r = RepAction(L.abelian(0), L.abelian(2), [], [])
     assert contract(r.rho, ()) == mzero(2, 2)
     assert contract(r.mu, (), ()) == mzero(2, 2) == contract(r.derived_D, (), ())
-    assert r.derived_D == ()
+    assert nested(r.derived_D) == ()
     assert check_representation(r).passed
     rep = check_action(r)
     assert rep.passed and rep.data == {"center_dim": 2}
@@ -90,7 +176,7 @@ def test_action_on_a_zero_dim_carrier():
     x, y = (F(1), F(0)), (F(0), F(1))
     assert contract(r.rho, x) == () and contract(r.mu, x, y) == ()
     assert contract(r.derived_D, x, y) == ()
-    assert r.derived_D == (e, e)
+    assert nested(r.derived_D) == (e, e)
     assert check_representation(r).passed
     rep = check_action(r)
     assert rep.passed and rep.data == {"center_dim": 0}
@@ -142,7 +228,7 @@ def test_from_support_agrees_with_the_nested_constructor(dim, arity, shape):
         slots = [tuple(rng.choice(POOL) for _ in range(dim)) for _ in range(arity)]
         assert contract(a, *slots) == contract(b, *slots)
         if dim:
-            assert contract(a, *slots) == oracles.ev(b, *slots)
+            assert contract(a, *slots) == oracles.ev(nested(b), *slots)
     for u in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert u == b and list(u.support.items()) == list(b.support.items())
         assert (u.dim, u.arity, u.shape) == (dim, arity, shape)
