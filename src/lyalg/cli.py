@@ -156,7 +156,7 @@ def _cmd_cohomology(args, fmt):
     if args.degree < 1:
         raise FormatError("cohomology degrees start at 1")
     cx = TComplex(lyio.load_operator(args.op))
-    # the witnesses first: they build the echelons that the dims then read
+    # the witnesses first: the dims then read the echelons they built, tagged for Z^p
     coords = [_coordinates(c) for c in cx.cohomology_witnesses(args.degree)] \
         if args.witness else None
     z, b, h = cx.cohomology_dims(args.degree)

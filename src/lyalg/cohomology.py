@@ -34,12 +34,12 @@ composites X_k o X_l are tabulated once per complex from their supports
 (``linalg.Tensor.support``), keyed by the slot that reads them, so an output
 block that receives nothing is never visited.  Constants whose denominator is
 1 are read as ints, so integral data is assembled with no Fraction
-arithmetic.  A matrix (``SparseMat``) keeps the columns as they were emitted,
-and its column echelon reads them as they are; delta of one cochain reads
-only the columns in its support.  A cochain is its support {flat index: q},
-which a matrix applies to (``SparseMat.apply``), the elimination returns as a
-witness, and transport pulls back and pushes forward slot by slot
-(``pushforward_cochain``).
+arithmetic.  A matrix (``SparseMat``) keeps the columns as they were emitted;
+its one echelon reads them as they are, tagged once a kernel or a solve is
+asked, and delta of one cochain reads only the columns in its support.  A
+cochain is its support {flat index: q}, which a matrix applies to
+(``SparseMat.apply``), a kernel returns as a witness, and transport pulls
+back and pushes forward slot by slot (``pushforward_cochain``).
 
 The operator's own data, the descent algebra and the induced representation
 (rho_T, mu_T, D_T), is tabulated in the same way: the supports are pulled back
@@ -52,8 +52,8 @@ import itertools
 from collections.abc import Mapping
 
 from .errors import AxiomsFailed, DimMismatch, ShapeMismatch, TooLarge
-from .linalg import (Q0, Q1, Echelon, Tensor, axpy, dense, frac, invert, matrix_values, pull,
-                     push, solve, sparse_map, vector_values)
+from .linalg import (Q0, Q1, Tensor, axpy, column_echelon, dense, frac, invert, matrix_values,
+                     pull, push, sparse_map, vector_values)
 from .reps import RepAction
 
 
@@ -63,10 +63,10 @@ from .reps import RepAction
 class SparseMat:
     """A rows x cols rational matrix stored by its columns, ``columns[c]`` =
     {row: value} over the nonzero entries, each value an int or a Fraction.
-    ``data`` reads the same entries as {(r, c): value}.  The echelon forms
-    of its nonzero rows and of its nonzero columns are each built once, when
-    first needed, and ``add`` drops both; the rank is read from either one
-    already built, or else from the narrow side."""
+    ``data`` reads the same entries as {(r, c): value}.  One echelon of the
+    columns is built when first needed, and ``add`` drops it: without tags
+    for ``rank`` alone, and with tags (``linalg.column_echelon``) the first
+    time ``nullspace`` or ``solve`` asks, which every later question reads."""
 
     def __init__(self, rows, cols, data=None):
         self.rows = rows
@@ -75,7 +75,7 @@ class SparseMat:
         for (r, c), v in (data or {}).items():
             if v:
                 self.columns[c][r] = v
-        self._ech = self._col_ech = None
+        self._ech = None
 
     @classmethod
     def from_columns(cls, rows, columns):
@@ -91,7 +91,7 @@ class SparseMat:
     def add(self, r, c, v):
         if v == 0:
             return
-        self._ech = self._col_ech = None
+        self._ech = None
         col = self.columns[c]
         new = col.get(r, 0) + v
         if new == 0:
@@ -108,45 +108,31 @@ class SparseMat:
             axpy(out, x, self.columns[c])
         return {r: frac(q) for r, q in out.items()}
 
-    def row_dicts(self):
-        """One {col: value} dict per row; zero rows give empty dicts."""
-        rows = [{} for _ in range(self.rows)]
-        for c, col in enumerate(self.columns):
-            for r, v in col.items():
-                rows[r][c] = v
-        return rows
-
     def nonzero_rows(self):
-        return [tuple(frac(d[c]) if c in d else Q0 for c in range(self.cols))
-                for d in self.row_dicts() if d]
+        """The nonzero rows, in order, as dense tuples."""
+        return [tuple(frac(col[r]) if r in col else Q0 for col in self.columns)
+                for r in sorted(set().union(*self.columns))]
 
-    def _echelon(self):
-        if self._ech is None:
-            self._ech = Echelon(d for d in self.row_dicts() if d)
+    def column_echelon(self, tags=False):
+        """The echelon of the columns, tagged if ``tags`` asks or it was built so."""
+        if self._ech is None or tags and self._ech.width is None:
+            self._ech = column_echelon(self.columns, self.rows, tags)
         return self._ech
 
-    def column_echelon(self):
-        """The echelon form of the columns, in the coordinates of the rows."""
-        if self._col_ech is None:
-            self._col_ech = Echelon(d for d in self.columns if d)
-        return self._col_ech
-
     def rank(self):
-        ech = self._ech or self._col_ech
-        if ech is None:
-            ech = self.column_echelon() if self.rows > self.cols else self._echelon()
-        return ech.rank
+        return self.column_echelon().rank
 
     def nullity(self):
         return self.cols - self.rank()
 
     def nullspace(self):
-        """A kernel basis, one sparse vector {col: q} per free column."""
-        return self._echelon().nullspace(self.cols)
+        """The canonical kernel basis, one sparse vector {col: q} per free column."""
+        return self.column_echelon(tags=True).kernel()
 
     def solve(self, b):
-        """Some x with self . x = b (free coordinates 0); raises Inconsistent."""
-        return solve(self.row_dicts(), b, ncols=self.cols)
+        """Some x with self . x = b for a sparse b {row: q}, free coordinates
+        0; raises Inconsistent, or ShapeMismatch for an index outside the rows."""
+        return self.column_echelon(tags=True).solve(b, self.cols)
 
 
 class _Entries(Mapping):
@@ -679,10 +665,9 @@ class TComplex:
         matrix out of degree p - 1, an elimination keeps each Z^p basis
         vector, in order, that is independent of everything kept before it.
         """
-        kernel = self.matrix(p).nullspace()
         span = self.matrix(p - 1).column_echelon().copy()
-        chosen = [v for v in kernel if span.insert(v)]
-        return [Cochain.from_support(p, self.m, self.n, v) for v in chosen]
+        return [Cochain.from_support(p, self.m, self.n, v)
+                for v in self.matrix(p).nullspace() if span.insert(v)]
 
 
 def pushforward_cochain(pair, c):

@@ -1,10 +1,10 @@
 """Exact rational linear algebra.
 
 Scalars are ``fractions.Fraction`` (always reduced, positive denominator).
-Vectors are tuples of Fraction; matrices are tuples of row tuples.  The
-elimination routine also takes sparse rows, dicts {column: Fraction or int}; it
-works fraction-free on primitive integer rows inside, takes a row of ints as
-it is, and hands back Fractions.
+Vectors are tuples of Fraction; matrices are tuples of row tuples.  The one
+elimination routine takes dense or sparse rows, {column: Fraction or int},
+works fraction-free on primitive integer rows, and hands back Fractions;
+every kernel and solve feeds it the columns of a matrix, each with a tag.
 Structure tensors (``Tensor``) are their support, the nonzero vector or
 matrix values as sparse dicts.  ``contract`` evaluates them at vectors and
 basis indices; every equation is tabulated from the supports as one sparse
@@ -22,7 +22,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import AmbientMismatch, DimMismatch, Inconsistent, NotInvertible
+from .errors import AmbientMismatch, DimMismatch, Inconsistent, NotInvertible, ShapeMismatch
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -77,10 +77,10 @@ class Tensor:
     ``support`` maps each index tuple whose value is nonzero to that value as
     a sparse dict, {r: q} for a vector and {(r, c): q} for a matrix; keys are
     in lexicographic order and entries in ascending order, and callers never
-    change the table in place.  Built from nested values, values[i]...[k] at
-    (e_i, ..., e_k) with dim entries at every index level, or, inside the
-    library, from a support table by ``from_support``; a Tensor of the same
-    dim, arity and shape is taken as it is.  Equal when all four are equal.
+    change the table in place.  Built from nested lists or tuples, dim entries
+    at every index level and values[i]...[k] at (e_i, ..., e_k) of the value's
+    shape, else DimMismatch; inside the library, from a support table by
+    ``from_support``.  A Tensor of the same dim, arity and shape is taken as it is.
     """
 
     def __new__(cls, values, dim, arity, shape):
@@ -89,23 +89,18 @@ class Tensor:
                 return values
             raise DimMismatch("a tensor of dim, arity, shape %s where %s is needed" % (
                 (values.dim, values.arity, values.shape), (dim, arity, shape)))
-        table = {}
-        vec = len(shape) == 1
+        sizes, table = (dim,) * arity + shape, {}
 
         def walk(v, key):
-            if len(key) < arity:
-                if len(v) != dim:
-                    raise DimMismatch("%d entries at an index level of dim %d" % (len(v), dim))
+            seq = isinstance(v, (list, tuple))
+            if len(key) == len(sizes) and not seq:
+                table.setdefault(key[:arity], {})[key[arity:] if shape[1:] else key[-1]] = frac(v)
+            elif len(key) == len(sizes) or not seq or len(v) != sizes[len(key)]:
+                what = "%d entries" % len(v) if seq else "a scalar"
+                raise DimMismatch("%s at depth %d of values nested %s" % (what, len(key), sizes))
+            else:
                 for i, w in enumerate(v):
                     walk(w, key + (i,))
-                return
-            rows = mat([v] if vec else v)
-            if len(rows) != (1 if vec else shape[0]) \
-                    or any(len(row) != shape[-1] for row in rows):
-                raise DimMismatch("tensor values must have shape %s"
-                                  % "x".join(map(str, shape)))
-            table[key] = {c if vec else (r, c): x
-                          for r, row in enumerate(rows) for c, x in enumerate(row)}
         walk(values, ())
         return cls.from_support(table, dim, arity, shape)
 
@@ -419,13 +414,15 @@ def dense(x, shape):
 # elimination
 #
 # Every rank, kernel, solve and subspace below goes through one sparse
-# row-echelon routine, fraction-free: a row is scaled to integers once, by the
-# lcm of its denominators, and every row it keeps is primitive, {column: int}
-# with content 1 and a positive entry at its pivot, the smallest column it
-# touches.  No two stored rows share a pivot, so the pivots are the leftmost
-# possible ones, and after back-substitution each row divided by its pivot
-# entry is a row of the canonical reduced echelon form of the span, whatever
-# the order the rows came in.
+# echelon routine, fraction-free: a row is scaled to integers once, by the lcm
+# of its denominators, and every row it keeps is primitive, {column: int} with
+# content 1 and a positive entry at its pivot, the smallest column it touches,
+# so the pivots are the leftmost possible ones; back-substituted, the rows
+# give the canonical reduced echelon form of the span, whatever their order.
+# A kernel or a solve feeds it the columns of a matrix, column c tagged by one
+# more entry at width + c that is never a pivot (``column_echelon``): a column
+# that depends on the earlier ones is left with tags only, its dependency on
+# the earlier pivot columns, the canonical kernel vector at that free column.
 
 def _as_dict(row):
     if isinstance(row, dict):
@@ -482,20 +479,23 @@ class Echelon:
     ``insert`` adds a row (a dict {col: value} or a dense sequence of ints or
     Fractions) and reports whether it was independent of the rows before it.
     ``items`` back-substitutes on demand and returns the canonical reduced
-    echelon basis in Fractions, kept until the next ``insert``.
+    echelon basis in Fractions, kept until the next ``insert``.  Columns from
+    ``width`` on are tags, never pivots; a row left with tags only is kept for ``kernel``.
     """
 
-    def __init__(self, rows=()):
+    def __init__(self, rows=(), width=None):
+        self.width = width
         self._rows = {}            # pivot column -> primitive row, row[pivot] > 0
         self._basis = None         # the cached ``items``
+        self._deps = []            # the rows inserted as dependent, tags only
         for row in rows:
             self.insert(row)
 
     def copy(self):
         """An independent echelon of the same rows; stored rows are never
         changed in place, so they are shared."""
-        new = Echelon()
-        new._rows, new._basis = dict(self._rows), self._basis
+        new = Echelon(width=self.width)
+        new._rows, new._basis, new._deps = dict(self._rows), self._basis, list(self._deps)
         return new
 
     @property
@@ -528,9 +528,34 @@ class Echelon:
         if not r:
             return False
         c = min(r)
+        if self.width is not None and c >= self.width:
+            self._deps.append(r)
+            return False
         self._rows[c] = r if r[c] > 0 else {k: -v for k, v in r.items()}
         self._basis = None
         return True
+
+    def kernel(self):
+        """The tags of each dependent row, in order, as {tag - width: q} with
+        1 at its own tag, the largest."""
+        return [self._dependency(r) for r in self._deps]
+
+    def _dependency(self, r):
+        w, d = self.width, r[max(r)]
+        return {k - w: Fraction(v, d) for k, v in r.items()}
+
+    def solve(self, b, ncols):
+        """Some x with M . x = b, M the matrix of this tagged column echelon
+        and b sparse {row: q}: the kernel vector of [M | b] at b, negated, so
+        free coordinates are 0.  Else Inconsistent, with the ranks of M, [M | b]."""
+        w = self.width
+        if b and not 0 <= min(b) <= max(b) < w:
+            raise ShapeMismatch("right-hand side index outside the %d rows" % w)
+        r = self.reduce({**b, w + ncols: 1})
+        if min(r) < w:
+            raise Inconsistent("rhs outside column space", self.rank, self.rank + 1)
+        x = self._dependency(r)
+        return tuple(-x.get(c, Q0) for c in range(ncols))
 
     def items(self):
         """The reduced echelon basis as (pivot, row dict), pivots increasing,
@@ -557,23 +582,15 @@ class Echelon:
     def dense_rows(self, ncols):
         return tuple(tuple(row.get(c, Q0) for c in range(ncols)) for _, row in self.items())
 
-    def nullspace(self, ncols):
-        """Kernel basis of the rows in Q^ncols, one sparse vector {col: q} per
-        free column."""
-        hits = {}
-        for pc, row in self.items():
-            for c, v in row.items():
-                if c != pc:
-                    hits.setdefault(c, []).append((pc, v))
-        basis = []
-        for c in range(ncols):
-            if c in self._rows:
-                continue
-            v = {c: Q1}
-            for pc, val in hits.get(c, ()):
-                v[pc] = -val
-            basis.append(v)
-        return basis
+
+def column_echelon(columns, width, tags=False):
+    """The echelon of the sparse ``columns`` {row: value}, rows below
+    ``width``; with ``tags``, column c carries the tag width + c, so that
+    ``kernel`` gives one vector per free column, in order: the canonical
+    kernel basis of the matrix."""
+    if tags:
+        return Echelon(({**col, width + c: 1} for c, col in enumerate(columns)), width)
+    return Echelon(col for col in columns if col)
 
 
 def rref(rows):
@@ -585,42 +602,38 @@ def rref(rows):
     return red + ((Q0,) * nc,) * (nr - len(red)), ech.pivots
 
 
+def _tagged(rows, ncols):
+    """The tagged column echelon (``column_echelon``) of the matrix with these
+    dense or sparse rows, and its column count, read off a row when None."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, v in _as_dict(row).items():
+            columns[c][i] = v
+    return column_echelon(columns, len(rows), True), ncols
+
+
 def nullspace_basis(rows, ncols=None):
     """Vectors spanning {v : rows . v = 0}; one per free column.
 
     Sparse (dict) rows need ``ncols``.
     """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    return [dense(v, (ncols,)) for v in Echelon(rows).nullspace(ncols)]
+    ech, ncols = _tagged(rows, ncols)
+    return [dense(v, (ncols,)) for v in ech.kernel()]
 
 
 def solve(rows, b, ncols=None):
-    """Some x with rows . x = b (dense or sparse {row: q}); raises
-    Inconsistent, with the ranks of the rows without and with b, when there
-    is none.  One elimination of the rows with b as one more column.
-
-    The free coordinates of x are 0.  Sparse (dict) rows need ``ncols``.
+    """Some x with rows . x = b (dense or sparse {row: q}), free coordinates
+    0 (``Echelon.solve``); raises Inconsistent, with the ranks of the rows
+    without and with b, when there is none.  Sparse rows need ``ncols``.
     """
-    nr = len(rows)
     if not isinstance(b, dict):
-        if len(b) != nr:
-            raise DimMismatch("rhs length %d != %d rows" % (len(b), nr))
+        if len(b) != len(rows):
+            raise DimMismatch("rhs length %d != %d rows" % (len(b), len(rows)))
         b = _as_dict(b)
-    if ncols is None:
-        ncols = len(rows[0]) if nr else 0
-    ech = Echelon()
-    for i, row in enumerate(rows):
-        row = _as_dict(row)
-        if b.get(i):
-            row[ncols] = b[i]
-        ech.insert(row)
-    if ncols in ech._rows:
-        raise Inconsistent("rhs outside column space", ech.rank - 1, ech.rank)
-    x = [Q0] * ncols
-    for pc, row in ech.items():
-        x[pc] = row.get(ncols, Q0)
-    return tuple(x)
+    ech, ncols = _tagged(rows, ncols)
+    return ech.solve(b, ncols)
 
 
 def invert(m):

@@ -12,7 +12,7 @@ from lyalg.cohomology import (Cochain, SparseMat, TComplex,
                               yamaguti_coboundary)
 from lyalg.cli import run
 from lyalg import cohomology
-from lyalg.errors import DimMismatch, ShapeMismatch, TooLarge
+from lyalg.errors import DimMismatch, Inconsistent, ShapeMismatch, TooLarge
 from lyalg.linalg import mat_id
 from lyalg.reps import adjoint_rep
 from lyalg.rrb import HomPair, descent_algebra
@@ -38,12 +38,79 @@ def test_sparse_mat_against_dense():
 
 
 def test_add_drops_both_echelons():
-    # 3 x 2: the rank is read from the columns and the kernel from the rows
+    # 3 x 2: the rank is read from the untagged column echelon, the kernel
+    # from the tagged one that replaces it, and add drops whichever is kept
     c = SparseMat(3, 2, {(0, 0): F(1), (1, 0): F(2)})
     assert c.rank() == 1 and c.nullspace() == [{1: F(1)}]
     c.add(2, 1, F(5))
     assert c.rank() == 2 == o_rank(oracles.o_dense(c))
     assert c.nullspace() == []
+
+
+def seeded_sparse_mats(seed):
+    """Seeded sparse matrices, tall, wide, square and empty, with int and
+    non-integral entries; from three columns on, column 1 is zero and the
+    last one a combination of columns 0 and 2, so the rank drops."""
+    rng = random.Random(seed)
+    pool = [1, -1, 2, F(1, 3), F(-5, 2)]
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (8, 3), (3, 8), (5, 5), (9, 4), (4, 9), (6, 6)):
+        for density in (0.2, 0.5, 0.9):
+            columns = [{r: rng.choice(pool) for r in range(rows) if rng.random() < density}
+                       for _ in range(cols)]
+            if cols >= 3:
+                columns[1] = {}
+                mix = {r: 2 * columns[0].get(r, 0) - columns[2].get(r, 0)
+                       for r in set(columns[0]) | set(columns[2])}
+                columns[-1] = {r: q for r, q in mix.items() if q}
+            yield SparseMat.from_columns(rows, columns)
+
+
+def assert_sparse_mat_matches_oracle(m, rng):
+    dense = oracles.o_dense(m)
+    rank = o_rank(dense)
+    assert m.rank() == rank and m.nullity() == m.cols - rank
+    assert m.column_echelon().width is None         # a rank alone takes no tags
+    kernel = m.nullspace()
+    assert [tuple(v.get(c, 0) for c in range(m.cols)) for v in kernel] == \
+        oracles.o_nullspace(dense, m.cols)
+    assert all(type(q) is F for v in kernel for q in v.values())
+    assert m.rank() == rank and m.column_echelon().width == m.rows
+    pivots = oracles.o_rref(dense)[1]
+    x0 = {c: rng.choice([F(1), F(-2), F(3, 4)]) for c in range(m.cols) if rng.random() < 0.5}
+    for b in (m.apply(x0), {r: F(rng.randint(-2, 2), 3) for r in range(m.rows)}):
+        b = {r: q for r, q in b.items() if q}
+        want = tuple(b.get(r, 0) for r in range(m.rows))
+        if oracles.o_in_column_space(dense, want):
+            x = m.solve(b)
+            assert len(x) == m.cols and oracles.mv(dense, x) == want
+            assert all(x[c] == 0 for c in range(m.cols) if c not in pivots)
+        else:
+            with pytest.raises(Inconsistent) as err:
+                m.solve(b)
+            assert (err.value.rank, err.value.rank_augmented) == \
+                (rank, o_rank([row + (q,) for row, q in zip(dense, want)]))
+
+
+def test_sparse_mat_rank_kernel_and_solve_match_oracle():
+    rng = random.Random(1801)
+    for m in seeded_sparse_mats(1801):
+        assert_sparse_mat_matches_oracle(m, rng)
+        if m.rows and m.cols:
+            # add drops the tagged echelon, and every answer follows the new entries
+            m.add(rng.randrange(m.rows), rng.randrange(m.cols), F(7, 2))
+            m.add(rng.randrange(m.rows), 0, 1)
+            assert_sparse_mat_matches_oracle(m, rng)
+
+
+def test_solve_refuses_a_right_hand_side_outside_the_rows(p3):
+    d = cohomology.partial_matrix(p3)
+    assert (d.rows, d.cols) == (16, 6)
+    for b in ({21: 1}, {-1: 1}, {16: F(1)}, {0: F(0), 16: F(1)}):
+        with pytest.raises(ShapeMismatch):
+            d.solve(b)
+    with pytest.raises(ShapeMismatch):
+        TComplex(p3).matrix(1).solve({10 ** 6: 1})
+    assert d.solve({}) == (F(0),) * 6
 
 
 def test_sparse_cancellation():
@@ -424,6 +491,19 @@ def test_cohomology_witnesses(tcomplex):
     assert len(ws) == 12
     for w in ws:
         assert w.support and not tcomplex.matrix(1).apply(w.support)
+
+
+def test_witnesses_taken_degree_after_degree_match_fresh_complexes(p3):
+    # on one complex, H^2's witnesses are seeded by the echelon of delta^1
+    # that H^1's kernel built with tags, and so on up: the tagged seed must
+    # keep reading its tags as tags
+    cx = TComplex(p3)
+    for p, count in ((1, 12), (2, 64), (3, 256)):
+        got = [w.support for w in cx.cohomology_witnesses(p)]
+        seed = cx.matrix(p - 1)
+        assert seed.column_echelon().width == (None if p == 1 else seed.rows)
+        assert len(got) == count
+        assert got == [w.support for w in TComplex(p3).cohomology_witnesses(p)]
 
 
 def test_zero_cochain_map_is_cocycle(tcomplex, nilpotent4):

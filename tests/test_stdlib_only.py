@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import sys
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "lyalg")
@@ -153,3 +154,31 @@ def test_oracles_import_nothing_from_the_library():
 def test_a_library_import_is_caught():
     snippet = "import os\nimport lyalg.linalg\nfrom lyalg import io\nfrom fractions import F\n"
     assert library_imports(snippet) == [(2, "lyalg.linalg"), (3, "lyalg")]
+
+
+def syntax_errors(sources_by_path, version):
+    """(file, line, message) of each source that does not parse as Python
+    ``version``, a (major, minor) pair."""
+    out = []
+    for path, text in sources_by_path.items():
+        try:
+            ast.parse(text, path, feature_version=version)
+        except SyntaxError as e:
+            out.append((os.path.basename(path), e.lineno, e.msg))
+    return sorted(out)
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        floor = re.search(r'requires-python\s*=\s*">=(\d+)\.(\d+)"', fh.read())
+    version = (int(floor.group(1)), int(floor.group(2)))
+    assert version == (3, 10)
+    found = sources(os.path.join("src", "lyalg"), "tests", "perfbench")
+    assert sum(os.sep + "lyalg" + os.sep in p for p in found) >= 10 and len(found) > 20
+    assert syntax_errors(found, version) == []
+
+
+def test_newer_syntax_is_caught():
+    groups = "try:\n    pass\nexcept* ValueError:\n    pass\n"       # 3.11
+    assert [f for f, _, _ in syntax_errors({"m.py": groups, "ok.py": "x = 1\n"}, (3, 10))] \
+        == ["m.py"]

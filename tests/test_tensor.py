@@ -130,6 +130,47 @@ def test_every_index_level_must_have_dim_entries(drop):
         RepAction(A, A, rho, [mu[0], mu[1][:1] if drop else mu[1] + mu[1][:1]])
 
 
+def nest(sizes):
+    """Zero values nested as lists with the given entry count per level."""
+    return [nest(sizes[1:]) for _ in range(sizes[0])] if sizes else F(0)
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_values_one_level_too_deep_or_too_shallow_are_refused(off):
+    """A nested value one level too deep (a sequence where a rational is
+    due) or too shallow (a rational where a sequence is due) is refused with
+    DimMismatch, for vector- and matrix-valued tensors and their users."""
+    def wrong(*sizes):
+        return nest(sizes + (2,) if off > 0 else sizes[:-1])
+
+    for arity in (1, 2, 3):
+        for shape in ((2,), (2, 2)):
+            sizes = (2,) * arity + shape
+            assert Tensor(nest(sizes), 2, arity, shape).support == {}
+            with pytest.raises(DimMismatch):
+                Tensor(wrong(*sizes), 2, arity, shape)
+    binary, ternary = nest((2, 2, 2)), nest((2, 2, 2, 2))
+    L.LYAlgebra(2, binary, ternary)
+    with pytest.raises(DimMismatch):
+        L.LYAlgebra(2, wrong(2, 2, 2), ternary)
+    with pytest.raises(DimMismatch):
+        L.LYAlgebra(2, binary, wrong(2, 2, 2, 2))
+    ops = [binary, binary, ternary, ternary]
+    PostLYAlgebra(2, *ops)
+    for k in range(4):
+        bad = list(ops)
+        bad[k] = wrong(*((2,) * (k // 2 + 3)))
+        with pytest.raises(DimMismatch):
+            PostLYAlgebra(2, *bad)
+    A = L.abelian(2)
+    rho, mu = nest((2, 2, 2)), nest((2, 2, 2, 2))
+    RepAction(A, A, rho, mu)
+    with pytest.raises(DimMismatch):
+        RepAction(A, A, wrong(2, 2, 2), mu)
+    with pytest.raises(DimMismatch):
+        RepAction(A, A, rho, wrong(2, 2, 2, 2))
+
+
 def test_a_tensor_of_another_signature_is_refused(nilpotent4):
     A, r = nilpotent4, adjoint_rep(nilpotent4)
     for values, dim, arity, shape in ((A.binary, 4, 3, (4,)), (A.binary, 3, 2, (3,)),
