@@ -32,14 +32,15 @@ reaches from that cochain's block only the output blocks that a nonzero entry
 of its structure tensor links to it.  rho, mu, D, both brackets and the
 composites X_k o X_l are tabulated once per complex from their supports
 (``linalg.Tensor.support``), keyed by the slot that reads them, so an output
-block that receives nothing is never visited.  Constants whose denominator is
-1 are read as ints, so integral data is assembled with no Fraction
-arithmetic.  A matrix (``SparseMat``) keeps the columns as they were emitted;
-its one echelon reads them as they are, tagged once a kernel or a solve is
-asked, and delta of one cochain reads only the columns in its support.  A
-cochain is its support {flat index: q}, which a matrix applies to
+block that receives nothing is never visited.  The constants are read as the
+supports store them (``linalg.scalar``), so integral data is assembled with
+no Fraction arithmetic.  A matrix (``SparseMat``) keeps the columns as they
+were emitted; its one echelon reads them as they are, tagged once a kernel
+or a solve is asked, and delta of one cochain reads only the columns in its
+support.  A cochain is its support {flat index: q}, which a matrix applies to
 (``SparseMat.apply``), a kernel returns as a witness, and transport pulls
-back and pushes forward slot by slot (``pushforward_cochain``).
+back and pushes forward slot by slot (``pushforward_cochain``); its dense
+views are built by ``linalg.dense``, so they hold Fractions.
 
 The operator's own data, the descent algebra and the induced representation
 (rho_T, mu_T, D_T), is tabulated in the same way: the supports are pulled back
@@ -52,7 +53,7 @@ import itertools
 from collections.abc import Mapping
 
 from .errors import AxiomsFailed, DimMismatch, ShapeMismatch, TooLarge
-from .linalg import (Q0, Q1, Tensor, axpy, column_echelon, dense, frac, invert, matrix_values,
+from .linalg import (Q0, Tensor, axpy, column_echelon, dense, frac, invert, matrix_values,
                      pull, push, sparse_map, vector_values)
 from .reps import RepAction
 
@@ -106,7 +107,7 @@ class SparseMat:
         out = {}
         for c, x in vec.items():
             axpy(out, x, self.columns[c])
-        return {r: frac(q) for r, q in out.items()}
+        return out
 
     def nonzero_rows(self):
         """The nonzero rows, in order, as dense tuples."""
@@ -178,7 +179,7 @@ def wedge_coords(x, y, pidx):
                 t, c = pidx[(i, j)], xi * yj
             else:
                 t, c = pidx[(j, i)], -xi * yj
-            new = out.get(t, Q0) + c
+            new = out.get(t, 0) + c
             if new == 0:
                 out.pop(t, None)
             else:
@@ -245,8 +246,9 @@ class Cochain:
     """A degree-p cochain with values in an n-dimensional space.
 
     It is stored as its support, ``support`` = {flat index: q} over the
-    nonzero coordinates (see ``_Layout``); the dense views are built on
-    demand.  ``as_flat()`` lists every coordinate.  For p = 1, ``f`` lists
+    nonzero coordinates (see ``_Layout``), each q an int or a Fraction; the
+    dense views, Fractions throughout, are built on demand.  ``as_flat()``
+    lists every coordinate.  For p = 1, ``f`` lists
     the m value vectors on the basis; for p >= 2, ``f`` has M^(p-1) vectors
     (lexicographic over pair-index tuples) and ``g`` has M^(p-1) * m vectors
     (pair-index tuples, then the plain slot).  Built from those vectors, or,
@@ -348,19 +350,14 @@ def coboundary_matrix_for(alg, rep, p, delta=None):
     return SparseMat.from_columns(_Layout(p + 1, delta.m, delta.n).total, delta.columns(p))
 
 
-def _number(q):
-    """q as an int when its denominator is 1."""
-    return q.numerator if q.denominator == 1 else q
-
-
 def _by_column(t):
     """A matrix-valued tensor's support as {key: (columns, negated columns)},
-    columns {c: [(r, q)]}, the constants read by ``_number``."""
+    columns {c: [(r, q)]}."""
     out = {}
     for key, v in t.support.items():
         cols = {}
         for (r, c), q in v.items():
-            cols.setdefault(c, []).append((r, _number(q)))
+            cols.setdefault(c, []).append((r, q))
         out[key] = (cols, {c: [(r, -q) for r, q in col] for c, col in cols.items()})
     return out
 
@@ -372,7 +369,7 @@ def _by_value(t, pidx):
     for (i, j, *rest), v in t.support.items():
         if i < j:
             for s, q in v.items():
-                out.setdefault(s, []).append((pidx[i, j], *rest, _number(q)))
+                out.setdefault(s, []).append((pidx[i, j], *rest, q))
     return out
 
 
@@ -386,8 +383,7 @@ class Coboundary:
     X_k o X_l by the pair they touch in slot l.  An input block thus reaches
     only the output blocks that a nonzero constant links to it.  The scalar
     terms are summed per output block before the block is expanded into its n
-    columns; rho, mu and D are matrices read by columns.  Constants whose
-    denominator is 1 are ints.
+    columns; rho, mu and D are matrices read by columns.
     """
 
     def __init__(self, alg, rep):
@@ -482,7 +478,7 @@ class Coboundary:
                 terms = self.block(out, key)
                 for r, x in vec.items():
                     axpy(acc, x, self.column(terms, r))
-        return Cochain.from_support(c.p + 1, c.m, c.n, {k: frac(q) for k, q in acc.items()})
+        return Cochain.from_support(c.p + 1, c.m, c.n, acc)
 
 
 def _composites(ternary, m, pidx):
@@ -509,7 +505,7 @@ def _composites(ternary, m, pidx):
     out = {}
     for (t, k, l), q in sorted(acc.items()):
         if q:
-            out.setdefault(t, []).append((k, l, _number(q)))
+            out.setdefault(t, []).append((k, l, q))
     return out
 
 
@@ -544,19 +540,19 @@ def induced_rep(op):
     rho, mu, D = (vector_values(t) for t in (r.rho, r.mu, r.derived_D))
     # each table is {(a, i) or (a, b, i): {t: q}}, the value at (u_a, .., e_i)
     rho_T, inner = {}, {}
-    pull(rho_T, Q1, c, (rows, None))
-    pull(inner, Q1, rho, (None, None), (1, 0))
-    push(rho_T, Q1, cols, inner)
+    pull(rho_T, 1, c, (rows, None))
+    pull(inner, 1, rho, (None, None), (1, 0))
+    push(rho_T, 1, cols, inner)
     mu_T, inner = {}, {}
-    pull(mu_T, Q1, d, (None, rows, rows), (2, 0, 1))
-    pull(inner, Q1, D, (None, rows, None), (2, 0, 1))
-    pull(inner, -Q1, mu, (None, rows, None), (2, 1, 0))
-    push(mu_T, -Q1, cols, inner)
+    pull(mu_T, 1, d, (None, rows, rows), (2, 0, 1))
+    pull(inner, 1, D, (None, rows, None), (2, 0, 1))
+    pull(inner, -1, mu, (None, rows, None), (2, 1, 0))
+    push(mu_T, -1, cols, inner)
     D_T, inner = {}, {}
-    pull(D_T, Q1, d, (rows, rows, None))
-    pull(inner, Q1, mu, (rows, None, None), (1, 2, 0))
-    pull(inner, -Q1, mu, (rows, None, None), (0, 2, 1))
-    push(D_T, -Q1, cols, inner)
+    pull(D_T, 1, d, (rows, rows, None))
+    pull(inner, 1, mu, (rows, None, None), (1, 2, 0))
+    pull(inner, -1, mu, (rows, None, None), (0, 2, 1))
+    push(D_T, -1, cols, inner)
     shape = (n, n)
     rep = RepAction(desc, g, Tensor.from_support(matrix_values(rho_T), m, 1, shape),
                     Tensor.from_support(matrix_values(mu_T), m, 2, shape))
@@ -592,8 +588,8 @@ def partial_matrix(op):
     n, m = g.dim, op.action.carrier.dim
     rows, cols = sparse_map(op.T)
     table = {}
-    push(table, Q1, cols, vector_values(op.action.derived_D))
-    pull(table, -Q1, g.ternary.support, (None, None, rows))
+    push(table, 1, cols, vector_values(op.action.derived_D))
+    pull(table, -1, g.ternary.support, (None, None, rows))
     pidx = {pr: t for t, pr in enumerate(pair_basis(n))}
     return SparseMat(m * n, len(pidx), {(a * n + t, pidx[i, j]): q
                                         for (i, j, a), v in table.items() if i < j
@@ -691,7 +687,7 @@ def pushforward_cochain(pair, c):
             wedge.setdefault(s, []).append((t, q))
     f, g = c.layout.split(c.support)
     pulled, pushed = {}, {}
-    pull(pulled, Q1, f, (wedge,) * (c.p - 1))
-    pull(pulled, Q1, g, (wedge,) * (c.p - 1) + (plain,))
-    push(pushed, Q1, sparse_map(pair.psi_g)[1], pulled)
+    pull(pulled, 1, f, (wedge,) * (c.p - 1))
+    pull(pulled, 1, g, (wedge,) * (c.p - 1) + (plain,))
+    push(pushed, 1, sparse_map(pair.psi_g)[1], pulled)
     return Cochain.from_table(c.p, m, n, pushed)

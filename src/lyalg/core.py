@@ -10,7 +10,7 @@ axiom is tabulated over every basis tuple at once from the brackets' supports
 """
 
 from .errors import AxiomsFailed, DimMismatch, NotLieAlgebra, StructureError
-from .linalg import (Q0, Q1, Subspace, Tensor, contract, dense, frac, hom_table,
+from .linalg import (Q0, Subspace, Tensor, contract, dense, frac, hom_table,
                      nullspace_basis, signed_sum, skew_fault, sparse_map)
 from .reports import Checker
 
@@ -78,11 +78,11 @@ def check_ly_axioms(A, all_violations=False):
     # <z,w,.> first, so that fewer tuples are live in its table at once
     cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     ck.tabulate(A.binary.shape, [
-        ("LY1", [(Q1, c, 0, c, xyz) for xyz in cyclic] + [(Q1, d, xyz) for xyz in cyclic])], [
-        ("LY2", [(Q1, d, 0, c, xyz + (3,)) for xyz in cyclic])], [
-        ("LY3", [(Q1, d, 2, c), (-Q1, c, 0, d), (-Q1, c, 1, d, (2, 0, 1, 3))])], [
-        ("LY4", [(Q1, d, 2, d), (-Q1, d, 2, d, (2, 3, 0, 1, 4)), (-Q1, d, 0, d),
-                 (-Q1, d, 1, d, (2, 0, 1, 3, 4))])])
+        ("LY1", [(1, c, 0, c, xyz) for xyz in cyclic] + [(1, d, xyz) for xyz in cyclic])], [
+        ("LY2", [(1, d, 0, c, xyz + (3,)) for xyz in cyclic])], [
+        ("LY3", [(1, d, 2, c), (-1, c, 0, d), (-1, c, 1, d, (2, 0, 1, 3))])], [
+        ("LY4", [(1, d, 2, d), (-1, d, 2, d, (2, 3, 0, 1, 4)), (-1, d, 0, d),
+                 (-1, d, 1, d, (2, 0, 1, 3, 4))])])
     rep = ck.report()
     if rep.passed:
         A.verified = True
@@ -107,9 +107,9 @@ def from_lie_algebra(dim, binary, basis=None, name=None):
     fault = skew_fault(c)
     if fault is not None:
         raise NotLieAlgebra("bracket not antisymmetric at (%d,%d)" % fault)
-    ternary = signed_sum([(Q1, c.support, 0, c.support)])
+    ternary = signed_sum([(1, c.support, 0, c.support)])
     # <x,y,z> + <y,z,x> + <z,x,y> at (x, y, z)
-    jacobi = signed_sum([(Q1, ternary, xyz) for xyz in ((0, 1, 2), (2, 0, 1), (1, 2, 0))])
+    jacobi = signed_sum([(1, ternary, xyz) for xyz in ((0, 1, 2), (2, 0, 1), (1, 2, 0))])
     if jacobi:
         raise NotLieAlgebra("Jacobi fails at (%d,%d,%d)" % min(jacobi))
     A = LYAlgebra(dim, c, Tensor.from_support(ternary, dim, 3, (dim,)), basis=basis,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .cohomology import Cochain, TComplex, pair_basis, partial_matrix, wedge_coords
 from .errors import DimMismatch, Inconsistent, InvalidDeformation
-from .linalg import (Q1, Tensor, axpy, column_table, contract, dense, format_frac, graded,
+from .linalg import (Tensor, axpy, column_table, contract, dense, format_frac, graded,
                      graded_push, mat, mat_id, mat_sub, matrix_values, skew_faults, sparse_map,
                      vector_values)
 from .reports import Checker, Report
@@ -156,8 +156,8 @@ def check_equivalence(op, T1, T2, wedges, all_violations=False):
     LX, DX = {}, {}                       # the nonzero entries of L(X) and D(X)
     for x, y in wedges:
         for c in range(n):
-            axpy(LX, Q1, {(i, c): q for i, q in enumerate(contract(g.ternary, x, y, c)) if q})
-        axpy(DX, Q1, {(a, b): q for a, row in enumerate(contract(r.derived_D, x, y))
+            axpy(LX, 1, {(i, c): q for i, q in enumerate(contract(g.ternary, x, y, c)) if q})
+        axpy(DX, 1, {(a, b): q for a, row in enumerate(contract(r.derived_D, x, y))
                       for b, q in enumerate(row) if q})
     ck = Checker("deformation-equivalence", all_violations)
     higher = {}
@@ -175,8 +175,8 @@ def check_equivalence(op, T1, T2, wedges, all_violations=False):
         values = vector_values(t)
         for s in range(1, len(polys) + 1):
             acc = {}
-            graded(acc, Q1, values, polys, s)
-            graded_push(acc, -Q1, (None, cols), [values], s)
+            graded(acc, 1, values, polys, s)
+            graded_push(acc, -1, (None, cols), [values], s)
             if s == 1:
                 first = ("%s-t^1" % name, acc)
             elif acc:
@@ -196,7 +196,7 @@ def check_equivalence(op, T1, T2, wedges, all_violations=False):
     pidx = {pr: t for t, pr in enumerate(pair_basis(n))}
     X = {}
     for x, y in wedges:
-        axpy(X, Q1, wedge_coords(x, y, pidx))
+        axpy(X, 1, wedge_coords(x, y, pidx))
     diff = _map_cochain(mat_sub(T2, T1), m, n)
     data = {"difference_equals_boundary": partial_matrix(op).apply(X) == diff.support,
             "higher_order_residual_degrees": {k: sorted(v) for k, v in sorted(higher.items())}}

@@ -27,7 +27,8 @@ Every input is read once, straight into the form the library uses.  Matrices
 are read as their supports {(r, c): q}: rho and mu become tensors through
 ``Tensor.from_support``, and only the API's dense matrices (T, N, a
 homomorphism's matrix, ``load_matrix``) are filled from that support.  Within
-one top-level load, each distinct rational value is parsed once, and two
+one top-level load, each distinct rational value is parsed once, into the
+form a support stores (``linalg.scalar``: an int when it is integral), and two
 references to one algebra (the same file by absolute path, or equal inline
 objects, such as an adjoint action's acting and carrier) load and verify one
 ``LYAlgebra``, used in both slots.  Nothing is kept from one load to the next.
@@ -45,7 +46,7 @@ import os
 
 from .core import LYAlgebra
 from .errors import FormatError, TooLarge
-from .linalg import Q0, Tensor, dense, format_frac, frac
+from .linalg import Tensor, dense, format_frac, frac, scalar
 from .postlya import PostLYAlgebra
 from .reps import RepAction
 from .rrb import RRBOperator
@@ -108,7 +109,7 @@ def _read_sparse(entries, dim, arity, where, antisym, rational):
         _check_idx(where, dim, *ent[:-1])
         key, row = tuple(ent[:arity]), ent[arity]
         v = table.setdefault(key, {})
-        v[row] = v.get(row, Q0) + rational(ent[-1], where)
+        v[row] = v.get(row, 0) + rational(ent[-1], where)
         seen.add(key)
     if antisym:
         for key in sorted({(min(k[:2]), max(k[:2])) + k[2:] for k in seen}):
@@ -186,21 +187,22 @@ def _same(a, b):
 
 class _Load:
     """The state of one top-level load: the rationals parsed so far, keyed
-    by the raw JSON value and its type, and the algebras loaded so far, keyed
-    by their absolute path or their inline object."""
+    by the raw JSON value and its type and stored by ``linalg.scalar``, and
+    the algebras loaded so far, keyed by their absolute path or their inline
+    object."""
 
     def __init__(self):
-        self.fracs = {}
+        self.scalars = {}
         self.algebras = []
 
     def rational(self, v, where):
         key = (type(v), v)
         try:
-            q = self.fracs.get(key)
+            q = self.scalars.get(key)
         except TypeError:  # a list or an object: never a rational
             return _frac_str(v, where)
         if q is None:
-            q = self.fracs[key] = _frac_str(v, where)
+            q = self.scalars[key] = scalar(_frac_str(v, where))
         return q
 
     def algebra(self, source, base_dir):
@@ -332,8 +334,8 @@ def load_wedges(source, base_dir=None):
         if not isinstance(pair, list) or len(pair) != 2 \
                 or not all(isinstance(v, list) for v in pair):
             raise FormatError("wedges[%d]: expected a pair of vectors" % i)
-        x = tuple(rational(v, "wedges[%d]" % i) for v in pair[0])
-        y = tuple(rational(v, "wedges[%d]" % i) for v in pair[1])
+        x, y = (dense({c: rational(v, "wedges[%d]" % i) for c, v in enumerate(vec)},
+                      (len(vec),)) for vec in pair)
         if len(x) != len(y):
             raise FormatError("wedges[%d]: vectors of unequal length" % i)
         out.append((x, y))

@@ -1,10 +1,16 @@
 """Exact rational linear algebra.
 
-Scalars are ``fractions.Fraction`` (always reduced, positive denominator).
-Vectors are tuples of Fraction; matrices are tuples of row tuples.  The one
-elimination routine takes dense or sparse rows, {column: Fraction or int},
-works fraction-free on primitive integer rows, and hands back Fractions;
-every kernel and solve feeds it the columns of a matrix, each with a tag.
+A scalar is an exact rational, and every scalar handed out is a
+``fractions.Fraction``: vectors are tuples of Fraction, matrices tuples of
+row tuples.  Inside, a scalar stored in a support, a sparse map or an
+equation table is an ``int`` when its denominator is 1 and a Fraction
+otherwise (``scalar``), so integral data is multiplied and summed with no
+Fraction arithmetic; values enter in that form through ``Tensor.from_support``
+and ``sparse_map`` and leave as Fractions through ``dense``.  No routine
+divides with ``/``, so no float can appear.  The one elimination routine
+takes dense or sparse rows, {column: Fraction or int}, works fraction-free on
+primitive integer rows, and hands back Fractions; every kernel and solve
+feeds it the columns of a matrix, each with a tag.
 Structure tensors (``Tensor``) are their support, the nonzero vector or
 matrix values as sparse dicts.  ``contract`` evaluates them at vectors and
 basis indices; every equation is tabulated from the supports as one sparse
@@ -39,8 +45,14 @@ def frac(x):
     raise ValueError("not a rational: %r" % (x,))
 
 
+def scalar(q):
+    """The int or Fraction q as it is stored in a table: an int when its
+    denominator is 1, else the Fraction itself."""
+    return q.numerator if q.denominator == 1 else q
+
+
 def format_frac(q):
-    """Serialize a Fraction as "p/q", or "p" when the denominator is 1."""
+    """Serialize an int or Fraction as "p/q", or "p" when the denominator is 1."""
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
@@ -75,12 +87,13 @@ class Tensor:
 
     Every value has ``shape``: (d,) for a vector, (r, c) for a matrix.
     ``support`` maps each index tuple whose value is nonzero to that value as
-    a sparse dict, {r: q} for a vector and {(r, c): q} for a matrix; keys are
-    in lexicographic order and entries in ascending order, and callers never
-    change the table in place.  Built from nested lists or tuples, dim entries
-    at every index level and values[i]...[k] at (e_i, ..., e_k) of the value's
-    shape, else DimMismatch; inside the library, from a support table by
-    ``from_support``.  A Tensor of the same dim, arity and shape is taken as it is.
+    a sparse dict, {r: q} for a vector and {(r, c): q} for a matrix, each q
+    stored by ``scalar``; keys are in lexicographic order and entries in
+    ascending order, and callers never change the table in place.  Built from
+    nested lists or tuples, dim entries at every index level and
+    values[i]...[k] at (e_i, ..., e_k) of the value's shape, else DimMismatch;
+    inside the library, from a support table by ``from_support``.  A Tensor of
+    the same dim, arity and shape is taken as it is.
     """
 
     def __new__(cls, values, dim, arity, shape):
@@ -107,10 +120,11 @@ class Tensor:
     @classmethod
     def from_support(cls, table, dim, arity, shape):
         """The tensor whose nonzero values are those of the sparse ``table``
-        {index tuple: sparse value}, in any order; zero entries are dropped."""
+        {index tuple: sparse value}, in any order; zero entries are dropped
+        and every other one is stored by ``scalar``."""
         support = {}
         for key in sorted(table):
-            v = {e: q for e, q in sorted(table[key].items()) if q}
+            v = {e: scalar(q) for e, q in sorted(table[key].items()) if q}
             if v:
                 support[key] = v
         self = object.__new__(cls)
@@ -152,11 +166,11 @@ def contract(t, *slots):
         v = support.get(key)
         if v is None:
             continue
-        c = Q1
+        c = 1
         for k in vecs:
             c *= slots[k][key[k]]
         for e, x in v.items():
-            acc[e] = acc.get(e, Q0) + c * x
+            acc[e] = acc.get(e, 0) + c * x
     return dense(acc, t.shape)
 
 
@@ -189,7 +203,8 @@ def matrix_values(table):
 
 
 def axpy(acc, f, x):
-    """acc += f * x on sparse dicts, in place, dropping entries that cancel."""
+    """acc += f * x on sparse dicts of ints and Fractions, in place, dropping
+    entries that cancel; f == 1 adds the entries of x as they are."""
     if not f:
         return
     for k, v in (x.items() if f == 1 else ((k, f * v) for k, v in x.items())):
@@ -242,7 +257,7 @@ def sparse_mul(a, b):
     for (r, k), q in a.items():
         for c, w in rows.get(k, ()):
             rc = (r, c)
-            out[rc] = out.get(rc, Q0) + q * w
+            out[rc] = out.get(rc, 0) + q * w
     return {rc: v for rc, v in out.items() if v}
 
 
@@ -255,16 +270,19 @@ def sparse_mul(a, b):
 # tensor's support pulled back along the nonzero entries of a linear map, slot
 # by slot (``pull``), a table pushed forward through a map (``push``), or one
 # support composed into a slot of another (``compose``).  The slots of a term
-# are placed at the tuple positions of the equation's arguments.
+# are placed at the tuple positions of the equation's arguments.  A term's
+# sign is the int 1 or -1, so a product of integral entries stays an int.
 
 def sparse_map(M):
     """The nonzero entries of the matrix M, dense or sparse {(r, c): q}, as
-    (rows, cols), rows {r: [(c, q)]} and cols {c: [(r, q)]}."""
+    (rows, cols), rows {r: [(c, q)]} and cols {c: [(r, q)]}, each q stored
+    by ``scalar``."""
     rows, cols = {}, {}
     entries = sorted(M.items()) if isinstance(M, dict) else (
         ((r, c), q) for r, row in enumerate(M) for c, q in enumerate(row))
     for (r, c), q in entries:
         if q:
+            q = scalar(q)
             rows.setdefault(r, []).append((c, q))
             cols.setdefault(c, []).append((r, q))
     return rows, cols
@@ -320,7 +338,7 @@ def push(acc, sign, cols, table):
         out = {}
         for y, q in v.items():
             for x, t in cols.get(y, ()):
-                out[x] = out.get(x, Q0) + q * t
+                out[x] = out.get(x, 0) + q * t
         _add_at(acc, key, sign, {x: q for x, q in out.items() if q})
 
 
@@ -398,16 +416,22 @@ def hom_table(src, dst, cols, maps):
     the basis tuples of src's slots, M given by its columns (see
     ``sparse_map``); both tensors are read by ``vector_values``."""
     acc = {}
-    push(acc, Q1, cols, vector_values(src))
-    pull(acc, -Q1, vector_values(dst), maps)
+    push(acc, 1, cols, vector_values(src))
+    pull(acc, -1, vector_values(dst), maps)
     return acc
 
 
+def _fraction(q):
+    return q if type(q) is Fraction else Fraction(q)
+
+
 def dense(x, shape):
-    """The dense vector or matrix of the given shape with sparse entries x."""
+    """The dense vector or matrix of the given shape with sparse entries x,
+    each a Fraction: the form in which every scalar leaves the library."""
     if len(shape) == 1:
-        return tuple(x.get(r, Q0) for r in range(shape[0]))
-    return tuple(tuple(x.get((r, c), Q0) for c in range(shape[1])) for r in range(shape[0]))
+        return tuple(_fraction(x[r]) if r in x else Q0 for r in range(shape[0]))
+    return tuple(tuple(_fraction(x[r, c]) if (r, c) in x else Q0 for c in range(shape[1]))
+                 for r in range(shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -604,12 +628,19 @@ def rref(rows):
 
 def _tagged(rows, ncols):
     """The tagged column echelon (``column_echelon``) of the matrix with these
-    dense or sparse rows, and its column count, read off a row when None."""
+    dense or sparse rows, and its column count, read off a row when None; a
+    dense row of another length, or a sparse one with an entry outside the
+    columns, is a ShapeMismatch."""
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     columns = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
-        for c, v in _as_dict(row).items():
+        if not isinstance(row, dict) and len(row) != ncols:
+            raise ShapeMismatch("row %d has %d entries, not %d" % (i, len(row), ncols))
+        row = _as_dict(row)
+        if row and not 0 <= min(row) <= max(row) < ncols:
+            raise ShapeMismatch("row %d has an entry outside the %d columns" % (i, ncols))
+        for c, v in row.items():
             columns[c][i] = v
     return column_echelon(columns, len(rows), True), ncols
 

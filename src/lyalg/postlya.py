@@ -23,7 +23,7 @@ no basis tuple is visited.
 
 from .core import LYAlgebra, check_homomorphism, check_ly_axioms
 from .errors import AxiomsFailed, DimMismatch, StructureError, Unverified
-from .linalg import (Q1, Tensor, hom_table, mat, mat_id, pull, signed_sum, skew_fault,
+from .linalg import (Tensor, hom_table, mat, mat_id, pull, signed_sum, skew_fault,
                      sparse_map, vector_values)
 from .reports import Checker
 from .reps import RepAction, check_action, regular_pair
@@ -49,12 +49,12 @@ class PostLYAlgebra:
         dot, star, angle, brace = (t.support for t in (self.dot, self.star, self.angle,
                                                        self.brace))
         # (a,b,c) = (a*b)*c - a*(b*c), and each derived operation at (x, y[, z])
-        assoc = signed_sum([(Q1, star, 0, star), (-Q1, star, 1, star)])
-        bD = signed_sum([(Q1, brace, (2, 1, 0)), (-Q1, brace, (2, 0, 1)), (Q1, assoc, (1, 0, 2)),
-                         (-Q1, assoc, None), (-Q1, star, 0, dot)])
-        cb = signed_sum([(Q1, star, None), (-Q1, star, (1, 0)), (Q1, dot, None)])
-        ct = signed_sum([(Q1, bD, None), (Q1, brace, None), (-Q1, brace, (1, 0, 2)),
-                         (Q1, angle, None)])
+        assoc = signed_sum([(1, star, 0, star), (-1, star, 1, star)])
+        bD = signed_sum([(1, brace, (2, 1, 0)), (-1, brace, (2, 0, 1)), (1, assoc, (1, 0, 2)),
+                         (-1, assoc, None), (-1, star, 0, dot)])
+        cb = signed_sum([(1, star, None), (-1, star, (1, 0)), (1, dot, None)])
+        ct = signed_sum([(1, bD, None), (1, brace, None), (-1, brace, (1, 0, 2)),
+                         (1, angle, None)])
         self.brace_D = Tensor.from_support(bD, dim, 3, (dim,))
         self.sub_binary = Tensor.from_support(cb, dim, 2, (dim,))
         self.sub_ternary = Tensor.from_support(ct, dim, 3, (dim,))
@@ -104,46 +104,46 @@ def check_post_axioms(A, all_violations=False, as_printed=False):
                             A.sub_binary, A.sub_ternary))
     # P4's first summand -{{x,y,z},w,t}; the printed {{x,w,z},w,t} repeats w
     # and never reads y: the w-diagonal of brace o brace, at every y
-    p4_first = (-Q1, brace, 0, brace)
+    p4_first = (-1, brace, 0, brace)
     if as_printed:
-        bb = signed_sum([(Q1, brace, 0, brace)])
-        p4_first = (-Q1, {(x, y, z, w, t): v for (x, w, z, u, t), v in bb.items() if u == w
+        bb = signed_sum([(1, brace, 0, brace)])
+        p4_first = (-1, {(x, y, z, w, t): v for (x, w, z, u, t), v in bb.items() if u == w
                           for y in range(A.dim)}, None)
 
     def central(eq, image, k, *order):
         """``image``, a table over positions 0..k-1, central in (dot, angle)."""
-        return [(eq + "-dot", [(Q1, dot, 0, image)]) + order,
-                (eq + "-angle12", [(Q1, angle, 0, image)]) + order,
-                (eq + "-angle3", [(Q1, angle, 2, image, (k, k + 1) + tuple(range(k)))]) + order]
+        return [(eq + "-dot", [(1, dot, 0, image)]) + order,
+                (eq + "-angle12", [(1, angle, 0, image)]) + order,
+                (eq + "-angle3", [(1, angle, 2, image, (k, k + 1) + tuple(range(k)))]) + order]
 
     # basis vectors x, y, z, w, t sit at tuple positions 0..4
     ck.tabulate((A.dim,), [
         # P1: {z,[x,y]_C,w} = {y*z,x,w} - {x*z,y,w}
-        ("P1", [(Q1, brace, 1, cb, (2, 0, 1, 3)), (-Q1, brace, 0, star, (1, 2, 0, 3)),
-                (Q1, brace, 0, star, (0, 2, 1, 3))]),
+        ("P1", [(1, brace, 1, cb, (2, 0, 1, 3)), (-1, brace, 0, star, (1, 2, 0, 3)),
+                (1, brace, 0, star, (0, 2, 1, 3))]),
         # P2: {x,y,[z,w]_C} = z*{x,y,w} - w*{x,y,z}
-        ("P2", [(Q1, brace, 2, cb), (-Q1, star, 1, brace, (2, 0, 1, 3)),
-                (Q1, star, 1, brace, (3, 0, 1, 2))]),
+        ("P2", [(1, brace, 2, cb), (-1, star, 1, brace, (2, 0, 1, 3)),
+                (1, star, 1, brace, (3, 0, 1, 2))]),
         # P3: <x,y,z>_C*w = {x,y,z*w}_D - z*{x,y,w}_D
-        ("P3", [(Q1, star, 0, ct), (-Q1, bD, 2, star), (Q1, star, 1, bD, (2, 0, 1, 3))])], [
+        ("P3", [(1, star, 0, ct), (-1, bD, 2, star), (1, star, 1, bD, (2, 0, 1, 3))])], [
         # P4: {x,y,<z,w,t>_C} = {{x,y,z},w,t} - {{x,y,w},z,t} + {z,w,{x,y,t}}_D
-        ("P4", [(Q1, brace, 2, ct), p4_first, (Q1, brace, 0, brace, (0, 1, 3, 2, 4)),
-                (-Q1, bD, 2, brace, (2, 3, 0, 1, 4))]),
+        ("P4", [(1, brace, 2, ct), p4_first, (1, brace, 0, brace, (0, 1, 3, 2, 4)),
+                (-1, bD, 2, brace, (2, 3, 0, 1, 4))]),
         # P5: {x,y,{z,w,t}}_D = {{x,y,z}_D,w,t} + {z,<x,y,w>_C,t} + {z,w,<x,y,t>_C}
-        ("P5", [(Q1, brace, 2, bD) if as_printed else (Q1, bD, 2, brace), (-Q1, brace, 0, bD),
-                (-Q1, brace, 1, ct, (2, 0, 1, 3, 4)), (-Q1, brace, 2, ct, (2, 3, 0, 1, 4))])],
+        ("P5", [(1, brace, 2, bD) if as_printed else (1, bD, 2, brace), (-1, brace, 0, bD),
+                (-1, brace, 1, ct, (2, 0, 1, 3, 4)), (-1, brace, 2, ct, (2, 3, 0, 1, 4))])],
         # per pair (i, j), P6: star images are central in (dot, angle); P7:
         # star kills dot-products, brace kills them in slot one.  P6 comes
         # first, at (i, j, s[, t]), then P7 at (s, i, j) and (i, j, s, t).
         central("P6-star", star, 2, lambda a: a[:2] + (0,) + a[2:]) + [
-            ("P7-star", [(Q1, star, 1, dot)], lambda a: a[1:] + (1, a[0])),
-            ("P7-brace", [(Q1, brace, 0, dot)], lambda a: a[:2] + (1,) + a[2:])],
+            ("P7-star", [(1, star, 1, dot)], lambda a: a[1:] + (1, a[0])),
+            ("P7-brace", [(1, brace, 0, dot)], lambda a: a[:2] + (1,) + a[2:])],
         # by default brace images are central too (needed for R(x,y) to be an action)
         [] if as_printed else central("P6-brace", brace, 3),
         # per triple (i, j, k), P8: star and brace (slot one) kill
         # angle-products, at (s, i, j, k) and (i, j, k, s, t)
-        [("P8-star", [(Q1, star, 1, angle)], lambda a: a[1:] + a[:1]),
-         ("P8-brace", [(Q1, brace, 0, angle)])])
+        [("P8-star", [(1, star, 1, angle)], lambda a: a[1:] + a[:1]),
+         ("P8-brace", [(1, brace, 0, angle)])])
     rep = ck.report()
     if rep.passed and not as_printed:
         A.verified = True
@@ -203,8 +203,8 @@ def induced_post_from_rrb(op):
     rows, _ = sparse_map(op.T)
     # x*y at (x, y) and {x,y,z} at (x, y, z), T pulled into the slots of rho and mu
     star, brace = {}, {}
-    pull(star, Q1, vector_values(r.rho), (rows, None))
-    pull(brace, Q1, vector_values(r.mu), (rows, rows, None), (1, 2, 0))
+    pull(star, 1, vector_values(r.rho), (rows, None))
+    pull(brace, 1, vector_values(r.mu), (rows, rows, None), (1, 2, 0))
     A = PostLYAlgebra(m, h.binary, Tensor.from_support(star, m, 2, (m,)), h.ternary,
                       Tensor.from_support(brace, m, 3, (m,)),
                       basis=h.basis, name="%s-post" % h.name)

@@ -20,7 +20,7 @@ nonzero block is applied to the nonzero bracket values only.
 
 from .core import LYAlgebra, center
 from .errors import AxiomsFailed, NotAnAction
-from .linalg import Q1, Tensor, axpy, dense, sparse_mul, vector_values
+from .linalg import Tensor, axpy, dense, sparse_mul, vector_values
 from .reports import Checker
 
 
@@ -84,11 +84,11 @@ def derive_D(r):
     for i in range(n):
         for j in range(i + 1, n):
             d = dict(mu.get((j, i), {}))
-            axpy(d, -Q1, mu.get((i, j), {}))
+            axpy(d, -1, mu.get((i, j), {}))
             a, b = rho.get((i,)), rho.get((j,))
             if a and b:
-                axpy(d, Q1, sparse_mul(a, b))
-                axpy(d, -Q1, sparse_mul(b, a))
+                axpy(d, 1, sparse_mul(a, b))
+                axpy(d, -1, sparse_mul(b, a))
             for k, q in c.get((i, j), {}).items():
                 axpy(d, -q, rho.get((k,), {}))
             if d:
@@ -118,13 +118,13 @@ def check_representation(r, all_violations=False):
     rho, mu, D = (vector_values(t) for t in (r.rho, r.mu, r.derived_D))
     # basis vectors x, y, z, w sit at tuple positions 0..3, the column last
     ck.tabulate(r.rho.shape, [
-        ("R1", [(Q1, mu, 0, c), (-Q1, mu, 2, rho, (0, 2, 1, 3)), (Q1, mu, 2, rho, (1, 2, 0, 3))]),
-        ("R2", [(Q1, mu, 1, c), (-Q1, rho, 1, mu, (1, 0, 2, 3)), (Q1, rho, 1, mu, (2, 0, 1, 3))]),
-        ("R3", [(Q1, rho, 0, d), (-Q1, D, 2, rho), (Q1, rho, 1, D, (2, 0, 1, 3))])], [
-        ("R4", [(Q1, mu, 2, mu, (2, 3, 0, 1, 4)), (-Q1, mu, 2, mu, (1, 3, 0, 2, 4)),
-                (-Q1, mu, 1, d), (Q1, D, 2, mu, (1, 2, 0, 3, 4))]),
-        ("R5", [(Q1, mu, 0, d), (Q1, mu, 1, d, (2, 0, 1, 3, 4)), (-Q1, D, 2, mu),
-                (Q1, mu, 2, D, (2, 3, 0, 1, 4))])])
+        ("R1", [(1, mu, 0, c), (-1, mu, 2, rho, (0, 2, 1, 3)), (1, mu, 2, rho, (1, 2, 0, 3))]),
+        ("R2", [(1, mu, 1, c), (-1, rho, 1, mu, (1, 0, 2, 3)), (1, rho, 1, mu, (2, 0, 1, 3))]),
+        ("R3", [(1, rho, 0, d), (-1, D, 2, rho), (1, rho, 1, D, (2, 0, 1, 3))])], [
+        ("R4", [(1, mu, 2, mu, (2, 3, 0, 1, 4)), (-1, mu, 2, mu, (1, 3, 0, 2, 4)),
+                (-1, mu, 1, d), (1, D, 2, mu, (1, 2, 0, 3, 4))]),
+        ("R5", [(1, mu, 0, d), (1, mu, 1, d, (2, 0, 1, 3, 4)), (-1, D, 2, mu),
+                (1, mu, 2, D, (2, 3, 0, 1, 4))])])
     rep = ck.report()
     if r._rep_report is None or not r._rep_report.passed:
         r._rep_report = rep
@@ -145,11 +145,11 @@ def check_lemma_identities(r, all_violations=False):
     c, d = g.binary.support, g.ternary.support
     mu, D = vector_values(r.mu), vector_values(r.derived_D)
     ck.tabulate(r.rho.shape, [
-        ("L1", [(Q1, D, 0, c, xyz + (3,)) for xyz in ((0, 1, 2), (1, 2, 0), (2, 0, 1))])], [
-        ("L2", [(Q1, D, 0, d), (Q1, D, 1, d, (2, 0, 1, 3, 4)), (-Q1, D, 2, D),
-                (Q1, D, 2, D, (2, 3, 0, 1, 4))]),
-        ("L3", [(Q1, mu, 0, d), (-Q1, mu, 2, mu, (0, 3, 2, 1, 4)),
-                (Q1, mu, 2, mu, (1, 3, 2, 0, 4)), (Q1, mu, 2, D, (2, 3, 0, 1, 4))])])
+        ("L1", [(1, D, 0, c, xyz + (3,)) for xyz in ((0, 1, 2), (1, 2, 0), (2, 0, 1))])], [
+        ("L2", [(1, D, 0, d), (1, D, 1, d, (2, 0, 1, 3, 4)), (-1, D, 2, D),
+                (1, D, 2, D, (2, 3, 0, 1, 4))]),
+        ("L3", [(1, mu, 0, d), (-1, mu, 2, mu, (0, 3, 2, 1, 4)),
+                (1, mu, 2, mu, (1, 3, 2, 0, 4)), (1, mu, 2, D, (2, 3, 0, 1, 4))])])
     return ck.report()
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import LYAlgebra, check_homomorphism, derived_algebra
 from .errors import DimMismatch, PreconditionFailed, Unverified
-from .linalg import (Q1, Tensor, column_table, dense, graded, graded_push, hom_table, invert, mat,
+from .linalg import (Tensor, column_table, dense, graded, graded_push, hom_table, invert, mat,
                      mat_id, matrix_values, pull, push, sparse_map, sparse_mul,
                      vector_values)
 from .reports import Checker
@@ -84,11 +84,11 @@ def _inner_sums(r, T, degree):
     """
     h = r.carrier
     rho, mu, D = (vector_values(t) for t in (r.rho, r.mu, r.derived_D))
-    terms2 = [(Q1, h.binary.support, (None, None), None),
-              (Q1, rho, (T, None), None), (-Q1, rho, (T, None), (1, 0))]
-    terms3 = [(Q1, h.ternary.support, (None, None, None), None),
-              (Q1, D, (T, T, None), None), (Q1, mu, (T, T, None), (1, 2, 0)),
-              (-Q1, mu, (T, T, None), (0, 2, 1))]
+    terms2 = [(1, h.binary.support, (None, None), None),
+              (1, rho, (T, None), None), (-1, rho, (T, None), (1, 0))]
+    terms3 = [(1, h.ternary.support, (None, None, None), None),
+              (1, D, (T, T, None), None), (1, mu, (T, T, None), (1, 2, 0)),
+              (-1, mu, (T, T, None), (0, 2, 1))]
     inner2, inner3 = [], []
     for terms, inner in ((terms2, inner2), (terms3, inner3)):
         for p in range(degree + 1):
@@ -119,10 +119,10 @@ def coefficients(r, Ts, degrees):
     out = {}
     for s in degrees:
         B, C = {}, {}
-        graded(B, Q1, g.binary.support, (rows,) * 2, s)
-        graded(C, Q1, g.ternary.support, (rows,) * 3, s)
-        graded_push(B, -Q1, cols, inner2, s)
-        graded_push(C, -Q1, cols, inner3, s)
+        graded(B, 1, g.binary.support, (rows,) * 2, s)
+        graded(C, 1, g.ternary.support, (rows,) * 3, s)
+        graded_push(B, -1, cols, inner2, s)
+        graded_push(C, -1, cols, inner3, s)
         out[s] = (B, C)
     return out
 
@@ -162,8 +162,8 @@ def graph_subalgebra_check(op, all_violations=False):
     ck = Checker("graph-subalgebra(%s)" % (op.action,), all_violations)
     for name, t in (("graph-binary", S.binary), ("graph-ternary", S.ternary)):
         w, off = {}, {}
-        pull(w, Q1, t.support, (lift,) * t.arity)
-        push(off, Q1, defect, w)
+        pull(w, 1, t.support, (lift,) * t.arity)
+        push(off, 1, defect, w)
         ck.table((n + m,), (name, {key: w[key] for key in off}))
     return ck.report({"graph_dim": m})
 
@@ -186,7 +186,7 @@ def check_nijenhuis(A, N, all_violations=False):
     if len(N) != n or any(len(r) != n for r in N):
         raise DimMismatch("N must be %dx%d" % (n, n))
     rows, _ = sparse_map(N)
-    minus = {(r, c): -q for r, row in enumerate(N) for c, q in enumerate(row) if q}
+    minus = {(r, c): -q for r, row in rows.items() for c, q in row}
     square = sparse_mul(minus, minus)
     # (Id + tN)^-1 = Id - tN + t^2 N^2 - t^3 N^3 mod t^4, by columns
     inverse = [None] + [sparse_map(P)[1] for P in (minus, square, sparse_mul(square, minus))]
@@ -195,9 +195,9 @@ def check_nijenhuis(A, N, all_violations=False):
         k = t.arity
         inner = [{} for _ in range(k + 1)]
         for j, table in enumerate(inner):
-            graded(table, Q1, t.support, ((None, rows),) * k, j)
+            graded(table, 1, t.support, ((None, rows),) * k, j)
         acc = {}
-        graded_push(acc, Q1, inverse, inner, k)
+        graded_push(acc, 1, inverse, inner, k)
         return acc
 
     ck = Checker("nijenhuis(%s)" % A.name, all_violations)
@@ -317,7 +317,7 @@ def intertwining(P, A, B, Q):
     polynomials in t given by their matrices, lowest degree first: P and B
     are applied to A and Q read as the tables of their columns."""
     terms = [(sign, [sparse_map(M)[1] for M in outer], [column_table(M) for M in inner])
-             for sign, outer, inner in ((Q1, P, A), (-Q1, B, Q))]
+             for sign, outer, inner in ((1, P, A), (-1, B, Q))]
     out = []
     for s in range(len(P) + len(A) - 1):
         acc = {}

@@ -1295,3 +1295,16 @@ def poly_ternary_residual(r, Ts, u, v, w, L):
         for j in range(L - i):
             rhs[i + j] = va(rhs[i + j], mv(Ts[i], inner[j]))
     return [vs(lhs[s], rhs[s]) for s in range(L)]
+
+
+def o_rrb_violations(op):
+    """RRB1: [Tu,Tv] - T(rho(Tu)v - rho(Tv)u + [u,v]) on every basis pair,
+    then RRB2: <Tu,Tv,Tw> - T(D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v + <u,v,w>)
+    on every basis triple: the t^0 coefficients for T alone."""
+    r = op.action
+    e = [_unit(r.carrier.dim, a) for a in range(r.carrier.dim)]
+    return _witnesses(r.carrier.dim, [
+        (2, [("RRB1", lambda a, b: poly_binary_residual(r, [op.T], e[a], e[b], 1)[0])]),
+        (3, [("RRB2", lambda a, b, c: poly_ternary_residual(r, [op.T], e[a], e[b], e[c],
+                                                            1)[0])]),
+    ])

@@ -70,6 +70,20 @@ def test_solve_and_inconsistent():
             solve(mat([[1, 0], [2, 0]]), b, ncols=2)
 
 
+@pytest.mark.parametrize("rows,ncols", [
+    ([{0: F(1), 2: F(1)}], 2),               # a sparse column past the last
+    ([{0: F(1), -1: F(1)}], 2),              # a negative sparse column
+    ([(F(1), F(0), F(1))], 2),               # a dense row longer than ncols
+    ([(F(1), F(0))], 3),                     # a dense row shorter than ncols
+    ([(F(1),), (F(1), F(0))], None),         # ragged dense rows
+])
+def test_rows_outside_the_columns_are_a_shape_mismatch(rows, ncols):
+    with pytest.raises(ShapeMismatch):
+        nullspace_basis(rows, ncols)
+    with pytest.raises(ShapeMismatch):
+        solve(rows, [F(1)] * len(rows), ncols)
+
+
 def test_invert():
     m = mat([[2, 1], [1, 1]])
     assert mm(m, invert(m)) == mat_id(2)

@@ -1,0 +1,203 @@
+"""One scalar convention: a scalar stored in a support, a sparse map or an
+equation table is an int when its denominator is 1 and a Fraction otherwise,
+while every scalar the library hands out is a Fraction.
+
+The inputs mix integral entries with 1/2 entries: p3, the projection
+p12_projection, and operators over generated two-step algebras whose entries
+are drawn from {1, -1, 2, -2, 1/2, 3}.  On those, the full witness lists of
+the axiom, representation, weight-1 and post checks match the dense oracles.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+import lyalg as L
+from lyalg import io as lyio
+from lyalg.cohomology import Cochain, SparseMat, induced_rep
+from lyalg.linalg import contract, dense, nullspace_basis, solve, sparse_map
+from lyalg.postlya import check_post_axioms, induced_post_from_rrb
+from lyalg.reps import RepAction, adjoint_rep, check_representation
+
+import oracles
+from conftest import fx
+from test_cohomology import two_step_operator
+from test_reports import perturb_post
+
+HALF = F(1, 2)
+
+
+def listed(rep):
+    return [(v.eq, v.args, v.residual) for v in rep.violations]
+
+
+def mixed_operator(seed):
+    """A dim-5 weight-1 operator over the adjoint action of a generated
+    two-step algebra (see ``two_step_operator``)."""
+    return two_step_operator(random.Random(seed), 3, 1, 1)
+
+
+def lists(t):
+    """The nested lists of a structure tensor, to be moved entry by entry."""
+    def level(x):
+        return [level(y) for y in x] if isinstance(x, tuple) else x
+    return level(oracles.nested(t))
+
+
+def moved_algebra(rng, A):
+    """A with one binary and one ternary coordinate moved by 1/2, twice, both
+    kept antisymmetric in the first two slots."""
+    n = A.dim
+    c, d = lists(A.binary), lists(A.ternary)
+    for _ in range(2):
+        i, j = rng.sample(range(n), 2)
+        r = rng.randrange(n)
+        c[i][j][r] += HALF
+        c[j][i][r] -= HALF
+        i, j = rng.sample(range(n), 2)
+        k, r = rng.randrange(n), rng.randrange(n)
+        d[i][j][k][r] += HALF
+        d[j][i][k][r] -= HALF
+    return L.LYAlgebra(n, c, d)
+
+
+def moved_rep(rng, r):
+    """r with two rho and two mu entries moved by 1/2."""
+    n, m = r.acting.dim, r.carrier.dim
+    rho, mu = lists(r.rho), lists(r.mu)
+    for _ in range(2):
+        rho[rng.randrange(n)][rng.randrange(m)][rng.randrange(m)] += HALF
+        mu[rng.randrange(n)][rng.randrange(n)][rng.randrange(m)][rng.randrange(m)] -= HALF
+    return RepAction(r.acting, r.carrier, rho, mu)
+
+
+def moved_operator(rng, op):
+    """op with two entries of T moved by 1/2, in rows 0..2, which span no
+    central direction of the generated algebra."""
+    T = [list(row) for row in op.T]
+    for _ in range(2):
+        T[rng.randrange(3)][rng.randrange(len(T[0]))] += HALF
+    return L.RRBOperator(op.action, T)
+
+
+def mixed(want):
+    """The residual entries of an oracle witness list mix integral nonzero
+    values with non-integral ones."""
+    flat = set()
+    for _, _, res in want:
+        for x in res:
+            flat.update(x if isinstance(x, tuple) else (x,))
+    return (any(q.denominator > 1 for q in flat)
+            and any(q and q.denominator == 1 for q in flat))
+
+
+@pytest.mark.parametrize("seed", [1901, 1902])
+def test_mixed_data_witness_lists_match_dense_oracles(seed):
+    rng = random.Random(seed)
+    op = mixed_operator(seed)
+    A = op.action.acting
+    cases = [
+        (L.check_ly_axioms, oracles.o_ly_violations, moved_algebra(rng, A), {}),
+        (check_representation, oracles.o_rep_violations, moved_rep(rng, adjoint_rep(A)), {}),
+        (L.check_rrb, oracles.o_rrb_violations, moved_operator(rng, op), {}),
+    ]
+    P = perturb_post(rng, induced_post_from_rrb(op))
+    for as_printed in (False, True):
+        cases.append((check_post_axioms,
+                      lambda P, as_printed=as_printed: oracles.o_post_violations(P, as_printed),
+                      P, {"as_printed": as_printed}))
+    for check, oracle, subject, kwargs in cases:
+        want = oracle(subject)
+        assert want and mixed(want), check.__name__
+        assert listed(check(subject, all_violations=True, **kwargs)) == want, check.__name__
+
+
+def stored(q):
+    """q is stored by the convention: an int exactly when it is integral."""
+    return type(q) is (int if q.denominator == 1 else F)
+
+
+def handed_out(x):
+    """Every scalar in the nested tuples, lists or dict values x is a
+    Fraction, and there is at least one."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, (tuple, list)):
+        return bool(x) and all(handed_out(y) for y in x)
+    return type(x) is F
+
+
+def tensors(op):
+    """The structure tensors of an operator's algebras and action."""
+    r = op.action
+    return [r.rho, r.mu, r.derived_D, r.acting.binary, r.acting.ternary, r.carrier.binary,
+            r.carrier.ternary]
+
+
+@pytest.fixture(scope="module")
+def operators():
+    return {"p3": lyio.load_operator(fx("p3_on_nilpotent4.json")),
+            "p12": lyio.load_operator(fx("p12_projection.json")),
+            "mixed": mixed_operator(1901)}
+
+
+def test_supports_and_sparse_maps_store_ints_exactly_when_integral(operators):
+    kinds = set()
+    for name, op in operators.items():
+        found = tensors(op)
+        if name != "p12":                    # p12 fails the weight-1 equations
+            r = induced_rep(op)
+            P = induced_post_from_rrb(op)
+            found += [r.rho, r.mu, r.derived_D, r.acting.binary, r.acting.ternary,
+                      P.star, P.brace, P.brace_D, P.sub_binary, P.sub_ternary]
+        for t in found:
+            for v in t.support.values():
+                assert all(stored(q) for q in v.values()), name
+                kinds.update(type(q) for q in v.values())
+        for part in sparse_map(op.T):
+            for entries in part.values():
+                assert all(stored(q) for _, q in entries), name
+                kinds.update(type(q) for _, q in entries)
+    assert kinds == {int, F}
+    # integral Fractions that arithmetic produces are stored as ints
+    t = L.Tensor.from_support({(0,): {0: HALF * 2, 1: HALF}}, 2, 1, (2,))
+    assert [type(q) for q in t.support[(0,)].values()] == [int, F]
+    rows, cols = sparse_map({(0, 0): F(4, 2), (0, 1): F(2, 4)})
+    assert [type(q) for _, q in rows[0]] == [int, F]
+    assert [type(q) for _, q in cols[0] + cols[1]] == [int, F]
+
+
+def test_every_scalar_handed_out_is_a_fraction(operators, tcomplex):
+    p3, p12, mix = operators["p3"], operators["p12"], operators["mixed"]
+    # failing reports: the weight-1 residuals of p12, a capped LY failure, and
+    # mixed residuals of an algebra moved by 1/2
+    for rep in (L.check_rrb(p12), L.check_rrb(p12, all_violations=True),
+                L.check_ly_axioms(lyio.load_algebra(fx("bad_algebra.json"))),
+                L.check_ly_axioms(moved_algebra(random.Random(1), mix.action.acting))):
+        assert not rep.passed
+        assert all(handed_out(v.residual) for v in rep.violations)
+    A, r = mix.action.acting, p3.action
+    x = tuple(F(k % 3) for k in range(A.dim))
+    assert handed_out(contract(A.binary, x, 0)) and handed_out(contract(A.ternary, 0, 1, x))
+    assert handed_out(contract(r.rho, 0)) and handed_out(contract(r.mu, 1, x[:4]))
+    assert handed_out(dense({0: 1, 2: HALF}, (3,)))
+    assert handed_out(dense({(0, 1): -2, (1, 0): HALF}, (2, 2)))
+    assert handed_out(lyio.load_matrix({"matrix": [["1", "1/2"], [2, 0]]}))
+    assert handed_out(lyio.load_wedges({"wedges": [[["1", 0], [0, "1/2"]]]}))
+    assert handed_out(p3.T)
+    # kernels, solves and cochains of p3's complex
+    M = tcomplex.matrix(1)
+    kernel = M.nullspace()
+    assert kernel and all(handed_out(v) for v in kernel)
+    b = M.apply({0: 1, 3: -2})
+    assert handed_out(M.solve(b))
+    witnesses = tcomplex.cohomology_witnesses(2)
+    assert witnesses
+    for c in witnesses + [tcomplex.coboundary(Cochain.from_support(1, 4, 4, {0: 1, 5: 2}))]:
+        assert handed_out(c.as_flat()) and handed_out(c.f)
+        assert c.p == 1 or handed_out(c.g)
+    assert all(handed_out(c.support) for c in witnesses)
+    assert handed_out(SparseMat(2, 2, {(0, 0): 1, (1, 1): 2}).nonzero_rows())
+    assert handed_out(nullspace_basis([{0: 1, 1: -2}], 2))
+    assert handed_out(solve([{0: 2, 1: 4}], {0: 2}, 2))

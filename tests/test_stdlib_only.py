@@ -132,6 +132,31 @@ def test_an_indexed_structure_tensor_is_caught():
                                                     ("m.py", 3, "derived_D")]
 
 
+# The tables hold ints wherever a value is integral, and int / int is a
+# float: the library multiplies, adds and eliminates fraction-free, and never
+# divides with a slash.
+def true_divisions(sources_by_path):
+    """(file, line) of each true division, ``a / b`` or ``a /= b``."""
+    out = []
+    for path, text in sources_by_path.items():
+        for node in ast.walk(ast.parse(text, path)):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                out.append((os.path.basename(path), node.lineno))
+    return sorted(out)
+
+
+def test_no_library_module_divides_with_a_slash():
+    assert true_divisions(sources(os.path.join("src", "lyalg"))) == []
+
+
+def test_a_true_division_is_caught():
+    snippet = ("def f(a, b):\n"
+               "    c = a // b + a % b\n"
+               "    a /= b\n"
+               "    return a / b, c, '/'\n")
+    assert true_divisions({"m.py": snippet}) == [("m.py", 3), ("m.py", 4)]
+
+
 def library_imports(text):
     """(line, module) of each import of the library in the source ``text``."""
     out = []
