@@ -53,8 +53,7 @@ import itertools
 from collections.abc import Mapping
 
 from .errors import AxiomsFailed, DimMismatch, ShapeMismatch, TooLarge
-from .linalg import (Q0, Tensor, axpy, column_echelon, dense, frac, invert, matrix_values,
-                     pull, push, sparse_map, vector_values)
+from .linalg import Q0, Tensor, axpy, column_echelon, dense, frac, invert, pull, push, sparse_map
 from .reps import RepAction
 
 
@@ -351,14 +350,13 @@ def coboundary_matrix_for(alg, rep, p, delta=None):
 
 
 def _by_column(t):
-    """A matrix-valued tensor's support as {key: (columns, negated columns)},
-    columns {c: [(r, q)]}."""
+    """A matrix-valued tensor's support grouped by its key less the column
+    slot, as {key: (columns, negated columns)}, columns {c: [(r, q)]}."""
     out = {}
     for key, v in t.support.items():
-        cols = {}
-        for (r, c), q in v.items():
-            cols.setdefault(c, []).append((r, q))
-        out[key] = (cols, {c: [(r, -q) for r, q in col] for c, col in cols.items()})
+        cols, neg = out.setdefault(key[:-1], ({}, {}))
+        cols[key[-1]] = list(v.items())
+        neg[key[-1]] = [(r, -q) for r, q in v.items()]
     return out
 
 
@@ -537,8 +535,9 @@ def induced_rep(op):
     desc = descent_algebra(op)
     rows, cols = sparse_map(op.T)
     c, d = g.binary.support, g.ternary.support
-    rho, mu, D = (vector_values(t) for t in (r.rho, r.mu, r.derived_D))
-    # each table is {(a, i) or (a, b, i): {t: q}}, the value at (u_a, .., e_i)
+    rho, mu, D = r.rho.support, r.mu.support, r.derived_D.support
+    # each table is {(a, i) or (a, b, i): {t: q}}, the value at (u_a, .., e_i):
+    # column i of the matrix at (u_a, ..), the form a support stores
     rho_T, inner = {}, {}
     pull(rho_T, 1, c, (rows, None))
     pull(inner, 1, rho, (None, None), (1, 0))
@@ -554,9 +553,9 @@ def induced_rep(op):
     pull(inner, -1, mu, (rows, None, None), (0, 2, 1))
     push(D_T, -1, cols, inner)
     shape = (n, n)
-    rep = RepAction(desc, g, Tensor.from_support(matrix_values(rho_T), m, 1, shape),
-                    Tensor.from_support(matrix_values(mu_T), m, 2, shape))
-    derived = vector_values(rep.derived_D)
+    rep = RepAction(desc, g, Tensor.from_support(rho_T, m, 1, shape),
+                    Tensor.from_support(mu_T, m, 2, shape))
+    derived = rep.derived_D.support
     bad = [key for key in derived.keys() | D_T.keys() if derived.get(key) != D_T.get(key)]
     if bad:
         raise AxiomsFailed("derived D of the induced pair deviates from its closed "
@@ -588,7 +587,7 @@ def partial_matrix(op):
     n, m = g.dim, op.action.carrier.dim
     rows, cols = sparse_map(op.T)
     table = {}
-    push(table, 1, cols, vector_values(op.action.derived_D))
+    push(table, 1, cols, op.action.derived_D.support)
     pull(table, -1, g.ternary.support, (None, None, rows))
     pidx = {pr: t for t, pr in enumerate(pair_basis(n))}
     return SparseMat(m * n, len(pidx), {(a * n + t, pidx[i, j]): q

@@ -24,8 +24,10 @@ the four keys dot/star/angle/brace.  File references resolve relative to the
 referencing file's directory.
 
 Every input is read once, straight into the form the library uses.  Matrices
-are read as their supports {(r, c): q}: rho and mu become tensors through
-``Tensor.from_support``, and only the API's dense matrices (T, N, a
+are read as their supports {(r, c): q}, and a literal zero (the JSON int 0 or
+the string "0") is skipped without a parse.  rho and mu become tensors
+through ``Tensor.from_support``, entry (r, c) of the matrix at (i, ..) stored
+as row r at (i, .., c), and only the API's dense matrices (T, N, a
 homomorphism's matrix, ``load_matrix``) are filled from that support.  Within
 one top-level load, each distinct rational value is parsed once, into the
 form a support stores (``linalg.scalar``: an int when it is integral), and two
@@ -233,10 +235,18 @@ class _Load:
         if not isinstance(mu_doc, list) or len(mu_doc) != n \
                 or any(not isinstance(row, list) or len(row) != n for row in mu_doc):
             raise FormatError("action.mu: need a %dx%d array of matrices" % (n, n))
-        rho = {(i,): self.matrix(mx, "action.rho[%d]" % i, m, m)[0]
-               for i, mx in enumerate(rho_doc)}
-        mu = {(i, j): self.matrix(mu_doc[i][j], "action.mu[%d][%d]" % (i, j), m, m)[0]
-              for i in range(n) for j in range(n)}
+        rho, mu = {}, {}
+
+        def put(table, key, mx, where):
+            # column c of the matrix at key is the value at key + (c,)
+            for (r, c), q in self.matrix(mx, where, m, m)[0].items():
+                table.setdefault(key + (c,), {})[r] = q
+
+        for i, mx in enumerate(rho_doc):
+            put(rho, (i,), mx, "action.rho[%d]" % i)
+        for i in range(n):
+            for j in range(n):
+                put(mu, (i, j), mu_doc[i][j], "action.mu[%d][%d]" % (i, j))
         acting.ensure_verified()
         carrier.ensure_verified()
         r = RepAction(acting, carrier, Tensor.from_support(rho, n, 1, (m, m)),
@@ -248,7 +258,8 @@ class _Load:
     def matrix(self, rows, where, nr=None, nc=None):
         """The nonzero entries {(r, c): q} of a row-major array of rationals,
         and its shape.  A ragged row is reported before a wrong size, and the
-        first bad entry in row-major order."""
+        first bad entry in row-major order; a literal zero, the JSON int 0 or
+        the string "0", is skipped without a parse."""
         if not isinstance(rows, list) or not rows \
                 or not all(isinstance(r, list) for r in rows):
             raise FormatError("%s: matrix must be a non-empty array of rows" % where)
@@ -258,6 +269,8 @@ class _Load:
             if len(row) != width:
                 raise FormatError("%s: ragged matrix" % where)
             for c, v in enumerate(row):
+                if v == "0" or type(v) is int and v == 0:
+                    continue
                 q = self.rational(v, where)
                 if q:
                     table[r, c] = q

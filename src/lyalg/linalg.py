@@ -11,11 +11,12 @@ divides with ``/``, so no float can appear.  The one elimination routine
 takes dense or sparse rows, {column: Fraction or int}, works fraction-free on
 primitive integer rows, and hands back Fractions; every kernel and solve
 feeds it the columns of a matrix, each with a tag.
-Structure tensors (``Tensor``) are their support, the nonzero vector or
-matrix values as sparse dicts.  ``contract`` evaluates them at vectors and
-basis indices; every equation is tabulated from the supports as one sparse
-table, a signed sum of compositions (``compose``) and of supports pulled back
-along or pushed through a linear map (``pull``/``push``).  Every expansion in
+Structure tensors (``Tensor``) are their support, {index tuple: {row: q}}
+over the nonzero values, a matrix value's column the last slot of its key.
+``contract`` evaluates them at vectors and basis indices; every equation is
+tabulated from the supports as one sparse table of the same form, a signed
+sum of compositions (``compose``) and of supports pulled back along or pushed
+through a linear map (``pull``/``push``).  Every expansion in
 t is a truncated polynomial whose t^s coefficient is read off by one routine:
 ``graded`` for a support with its slots read through polynomial maps,
 ``graded_push`` for a polynomial map applied to tables graded by degree.
@@ -87,9 +88,11 @@ class Tensor:
 
     Every value has ``shape``: (d,) for a vector, (r, c) for a matrix.
     ``support`` maps each index tuple whose value is nonzero to that value as
-    a sparse dict, {r: q} for a vector and {(r, c): q} for a matrix, each q
-    stored by ``scalar``; keys are in lexicographic order and entries in
-    ascending order, and callers never change the table in place.  Built from
+    a sparse dict {row: q}, each q stored by ``scalar``; a matrix value is
+    read by its columns, column c of the value at (i, .., k) keyed
+    (i, .., k, c), the form in which rho(x)v, mu(x, y)v and D(x, y)v are
+    multilinear in every slot.  Keys are in lexicographic order and entries
+    in ascending order, and callers never change the table in place.  Built from
     nested lists or tuples, dim entries at every index level and
     values[i]...[k] at (e_i, ..., e_k) of the value's shape, else DimMismatch;
     inside the library, from a support table by ``from_support``.  A Tensor of
@@ -107,7 +110,7 @@ class Tensor:
         def walk(v, key):
             seq = isinstance(v, (list, tuple))
             if len(key) == len(sizes) and not seq:
-                table.setdefault(key[:arity], {})[key[arity:] if shape[1:] else key[-1]] = frac(v)
+                table.setdefault(key[:arity] + key[arity + 1:], {})[key[arity]] = frac(v)
             elif len(key) == len(sizes) or not seq or len(v) != sizes[len(key)]:
                 what = "%d entries" % len(v) if seq else "a scalar"
                 raise DimMismatch("%s at depth %d of values nested %s" % (what, len(key), sizes))
@@ -146,8 +149,8 @@ def contract(t, *slots):
     """The value of the tensor ``t`` with each slot a basis index or a vector.
 
     Only index tuples in the support contribute, and a coefficient product is
-    formed only for those; with no live term the result is the zero of the
-    tensor's value shape.
+    formed only for those; a matrix value is read column by column.  With no
+    live term the result is the zero of the tensor's value shape.
     """
     if len(slots) != t.arity:
         raise DimMismatch("tensor takes %d arguments, got %d" % (t.arity, len(slots)))
@@ -160,6 +163,9 @@ def contract(t, *slots):
                 raise DimMismatch("vectors must have length %d" % t.dim)
             picks.append([i for i, x in enumerate(s) if x])
             vecs.append(k)
+    matrix = len(t.shape) == 2
+    if matrix:
+        picks.append(range(t.shape[1]))
     acc = {}
     support = t.support
     for key in itertools.product(*picks):
@@ -169,38 +175,14 @@ def contract(t, *slots):
         c = 1
         for k in vecs:
             c *= slots[k][key[k]]
-        for e, x in v.items():
+        for r, x in v.items():
+            e = (r, key[-1]) if matrix else r
             acc[e] = acc.get(e, 0) + c * x
     return dense(acc, t.shape)
 
 
 # ---------------------------------------------------------------------------
 # sparse values
-#
-# The equation tables read the support of each tensor, a matrix value's column
-# as one more slot; the dense residual is built only for a recorded witness.
-
-def vector_values(t):
-    """The support of ``t`` as {index tuple: {row: q}}; a matrix value's
-    column is one more slot at the end."""
-    if len(t.shape) == 1:
-        return t.support
-    out = {}
-    for key, v in t.support.items():
-        for (r, c), x in v.items():
-            out.setdefault(key + (c,), {})[r] = x
-    return out
-
-
-def matrix_values(table):
-    """A table read as by ``vector_values``, with the column in its last slot,
-    regrouped as {index tuple: {(r, c): q}}."""
-    out = {}
-    for key, v in table.items():
-        c = key[-1]
-        out.setdefault(key[:-1], {}).update({(r, c): q for r, q in v.items()})
-    return out
-
 
 def axpy(acc, f, x):
     """acc += f * x on sparse dicts of ints and Fractions, in place, dropping
@@ -395,10 +377,11 @@ def signed_sum(terms):
 
 def compose(acc, sign, outer, p, inner, positions=None):
     """acc += sign * ``outer`` with the value of ``inner`` in its slot p, both
-    tables read as by ``vector_values``: the key is outer's with slot p
-    replaced by inner's slots, then placed as by ``pull``.  The product of
-    two matrix values is the composition into the outer one's column slot.
-    No table of the composition itself is formed."""
+    tables {key: {row: q}} with a matrix value's column in the last slot (see
+    ``Tensor``): the key is outer's with slot p replaced by inner's slots,
+    then placed as by ``pull``.  The product of two matrix values is the
+    composition into the outer one's column slot.  No table of the
+    composition itself is formed."""
     at = {}
     for key, v in outer.items():
         at.setdefault(key[p], []).append((key[:p], key[p + 1:], v))
@@ -414,10 +397,11 @@ def compose(acc, sign, outer, p, inner, positions=None):
 def hom_table(src, dst, cols, maps):
     """M(src(e_i, ..)) - dst(..) with slot p of dst read through maps[p], over
     the basis tuples of src's slots, M given by its columns (see
-    ``sparse_map``); both tensors are read by ``vector_values``."""
+    ``sparse_map``); both supports are read as they are, a matrix value's
+    column one more slot that maps[-1] reads."""
     acc = {}
-    push(acc, 1, cols, vector_values(src))
-    pull(acc, -1, vector_values(dst), maps)
+    push(acc, 1, cols, src.support)
+    pull(acc, -1, dst.support, maps)
     return acc
 
 

@@ -24,7 +24,7 @@ no basis tuple is visited.
 from .core import LYAlgebra, check_homomorphism, check_ly_axioms
 from .errors import AxiomsFailed, DimMismatch, StructureError, Unverified
 from .linalg import (Tensor, hom_table, mat, mat_id, pull, signed_sum, skew_fault,
-                     sparse_map, vector_values)
+                     sparse_map)
 from .reports import Checker
 from .reps import RepAction, check_action, regular_pair
 
@@ -172,7 +172,7 @@ def induced_action(A):
     base = A.base_ly()
     base.ensure_verified()
     r = RepAction(S, base, *regular_pair(A.star, A.brace))
-    derived, bD = vector_values(r.derived_D), A.brace_D.support
+    derived, bD = r.derived_D.support, A.brace_D.support
     bad = [key for key in derived.keys() | bD.keys() if derived.get(key) != bD.get(key)]
     if bad:
         raise AxiomsFailed("derived D of (L, R) differs from the derived brace at "
@@ -203,8 +203,8 @@ def induced_post_from_rrb(op):
     rows, _ = sparse_map(op.T)
     # x*y at (x, y) and {x,y,z} at (x, y, z), T pulled into the slots of rho and mu
     star, brace = {}, {}
-    pull(star, 1, vector_values(r.rho), (rows, None))
-    pull(brace, 1, vector_values(r.mu), (rows, rows, None), (1, 2, 0))
+    pull(star, 1, r.rho.support, (rows, None))
+    pull(brace, 1, r.mu.support, (rows, rows, None), (1, 2, 0))
     A = PostLYAlgebra(m, h.binary, Tensor.from_support(star, m, 2, (m,)), h.ternary,
                       Tensor.from_support(brace, m, 3, (m,)),
                       basis=h.basis, name="%s-post" % h.name)

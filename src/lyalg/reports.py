@@ -8,7 +8,7 @@ fixed order and stops once a capped report is settled.
 
 from dataclasses import dataclass, field
 
-from .linalg import dense, format_frac, matrix_values, signed_sum
+from .linalg import dense, format_frac, signed_sum
 
 DEFAULT_CAP = 10
 
@@ -94,15 +94,23 @@ class Checker:
 
     def table(self, shape, *named):
         """Record each (name, values[, order]) of ``named`` at every tuple of
-        its sparse table {args: sparse value} of ``shape`` (see
-        ``linalg.signed_sum``).  Witnesses come sorted by ``order(args)``, the
-        tuple itself when no order is given, so a tuple comes before its
-        extensions, and at one key in the order of ``named``."""
+        its sparse table {key: {row: q}} of ``shape`` (see
+        ``linalg.signed_sum``); a matrix value's column is the last slot of
+        its key, and its witness tuple is the key without it.  Witnesses come
+        sorted by ``order(args)``, the tuple itself when no order is given, so
+        a tuple comes before its extensions, and at one key in the order of
+        ``named``; a matrix residual is gathered only for a recorded witness."""
+        cut = -1 if len(shape) == 2 else None
         live = ((eq[2](args) if len(eq) > 2 else args, e, args)
-                for e, eq in enumerate(named) for args in eq[1])
+                for e, eq in enumerate(named) for args in (key[:cut] for key in eq[1]))
         for _, e, args in self.scan(live):
             name, values = named[e][:2]
-            self.record(name, args, dense(values[args], shape))
+            if cut is None:
+                v = values[args]
+            else:
+                v = {(r, c): q for c in range(shape[1])
+                     for r, q in values.get(args + (c,), {}).items()}
+            self.record(name, args, dense(v, shape))
 
     def tabulate(self, shape, *groups):
         """``table`` each group of (name, terms[, order]) in turn: an
@@ -112,11 +120,8 @@ class Checker:
         for group in groups:
             if self.done:
                 return
-            tables = []
-            for name, terms, *order in group:
-                table = signed_sum(terms)
-                tables.append((name, matrix_values(table) if len(shape) == 2 else table, *order))
-            self.table(shape, *tables)
+            self.table(shape, *[(name, signed_sum(terms), *order)
+                                for name, terms, *order in group])
 
     def report(self, data=None):
         return Report(self.subject,

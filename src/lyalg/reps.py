@@ -2,25 +2,30 @@
 
 A representation of g on a space V is a pair (rho, mu): rho linear in one
 g-slot, mu bilinear in two g-slots, both valued in endomorphisms of V, subject
-to five compatibility equations (R1-R5 below).  The derived skew map
+to five compatibility equations (R1-R5 below).  rho, mu and the derived
+skew map
 
     D(x, y) = mu(y, x) - mu(x, y) + [rho(x), rho(y)] - rho([x, y])
 
-is computed once, at construction, from the supports of rho, mu and the acting
-bracket.  R1-R5 and the lemma identities are each one table of residuals
-over all basis tuples, a signed sum of compositions of the supports of the
-brackets, rho, mu and D, each read with its matrix column as one more slot;
-a product of two action matrices is a composition into the column slot of
-the left one.  An *action* additionally lands in the center of the carrier algebra
-and kills its brackets, which is exactly what makes the semidirect brackets on
-g (+) h satisfy the Lie-Yamaguti axioms.  The action test reads supports too:
-each nonzero column of rho, mu and D is tested against the center, and each
-nonzero block is applied to the nonzero bracket values only.
+are stored as their supports, a matrix's column the last key slot
+(``linalg.Tensor``), so rho(x)v, mu(x, y)v and D(x, y)v are read as
+multilinear in every slot.  D is computed once, at construction, and R1-R5
+and the lemma identities are each one table of residuals over all basis
+tuples, all of them signed sums of compositions of the supports of the
+brackets, rho, mu and D; a product of two action matrices is a composition
+into the column slot of the left one.  An *action* additionally lands in the
+center of the carrier algebra and kills its brackets, which is exactly what
+makes the semidirect brackets on g (+) h satisfy the Lie-Yamaguti axioms.
+The action test reads supports too: each nonzero column of rho, mu and D is
+tested against the center, and each nonzero block is applied to the nonzero
+bracket values only.
 """
+
+import itertools
 
 from .core import LYAlgebra, center
 from .errors import AxiomsFailed, NotAnAction
-from .linalg import Tensor, axpy, dense, sparse_mul, vector_values
+from .linalg import Tensor, axpy, dense, signed_sum
 from .reports import Checker
 
 
@@ -73,28 +78,15 @@ class RepAction:
 def derive_D(r):
     """The skew bilinear map D(x,y) = mu(y,x) - mu(x,y) + [rho(x),rho(y)] - rho([x,y]).
 
-    Only the supports are multiplied: the products of nonzero rho blocks, and
-    each rho block by a nonzero bracket coefficient.  The acting bracket is
-    antisymmetric (``LYAlgebra`` enforces it), so D is, and D(e_j, e_i) is
-    -D(e_i, e_j) for i < j.
+    One signed sum of the supports (``linalg.signed_sum``), keyed (x, y, c):
+    the commutator is rho composed into rho's column slot, and rho([x,y]) the
+    acting bracket composed into rho's acting slot.  D is skew because the
+    acting bracket is (``LYAlgebra`` enforces it).
     """
-    n, shape = r.acting.dim, r.rho.shape
-    c, rho, mu = r.acting.binary.support, r.rho.support, r.mu.support
-    values = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = dict(mu.get((j, i), {}))
-            axpy(d, -1, mu.get((i, j), {}))
-            a, b = rho.get((i,)), rho.get((j,))
-            if a and b:
-                axpy(d, 1, sparse_mul(a, b))
-                axpy(d, -1, sparse_mul(b, a))
-            for k, q in c.get((i, j), {}).items():
-                axpy(d, -q, rho.get((k,), {}))
-            if d:
-                values[i, j] = d
-                values[j, i] = {rc: -q for rc, q in d.items()}
-    return Tensor.from_support(values, n, 2, shape)
+    rho, mu = r.rho.support, r.mu.support
+    values = signed_sum([(1, mu, (1, 0, 2)), (-1, mu, None), (1, rho, 1, rho),
+                         (-1, rho, 1, rho, (1, 0, 2)), (-1, rho, 0, r.acting.binary.support)])
+    return Tensor.from_support(values, r.acting.dim, 2, r.rho.shape)
 
 
 def check_representation(r, all_violations=False):
@@ -110,12 +102,12 @@ def check_representation(r, all_violations=False):
     signed sum of compositions of the supports (``linalg.signed_sum``): rho,
     mu and D are read with the matrix column as one more slot, so a product
     such as mu(x,z)rho(y) is rho composed into mu's column slot, and the
-    table is regrouped into matrices to be scanned (``Checker.tabulate``).
+    table is scanned in that form (``Checker.tabulate``).
     """
     g = r.acting
     ck = Checker("representation(%s on %s)" % (g.name, r.carrier.name), all_violations)
     c, d = g.binary.support, g.ternary.support
-    rho, mu, D = (vector_values(t) for t in (r.rho, r.mu, r.derived_D))
+    rho, mu, D = r.rho.support, r.mu.support, r.derived_D.support
     # basis vectors x, y, z, w sit at tuple positions 0..3, the column last
     ck.tabulate(r.rho.shape, [
         ("R1", [(1, mu, 0, c), (-1, mu, 2, rho, (0, 2, 1, 3)), (1, mu, 2, rho, (1, 2, 0, 3))]),
@@ -143,7 +135,7 @@ def check_lemma_identities(r, all_violations=False):
     g = r.acting
     ck = Checker("lemma-identities(%s on %s)" % (g.name, r.carrier.name), all_violations)
     c, d = g.binary.support, g.ternary.support
-    mu, D = vector_values(r.mu), vector_values(r.derived_D)
+    mu, D = r.mu.support, r.derived_D.support
     ck.tabulate(r.rho.shape, [
         ("L1", [(1, D, 0, c, xyz + (3,)) for xyz in ((0, 1, 2), (1, 2, 0), (2, 0, 1))])], [
         ("L2", [(1, D, 0, d), (1, D, 1, d, (2, 0, 1, 3, 4)), (-1, D, 2, D),
@@ -155,15 +147,12 @@ def check_lemma_identities(r, all_violations=False):
 
 def regular_pair(binary, ternary):
     """(rho, mu) with rho(x)z = x.z and mu(x, y)z = {z, x, y} for a binary
-    and a ternary operation on one space: column s of rho(e_i) is
-    binary(e_i, e_s) and column s of mu(e_i, e_j) is ternary(e_s, e_i, e_j)."""
+    and a ternary operation on one space: rho at (i, s) is binary(e_i, e_s),
+    so its support is binary's, and mu at (i, j, s) is ternary(e_s, e_i, e_j)."""
     n = binary.dim
-    rho, mu = {}, {}
-    for (i, s), v in binary.support.items():
-        rho.setdefault((i,), {}).update({(t, s): q for t, q in v.items()})
-    for (s, i, j), v in ternary.support.items():
-        mu.setdefault((i, j), {}).update({(t, s): q for t, q in v.items()})
-    return (Tensor.from_support(rho, n, 1, (n, n)), Tensor.from_support(mu, n, 2, (n, n)))
+    mu = signed_sum([(1, ternary.support, (2, 0, 1))])
+    return (Tensor.from_support(binary.support, n, 1, (n, n)),
+            Tensor.from_support(mu, n, 2, (n, n)))
 
 
 def adjoint_rep(A):
@@ -195,14 +184,13 @@ def check_action(r, all_violations=False):
                                    if ab[0] < ab[1]]),
                 ("-kills-ternary", h.ternary.support.items())]
     for fam, t in (("rho", r.rho), ("mu", r.mu), ("D", r.derived_D)):
-        for args, M in t.support.items():
+        # the support is sorted, so each acting tuple's columns come together, in order
+        for args, group in itertools.groupby(t.support.items(), lambda kv: kv[0][:-1]):
             if ck.done:
                 break
-            cols = {}
-            for (row, col), q in M.items():
-                cols.setdefault(col, {})[row] = q
-            for col in sorted(cols):
-                v = dense(cols[col], shape)
+            cols = {key[-1]: v for key, v in group}
+            for col, v in cols.items():
+                v = dense(v, shape)
                 if not C.contains(v):
                     ck.record(fam + "-image-central", args + (col,), v)
             # M applied to each nonzero bracket value, column by column
@@ -240,12 +228,12 @@ def semidirect_product(r):
     for key, v in h.ternary.support.items():
         put(ternary, tuple(n + i for i in key), v)
     # column c of a block is its value at the carrier's basis vector c
-    for (i, c), v in vector_values(r.rho).items():
+    for (i, c), v in r.rho.support.items():
         put(binary, (i, n + c), v)
         put(binary, (n + c, i), v, -1)
-    for (i, j, c), v in vector_values(r.derived_D).items():
+    for (i, j, c), v in r.derived_D.support.items():
         put(ternary, (i, j, n + c), v)
-    for (i, j, c), v in vector_values(r.mu).items():
+    for (i, j, c), v in r.mu.support.items():
         put(ternary, (n + c, i, j), v)
         put(ternary, (i, n + c, j), v, -1)
     # mixed tuples with two carrier entries vanish

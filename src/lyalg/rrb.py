@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from .core import LYAlgebra, check_homomorphism, derived_algebra
 from .errors import DimMismatch, PreconditionFailed, Unverified
 from .linalg import (Tensor, column_table, dense, graded, graded_push, hom_table, invert, mat,
-                     mat_id, matrix_values, pull, push, sparse_map, sparse_mul,
-                     vector_values)
+                     mat_id, pull, push, sparse_map, sparse_mul)
 from .reports import Checker
 from .reps import adjoint_rep
 
@@ -83,7 +82,7 @@ def _inner_sums(r, T, degree):
     I_0 and J_0 for T alone are the brackets of the descent algebra.
     """
     h = r.carrier
-    rho, mu, D = (vector_values(t) for t in (r.rho, r.mu, r.derived_D))
+    rho, mu, D = r.rho.support, r.mu.support, r.derived_D.support
     terms2 = [(1, h.binary.support, (None, None), None),
               (1, rho, (T, None), None), (-1, rho, (T, None), (1, 0))]
     terms3 = [(1, h.ternary.support, (None, None, None), None),
@@ -305,7 +304,7 @@ def check_rrb_homomorphism(from_op, to_op, pair, all_violations=False):
         ck.record("intertwines-T", (), dense(res, (g.dim, h.dim)))
     (g_rows, _), (h_rows, h_cols) = sparse_map(pg), sparse_map(ph)
     ck.table((h.dim, h.dim), *[
-        (name, matrix_values(hom_table(src, dst, h_cols, (g_rows,) * src.arity + (h_rows,))))
+        (name, hom_table(src, dst, h_cols, (g_rows,) * src.arity + (h_rows,)))
         for name, src, dst in (("rho-equivariance", rf.rho, rt.rho),
                                ("mu-equivariance", rf.mu, rt.mu),
                                ("D-equivariance", rf.derived_D, rt.derived_D))])
@@ -323,5 +322,5 @@ def intertwining(P, A, B, Q):
         acc = {}
         for sign, poly, tables in terms:
             graded_push(acc, sign, poly, tables, s)
-        out.append(matrix_values(acc).get((), {}))
+        out.append({(r, c): q for (c,), v in acc.items() for r, q in v.items()})
     return out

@@ -128,21 +128,24 @@ _NESTED = {}
 def nested(t):
     """The nested tuples of a library structure tensor: nested(t)[i]...[k] is
     its value at (e_i, ..., e_k), a vector or a tuple of matrix rows, read off
-    ``t.support`` with ``t.dim``, ``t.arity`` and ``t.shape``.  Built once per
-    tensor and dropped with it."""
+    ``t.support`` with ``t.dim``, ``t.arity`` and ``t.shape``.  The support
+    maps a key to {row: q}; for a matrix value, column c of the value at
+    (i, ..., k) is the entry keyed (i, ..., k, c).  Built once per tensor and
+    dropped with it."""
     view = _NESTED.get(id(t))
     if view is None:
         shape = t.shape
 
-        def value(v):
+        def value(key):
             if len(shape) == 1:
+                v = t.support.get(key, {})
                 return tuple(v.get(r, Z) for r in range(shape[0]))
-            return tuple(tuple(v.get((r, c), Z) for c in range(shape[1]))
-                         for r in range(shape[0]))
+            cols = [t.support.get(key + (c,), {}) for c in range(shape[1])]
+            return tuple(tuple(col.get(r, Z) for col in cols) for r in range(shape[0]))
 
         def level(key):
             if len(key) == t.arity:
-                return value(t.support.get(key, {}))
+                return value(key)
             return tuple(level(key + (i,)) for i in range(t.dim))
         view = _NESTED[id(t)] = level(())
         weakref.finalize(t, _NESTED.pop, id(t), None)

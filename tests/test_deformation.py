@@ -313,3 +313,30 @@ def test_t1_closed_matches_oracle_where_partial_is_nonzero():
             assert rep.data["t1_closed"] is want, (seed, k)
             closed.add(want)
     assert closed == {True, False}
+
+
+def test_t1_closed_is_the_coboundary_of_t1(p3):
+    """``t1_closed``, read off the t^1 tables, is whether delta^T of T1 as a
+    degree-1 cochain vanishes, for T1 drawn from Z^1 and at random."""
+    from test_cohomology import two_step_operator
+    ops = [p3] + [op for _, op, _ in nonzero_partial_cases()] \
+        + [two_step_operator(random.Random(seed), 3, 1, 1) for seed in (5005, 5006)]
+    seen = set()
+    for case, op in enumerate(ops):
+        n, m = op.action.acting.dim, op.action.carrier.dim
+        cx = L.TComplex(op)
+        z = cx.matrix(1).nullspace()
+        rng = random.Random(case)
+        for k in range(6):
+            if k % 2:
+                coeffs = [rng.choice([F(0), F(1), F(-2)]) for _ in z]
+                flat = [sum((c * w.get(j, F(0)) for c, w in zip(coeffs, z)), F(0))
+                        for j in range(m * n)]
+            else:
+                flat = [rng.choice([F(0), F(1), F(1, 2)]) for _ in range(m * n)]
+            T1 = tuple(tuple(flat[a * n + t] for a in range(m)) for t in range(n))
+            c = L.Cochain.from_support(1, m, n, dict(enumerate(flat)))
+            want = cx.coboundary(c).is_zero()
+            assert check_linear_deformation(op, T1).data["t1_closed"] is want, (case, k)
+            seen.add(want)
+    assert seen == {True, False}

@@ -187,6 +187,45 @@ def test_first_bad_entry_in_row_major_order_and_ragged_before_size():
                             FIXTURES)
 
 
+def literal_zero(v):
+    return v == "0" or type(v) is int and v == 0
+
+
+def test_literal_zero_matrix_entries_are_not_parsed(monkeypatch):
+    """Every listed algebra entry is parsed, and every matrix entry but the
+    JSON int 0 and the string "0"."""
+    calls = []
+    rational = lyio._Load.rational
+
+    def counting(self, v, where):
+        calls.append(v)
+        return rational(self, v, where)
+    monkeypatch.setattr(lyio._Load, "rational", counting)
+    doc = read("nilpotent4_adjoint.json")
+    assert doc["acting"] == doc["carrier"]
+    alg = read(doc["acting"])
+    matrices = doc["rho"] + [mx for row in doc["mu"] for mx in row]
+    entries = [v for mx in matrices for row in mx for v in row]
+    r = lyio.load_action(fx("nilpotent4_adjoint.json"))
+    assert len(calls) == len(alg["binary"]) + len(alg["ternary"]) \
+        + sum(not literal_zero(v) for v in entries)
+    assert len(calls) < len(entries)
+    assert_action_unchanged(r, doc)
+
+
+@pytest.mark.parametrize("v", BAD_VALUES, ids=repr)
+def test_bad_entry_after_rows_of_zeros(v):
+    for zero in (0, "0"):
+        rows = [[zero] * 3, [zero] * 3, [zero, v, "x"]]
+        with pytest.raises(FormatError) as e:
+            lyio.load_matrix({"matrix": rows})
+        assert str(e.value) == "matrix: bad rational %r" % (v,)
+        with pytest.raises(FormatError) as e:
+            lyio.load_operator({"action": "nilpotent4_adjoint.json",
+                                "T": [[zero] * 4] * 3 + [[zero, zero, zero, v]]}, FIXTURES)
+        assert str(e.value) == "operator.T: bad rational %r" % (v,)
+
+
 # one LY verification per referenced algebra
 
 @pytest.fixture

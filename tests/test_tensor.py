@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import pickle
 import random
 import tracemalloc
@@ -53,7 +54,7 @@ def test_from_support_cost_follows_the_support():
     """A dim-32 matrix-valued binary tensor with 128 nonzero keys: a dense
     view would hold 1024 values of 32 x 32 entries."""
     n = 32
-    table = {(i, (7 * i + k) % n): {(k, i): F(1)} for i in range(n) for k in range(4)}
+    table = {(i, (7 * i + k) % n, i): {k: F(1)} for i in range(n) for k in range(4)}
     tracemalloc.start()
     try:
         t = Tensor.from_support(table, n, 2, (n, n))
@@ -224,18 +225,22 @@ def test_action_on_a_zero_dim_carrier():
 
 
 def random_table(rng, dim, arity, shape):
-    """A sparse table {index tuple: sparse value} with random keys and entries,
-    some of them zero, and its nested values."""
+    """A sparse table {index tuple: {row: q}} with random keys and entries,
+    some of them zero, a matrix value's column in the last key slot, and its
+    nested values."""
     entries = (list(range(shape[0])) if len(shape) == 1 else
                [(r, c) for r in range(shape[0]) for c in range(shape[1])])
-    table = {}
+    values, table = {}, {}
     for key in itertools.product(range(dim), repeat=arity):
         if entries and rng.random() < 0.4:
-            table[key] = {e: rng.choice(POOL) for e in rng.sample(entries, rng.randint(1, 2))}
+            values[key] = {e: rng.choice(POOL) for e in rng.sample(entries, rng.randint(1, 2))}
+            for e, q in values[key].items():
+                r, col = (e, ()) if len(shape) == 1 else (e[0], e[1:])
+                table.setdefault(key + col, {})[r] = q
 
     def level(key):
         if len(key) == arity:
-            return dense(table.get(key, {}), shape)
+            return dense(values.get(key, {}), shape)
         return [level(key + (i,)) for i in range(dim)]
     return table, level(())
 
@@ -287,3 +292,67 @@ def test_checks_leave_the_supports_as_they_were(name):
         first, second = check(), check()
         assert first.to_dict() == second.to_dict()
     assert [t.support for t in tensors] == before
+
+
+# ---------------------------------------------------------------------------
+# the support format of matrix values: column c of the matrix at (i, .., k)
+# is the value {row: q} keyed (i, .., k, c)
+
+def matrix_tensors(p3):
+    """Every matrix-valued tensor the library builds, by name."""
+    loaded = lyio.load_action(fx("nilpotent4_adjoint.json"))
+    adjoint = adjoint_rep(lyio.load_algebra(fx("nilpotent4.json")))
+    from test_cohomology import square_zero_operator
+    # p3's induced representation and post action vanish; these two do not:
+    # a square-zero operator's induced representation, and the action of the
+    # post-algebra with e0*e0 = {e0,e0,e0} = e1 on an abelian base
+    live = square_zero_operator(random.Random(401), 4, 3, 2)
+    z2 = [[[0, 0], [0, 0]]] * 2
+    e1 = [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]
+    small = PostLYAlgebra(2, z2, e1, [z2] * 2, [e1, z2])
+    rng = random.Random(2023)
+    out = {"nested (2, 3)": Tensor(random_values(rng, 3, 3, 2, 3), 3, 2, (2, 3)),
+           "p3 action rho": p3.action.rho, "p3 action mu": p3.action.mu}
+    for name, r in (("loaded", loaded), ("adjoint", adjoint),
+                    ("p3 induced", L.induced_rep(p3)), ("live induced", L.induced_rep(live)),
+                    ("p3 post action", L.induced_action(L.induced_post_from_rrb(p3))),
+                    ("small post action", L.induced_action(small))):
+        out.update({name + " rho": r.rho, name + " mu": r.mu, name + " D": r.derived_D})
+    return out
+
+
+def test_matrix_values_are_stored_by_column(p3):
+    tensors = matrix_tensors(p3)
+    assert all(tensors[name].support for name in (
+        "nested (2, 3)", "loaded rho", "loaded mu", "loaded D", "live induced rho",
+        "live induced mu", "live induced D", "small post action rho", "small post action mu"))
+    rng = random.Random(2024)
+    for name, t in tensors.items():
+        rows, cols = t.shape
+        for key, v in t.support.items():
+            assert len(key) == t.arity + 1 and all(0 <= i < t.dim for i in key[:-1]), name
+            assert 0 <= key[-1] < cols, name
+            assert isinstance(v, dict) and v, name
+            assert all(type(r) is int and 0 <= r < rows and q for r, q in v.items()), name
+        for _ in range(3):
+            vecs = [tuple(rng.choice(POOL) for _ in range(t.dim)) for _ in range(t.arity)]
+            assert contract(t, *vecs) == oracles.ev(nested(t), *vecs), name
+            idx = [rng.randrange(t.dim) for _ in range(t.arity)]
+            value = nested(t)
+            for i in idx:
+                value = value[i]
+            assert contract(t, *idx) == value, name
+
+
+def test_loaded_matrix_entry_sits_at_its_column():
+    """Entry (r, c) of rho(e_i) in the file is row r of the value at (i, c)."""
+    with open(fx("nilpotent4_adjoint.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    r = lyio.load_action(fx("nilpotent4_adjoint.json"))
+    want = {}
+    for i, mx in enumerate(doc["rho"]):
+        for row, entries in enumerate(mx):
+            for c, q in enumerate(entries):
+                if F(q):
+                    want.setdefault((i, c), {})[row] = F(q)
+    assert want and r.rho.support == want
