@@ -63,10 +63,11 @@ from .reps import RepAction
 class SparseMat:
     """A rows x cols rational matrix stored by its columns, ``columns[c]`` =
     {row: value} over the nonzero entries, each value an int or a Fraction.
-    ``data`` reads the same entries as {(r, c): value}.  One echelon of the
-    columns is built when first needed, and ``add`` drops it: without tags
-    for ``rank`` alone, and with tags (``linalg.column_echelon``) the first
-    time ``nullspace`` or ``solve`` asks, which every later question reads."""
+    ``data`` reads the same entries as {(r, c): value}.  A matrix is never
+    changed once built, so one echelon of the columns is built when first
+    needed and kept: without tags for ``rank`` alone, and with tags
+    (``linalg.column_echelon``) the first time ``nullspace`` or ``solve``
+    asks, which every later question reads."""
 
     def __init__(self, rows, cols, data=None):
         self.rows = rows
@@ -87,17 +88,6 @@ class SparseMat:
     @property
     def data(self):
         return _Entries(self.columns)
-
-    def add(self, r, c, v):
-        if v == 0:
-            return
-        self._ech = None
-        col = self.columns[c]
-        new = col.get(r, 0) + v
-        if new == 0:
-            col.pop(r, None)
-        else:
-            col[r] = new
 
     def apply(self, vec):
         """The product with a sparse vector {col: q}, as a sparse vector {row: q}."""

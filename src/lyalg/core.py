@@ -46,6 +46,9 @@ class LYAlgebra:
         return contract(self.ternary, x, y, z)
 
     def e(self, i):
+        """The basis vector e_i, i in 0..dim-1, else DimMismatch."""
+        if not 0 <= i < self.dim:
+            raise DimMismatch("basis index %d outside 0..%d" % (i, self.dim - 1))
         return tuple(frac(1) if j == i else Q0 for j in range(self.dim))
 
     def ensure_verified(self):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .cohomology import Cochain, TComplex, pair_basis, partial_matrix, wedge_coords
 from .errors import DimMismatch, Inconsistent, InvalidDeformation
 from .linalg import (Tensor, axpy, column_table, contract, dense, format_frac, graded,
-                     graded_push, mat, mat_id, mat_sub, skew_faults, sparse_map)
+                     graded_push, mat, mat_id, mat_sub, pull, skew_faults, sparse_map)
 from .reports import Checker, Report
 from .rrb import coefficients, intertwining
 
@@ -150,12 +150,16 @@ def check_equivalence(op, T1, T2, wedges, all_violations=False):
     g, h = r.acting, r.carrier
     n, m = g.dim, h.dim
     T1, T2 = (_operator_matrix(op, T, "T1 and T2") for T in (T1, T2))
-    LX, DX = {}, {}                       # the nonzero entries of L(X) and D(X)
+    # L(X) = <x, y, .> and D(X) = D(x, y) summed over the wedges, the slots
+    # x and y of each support pulled back along the vectors: {(0, 0, c): {row: q}}
+    LX, DX = {}, {}
     for x, y in wedges:
-        for c in range(n):
-            axpy(LX, 1, {(i, c): q for i, q in enumerate(contract(g.ternary, x, y, c)) if q})
-        axpy(DX, 1, {(a, b): q for a, row in enumerate(contract(r.derived_D, x, y))
-                      for b, q in enumerate(row) if q})
+        if len(x) != n or len(y) != n:
+            raise DimMismatch("vectors must have length %d" % n)
+        maps = [{i: ((0, q),) for i, q in enumerate(v) if q} for v in (x, y)]
+        pull(LX, 1, g.ternary.support, maps)
+        pull(DX, 1, r.derived_D.support, maps)
+    LX, DX = ({(i, c): q for (_, _, c), v in M.items() for i, q in v.items()} for M in (LX, DX))
     ck = Checker("deformation-equivalence", all_violations)
     higher = {}
     res = intertwining((mat_id(n), LX), (op.T, T2), (op.T, T1), (mat_id(m), DX))

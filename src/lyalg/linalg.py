@@ -13,10 +13,12 @@ primitive integer rows, and hands back Fractions; every kernel and solve
 feeds it the columns of a matrix, each with a tag.
 Structure tensors (``Tensor``) are their support, {index tuple: {row: q}}
 over the nonzero values, a matrix value's column the last slot of its key.
-``contract`` evaluates them at vectors and basis indices; every equation is
-tabulated from the supports as one sparse table of the same form, a signed
-sum of compositions (``compose``) and of supports pulled back along or pushed
-through a linear map (``pull``/``push``).  Every expansion in
+``pull``, ``push`` and ``compose`` are the one contraction primitive: a
+support pulled back along a linear map slot by slot, a table pushed forward
+through one, or one support composed into a slot of another.  Every equation
+is tabulated from the supports with them as one sparse table of the same
+form, a signed sum of such terms, and ``contract`` evaluates a tensor at
+vectors and basis indices as one ``pull``.  Every expansion in
 t is a truncated polynomial whose t^s coefficient is read off by one routine:
 ``graded`` for a support with its slots read through polynomial maps,
 ``graded_push`` for a polynomial map applied to tables graded by degree.
@@ -24,7 +26,6 @@ There are no tolerances anywhere: equality means exact equality.
 """
 
 import functools
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -80,8 +81,8 @@ def mat_sub(a, b):
 # Every bracket, action and post-operation is a multilinear map given by its
 # values on basis tuples.  A Tensor is its support, the nonzero values as
 # sparse dicts, and nothing more: no dense view is built, so its size follows
-# the support, not dim^arity.  ``contract`` is the one routine that evaluates a
-# tensor, and reads a value when every slot is a basis index.
+# the support, not dim^arity.  ``contract`` evaluates a tensor at vectors and
+# basis indices by pulling its support back (``pull``).
 
 class Tensor:
     """A multilinear map on basis tuples of Q^dim, given by its values there.
@@ -148,37 +149,28 @@ class Tensor:
 def contract(t, *slots):
     """The value of the tensor ``t`` with each slot a basis index or a vector.
 
-    Only index tuples in the support contribute, and a coefficient product is
-    formed only for those; a matrix value is read column by column.  With no
-    live term the result is the zero of the tensor's value shape.
+    One ``pull`` of the support: a basis index s is read through {s: 1} and a
+    vector x through {i: x_i} at its nonzero entries, each onto the one index
+    0, and a matrix value keeps its column slot.  With no live term the
+    result is the zero of the tensor's value shape.  A basis index outside
+    0..dim-1 or a vector of another length is a DimMismatch.
     """
     if len(slots) != t.arity:
         raise DimMismatch("tensor takes %d arguments, got %d" % (t.arity, len(slots)))
-    picks, vecs = [], []
-    for k, s in enumerate(slots):
+    maps = []
+    for s in slots:
         if isinstance(s, int):
-            picks.append((s,))
+            if not 0 <= s < t.dim:
+                raise DimMismatch("basis index %d outside 0..%d" % (s, t.dim - 1))
+            maps.append({s: ((0, 1),)})
         else:
             if len(s) != t.dim:
                 raise DimMismatch("vectors must have length %d" % t.dim)
-            picks.append([i for i, x in enumerate(s) if x])
-            vecs.append(k)
-    matrix = len(t.shape) == 2
-    if matrix:
-        picks.append(range(t.shape[1]))
+            maps.append({i: ((0, x),) for i, x in enumerate(s) if x})
     acc = {}
-    support = t.support
-    for key in itertools.product(*picks):
-        v = support.get(key)
-        if v is None:
-            continue
-        c = 1
-        for k in vecs:
-            c *= slots[k][key[k]]
-        for r, x in v.items():
-            e = (r, key[-1]) if matrix else r
-            acc[e] = acc.get(e, 0) + c * x
-    return dense(acc, t.shape)
+    pull(acc, 1, t.support, maps)
+    return dense({(r, key[-1]) if len(t.shape) == 2 else r: q
+                  for key, v in acc.items() for r, q in v.items()}, t.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +220,6 @@ def skew_fault(binary, ternary=None):
         return None
     key = min(faults)
     return key[:2] if key[2] < 0 else key
-
-
-def sparse_mul(a, b):
-    """The product of two sparse matrices {(r, c): q}."""
-    rows = {}
-    for (k, c), w in b.items():
-        rows.setdefault(k, []).append((c, w))
-    out = {}
-    for (r, k), q in a.items():
-        for c, w in rows.get(k, ()):
-            rc = (r, c)
-            out[rc] = out.get(rc, 0) + q * w
-    return {rc: v for rc, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------

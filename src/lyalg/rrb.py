@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .core import LYAlgebra, check_homomorphism, derived_algebra
 from .errors import DimMismatch, PreconditionFailed, Unverified
 from .linalg import (Tensor, column_table, dense, graded, graded_push, hom_table, invert, mat,
-                     mat_id, pull, push, sparse_map, sparse_mul)
+                     mat_id, pull, push, sparse_map)
 from .reports import Checker
 from .reps import adjoint_rep
 
@@ -184,11 +184,15 @@ def check_nijenhuis(A, N, all_violations=False):
     n = A.dim
     if len(N) != n or any(len(r) != n for r in N):
         raise DimMismatch("N must be %dx%d" % (n, n))
-    rows, _ = sparse_map(N)
-    minus = {(r, c): -q for r, row in rows.items() for c, q in row}
-    square = sparse_mul(minus, minus)
-    # (Id + tN)^-1 = Id - tN + t^2 N^2 - t^3 N^3 mod t^4, by columns
-    inverse = [None] + [sparse_map(P)[1] for P in (minus, square, sparse_mul(square, minus))]
+    rows, cols = sparse_map(N)
+    # (Id + tN)^-1 = Id - tN + t^2 N^2 - t^3 N^3 mod t^4, by columns: each
+    # power of -N is -N pushed through the columns of the one before
+    inverse, power = [None], {(c,): {c: 1} for c in range(n)}
+    for _ in range(3):
+        power, previous = {}, power
+        push(power, -1, cols, previous)
+        inverse.append(sparse_map({(r, c): q for (c,), v in power.items()
+                                   for r, q in v.items()})[1])
 
     def residual(t):
         k = t.arity
@@ -255,16 +259,16 @@ def projection_operator(A, h_sub, t_sub):
     if not check_action(r).passed:
         raise PreconditionFailed("adjoint-is-action",
                                  "the adjoint representation is not an action")
-    hb = h_sub.basis
-    for u in hb:
-        for v in hb:
-            if any(A.bracket2(u, v)):
-                raise PreconditionFailed("h-abelian-subalgebra",
-                                         "binary bracket does not vanish on h")
-            for w in hb:
-                if any(A.bracket3(u, v, w)):
-                    raise PreconditionFailed("h-abelian-subalgebra",
-                                             "ternary bracket does not vanish on h")
+    # both brackets on the basis of h, each slot read through the basis
+    # vectors; the first live tuple is named, a pair before its triples
+    on_h, live = sparse_map(h_sub.basis)[1], []
+    for t in (A.binary, A.ternary):
+        values = {}
+        pull(values, 1, t.support, (on_h,) * t.arity)
+        live.extend(key + (-1,) if len(key) == 2 else key for key in values)
+    if live:
+        raise PreconditionFailed("h-abelian-subalgebra", "%s bracket does not vanish on h"
+                                 % ("binary" if min(live)[2] < 0 else "ternary"))
     if derived_algebra(A).intersect(h_sub).dim != 0:
         raise PreconditionFailed("derived-meets-h-trivially",
                                  "derived algebra meets h nontrivially")

@@ -3,15 +3,27 @@ from fractions import Fraction as F
 
 import lyalg as L
 from lyalg.errors import StructureError
-from lyalg.linalg import mat_id
+from lyalg.linalg import Tensor, mat_id
 from lyalg.postlya import (PostLYAlgebra, check_post_axioms,
                            check_post_homomorphism, identity_is_rrb,
                            induced_action, induced_post_from_rrb, subadjacent,
                            zero_post)
-from lyalg.rrb import descent_algebra
+from lyalg.rrb import RRBOperator, descent_algebra
 
 from conftest import family_matrix
 from oracles import nested
+
+
+def live_post():
+    """A 3-dim post-algebra whose star, brace, L, R, D and brace_D are all
+    nonzero (p3's induced post-algebra has star = brace = 0): dot = angle = 0,
+    e1*e1 = e0, e0*e0 = e2, e1*e0 = -e2 and {e0,e1,e1} = e2 (0-based)."""
+    z2, z3 = (Tensor.from_support({}, 3, arity, (3,)) for arity in (2, 3))
+    star = Tensor.from_support({(1, 1): {0: 1}, (0, 0): {2: 1}, (1, 0): {2: -1}}, 3, 2, (3,))
+    brace = Tensor.from_support({(0, 1, 1): {2: 1}}, 3, 3, (3,))
+    A = PostLYAlgebra(3, z2, star, z3, brace, name="live3")
+    assert check_post_axioms(A).passed and check_post_axioms(A, as_printed=True).passed
+    return A
 
 
 def test_zero_post_passes():
@@ -34,6 +46,12 @@ def test_induced_post_passes_axioms(p3):
     A = induced_post_from_rrb(p3)
     assert A.verified
     assert check_post_axioms(A).passed
+    # the round trip through Id over the induced action gives the live algebra back
+    live = live_post()
+    B = induced_post_from_rrb(RRBOperator(induced_action(live), mat_id(3)))
+    assert B.verified and check_post_axioms(B).passed
+    assert B.star.support and B.brace.support
+    assert (B.dot, B.star, B.angle, B.brace) == (live.dot, live.star, live.angle, live.brace)
 
 
 def test_subadjacent_equals_descent(p3):
@@ -47,16 +65,28 @@ def test_subadjacent_equals_descent(p3):
 def test_identity_is_weight_one(p3):
     A = induced_post_from_rrb(p3)
     assert identity_is_rrb(A).passed
+    live = live_post()
+    r = induced_action(live)
+    assert r.rho.support and r.mu.support and r.derived_D.support
+    assert subadjacent(live).binary.support and subadjacent(live).ternary.support
+    assert identity_is_rrb(live).passed
 
 
 def test_induced_action_derived_matches(p3):
-    A = induced_post_from_rrb(p3)
-    r = induced_action(A)
-    assert r.action_certified
-    # L(x)z = x * z columnwise
-    for i in range(A.dim):
-        for j in range(A.dim):
-            assert tuple(nested(r.rho)[i][t][j] for t in range(A.dim)) == nested(A.star)[i][j]
+    live = live_post()
+    for A in (induced_post_from_rrb(p3), live):
+        r = induced_action(A)
+        assert r.action_certified
+        # L(x)z = x * z and R(x,y)z = {z,x,y} columnwise, D the derived brace
+        for i in range(A.dim):
+            for j in range(A.dim):
+                assert tuple(nested(r.rho)[i][t][j] for t in range(A.dim)) == nested(A.star)[i][j]
+                for k in range(A.dim):
+                    assert tuple(nested(r.mu)[i][j][t][k] for t in range(A.dim)) \
+                        == nested(A.brace)[k][i][j]
+        assert r.derived_D.support == A.brace_D.support
+        if A is live:
+            assert r.rho.support and r.mu.support and r.derived_D.support
 
 
 def test_induced_post_family(adjoint_action, rng):
@@ -74,6 +104,9 @@ def test_post_homomorphism_identity(p3):
     A = induced_post_from_rrb(p3)
     rep = check_post_homomorphism(A, A, mat_id(4))
     assert rep.passed
+    live = live_post()
+    assert live.star.support and live.brace.support
+    assert check_post_homomorphism(live, live, mat_id(3)).passed
 
 
 def test_post_homomorphism_failure(p3):

@@ -37,6 +37,7 @@ def test_projection_hypotheses_rejected(nilpotent4):
     with pytest.raises(PreconditionFailed) as e:
         projection_operator(nilpotent4, h, t)
     assert e.value.hypothesis == "h-abelian-subalgebra"
+    assert str(e.value) == "binary bracket does not vanish on h"
     # span{e4} meets the derived algebra
     h2 = Subspace(4, [(0, 0, 0, 1)])
     t2 = Subspace(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
@@ -48,6 +49,19 @@ def test_projection_hypotheses_rejected(nilpotent4):
         projection_operator(nilpotent4, Subspace(4, [(0, 0, 1, 0)]),
                             Subspace(4, [(1, 0, 0, 0)]))
     assert e.value.hypothesis == "t-h-complementary"
+
+
+def test_projection_names_the_ternary_bracket():
+    """nilpotent4 with its binary bracket dropped: <e1, e2, e1> = e4 is left,
+    so the brackets on span{e1, e2} fail in the ternary one only."""
+    A = L.LYAlgebra(4, L.Tensor.from_support({}, 4, 2, (4,)),
+                    L.Tensor.from_support({(0, 1, 0): {3: 1}, (1, 0, 0): {3: -1}}, 4, 3, (4,)))
+    h = Subspace(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    t = Subspace(4, [(0, 0, 1, 0), (0, 0, 0, 1)])
+    with pytest.raises(PreconditionFailed) as e:
+        projection_operator(A, h, t)
+    assert e.value.hypothesis == "h-abelian-subalgebra"
+    assert str(e.value) == "ternary bracket does not vanish on h"
 
 
 def test_p12_projection_fails_rrb1(adjoint_action):

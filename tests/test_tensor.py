@@ -89,6 +89,24 @@ def test_contract_rejects_wrong_lengths_and_arity():
         Tensor([[(F(1),)] * 2] * 2, 2, 2, (2,))
 
 
+def test_a_basis_index_outside_the_dim_is_refused(nilpotent4):
+    """Every slot of a 4-dim bracket takes 0..3, and so does ``e``; an index
+    outside is refused, not read as the zero vector."""
+    A = nilpotent4
+    assert contract(A.binary, 0, 1) == (0, 0, 0, 2) and A.e(3) == (0, 0, 0, 1)
+    for slots in ((7, 1), (-1, 1), (0, 4), (1, -4)):
+        with pytest.raises(DimMismatch):
+            contract(A.binary, *slots)
+    for slots in ((0, 1, 4), (-1, 1, 0)):
+        with pytest.raises(DimMismatch):
+            contract(A.ternary, *slots)
+    with pytest.raises(DimMismatch):
+        contract(adjoint_rep(A).rho, 4)
+    for i in (9, 4, -1):
+        with pytest.raises(DimMismatch):
+            A.e(i)
+
+
 def levels_off(values, drop):
     """Nested values with their last innermost index level made one entry
     longer or, with ``drop``, one entry shorter."""
