@@ -123,8 +123,8 @@ def from_lie_algebra(dim, binary, basis=None, name=None):
     return A
 
 
-def center(A):
-    """{x : [x,g]=0} n {x : <x,g,g>=0} n {x : <g,g,x>=0} as a subspace.
+def center_equations(A):
+    """The defining equations of the center, as sparse rows {i: q} in x.
 
     Each coordinate r of [x, e_j], <x, e_j, e_k> and <e_j, e_k, x> is one
     equation in x, its coefficients read off the supports of the brackets.
@@ -137,7 +137,13 @@ def center(A):
         for r, q in v.items():
             rows.setdefault(("first", j, k, r), {})[i] = q
             rows.setdefault(("last", i, j, r), {})[k] = q
-    return Subspace(A.dim, nullspace_basis(list(rows.values()), A.dim))
+    return list(rows.values())
+
+
+def center(A):
+    """{x : [x,g]=0} n {x : <x,g,g>=0} n {x : <g,g,x>=0} as a subspace, the
+    kernel of ``center_equations``."""
+    return Subspace(A.dim, nullspace_basis(center_equations(A), A.dim))
 
 
 def derived_algebra(A):
@@ -153,15 +159,17 @@ def check_homomorphism(A, B, phi, all_violations=False):
 
     The residuals phi[x, y] - [phi x, phi y] and likewise for the ternary
     bracket are tabulated over all basis tuples (``linalg.hom_table``): every
-    pair first, then every triple.
+    pair first, then every triple, whose table is not built once the pairs
+    have settled a capped report.
     """
     if len(phi) != B.dim or any(len(r) != A.dim for r in phi):
         raise DimMismatch("map must be %dx%d" % (B.dim, A.dim))
     ck = Checker("homomorphism(%s->%s)" % (A.name, B.name), all_violations)
     rows, cols = sparse_map(phi)
     shape = (B.dim,)
-    ck.table(shape, ("hom-binary", hom_table(A.binary, B.binary, cols, (rows,) * 2)))
-    ck.table(shape, ("hom-ternary", hom_table(A.ternary, B.ternary, cols, (rows,) * 3)))
+    for name, a, b in (("hom-binary", A.binary, B.binary), ("hom-ternary", A.ternary, B.ternary)):
+        if not ck.done:
+            ck.table(shape, (name, hom_table(a, b, cols, (rows,) * a.arity)))
     return ck.report()
 
 

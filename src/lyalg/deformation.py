@@ -9,12 +9,15 @@ delta^T(T_{n+1}) = -Ob over Hom(h, g), decided by one elimination.
 
 Every t-expansion is a truncated polynomial whose coefficients come from
 ``linalg.graded``/``graded_push``: those of both defining equations
-(``rrb.coefficients``: the checks scan t^1..t^n, the obstruction cochain is
-built from t^(n+1) of the same cached tables, a linear deformation reads
-t^1..t^3) and every identity of an equivalence (Id + t L(X), Id + t D(X)),
-its intertwining (``rrb.intertwining``) included.  Maps h -> g and the
-obstruction are sparse degree-1 and degree-2 cochains (``cohomology.Cochain``);
-closedness is delta of one cochain, read from the columns in its support
+(``rrb.Expansion``) and every identity of an equivalence (Id + t L(X),
+Id + t D(X)), its intertwining (``rrb.intertwining``) included.  The
+defining equations' degrees are built on first read: the order-n check reads
+t^1..t^n in order and stops once a capped report is settled, the obstruction
+cochain is built from t^(n+1) of the same cached expansion only after that
+check has passed, so a failing order-n check never builds t^(n+1), and a
+linear deformation reads t^1..t^3.  Maps h -> g and the obstruction are
+sparse degree-1 and degree-2 cochains (``cohomology.Cochain``); closedness is
+delta of one cochain, read from the columns in its support
 (``TComplex.coboundary``), and the boundary partial(X) reads
 ``cohomology.partial_matrix``.
 """
@@ -26,7 +29,7 @@ from .errors import DimMismatch, Inconsistent, InvalidDeformation
 from .linalg import (Tensor, axpy, column_table, contract, dense, format_frac, graded,
                      graded_push, mat, mat_id, mat_sub, pull, skew_faults, sparse_map)
 from .reports import Checker, Report
-from .rrb import coefficients, intertwining
+from .rrb import Expansion, intertwining
 
 
 def _at(r, table, *vecs):
@@ -37,12 +40,12 @@ def _at(r, table, *vecs):
 
 def binary_coefficient(r, Ts, s, u, v):
     """t^s coefficient of the binary defining equation for sum_i t^i T_i."""
-    return _at(r, coefficients(r, Ts, (s,))[s][0], u, v)
+    return _at(r, Expansion(r, Ts).table(2, s), u, v)
 
 
 def ternary_coefficient(r, Ts, s, u, v, w):
     """t^s coefficient of the ternary defining equation for sum_i t^i T_i."""
-    return _at(r, coefficients(r, Ts, (s,))[s][1], u, v, w)
+    return _at(r, Expansion(r, Ts).table(3, s), u, v, w)
 
 
 def _operator_matrix(op, T, what):
@@ -64,7 +67,7 @@ class OrderNDeformation:
         self.order = len(self.terms)
         self._cx = None
         self._ob = None
-        self._coefficients = None
+        self._expansion = None
 
     @property
     def all_terms(self):
@@ -76,11 +79,12 @@ class OrderNDeformation:
         return self._cx
 
     def coefficients(self):
-        """The t^1..t^(n+1) coefficient tables (see ``rrb.coefficients``), built once."""
-        if self._coefficients is None:
-            self._coefficients = coefficients(self.base.action, self.all_terms,
-                                              range(1, self.order + 2))
-        return self._coefficients
+        """The expansion of both defining equations for T_t (``rrb.Expansion``),
+        made once; each degree's tables are built on their first read and
+        cached, so t^(n+1) is built only when the obstruction reads it."""
+        if self._expansion is None:
+            self._expansion = Expansion(self.base.action, self.all_terms)
+        return self._expansion
 
     def __repr__(self):
         return "OrderNDeformation(order=%d)" % self.order
@@ -88,15 +92,17 @@ class OrderNDeformation:
 
 def check_order_n(d, all_violations=False):
     """Coefficients t^1..t^n of both defining equations on all basis tuples,
-    read from the deformation's tables; witnesses come degree by degree, in
-    lexicographic order with pairs first."""
+    read from the deformation's expansion; witnesses come degree by degree,
+    in lexicographic order with pairs first.  The tables are read in that
+    order and no further once a capped report is settled, and t^(n+1) is
+    never read."""
     shape = (d.base.action.acting.dim,)
-    tables = d.coefficients()
+    ex = d.coefficients()
     ck = Checker("order-%d-deformation" % d.order, all_violations)
     for s in range(1, d.order + 1):
-        binary, ternary = tables[s]
-        ck.table(shape, ("deform-binary-t^%d" % s, binary))
-        ck.table(shape, ("deform-ternary-t^%d" % s, ternary))
+        for arity, name in ((2, "binary"), (3, "ternary")):
+            if not ck.done:
+                ck.table(shape, ("deform-%s-t^%d" % (name, s), ex.table(arity, s)))
     return ck.report({"order": d.order})
 
 
@@ -111,17 +117,17 @@ def check_linear_deformation(op, T1, all_violations=False):
     """
     op.ensure_verified()
     r = op.action
-    T1 = mat(T1)
+    T1 = _operator_matrix(op, T1, "T1")
     shape = (r.acting.dim,)
-    tables = coefficients(r, [op.T, T1], (1, 2, 3))
+    ex = Expansion(r, [op.T, T1])
     ck = Checker("linear-deformation", all_violations)
     per = {}
     for s in (1, 2, 3):
-        binary, ternary = tables[s]
+        binary, ternary = ex.table(2, s), ex.table(3, s)
         ck.table(shape, ("deform-binary-t^%d" % s, binary))
         ck.table(shape, ("deform-ternary-t^%d" % s, ternary))
         per["t^%d" % s] = "fail" if binary or ternary else "pass"
-    return ck.report({"coefficient_verdicts": per, "t1_closed": not any(tables[1])})
+    return ck.report({"coefficient_verdicts": per, "t1_closed": per["t^1"] == "pass"})
 
 
 def _map_cochain(T, m, n):
@@ -226,7 +232,8 @@ def obstruction_class(d):
     if not rep.passed:
         raise InvalidDeformation("not an order-%d deformation" % d.order)
     n, m = d.base.action.acting.dim, d.base.action.carrier.dim
-    first, second = d.coefficients()[d.order + 1]
+    ex = d.coefficients()
+    first, second = ex.table(2, d.order + 1), ex.table(3, d.order + 1)
     # the first component must be alternating to be a cochain
     fault = min((k for k in skew_faults(first) if k[0] >= k[1]), default=None)
     if fault is not None:

@@ -73,72 +73,82 @@ class HomPair:
 # through T_t or as it is, so the brackets of h count at degree 0 only, and
 # its slots moved to tuple positions (``linalg.graded``); the outer T_t is
 # applied to the inner sums graded by degree (``linalg.graded_push``).  The
-# tables are expanded over the supports and the nonzero entries of the T_i.
+# tables are expanded over the supports and the nonzero entries of the T_i,
+# one degree at a time: a table is built on its first read and then kept, so
+# a check that stops at degree s never pays for a higher one.
 
-def _inner_sums(r, T, degree):
-    """([I_0, .., I_degree], [J_0, .., J_degree]) for T_t = sum_i t^i T_i over
-    the action ``r``, T = (T_0, T_1, ..) each given by the rows of its nonzero
-    entries (``linalg.sparse_map``), as sparse tables over the carrier's basis tuples.
-    I_0 and J_0 for T alone are the brackets of the descent algebra.
+class Expansion:
+    """The t-coefficients of RRB1 and RRB2 for T_t = sum_i t^i Ts[i] over the
+    action ``r``, built on first read and cached.
+
+    ``table(2, s)`` and ``table(3, s)`` are the t^s coefficients of RRB1 and
+    RRB2 as sparse tables {(a, b): {x: q}} and {(a, b, c): {x: q}} over the
+    carrier's basis tuples, left side minus right side; a tuple whose
+    coefficient vanishes is absent.  ``inner(2, p)`` and ``inner(3, p)`` are
+    I_p and J_p, appended one degree at a time; I_0 and J_0 for T alone are
+    the brackets of the descent algebra.  No basis tuple is visited: each
+    table is expanded over the supports of the brackets, rho, mu and D and
+    the nonzero entries of the Ts.
     """
-    h = r.carrier
-    rho, mu, D = r.rho.support, r.mu.support, r.derived_D.support
-    terms2 = [(1, h.binary.support, (None, None), None),
-              (1, rho, (T, None), None), (-1, rho, (T, None), (1, 0))]
-    terms3 = [(1, h.ternary.support, (None, None, None), None),
-              (1, D, (T, T, None), None), (1, mu, (T, T, None), (1, 2, 0)),
-              (-1, mu, (T, T, None), (0, 2, 1))]
-    inner2, inner3 = [], []
-    for terms, inner in ((terms2, inner2), (terms3, inner3)):
-        for p in range(degree + 1):
+
+    def __init__(self, r, Ts):
+        g, h = r.acting, r.carrier
+        n, m = g.dim, h.dim
+        for T in Ts:
+            if len(T) != n or any(len(row) != m for row in T):
+                raise DimMismatch("each T_i must be %dx%d (carrier -> acting)" % (n, m))
+        maps = [sparse_map(T) for T in Ts]
+        T = self._rows = tuple(rw for rw, _ in maps)
+        self._cols = tuple(cl for _, cl in maps)
+        rho, mu, D = r.rho.support, r.mu.support, r.derived_D.support
+        # per arity: the bracket of g, the terms of the inner sum, the inner
+        # sums by degree and the tables by degree
+        self._equations = {
+            2: (g.binary.support, [(1, h.binary.support, (None, None), None),
+                                   (1, rho, (T, None), None), (-1, rho, (T, None), (1, 0))],
+                [], {}),
+            3: (g.ternary.support, [(1, h.ternary.support, (None, None, None), None),
+                                    (1, D, (T, T, None), None), (1, mu, (T, T, None), (1, 2, 0)),
+                                    (-1, mu, (T, T, None), (0, 2, 1))],
+                [], {})}
+
+    def inner(self, arity, p):
+        """I_p (arity 2) or J_p (arity 3), every lower degree built first."""
+        _, terms, inner, _ = self._equations[arity]
+        while len(inner) <= p:
             acc = {}
             for sign, values, polys, positions in terms:
-                graded(acc, sign, values, polys, p, positions)
+                graded(acc, sign, values, polys, len(inner), positions)
             inner.append(acc)
-    return inner2, inner3
+        return inner[p]
 
-
-def coefficients(r, Ts, degrees):
-    """{s: (binary, ternary)} for each s in ``degrees``: the t^s coefficients
-    of RRB1 and RRB2 for T_t = sum_i t^i Ts[i] over the action ``r``, as
-    sparse tables {(a, b): {x: q}} and {(a, b, c): {x: q}} over the carrier's
-    basis tuples, left side minus right side.  A tuple whose coefficient
-    vanishes is absent.  No basis tuple is visited: each table is expanded
-    over the supports of the brackets, rho, mu and D and the nonzero entries
-    of the Ts.
-    """
-    g, h = r.acting, r.carrier
-    n, m = g.dim, h.dim
-    for T in Ts:
-        if len(T) != n or any(len(row) != m for row in T):
-            raise DimMismatch("each T_i must be %dx%d (carrier -> acting)" % (n, m))
-    maps = [sparse_map(T) for T in Ts]
-    rows, cols = tuple(rw for rw, _ in maps), tuple(cl for _, cl in maps)
-    inner2, inner3 = _inner_sums(r, rows, max(degrees, default=-1))
-    out = {}
-    for s in degrees:
-        B, C = {}, {}
-        graded(B, 1, g.binary.support, (rows,) * 2, s)
-        graded(C, 1, g.ternary.support, (rows,) * 3, s)
-        graded_push(B, -1, cols, inner2, s)
-        graded_push(C, -1, cols, inner3, s)
-        out[s] = (B, C)
-    return out
+    def table(self, arity, s):
+        """The t^s coefficient of RRB1 (arity 2) or RRB2 (arity 3)."""
+        bracket, _, inner, tables = self._equations[arity]
+        if s not in tables:
+            self.inner(arity, s)
+            acc = {}
+            graded(acc, 1, bracket, (self._rows,) * arity, s)
+            graded_push(acc, -1, self._cols, inner, s)
+            tables[s] = acc
+        return tables[s]
 
 
 def check_rrb(op, all_violations=False):
     """Verify the two weight-1 equations on all basis tuples of the carrier.
 
-    The residuals are the t^0 coefficients of ``coefficients`` for T alone,
+    The residuals are the t^0 coefficients of an ``Expansion`` of T alone,
     tabulated over the supports; a tuple absent from a table has residual
-    zero, and the witnesses come in lexicographic order, pairs first.
+    zero, and the witnesses come in lexicographic order, pairs first.  RRB2's
+    table is not built once RRB1's has settled a capped report.
     """
     r = op.action
     ck = Checker("rrb(%s)" % (r,), all_violations)
-    binary, ternary = coefficients(r, [op.T], (0,))[0]
+    ex = Expansion(r, [op.T])
     shape = (r.acting.dim,)
-    ck.table(shape, ("RRB1", binary))
-    ck.table(shape, ("RRB2", ternary))
+    for arity, name in ((2, "RRB1"), (3, "RRB2")):
+        if not ck.done:
+            ck.table(shape, (name, ex.table(arity, 0)))
     rep = ck.report()
     if rep.passed:
         op.verified = True
@@ -151,7 +161,8 @@ def graph_subalgebra_check(op, all_violations=False):
     The generators Te_a + e_a are independent, so the graph has dimension m,
     and a bracket w = x + u of generators lies in it exactly when x = Tu.  The
     brackets are the semidirect brackets pulled back along u -> Tu + u, and
-    each is recorded where x - Tu does not vanish.
+    each is recorded where x - Tu does not vanish.  The ternary table is not
+    built once the binary one has settled a capped report.
     """
     S = op.action.semidirect()
     n, m = op.action.acting.dim, op.action.carrier.dim
@@ -160,6 +171,8 @@ def graph_subalgebra_check(op, all_violations=False):
     _, defect = sparse_map(tuple(e + row for e, row in zip(mat_id(n), minus_T)))  # x - Tu
     ck = Checker("graph-subalgebra(%s)" % (op.action,), all_violations)
     for name, t in (("graph-binary", S.binary), ("graph-ternary", S.ternary)):
+        if ck.done:
+            break
         w, off = {}, {}
         pull(w, 1, t.support, (lift,) * t.arity)
         push(off, 1, defect, w)
@@ -177,7 +190,8 @@ def check_nijenhuis(A, N, all_violations=False):
     The residual of a bracket in k slots is the t^k coefficient of
     (Id + tN)^-1 [(Id + tN)x, ..], the sum over j of (-N)^(k-j) applied to the
     bracket with N in j of its slots; it is tabulated over all basis tuples,
-    every pair first, then every triple.
+    every pair first, then every triple, and the triples are not tabulated
+    once the pairs have settled a capped report.
     """
     A.ensure_verified()
     N = mat(N)
@@ -204,8 +218,9 @@ def check_nijenhuis(A, N, all_violations=False):
         return acc
 
     ck = Checker("nijenhuis(%s)" % A.name, all_violations)
-    ck.table((n,), ("nijenhuis-binary", residual(A.binary)))
-    ck.table((n,), ("nijenhuis-ternary", residual(A.ternary)))
+    for name, t in (("nijenhuis-binary", A.binary), ("nijenhuis-ternary", A.ternary)):
+        if not ck.done:
+            ck.table((n,), (name, residual(t)))
     return ck.report()
 
 
@@ -224,14 +239,15 @@ def descent_algebra(op):
     [u,v]_T   = rho(Tu)v - rho(Tv)u + [u,v]_h
     <u,v,w>_T = D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v + <u,v,w>_h
 
-    Both are the degree-0 inner sums of the weight-1 equations
-    (``_inner_sums``), tabulated over the supports and T's nonzero entries.
+    Both are the degree-0 inner sums I_0 and J_0 of the weight-1 equations
+    (``Expansion.inner``), tabulated over the supports and T's nonzero entries.
     """
     op.ensure_verified()
     r = op.action
     h = r.carrier
     m = h.dim
-    (binary,), (ternary,) = _inner_sums(r, (sparse_map(op.T)[0],), 0)
+    ex = Expansion(r, [op.T])
+    binary, ternary = ex.inner(2, 0), ex.inner(3, 0)
     D = LYAlgebra(m, Tensor.from_support(binary, m, 2, (m,)),
                   Tensor.from_support(ternary, m, 3, (m,)),
                   basis=h.basis, name="%s-descent" % h.name)

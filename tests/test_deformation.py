@@ -13,7 +13,7 @@ from lyalg.deformation import (OrderNDeformation, binary_coefficient,
                                obstruction_class, ternary_coefficient)
 from lyalg.errors import InvalidDeformation
 from lyalg.linalg import dense as to_dense, mat, mat_id
-from lyalg.rrb import coefficients
+from lyalg.rrb import Expansion
 
 import oracles
 from conftest import family_matrix, fx, random_matrix
@@ -49,19 +49,19 @@ def test_coefficients_match_polynomial_oracle(p3, rng):
     for r, Ts in cases:
         h, n = r.carrier, r.acting.dim
         top = 3 * (len(Ts) - 1)        # no coefficient survives above this degree
-        tables = coefficients(r, Ts, range(top + 2))
-        assert tables[top + 1] == ({}, {})
+        ex = Expansion(r, Ts)
+        assert ex.table(2, top + 1) == {} and ex.table(3, top + 1) == {}
         basis = [h.e(a) for a in range(h.dim)]
         for args in itertools.product(range(h.dim), repeat=2):
             want = oracles.poly_binary_residual(r, Ts, *(basis[a] for a in args), top + 1)
             for s in range(top + 1):
-                assert to_dense(tables[s][0].get(args, {}), (n,)) == want[s]
+                assert to_dense(ex.table(2, s).get(args, {}), (n,)) == want[s]
                 if any(want[s]):
                     nonzero.add(("binary", s))
         for args in itertools.product(range(h.dim), repeat=3):
             want = oracles.poly_ternary_residual(r, Ts, *(basis[a] for a in args), top + 1)
             for s in range(top + 1):
-                assert to_dense(tables[s][1].get(args, {}), (n,)) == want[s]
+                assert to_dense(ex.table(3, s).get(args, {}), (n,)) == want[s]
                 if any(want[s]):
                     nonzero.add(("ternary", s))
         u, v, w = (tuple(rng.choice([F(0), F(1), F(-2), F(1, 3)]) for _ in range(h.dim))
@@ -73,6 +73,100 @@ def test_coefficients_match_polynomial_oracle(p3, rng):
             assert ternary_coefficient(r, Ts, s, u, v, w) == want3[s]
     assert nonzero >= {("binary", 0), ("binary", 1), ("binary", 2),
                        ("ternary", 0), ("ternary", 1), ("ternary", 2), ("ternary", 3)}
+
+
+def failing_deformations(op, orders, seed=5190):
+    """Terms of each order that fail to make an order-n deformation of
+    ``op``: every term dense, or T_1..T_(n-1) zero and T_n dense, so that t^n
+    is the first failing degree."""
+    rng = random.Random(seed)
+    n, m = op.action.acting.dim, op.action.carrier.dim
+    for order in orders:
+        yield [mat(dense(rng, n, m)) for _ in range(order)]
+        if order > 1:
+            yield [mzero(n, m)] * (order - 1) + [mat(dense(rng, n, m))]
+
+
+def square_zero_and_two_step():
+    """A square-zero operator whose induced representation is live, and the
+    dim-5 two-step operator."""
+    from test_cohomology import square_zero_operator, two_step_operator
+    return (square_zero_operator(random.Random(401), 3, 3, 1),
+            two_step_operator(random.Random(5005), 3, 1, 1))
+
+
+def oracle_order_n(op, terms):
+    """Every nonzero t^1..t^n coefficient of both equations on the basis
+    tuples, from the dense polynomial expansion, in the report's order."""
+    r, h = op.action, op.action.carrier
+    Ts, n = [op.T] + list(terms), len(terms)
+    basis = [h.e(a) for a in range(h.dim)]
+    equations = [(name, {args: poly(r, Ts, *(basis[a] for a in args), n + 1)
+                         for args in itertools.product(range(h.dim), repeat=arity)})
+                 for name, arity, poly in (("binary", 2, oracles.poly_binary_residual),
+                                           ("ternary", 3, oracles.poly_ternary_residual))]
+    return [("deform-%s-t^%d" % (name, s), args, c[s]) for s in range(1, n + 1)
+            for name, coefficients in equations for args, c in coefficients.items() if any(c[s])]
+
+
+def listed(rep):
+    return [(v.eq, v.args, v.residual) for v in rep.violations]
+
+
+def test_failing_order_n_never_builds_the_obstruction_degree(p3, monkeypatch):
+    """A deformation failing at t^1..t^n never builds a t^(n+1) table or
+    inner sum, capped, in full or through the obstruction, and a capped check
+    stops at the degree of its tenth witness; a passing one builds t^(n+1)
+    for its obstruction only."""
+    from lyalg import rrb
+    degrees = []
+    graded = rrb.graded
+
+    def recording(acc, sign, values, polys, s, positions=None):
+        degrees.append(s)
+        return graded(acc, sign, values, polys, s, positions)
+
+    monkeypatch.setattr(rrb, "graded", recording)
+    settled = 0
+    for op in (p3,) + square_zero_and_two_step():
+        zero = mzero(op.action.acting.dim, op.action.carrier.dim)
+        for terms in failing_deformations(op, (1, 2, 3)):
+            n = len(terms)
+            d = OrderNDeformation(op, terms)
+            degrees.clear()
+            rep = check_order_n(d)
+            assert not rep.passed
+            if len(rep.violations) == 10:
+                settled += 1
+                assert max(degrees) == int(rep.violations[-1].eq.split("^")[1])
+            with pytest.raises(InvalidDeformation):
+                obstruction_class(d)
+            assert not check_order_n(d, all_violations=True).passed
+            assert max(degrees) == n
+            d = OrderNDeformation(op, [zero] * n)
+            degrees.clear()
+            assert check_order_n(d).passed and max(degrees) == n
+            obstruction_class(d)
+            assert max(degrees) == n + 1
+    assert settled >= 5
+
+
+def test_failing_order_n_witnesses_match_polynomial_oracle(p3):
+    """Capped and full reports of failing deformations list the oracle's
+    witnesses, every failing degree included.  The dense oracle takes seconds
+    a case on p3 at order 3 and on the dim-5 operator, so those are left to
+    the test above."""
+    square_zero, _ = square_zero_and_two_step()
+    failing = set()
+    for op, orders in ((p3, (1, 2)), (square_zero, (1, 2, 3))):
+        for terms in failing_deformations(op, orders):
+            want = oracle_order_n(op, terms)
+            assert want
+            assert listed(check_order_n(OrderNDeformation(op, terms),
+                                        all_violations=True)) == want
+            assert listed(check_order_n(OrderNDeformation(op, terms))) == want[:10]
+            failing.add(len({eq.split("^")[1] for eq, _, _ in want}))
+    assert max(failing) >= 2
 
 
 def test_linear_deformation_family(p3, rng):

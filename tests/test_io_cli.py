@@ -359,6 +359,15 @@ def test_deform_equiv_refuses_a_misshaped_matrix(tmp_path, capsys, flag, rows, c
     assert out.out == "" and "must be 4x4" in out.err and "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("rows,cols", [(4, 3), (4, 5), (5, 4)])
+def test_deform_linear_names_t1_in_its_shape_error(tmp_path, capsys, rows, cols):
+    argv = ["deform", "linear", "--op", fx("p3_on_nilpotent4.json"),
+            "--t1", _matrix_file(tmp_path, rows, cols), "--json"]
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "T1 must be 4x4" in out.err and "Traceback" not in out.err
+
+
 @pytest.mark.parametrize("shape", [(4, 3), (4, 5), (5, 4)])
 def test_difference_class_refuses_a_misshaped_matrix(shape):
     from lyalg.deformation import difference_class

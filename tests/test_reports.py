@@ -287,6 +287,60 @@ def test_capped_graph_check_is_a_prefix():
     assert_capped_prefix(graph_subalgebra_check, op)
 
 
+# SHA-256 of the canonical JSON of the (capped, full) reports, recorded while
+# every check still built its ternary table after a settled binary one
+BINARY_SETTLED = {
+    "nijenhuis": ("1eaf4af8662e05cf3df4b3e5132012fb770c5d0e66cd3b6f36768c0847c378c6",
+                  "8bd561a79e7c45ecddc199b06871c134d093d3a38b797e84a861af8413143eb2"),
+    "homomorphism": ("1df99cad6caa1dc3350f6fc51609fbe27cbfed88221902a2555bea325e3760b0",
+                     "a7bb34e620383a7bde12cfeb6feac48f58a823f87604ab83c35a219178245865"),
+    "graph": ("4dc3ec8c9407996cafea03d0276618f88de69b0e5b7be49b95521f278ecd20de",
+              "b54ec616e455c3243a949102fa0bd0365b2a3c55b54cd176f80a10cda0fa86e6"),
+}
+
+
+def test_settled_binary_table_skips_the_ternary(monkeypatch):
+    """Dense maps over semidirect8 whose binary tables alone give ten
+    witnesses or more: a capped check builds its binary table only, a full
+    one both, and both reports keep the bytes they had when every check built
+    both tables.  A table build is counted where each check makes it: the
+    Nijenhuis residual's ``graded_push``, ``hom_table`` and the graph's
+    ``push`` of the bracket through x - Tu."""
+    from lyalg import core, rrb
+    S = semidirect8()
+    rng = random.Random(5180)
+    N, phi = dense(rng, 8, 8), dense(rng, 8, 8)
+    op = L.RRBOperator(adjoint_rep(nilpotent4()), dense(rng, 4, 4))
+    builds = []
+
+    def counted(module, name):
+        orig = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            builds.append(name)
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    counted(rrb, "graded_push")
+    counted(core, "hom_table")
+    counted(rrb, "push")
+    cases = {"nijenhuis": (L.check_nijenhuis, (S, N), "graded_push"),
+             "homomorphism": (L.check_homomorphism, (S, S, phi), "hom_table"),
+             "graph": (graph_subalgebra_check, (op,), "push")}
+    for name, (check, args, build) in cases.items():
+        reports, counts = [], []
+        for av in (False, True):
+            builds.clear()
+            reports.append(check(*args, all_violations=av))
+            counts.append(builds.count(build))
+        capped, full = reports
+        assert sum(1 for v in full.violations if "binary" in v.eq) >= 10, name
+        assert capped.violations == full.violations[:10], name
+        assert counts == [1, 2], name
+        assert tuple(hashlib.sha256(lyio.canonical_json(rep.to_dict()).encode()).hexdigest()
+                     for rep in reports) == BINARY_SETTLED[name], name
+
+
 def test_capped_rrb_homomorphism_is_a_prefix():
     p3 = p3_operator()
     assert_capped_prefix(check_rrb_homomorphism, p3, p3, scalar_pair(2))
