@@ -20,8 +20,11 @@ Representation files are
 
 with matrices as row-major arrays of rationals; operator files are
 {"action": ..., "T": matrix}; post-algebra files replace binary/ternary with
-the four keys dot/star/angle/brace.  File references resolve relative to the
-referencing file's directory.
+the four keys dot/star/angle/brace.  A file with the other kind's keys is a
+FormatError naming the key, so a post-algebra is never read as a zero
+algebra or the reverse; a file with none of its own keys is the zero
+structure.  File references resolve relative to the referencing file's
+directory.
 
 Every input is read once, straight into the form the library uses.  Matrices
 are read as their supports {(r, c): q}, and a literal zero (the JSON int 0 or
@@ -148,6 +151,13 @@ def _check_idx(where, dim, *idx):
 MAX_TENSOR_COEFFICIENTS = 2 ** 20
 
 
+def _refuse(doc, keys, name, kind):
+    """A FormatError naming the first of ``keys`` that ``doc`` carries."""
+    for key in keys:
+        if key in doc:
+            raise FormatError("%s: %r is a key of %s file" % (name, key, kind))
+
+
 def _read_dim(doc, name):
     dim = _field(doc, "dim", name)
     if not _is_int(dim) or dim < 0:
@@ -214,6 +224,7 @@ class _Load:
                 return A
         doc, here = _load_doc(source, base_dir)
         name = _read_name(doc, "algebra")
+        _refuse(doc, ("dot", "star", "angle", "brace"), name, "a post-algebra")
         dim = _read_dim(doc, name)
         binary = _read_sparse(doc.get("binary"), dim, 2, name + ".binary", True,
                               self.rational)
@@ -303,6 +314,7 @@ def load_post(source, base_dir=None):
     rational = _Load().rational
     doc, here = _load_doc(source, base_dir)
     name = _read_name(doc, "post-algebra")
+    _refuse(doc, ("binary", "ternary"), name, "an algebra")
     dim = _read_dim(doc, name)
     dot = _read_sparse(doc.get("dot"), dim, 2, name + ".dot", True, rational)
     star = _read_sparse(doc.get("star"), dim, 2, name + ".star", False, rational)

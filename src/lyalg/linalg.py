@@ -18,8 +18,11 @@ support pulled back along a linear map slot by slot, a table pushed forward
 through one, or one support composed into a slot of another.  Every equation
 is tabulated from the supports with them as one sparse table of the same
 form, a signed sum of such terms, and ``contract`` evaluates a tensor at
-vectors and basis indices as one ``pull``.  Every expansion in
-t is a truncated polynomial whose t^s coefficient is read off by one routine:
+vectors and basis indices as one ``pull``.  A composition costs a scan of
+the inner table's rows and one set test per outer key, plus one accumulation
+per entry that meets; all three add their terms by one loop (``_sum_into``),
+in which a sign of 1 or -1 makes no product.  Every expansion in t is a
+truncated polynomial whose t^s coefficient is read off by one routine:
 ``graded`` for a support with its slots read through polynomial maps,
 ``graded_push`` for a polynomial map applied to tables graded by degree.
 There are no tolerances anywhere: equality means exact equality.
@@ -178,10 +181,17 @@ def contract(t, *slots):
 
 def axpy(acc, f, x):
     """acc += f * x on sparse dicts of ints and Fractions, in place, dropping
-    entries that cancel; f == 1 adds the entries of x as they are."""
-    if not f:
+    entries that cancel; f == 1 adds the entries of x as they are and
+    f == -1 their negatives, with no product."""
+    if f == 1:
+        items = x.items()
+    elif f == -1:
+        items = ((k, -v) for k, v in x.items())
+    elif f:
+        items = ((k, f * v) for k, v in x.items())
+    else:
         return
-    for k, v in (x.items() if f == 1 else ((k, f * v) for k, v in x.items())):
+    for k, v in items:
         old = acc.get(k)
         if old is None:
             acc[k] = v
@@ -191,6 +201,44 @@ def axpy(acc, f, x):
                 acc[k] = new
             else:
                 del acc[k]
+
+
+def _sum_into(acc, terms):
+    """acc[key] += f * x for each (key, f, x) of ``terms``, on sparse values
+    given by their entries x, (row, q) pairs, in place.  With f == 1 the
+    entries are copied and with f == -1 negated, so a sign makes no product;
+    any other f multiplies them.  An entry that cancels is dropped, and so
+    is a value left empty."""
+    for key, f, x in terms:
+        if f == 1:
+            unit = 1
+        elif f == -1:
+            unit = -1
+        elif f:
+            unit = 0
+        else:
+            continue
+        v = acc.get(key)
+        if v is None:
+            v = (dict(x) if unit == 1 else {r: -q for r, q in x} if unit
+                 else {r: f * q for r, q in x})
+            if v:
+                acc[key] = v
+            continue
+        for r, q in x:
+            if unit != 1:
+                q = -q if unit else f * q
+            old = v.get(r)
+            if old is None:
+                v[r] = q
+            else:
+                new = old + q
+                if new:
+                    v[r] = new
+                else:
+                    del v[r]
+        if not v:
+            del acc[key]
 
 
 def skew_faults(values):
@@ -254,14 +302,6 @@ def column_table(M):
     return {(c,): dict(col) for c, col in sparse_map(M)[1].items()}
 
 
-def _add_at(table, key, f, x):
-    """table[key] += f * x on sparse values, dropping a value that cancels."""
-    v = table.setdefault(key, {})
-    axpy(v, f, x)
-    if not v:
-        del table[key]
-
-
 def _placement(positions):
     """The map taking a key to the tuple with slot p at position
     positions[p], or None for slot order."""
@@ -284,23 +324,19 @@ def pull(acc, sign, values, maps, positions=None):
     for p, rows in enumerate(maps):
         if rows is not None:
             table = {}
-            for key, v in values.items():
-                for a, q in rows.get(key[p], ()):
-                    _add_at(table, key[:p] + (a,) + key[p + 1:], q, v)
+            _sum_into(table, ((key[:p] + (a,) + key[p + 1:], q, v.items())
+                              for key, v in values.items() for a, q in rows.get(key[p], ())))
             values = table
     place = _placement(positions)
-    for key, v in values.items():
-        _add_at(acc, place(key) if place else key, sign, v)
+    _sum_into(acc, ((place(key) if place else key, sign, v.items())
+                    for key, v in values.items()))
 
 
 def push(acc, sign, cols, table):
-    """acc += sign * M(table), M given by its columns (see ``sparse_map``)."""
-    for key, v in table.items():
-        out = {}
-        for y, q in v.items():
-            for x, t in cols.get(y, ()):
-                out[x] = out.get(x, 0) + q * t
-        _add_at(acc, key, sign, {x: q for x, q in out.items() if q})
+    """acc += sign * M(table), M given by its columns (see ``sparse_map``):
+    column y of M scaled by the entry at row y of each value."""
+    _sum_into(acc, ((key, sign * q, cols[y])
+                    for key, v in table.items() for y, q in v.items() if y in cols))
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +396,26 @@ def compose(acc, sign, outer, p, inner, positions=None):
     ``Tensor``): the key is outer's with slot p replaced by inner's slots,
     then placed as by ``pull``.  The product of two matrix values is the
     composition into the outer one's column slot.  No table of the
-    composition itself is formed."""
+    composition itself is formed, and only the outer keys whose slot p is a
+    row of inner are indexed: when there are none, nothing meets."""
+    met = set().union(*inner.values())
     at = {}
     for key, v in outer.items():
-        at.setdefault(key[p], []).append((key[:p], key[p + 1:], v))
+        if key[p] in met:
+            at.setdefault(key[p], []).append((key[:p], key[p + 1:], v.items()))
+    if not at:
+        return
     place = _placement(positions)
-    for key, w in inner.items():
-        for s, q in w.items():
-            f = sign * q
-            for head, tail, v in at.get(s, ()):
-                k = head + key + tail
-                _add_at(acc, place(k) if place else k, f, v)
+
+    def terms():
+        for key, w in inner.items():
+            for s, q in w.items():
+                if s in at:
+                    f = sign * q
+                    for head, tail, x in at[s]:
+                        k = head + key + tail
+                        yield place(k) if place else k, f, x
+    _sum_into(acc, terms())
 
 
 def hom_table(src, dst, cols, maps):

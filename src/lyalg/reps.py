@@ -173,7 +173,9 @@ def check_action(r, all_violations=False):
     center, and all three annihilate the carrier's binary and ternary brackets.
     A column is central when the center's defining equations
     (``core.center_equations``) vanish on it; only the center's dimension,
-    reported in the data, takes an elimination.
+    reported in the data, takes an elimination.  The kill test skips an
+    acting tuple whose columns are none of the rows of the carrier's bracket
+    values: applied to any bracket value, its block gives zero.
     """
     rep = check_representation(r, all_violations)
     if not rep.passed:
@@ -189,6 +191,8 @@ def check_action(r, all_violations=False):
     brackets = [("-kills-binary", [(ab, v) for ab, v in h.binary.support.items()
                                    if ab[0] < ab[1]]),
                 ("-kills-ternary", h.ternary.support.items())]
+    # a block records a kill only at a column that is a row of some bracket value
+    rows = {row for _, values in brackets for _, v in values for row in v}
     for fam, t in (("rho", r.rho), ("mu", r.mu), ("D", r.derived_D)):
         # the support is sorted, so each acting tuple's columns come together, in order
         for args, group in itertools.groupby(t.support.items(), lambda kv: kv[0][:-1]):
@@ -200,6 +204,8 @@ def check_action(r, all_violations=False):
             for col, v in cols.items():
                 if (col,) in off:
                     ck.record(fam + "-image-central", args + (col,), dense(v, shape))
+            if rows.isdisjoint(cols):
+                continue
             # M applied to each nonzero bracket value, column by column
             for eq, values in brackets:
                 for bargs, v in values:

@@ -21,7 +21,11 @@ from .reps import adjoint_rep
 
 
 class RRBOperator:
-    """A linear map T from the action's carrier into its acting algebra."""
+    """A linear map T from the action's carrier into its acting algebra.
+
+    T and the action are fixed at construction, so the t-expansion of T
+    alone (``expansion``) is built once, on first read.
+    """
 
     def __init__(self, action, T):
         action.ensure_action()
@@ -31,6 +35,15 @@ class RRBOperator:
         if len(self.T) != n or any(len(r) != m for r in self.T):
             raise DimMismatch("T must be %dx%d (carrier -> acting)" % (n, m))
         self.verified = False
+        self._expansion = None
+
+    @property
+    def expansion(self):
+        """The ``Expansion`` of T alone, which ``check_rrb`` and
+        ``descent_algebra`` both read."""
+        if self._expansion is None:
+            self._expansion = Expansion(self.action, [self.T])
+        return self._expansion
 
     def ensure_verified(self):
         if not self.verified:
@@ -137,14 +150,14 @@ class Expansion:
 def check_rrb(op, all_violations=False):
     """Verify the two weight-1 equations on all basis tuples of the carrier.
 
-    The residuals are the t^0 coefficients of an ``Expansion`` of T alone,
+    The residuals are the t^0 coefficients of the operator's ``expansion``,
     tabulated over the supports; a tuple absent from a table has residual
     zero, and the witnesses come in lexicographic order, pairs first.  RRB2's
     table is not built once RRB1's has settled a capped report.
     """
     r = op.action
     ck = Checker("rrb(%s)" % (r,), all_violations)
-    ex = Expansion(r, [op.T])
+    ex = op.expansion
     shape = (r.acting.dim,)
     for arity, name in ((2, "RRB1"), (3, "RRB2")):
         if not ck.done:
@@ -239,15 +252,14 @@ def descent_algebra(op):
     [u,v]_T   = rho(Tu)v - rho(Tv)u + [u,v]_h
     <u,v,w>_T = D(Tu,Tv)w + mu(Tv,Tw)u - mu(Tu,Tw)v + <u,v,w>_h
 
-    Both are the degree-0 inner sums I_0 and J_0 of the weight-1 equations
-    (``Expansion.inner``), tabulated over the supports and T's nonzero entries.
+    Both are the degree-0 inner sums I_0 and J_0 of the weight-1 equations,
+    read off the operator's ``expansion``, so its check and this share them.
     """
     op.ensure_verified()
     r = op.action
     h = r.carrier
     m = h.dim
-    ex = Expansion(r, [op.T])
-    binary, ternary = ex.inner(2, 0), ex.inner(3, 0)
+    binary, ternary = op.expansion.inner(2, 0), op.expansion.inner(3, 0)
     D = LYAlgebra(m, Tensor.from_support(binary, m, 2, (m,)),
                   Tensor.from_support(ternary, m, 3, (m,)),
                   basis=h.basis, name="%s-descent" % h.name)

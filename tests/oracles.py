@@ -78,6 +78,87 @@ def o_in_column_space(rows, b):
 
 
 # ---------------------------------------------------------------------------
+# contractions of sparse tables {key: {row: q}}, evaluated densely: every
+# index tuple in range is visited, so a term counts whatever its support
+
+def _placed(key, positions):
+    """The tuple with slot p of ``key`` at position positions[p]."""
+    if positions is None:
+        return key
+    out = [None] * len(key)
+    for p, x in enumerate(positions):
+        out[x] = key[p]
+    return tuple(out)
+
+
+def o_plus(*scaled):
+    """The sum of f * table over the (f, table) of ``scaled``, with no zero
+    entry and no empty value, each entry a Fraction."""
+    acc = {}
+    for f, table in scaled:
+        for key, v in table.items():
+            w = acc.setdefault(key, {})
+            for r, q in v.items():
+                w[r] = w.get(r, Z) + Fraction(f) * Fraction(q)
+    return {key: w for key, w in ((k, {r: q for r, q in v.items() if q != 0})
+                                  for k, v in acc.items()) if w}
+
+
+def o_pull(values, sizes, maps, positions=None):
+    """``values``, its slot p ranging over sizes[p], with slot p read through
+    the dense matrix maps[p] (input index s to output index a with
+    coefficient maps[p][s][a]) or as it is when None, then placed."""
+    outs = [range(n) if M is None else range(len(M[0])) for M, n in zip(maps, sizes)]
+    parts = []
+    for out in itertools.product(*outs):
+        for key in itertools.product(*map(range, sizes)):
+            f = Fraction(1)
+            for M, s, a in zip(maps, key, out):
+                f *= Fraction(int(s == a)) if M is None else Fraction(M[s][a])
+            if f and key in values:
+                parts.append((f, {_placed(out, positions): values[key]}))
+    return o_plus(*parts)
+
+
+def o_push(M, table):
+    """The dense matrix M applied to every value of ``table``."""
+    rows, cols = range(len(M)), range(len(M[0]))
+    return o_plus((1, {key: {r: sum((Fraction(M[r][c]) * v.get(c, 0) for c in cols), Z)
+                             for r in rows} for key, v in table.items()}))
+
+
+def o_compose(outer, p, inner, n, positions=None):
+    """``outer`` with the value of ``inner`` in its slot p, every slot over
+    range(n): at each outer tuple with slot p left out and each inner tuple,
+    the sum over s of inner's row s times outer's value at slot p = s, keyed
+    by the inner tuple in place of slot p, then placed."""
+    if not outer or not inner:
+        return {}
+    a, b = len(next(iter(outer))), len(next(iter(inner)))
+    parts = []
+    for rest in itertools.product(range(n), repeat=a - 1):
+        head, tail = rest[:p], rest[p:]
+        for key in itertools.product(range(n), repeat=b):
+            for s in range(n):
+                q, v = inner.get(key, {}).get(s, 0), outer.get(head + (s,) + tail)
+                if q and v:
+                    parts.append((q, {_placed(head + key + tail, positions): v}))
+    return o_plus(*parts)
+
+
+def o_signed_sum(terms, n):
+    """The sum of ``terms`` as the library writes them: (sign, values,
+    positions) or (sign, outer, p, inner[, positions])."""
+    parts = []
+    for sign, values, *rest in terms:
+        if len(rest) == 1:
+            parts.append((sign, {_placed(k, rest[0]): v for k, v in values.items()}))
+        else:
+            parts.append((sign, o_compose(values, rest[0], rest[1], n, *rest[2:])))
+    return o_plus(*parts)
+
+
+# ---------------------------------------------------------------------------
 # vector helpers (kept local on purpose)
 
 def va(a, b):

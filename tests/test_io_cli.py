@@ -395,3 +395,22 @@ def test_huge_cohomology_degree_fails_fast(monkeypatch, capsys):
     op = lyio.load_operator(fx("p3_on_nilpotent4.json"))
     with pytest.raises(TooLarge):
         cohomology.TComplex(op).cohomology_dims(10 ** 9)
+
+
+def test_check_algebra_refuses_a_post_algebra_file(tmp_path, capsys):
+    """A constructed post-algebra is not read as the zero LY algebra."""
+    assert run(["construct", "post", fx("p3_on_nilpotent4.json"), "--json"]) == 0
+    path = tmp_path / "post.json"
+    path.write_text(capsys.readouterr().out)
+    assert run(["check", "algebra", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "'dot'" in out.err and "Traceback" not in out.err
+    assert run(["check", "post", str(path)]) == 0
+
+
+def test_check_post_refuses_an_algebra_file(capsys):
+    """An LY algebra file is not read as the zero post-algebra."""
+    assert run(["check", "post", fx("nilpotent4.json")]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "'binary'" in out.err and "Traceback" not in out.err
+    assert run(["check", "algebra", fx("nilpotent4.json")]) == 0

@@ -9,6 +9,7 @@ from lyalg import linalg
 from lyalg.errors import Inconsistent, NotInvertible, ShapeMismatch
 from lyalg.linalg import (Echelon, Subspace, frac, format_frac, graded, graded_push, invert,
                           mat, mat_id, nullspace_basis, rref, solve, sparse_map)
+import oracles
 from oracles import (TPoly, mm, mv, o_in_column_space, o_inverse, o_nullspace, o_rank,
                      o_rref)
 
@@ -363,13 +364,13 @@ def test_one_elimination_step_uses_coprime_multipliers(monkeypatch):
 # ---------------------------------------------------------------------------
 # truncated polynomials: graded / graded_push against a dense expansion in t
 
-def random_table(rng, dims, value_keys, density=0.5):
+def random_table(rng, dims, value_keys, density=0.5, pool=SPARSE_POOL):
     """A sparse table over the index tuples of ``dims`` with sparse values on
-    ``value_keys``; every kept value is nonzero."""
+    ``value_keys``, drawn from ``pool``; every kept value is nonzero."""
     table = {}
     for key in itertools.product(*(range(d) for d in dims)):
         if rng.random() < density:
-            v = {e: rng.choice(SPARSE_POOL) for e in value_keys if rng.random() < 0.6}
+            v = {e: rng.choice(pool) for e in value_keys if rng.random() < 0.6}
             if v:
                 table[key] = v
     return table
@@ -474,3 +475,155 @@ def test_graded_push_matches_dense_polynomial_expansion():
             want = added(acc, sign, want)
             graded_push(acc, sign, poly, tables, s)
             assert acc == want
+
+
+# ---------------------------------------------------------------------------
+# the contraction primitive against the dense evaluator of tests/oracles.py
+
+VALUES = [1, -1, 2, -2, F(1, 2), 3, F(1), F(-2), F(3)]
+SIGNS = [1, -1, 2, -2]
+
+
+def values_table(rng, dims, rows, density=0.5):
+    """A sparse table over the index tuples of ``dims``, values on range(rows)
+    drawn from VALUES."""
+    return random_table(rng, dims, range(rows), density, VALUES)
+
+
+def random_map(rng, n):
+    """An n x w matrix, w 2 or 3, of VALUES and zeros."""
+    w = rng.choice([2, 3])
+    return tuple(tuple(rng.choice(VALUES + [0, 0]) for _ in range(w)) for _ in range(n))
+
+
+def random_positions(rng, k):
+    return None if rng.random() < 0.3 else tuple(rng.sample(range(k), k))
+
+
+def clean(table):
+    """No empty value and no zero entry is ever stored."""
+    return all(v and all(q != 0 for q in v.values()) for v in table.values())
+
+
+def prefilled(rng, term, sign, sizes, rows):
+    """An acc to add ``sign`` * ``term`` into: random values, the negated term
+    at some keys so that they cancel, and part of it at others."""
+    acc = values_table(rng, sizes, rows, 0.3)
+    for key, v in term.items():
+        x = rng.random()
+        if x < 0.3:
+            acc[key] = {r: -sign * q for r, q in v.items()}
+        elif x < 0.5:
+            r = min(v)
+            acc[key] = {r: -sign * v[r], rows: 1}
+    return acc
+
+
+def assert_adds(run, acc, sign, term):
+    """run(acc) leaves acc + sign * term, with cancelled keys absent."""
+    want = oracles.o_plus((1, acc), (sign, term))
+    run(acc)
+    assert acc == want and clean(acc)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_pull_matches_dense_oracle(seed):
+    rng = random.Random(7100 + seed)
+    k, n, rows = rng.choice([1, 2, 3]), 3, 3
+    values = values_table(rng, (n,) * k, rows) if seed % 6 else {}
+    maps = [None if rng.random() < 0.3 else random_map(rng, n) for _ in range(k)]
+    positions = random_positions(rng, k)
+    sign = rng.choice(SIGNS)
+    term = oracles.o_pull(values, (n,) * k, maps, positions)
+    out = [n if M is None else len(M[0]) for M in maps]
+    out = tuple(out) if positions is None else tuple(out[positions.index(x)] for x in range(k))
+    rows_of = [None if M is None else sparse_map(M)[0] for M in maps]
+    for acc in ({}, prefilled(rng, term, sign, out, rows)):
+        assert_adds(lambda a: linalg.pull(a, sign, values, rows_of, positions), acc, sign, term)
+    # the term and its negation cancel everywhere
+    acc = {}
+    linalg.pull(acc, sign, values, rows_of, positions)
+    linalg.pull(acc, -sign, values, rows_of, positions)
+    assert acc == {}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_push_matches_dense_oracle(seed):
+    rng = random.Random(7200 + seed)
+    k, n = rng.choice([1, 2, 3]), 3
+    table = values_table(rng, (n,) * k, n) if seed % 4 else {}
+    M = tuple(zip(*random_map(rng, n)))
+    sign = rng.choice(SIGNS)
+    term = oracles.o_push(M, table)
+    cols = sparse_map(M)[1]
+    for acc in ({}, prefilled(rng, term, sign, (n,) * k, len(M))):
+        assert_adds(lambda a: linalg.push(a, sign, cols, table), acc, sign, term)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_compose_matches_dense_oracle_at_every_slot(seed):
+    rng = random.Random(7300 + seed)
+    n = 3
+    for a, b in ((1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (3, 2)):
+        outer, inner = values_table(rng, (n,) * a, n), values_table(rng, (n,) * b, n, 0.4)
+        for p in range(a):
+            for positions in (None, tuple(rng.sample(range(a + b - 1), a + b - 1))):
+                sign = rng.choice(SIGNS)
+                term = oracles.o_compose(outer, p, inner, n, positions)
+                for acc in ({}, prefilled(rng, term, sign, (n,) * (a + b - 1), n)):
+                    assert_adds(lambda t: linalg.compose(t, sign, outer, p, inner, positions),
+                                acc, sign, term)
+
+
+def test_compose_where_nothing_meets_leaves_acc_unchanged():
+    rng = random.Random(7400)
+    n = 3
+    # every inner value has rows in {2} only, and outer's slot p is never 2
+    inner = {key: {2: rng.choice(VALUES)} for key in itertools.product(range(n), repeat=2)}
+    for a in (1, 2, 3):
+        for p in range(a):
+            outer = {key: v for key, v in values_table(rng, (n,) * a, n, 0.8).items()
+                     if key[p] != 2}
+            assert outer
+            for acc in ({}, values_table(rng, (n,) * (a + 1), n)):
+                before = {key: dict(v) for key, v in acc.items()}
+                linalg.compose(acc, rng.choice(SIGNS), outer, p, inner)
+                assert acc == before
+                assert oracles.o_compose(outer, p, inner, n) == {}
+    # and empty tables on either side
+    for outer, inner in (({}, inner), ({(0, 1): {0: 1}}, {}), ({}, {})):
+        acc = {(0, 0): {1: F(1, 2)}}
+        linalg.compose(acc, 1, outer, 0, inner)
+        assert acc == {(0, 0): {1: F(1, 2)}}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_signed_sum_matches_dense_oracle(seed):
+    rng = random.Random(7500 + seed)
+    n = 3
+    t2, t3 = values_table(rng, (n, n), n), values_table(rng, (n, n, n), n, 0.3)
+    m1 = values_table(rng, (n,), n)
+    terms = [(rng.choice(SIGNS), t2, (1, 0)), (rng.choice(SIGNS), t2, 1, m1),
+             (rng.choice(SIGNS), t3, 0, m1, (2, 0, 1)), (rng.choice(SIGNS), m1, 0, t2),
+             (rng.choice(SIGNS), t3, None)]
+    # a term and its negation cancel to nothing
+    terms += [(1, t3, 2, t2, (3, 1, 0, 2)), (-1, t3, 2, t2, (3, 1, 0, 2))]
+    rng.shuffle(terms)
+    got = linalg.signed_sum(terms)
+    assert got == oracles.o_signed_sum(terms, n) and clean(got)
+    assert linalg.signed_sum([(1, t2, None), (-1, t2, None)]) == {}
+    assert linalg.signed_sum([]) == {}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_axpy_matches_dense_oracle(seed):
+    rng = random.Random(7600 + seed)
+    for f in SIGNS + [F(1, 2), F(-1), 0]:
+        x = {r: rng.choice(VALUES) for r in range(6) if rng.random() < 0.6}
+        acc = {r: rng.choice(VALUES) for r in range(6) if rng.random() < 0.4}
+        for r in x:
+            if rng.random() < 0.4:
+                acc[r] = -f * x[r] or 1    # cancels, unless f is 0
+        want = oracles.o_plus((1, {0: acc}), (f, {0: x})).get(0, {})
+        linalg.axpy(acc, f, x)
+        assert acc == want and all(q != 0 for q in acc.values())

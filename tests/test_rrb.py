@@ -117,6 +117,31 @@ def test_descent_algebra(p3):
     assert rep.passed
 
 
+def test_descent_and_complex_build_each_inner_sum_once(monkeypatch, capsys):
+    """The operator's check and the descent algebra read one t-expansion:
+    ``construct descent`` and a ``TComplex`` of p3 each build I_0 and J_0
+    once.  A build is a call of ``Expansion.inner`` that returns a table no
+    call has returned before."""
+    from lyalg import rrb
+    from lyalg.cli import run
+    from lyalg.cohomology import TComplex
+    inner, seen, built = rrb.Expansion.inner, [], []
+
+    def recording(self, arity, p):
+        table = inner(self, arity, p)
+        if not any(table is t for t in seen):
+            seen.append(table)
+            built.append((arity, p))
+        return table
+    monkeypatch.setattr(rrb.Expansion, "inner", recording)
+    assert run(["construct", "descent", fx("p3_on_nilpotent4.json")]) == 0
+    capsys.readouterr()
+    assert sorted(built) == [(2, 0), (3, 0)]
+    built.clear()
+    TComplex(lyio.load_operator(fx("p3_on_nilpotent4.json")))
+    assert sorted(built) == [(2, 0), (3, 0)]
+
+
 def test_descent_requires_verified(adjoint_action):
     op = L.RRBOperator(adjoint_action, mat_id(4))
     with pytest.raises(Unverified):

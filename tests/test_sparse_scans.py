@@ -16,6 +16,7 @@ import lyalg as L
 from lyalg import io as lyio
 from lyalg.cohomology import induced_rep
 from lyalg.deformation import check_equivalence
+from lyalg.linalg import Tensor
 from lyalg.postlya import check_post_axioms, check_post_homomorphism, induced_post_from_rrb
 from lyalg.reps import (RepAction, adjoint_rep, check_action, check_lemma_identities,
                         check_representation)
@@ -136,6 +137,32 @@ def test_action_matches_dense_oracle(p3, name):
          "p3-induced": lambda: induced_rep(p3)}[name]()
     rep = check_action(r, all_violations=True)
     assert rep.passed == (name in ("semidirect8", "p3-induced"))
+    assert listed(rep) == oracles.o_action_violations(r)
+
+
+def sl2_triple_system():
+    """sl2 as a Lie triple system: no binary bracket and <x,y,z> = [[x,y],z],
+    so its ternary values have rows that no binary value has."""
+    return L.LYAlgebra(3, Tensor.from_support({}, 3, 2, (3,)), sl2().ternary, name="sl2-lts")
+
+
+@pytest.mark.parametrize("name", ["sl2", "sl2-lts"])
+def test_action_kill_test_skips_blocks_that_meet_no_bracket_value(name):
+    """nilpotent4 (+) sl2, or (+) sl2's triple system, acting on itself: some
+    acting tuples have columns that are no row of a bracket value, binary or
+    ternary, so the kill test skips them, while others record kills; the full
+    witness list is still the dense oracle's."""
+    r = adjoint_rep(L.direct_sum(nilpotent4(), {"sl2": sl2, "sl2-lts": sl2_triple_system}[name]()))
+    h = r.carrier
+    rows = {row for t in (h.binary, h.ternary) for v in t.support.values() for row in v}
+    columns = {}
+    for fam, t in (("rho", r.rho), ("mu", r.mu), ("D", r.derived_D)):
+        for key in t.support:
+            columns.setdefault((fam, key[:-1]), set()).add(key[-1])
+    skipped = [args for args, cols in columns.items() if rows.isdisjoint(cols)]
+    assert 0 < len(skipped) < len(columns)
+    rep = check_action(r, all_violations=True)
+    assert any("-kills-" in v.eq for v in rep.violations)
     assert listed(rep) == oracles.o_action_violations(r)
 
 
