@@ -153,6 +153,11 @@ def pair_basis(m):
     return [(i, j) for i in range(m) for j in range(i + 1, m)]
 
 
+def pair_index(m):
+    """{(i, j): t} placing each pair i < j at its position in ``pair_basis``."""
+    return {pr: t for t, pr in enumerate(pair_basis(m))}
+
+
 def wedge_coords(x, y, pidx):
     """Sparse coordinates of x /\\ y on the reduced pair basis; x and y are
     vectors or sparse dicts {index: q}."""
@@ -379,7 +384,7 @@ class Coboundary:
             raise ShapeMismatch("representation does not act on the given algebra")
         m = self.m = alg.dim
         self.n = rep.carrier.dim
-        pidx = {pr: t for t, pr in enumerate(pair_basis(m))}
+        pidx = pair_index(m)
         self.M = len(pidx)
         rho, mu, D = (_by_column(t) for t in (rep.rho, rep.mu, rep.derived_D))
         # a head term into the pair {a, s} has sign + for a < s with rho and
@@ -560,7 +565,7 @@ def zero_cochain_map(op, x, y):
     n = r.acting.dim
     if len(x) != n or len(y) != n:
         raise DimMismatch("vectors must have length %d" % n)
-    pidx = {pr: t for t, pr in enumerate(pair_basis(n))}
+    pidx = pair_index(n)
     return Cochain.from_support(1, r.carrier.dim, n,
                                 partial_matrix(op).apply(wedge_coords(x, y, pidx)))
 
@@ -579,7 +584,7 @@ def partial_matrix(op):
     table = {}
     push(table, 1, cols, op.action.derived_D.support)
     pull(table, -1, g.ternary.support, (None, None, rows))
-    pidx = {pr: t for t, pr in enumerate(pair_basis(n))}
+    pidx = pair_index(n)
     return SparseMat(m * n, len(pidx), {(a * n + t, pidx[i, j]): q
                                         for (i, j, a), v in table.items() if i < j
                                         for t, q in v.items()})
@@ -669,7 +674,7 @@ def pushforward_cochain(pair, c):
         if len(psi) != k or any(len(row) != k for row in psi):
             raise DimMismatch("%s must be %dx%d" % (name, k, k))
     plain, inv_cols = sparse_map(invert(pair.psi_h))
-    pidx = {pr: t for t, pr in enumerate(pair_basis(m))}
+    pidx = pair_index(m)
     wedge = {}
     for t, (a, b) in enumerate(pair_basis(m)):
         for s, q in wedge_coords(dict(inv_cols[a]), dict(inv_cols[b]), pidx).items():

@@ -12,7 +12,7 @@ axiom is tabulated over every basis tuple at once from the brackets' supports
 from .errors import AxiomsFailed, DimMismatch, NotLieAlgebra, StructureError
 from .linalg import (Q0, Subspace, Tensor, contract, dense, frac, hom_table,
                      nullspace_basis, signed_sum, skew_fault, sparse_map)
-from .reports import Checker
+from .reports import Checker, summed
 
 
 class LYAlgebra:
@@ -33,7 +33,6 @@ class LYAlgebra:
             raise StructureError(
                 "ternary tensor not antisymmetric in first two slots at (%d,%d,%d)" % fault)
         self.verified = False
-        self._axiom_report = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -80,16 +79,15 @@ def check_ly_axioms(A, all_violations=False):
     # ``linalg.signed_sum``); LY4 takes the commutator of <x,y,.> and
     # <z,w,.> first, so that fewer tuples are live in its table at once
     cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    ck.tabulate(A.binary.shape, [
+    ck.tabulate(A.binary.shape, summed([
         ("LY1", [(1, c, 0, c, xyz) for xyz in cyclic] + [(1, d, xyz) for xyz in cyclic])], [
         ("LY2", [(1, d, 0, c, xyz + (3,)) for xyz in cyclic])], [
         ("LY3", [(1, d, 2, c), (-1, c, 0, d), (-1, c, 1, d, (2, 0, 1, 3))])], [
         ("LY4", [(1, d, 2, d), (-1, d, 2, d, (2, 3, 0, 1, 4)), (-1, d, 0, d),
-                 (-1, d, 1, d, (2, 0, 1, 3, 4))])])
+                 (-1, d, 1, d, (2, 0, 1, 3, 4))])]))
     rep = ck.report()
     if rep.passed:
         A.verified = True
-    A._axiom_report = rep
     return rep
 
 
@@ -166,10 +164,9 @@ def check_homomorphism(A, B, phi, all_violations=False):
         raise DimMismatch("map must be %dx%d" % (B.dim, A.dim))
     ck = Checker("homomorphism(%s->%s)" % (A.name, B.name), all_violations)
     rows, cols = sparse_map(phi)
-    shape = (B.dim,)
-    for name, a, b in (("hom-binary", A.binary, B.binary), ("hom-ternary", A.ternary, B.ternary)):
-        if not ck.done:
-            ck.table(shape, (name, hom_table(a, b, cols, (rows,) * a.arity)))
+    ck.tabulate((B.dim,), ([(name, hom_table(a, b, cols, (rows,) * a.arity))] for name, a, b in
+                           (("hom-binary", A.binary, B.binary),
+                            ("hom-ternary", A.ternary, B.ternary))))
     return ck.report()
 
 

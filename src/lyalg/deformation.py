@@ -24,7 +24,7 @@ delta of one cochain, read from the columns in its support
 
 from dataclasses import dataclass
 
-from .cohomology import Cochain, TComplex, pair_basis, partial_matrix, wedge_coords
+from .cohomology import Cochain, TComplex, pair_index, partial_matrix, wedge_coords
 from .errors import DimMismatch, Inconsistent, InvalidDeformation
 from .linalg import (Tensor, axpy, column_table, contract, dense, format_frac, graded,
                      graded_push, mat, mat_id, mat_sub, pull, skew_faults, sparse_map)
@@ -99,10 +99,9 @@ def check_order_n(d, all_violations=False):
     shape = (d.base.action.acting.dim,)
     ex = d.coefficients()
     ck = Checker("order-%d-deformation" % d.order, all_violations)
-    for s in range(1, d.order + 1):
-        for arity, name in ((2, "binary"), (3, "ternary")):
-            if not ck.done:
-                ck.table(shape, ("deform-%s-t^%d" % (name, s), ex.table(arity, s)))
+    ck.tabulate(shape, ([("deform-%s-t^%d" % (name, s), ex.table(arity, s))]
+                        for s in range(1, d.order + 1)
+                        for arity, name in ((2, "binary"), (3, "ternary"))))
     return ck.report({"order": d.order})
 
 
@@ -121,12 +120,10 @@ def check_linear_deformation(op, T1, all_violations=False):
     shape = (r.acting.dim,)
     ex = Expansion(r, [op.T, T1])
     ck = Checker("linear-deformation", all_violations)
-    per = {}
-    for s in (1, 2, 3):
-        binary, ternary = ex.table(2, s), ex.table(3, s)
-        ck.table(shape, ("deform-binary-t^%d" % s, binary))
-        ck.table(shape, ("deform-ternary-t^%d" % s, ternary))
-        per["t^%d" % s] = "fail" if binary or ternary else "pass"
+    tables = {s: (ex.table(2, s), ex.table(3, s)) for s in (1, 2, 3)}
+    ck.tabulate(shape, [[("deform-%s-t^%d" % (name, s), t)] for s, pair in tables.items()
+                        for name, t in zip(("binary", "ternary"), pair)])
+    per = {"t^%d" % s: "fail" if any(pair) else "pass" for s, pair in tables.items()}
     return ck.report({"coefficient_verdicts": per, "t1_closed": per["t^1"] == "pass"})
 
 
@@ -169,12 +166,10 @@ def check_equivalence(op, T1, T2, wedges, all_violations=False):
     ck = Checker("deformation-equivalence", all_violations)
     higher = {}
     res = intertwining((mat_id(n), LX), (op.T, T2), (op.T, T1), (mat_id(m), DX))
-    for s, v in enumerate(res):
+    ck.tabulate((n, m), [[("intertwines-T-t^%d" % s, v) for s, v in enumerate(res[:2])]])
+    for s, v in enumerate(res[2:], 2):
         if v:
-            if s <= 1:
-                ck.record("intertwines-T-t^%d" % s, (), dense(v, (n, m)))
-            else:
-                higher.setdefault("intertwines-T", set()).add(s)
+            higher.setdefault("intertwines-T", set()).add(s)
 
     def identity(name, t, polys, cols):
         """(name-t^1, the t^1 table) of ``t`` with slot p read through polys[p],
@@ -193,13 +188,13 @@ def check_equivalence(op, T1, T2, wedges, all_violations=False):
     (L_rows, L_cols), (D_rows, D_cols) = sparse_map(LX), sparse_map(DX)
     L, D = (None, L_rows), (None, D_rows)
     for name, alg, psi, cols in (("psi_g", g, L, L_cols), ("psi_h", h, D, D_cols)):
-        ck.table((alg.dim,), identity(name + "-binary", alg.binary, (psi,) * 2, cols),
-                 identity(name + "-ternary", alg.ternary, (psi,) * 3, cols))
-    ck.table((m, m), *[identity(name, t, (L,) * t.arity + (D,), D_cols)
-                       for name, t in (("rho-equivariance", r.rho), ("mu-equivariance", r.mu),
-                                       ("D-equivariance", r.derived_D))])
+        ck.tabulate((alg.dim,), [[identity(name + "-binary", alg.binary, (psi,) * 2, cols),
+                                  identity(name + "-ternary", alg.ternary, (psi,) * 3, cols)]])
+    ck.tabulate((m, m), [[identity(name, t, (L,) * t.arity + (D,), D_cols)
+                          for name, t in (("rho-equivariance", r.rho), ("mu-equivariance", r.mu),
+                                          ("D-equivariance", r.derived_D))]])
 
-    pidx = {pr: t for t, pr in enumerate(pair_basis(n))}
+    pidx = pair_index(n)
     X = {}
     for x, y in wedges:
         axpy(X, 1, wedge_coords(x, y, pidx))
@@ -239,7 +234,7 @@ def obstruction_class(d):
     if fault is not None:
         raise InvalidDeformation("first component not alternating" if fault[0] == fault[1]
                                  else "first component not antisymmetric")
-    pidx = {pr: t for t, pr in enumerate(pair_basis(m))}
+    pidx = pair_index(m)
     c2 = Cochain.from_table(2, m, n, {(pidx[k[:2]],) + k[2:]: v for table in (first, second)
                                       for k, v in table.items() if k[0] < k[1]})
     closed = d.complex().coboundary(c2).is_zero()

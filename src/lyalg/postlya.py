@@ -25,7 +25,7 @@ from .core import LYAlgebra, check_homomorphism, check_ly_axioms
 from .errors import AxiomsFailed, DimMismatch, StructureError, Unverified
 from .linalg import (Tensor, hom_table, mat, mat_id, pull, signed_sum, skew_fault,
                      sparse_map)
-from .reports import Checker
+from .reports import Checker, summed
 from .reps import RepAction, check_action, regular_pair
 
 
@@ -96,9 +96,7 @@ def check_post_axioms(A, all_violations=False, as_printed=False):
     residuals, a signed sum of compositions of the operations' supports.
     """
     ck = Checker("post-axioms(%s)" % A.name, all_violations)
-    base = check_ly_axioms(A.base_ly(), all_violations)
-    for v in base.violations:
-        ck.record("base-" + v.eq, v.args, v.residual)
+    ck.include("base-", check_ly_axioms(A.base_ly(), all_violations))
     dot, star, angle, brace, bD, cb, ct = (
         t.support for t in (A.dot, A.star, A.angle, A.brace, A.brace_D,
                             A.sub_binary, A.sub_ternary))
@@ -117,7 +115,7 @@ def check_post_axioms(A, all_violations=False, as_printed=False):
                 (eq + "-angle3", [(1, angle, 2, image, (k, k + 1) + tuple(range(k)))]) + order]
 
     # basis vectors x, y, z, w, t sit at tuple positions 0..4
-    ck.tabulate((A.dim,), [
+    ck.tabulate((A.dim,), summed([
         # P1: {z,[x,y]_C,w} = {y*z,x,w} - {x*z,y,w}
         ("P1", [(1, brace, 1, cb, (2, 0, 1, 3)), (-1, brace, 0, star, (1, 2, 0, 3)),
                 (1, brace, 0, star, (0, 2, 1, 3))]),
@@ -143,7 +141,7 @@ def check_post_axioms(A, all_violations=False, as_printed=False):
         # per triple (i, j, k), P8: star and brace (slot one) kill
         # angle-products, at (s, i, j, k) and (i, j, k, s, t)
         [("P8-star", [(1, star, 1, angle)], lambda a: a[1:] + a[:1]),
-         ("P8-brace", [(1, brace, 0, angle)])])
+         ("P8-brace", [(1, brace, 0, angle)])]))
     rep = ck.report()
     if rep.passed and not as_printed:
         A.verified = True
@@ -225,14 +223,11 @@ def check_post_homomorphism(A, B, psi, all_violations=False):
         raise DimMismatch("map must be %dx%d" % (B.dim, A.dim))
     ck = Checker("post-homomorphism(%s->%s)" % (A.name, B.name), all_violations)
     rows, cols = sparse_map(psi)
-    ck.table((B.dim,), *[("hom-" + op, hom_table(getattr(A, op), getattr(B, op), cols,
-                                                 (rows,) * getattr(A, op).arity))
-                         for op in ("dot", "star", "angle", "brace")])
+    ck.tabulate((B.dim,), [[("hom-" + op, hom_table(getattr(A, op), getattr(B, op), cols,
+                                                   (rows,) * getattr(A, op).arity))
+                            for op in ("dot", "star", "angle", "brace")]])
     rep = ck.report()
     if rep.passed and A.verified and B.verified:
-        sub = check_homomorphism(subadjacent(A), subadjacent(B), psi)
-        if not sub.passed:
-            for v in sub.violations:
-                ck.record("subadjacent-" + v.eq, v.args, v.residual)
-            rep = ck.report()
+        ck.include("subadjacent-", check_homomorphism(subadjacent(A), subadjacent(B), psi))
+        rep = ck.report()
     return rep

@@ -1,9 +1,10 @@
 """Pass/fail reports with equation witnesses.
 
 A check tabulates each equation as one sparse table {args: residual} over the
-basis tuples, a signed sum of compositions of supports (``linalg.signed_sum``),
-and hands it to ``Checker.table``, which records the nonzero residuals in a
-fixed order and stops once a capped report is settled.
+basis tuples, often a signed sum of compositions of supports (``summed``), and
+hands its tables group by group to ``Checker.tabulate``, which records the
+nonzero residuals in a fixed order and reads no further group once a capped
+report is settled.
 """
 
 from dataclasses import dataclass, field
@@ -58,19 +59,19 @@ class Report:
 
 
 class Checker:
-    """Collects violations, capping the witness list unless asked not to."""
+    """Collects violations, capping the witness list at ``DEFAULT_CAP`` unless
+    asked not to."""
 
-    def __init__(self, subject, all_violations=False, cap=DEFAULT_CAP):
+    def __init__(self, subject, all_violations=False):
         self.subject = subject
         self.all_violations = all_violations
-        self.cap = cap
         self.violations = []
         self._saturated = False
 
     def record(self, eq, args, residual):
         if not self._saturated:
             self.violations.append(Violation(eq, tuple(args), residual))
-            if not self.all_violations and len(self.violations) >= self.cap:
+            if not self.all_violations and len(self.violations) >= DEFAULT_CAP:
                 self._saturated = True
 
     @property
@@ -78,53 +79,50 @@ class Checker:
         """True once further scanning cannot change the report."""
         return self._saturated
 
-    def scan(self, live):
-        """The distinct items of ``live`` in sorted order, ending as soon as the
-        report is settled, so a capped check stops at its tenth witness.
+    def include(self, prefix, report):
+        """Record the violations of a sub-check's ``report`` in its order, each
+        equation named with ``prefix``, up to the cap."""
+        for v in report.violations:
+            self.record(prefix + v.eq, v.args, v.residual)
 
-        ``live`` is read only when the scan starts, so a generator passed here
-        is never run once the report is settled.
-        """
+    def tabulate(self, shape, groups):
+        """Record the nonzero residuals of each group of (name, table[, order])
+        in ``groups``, a table being {key: {row: q}} of ``shape`` (see
+        ``linalg.signed_sum``); a matrix value's column is the last slot of
+        its key, and its witness tuple is the key without it.  In a group,
+        witnesses come sorted by ``order(args)``, the tuple itself when no
+        order is given, so a tuple comes before its extensions, and at one
+        key in the order of the group; a matrix residual is gathered only for
+        a recorded witness.  ``groups`` is read one group at a time and never
+        again once the report is settled, so a generator of groups builds no
+        table after that."""
         if self._saturated:
             return
-        for t in sorted(set(live)):
-            if self._saturated:
-                return
-            yield t
-
-    def table(self, shape, *named):
-        """Record each (name, values[, order]) of ``named`` at every tuple of
-        its sparse table {key: {row: q}} of ``shape`` (see
-        ``linalg.signed_sum``); a matrix value's column is the last slot of
-        its key, and its witness tuple is the key without it.  Witnesses come
-        sorted by ``order(args)``, the tuple itself when no order is given, so
-        a tuple comes before its extensions, and at one key in the order of
-        ``named``; a matrix residual is gathered only for a recorded witness."""
         cut = -1 if len(shape) == 2 else None
-        live = ((eq[2](args) if len(eq) > 2 else args, e, args)
-                for e, eq in enumerate(named) for args in (key[:cut] for key in eq[1]))
-        for _, e, args in self.scan(live):
-            name, values = named[e][:2]
-            if cut is None:
-                v = values[args]
-            else:
-                v = {(r, c): q for c in range(shape[1])
-                     for r, q in values.get(args + (c,), {}).items()}
-            self.record(name, args, dense(v, shape))
-
-    def tabulate(self, shape, *groups):
-        """``table`` each group of (name, terms[, order]) in turn: an
-        equation's table is the ``linalg.signed_sum`` of its terms, with a
-        matrix value's column in the last slot when ``shape`` is a matrix's.
-        No table is built once the report is settled."""
         for group in groups:
-            if self.done:
-                return
-            self.table(shape, *[(name, signed_sum(terms), *order)
-                                for name, terms, *order in group])
+            live = {(eq[2](args) if len(eq) > 2 else args, e, args)
+                    for e, eq in enumerate(group) for args in (key[:cut] for key in eq[1])}
+            for _, e, args in sorted(live):
+                name, values = group[e][:2]
+                if cut is None:
+                    v = values[args]
+                else:
+                    v = {(r, c): q for c in range(shape[1])
+                         for r, q in values.get(args + (c,), {}).items()}
+                self.record(name, args, dense(v, shape))
+                if self._saturated:
+                    return
 
     def report(self, data=None):
         return Report(self.subject,
                       "fail" if self.violations else "pass",
                       self.violations,
                       dict(data or {}))
+
+
+def summed(*groups):
+    """Each group of (name, terms[, order]) as a group for ``Checker.tabulate``,
+    an equation's table the ``linalg.signed_sum`` of its terms; a group's
+    tables are built when the group is read."""
+    for group in groups:
+        yield [(name, signed_sum(terms), *order) for name, terms, *order in group]

@@ -26,7 +26,7 @@ import itertools
 from .core import LYAlgebra, center_equations
 from .errors import AxiomsFailed, NotAnAction
 from .linalg import Tensor, axpy, dense, nullspace_basis, push, signed_sum, sparse_map
-from .reports import Checker
+from .reports import Checker, summed
 
 
 class RepAction:
@@ -102,21 +102,23 @@ def check_representation(r, all_violations=False):
     signed sum of compositions of the supports (``linalg.signed_sum``): rho,
     mu and D are read with the matrix column as one more slot, so a product
     such as mu(x,z)rho(y) is rho composed into mu's column slot, and the
-    table is scanned in that form (``Checker.tabulate``).
+    table is scanned in that form.  R1-R3 are one group and R4-R5 another
+    (``Checker.tabulate``), so the 5-slot tables of R4 and R5 are not built
+    once R1-R3 have settled a capped report.
     """
     g = r.acting
     ck = Checker("representation(%s on %s)" % (g.name, r.carrier.name), all_violations)
     c, d = g.binary.support, g.ternary.support
     rho, mu, D = r.rho.support, r.mu.support, r.derived_D.support
     # basis vectors x, y, z, w sit at tuple positions 0..3, the column last
-    ck.tabulate(r.rho.shape, [
+    ck.tabulate(r.rho.shape, summed([
         ("R1", [(1, mu, 0, c), (-1, mu, 2, rho, (0, 2, 1, 3)), (1, mu, 2, rho, (1, 2, 0, 3))]),
         ("R2", [(1, mu, 1, c), (-1, rho, 1, mu, (1, 0, 2, 3)), (1, rho, 1, mu, (2, 0, 1, 3))]),
         ("R3", [(1, rho, 0, d), (-1, D, 2, rho), (1, rho, 1, D, (2, 0, 1, 3))])], [
         ("R4", [(1, mu, 2, mu, (2, 3, 0, 1, 4)), (-1, mu, 2, mu, (1, 3, 0, 2, 4)),
                 (-1, mu, 1, d), (1, D, 2, mu, (1, 2, 0, 3, 4))]),
         ("R5", [(1, mu, 0, d), (1, mu, 1, d, (2, 0, 1, 3, 4)), (-1, D, 2, mu),
-                (1, mu, 2, D, (2, 3, 0, 1, 4))])])
+                (1, mu, 2, D, (2, 3, 0, 1, 4))])]))
     rep = ck.report()
     if r._rep_report is None or not r._rep_report.passed:
         r._rep_report = rep
@@ -136,12 +138,12 @@ def check_lemma_identities(r, all_violations=False):
     ck = Checker("lemma-identities(%s on %s)" % (g.name, r.carrier.name), all_violations)
     c, d = g.binary.support, g.ternary.support
     mu, D = r.mu.support, r.derived_D.support
-    ck.tabulate(r.rho.shape, [
+    ck.tabulate(r.rho.shape, summed([
         ("L1", [(1, D, 0, c, xyz + (3,)) for xyz in ((0, 1, 2), (1, 2, 0), (2, 0, 1))])], [
         ("L2", [(1, D, 0, d), (1, D, 1, d, (2, 0, 1, 3, 4)), (-1, D, 2, D),
                 (1, D, 2, D, (2, 3, 0, 1, 4))]),
         ("L3", [(1, mu, 0, d), (-1, mu, 2, mu, (0, 3, 2, 1, 4)),
-                (1, mu, 2, mu, (1, 3, 2, 0, 4)), (1, mu, 2, D, (2, 3, 0, 1, 4))])])
+                (1, mu, 2, mu, (1, 3, 2, 0, 4)), (1, mu, 2, D, (2, 3, 0, 1, 4))])]))
     return ck.report()
 
 
@@ -175,7 +177,9 @@ def check_action(r, all_violations=False):
     (``core.center_equations``) vanish on it; only the center's dimension,
     reported in the data, takes an elimination.  The kill test skips an
     acting tuple whose columns are none of the rows of the carrier's bracket
-    values: applied to any bracket value, its block gives zero.
+    values: applied to any bracket value, its block gives zero.  The check
+    records block by block and stops between acting tuples once settled: as
+    driver tables (``Checker.tabulate``) its blocks measured slower.
     """
     rep = check_representation(r, all_violations)
     if not rep.passed:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .core import LYAlgebra, check_homomorphism, derived_algebra
 from .errors import DimMismatch, PreconditionFailed, Unverified
-from .linalg import (Tensor, column_table, dense, graded, graded_push, hom_table, invert, mat,
-                     mat_id, pull, push, sparse_map)
+from .linalg import (Tensor, column_table, graded, graded_push, hom_table, invert, mat, mat_id,
+                     pull, push, sparse_map)
 from .reports import Checker
 from .reps import adjoint_rep
 
@@ -157,11 +157,8 @@ def check_rrb(op, all_violations=False):
     """
     r = op.action
     ck = Checker("rrb(%s)" % (r,), all_violations)
-    ex = op.expansion
-    shape = (r.acting.dim,)
-    for arity, name in ((2, "RRB1"), (3, "RRB2")):
-        if not ck.done:
-            ck.table(shape, (name, ex.table(arity, 0)))
+    ck.tabulate((r.acting.dim,), ([(name, op.expansion.table(arity, 0))]
+                                  for arity, name in ((2, "RRB1"), (3, "RRB2"))))
     rep = ck.report()
     if rep.passed:
         op.verified = True
@@ -182,14 +179,17 @@ def graph_subalgebra_check(op, all_violations=False):
     lift, _ = sparse_map(op.T + mat_id(m))                        # u -> Tu + u
     minus_T = tuple(tuple(-q for q in row) for row in op.T)
     _, defect = sparse_map(tuple(e + row for e, row in zip(mat_id(n), minus_T)))  # x - Tu
-    ck = Checker("graph-subalgebra(%s)" % (op.action,), all_violations)
-    for name, t in (("graph-binary", S.binary), ("graph-ternary", S.ternary)):
-        if ck.done:
-            break
+
+    def off_graph(t):
+        """The brackets w of ``t`` on the generators, where x - Tu does not vanish."""
         w, off = {}, {}
         pull(w, 1, t.support, (lift,) * t.arity)
         push(off, 1, defect, w)
-        ck.table((n + m,), (name, {key: w[key] for key in off}))
+        return {key: w[key] for key in off}
+
+    ck = Checker("graph-subalgebra(%s)" % (op.action,), all_violations)
+    ck.tabulate((n + m,), ([(name, off_graph(t))] for name, t in
+                           (("graph-binary", S.binary), ("graph-ternary", S.ternary))))
     return ck.report({"graph_dim": m})
 
 
@@ -231,9 +231,8 @@ def check_nijenhuis(A, N, all_violations=False):
         return acc
 
     ck = Checker("nijenhuis(%s)" % A.name, all_violations)
-    for name, t in (("nijenhuis-binary", A.binary), ("nijenhuis-ternary", A.ternary)):
-        if not ck.done:
-            ck.table((n,), (name, residual(t)))
+    ck.tabulate((n,), ([(name, residual(t))] for name, t in
+                       (("nijenhuis-binary", A.binary), ("nijenhuis-ternary", A.ternary))))
     return ck.report()
 
 
@@ -329,24 +328,23 @@ def check_rrb_homomorphism(from_op, to_op, pair, all_violations=False):
     pg, ph = pair.psi_g, pair.psi_h
     ck = Checker("rrb-homomorphism", all_violations)
     for src, dst, psi, name in ((g, rt.acting, pg, "psi_g"), (h, rt.carrier, ph, "psi_h")):
-        for v in check_homomorphism(src, dst, psi, all_violations).violations:
-            ck.record(name + "-not-homomorphism:" + v.eq, v.args, v.residual)
+        ck.include(name + "-not-homomorphism:", check_homomorphism(src, dst, psi, all_violations))
     res, = intertwining((pg,), (from_op.T,), (to_op.T,), (ph,))
-    if res:
-        ck.record("intertwines-T", (), dense(res, (g.dim, h.dim)))
+    ck.tabulate((g.dim, h.dim), [[("intertwines-T", res)]])
     (g_rows, _), (h_rows, h_cols) = sparse_map(pg), sparse_map(ph)
-    ck.table((h.dim, h.dim), *[
+    ck.tabulate((h.dim, h.dim), [[
         (name, hom_table(src, dst, h_cols, (g_rows,) * src.arity + (h_rows,)))
         for name, src, dst in (("rho-equivariance", rf.rho, rt.rho),
                                ("mu-equivariance", rf.mu, rt.mu),
-                               ("D-equivariance", rf.derived_D, rt.derived_D))])
+                               ("D-equivariance", rf.derived_D, rt.derived_D))]])
     return ck.report()
 
 
 def intertwining(P, A, B, Q):
-    """The coefficients of P A - B Q as sparse matrices {(r, c): q}, for
-    polynomials in t given by their matrices, lowest degree first: P and B
-    are applied to A and Q read as the tables of their columns."""
+    """The coefficients of P A - B Q as the tables {(c,): {r: q}} of their
+    columns, a matrix-shaped table for ``Checker.tabulate``, for polynomials
+    in t given by their matrices, lowest degree first: P and B are applied to
+    A and Q read as the tables of their columns."""
     terms = [(sign, [sparse_map(M)[1] for M in outer], [column_table(M) for M in inner])
              for sign, outer, inner in ((1, P, A), (-1, B, Q))]
     out = []
@@ -354,5 +352,5 @@ def intertwining(P, A, B, Q):
         acc = {}
         for sign, poly, tables in terms:
             graded_push(acc, sign, poly, tables, s)
-        out.append({(r, c): q for (c,), v in acc.items() for r, q in v.items()})
+        out.append(acc)
     return out

@@ -203,19 +203,43 @@ def assert_capped_prefix(check, *args):
     assert capped == full[:10]
 
 
-def test_scan_sorts_dedupes_and_stops_at_saturation():
+def test_tabulate_sorts_dedupes_and_stops_at_saturation():
+    """The columns of a matrix table at one witness tuple give one witness,
+    witnesses come sorted, the tenth settles the report, and no group is read
+    after that, on this call or a later one."""
     ck = Checker("scan")
-    live = [(1, 0), (0, 2), (1, 0), (0, 1)] + [(2, i) for i in range(12)]
-    seen = []
-    for t in ck.scan(live):
-        seen.append(t)
-        ck.record("E", t, (F(1),))
-    assert seen == [(0, 1), (0, 2), (1, 0)] + [(2, i) for i in range(7)]
+    keys = [(1, 0, 0), (0, 2, 1), (1, 0, 1), (0, 1, 0)] + [(2, i, 0) for i in range(12)]
+
+    def groups():
+        yield [("E", {key: {0: 1} for key in keys})]
+        raise AssertionError("group read after saturation")
+    ck.tabulate((1, 2), groups())
+    assert [v.args for v in ck.violations] == \
+        [(0, 1), (0, 2), (1, 0)] + [(2, i) for i in range(7)]
+    assert [v.eq for v in ck.violations] == ["E"] * 10
+    assert ck.violations[2].residual == ((F(1), F(1)),)
 
     def never():
         raise AssertionError("read after saturation")
         yield
-    assert list(ck.scan(never())) == []
+    ck.tabulate((1,), never())
+    assert len(ck.violations) == 10
+
+
+def test_include_prefixes_names_up_to_the_cap():
+    sub = Checker("sub", all_violations=True)
+    for i in range(12):
+        sub.record("E", (i,), (F(i),))
+    ck = Checker("outer")
+    ck.record("A", (), (F(1),))
+    ck.include("sub-", sub.report())
+    assert [(v.eq, v.args) for v in ck.violations] == \
+        [("A", ())] + [("sub-E", (i,)) for i in range(9)]
+    assert ck.done
+    full = Checker("outer", all_violations=True)
+    full.include("sub-", sub.report())
+    assert [(v.eq, v.args, v.residual) for v in full.violations] == \
+        [("sub-E", (i,), (F(i),)) for i in range(12)]
 
 
 def test_capped_ly_axioms_are_a_prefix():

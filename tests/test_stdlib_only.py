@@ -207,3 +207,39 @@ def test_newer_syntax_is_caught():
     groups = "try:\n    pass\nexcept* ValueError:\n    pass\n"       # 3.11
     assert [f for f, _, _ in syntax_errors({"m.py": groups, "ok.py": "x = 1\n"}, (3, 10))] \
         == ["m.py"]
+
+
+# Every table check builds and scans its tables through ``Checker.tabulate``,
+# and takes a sub-check's witnesses through ``Checker.include``; only the
+# driver itself and ``reps.check_action``, which records block by block,
+# record a witness or test whether the report is settled.
+DRIVER_MODULES = {"reports.py", "reps.py"}
+
+
+def driver_bypasses(sources_by_path):
+    """(file, line, attribute) of each call of ``.record(`` and each read of
+    ``.done``."""
+    out = []
+    for path, text in sources_by_path.items():
+        for node in ast.walk(ast.parse(text, path)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "record":
+                out.append((os.path.basename(path), node.lineno, "record"))
+            elif isinstance(node, ast.Attribute) and node.attr == "done" \
+                    and isinstance(node.ctx, ast.Load):
+                out.append((os.path.basename(path), node.lineno, "done"))
+    return sorted(out)
+
+
+def test_only_the_driver_records_witnesses():
+    library = sources(os.path.join("src", "lyalg"))
+    assert [b for b in driver_bypasses(library) if b[0] not in DRIVER_MODULES] == []
+
+
+def test_a_driver_bypass_is_caught():
+    snippet = ("def f(ck, rep):\n"
+               "    if not ck.done:\n"
+               "        ck.record('E', (), ())\n"
+               "    ck.done = True\n"
+               "    return ck.recorded, rep.record\n")
+    assert driver_bypasses({"m.py": snippet}) == [("m.py", 2, "done"), ("m.py", 3, "record")]
