@@ -10,7 +10,7 @@ axiom is tabulated over every basis tuple at once from the brackets' supports
 """
 
 from .errors import AxiomsFailed, DimMismatch, NotLieAlgebra, StructureError
-from .linalg import (Q0, Subspace, Tensor, contract, dense, frac, hom_table,
+from .linalg import (Q0, Subspace, Tensor, contract, dense, frac, hom_table, mat,
                      nullspace_basis, signed_sum, skew_fault, sparse_map)
 from .reports import Checker, summed
 
@@ -160,6 +160,7 @@ def check_homomorphism(A, B, phi, all_violations=False):
     pair first, then every triple, whose table is not built once the pairs
     have settled a capped report.
     """
+    phi = mat(phi)
     if len(phi) != B.dim or any(len(r) != A.dim for r in phi):
         raise DimMismatch("map must be %dx%d" % (B.dim, A.dim))
     ck = Checker("homomorphism(%s->%s)" % (A.name, B.name), all_violations)

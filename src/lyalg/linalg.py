@@ -697,6 +697,7 @@ class Subspace:
 
     def __init__(self, ambient_dim, spanning=()):
         self.ambient_dim = ambient_dim
+        spanning = list(spanning)
         for v in spanning:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("vector length %d in ambient %d" % (len(v), ambient_dim))

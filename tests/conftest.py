@@ -1,6 +1,5 @@
 import os
 import random
-from fractions import Fraction as F
 
 import pytest
 
@@ -18,31 +17,15 @@ def pytest_terminal_summary(terminalreporter):
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
 
-# scalar pool for random linear maps
-POOL = [F(-2), F(-1), F(0), F(1), F(2), F(1, 2)]
-
 
 def fx(name):
     return os.path.join(FIXTURES, name)
 
 
-def random_matrix(rng, rows, cols):
-    return [[rng.choice(POOL) for _ in range(cols)] for _ in range(rows)]
-
-
-def family_matrix(rng):
-    """A map into span{e3, e4} killing e4: the operators in this family all
-    satisfy the weight-1 equations over the 4-dim fixture's adjoint action."""
-    T = [[F(0)] * 4 for _ in range(4)]
-    for i in (2, 3):
-        for j in (0, 1, 2):
-            T[i][j] = rng.choice(POOL)
-    return T
-
-
 @pytest.fixture(scope="session")
 def nilpotent4():
-    A = lyio.load_algebra(fx("nilpotent4.json"))
+    import families       # which imports fx from here, so not at the top
+    A = families.nilpotent4()
     assert L.check_ly_axioms(A).passed
     return A
 
@@ -54,9 +37,8 @@ def adjoint_action():
 
 @pytest.fixture(scope="session")
 def p3():
-    op = lyio.load_operator(fx("p3_on_nilpotent4.json"))
-    op.ensure_verified()
-    return op
+    import families
+    return families.p3_operator()
 
 
 @pytest.fixture(scope="session")

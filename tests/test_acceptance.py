@@ -4,13 +4,9 @@ Each test prints one [criterion N] PASS/FAIL line on the real stdout so the
 verdicts stay visible in captured runs.
 """
 
-import json
 import random
 import sys
 import time
-from fractions import Fraction as F
-
-import pytest
 
 import lyalg as L
 from lyalg import io as lyio
@@ -24,7 +20,8 @@ from lyalg.rrb import (check_nijenhuis, check_rrb, descent_algebra,
 
 import conftest
 import oracles
-from conftest import family_matrix, fx, random_matrix
+from conftest import fx
+from families import family_matrix, random_matrix
 from oracles import mzero, nested
 
 

@@ -5,22 +5,21 @@ from fractions import Fraction as F
 
 import pytest
 
-import lyalg as L
 from lyalg.cohomology import (Cochain, SparseMat, TComplex,
                               coboundary_matrix_for, induced_rep, pair_basis,
                               pushforward_cochain, wedge_coords,
                               yamaguti_coboundary)
 from lyalg.cli import run
-from lyalg import cohomology
+from lyalg import cohomology, io as lyio
 from lyalg.errors import DimMismatch, Inconsistent, ShapeMismatch, TooLarge
 from lyalg.linalg import mat_id
-from lyalg.reps import adjoint_rep
 from lyalg.rrb import HomPair, descent_algebra
 
 import oracles
 from conftest import fx
+from families import (NONZERO_PARTIAL_SEEDS, forced_operator, live_post_operator,
+                      square_zero_operator, two_step_operator)
 from oracles import OpOracle, nested, o_rank
-from test_reports import forced_operator
 
 
 def test_sparse_mat_against_dense():
@@ -129,9 +128,9 @@ def test_cochain_flat_roundtrip():
 
 
 def test_induced_rep_is_representation(p3):
-    rep = induced_rep(p3)
     from lyalg.reps import check_representation
-    assert check_representation(rep).passed
+    for op in (p3, live_post_operator()):
+        assert check_representation(induced_rep(op)).passed
 
 
 def assert_induced_closed_forms(op):
@@ -272,70 +271,6 @@ def test_cli_witness_bytes_pinned_on_the_benchmark_operator(tmp_path, monkeypatc
         9423113, "d9a783cae0e906c1651b5fb4069ccfaccc899115324e7531049b0096e689b82d")
 
 
-def two_step_operator(rng, v, free, targets):
-    """A weight-1 operator over the adjoint action of a two-step nilpotent
-    algebra of dim v + free + targets: brackets of the first v basis vectors
-    land in the last ``targets``, a bracket with any later vector vanishes, and
-    the ternary bracket is antisymmetric in its first two slots with zero
-    cyclic sum, so the LY axioms hold and the adjoint action is an action.  T
-    maps into the center and kills the targets, hence every bracket, so both
-    weight-1 equations hold."""
-    dim = v + free + targets
-    tgt = range(v + free, dim)
-    pool = [F(1), F(-1), F(2), F(-2), F(1, 2), F(3)]
-
-    def value():
-        return [rng.choice(pool) if s in tgt else F(0) for s in range(dim)]
-
-    zero = [F(0)] * dim
-    binary = [[list(zero) for _ in range(dim)] for _ in range(dim)]
-    for i in range(v):
-        for j in range(i + 1, v):
-            binary[i][j] = value()
-            binary[j][i] = [-x for x in binary[i][j]]
-    a = {}
-    for i in range(v):
-        for j in range(i + 1, v):
-            for k in range(v):
-                a[i, j, k] = value()
-                a[j, i, k] = [-x for x in a[i, j, k]]
-    ternary = [[[list(zero) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-    for (i, j, k) in a:
-        # 2a(i,j,k) - a(j,k,i) - a(k,i,j): antisymmetric in (i, j), zero cyclic sum
-        terms = [(2, a[i, j, k]), (-1, a.get((j, k, i), zero)), (-1, a.get((k, i, j), zero))]
-        ternary[i][j][k] = [sum(c * x[s] for c, x in terms) for s in range(dim)]
-    A = L.LYAlgebra(dim, binary, ternary)
-    T = [[rng.choice(pool) if c >= v and s not in tgt else F(0) for s in range(dim)]
-         for c in range(dim)]
-    return L.RRBOperator(adjoint_rep(A), T).ensure_verified()
-
-
-def square_zero_operator(rng, n, m, k):
-    """A weight-1 operator from an abelian m-dim carrier into an abelian n-dim
-    algebra, with image in the span of the first k basis vectors, over the
-    action rho(e_i) = r_i N, mu(e_i, e_j) = c_ij N for a fixed N = v w^T with
-    w.v = 0, so every product of two action matrices vanishes.  r_i and c_ij
-    vanish for i, j < k, so rho(Tu), mu(Tu, Tv) and D(Tu, Tv) vanish and both
-    weight-1 equations hold, while T(mu(e_i, Tu)v), T(mu(Tu, e_i)v) and
-    T(rho(e_i)u) need not: every term of the induced representation is live."""
-    pool = [F(1), F(-1), F(2), F(1, 2)]
-    v = [rng.choice(pool) for _ in range(m - 1)]
-    v.append(F(1))
-    w = [rng.choice(pool) for _ in range(m - 1)]
-    w.append(-sum(a * b for a, b in zip(v, w)))
-    N = [[a * b for b in w] for a in v]
-
-    def times_N(*idx):
-        c = F(0) if all(i < k for i in idx) else rng.choice(pool + [F(0)])
-        return [[c * x for x in row] for row in N]
-
-    rho = [times_N(i) for i in range(n)]
-    mu = [[times_N(i, j) for j in range(n)] for i in range(n)]
-    r = L.RepAction(L.abelian(n), L.abelian(m), rho, mu)
-    T = [[rng.choice(pool) if i < k else F(0) for _ in range(m)] for i in range(n)]
-    return L.RRBOperator(r, T).ensure_verified()
-
-
 @pytest.fixture(scope="module")
 def dim5_complex():
     return TComplex(two_step_operator(random.Random(5005), 3, 1, 1))
@@ -348,8 +283,9 @@ def test_cohomology_dims_dim5(dim5_complex):
 
 
 # SHA-256 of repr((rows, cols, sorted (row, col, str(value)) entries)) of the
-# coboundary matrices of p3's complex, of nilpotent4's adjoint action and of
-# the complex of a dim-5 operator from ``two_step_operator``
+# coboundary matrices of p3's complex, of nilpotent4's adjoint action, of
+# the complex of a dim-5 operator from ``two_step_operator`` and of
+# ``square_zero_operator(Random(5102), 4, 3, 2)``
 DELTA_SHA256 = {
     ("p3", 1): "5dbeba89d22137dab5bd2e647014ed1c21e06e81639045f044c6f0ff39201f11",
     ("p3", 2): "e9833daffa11672d3ac571a144818ef5a5210724c3b1f57f613da879fe698aea",
@@ -362,6 +298,7 @@ DELTA_SHA256 = {
     ("square_zero", 1): "2d447fc6937dec0f9b74a13a118cdb575f242a62770a7703dd9fd40b918d7edd",
     ("square_zero", 2): "dceccf4acbd58d09c9815245e1c51ddf27738d7aaba230c0ac3f53a445c4605c",
     ("square_zero", 3): "50ff08c883415cdcbf6c067d623097e6fc2b3f8b5ea8c93c3e9595b361662f75",
+    ("square_zero", 4): "48d6ed6c4ed7dea9eb2c695ba226520efcb8d50e1a2333ff96b84eb936972d85",
 }
 
 
@@ -377,17 +314,48 @@ def test_cohomology_dims_square_zero(square_zero_complex):
         [(6, 1, 5), (24, 6, 18), (81, 24, 57)]
 
 
+def test_cohomology_dims_square_zero_degree4(square_zero_complex):
+    # oracles.o_rank gives delta^4 (1,296 x 432) rank 201 = 432 - 231, but
+    # takes 30-50 s, so that confirmation is not repeated here
+    assert square_zero_complex.cohomology_dims(4) == (231, 63, 168)
+
+
+def delta_sha256(M):
+    entries = sorted((r, c, str(v)) for (r, c), v in M.data.items())
+    return hashlib.sha256(repr((M.rows, M.cols, entries)).encode()).hexdigest()
+
+
 def test_coboundary_entries_pinned(tcomplex, adjoint_action, dim5_complex, square_zero_complex):
     cases = {"p3": (tcomplex.descent, tcomplex.rep),
              "adjoint": (adjoint_action.acting, adjoint_action),
              "dim5": (dim5_complex.descent, dim5_complex.rep),
              "square_zero": (square_zero_complex.descent, square_zero_complex.rep)}
-    got = {}
-    for name, p in DELTA_SHA256:
-        M = coboundary_matrix_for(*cases[name], p)
-        entries = sorted((r, c, str(v)) for (r, c), v in M.data.items())
-        got[name, p] = hashlib.sha256(repr((M.rows, M.cols, entries)).encode()).hexdigest()
+    got = {(name, p): delta_sha256(coboundary_matrix_for(*cases[name], p))
+           for name, p in DELTA_SHA256}
     assert got == DELTA_SHA256
+
+
+def test_square_zero_fixture_is_the_pinned_operator():
+    """fixtures/square_zero_5102.json is the square-zero operator of the pins,
+    written out with inline abelian algebras and "p/q" entries."""
+    op = lyio.load_operator(fx("square_zero_5102.json"))
+    want = square_zero_operator(random.Random(5102), 4, 3, 2)
+    assert (op.T, op.action.rho, op.action.mu) == (want.T, want.action.rho, want.action.mu)
+    cx = TComplex(op)
+    for p in (1, 2, 3, 4):
+        assert delta_sha256(coboundary_matrix_for(cx.descent, cx.rep, p)) == \
+            DELTA_SHA256["square_zero", p]
+
+
+def test_cohomology_dims_of_the_live_post_operator():
+    # rho_T, mu_T and D_T are all live; the dims agree with dense oracle ranks
+    cx = TComplex(live_post_operator())
+    dims = [cx.cohomology_dims(p) for p in (1, 2, 3)]
+    assert dims == [(4, 1, 3), (15, 5, 10), (41, 21, 20)]
+    cols = [cx.matrix(p).cols for p in range(4)]
+    rank = [o_rank(oracles.o_dense(cx.matrix(p))) for p in range(4)]
+    assert dims == [(cols[p] - rank[p], rank[p - 1], cols[p] - rank[p] - rank[p - 1])
+                    for p in (1, 2, 3)]
 
 
 def assert_columns_match(alg, rep, oc, p, cols=None):
@@ -565,11 +533,6 @@ def test_pushforward_rejects_maps_of_the_wrong_size(p):
                 HomPair(pg, random_invertible(rng, 5)), HomPair(pg, random_invertible(rng, 3))):
         with pytest.raises(DimMismatch):
             pushforward_cochain(bad, c)
-
-
-# square-zero operators whose partial map is nonzero (nnz 12, 24 and 16); on
-# p3 and every ``two_step_operator`` it vanishes
-NONZERO_PARTIAL_SEEDS = (401, 402, 7)
 
 
 @pytest.fixture(scope="module", params=NONZERO_PARTIAL_SEEDS)

@@ -161,6 +161,20 @@ def test_scaling_map_not_homomorphism(nilpotent4):
     assert any(v.eq == "hom-binary" for v in rep.violations)
 
 
+def test_homomorphism_reads_rational_strings(nilpotent4):
+    # a map given by "p/q" entries, as the post, Nijenhuis and operator
+    # homomorphism checks take it, is the map of their values
+    A = nilpotent4
+    passed = []
+    for phi in ([[F(int(i == j)) for j in range(4)] for i in range(4)],
+                [[F(i + j, 2) for j in range(4)] for i in range(4)]):
+        want = L.check_homomorphism(A, A, phi, all_violations=True)
+        text = [[str(q) for q in row] for row in phi]
+        assert L.check_homomorphism(A, A, text, all_violations=True).to_dict() == want.to_dict()
+        passed.append(want.passed)
+    assert passed == [True, False]
+
+
 def test_direct_sum(nilpotent4):
     B = L.abelian(2)
     S = L.direct_sum(nilpotent4, B)

@@ -16,9 +16,10 @@ from lyalg.linalg import dense as to_dense, mat, mat_id
 from lyalg.rrb import Expansion
 
 import oracles
-from conftest import family_matrix, fx, random_matrix
+from conftest import fx
+from families import (NONZERO_PARTIAL_SEEDS, dense, family_matrix, heisenberg5_operator, listed,
+                      random_matrix, square_zero_operator, two_step_operator)
 from oracles import madd, mzero
-from test_reports import dense, heisenberg5_operator
 
 
 def test_zero_terms_pass(p3):
@@ -90,7 +91,6 @@ def failing_deformations(op, orders, seed=5190):
 def square_zero_and_two_step():
     """A square-zero operator whose induced representation is live, and the
     dim-5 two-step operator."""
-    from test_cohomology import square_zero_operator, two_step_operator
     return (square_zero_operator(random.Random(401), 3, 3, 1),
             two_step_operator(random.Random(5005), 3, 1, 1))
 
@@ -107,10 +107,6 @@ def oracle_order_n(op, terms):
                                            ("ternary", 3, oracles.poly_ternary_residual))]
     return [("deform-%s-t^%d" % (name, s), args, c[s]) for s in range(1, n + 1)
             for name, coefficients in equations for args, c in coefficients.items() if any(c[s])]
-
-
-def listed(rep):
-    return [(v.eq, v.args, v.residual) for v in rep.violations]
 
 
 def test_failing_order_n_never_builds_the_obstruction_degree(p3, monkeypatch):
@@ -332,9 +328,8 @@ def test_obstruct_extend_checks_the_deformation_once(monkeypatch, capsys):
 
 
 def nonzero_partial_cases():
-    """Square-zero operators with a nonzero partial map (see test_cohomology),
-    each with X = e0/\\e1 + 2 e1/\\e3."""
-    from test_cohomology import NONZERO_PARTIAL_SEEDS, square_zero_operator
+    """Square-zero operators with a nonzero partial map, each with
+    X = e0/\\e1 + 2 e1/\\e3."""
     for seed in NONZERO_PARTIAL_SEEDS:
         op = square_zero_operator(random.Random(seed), 4, 3, 2)
         g = op.action.acting
@@ -412,7 +407,6 @@ def test_t1_closed_matches_oracle_where_partial_is_nonzero():
 def test_t1_closed_is_the_coboundary_of_t1(p3):
     """``t1_closed``, read off the t^1 tables, is whether delta^T of T1 as a
     degree-1 cochain vanishes, for T1 drawn from Z^1 and at random."""
-    from test_cohomology import two_step_operator
     ops = [p3] + [op for _, op, _ in nonzero_partial_cases()] \
         + [two_step_operator(random.Random(seed), 3, 1, 1) for seed in (5005, 5006)]
     seen = set()

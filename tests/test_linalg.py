@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from lyalg import linalg
-from lyalg.errors import Inconsistent, NotInvertible, ShapeMismatch
+from lyalg.errors import AmbientMismatch, Inconsistent, NotInvertible, ShapeMismatch
 from lyalg.linalg import (Echelon, Subspace, frac, format_frac, graded, graded_push, invert,
                           mat, mat_id, nullspace_basis, rref, solve, sparse_map)
 import oracles
@@ -118,6 +118,14 @@ def test_subspace_canonical_equality():
     a = Subspace(2, [(1, 1), (2, 2)])
     b = Subspace(2, [(3, 3)])
     assert a == b and hash(a) == hash(b) and a.dim == 1
+
+
+def test_subspace_reads_a_generator_of_vectors_once():
+    vectors = [(1, 0, 2), (0, 1, 0), (1, 1, 2)]
+    got = Subspace(3, (v for v in vectors))
+    assert got.dim == 2 and got == Subspace(3, vectors)
+    with pytest.raises(AmbientMismatch):
+        Subspace(3, (v for v in vectors + [(1, 0)]))
 
 
 # ---------------------------------------------------------------------------

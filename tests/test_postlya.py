@@ -3,27 +3,15 @@ from fractions import Fraction as F
 
 import lyalg as L
 from lyalg.errors import StructureError
-from lyalg.linalg import Tensor, mat_id
+from lyalg.linalg import mat_id
 from lyalg.postlya import (PostLYAlgebra, check_post_axioms,
                            check_post_homomorphism, identity_is_rrb,
                            induced_action, induced_post_from_rrb, subadjacent,
                            zero_post)
-from lyalg.rrb import RRBOperator, descent_algebra
+from lyalg.rrb import descent_algebra
 
-from conftest import family_matrix
+from families import family_matrix, live_post, live_post_operator
 from oracles import nested
-
-
-def live_post():
-    """A 3-dim post-algebra whose star, brace, L, R, D and brace_D are all
-    nonzero (p3's induced post-algebra has star = brace = 0): dot = angle = 0,
-    e1*e1 = e0, e0*e0 = e2, e1*e0 = -e2 and {e0,e1,e1} = e2 (0-based)."""
-    z2, z3 = (Tensor.from_support({}, 3, arity, (3,)) for arity in (2, 3))
-    star = Tensor.from_support({(1, 1): {0: 1}, (0, 0): {2: 1}, (1, 0): {2: -1}}, 3, 2, (3,))
-    brace = Tensor.from_support({(0, 1, 1): {2: 1}}, 3, 3, (3,))
-    A = PostLYAlgebra(3, z2, star, z3, brace, name="live3")
-    assert check_post_axioms(A).passed and check_post_axioms(A, as_printed=True).passed
-    return A
 
 
 def test_zero_post_passes():
@@ -48,18 +36,19 @@ def test_induced_post_passes_axioms(p3):
     assert check_post_axioms(A).passed
     # the round trip through Id over the induced action gives the live algebra back
     live = live_post()
-    B = induced_post_from_rrb(RRBOperator(induced_action(live), mat_id(3)))
+    B = induced_post_from_rrb(live_post_operator())
     assert B.verified and check_post_axioms(B).passed
     assert B.star.support and B.brace.support
     assert (B.dot, B.star, B.angle, B.brace) == (live.dot, live.star, live.angle, live.brace)
 
 
 def test_subadjacent_equals_descent(p3):
-    A = induced_post_from_rrb(p3)
-    S = subadjacent(A)
-    D = descent_algebra(p3)
-    assert S.binary == D.binary
-    assert S.ternary == D.ternary
+    for op in (p3, live_post_operator()):
+        A = induced_post_from_rrb(op)
+        S = subadjacent(A)
+        D = descent_algebra(op)
+        assert S.binary == D.binary
+        assert S.ternary == D.ternary
 
 
 def test_identity_is_weight_one(p3):

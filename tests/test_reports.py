@@ -15,185 +15,15 @@ from lyalg.reps import RepAction, adjoint_rep, check_action, check_representatio
 from lyalg.rrb import HomPair, check_rrb_homomorphism, graph_subalgebra_check
 
 from conftest import fx
-from oracles import nested
-
-POOL = [F(-1), F(0), F(0), F(0), F(1), F(2)]
-
-
-def antisym2(rng, n):
-    t = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            t[i][j] = [rng.choice(POOL) for _ in range(n)]
-            t[j][i] = [-x for x in t[i][j]]
-    return t
-
-
-def antisym3(rng, n):
-    t = [[[[F(0)] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                t[i][j][k] = [rng.choice(POOL) for _ in range(n)]
-                t[j][i][k] = [-x for x in t[i][j][k]]
-    return t
-
-
-def plain(rng, *shape):
-    if not shape:
-        return rng.choice(POOL)
-    return [plain(rng, *shape[1:]) for _ in range(shape[0])]
-
-
-def heisenberg5():
-    """[e1,e2] = [e3,e4] = e5 as a Lie-Yamaguti algebra."""
-    c = [[[F(0)] * 5 for _ in range(5)] for _ in range(5)]
-    for a, b in ((0, 1), (2, 3)):
-        c[a][b] = [F(0)] * 4 + [F(1)]
-        c[b][a] = [F(0)] * 4 + [F(-1)]
-    return L.from_lie_algebra(5, c)
-
-
-def dense(rng, rows, cols):
-    """A matrix with every entry nonzero."""
-    return [[rng.choice([F(-1), F(1), F(2), F(1, 2)]) for _ in range(cols)]
-            for _ in range(rows)]
-
-
-def heisenberg5_operator(rng):
-    """A weight-1 operator over heisenberg5's adjoint action: T maps onto the
-    center e5 and kills e5, so both sides of both equations vanish."""
-    T = [[F(0)] * 5 for _ in range(5)]
-    T[4][:4] = [rng.choice([F(-1), F(1), F(2)]) for _ in range(4)]
-    op = L.RRBOperator(adjoint_rep(heisenberg5()), T)
-    return op.ensure_verified()
-
-
-def sl2():
-    c = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
-    for a, b, v in ((2, 0, [2, 0, 0]), (2, 1, [0, -2, 0]), (0, 1, [0, 0, 1])):
-        c[a][b] = [F(x) for x in v]
-        c[b][a] = [-F(x) for x in v]
-    return L.from_lie_algebra(3, c, basis=["e", "f", "h"], name="sl2")
-
-
-def sl2_operator(rng):
-    """A rank-one weight-1 operator into sl2 over its trivial action on a
-    2-dim abelian carrier: the image is abelian, so both equations vanish."""
-    g = sl2()
-    zero = [[F(0)] * 2 for _ in range(2)]
-    r = RepAction(g, L.abelian(2), [zero] * 3, [[zero] * 3 for _ in range(3)])
-    T = [[F(0)] * 2, [F(0)] * 2, [rng.choice([F(-1), F(1), F(2)]) for _ in range(2)]]
-    return L.RRBOperator(r, T).ensure_verified()
-
-
-def nilpotent4():
-    return lyio.load_algebra(fx("nilpotent4.json"))
-
-
-def bump(rng, entries):
-    """``entries`` with two random positions moved by a nonzero amount."""
-    out = [F(0)] * len(entries)
-    for p in rng.sample(range(len(entries)), 2):
-        out[p] = rng.choice([F(-1), F(1), F(2)])
-    return [x + y for x, y in zip(entries, out)]
-
-
-def filiform(n):
-    """The filiform Lie algebra [e1, e_k] = e_(k+1), 1 < k < n: its adjoint
-    representation is not an action, since rho(e1) moves e2 off the center."""
-    c = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
-    for k in range(1, n - 1):
-        c[0][k] = [F(int(s == k + 1)) for s in range(n)]
-        c[k][0] = [-x for x in c[0][k]]
-    return L.from_lie_algebra(n, c, name="filiform%d" % n)
-
-
-def semidirect8():
-    """The dim-8 semidirect algebra of nilpotent4's adjoint action."""
-    return adjoint_rep(nilpotent4()).ensure_action().semidirect()
-
-
-def perturbed_semidirect(rng):
-    """The dim-8 semidirect algebra of nilpotent4's adjoint action with two
-    brackets moved off the axioms: sparse, so most tuples have no live term."""
-    S = semidirect8()
-    n = S.dim
-    c = [[list(v) for v in row] for row in nested(S.binary)]
-    d = [[[list(v) for v in row] for row in plane] for plane in nested(S.ternary)]
-    i, j = sorted(rng.sample(range(n), 2))
-    c[i][j] = bump(rng, c[i][j])
-    c[j][i] = [-x for x in c[i][j]]
-    i, j = sorted(rng.sample(range(n), 2))
-    k = rng.randrange(n)
-    d[i][j][k] = bump(rng, d[i][j][k])
-    d[j][i][k] = [-x for x in d[i][j][k]]
-    return L.LYAlgebra(n, c, d)
-
-
-def perturbed_adjoint(rng):
-    """nilpotent4's adjoint representation with one rho and one mu entry moved."""
-    A = nilpotent4()
-    r = adjoint_rep(A)
-    rho = [[list(row) for row in M] for M in nested(r.rho)]
-    mu = [[[list(row) for row in M] for M in line] for line in nested(r.mu)]
-    rho[rng.randrange(4)][rng.randrange(4)][rng.randrange(4)] += 1
-    mu[rng.randrange(4)][rng.randrange(4)][rng.randrange(4)][rng.randrange(4)] -= 1
-    return RepAction(A, A, rho, mu)
-
-
-def forced_operator(rng, n, m):
-    """An operator over random brackets, rho and mu, marked verified without a
-    check: the t^1 identities of an equivalence then fail at many tuples."""
-    g = L.LYAlgebra(n, antisym2(rng, n), antisym3(rng, n))
-    h = L.LYAlgebra(m, antisym2(rng, m), antisym3(rng, m))
-    g.verified = h.verified = True
-    r = RepAction(g, h, plain(rng, n, m, m), plain(rng, n, n, m, m))
-    r.action_certified = True
-    op = L.RRBOperator(r, plain(rng, n, m))
-    op.verified = True
-    return op
-
-
-def wedge_pairs(rng, n, count=2):
-    return [(tuple(dense(rng, 1, n)[0]), tuple(dense(rng, 1, n)[0])) for _ in range(count)]
+from families import (antisym2, antisym3, dense, filiform, forced_operator, heisenberg5,
+                      heisenberg5_operator, nilpotent4, p3_operator, perturbed_adjoint,
+                      perturbed_post, perturbed_semidirect, plain, semidirect8, sl2,
+                      sl2_operator, wedge_pairs)
 
 
 def scalar_pair(c):
     psi = [[F(c) if i == j else F(0) for j in range(4)] for i in range(4)]
     return HomPair(psi, psi)
-
-
-def p3_operator():
-    return lyio.load_operator(fx("p3_on_nilpotent4.json")).ensure_verified()
-
-
-def perturbed_post(rng):
-    """The post-algebra induced by p3 with one star, one brace, one dot and one
-    angle entry moved (dot and angle kept antisymmetric): sparse, and the
-    centrality and annihilation axioms P6-P8 fail along with P1-P5."""
-    return perturb_post(rng, induced_post_from_rrb(p3_operator()))
-
-
-def perturb_post(rng, P):
-    """``P`` with one star, one brace, one dot and one angle entry moved, dot
-    and angle kept antisymmetric."""
-    n = P.dim
-    dot = [[list(v) for v in row] for row in nested(P.dot)]
-    star = [[list(v) for v in row] for row in nested(P.star)]
-    angle = [[[list(v) for v in row] for row in plane] for plane in nested(P.angle)]
-    brace = [[[list(v) for v in row] for row in plane] for plane in nested(P.brace)]
-    star[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += rng.choice([-1, 1, 2])
-    brace[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += 1
-    i, j = rng.sample(range(n), 2)
-    r = rng.randrange(n)
-    dot[i][j][r] += 1
-    dot[j][i][r] -= 1
-    i, j = rng.sample(range(n), 2)
-    k, r = rng.randrange(n), rng.randrange(n)
-    angle[i][j][k][r] += 1
-    angle[j][i][k][r] -= 1
-    return PostLYAlgebra(n, dot, star, angle, brace)
 
 
 def assert_capped_prefix(check, *args):
@@ -428,12 +258,12 @@ def _seeded_reports():
     op = heisenberg5_operator(rng)
     yield "linear-h5-dense", check_linear_deformation(op, dense(rng, 5, 5), all_violations=True)
     rng = random.Random(5165)
-    wedges = [(tuple(dense(rng, 1, 4)[0]), tuple(dense(rng, 1, 4)[0])) for _ in range(2)]
+    wedges = wedge_pairs(rng, 4)
     yield "equiv-p3-dense", check_equivalence(p3, dense(rng, 4, 4), dense(rng, 4, 4), wedges,
                                               all_violations=True)
     rng = random.Random(5166)
     op = sl2_operator(rng)
-    wedges = [(tuple(dense(rng, 1, 3)[0]), tuple(dense(rng, 1, 3)[0])) for _ in range(2)]
+    wedges = wedge_pairs(rng, 3)
     yield "equiv-sl2", check_equivalence(op, dense(rng, 3, 2), dense(rng, 3, 2), wedges,
                                          all_violations=True)
     yield "sparse-post", check_post_axioms(perturbed_post(random.Random(63)),

@@ -10,7 +10,8 @@ from lyalg.rrb import (HomPair, check_nijenhuis, check_rrb,
                        graph_subalgebra_check, lift_operator,
                        projection_operator)
 
-from conftest import family_matrix, fx, random_matrix
+from conftest import fx
+from families import family_matrix, random_matrix
 from oracles import mm
 
 

@@ -18,67 +18,12 @@ from lyalg import io as lyio
 from lyalg.cohomology import Cochain, SparseMat, induced_rep
 from lyalg.linalg import contract, dense, nullspace_basis, solve, sparse_map
 from lyalg.postlya import check_post_axioms, induced_post_from_rrb
-from lyalg.reps import RepAction, adjoint_rep, check_representation
+from lyalg.reps import adjoint_rep, check_representation
 
 import oracles
 from conftest import fx
-from test_cohomology import two_step_operator
-from test_reports import perturb_post
-
-HALF = F(1, 2)
-
-
-def listed(rep):
-    return [(v.eq, v.args, v.residual) for v in rep.violations]
-
-
-def mixed_operator(seed):
-    """A dim-5 weight-1 operator over the adjoint action of a generated
-    two-step algebra (see ``two_step_operator``)."""
-    return two_step_operator(random.Random(seed), 3, 1, 1)
-
-
-def lists(t):
-    """The nested lists of a structure tensor, to be moved entry by entry."""
-    def level(x):
-        return [level(y) for y in x] if isinstance(x, tuple) else x
-    return level(oracles.nested(t))
-
-
-def moved_algebra(rng, A):
-    """A with one binary and one ternary coordinate moved by 1/2, twice, both
-    kept antisymmetric in the first two slots."""
-    n = A.dim
-    c, d = lists(A.binary), lists(A.ternary)
-    for _ in range(2):
-        i, j = rng.sample(range(n), 2)
-        r = rng.randrange(n)
-        c[i][j][r] += HALF
-        c[j][i][r] -= HALF
-        i, j = rng.sample(range(n), 2)
-        k, r = rng.randrange(n), rng.randrange(n)
-        d[i][j][k][r] += HALF
-        d[j][i][k][r] -= HALF
-    return L.LYAlgebra(n, c, d)
-
-
-def moved_rep(rng, r):
-    """r with two rho and two mu entries moved by 1/2."""
-    n, m = r.acting.dim, r.carrier.dim
-    rho, mu = lists(r.rho), lists(r.mu)
-    for _ in range(2):
-        rho[rng.randrange(n)][rng.randrange(m)][rng.randrange(m)] += HALF
-        mu[rng.randrange(n)][rng.randrange(n)][rng.randrange(m)][rng.randrange(m)] -= HALF
-    return RepAction(r.acting, r.carrier, rho, mu)
-
-
-def moved_operator(rng, op):
-    """op with two entries of T moved by 1/2, in rows 0..2, which span no
-    central direction of the generated algebra."""
-    T = [list(row) for row in op.T]
-    for _ in range(2):
-        T[rng.randrange(3)][rng.randrange(len(T[0]))] += HALF
-    return L.RRBOperator(op.action, T)
+from families import (HALF, listed, mixed_operator, moved_algebra, moved_operator, moved_rep,
+                      perturb_post)
 
 
 def mixed(want):

@@ -6,7 +6,6 @@ term and are skipped, while the oracle in ``tests/oracles.py`` evaluates every
 equation at every tuple.
 """
 
-import itertools
 import random
 from fractions import Fraction as F
 
@@ -16,24 +15,19 @@ import lyalg as L
 from lyalg import io as lyio
 from lyalg.cohomology import induced_rep
 from lyalg.deformation import check_equivalence
-from lyalg.linalg import Tensor
 from lyalg.postlya import check_post_axioms, check_post_homomorphism, induced_post_from_rrb
 from lyalg.reps import (RepAction, adjoint_rep, check_action, check_lemma_identities,
                         check_representation)
 from lyalg.rrb import lift_operator
 
 import oracles
-from conftest import family_matrix, fx
-from test_reports import (antisym2, antisym3, dense, filiform, forced_operator, heisenberg5,
-                          nilpotent4, p3_operator, perturb_post, perturbed_adjoint,
-                          perturbed_post, perturbed_semidirect, semidirect8, sl2, sl2_operator,
-                          wedge_pairs)
-
-POOL = [F(-1), F(0), F(0), F(0), F(1), F(2)]
-
-
-def listed(rep):
-    return [(v.eq, v.args, v.residual) for v in rep.violations]
+from conftest import fx
+from families import (antisym2, antisym3, dense, family_matrix, filiform, forced_operator,
+                      generated_posts, gl, heisenberg5, listed, live_post_operator, moved,
+                      near_identity, nilpotent4, p3_operator, perturbed_adjoint, perturbed_post,
+                      perturbed_semidirect, plain, semidirect8, sl2, sl2_operator,
+                      sl2_triple_system, sl3_cartan, wedge_pairs, with_action_moved,
+                      with_ternary_moved)
 
 
 def assert_rep_matches(r):
@@ -42,17 +36,6 @@ def assert_rep_matches(r):
     lem = check_lemma_identities(r, all_violations=True)
     assert listed(lem) == oracles.o_lemma_violations(r)
     return rep
-
-
-def moved(rng, r, count):
-    """r with ``count`` random entries of rho and of mu moved by a nonzero amount."""
-    n, m = r.acting.dim, r.carrier.dim
-    rho = [[list(row) for row in M] for M in oracles.nested(r.rho)]
-    mu = [[[list(row) for row in M] for M in line] for line in oracles.nested(r.mu)]
-    for _ in range(count):
-        rho[rng.randrange(n)][rng.randrange(m)][rng.randrange(m)] += rng.choice([-1, 1, 2])
-        mu[rng.randrange(n)][rng.randrange(n)][rng.randrange(m)][rng.randrange(m)] += 1
-    return RepAction(r.acting, r.carrier, rho, mu)
 
 
 @pytest.mark.parametrize("seed", [11, 12])
@@ -78,12 +61,6 @@ def test_perturbed_induced_rep_of_p3_matches_dense_oracle(p3):
     assert assert_rep_matches(r).passed
     for seed in (41, 42):
         assert not assert_rep_matches(moved(random.Random(seed), r, 2)).passed
-
-
-def plain(rng, *shape):
-    if not shape:
-        return rng.choice(POOL)
-    return [plain(rng, *shape[1:]) for _ in range(shape[0])]
 
 
 @pytest.mark.parametrize("n,m", [(0, 0), (0, 2), (2, 0), (1, 0), (1, 1), (1, 3), (3, 1)])
@@ -140,12 +117,6 @@ def test_action_matches_dense_oracle(p3, name):
     assert listed(rep) == oracles.o_action_violations(r)
 
 
-def sl2_triple_system():
-    """sl2 as a Lie triple system: no binary bracket and <x,y,z> = [[x,y],z],
-    so its ternary values have rows that no binary value has."""
-    return L.LYAlgebra(3, Tensor.from_support({}, 3, 2, (3,)), sl2().ternary, name="sl2-lts")
-
-
 @pytest.mark.parametrize("name", ["sl2", "sl2-lts"])
 def test_action_kill_test_skips_blocks_that_meet_no_bracket_value(name):
     """nilpotent4 (+) sl2, or (+) sl2's triple system, acting on itself: some
@@ -187,18 +158,11 @@ def test_dense_post_matches_dense_oracle(as_printed):
 
 
 def test_induced_post_passes_dense_oracle(p3):
-    P = induced_post_from_rrb(p3)
-    for as_printed in (False, True):
-        assert oracles.o_post_violations(P, as_printed) == []
-        assert check_post_axioms(P, all_violations=True, as_printed=as_printed).passed
-
-
-def near_identity(n, entries, rows=None):
-    """The rows x n matrix with ones on the diagonal and 1 added at ``entries``."""
-    M = [[F(int(i == j)) for j in range(n)] for i in range(rows or n)]
-    for a, b in entries:
-        M[a][b] += 1
-    return M
+    for op in (p3, live_post_operator()):
+        P = induced_post_from_rrb(op)
+        for as_printed in (False, True):
+            assert oracles.o_post_violations(P, as_printed) == []
+            assert check_post_axioms(P, all_violations=True, as_printed=as_printed).passed
 
 
 @pytest.mark.parametrize("entry", [None, (3, 7), (4, 6), (7, 3)])
@@ -238,10 +202,15 @@ def test_inclusion_into_semidirect_matches_dense_oracle(p3):
             ("hom-binary", 2, A.binary, S.binary), ("hom-ternary", 3, A.ternary, S.ternary)])
 
 
-@pytest.mark.parametrize("entries", [[(0, 2)], [(0, 3)], [(1, 3), (3, 2)]])
+# (operator, entries, hom-star and hom-brace witnesses): p3's induced
+# post-algebra has star = brace = 0, the live operator's does not
+@pytest.mark.parametrize("entries", [("p3", [(0, 2)], 0), ("p3", [(0, 3)], 0),
+                                     ("p3", [(1, 3), (3, 2)], 0), ("live", [(0, 2)], 8),
+                                     ("live", [(0, 1)], 3), ("live", [(1, 2), (2, 0)], 11)])
 def test_near_identity_post_homomorphism_matches_dense_oracle(p3, entries):
-    P = induced_post_from_rrb(p3)
-    psi = near_identity(4, entries)
+    name, entries, live = entries
+    P = induced_post_from_rrb(p3 if name == "p3" else live_post_operator())
+    psi = near_identity(P.dim, entries)
     rep = check_post_homomorphism(P, P, psi, all_violations=True)
     assert not rep.passed
     assert listed(rep) == oracles.o_hom_violations(psi, [
@@ -249,6 +218,7 @@ def test_near_identity_post_homomorphism_matches_dense_oracle(p3, entries):
         for eq, arity, op in (("hom-dot", 2, "dot"), ("hom-star", 2, "star"),
                               ("hom-angle", 3, "angle"), ("hom-brace", 3, "brace"))],
         interleaved=True)
+    assert sum(v.eq in ("hom-star", "hom-brace") for v in rep.violations) == live
 
 
 def test_as_printed_p4_reads_every_y():
@@ -350,22 +320,11 @@ def test_equivalence_matches_dense_polynomial_oracle():
 
 # ---------------------------------------------------------------------------
 # wide supports: Lie algebras made into LY algebras by ``from_lie_algebra``,
-# whose ternary bracket <x,y,z> = [[x,y],z] is live at most triples, and the
-# post-algebras induced by generated operators
+# whose ternary bracket <x,y,z> = [[x,y],z] is live at most triples, the
+# reductive pair of sl_3 over its Cartan subalgebra, with both brackets live
+# and [[x,y],z] nonzero, and the post-algebras induced by generated operators
 
-def gl(n):
-    """gl_n on the basis E_ij (index i n + j): [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
-    dim = n * n
-    c = [[[F(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        if j == k:
-            c[i * n + j][k * n + l][i * n + l] += 1
-        if l == i:
-            c[i * n + j][k * n + l][k * n + j] -= 1
-    return L.from_lie_algebra(dim, c, name="gl%d" % n)
-
-
-WIDE = {"gl2": lambda: gl(2), "sl2": sl2}
+WIDE = {"gl2": lambda: gl(2), "sl2": sl2, "sl3-cartan": sl3_cartan}
 
 
 def assert_capped_and_full(check, want, *args, **kwargs):
@@ -374,26 +333,6 @@ def assert_capped_and_full(check, want, *args, **kwargs):
     assert listed(check(*args, all_violations=True, **kwargs)) == want
     assert listed(check(*args, **kwargs)) == want[:10]
     return {eq.split("-")[0] for eq, _, _ in want}
-
-
-def with_ternary_moved(A, *keys):
-    """A with the last coordinate of <e_i, e_j, e_k> moved at each (i, j, k)
-    of ``keys`` (kept antisymmetric in i, j)."""
-    d = [[[list(v) for v in row] for row in plane] for plane in oracles.nested(A.ternary)]
-    for i, j, k in keys:
-        d[i][j][k][-1] += 1
-        d[j][i][k] = [-x for x in d[i][j][k]]
-    return L.LYAlgebra(A.dim, A.binary, d, name=A.name + "-moved")
-
-
-def with_action_moved(r, i):
-    """r with rho(e_i), mu(e_i, e_i) and mu(e_0, e_i) moved at entry (0, i)."""
-    rho = [[list(row) for row in M] for M in oracles.nested(r.rho)]
-    mu = [[[list(row) for row in M] for M in line] for line in oracles.nested(r.mu)]
-    rho[i][0][i] += 1
-    mu[i][i][0][i] -= 2
-    mu[0][i][0][i] += 1
-    return RepAction(r.acting, r.carrier, rho, mu)
 
 
 @pytest.mark.parametrize("name", sorted(WIDE))
@@ -425,18 +364,6 @@ def test_perturbed_wide_lie_algebras_match_dense_oracle():
         assert any(len(set(args)) < len(args) for _, args, _ in want), name
         seen |= assert_capped_and_full(check_lemma_identities, oracles.o_lemma_violations(r), r)
     assert seen == {"LY1", "LY2", "LY3", "LY4", "R1", "R2", "R3", "R4", "R5", "L1", "L2", "L3"}
-
-
-def generated_posts():
-    """The post-algebras induced by seeded generated operators, each with one
-    entry of every operation moved as in ``perturbed_post``."""
-    from test_cohomology import square_zero_operator, two_step_operator
-    for seed in (401, 402):
-        rng = random.Random(seed)
-        yield "two-step-%d" % seed, perturb_post(
-            rng, induced_post_from_rrb(two_step_operator(rng, 3, 1, 1)))
-        yield "square-zero-%d" % seed, perturb_post(
-            rng, induced_post_from_rrb(square_zero_operator(rng, 3, 3, 1)))
 
 
 @pytest.mark.parametrize("as_printed", [False, True])

@@ -243,3 +243,40 @@ def test_a_driver_bypass_is_caught():
                "    ck.done = True\n"
                "    return ck.recorded, rep.record\n")
     assert driver_bypasses({"m.py": snippet}) == [("m.py", 2, "done"), ("m.py", 3, "record")]
+
+
+# Generated inputs and shared helpers live in ``families.py``: no test module
+# imports another, so none runs another's module-level code or depends on
+# where another keeps a helper.
+def cross_imports(sources_by_path):
+    """(file, line, module) of each import of a module named ``test_*``, at
+    top level or inside a function."""
+    out = []
+    for path, text in sources_by_path.items():
+        for node in ast.walk(ast.parse(text, path)):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + ["%s.%s" % (node.module, a.name)
+                                               for a in node.names]
+            else:
+                continue
+            out += [(os.path.basename(path), node.lineno, n) for n in names
+                    if n.split(".")[-1].startswith("test_")]
+    return sorted(out)
+
+
+def test_no_test_module_imports_another():
+    assert cross_imports(sources("tests")) == []
+
+
+def test_a_cross_import_is_caught():
+    snippet = ("import oracles, test_reports\n"
+               "from families import dense\n"
+               "from test_cohomology import two_step_operator\n"
+               "def f():\n"
+               "    from tests import test_rrb\n"
+               "    import test_io_cli as io_cli\n")
+    assert cross_imports({"m.py": snippet}) == [
+        ("m.py", 1, "test_reports"), ("m.py", 3, "test_cohomology"),
+        ("m.py", 5, "tests.test_rrb"), ("m.py", 6, "test_io_cli")]

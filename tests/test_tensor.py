@@ -20,6 +20,7 @@ from lyalg.rrb import check_rrb
 
 import oracles
 from conftest import fx
+from families import square_zero_operator
 from oracles import mzero, nested
 
 POOL = [F(-1), F(0), F(0), F(0), F(1), F(1, 2)]
@@ -320,7 +321,6 @@ def matrix_tensors(p3):
     """Every matrix-valued tensor the library builds, by name."""
     loaded = lyio.load_action(fx("nilpotent4_adjoint.json"))
     adjoint = adjoint_rep(lyio.load_algebra(fx("nilpotent4.json")))
-    from test_cohomology import square_zero_operator
     # p3's induced representation and post action vanish; these two do not:
     # a square-zero operator's induced representation, and the action of the
     # post-algebra with e0*e0 = {e0,e0,e0} = e1 on an abelian base
