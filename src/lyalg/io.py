@@ -26,28 +26,40 @@ algebra or the reverse; a file with none of its own keys is the zero
 structure.  File references resolve relative to the referencing file's
 directory.
 
-Every input is read once, straight into the form the library uses.  Matrices
-are read as their supports {(r, c): q}, and a literal zero (the JSON int 0 or
-the string "0") is skipped without a parse.  rho and mu become tensors
-through ``Tensor.from_support``, entry (r, c) of the matrix at (i, ..) stored
-as row r at (i, .., c), and only the API's dense matrices (T, N, a
-homomorphism's matrix, ``load_matrix``) are filled from that support.  Within
-one top-level load, each distinct rational value is parsed once, into the
-form a support stores (``linalg.scalar``: an int when it is integral), and two
-references to one algebra (the same file by absolute path, or equal inline
-objects, such as an adjoint action's acting and carrier) load and verify one
-``LYAlgebra``, used in both slots.  Nothing is kept from one load to the next.
+Every input is read once, straight into the form the library uses, in one
+pass over each entry list and matrix.  Matrices are read as their supports
+{(r, c): q}: a row of "0" strings is skipped whole by one ``list.count``, any
+other literal zero (the JSON int 0 or the string "0") without a parse, and a
+matrix's location in an error (``action.mu[i][j]``) is formatted only when an
+error names it.  rho and mu become tensors through ``Tensor.from_support``,
+entry (r, c) of the matrix at (i, ..) stored as row r at (i, .., c), and only
+the API's dense matrices (T, N, a homomorphism's matrix, ``load_matrix``) are
+filled from that support.  A JSON int is stored as it is, and an ASCII string
+"n" or "p/q" (digits, an optional leading "-" and q > 0) is read with ``int``;
+every other literal goes through ``Fraction``, and within one top-level load
+each distinct string is parsed once, into the form a support stores
+(``linalg.scalar``: an int when it is integral).  Two references to one
+algebra (the same file by absolute path, or equal inline objects, such as an
+adjoint action's acting and carrier) load and verify one ``LYAlgebra``, used
+in both slots.  Nothing is kept from one load to the next.
 
 A rational is an integer, a string "p/q" or a decimal string such as "0.5".
-A JSON float is read as its shortest decimal string, so 0.1 is 1/10, not the
-binary double nearest to it; NaN, Infinity and floats out of range (1e400)
-are a FormatError.  JSON booleans are never read as numbers: as an index, a
-dim or a rational they are a FormatError.  A container of the wrong type (an
-entry list, a name, a wedge vector) is a FormatError too.
+A decimal string with more than ``MAX_DECIMAL_DIGITS`` digits, or an exponent
+larger than that in size, is a FormatError before it is read.  A JSON float
+is read as its shortest decimal string, so 0.1 is 1/10, not the binary double
+nearest to it; NaN, Infinity and floats out of range (1e400) are a
+FormatError.  JSON booleans are never read as numbers: as an index, a dim or
+a rational they are a FormatError.  A container of the wrong type (an entry
+list, a name, a wedge vector) is a FormatError too.  So is a file that cannot
+be decoded: bytes that are not UTF-8, invalid JSON, an integer literal over
+CPython's 4300-digit limit, or nesting deeper than the interpreter's
+recursion limit; each names the file, and the CLI exits with 2.
 """
 
 import json
 import os
+from fractions import Fraction
+from operator import neg
 
 from .core import LYAlgebra
 from .errors import FormatError, TooLarge
@@ -72,8 +84,12 @@ def _load_doc(source, base_dir):
                 doc = json.load(fh)
         except OSError as e:
             raise FormatError("cannot read %s: %s" % (path, e)) from e
-        except json.JSONDecodeError as e:
+        except UnicodeDecodeError as e:
+            raise FormatError("%s: not UTF-8: %s" % (path, e)) from e
+        except ValueError as e:  # a JSONDecodeError, or an int over CPython's digit limit
             raise FormatError("%s: invalid JSON: %s" % (path, e)) from e
+        except RecursionError as e:
+            raise FormatError("%s: invalid JSON: nested too deeply" % path) from e
         if not isinstance(doc, dict):
             raise FormatError("%s: top level must be an object" % path)
         return doc, os.path.dirname(os.path.abspath(path))
@@ -86,13 +102,62 @@ def _field(doc, key, where):
     return doc[key]
 
 
+# The most digits a decimal string may carry in all, and the largest exponent
+# it may carry in size: CPython's limit on the digits of an integer literal.
+# ``Fraction`` reads "1e999999999" by building 10**999999999, which does not
+# return in any useful time; within the bound the numerator and denominator
+# it builds have at most a few thousand digits, like any integer literal's.
+MAX_DECIMAL_DIGITS = 4300
+
+
+def _at(where):
+    """An error location: a string, or a format and its arguments, formatted
+    only when an error names it."""
+    return where if isinstance(where, str) else where[0] % where[1:]
+
+
+def _oversized_decimal(s):
+    """Whether the string ``s``, with a decimal point or an exponent, has more
+    than MAX_DECIMAL_DIGITS digits, the exponent's included, or an exponent
+    larger than that in size.  An exponent that is not an integer is left to
+    ``Fraction`` to refuse."""
+    mantissa, e, exp = s.replace("E", "e").partition("e")
+    if not e and "." not in mantissa:
+        return False
+    if sum(map(str.isdigit, s)) > MAX_DECIMAL_DIGITS:
+        return True
+    try:
+        return bool(e) and abs(int(exp)) > MAX_DECIMAL_DIGITS
+    except ValueError:
+        return False
+
+
 def _frac_str(v, where):
     if isinstance(v, bool):
-        raise FormatError("%s: bad rational %r" % (where, v))
+        raise FormatError("%s: bad rational %r" % (_at(where), v))
+    s = str(v) if isinstance(v, float) else v
+    if isinstance(s, str) and _oversized_decimal(s):
+        raise FormatError("%s: bad rational %r: a decimal may have at most %d digits "
+                          "and an exponent of at most %d" % (_at(where), v, MAX_DECIMAL_DIGITS,
+                                                               MAX_DECIMAL_DIGITS))
     try:
-        return frac(v if not isinstance(v, float) else str(v))
+        return frac(s)
     except (ValueError, ZeroDivisionError) as e:
-        raise FormatError("%s: bad rational %r" % (where, v)) from e
+        raise FormatError("%s: bad rational %r" % (_at(where), v)) from e
+
+
+def _read_str(s, where):
+    """The stored scalar of a string literal: an ASCII "n" or "p/q", digits
+    with an optional leading "-", read with ``int``, any other through
+    ``Fraction`` (``_frac_str``)."""
+    if s.isascii():
+        p, slash, d = s.partition("/")
+        if (p[1:] if p[:1] == "-" else p).isdigit() and (d.isdigit() or not slash):
+            try:
+                return scalar(Fraction(int(p), int(d))) if slash else int(p)
+            except (ValueError, ZeroDivisionError):
+                pass  # over CPython's digit limit, or q = 0: refused by Fraction
+    return scalar(_frac_str(s, where))
 
 
 def _read_sparse(entries, dim, arity, where, antisym, rational):
@@ -106,41 +171,46 @@ def _read_sparse(entries, dim, arity, where, antisym, rational):
         entries = []
     if not isinstance(entries, list):
         raise FormatError("%s: entries must be a list" % where)
-    table, seen = {}, set()
+    table, size = {}, arity + 2
     for ent in entries:
-        if not isinstance(ent, list) or len(ent) != arity + 2:
+        if not isinstance(ent, list) or len(ent) != size:
             raise FormatError("%s: entries must be [%s, value]"
                               % (where, ", ".join("ijkl"[:arity + 1])))
-        _check_idx(where, dim, *ent[:-1])
-        key, row = tuple(ent[:arity]), ent[arity]
-        v = table.setdefault(key, {})
-        v[row] = v.get(row, 0) + rational(ent[-1], where)
-        seen.add(key)
+        for i in ent[:-1]:
+            if type(i) is not int and not _is_int(i) or not 0 <= i < dim:
+                raise FormatError("%s: index %r out of range 0..%d" % (where, i, dim - 1))
+        key, row, q = tuple(ent[:arity]), ent[arity], rational(ent[-1], where)
+        v = table.get(key)
+        if v is None:
+            table[key] = {row: q}
+        else:
+            v[row] = v[row] + q if row in v else q
     if antisym:
-        for key in sorted({(min(k[:2]), max(k[:2])) + k[2:] for k in seen}):
-            swap = (key[1], key[0]) + key[2:]
-            a = {r: q for r, q in table.get(key, {}).items() if q}
-            b = {r: -q for r, q in table.get(swap, {}).items() if q}
-            if key == swap:
-                if a:
-                    raise FormatError("%s: diagonal entry %s must vanish" % (where, key))
-            elif swap not in seen:
-                table[swap] = {r: -q for r, q in a.items()}
-            elif key not in seen:
-                table[key] = b
-            elif a != b:
-                raise FormatError("%s: entries at %s break antisymmetry" % (where, key))
+        # each listed key against its swap; a pair listed both ways is
+        # compared once, at its key with i < j
+        faults = []
+        for key in list(table):
+            i, j = key[0], key[1]
+            v = table[key]
+            if i == j:
+                if any(v.values()):
+                    faults.append(key)
+                continue
+            swap = (j, i) + key[2:]
+            w = table.get(swap)
+            if w is None:
+                table[swap] = dict(zip(v, map(neg, v.values())))
+            elif i < j and {r: q for r, q in v.items() if q} != {r: -q for r, q in w.items() if q}:
+                faults.append(key)
+        if faults:
+            key = min(faults)
+            raise FormatError(("%s: diagonal entry %s must vanish" if key[0] == key[1]
+                               else "%s: entries at %s break antisymmetry") % (where, key))
     return Tensor.from_support(table, dim, arity, (dim,))
 
 
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _check_idx(where, dim, *idx):
-    for i in idx:
-        if not _is_int(i) or not 0 <= i < dim:
-            raise FormatError("%s: index %r out of range 0..%d" % (where, i, dim - 1))
 
 
 # The most coefficients a dense ternary structure tensor, dim^4 of them, may
@@ -198,23 +268,24 @@ def _same(a, b):
 
 
 class _Load:
-    """The state of one top-level load: the rationals parsed so far, keyed
-    by the raw JSON value and its type and stored by ``linalg.scalar``, and
-    the algebras loaded so far, keyed by their absolute path or their inline
-    object."""
+    """The state of one top-level load: the string rationals parsed so far,
+    stored by ``linalg.scalar``, and the algebras loaded so far, keyed by
+    their absolute path or their inline object."""
 
     def __init__(self):
         self.scalars = {}
         self.algebras = []
 
     def rational(self, v, where):
-        key = (type(v), v)
-        try:
-            q = self.scalars.get(key)
-        except TypeError:  # a list or an object: never a rational
-            return _frac_str(v, where)
+        """The stored scalar of the JSON value ``v``: an int as it is, a
+        string by ``_read_str`` once per load, anything else by ``_frac_str``."""
+        if type(v) is int:
+            return v
+        if type(v) is not str:
+            return scalar(_frac_str(v, where))
+        q = self.scalars.get(v)
         if q is None:
-            q = self.scalars[key] = scalar(_frac_str(v, where))
+            q = self.scalars[v] = _read_str(v, where)
         return q
 
     def algebra(self, source, base_dir):
@@ -254,10 +325,10 @@ class _Load:
                 table.setdefault(key + (c,), {})[r] = q
 
         for i, mx in enumerate(rho_doc):
-            put(rho, (i,), mx, "action.rho[%d]" % i)
+            put(rho, (i,), mx, ("action.rho[%d]", i))
         for i in range(n):
             for j in range(n):
-                put(mu, (i, j), mu_doc[i][j], "action.mu[%d][%d]" % (i, j))
+                put(mu, (i, j), mu_doc[i][j], ("action.mu[%d][%d]", i, j))
         acting.ensure_verified()
         carrier.ensure_verified()
         r = RepAction(acting, carrier, Tensor.from_support(rho, n, 1, (m, m)),
@@ -269,24 +340,27 @@ class _Load:
     def matrix(self, rows, where, nr=None, nc=None):
         """The nonzero entries {(r, c): q} of a row-major array of rationals,
         and its shape.  A ragged row is reported before a wrong size, and the
-        first bad entry in row-major order; a literal zero, the JSON int 0 or
-        the string "0", is skipped without a parse."""
+        first bad entry in row-major order; a row of "0" strings is skipped
+        whole, and any other literal zero, the JSON int 0 or the string "0",
+        without a parse.  ``where`` is the location (``_at``) an error names."""
         if not isinstance(rows, list) or not rows \
                 or not all(isinstance(r, list) for r in rows):
-            raise FormatError("%s: matrix must be a non-empty array of rows" % where)
+            raise FormatError("%s: matrix must be a non-empty array of rows" % _at(where))
         width = len(rows[0])
-        table = {}
+        rational, table = self.rational, {}
         for r, row in enumerate(rows):
             if len(row) != width:
-                raise FormatError("%s: ragged matrix" % where)
+                raise FormatError("%s: ragged matrix" % _at(where))
+            if row.count("0") == width:
+                continue
             for c, v in enumerate(row):
                 if v == "0" or type(v) is int and v == 0:
                     continue
-                q = self.rational(v, where)
+                q = rational(v, where)
                 if q:
                     table[r, c] = q
         if nr is not None and len(rows) != nr or nc is not None and width != nc:
-            raise FormatError("%s: matrix must be %sx%s" % (where, nr, nc))
+            raise FormatError("%s: matrix must be %sx%s" % (_at(where), nr, nc))
         return table, (len(rows), width)
 
     def dense_matrix(self, rows, where, nr=None, nc=None):

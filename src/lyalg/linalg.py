@@ -131,7 +131,13 @@ class Tensor:
         and every other one is stored by ``scalar``."""
         support = {}
         for key in sorted(table):
-            v = {e: scalar(q) for e, q in sorted(table[key].items()) if q}
+            v = table[key]
+            v = dict(sorted(v.items())) if len(v) > 1 else dict(v)
+            # a zero or an integral Fraction is rare: only then is v rebuilt
+            for q in v.values():
+                if not q or type(q) is not int and q.denominator == 1:
+                    v = {e: scalar(q) for e, q in v.items() if q}
+                    break
             if v:
                 support[key] = v
         self = object.__new__(cls)
@@ -245,11 +251,18 @@ def skew_faults(values):
     """The keys of a sparse table {index tuple: sparse value} at which it is
     not antisymmetric in its first two slots, read off the table alone: a key
     faults with its swap when the swap's value is not the negative of its
-    own (absent counts as zero), so a diagonal key always faults."""
+    own (absent counts as zero), so a diagonal key always faults.  Each
+    unordered pair is compared once: a key with i > j only checks that its
+    swap is present, and is otherwise compared from the swap."""
     bad = set()
     for key, v in values.items():
         swap = (key[1], key[0]) + key[2:]
-        if v != {r: -q for r, q in values.get(swap, {}).items()}:
+        if key[0] > key[1]:
+            if v and swap not in values:
+                bad.update((key, swap))
+            continue
+        w = values.get(swap, {})
+        if v != dict(zip(w, map(operator.neg, w.values()))):
             bad.update((key, swap))
     return bad
 

@@ -25,7 +25,7 @@ import itertools
 
 from .core import LYAlgebra, center_equations
 from .errors import AxiomsFailed, NotAnAction
-from .linalg import Tensor, axpy, dense, nullspace_basis, push, signed_sum, sparse_map
+from .linalg import Echelon, Tensor, axpy, dense, push, signed_sum, sparse_map
 from .reports import Checker, summed
 
 
@@ -175,9 +175,10 @@ def check_action(r, all_violations=False):
     center, and all three annihilate the carrier's binary and ternary brackets.
     A column is central when the center's defining equations
     (``core.center_equations``) vanish on it; only the center's dimension,
-    reported in the data, takes an elimination.  The kill test skips an
-    acting tuple whose columns are none of the rows of the carrier's bracket
-    values: applied to any bracket value, its block gives zero.  The check
+    reported in the data, takes an elimination: dim h less the equations'
+    rank, with no kernel vectors built.  The kill test skips an acting tuple
+    whose columns are none of the rows of the carrier's bracket values:
+    applied to any bracket value, its block gives zero.  The check
     records block by block and stops between acting tuples once settled: as
     driver tables (``Checker.tabulate``) its blocks measured slower.
     """
@@ -218,7 +219,7 @@ def check_action(r, all_violations=False):
                         axpy(w, q, cols.get(col, {}))
                     if w:
                         ck.record(fam + eq, args + bargs, dense(w, shape))
-    out = ck.report({"center_dim": len(nullspace_basis(equations, h.dim))})
+    out = ck.report({"center_dim": h.dim - Echelon(equations).rank})
     if out.passed:
         r.action_certified = True
     return out

@@ -443,3 +443,77 @@ def generated_posts():
             rng, induced_post_from_rrb(two_step_operator(rng, 3, 1, 1)))
         yield "square-zero-%d" % seed, perturb_post(
             rng, induced_post_from_rrb(square_zero_operator(rng, 3, 3, 1)))
+
+
+# ---------------------------------------------------------------------------
+# reader inputs: JSON values as a file may hold them
+
+def random_literal(rng):
+    """A JSON value in a rational's place: mostly strings of digits with an
+    optional sign, "/q", decimal point or exponent of at most 3 digits, now
+    and then with a space, an underscore or a non-ASCII digit; else an int,
+    a float or a boolean."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice([rng.randint(-9, 9), rng.randint(-10 ** 30, 10 ** 30)])
+    if kind == 1:
+        return rng.choice([rng.uniform(-1e3, 1e3), rng.choice([0.0, -0.0, 0.5, 1e-7, 1e300]),
+                           rng.random() < 0.5])
+
+    def digits(most=6):
+        return "".join(rng.choice("0123456789") for _ in range(rng.randint(0, most)))
+    s = rng.choice(["", "", "", "-", "+", " ", "--"]) + digits()
+    r = rng.random()
+    if r < 0.35:
+        s += "/" + rng.choice(["", "", "-"]) + digits()
+    elif r < 0.5:
+        s += "." + digits()
+    elif r < 0.65:
+        s += rng.choice("eE") + rng.choice(["", "+", "-"]) + digits(3)
+    for extra in ("_", "٣", " "):
+        if rng.random() < 0.08:
+            at = rng.randint(0, len(s))
+            s = s[:at] + extra + s[at:]
+    return s
+
+
+# the entries of the rows of random_rows: literal zeros of every JSON type,
+# a boolean, and two nonzero values
+ZERO_LIKE = ["0", 0, 0.0, -0.0, False, "-0", "0/3", "1/2", -3]
+
+
+def random_rows(rng):
+    """A matrix of 1-4 rows of width 1-5, most rows all "0" and the rest
+    with entries of ZERO_LIKE; now and then one row is a "0" longer."""
+    width = rng.randint(1, 5)
+    rows = [["0"] * width if rng.random() < 0.6
+            else [rng.choice(ZERO_LIKE) if rng.random() < 0.5 else "0" for _ in range(width)]
+            for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.1:
+        rows[rng.randrange(len(rows))].append("0")
+    return rows
+
+
+NEGATED = {"1": "-1", "-1": "1", "2": "-2", "1/2": "-1/2", "0": "0", 0: 0}
+
+
+def random_entries(rng, dim, arity):
+    """An entry list [i, .., row, value] of a few keys in range(dim), with
+    repeats, zero values and diagonal keys; a key with i != j is listed
+    alone, or with its swap negated, or with its swap carrying another value.
+    Now and then an index is out of range or not an int, or an entry has a
+    wrong length."""
+    entries = []
+    for _ in range(rng.randint(0, 6)):
+        ent = [rng.randrange(dim) for _ in range(arity + 1)] + [rng.choice(list(NEGATED))]
+        entries.append(ent)
+        if ent[0] != ent[1] and rng.random() < 0.5:
+            value = NEGATED[ent[-1]] if rng.random() < 0.7 else rng.choice(list(NEGATED))
+            entries.append([ent[1], ent[0]] + ent[2:-1] + [value])
+    if entries and rng.random() < 0.05:
+        ent = rng.choice(entries)
+        ent[rng.randrange(arity + 1)] = rng.choice([dim, -1, True, 1.0])
+    if entries and rng.random() < 0.03:
+        rng.choice(entries).pop()
+    rng.shuffle(entries)
+    return entries

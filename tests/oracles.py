@@ -52,6 +52,20 @@ def o_rank(rows):
     return len(o_rref(rows)[1])
 
 
+def o_center_dim(A):
+    """dim {x : [x, e_j] = <x, e_j, e_k> = <e_j, e_k, x> = 0 for all j, k}:
+    dim A less the rank of those equations, one row per coordinate, written
+    out densely from the nested brackets."""
+    n, b, t = A.dim, nested(A.binary), nested(A.ternary)
+    rows = [[b[x][j][r] for x in range(n)] for j in range(n) for r in range(n)]
+    for j in range(n):
+        for k in range(n):
+            for r in range(n):
+                rows.append([t[x][j][k][r] for x in range(n)])
+                rows.append([t[j][k][x][r] for x in range(n)])
+    return n - o_rank(rows)
+
+
 def o_nullspace(rows, ncols):
     """The kernel basis read off the reduced echelon form: for each free
     column c, e_c minus the pivot coordinates of column c."""
@@ -1392,3 +1406,91 @@ def o_rrb_violations(op):
         (3, [("RRB2", lambda a, b, c: poly_ternary_residual(r, [op.T], e[a], e[b], e[c],
                                                             1)[0])]),
     ])
+
+
+# ---------------------------------------------------------------------------
+# the file reader by ``Fraction``: what loading a rational, a matrix or an
+# entry list gives, or the message of the error it raises
+
+class ReadError(Exception):
+    """A reader's refusal, carrying the message of its FormatError."""
+
+
+def _stored(q):
+    """The rational q as a support stores it: an int when it is integral."""
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
+def o_rational(v, where):
+    """The stored scalar of the JSON value v, read by ``Fraction``: an int
+    or a string as it is, a float through its shortest decimal string.  A
+    boolean, or a value ``Fraction`` refuses, is a ReadError."""
+    if isinstance(v, bool):
+        raise ReadError("%s: bad rational %r" % (where, v))
+    try:
+        q = Fraction(str(v) if isinstance(v, float) else v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ReadError("%s: bad rational %r" % (where, v)) from None
+    return _stored(q)
+
+
+def o_matrix(rows, where, nr=None, nc=None):
+    """({(r, c): q} over the nonzero entries, shape) of a row-major array,
+    every entry read by ``o_rational``: the first fault in row-major order,
+    a ragged row where it is met, a wrong size after every entry."""
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+        raise ReadError("%s: matrix must be a non-empty array of rows" % where)
+    width, table = len(rows[0]), {}
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise ReadError("%s: ragged matrix" % where)
+        for c, v in enumerate(row):
+            q = o_rational(v, where)
+            if q:
+                table[r, c] = q
+    if nr is not None and len(rows) != nr or nc is not None and width != nc:
+        raise ReadError("%s: matrix must be %sx%s" % (where, nr, nc))
+    return table, (len(rows), width)
+
+
+def o_sparse(entries, dim, arity, where, antisym):
+    """The support {key: {row: q}}, keys and rows sorted, of an entry list
+    [i, .., row, value] with ``arity`` indices before the row; entries at one
+    place add up.  With ``antisym`` the pairs of keys swapped in their first
+    two slots are visited in order of the key with i <= j: a nonzero diagonal
+    or two listings that are not negatives of each other is the ReadError,
+    and a pair listed one way is completed the other."""
+    if entries is None:
+        entries = []
+    if not isinstance(entries, list):
+        raise ReadError("%s: entries must be a list" % where)
+    table = {}
+    for ent in entries:
+        if not isinstance(ent, list) or len(ent) != arity + 2:
+            raise ReadError("%s: entries must be [%s, value]"
+                            % (where, ", ".join("ijkl"[:arity + 1])))
+        for i in ent[:-1]:
+            if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < dim:
+                raise ReadError("%s: index %r out of range 0..%d" % (where, i, dim - 1))
+        cell = table.setdefault(tuple(ent[:arity]), {})
+        cell[ent[arity]] = cell.get(ent[arity], Z) + o_rational(ent[-1], where)
+    if antisym:
+        for key in sorted({(min(k[:2]), max(k[:2])) + k[2:] for k in table}):
+            swap = (key[1], key[0]) + key[2:]
+            a = {r: q for r, q in table.get(key, {}).items() if q}
+            b = {r: -q for r, q in table.get(swap, {}).items() if q}
+            if key == swap:
+                if a:
+                    raise ReadError("%s: diagonal entry %s must vanish" % (where, key))
+                continue
+            if key in table and swap in table and a != b:
+                raise ReadError("%s: entries at %s break antisymmetry" % (where, key))
+            table[key] = a if key in table else b
+            table[swap] = {r: -q for r, q in table[key].items()}
+    support = {}
+    for key in sorted(table):
+        v = {r: _stored(q) for r, q in sorted(table[key].items()) if q}
+        if v:
+            support[key] = v
+    return support

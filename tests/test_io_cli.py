@@ -414,3 +414,54 @@ def test_check_post_refuses_an_algebra_file(capsys):
     out = capsys.readouterr()
     assert out.out == "" and "'binary'" in out.err and "Traceback" not in out.err
     assert run(["check", "algebra", fx("nilpotent4.json")]) == 0
+
+
+# files that cannot be decoded, each a FormatError naming the file (exit 2)
+UNDECODABLE = {
+    "long-int": ('{"name": "x", "dim": 2, "binary": [[0, 1, 0, %s]]}' % ("1" * 5001)).encode(),
+    "deep": b'{"name": "x", "dim": 1, "binary": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+    "not-utf8": b'{"name": "x\xff", "dim": 1}',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNDECODABLE))
+def test_an_undecodable_file_is_a_format_error(kind, tmp_path, capsys):
+    path = tmp_path / (kind + ".json")
+    path.write_bytes(UNDECODABLE[kind])
+    with pytest.raises(FormatError) as e:
+        lyio.load_algebra(str(path))
+    assert str(e.value).startswith("%s: " % path)
+    assert run(["check", "algebra", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: %s\n" % e.value
+
+
+def test_a_huge_decimal_exponent_fails_fast(tmp_path):
+    """Fraction would build 10**999999999; the CLI refuses the literal at once."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"name": "h", "dim": 2, "binary": [[0, 1, 0, "1e999999999"]]}))
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from lyalg.cli import run; sys.exit(run(sys.argv[1:]))",
+         "check", "algebra", str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=30)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("error: h.binary: bad rational '1e999999999': a decimal may have "
+                           "at most 4300 digits and an exponent of at most 4300\n")
+
+
+@pytest.mark.parametrize("value, admitted", [
+    ("1e4300", True), ("1e-4300", True), ("1e4301", False), ("1E-4301", False),
+    pytest.param("0." + "1" * 4299, True, id="0.(4299 digits)"),
+    pytest.param("0." + "1" * 4300, False, id="0.(4300 digits)"),
+    pytest.param("1" * 4299 + "e0", True, id="(4299 digits)e0"),
+    pytest.param("1" * 4300 + "e0", False, id="(4300 digits)e0"),
+    (1e300, True)])
+def test_the_decimal_bound(value, admitted):
+    assert lyio.MAX_DECIMAL_DIGITS == 4300
+    doc = {"name": "d", "dim": 2, "binary": [[0, 1, 0, value]]}
+    if admitted:
+        assert lyio.load_algebra(doc).binary.support[0, 1][0] == Fraction(str(value))
+    else:
+        with pytest.raises(FormatError, match=r"^d\.binary: bad rational .*at most 4300 digits"):
+            lyio.load_algebra(doc)

@@ -6,7 +6,8 @@ from lyalg.errors import NotAnAction
 from lyalg.reps import (adjoint_rep, check_action, check_lemma_identities,
                         check_representation, semidirect_product)
 
-from oracles import col, mzero, nested
+import families
+from oracles import col, mzero, nested, o_center_dim
 
 
 def test_adjoint_is_representation(nilpotent4):
@@ -95,3 +96,19 @@ def test_action_fails_for_noncentral_images():
     assert not rep.passed
     assert any(v.eq.endswith("kills-binary") or v.eq.endswith("image-central")
                for v in rep.violations)
+
+
+ALGEBRAS = {"nilpotent4": families.nilpotent4, "heisenberg5": families.heisenberg5,
+            "sl2": families.sl2, "sl2-triple-system": families.sl2_triple_system,
+            "gl3": lambda: families.gl(3), "sl3-cartan": families.sl3_cartan,
+            "filiform5": lambda: families.filiform(5), "semidirect8": families.semidirect8}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_center_dim_is_the_dense_center_dimension(name):
+    """check_action reports dim h less the rank of the center's equations;
+    the adjoint representation reaches that count whether or not it is an
+    action."""
+    A = ALGEBRAS[name]()
+    rep = check_action(adjoint_rep(A), all_violations=True)
+    assert rep.data == {"center_dim": o_center_dim(A)}

@@ -44,15 +44,17 @@ def unused_imports(path):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def test_no_unused_imports():
-    # __init__.py imports in order to re-export
-    modules = sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py")
-    bad = [(f, line, name) for f in modules
-           for line, name in unused_imports(os.path.join(SRC, f))]
-    assert bad == []
-
-
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+
+def test_no_unused_imports():
+    # the library's __init__.py imports in order to re-export
+    paths = [os.path.join(SRC, f) for f in sorted(os.listdir(SRC))
+             if f.endswith(".py") and f != "__init__.py"]
+    paths += sorted(sources("tests", "perfbench"))
+    assert len(paths) > 30
+    bad = [(path, line, name) for path in paths for line, name in unused_imports(path)]
+    assert bad == []
 
 
 def sources(*dirs):
