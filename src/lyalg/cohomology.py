@@ -50,7 +50,6 @@ the map partial on the wedge square of the acting algebra is one such table.
 """
 
 import itertools
-from collections.abc import Mapping
 
 from .errors import AxiomsFailed, DimMismatch, ShapeMismatch, TooLarge
 from .linalg import Q0, Tensor, axpy, column_echelon, dense, frac, invert, pull, push, sparse_map
@@ -62,12 +61,12 @@ from .reps import RepAction
 
 class SparseMat:
     """A rows x cols rational matrix stored by its columns, ``columns[c]`` =
-    {row: value} over the nonzero entries, each value an int or a Fraction.
-    ``data`` reads the same entries as {(r, c): value}.  A matrix is never
-    changed once built, so one echelon of the columns is built when first
-    needed and kept: without tags for ``rank`` alone, and with tags
-    (``linalg.column_echelon``) the first time ``nullspace`` or ``solve``
-    asks, which every later question reads."""
+    {row: value} over the nonzero entries, each value an int or a Fraction;
+    ``data`` builds the same entries as a dict {(r, c): value} on each read.
+    A matrix is never changed once built, so one echelon of the columns is
+    built when first needed and kept: without tags for ``rank`` alone, and
+    with tags (``linalg.column_echelon``) the first time ``nullspace`` or
+    ``solve`` asks, which every later question reads."""
 
     def __init__(self, rows, cols, data=None):
         self.rows = rows
@@ -87,7 +86,7 @@ class SparseMat:
 
     @property
     def data(self):
-        return _Entries(self.columns)
+        return {(r, c): v for c, col in enumerate(self.columns) for r, v in col.items()}
 
     def apply(self, vec):
         """The product with a sparse vector {col: q}, as a sparse vector {row: q}."""
@@ -123,27 +122,6 @@ class SparseMat:
         """Some x with self . x = b for a sparse b {row: q}, free coordinates
         0; raises Inconsistent, or ShapeMismatch for an index outside the rows."""
         return self.column_echelon(tags=True).solve(b, self.cols)
-
-
-class _Entries(Mapping):
-    """The entries of a matrix's columns read as {(r, c): value}, a view."""
-
-    def __init__(self, columns):
-        self._columns = columns
-
-    def __getitem__(self, key):
-        r, c = key
-        if not 0 <= c < len(self._columns):
-            raise KeyError(key)
-        return self._columns[c][r]
-
-    def __iter__(self):
-        for c, col in enumerate(self._columns):
-            for r in col:
-                yield r, c
-
-    def __len__(self):
-        return sum(map(len, self._columns))
 
 
 # ---------------------------------------------------------------------------

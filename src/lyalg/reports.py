@@ -1,10 +1,13 @@
 """Pass/fail reports with equation witnesses.
 
-A check tabulates each equation as one sparse table {args: residual} over the
-basis tuples, often a signed sum of compositions of supports (``summed``), and
-hands its tables group by group to ``Checker.tabulate``, which records the
-nonzero residuals in a fixed order and reads no further group once a capped
-report is settled.
+Every check tabulates each equation as one sparse table {args: residual} over
+the basis tuples, often a signed sum of compositions of supports (``summed``),
+and hands its tables group by group to ``Checker.tabulate``, the one way a
+witness is recorded: it records the nonzero residuals in a fixed order and
+reads no further group once a capped report is settled, so groups that come
+from a generator, such as ``reps.check_action``'s one group per acting tuple,
+are not built after that.  A sub-check's witnesses come in through
+``Checker.include``.
 """
 
 from dataclasses import dataclass, field
@@ -68,22 +71,17 @@ class Checker:
         self.violations = []
         self._saturated = False
 
-    def record(self, eq, args, residual):
+    def _record(self, eq, args, residual):
         if not self._saturated:
             self.violations.append(Violation(eq, tuple(args), residual))
             if not self.all_violations and len(self.violations) >= DEFAULT_CAP:
                 self._saturated = True
 
-    @property
-    def done(self):
-        """True once further scanning cannot change the report."""
-        return self._saturated
-
     def include(self, prefix, report):
         """Record the violations of a sub-check's ``report`` in its order, each
         equation named with ``prefix``, up to the cap."""
         for v in report.violations:
-            self.record(prefix + v.eq, v.args, v.residual)
+            self._record(prefix + v.eq, v.args, v.residual)
 
     def tabulate(self, shape, groups):
         """Record the nonzero residuals of each group of (name, table[, order])
@@ -91,11 +89,11 @@ class Checker:
         ``linalg.signed_sum``); a matrix value's column is the last slot of
         its key, and its witness tuple is the key without it.  In a group,
         witnesses come sorted by ``order(args)``, the tuple itself when no
-        order is given, so a tuple comes before its extensions, and at one
-        key in the order of the group; a matrix residual is gathered only for
-        a recorded witness.  ``groups`` is read one group at a time and never
-        again once the report is settled, so a generator of groups builds no
-        table after that."""
+        order is given, so a tuple comes before its extensions; where the
+        order ties, by table in the order of the group, then by key.  A
+        matrix residual is gathered only for a recorded witness.  ``groups``
+        is read one group at a time and never again once the report is
+        settled, so a generator of groups builds no table after that."""
         if self._saturated:
             return
         cut = -1 if len(shape) == 2 else None
@@ -109,7 +107,7 @@ class Checker:
                 else:
                     v = {(r, c): q for c in range(shape[1])
                          for r, q in values.get(args + (c,), {}).items()}
-                self.record(name, args, dense(v, shape))
+                self._record(name, args, dense(v, shape))
                 if self._saturated:
                     return
 

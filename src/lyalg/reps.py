@@ -16,16 +16,17 @@ brackets, rho, mu and D; a product of two action matrices is a composition
 into the column slot of the left one.  An *action* additionally lands in the
 center of the carrier algebra and kills its brackets, which is exactly what
 makes the semidirect brackets on g (+) h satisfy the Lie-Yamaguti axioms.
-The action test reads supports too: the center's defining equations are
-applied to each nonzero column of rho, mu and D, with no elimination, and
-each nonzero block is applied to the nonzero bracket values only.
+The action test reads supports too, one acting tuple at a time: the center's
+defining equations are pushed through each nonzero column of rho, mu and D,
+with no elimination, and each nonzero block through the nonzero bracket
+values only, as tables scanned by the one check driver (``Checker.tabulate``).
 """
 
 import itertools
 
 from .core import LYAlgebra, center_equations
 from .errors import AxiomsFailed, NotAnAction
-from .linalg import Echelon, Tensor, axpy, dense, push, signed_sum, sparse_map
+from .linalg import Echelon, Tensor, push, signed_sum, sparse_map
 from .reports import Checker, summed
 
 
@@ -176,53 +177,63 @@ def check_action(r, all_violations=False):
     A column is central when the center's defining equations
     (``core.center_equations``) vanish on it; only the center's dimension,
     reported in the data, takes an elimination: dim h less the equations'
-    rank, with no kernel vectors built.  The kill test skips an acting tuple
-    whose columns are none of the rows of the carrier's bracket values:
-    applied to any bracket value, its block gives zero.  The check
-    records block by block and stops between acting tuples once settled: as
-    driver tables (``Checker.tabulate``) its blocks measured slower.
+    rank, with no kernel vectors built.  Each acting tuple of rho, then mu,
+    then D, in support order, is one group of three tables for
+    ``Checker.tabulate``: its columns that are not central, and its block
+    pushed through the binary (a < b) and the ternary bracket values.  The
+    kill tables are left out for a tuple whose columns are none of the rows
+    of the bracket values: applied to any bracket value, its block gives
+    zero; if its columns are central too, the tuple has no group.  Every
+    table has one constant order, so a group's witnesses come by table, then
+    by key, and no group is built once the report is settled.
     """
     rep = check_representation(r, all_violations)
     if not rep.passed:
         return rep
     g, h = r.acting, r.carrier
     h.ensure_verified()
-    shape = (h.dim,)
     equations = center_equations(h)
     # the equations by columns, so that applying them reads the column's entries only
     _, on_column = sparse_map({(e, i): q for e, row in enumerate(equations)
                                for i, q in row.items()})
-    ck = Checker("action(%s on %s)" % (g.name, h.name), all_violations)
-    brackets = [("-kills-binary", [(ab, v) for ab, v in h.binary.support.items()
-                                   if ab[0] < ab[1]]),
-                ("-kills-ternary", h.ternary.support.items())]
+    brackets = [("-kills-binary", {ab: v for ab, v in h.binary.support.items()
+                                   if ab[0] < ab[1]}),
+                ("-kills-ternary", h.ternary.support)]
     # a block records a kill only at a column that is a row of some bracket value
-    rows = {row for _, values in brackets for _, v in values for row in v}
-    for fam, t in (("rho", r.rho), ("mu", r.mu), ("D", r.derived_D)):
-        # the support is sorted, so each acting tuple's columns come together, in order
-        for args, group in itertools.groupby(t.support.items(), lambda kv: kv[0][:-1]):
-            if ck.done:
-                break
-            cols = {key[-1]: v for key, v in group}
-            off = {}
-            push(off, 1, on_column, {(col,): v for col, v in cols.items()})
-            for col, v in cols.items():
-                if (col,) in off:
-                    ck.record(fam + "-image-central", args + (col,), dense(v, shape))
-            if rows.isdisjoint(cols):
-                continue
-            # M applied to each nonzero bracket value, column by column
-            for eq, values in brackets:
-                for bargs, v in values:
-                    w = {}
-                    for col, q in v.items():
-                        axpy(w, q, cols.get(col, {}))
-                    if w:
-                        ck.record(fam + eq, args + bargs, dense(w, shape))
+    rows = {row for _, values in brackets for v in values.values() for row in v}
+
+    def groups():
+        for fam, t in (("rho", r.rho), ("mu", r.mu), ("D", r.derived_D)):
+            # the support is sorted, so each acting tuple's columns come together
+            for args, group in itertools.groupby(t.support.items(), lambda kv: kv[0][:-1]):
+                cols = {key[-1]: v for key, v in group}
+                off = {}
+                push(off, 1, on_column, {(col,): v for col, v in cols.items()})
+                meets = not rows.isdisjoint(cols)
+                if not (off or meets):
+                    continue
+                central = {args + c: cols[c[0]] for c in off}
+                tables = [(fam + "-image-central", central, _by_table)]
+                if meets:
+                    block = {col: v.items() for col, v in cols.items()}
+                    for eq, values in brackets:
+                        kills = {}
+                        push(kills, 1, block, values)
+                        kills = {args + k: w for k, w in kills.items()}
+                        tables.append((fam + eq, kills, _by_table))
+                yield tables
+
+    ck = Checker("action(%s on %s)" % (g.name, h.name), all_violations)
+    ck.tabulate((h.dim,), groups())
     out = ck.report({"center_dim": h.dim - Echelon(equations).rank})
     if out.passed:
         r.action_certified = True
     return out
+
+
+def _by_table(args):
+    """The one order of every table in a group: witnesses by table, then by key."""
+    return 0
 
 
 def semidirect_product(r):

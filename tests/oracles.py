@@ -1309,7 +1309,8 @@ def o_columns(M):
 
 def o_dense(M):
     """The sparse matrix as a tuple of dense rows."""
-    return tuple(tuple(M.data.get((r, c), Z) for c in range(M.cols)) for r in range(M.rows))
+    data = M.data
+    return tuple(tuple(data.get((r, c), Z) for c in range(M.cols)) for r in range(M.rows))
 
 
 def o_product(A, B):

@@ -13,9 +13,12 @@ import pytest
 
 import lyalg as L
 from lyalg import io as lyio
+from lyalg import reps
 from lyalg.cohomology import induced_rep
 from lyalg.deformation import check_equivalence
+from lyalg.linalg import push
 from lyalg.postlya import check_post_axioms, check_post_homomorphism, induced_post_from_rrb
+from lyalg.reports import Report
 from lyalg.reps import (RepAction, adjoint_rep, check_action, check_lemma_identities,
                         check_representation)
 from lyalg.rrb import lift_operator
@@ -105,16 +108,43 @@ def test_derived_D_of_representations_matches_closed_form_oracle(p3):
 
 
 @pytest.mark.parametrize("name", ["sl2", "filiform6", "nilpotent4-sl2", "semidirect8",
-                                  "p3-induced"])
-def test_action_matches_dense_oracle(p3, name):
+                                  "p3-induced", "sl3-cartan", "gl3-moved-1", "gl3-moved-5"])
+def test_action_matches_dense_oracle(p3, monkeypatch, name):
+    """Every witness of the action conditions and its order, full and capped."""
+    if name.startswith("gl3-moved"):
+        # moved, the pair is no representation: its check passes unread, so
+        # that the action scan itself is compared
+        monkeypatch.setattr(reps, "check_representation",
+                            lambda r, all_violations=False: Report("representation"))
     r = {"sl2": lambda: adjoint_rep(sl2()),
          "filiform6": lambda: adjoint_rep(filiform(6)),
          "nilpotent4-sl2": lambda: adjoint_rep(L.direct_sum(nilpotent4(), sl2())),
          "semidirect8": lambda: adjoint_rep(semidirect8()),
-         "p3-induced": lambda: induced_rep(p3)}[name]()
+         "p3-induced": lambda: induced_rep(p3),
+         "sl3-cartan": lambda: adjoint_rep(sl3_cartan()),
+         "gl3-moved-1": lambda: with_action_moved(adjoint_rep(gl(3)), 1),
+         "gl3-moved-5": lambda: with_action_moved(adjoint_rep(gl(3)), 5)}[name]()
+    want = oracles.o_action_violations(r)
     rep = check_action(r, all_violations=True)
     assert rep.passed == (name in ("semidirect8", "p3-induced"))
-    assert listed(rep) == oracles.o_action_violations(r)
+    assert listed(rep) == want
+    assert listed(check_action(r)) == want[:10]
+
+
+def test_capped_action_check_stops_early(monkeypatch):
+    """A capped failing check builds the tables of fewer acting tuples."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return push(*args)
+    monkeypatch.setattr(reps, "push", counting)
+    r = adjoint_rep(sl3_cartan())
+    assert len(check_action(r, all_violations=True).violations) > 10
+    full = len(calls)
+    del calls[:]
+    assert len(check_action(r).violations) == 10
+    assert 0 < len(calls) < full
 
 
 @pytest.mark.parametrize("name", ["sl2", "sl2-lts"])

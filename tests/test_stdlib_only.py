@@ -213,23 +213,22 @@ def test_newer_syntax_is_caught():
 
 # Every table check builds and scans its tables through ``Checker.tabulate``,
 # and takes a sub-check's witnesses through ``Checker.include``; only the
-# driver itself and ``reps.check_action``, which records block by block,
-# record a witness or test whether the report is settled.
-DRIVER_MODULES = {"reports.py", "reps.py"}
+# driver itself records a witness or tests whether the report is settled.
+DRIVER_MODULES = {"reports.py"}
 
 
 def driver_bypasses(sources_by_path):
-    """(file, line, attribute) of each call of ``.record(`` and each read of
-    ``.done``."""
+    """(file, line, attribute) of each call of ``.record(`` or ``._record(``
+    and each read of ``.done`` or ``._saturated``."""
     out = []
     for path, text in sources_by_path.items():
         for node in ast.walk(ast.parse(text, path)):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr == "record":
-                out.append((os.path.basename(path), node.lineno, "record"))
-            elif isinstance(node, ast.Attribute) and node.attr == "done" \
+                    and node.func.attr in ("record", "_record"):
+                out.append((os.path.basename(path), node.lineno, node.func.attr))
+            elif isinstance(node, ast.Attribute) and node.attr in ("done", "_saturated") \
                     and isinstance(node.ctx, ast.Load):
-                out.append((os.path.basename(path), node.lineno, "done"))
+                out.append((os.path.basename(path), node.lineno, node.attr))
     return sorted(out)
 
 
@@ -243,8 +242,12 @@ def test_a_driver_bypass_is_caught():
                "    if not ck.done:\n"
                "        ck.record('E', (), ())\n"
                "    ck.done = True\n"
-               "    return ck.recorded, rep.record\n")
-    assert driver_bypasses({"m.py": snippet}) == [("m.py", 2, "done"), ("m.py", 3, "record")]
+               "    ck._record('E', (), ())\n"
+               "    ck._saturated = not ck._saturated\n"
+               "    return ck.recorded, rep.record, rep._record\n")
+    assert driver_bypasses({"m.py": snippet}) == [
+        ("m.py", 2, "done"), ("m.py", 3, "record"), ("m.py", 5, "_record"),
+        ("m.py", 6, "_saturated")]
 
 
 # Generated inputs and shared helpers live in ``families.py``: no test module
