@@ -4,7 +4,7 @@ deformations."""
 
 from .cohomology import (Cochain, SparseMat, TComplex, coboundary_matrix_for,
                          induced_rep, pair_basis, pushforward_cochain,
-                         wedge_coords, yamaguti_coboundary)
+                         wedge_coords, yamaguti_coboundary, zero_cochain_map)
 from .core import (LYAlgebra, abelian, center, check_homomorphism,
                    check_ly_axioms, derived_algebra, direct_sum,
                    from_lie_algebra)

@@ -610,10 +610,6 @@ class TComplex:
             self._delta = Coboundary(self.descent, self.rep)
         return self._delta
 
-    def zero_cochain_map(self, x, y):
-        """partial(x /\\ y) as a degree-1 cochain; always a 1-cocycle."""
-        return zero_cochain_map(self.op, x, y)
-
     def coboundary(self, c):
         """delta of the cochain c, from the columns in its support alone."""
         return self.delta()(c)

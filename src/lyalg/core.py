@@ -10,8 +10,8 @@ axiom is tabulated over every basis tuple at once from the brackets' supports
 """
 
 from .errors import AxiomsFailed, DimMismatch, NotLieAlgebra, StructureError
-from .linalg import (Q0, Subspace, Tensor, contract, dense, frac, hom_table, mat,
-                     nullspace_basis, signed_sum, skew_fault, sparse_map)
+from .linalg import (Subspace, Tensor, dense, hom_table, mat, nullspace_basis, signed_sum,
+                     skew_fault, sparse_map)
 from .reports import Checker, summed
 
 
@@ -33,22 +33,6 @@ class LYAlgebra:
             raise StructureError(
                 "ternary tensor not antisymmetric in first two slots at (%d,%d,%d)" % fault)
         self.verified = False
-
-    # -- evaluation ---------------------------------------------------------
-
-    def bracket2(self, x, y):
-        """[x, y] for arbitrary vectors."""
-        return contract(self.binary, x, y)
-
-    def bracket3(self, x, y, z):
-        """<x, y, z> for arbitrary vectors."""
-        return contract(self.ternary, x, y, z)
-
-    def e(self, i):
-        """The basis vector e_i, i in 0..dim-1, else DimMismatch."""
-        if not 0 <= i < self.dim:
-            raise DimMismatch("basis index %d outside 0..%d" % (i, self.dim - 1))
-        return tuple(frac(1) if j == i else Q0 for j in range(self.dim))
 
     def ensure_verified(self):
         if not self.verified:

@@ -45,7 +45,8 @@ in both slots.  Nothing is kept from one load to the next.
 
 A rational is an integer, a string "p/q" or a decimal string such as "0.5".
 A decimal string with more than ``MAX_DECIMAL_DIGITS`` digits, or an exponent
-larger than that in size, is a FormatError before it is read.  A JSON float
+larger than that in size, is refused by ``linalg.frac`` before it is read, and
+is a FormatError here.  A JSON float
 is read as its shortest decimal string, so 0.1 is 1/10, not the binary double
 nearest to it; NaN, Infinity and floats out of range (1e400) are a
 FormatError.  JSON booleans are never read as numbers: as an index, a dim or
@@ -63,7 +64,7 @@ from operator import neg
 
 from .core import LYAlgebra
 from .errors import FormatError, TooLarge
-from .linalg import Tensor, dense, format_frac, frac, scalar
+from .linalg import MAX_DECIMAL_DIGITS, Tensor, dense, format_frac, frac, scalar
 from .postlya import PostLYAlgebra
 from .reps import RepAction
 from .rrb import RRBOperator
@@ -102,46 +103,21 @@ def _field(doc, key, where):
     return doc[key]
 
 
-# The most digits a decimal string may carry in all, and the largest exponent
-# it may carry in size: CPython's limit on the digits of an integer literal.
-# ``Fraction`` reads "1e999999999" by building 10**999999999, which does not
-# return in any useful time; within the bound the numerator and denominator
-# it builds have at most a few thousand digits, like any integer literal's.
-MAX_DECIMAL_DIGITS = 4300
-
-
 def _at(where):
     """An error location: a string, or a format and its arguments, formatted
     only when an error names it."""
     return where if isinstance(where, str) else where[0] % where[1:]
 
 
-def _oversized_decimal(s):
-    """Whether the string ``s``, with a decimal point or an exponent, has more
-    than MAX_DECIMAL_DIGITS digits, the exponent's included, or an exponent
-    larger than that in size.  An exponent that is not an integer is left to
-    ``Fraction`` to refuse."""
-    mantissa, e, exp = s.replace("E", "e").partition("e")
-    if not e and "." not in mantissa:
-        return False
-    if sum(map(str.isdigit, s)) > MAX_DECIMAL_DIGITS:
-        return True
-    try:
-        return bool(e) and abs(int(exp)) > MAX_DECIMAL_DIGITS
-    except ValueError:
-        return False
-
-
 def _frac_str(v, where):
     if isinstance(v, bool):
         raise FormatError("%s: bad rational %r" % (_at(where), v))
-    s = str(v) if isinstance(v, float) else v
-    if isinstance(s, str) and _oversized_decimal(s):
+    try:
+        return frac(str(v) if isinstance(v, float) else v)
+    except TooLarge as e:
         raise FormatError("%s: bad rational %r: a decimal may have at most %d digits "
                           "and an exponent of at most %d" % (_at(where), v, MAX_DECIMAL_DIGITS,
-                                                               MAX_DECIMAL_DIGITS))
-    try:
-        return frac(s)
+                                                               MAX_DECIMAL_DIGITS)) from e
     except (ValueError, ZeroDivisionError) as e:
         raise FormatError("%s: bad rational %r" % (_at(where), v)) from e
 
@@ -398,9 +374,9 @@ def load_post(source, base_dir=None):
                          name=name)
 
 
-def load_matrix(source, base_dir=None, key="matrix"):
+def load_matrix(source, base_dir=None):
     doc, here = _load_doc(source, base_dir)
-    return _Load().dense_matrix(_field(doc, key, "matrix file"), key)
+    return _Load().dense_matrix(_field(doc, "matrix", "matrix file"), "matrix")
 
 
 def load_homomorphism(source, base_dir=None):

@@ -33,19 +33,48 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import AmbientMismatch, DimMismatch, Inconsistent, NotInvertible, ShapeMismatch
+from .errors import (AmbientMismatch, DimMismatch, Inconsistent, NotInvertible, ShapeMismatch,
+                     TooLarge)
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 
+# The most digits a decimal string may carry in all, and the largest exponent
+# it may carry in size: CPython's limit on the digits of an integer literal.
+# ``Fraction`` reads "1e999999999" by building 10**999999999, which does not
+# return in any useful time; within the bound the numerator and denominator
+# it builds have at most a few thousand digits, like any integer literal's.
+MAX_DECIMAL_DIGITS = 4300
+
+
+def _oversized_decimal(s):
+    """Whether the string ``s``, with a decimal point or an exponent, has more
+    than MAX_DECIMAL_DIGITS digits, the exponent's included, or an exponent
+    larger than that in size.  An exponent that is not an integer is left to
+    ``Fraction`` to refuse."""
+    mantissa, e, exp = s.replace("E", "e").partition("e")
+    if not e and "." not in mantissa:
+        return False
+    if sum(map(str.isdigit, s)) > MAX_DECIMAL_DIGITS:
+        return True
+    try:
+        return bool(e) and abs(int(exp)) > MAX_DECIMAL_DIGITS
+    except ValueError:
+        return False
+
+
 def frac(x):
-    """Coerce int / "p/q" string / Fraction to Fraction."""
-    if isinstance(x, Fraction):
-        return x
+    """Coerce int / "p/q" or decimal string / Fraction to Fraction; a decimal
+    string over MAX_DECIMAL_DIGITS digits or exponent is TooLarge."""
     if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, str):
+        if _oversized_decimal(x):
+            raise TooLarge("a decimal may have at most %d digits and an exponent of at "
+                           "most %d" % (MAX_DECIMAL_DIGITS, MAX_DECIMAL_DIGITS))
         return Fraction(x)
     raise ValueError("not a rational: %r" % (x,))
 
@@ -442,16 +471,12 @@ def hom_table(src, dst, cols, maps):
     return acc
 
 
-def _fraction(q):
-    return q if type(q) is Fraction else Fraction(q)
-
-
 def dense(x, shape):
     """The dense vector or matrix of the given shape with sparse entries x,
     each a Fraction: the form in which every scalar leaves the library."""
     if len(shape) == 1:
-        return tuple(_fraction(x[r]) if r in x else Q0 for r in range(shape[0]))
-    return tuple(tuple(_fraction(x[r, c]) if (r, c) in x else Q0 for c in range(shape[1]))
+        return tuple(frac(x[r]) if r in x else Q0 for r in range(shape[0]))
+    return tuple(tuple(frac(x[r, c]) if (r, c) in x else Q0 for c in range(shape[1]))
                  for r in range(shape[0]))
 
 
@@ -714,17 +739,11 @@ class Subspace:
         for v in spanning:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("vector length %d in ambient %d" % (len(v), ambient_dim))
-        self._ech = Echelon(tuple(frac(x) for x in v) for v in spanning)
-        self.basis = self._ech.dense_rows(ambient_dim)
+        self.basis = Echelon(tuple(frac(x) for x in v) for v in spanning).dense_rows(ambient_dim)
 
     @property
     def dim(self):
         return len(self.basis)
-
-    def contains(self, v):
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch("vector length %d in ambient %d" % (len(v), self.ambient_dim))
-        return not self._ech.reduce(v)
 
     def intersect(self, other):
         if self.ambient_dim != other.ambient_dim:

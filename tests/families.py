@@ -7,7 +7,9 @@ draws fixed: the suite pins digests of what these functions return.
 """
 
 import itertools
+import os
 import random
+import types
 from fractions import Fraction as F
 
 import lyalg as L
@@ -24,6 +26,24 @@ MAP_POOL = [F(-2), F(-1), F(0), F(1), F(2), F(1, 2)]
 # scalar pool of random brackets, actions and post operations
 POOL = [F(-1), F(0), F(0), F(0), F(1), F(2)]
 HALF = F(1, 2)
+
+
+SPANS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench", "spans.py")
+
+
+def load_spans():
+    """The benchmark's tracer module ``perfbench/spans.py``, executed from its
+    source; nothing is written."""
+    with open(SPANS, encoding="utf-8") as fh:
+        code = compile(fh.read(), SPANS, "exec")
+    mod = types.ModuleType("perfbench_spans")
+    exec(code, mod.__dict__)
+    return mod
+
+
+def basis_vector(n, i):
+    """The basis vector e_i of Q^n, its coordinates Fractions."""
+    return tuple(F(1) if j == i else F(0) for j in range(n))
 
 
 def listed(rep):

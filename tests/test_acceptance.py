@@ -21,7 +21,7 @@ from lyalg.rrb import (check_nijenhuis, check_rrb, descent_algebra,
 import conftest
 import oracles
 from conftest import fx
-from families import family_matrix, random_matrix
+from families import basis_vector, family_matrix, random_matrix
 from oracles import mzero, nested
 
 
@@ -100,13 +100,12 @@ def test_criterion_4_construction_coherence(adjoint_action, p3):
         rep = L.induced_rep(op)  # validates D_T == derived-D at construction
         ok &= check_representation(rep).passed
         oc = oracles.OpOracle(op)
-        eh = [op.action.carrier.e(a) for a in range(4)]
+        eh = [basis_vector(4, a) for a in range(4)]
         for a in range(4):
             for b in range(4):
                 for i in range(4):
-                    x = rep.carrier.e(i)
                     ok &= tuple(nested(rep.derived_D)[a][b][t][i] for t in range(4)) \
-                        == oc.D(eh[a], eh[b], x)
+                        == oc.D(eh[a], eh[b], eh[i])
     announce(4, "construction coherence on %d verified operators" % len(ops), ok)
 
 
@@ -127,7 +126,7 @@ def test_criterion_5_cohomology_regression(tcomplex, oracle_matrices):
 
 def test_criterion_6_obstruction_dual_path(p3):
     rng = random.Random(16180)
-    h = p3.action.carrier
+    e = [basis_vector(4, a) for a in range(4)]
     prs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
     ok = True
     n_ext = 0
@@ -142,12 +141,12 @@ def test_criterion_6_obstruction_dual_path(p3):
         Ts = [p3.T, T1]
         for t, (a, b) in enumerate(prs):
             ok &= ob.ob_I[t] == oracles.poly_binary_residual(
-                p3.action, Ts, h.e(a), h.e(b), 3)[2]
+                p3.action, Ts, e[a], e[b], 3)[2]
         i = 0
         for (a, b) in prs:
             for c in range(4):
                 ok &= ob.ob_II[i] == oracles.poly_ternary_residual(
-                    p3.action, Ts, h.e(a), h.e(b), h.e(c), 3)[2]
+                    p3.action, Ts, e[a], e[b], e[c], 3)[2]
                 i += 1
         t2, rep = extend(d)
         if t2 is not None:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import lyalg as L
 from lyalg import io as lyio
 from lyalg.errors import AxiomsFailed, NotLieAlgebra, StructureError
-from lyalg.linalg import Subspace, mat_id
+from lyalg.linalg import Subspace, contract, mat_id
 
 from conftest import fx
 from oracles import nested
@@ -21,11 +21,11 @@ def test_bracket_multilinearity(nilpotent4):
     x = (F(1), F(2), F(0), F(-1))
     y = (F(0), F(1), F(3), F(0))
     z = (F(2), F(0), F(0), F(1))
-    lhs = nilpotent4.bracket2(tuple(2 * c for c in x), y)
-    assert lhs == tuple(2 * c for c in nilpotent4.bracket2(x, y))
-    lhs = nilpotent4.bracket3(x, y, tuple(c + d for c, d in zip(y, z)))
-    rhs = tuple(a + b for a, b in zip(nilpotent4.bracket3(x, y, y),
-                                      nilpotent4.bracket3(x, y, z)))
+    two, three = nilpotent4.binary, nilpotent4.ternary
+    lhs = contract(two, tuple(2 * c for c in x), y)
+    assert lhs == tuple(2 * c for c in contract(two, x, y))
+    lhs = contract(three, x, y, tuple(c + d for c, d in zip(y, z)))
+    rhs = tuple(a + b for a, b in zip(contract(three, x, y, y), contract(three, x, y, z)))
     assert lhs == rhs
 
 

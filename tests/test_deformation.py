@@ -7,6 +7,7 @@ import pytest
 
 import lyalg as L
 from lyalg.cli import run
+from lyalg.cohomology import zero_cochain_map
 from lyalg.deformation import (OrderNDeformation, binary_coefficient,
                                check_equivalence, check_linear_deformation,
                                check_order_n, difference_class, extend,
@@ -17,8 +18,9 @@ from lyalg.rrb import Expansion
 
 import oracles
 from conftest import fx
-from families import (NONZERO_PARTIAL_SEEDS, dense, family_matrix, heisenberg5_operator, listed,
-                      random_matrix, square_zero_operator, two_step_operator)
+from families import (NONZERO_PARTIAL_SEEDS, basis_vector, dense, family_matrix,
+                      heisenberg5_operator, listed, random_matrix, square_zero_operator,
+                      two_step_operator)
 from oracles import madd, mzero
 
 
@@ -52,7 +54,7 @@ def test_coefficients_match_polynomial_oracle(p3, rng):
         top = 3 * (len(Ts) - 1)        # no coefficient survives above this degree
         ex = Expansion(r, Ts)
         assert ex.table(2, top + 1) == {} and ex.table(3, top + 1) == {}
-        basis = [h.e(a) for a in range(h.dim)]
+        basis = [basis_vector(h.dim, a) for a in range(h.dim)]
         for args in itertools.product(range(h.dim), repeat=2):
             want = oracles.poly_binary_residual(r, Ts, *(basis[a] for a in args), top + 1)
             for s in range(top + 1):
@@ -100,7 +102,7 @@ def oracle_order_n(op, terms):
     tuples, from the dense polynomial expansion, in the report's order."""
     r, h = op.action, op.action.carrier
     Ts, n = [op.T] + list(terms), len(terms)
-    basis = [h.e(a) for a in range(h.dim)]
+    basis = [basis_vector(h.dim, a) for a in range(h.dim)]
     equations = [(name, {args: poly(r, Ts, *(basis[a] for a in args), n + 1)
                          for args in itertools.product(range(h.dim), repeat=arity)})
                  for name, arity, poly in (("binary", 2, oracles.poly_binary_residual),
@@ -200,7 +202,7 @@ def cocycle_terms(tcomplex, count=6, seed=5):
 
 
 def test_obstruction_matches_brute_force(p3, rng, tcomplex):
-    h = p3.action.carrier
+    e = [basis_vector(4, a) for a in range(4)]
     prs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
     terms = [mat(family_matrix(rng)) for _ in range(5)] + cocycle_terms(tcomplex)
     nonzero = 0
@@ -212,13 +214,12 @@ def test_obstruction_matches_brute_force(p3, rng, tcomplex):
         # brute force: t^2 coefficient with T_2 = 0
         Ts = [p3.T, T1]
         for t, (a, b) in enumerate(prs):
-            want = oracles.poly_binary_residual(p3.action, Ts, h.e(a), h.e(b), 3)[2]
+            want = oracles.poly_binary_residual(p3.action, Ts, e[a], e[b], 3)[2]
             assert ob.ob_I[t] == want
         i = 0
         for (a, b) in prs:
             for c in range(4):
-                want = oracles.poly_ternary_residual(p3.action, Ts,
-                                                     h.e(a), h.e(b), h.e(c), 3)[2]
+                want = oracles.poly_ternary_residual(p3.action, Ts, e[a], e[b], e[c], 3)[2]
                 assert ob.ob_II[i] == want
                 i += 1
     assert nonzero >= 1
@@ -269,11 +270,10 @@ def test_equivalence_trivial(p3):
     assert rep.data["difference_equals_boundary"]
 
 
-def test_equivalence_with_boundary(p3, tcomplex, rng):
-    g = p3.action.acting
+def test_equivalence_with_boundary(p3, rng):
     T1 = mat(family_matrix(rng))
-    x, y = g.e(0), g.e(1)
-    pc = tcomplex.zero_cochain_map(x, y)
+    x, y = basis_vector(4, 0), basis_vector(4, 1)
+    pc = zero_cochain_map(p3, x, y)
     bound = tuple(tuple(pc.f[a][t] for a in range(4)) for t in range(4))
     T2 = madd(T1, bound)
     rep = check_equivalence(p3, T1, T2, [(x, y)])
@@ -332,17 +332,16 @@ def nonzero_partial_cases():
     X = e0/\\e1 + 2 e1/\\e3."""
     for seed in NONZERO_PARTIAL_SEEDS:
         op = square_zero_operator(random.Random(seed), 4, 3, 2)
-        g = op.action.acting
-        wedges = [(g.e(0), g.e(1)), (tuple(2 * x for x in g.e(1)), g.e(3))]
+        e = [basis_vector(op.action.acting.dim, i) for i in range(4)]
+        wedges = [(e[0], e[1]), (tuple(2 * x for x in e[1]), e[3])]
         yield seed, op, wedges
 
 
 def oracle_boundary(op, wedges):
     """partial(X) as an n x m matrix, from the oracle's closed form."""
     oc = oracles.OpOracle(op)
-    h = op.action.carrier
-    n, m = op.action.acting.dim, h.dim
-    return tuple(tuple(sum((oc.partial(x, y, h.e(a))[t] for x, y in wedges), F(0))
+    n, m = op.action.acting.dim, op.action.carrier.dim
+    return tuple(tuple(sum((oc.partial(x, y, basis_vector(m, a))[t] for x, y in wedges), F(0))
                        for a in range(m)) for t in range(n))
 
 

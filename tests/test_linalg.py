@@ -1,14 +1,19 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import lyalg as L
 from lyalg import linalg
-from lyalg.errors import AmbientMismatch, Inconsistent, NotInvertible, ShapeMismatch
-from lyalg.linalg import (Echelon, Subspace, frac, format_frac, graded, graded_push, invert,
-                          mat, mat_id, nullspace_basis, rref, solve, sparse_map)
+from lyalg.cohomology import Cochain
+from lyalg.errors import AmbientMismatch, Inconsistent, NotInvertible, ShapeMismatch, TooLarge
+from lyalg.linalg import (Echelon, Subspace, Tensor, frac, format_frac, graded, graded_push,
+                          invert, mat, mat_id, nullspace_basis, rref, solve, sparse_map)
 import oracles
 from oracles import (TPoly, mm, mv, o_in_column_space, o_inverse, o_nullspace, o_rank,
                      o_rref)
@@ -27,6 +32,47 @@ def test_frac_roundtrip():
     assert format_frac(F(4, 2)) == "2"
     with pytest.raises(ValueError):
         frac(object())
+
+
+# each library entry point that reads a rational, given one scalar
+ENTRY_POINTS = {
+    "frac": frac,
+    "mat": lambda q: mat([[q]]),
+    "Tensor": lambda q: Tensor([[[q]]], 1, 2, (1,)),
+    "Cochain": lambda q: Cochain(1, 1, 1, [(q,)]),
+    "Subspace": lambda q: Subspace(1, [(q,)]),
+    "check_homomorphism": lambda q: L.check_homomorphism(L.abelian(1), L.abelian(1), [[q]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_every_entry_point_bounds_a_decimal(name):
+    read = ENTRY_POINTS[name]
+    read("1e4300")
+    read("0." + "1" * 4299)
+    for q in ("1e4301", "1E-4301", "0." + "1" * 4300):
+        with pytest.raises(TooLarge, match="at most 4300 digits and an exponent of at most 4300"):
+            read(q)
+
+
+def test_an_oversized_decimal_is_refused_before_fraction_reads_it():
+    """``Fraction("1e999999999")`` builds 10**999999999, which does not return
+    in any useful time; ``mat`` refuses the string first.  The child runs under
+    a CPU and memory limit, so a regression fails instead of hanging."""
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_CPU, (20, 20))\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from lyalg.errors import TooLarge\n"
+            "from lyalg.linalg import mat\n"
+            "try:\n"
+            "    mat([['1e999999999']])\n"
+            "except TooLarge as e:\n"
+            "    print(e)\n")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=30)
+    assert (done.returncode, done.stdout) == (
+        0, "a decimal may have at most 4300 digits and an exponent of at most 4300\n")
 
 
 def test_rref_idempotent_and_rank():
@@ -92,15 +138,20 @@ def test_invert():
         invert(mat([[1, 2], [2, 4]]))
 
 
+def holds(u, v):
+    """Whether the subspace u holds the vector v: adding v leaves u as it is."""
+    return u.sum(Subspace(u.ambient_dim, [v])) == u
+
+
 def test_subspace_membership_and_lattice():
     u = Subspace(3, [(1, 0, 0), (0, 1, 0)])
     w = Subspace(3, [(0, 1, 0), (0, 0, 1)])
-    assert u.contains((F(2), F(-3), F(0)))
-    assert not u.contains((F(0), F(0), F(1)))
+    assert holds(u, (F(2), F(-3), F(0)))
+    assert not holds(u, (F(0), F(0), F(1)))
     meet = u.intersect(w)
     join = u.sum(w)
     assert meet.dim == 1 and join.dim == 3
-    assert meet.contains((F(0), F(1), F(0)))
+    assert holds(meet, (F(0), F(1), F(0)))
 
 
 def test_subspace_dimension_formula_random():
@@ -218,7 +269,7 @@ def test_subspace_meet_lies_in_both():
         u = Subspace(n, list(sparse_mat(rng, rng.randint(0, n), n, 0.5)))
         w = Subspace(n, list(sparse_mat(rng, rng.randint(0, n), n, 0.5)))
         meet = u.intersect(w)
-        assert all(u.contains(v) and w.contains(v) for v in meet.basis)
+        assert all(holds(u, v) and holds(w, v) for v in meet.basis)
         assert u.dim + w.dim == u.sum(w).dim + meet.dim
 
 

@@ -5,6 +5,8 @@ import os
 import re
 import sys
 
+from families import load_spans
+
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "lyalg")
 
 
@@ -70,35 +72,102 @@ def sources(*dirs):
     return out
 
 
-def unread_functions(library, readers):
-    """(file, line, name) of each module-level function defined in the
-    sources ``library`` that no source in ``readers`` reads, as a name or as
-    an attribute; a re-export by import is not a read."""
+LIBRARY = "src/lyalg/"
+
+
+def unread_names(files, targets=()):
+    """(file, line, name) of each class and function defined at the top of a
+    library module, and each method and property of such a class, that no
+    reader reads.
+
+    ``files`` maps "/"-separated repository paths to their text, and the
+    library is what lies under src/lyalg/.  The readers are the library,
+    perfbench/ and README.md's ```python block; tests are not readers.  A
+    top-level name is read by a name or attribute load, or by an import in
+    the library's ``__init__.py``, a re-export; a method or property only by
+    an attribute load, since a bare name of the same spelling is another
+    name.  The interpreter reads dunder methods.  ``targets`` are the
+    (module, attribute) pairs of perfbench's tracer, and "Class.method"
+    reads both names.
+    """
     defined = []
-    for path, text in library.items():
+    for path, text in files.items():
+        if not path.startswith(LIBRARY):
+            continue
         for node in ast.parse(text, path).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.append((os.path.basename(path), node.lineno, node.name))
-    read = set()
-    for path, text in readers.items():
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            defined.append((os.path.basename(path), node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(os.path.basename(path), m.lineno, node.name + "." + m.name)
+                            for m in node.body
+                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (m.name.startswith("__") and m.name.endswith("__"))]
+    readers = [(path, text) for path, text in files.items()
+               if path.startswith((LIBRARY, "perfbench/"))]
+    readers += [("README.md", block)
+                for block in re.findall(r"```python\n(.*?)```", files.get("README.md", ""), re.S)]
+    names, attributes = set(), set()
+    for path, text in readers:
         for node in ast.walk(ast.parse(text, path)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    return sorted(d for d in defined if d[2] not in read)
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and path == LIBRARY + "__init__.py":
+                names.update(a.name for a in node.names)
+    for _, attr in targets:
+        attributes.update(attr.split("."))
+    return sorted((f, line, name) for f, line, name in defined
+                  if name.split(".")[-1] not in (attributes if "." in name else attributes | names))
 
 
 def test_every_library_function_is_read():
-    library = sources(os.path.join("src", "lyalg"))
-    readers = {**library, **sources("tests", "perfbench")}
-    assert unread_functions(library, readers) == []
+    files = {os.path.relpath(path, ROOT).replace(os.sep, "/"): text for path, text
+             in sources(os.path.join("src", "lyalg"), "tests", "perfbench").items()}
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        files["README.md"] = fh.read()
+    assert sum(p.startswith("tests/") for p in files) > 10
+    assert unread_names(files, [t[:2] for t in load_spans().TARGETS]) == []
 
 
 def test_an_unread_function_is_caught():
-    library = {"m.py": "def used():\n    pass\n\n\ndef unused():\n    pass\n"}
-    readers = {**library, "t.py": "from m import unused\nused()\nx.unused_attr\n"}
-    assert unread_functions(library, readers) == [("m.py", 5, "unused")]
+    files = {"src/lyalg/m.py": "def used():\n    pass\n\n\ndef unused():\n    pass\n",
+             "src/lyalg/n.py": "from .m import unused\nused()\nx.unused_attr\n"}
+    assert unread_names(files) == [("m.py", 5, "unused")]
+
+
+def test_an_unread_method_is_caught():
+    library = ("class C:\n"
+               "    def by_test(self):\n"
+               "        pass\n"
+               "\n"
+               "    @property\n"
+               "    def by_name(self):\n"
+               "        pass\n"
+               "\n"
+               "    def benched(self):\n"
+               "        pass\n"
+               "\n"
+               "    def traced(self):\n"
+               "        pass\n"
+               "\n"
+               "    def shown(self):\n"
+               "        pass\n"
+               "\n"
+               "    def __repr__(self):\n"
+               "        return by_name\n"
+               "\n"
+               "\n"
+               "def exported():\n"
+               "    return C\n")
+    files = {"src/lyalg/m.py": library,
+             "src/lyalg/__init__.py": "from .m import exported\n",
+             "tests/test_m.py": "from lyalg.m import C\nC().by_test()\nC().by_name\n",
+             "perfbench/run.py": "def f(c):\n    return c.benched()\n",
+             "README.md": "```python\nc.shown()\n```\n```sh\nc.by_test()\n```\n"}
+    assert unread_names(files, [("m", "C.traced")]) == [("m.py", 2, "C.by_test"),
+                                                        ("m.py", 6, "C.by_name")]
 
 
 # Structure tensors are their support: the library reads that, and reads a

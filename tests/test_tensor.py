@@ -91,10 +91,10 @@ def test_contract_rejects_wrong_lengths_and_arity():
 
 
 def test_a_basis_index_outside_the_dim_is_refused(nilpotent4):
-    """Every slot of a 4-dim bracket takes 0..3, and so does ``e``; an index
-    outside is refused, not read as the zero vector."""
+    """Every slot of a 4-dim bracket takes 0..3; an index outside is refused,
+    not read as the zero vector."""
     A = nilpotent4
-    assert contract(A.binary, 0, 1) == (0, 0, 0, 2) and A.e(3) == (0, 0, 0, 1)
+    assert contract(A.binary, 0, 1) == (0, 0, 0, 2)
     for slots in ((7, 1), (-1, 1), (0, 4), (1, -4)):
         with pytest.raises(DimMismatch):
             contract(A.binary, *slots)
@@ -103,9 +103,6 @@ def test_a_basis_index_outside_the_dim_is_refused(nilpotent4):
             contract(A.ternary, *slots)
     with pytest.raises(DimMismatch):
         contract(adjoint_rep(A).rho, 4)
-    for i in (9, 4, -1):
-        with pytest.raises(DimMismatch):
-            A.e(i)
 
 
 def levels_off(values, drop):
@@ -215,8 +212,8 @@ def test_a_tensor_of_another_signature_is_refused(nilpotent4):
 def test_abelian_in_dim_0_and_1(n):
     A = L.abelian(n)
     zero = (F(0),) * n
-    assert A.bracket2(zero, zero) == zero
-    assert A.bracket3(zero, zero, zero) == zero
+    assert contract(A.binary, zero, zero) == zero
+    assert contract(A.ternary, zero, zero, zero) == zero
     assert A.binary.support == {} and A.ternary.support == {}
     assert L.check_ly_axioms(A).passed
 

@@ -6,18 +6,8 @@ module is read from its source and executed here; nothing is written.
 """
 
 import importlib
-import os
-import types
 
-SPANS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench", "spans.py")
-
-
-def load_spans():
-    with open(SPANS, encoding="utf-8") as fh:
-        code = compile(fh.read(), SPANS, "exec")
-    mod = types.ModuleType("perfbench_spans")
-    exec(code, mod.__dict__)
-    return mod
+from families import load_spans
 
 
 def resolves(modname, attr):
