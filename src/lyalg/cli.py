@@ -137,17 +137,17 @@ def _cmd_check(args, fmt):
 def _cmd_construct(args, fmt):
     if args.what == "semidirect":
         r = lyio.load_action(args.file)
-        return _emit_doc(lyio.dump_algebra(r.semidirect()), fmt)
+        return _emit_doc(lyio.dump_structure(r.semidirect()), fmt)
     if args.what == "subadjacent":
         P = lyio.load_post(args.file)
-        return _emit_doc(lyio.dump_algebra(subadjacent(P)), fmt)
+        return _emit_doc(lyio.dump_structure(subadjacent(P)), fmt)
     op = lyio.load_operator(args.file)
     op.ensure_verified()
     if args.what == "descent":
-        return _emit_doc(lyio.dump_algebra(descent_algebra(op)), fmt)
+        return _emit_doc(lyio.dump_structure(descent_algebra(op)), fmt)
     if args.what == "post":
-        return _emit_doc(lyio.dump_post(induced_post_from_rrb(op)), fmt)
-    doc = {"algebra": lyio.dump_algebra(op.action.semidirect()),
+        return _emit_doc(lyio.dump_structure(induced_post_from_rrb(op)), fmt)
+    doc = {"algebra": lyio.dump_structure(op.action.semidirect()),
            "N": lyio.dump_matrix(lift_operator(op))}
     return _emit_doc(doc, fmt)
 

@@ -52,7 +52,8 @@ the map partial on the wedge square of the acting algebra is one such table.
 import itertools
 
 from .errors import AxiomsFailed, DimMismatch, ShapeMismatch, TooLarge
-from .linalg import Q0, Tensor, axpy, column_echelon, dense, frac, invert, pull, push, sparse_map
+from .linalg import (Q0, Tensor, axpy, column_echelon, dense, frac, invert, mat, pull, push,
+                     sparse_map)
 from .reps import RepAction
 
 
@@ -645,8 +646,7 @@ def pushforward_cochain(pair, c):
     """
     m, n = c.m, c.n
     for name, psi, k in (("psi_g", pair.psi_g, n), ("psi_h", pair.psi_h, m)):
-        if len(psi) != k or any(len(row) != k for row in psi):
-            raise DimMismatch("%s must be %dx%d" % (name, k, k))
+        mat(psi, (k, k), name + " must be %dx%d")
     plain, inv_cols = sparse_map(invert(pair.psi_h))
     pidx = pair_index(m)
     wedge = {}

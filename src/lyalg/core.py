@@ -15,23 +15,40 @@ from .linalg import (Subspace, Tensor, dense, hom_table, mat, nullspace_basis, s
 from .reports import Checker, summed
 
 
+def set_operations(S, dim, values, basis, name):
+    """The prologue of an algebra's constructor: ``S.dim``, ``S.name`` (by
+    default ``S.KIND``), ``S.basis`` (by default e1, e2, ..; DimMismatch
+    unless dim labels) and one ``Tensor`` per entry (key, arity, skew) of
+    ``S.OPERATIONS`` from ``values``.  The binary and the ternary operation
+    whose ``skew`` names it must be antisymmetric in their first two slots:
+    StructureError names the first place where one is not."""
+    S.dim, S.name = dim, name or S.KIND
+    S.basis = list(basis) if basis else ["e%d" % (i + 1) for i in range(dim)]
+    if len(S.basis) != dim:
+        raise DimMismatch("%d basis labels for dim %d" % (len(S.basis), dim))
+    skew = []
+    for (key, arity, noun), v in zip(S.OPERATIONS, values):
+        t = Tensor(v, dim, arity, (dim,))
+        setattr(S, key, t)
+        if noun:
+            skew.append(t)
+    fault = skew_fault(*skew)
+    if fault is not None:
+        binary, ternary = [noun for _, _, noun in S.OPERATIONS if noun]
+        raise StructureError("%s not antisymmetric at (%d,%d)" % ((binary,) + fault)
+                             if len(fault) == 2 else "%s not antisymmetric in first two "
+                             "slots at (%d,%d,%d)" % ((ternary,) + fault))
+
+
 class LYAlgebra:
     """A finite-dimensional Lie-Yamaguti algebra over the rationals."""
 
+    KIND = "algebra"
+    # (key, arity, name in antisymmetry errors or None); see ``set_operations``
+    OPERATIONS = (("binary", 2, "binary tensor"), ("ternary", 3, "ternary tensor"))
+
     def __init__(self, dim, binary, ternary, basis=None, name=None):
-        self.dim = dim
-        self.name = name or "algebra"
-        self.basis = list(basis) if basis else ["e%d" % (i + 1) for i in range(dim)]
-        if len(self.basis) != dim:
-            raise DimMismatch("%d basis labels for dim %d" % (len(self.basis), dim))
-        self.binary = Tensor(binary, dim, 2, (dim,))
-        self.ternary = Tensor(ternary, dim, 3, (dim,))
-        fault = skew_fault(self.binary, self.ternary)
-        if fault is not None and len(fault) == 2:
-            raise StructureError("binary tensor not antisymmetric at (%d,%d)" % fault)
-        if fault is not None:
-            raise StructureError(
-                "ternary tensor not antisymmetric in first two slots at (%d,%d,%d)" % fault)
+        set_operations(self, dim, (binary, ternary), basis, name)
         self.verified = False
 
     def ensure_verified(self):
@@ -144,9 +161,7 @@ def check_homomorphism(A, B, phi, all_violations=False):
     pair first, then every triple, whose table is not built once the pairs
     have settled a capped report.
     """
-    phi = mat(phi)
-    if len(phi) != B.dim or any(len(r) != A.dim for r in phi):
-        raise DimMismatch("map must be %dx%d" % (B.dim, A.dim))
+    phi = mat(phi, (B.dim, A.dim), "map must be %dx%d")
     ck = Checker("homomorphism(%s->%s)" % (A.name, B.name), all_violations)
     rows, cols = sparse_map(phi)
     ck.tabulate((B.dim,), ([(name, hom_table(a, b, cols, (rows,) * a.arity))] for name, a, b in

@@ -50,11 +50,8 @@ def ternary_coefficient(r, Ts, s, u, v, w):
 
 def _operator_matrix(op, T, what):
     """T as a matrix of the operator's shape, dim(acting) x dim(carrier)."""
-    n, m = op.action.acting.dim, op.action.carrier.dim
-    T = mat(T)
-    if len(T) != n or any(len(row) != m for row in T):
-        raise DimMismatch("%s must be %dx%d (carrier -> acting)" % (what, n, m))
-    return T
+    return mat(T, (op.action.acting.dim, op.action.carrier.dim),
+               what + " must be %dx%d (carrier -> acting)")
 
 
 class OrderNDeformation:

@@ -8,11 +8,15 @@ value:
      "ternary": [[i, j, k, l, "p/q"], ...]}   # coefficient of e_l in <e_i,e_j,e_k>
 
 Indices are 0-based.  The entries are read straight into each tensor's
-support (``linalg.Tensor.from_support``); entries at one place add up.
-Tensors antisymmetric by definition (binary; ternary in its first two slots; a
+support (``linalg.Tensor.from_support``); entries at one place add up.  The
+keys a file carries, and which of them are antisymmetric in their first two
+slots, are its class's ``OPERATIONS`` (``core.set_operations``), which one
+reader (``_Load.structure``) and one writer (``dump_structure``) follow.  An
+antisymmetric tensor (binary; ternary in its first two slots; a
 post-algebra's dot and angle) may list either orientation; the missing one is
-filled in, and listing both with inconsistent values, or a nonzero value with
-i = j, is an error.  An entry listed with the value "0" counts as listed.
+filled in, an entry listed with the value "0" counting as listed, and the
+first fault ``linalg.skew_faults`` finds, both orientations listed with
+inconsistent values or a nonzero value with i = j, is an error.
 Representation files are
 
     {"acting": <inline algebra or file path>, "carrier": ...,
@@ -34,19 +38,19 @@ matrix's location in an error (``action.mu[i][j]``) is formatted only when an
 error names it.  rho and mu become tensors through ``Tensor.from_support``,
 entry (r, c) of the matrix at (i, ..) stored as row r at (i, .., c), and only
 the API's dense matrices (T, N, a homomorphism's matrix, ``load_matrix``) are
-filled from that support.  A JSON int is stored as it is, and an ASCII string
-"n" or "p/q" (digits, an optional leading "-" and q > 0) is read with ``int``;
-every other literal goes through ``Fraction``, and within one top-level load
-each distinct string is parsed once, into the form a support stores
-(``linalg.scalar``: an int when it is integral).  Two references to one
-algebra (the same file by absolute path, or equal inline objects, such as an
-adjoint action's acting and carrier) load and verify one ``LYAlgebra``, used
-in both slots.  Nothing is kept from one load to the next.
+filled from that support.  A JSON int is stored as it is, and every other
+literal is read by ``linalg.rational``, the reader of the library's API, into
+the form a support stores (``linalg.scalar``: an int when it is integral);
+within one top-level load each distinct string is read once.  Two references
+to one algebra (the same file by absolute path, or equal inline objects, such
+as an adjoint action's acting and carrier) load and verify one ``LYAlgebra``,
+used in both slots.  Nothing is kept from one load to the next.
 
 A rational is an integer, a string "p/q" or a decimal string such as "0.5".
-A decimal string with more than ``MAX_DECIMAL_DIGITS`` digits, or an exponent
-larger than that in size, is refused by ``linalg.frac`` before it is read, and
-is a FormatError here.  A JSON float
+A string with more than ``linalg.MAX_DECIMAL_DIGITS`` digits in all, or an
+exponent larger than that in size, is refused by ``linalg.rational`` before
+it is read, and is a FormatError here.  An error quotes a literal over 40
+characters by its head, an ellipsis and its length.  A JSON float
 is read as its shortest decimal string, so 0.1 is 1/10, not the binary double
 nearest to it; NaN, Infinity and floats out of range (1e400) are a
 FormatError.  JSON booleans are never read as numbers: as an index, a dim or
@@ -59,12 +63,11 @@ recursion limit; each names the file, and the CLI exits with 2.
 
 import json
 import os
-from fractions import Fraction
 from operator import neg
 
 from .core import LYAlgebra
 from .errors import FormatError, TooLarge
-from .linalg import MAX_DECIMAL_DIGITS, Tensor, dense, format_frac, frac, scalar
+from .linalg import Tensor, dense, format_frac, rational, skew_faults
 from .postlya import PostLYAlgebra
 from .reps import RepAction
 from .rrb import RRBOperator
@@ -109,40 +112,20 @@ def _at(where):
     return where if isinstance(where, str) else where[0] % where[1:]
 
 
-def _frac_str(v, where):
-    if isinstance(v, bool):
-        raise FormatError("%s: bad rational %r" % (_at(where), v))
-    try:
-        return frac(str(v) if isinstance(v, float) else v)
-    except TooLarge as e:
-        raise FormatError("%s: bad rational %r: a decimal may have at most %d digits "
-                          "and an exponent of at most %d" % (_at(where), v, MAX_DECIMAL_DIGITS,
-                                                               MAX_DECIMAL_DIGITS)) from e
-    except (ValueError, ZeroDivisionError) as e:
-        raise FormatError("%s: bad rational %r" % (_at(where), v)) from e
+def _quote(v):
+    """repr(v), or for a string over 40 characters its head, an ellipsis and
+    its length, so that an error line stays short."""
+    return "%r... (%d characters)" % (v[:40], len(v)) if isinstance(v, str) and len(v) > 40 \
+        else repr(v)
 
 
-def _read_str(s, where):
-    """The stored scalar of a string literal: an ASCII "n" or "p/q", digits
-    with an optional leading "-", read with ``int``, any other through
-    ``Fraction`` (``_frac_str``)."""
-    if s.isascii():
-        p, slash, d = s.partition("/")
-        if (p[1:] if p[:1] == "-" else p).isdigit() and (d.isdigit() or not slash):
-            try:
-                return scalar(Fraction(int(p), int(d))) if slash else int(p)
-            except (ValueError, ZeroDivisionError):
-                pass  # over CPython's digit limit, or q = 0: refused by Fraction
-    return scalar(_frac_str(s, where))
-
-
-def _read_sparse(entries, dim, arity, where, antisym, rational):
+def _read_sparse(entries, dim, arity, where, antisym, read):
     """The tensor of vector values listed by ``entries``, [i, .., value] with
-    ``arity`` indices before the row, each value read by ``rational``.
+    ``arity`` indices before the row, each value read by ``read``.
     Entries at one place add up.  With ``antisym`` a tensor antisymmetric in
-    its first two slots is completed from either orientation; an entry counts
-    as listed even when its value is zero, and the first fault in
-    lexicographic order of (i <= j, ..) is reported."""
+    its first two slots is completed from either orientation, an entry
+    counting as listed even when its value is zero, and the first fault
+    (``linalg.skew_faults``) in lexicographic order is reported."""
     if entries is None:
         entries = []
     if not isinstance(entries, list):
@@ -155,34 +138,29 @@ def _read_sparse(entries, dim, arity, where, antisym, rational):
         for i in ent[:-1]:
             if type(i) is not int and not _is_int(i) or not 0 <= i < dim:
                 raise FormatError("%s: index %r out of range 0..%d" % (where, i, dim - 1))
-        key, row, q = tuple(ent[:arity]), ent[arity], rational(ent[-1], where)
+        key, row, q = tuple(ent[:arity]), ent[arity], read(ent[-1], where)
         v = table.get(key)
         if v is None:
             table[key] = {row: q}
         else:
             v[row] = v[row] + q if row in v else q
+    # only a key listed in both orientations, or on the diagonal, can fault
+    twice = False
     if antisym:
-        # each listed key against its swap; a pair listed both ways is
-        # compared once, at its key with i < j
-        faults = []
-        for key in list(table):
-            i, j = key[0], key[1]
-            v = table[key]
-            if i == j:
-                if any(v.values()):
-                    faults.append(key)
-                continue
-            swap = (j, i) + key[2:]
-            w = table.get(swap)
-            if w is None:
+        for key, v in list(table.items()):
+            swap = (key[1], key[0]) + key[2:]
+            if swap in table:
+                twice = True
+            else:
                 table[swap] = dict(zip(v, map(neg, v.values())))
-            elif i < j and {r: q for r, q in v.items() if q} != {r: -q for r, q in w.items() if q}:
-                faults.append(key)
-        if faults:
-            key = min(faults)
-            raise FormatError(("%s: diagonal entry %s must vanish" if key[0] == key[1]
-                               else "%s: entries at %s break antisymmetry") % (where, key))
-    return Tensor.from_support(table, dim, arity, (dim,))
+    t = Tensor.from_support(table, dim, arity, (dim,))
+    faults = twice and skew_faults(t.support)
+    if faults:
+        # each key with i <= j sorts before its swap
+        key = min(faults)
+        raise FormatError(("%s: diagonal entry %s must vanish" if key[0] == key[1]
+                           else "%s: entries at %s break antisymmetry") % (where, key))
+    return t
 
 
 def _is_int(x):
@@ -195,13 +173,6 @@ def _is_int(x):
 # (semidirect sums, cochain spaces) grow with dim alone, so a file of a few
 # bytes could otherwise ask for any amount of memory.
 MAX_TENSOR_COEFFICIENTS = 2 ** 20
-
-
-def _refuse(doc, keys, name, kind):
-    """A FormatError naming the first of ``keys`` that ``doc`` carries."""
-    for key in keys:
-        if key in doc:
-            raise FormatError("%s: %r is a key of %s file" % (name, key, kind))
 
 
 def _read_dim(doc, name):
@@ -232,6 +203,10 @@ def _read_name(doc, default):
     return name
 
 
+# the structures a file may hold, each with the article its kind takes
+_STRUCTURES = ((LYAlgebra, "an"), (PostLYAlgebra, "a"))
+
+
 def _same(a, b):
     """Equal JSON values of equal types at every level (1, 1.0 and true differ)."""
     if type(a) is not type(b):
@@ -244,40 +219,55 @@ def _same(a, b):
 
 
 class _Load:
-    """The state of one top-level load: the string rationals parsed so far,
-    stored by ``linalg.scalar``, and the algebras loaded so far, keyed by
-    their absolute path or their inline object."""
+    """The state of one top-level load: the string rationals read so far,
+    and the algebras loaded so far, keyed by their absolute path or their
+    inline object."""
 
     def __init__(self):
         self.scalars = {}
         self.algebras = []
 
     def rational(self, v, where):
-        """The stored scalar of the JSON value ``v``: an int as it is, a
-        string by ``_read_str`` once per load, anything else by ``_frac_str``."""
+        """The stored scalar of the JSON value ``v`` (``linalg.rational``), a
+        float read as its shortest decimal string and each distinct string
+        once per load; a value it refuses is a FormatError naming ``where``
+        (``_at``)."""
         if type(v) is int:
             return v
-        if type(v) is not str:
-            return scalar(_frac_str(v, where))
-        q = self.scalars.get(v)
+        q = self.scalars.get(v) if type(v) is str else None
         if q is None:
-            q = self.scalars[v] = _read_str(v, where)
+            try:
+                q = rational(str(v) if isinstance(v, float) else v)
+            except TooLarge as e:
+                raise FormatError("%s: bad rational %s: %s" % (_at(where), _quote(v), e)) from e
+            except (ValueError, ZeroDivisionError) as e:
+                raise FormatError("%s: bad rational %s" % (_at(where), _quote(v))) from e
+            if type(v) is str:
+                self.scalars[v] = q
         return q
+
+    def structure(self, cls, source, base_dir):
+        """The ``cls`` (an algebra or a post-algebra) of a file, each of its
+        ``OPERATIONS`` read from the entry list under its key.  A file
+        carrying another structure's key is refused."""
+        doc, here = _load_doc(source, base_dir)
+        name = _read_name(doc, cls.KIND)
+        for other, article in _STRUCTURES:
+            for key, _, _ in other.OPERATIONS if other is not cls else ():
+                if key in doc:
+                    raise FormatError("%s: %r is a key of %s %s file"
+                                      % (name, key, article, other.KIND))
+        dim = _read_dim(doc, name)
+        values = [_read_sparse(doc.get(key), dim, arity, "%s.%s" % (name, key), skew,
+                               self.rational) for key, arity, skew in cls.OPERATIONS]
+        return cls(dim, *values, basis=_read_basis(doc, dim, name), name=name)
 
     def algebra(self, source, base_dir):
         key = os.path.abspath(_path(source, base_dir)) if isinstance(source, str) else source
         for k, A in self.algebras:
             if _same(k, key):
                 return A
-        doc, here = _load_doc(source, base_dir)
-        name = _read_name(doc, "algebra")
-        _refuse(doc, ("dot", "star", "angle", "brace"), name, "a post-algebra")
-        dim = _read_dim(doc, name)
-        binary = _read_sparse(doc.get("binary"), dim, 2, name + ".binary", True,
-                              self.rational)
-        ternary = _read_sparse(doc.get("ternary"), dim, 3, name + ".ternary", True,
-                               self.rational)
-        A = LYAlgebra(dim, binary, ternary, basis=_read_basis(doc, dim, name), name=name)
+        A = self.structure(LYAlgebra, source, base_dir)
         self.algebras.append((key, A))
         return A
 
@@ -361,17 +351,7 @@ def load_operator(source, base_dir=None):
 
 
 def load_post(source, base_dir=None):
-    rational = _Load().rational
-    doc, here = _load_doc(source, base_dir)
-    name = _read_name(doc, "post-algebra")
-    _refuse(doc, ("binary", "ternary"), name, "an algebra")
-    dim = _read_dim(doc, name)
-    dot = _read_sparse(doc.get("dot"), dim, 2, name + ".dot", True, rational)
-    star = _read_sparse(doc.get("star"), dim, 2, name + ".star", False, rational)
-    angle = _read_sparse(doc.get("angle"), dim, 3, name + ".angle", True, rational)
-    brace = _read_sparse(doc.get("brace"), dim, 3, name + ".brace", False, rational)
-    return PostLYAlgebra(dim, dot, star, angle, brace, basis=_read_basis(doc, dim, name),
-                         name=name)
+    return _Load().structure(PostLYAlgebra, source, base_dir)
 
 
 def load_matrix(source, base_dir=None):
@@ -427,15 +407,13 @@ def _dump_sparse(t, antisym):
             if not antisym or key[0] < key[1] for r, q in v.items()]
 
 
-def dump_algebra(A):
-    return {"name": A.name, "dim": A.dim, "basis": list(A.basis),
-            "binary": _dump_sparse(A.binary, True), "ternary": _dump_sparse(A.ternary, True)}
-
-
-def dump_post(P):
-    return {"name": P.name, "dim": P.dim, "basis": list(P.basis),
-            "dot": _dump_sparse(P.dot, True), "star": _dump_sparse(P.star, False),
-            "angle": _dump_sparse(P.angle, True), "brace": _dump_sparse(P.brace, False)}
+def dump_structure(S):
+    """The file of an algebra or a post-algebra, each of its ``OPERATIONS``
+    under its key."""
+    doc = {"name": S.name, "dim": S.dim, "basis": list(S.basis)}
+    for key, _, skew in S.OPERATIONS:
+        doc[key] = _dump_sparse(getattr(S, key), skew)
+    return doc
 
 
 def dump_matrix(mx):

@@ -6,8 +6,10 @@ row tuples.  Inside, a scalar stored in a support, a sparse map or an
 equation table is an ``int`` when its denominator is 1 and a Fraction
 otherwise (``scalar``), so integral data is multiplied and summed with no
 Fraction arithmetic; values enter in that form through ``Tensor.from_support``
-and ``sparse_map`` and leave as Fractions through ``dense``.  No routine
-divides with ``/``, so no float can appear.  The one elimination routine
+and ``sparse_map`` and leave as Fractions through ``dense``.  One routine,
+``rational``, reads every rational literal, from the API or a file, and
+``mat`` every map of a fixed shape.  No routine divides with ``/``, so no
+float can appear.  The one elimination routine
 takes dense or sparse rows, {column: Fraction or int}, works fraction-free on
 primitive integer rows, and hands back Fractions; every kernel and solve
 feeds it the columns of a matrix, each with a tag.
@@ -40,7 +42,7 @@ Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 
-# The most digits a decimal string may carry in all, and the largest exponent
+# The most digits a string literal may carry in all, and the largest exponent
 # it may carry in size: CPython's limit on the digits of an integer literal.
 # ``Fraction`` reads "1e999999999" by building 10**999999999, which does not
 # return in any useful time; within the bound the numerator and denominator
@@ -48,35 +50,44 @@ Q1 = Fraction(1)
 MAX_DECIMAL_DIGITS = 4300
 
 
-def _oversized_decimal(s):
-    """Whether the string ``s``, with a decimal point or an exponent, has more
-    than MAX_DECIMAL_DIGITS digits, the exponent's included, or an exponent
-    larger than that in size.  An exponent that is not an integer is left to
-    ``Fraction`` to refuse."""
-    mantissa, e, exp = s.replace("E", "e").partition("e")
-    if not e and "." not in mantissa:
-        return False
-    if sum(map(str.isdigit, s)) > MAX_DECIMAL_DIGITS:
-        return True
-    try:
-        return bool(e) and abs(int(exp)) > MAX_DECIMAL_DIGITS
-    except ValueError:
-        return False
+def rational(x):
+    """The rational literal x, an int, a Fraction or a string "p/q" or
+    decimal such as "0.5", in its stored form (``scalar``).  An ASCII "n" or
+    "p/q" (digits, an optional leading "-", q > 0) is read with ``int``, any
+    other string by ``Fraction`` (ValueError or ZeroDivisionError if it
+    refuses it); a string of more than MAX_DECIMAL_DIGITS digits in all, or
+    an exponent larger than that in size, is TooLarge before it is read.  A
+    bool, a float or any other value is a ValueError."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str):
+        p, slash, d = x.partition("/")
+        if len(x) <= MAX_DECIMAL_DIGITS and x.isascii() \
+                and (p[1:] if p[:1] == "-" else p).isdigit() and (d.isdigit() or not slash):
+            if not slash:
+                return int(p)
+            p, d = int(p), int(d)
+            if d:  # q = 0 is refused by Fraction below
+                return Fraction(p, d) if p % d else p // d
+        try:
+            huge = abs(int(x.replace("E", "e").partition("e")[2] or 0)) > MAX_DECIMAL_DIGITS
+        except ValueError:  # not an integer exponent: refused by Fraction
+            huge = False
+        if huge or len(x) > MAX_DECIMAL_DIGITS and sum(map(str.isdigit, x)) > MAX_DECIMAL_DIGITS:
+            raise TooLarge("a decimal may have at most %d digits and an exponent of at most %d"
+                           % (MAX_DECIMAL_DIGITS, MAX_DECIMAL_DIGITS))
+        return scalar(Fraction(x))
+    if isinstance(x, Fraction):  # after str: an ABC test costs more
+        return scalar(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
+    raise ValueError("not a rational: %r" % (x,))
 
 
 def frac(x):
-    """Coerce int / "p/q" or decimal string / Fraction to Fraction; a decimal
-    string over MAX_DECIMAL_DIGITS digits or exponent is TooLarge."""
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        if _oversized_decimal(x):
-            raise TooLarge("a decimal may have at most %d digits and an exponent of at "
-                           "most %d" % (MAX_DECIMAL_DIGITS, MAX_DECIMAL_DIGITS))
-        return Fraction(x)
-    raise ValueError("not a rational: %r" % (x,))
+    """The rational literal x (``rational``) as a Fraction."""
+    t = type(x)
+    return x if t is Fraction else Fraction(x if t is int else rational(x))
 
 
 def scalar(q):
@@ -95,8 +106,13 @@ def format_frac(q):
 # ---------------------------------------------------------------------------
 # matrices (tuple of row tuples)
 
-def mat(rows):
-    return tuple(tuple(frac(x) for x in row) for row in rows)
+def mat(rows, shape=None, message=None):
+    """The matrix of the rows of rationals (``frac``).  With ``shape`` (r, c),
+    a matrix of any other shape is a DimMismatch, ``message % shape``."""
+    m = tuple(tuple(frac(x) for x in row) for row in rows)
+    if shape is not None and (len(m) != shape[0] or any(len(row) != shape[1] for row in m)):
+        raise DimMismatch(message % shape)
+    return m
 
 
 def mat_id(n):

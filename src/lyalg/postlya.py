@@ -21,10 +21,9 @@ compositions of the four operations' supports (``linalg.signed_sum``), so
 no basis tuple is visited.
 """
 
-from .core import LYAlgebra, check_homomorphism, check_ly_axioms
-from .errors import AxiomsFailed, DimMismatch, StructureError, Unverified
-from .linalg import (Tensor, hom_table, mat, mat_id, pull, signed_sum, skew_fault,
-                     sparse_map)
+from .core import LYAlgebra, check_homomorphism, check_ly_axioms, set_operations
+from .errors import AxiomsFailed, Unverified
+from .linalg import Tensor, hom_table, mat, mat_id, pull, signed_sum, sparse_map
 from .reports import Checker, summed
 from .reps import RepAction, check_action, regular_pair
 
@@ -32,20 +31,13 @@ from .reps import RepAction, check_action, regular_pair
 class PostLYAlgebra:
     """Four operations plus derived caches; see the module docstring."""
 
+    KIND = "post-algebra"
+    # (key, arity, name in antisymmetry errors or None); see ``core.set_operations``
+    OPERATIONS = (("dot", 2, "dot"), ("star", 2, None), ("angle", 3, "angle"),
+                  ("brace", 3, None))
+
     def __init__(self, dim, dot, star, angle, brace, basis=None, name=None):
-        self.dim = dim
-        self.name = name or "post-algebra"
-        self.basis = list(basis) if basis else ["e%d" % (i + 1) for i in range(dim)]
-        self.dot = Tensor(dot, dim, 2, (dim,))
-        self.star = Tensor(star, dim, 2, (dim,))
-        self.angle = Tensor(angle, dim, 3, (dim,))
-        self.brace = Tensor(brace, dim, 3, (dim,))
-        fault = skew_fault(self.dot, self.angle)
-        if fault is not None and len(fault) == 2:
-            raise StructureError("dot not antisymmetric at (%d,%d)" % fault)
-        if fault is not None:
-            raise StructureError(
-                "angle not antisymmetric in first two slots at (%d,%d,%d)" % fault)
+        set_operations(self, dim, (dot, star, angle, brace), basis, name)
         dot, star, angle, brace = (t.support for t in (self.dot, self.star, self.angle,
                                                        self.brace))
         # (a,b,c) = (a*b)*c - a*(b*c), and each derived operation at (x, y[, z])
@@ -218,9 +210,7 @@ def check_post_homomorphism(A, B, psi, all_violations=False):
     The residuals are tabulated as in ``core.check_homomorphism``; each pair
     comes directly before its triples.
     """
-    psi = mat(psi)
-    if len(psi) != B.dim or any(len(r) != A.dim for r in psi):
-        raise DimMismatch("map must be %dx%d" % (B.dim, A.dim))
+    psi = mat(psi, (B.dim, A.dim), "map must be %dx%d")
     ck = Checker("post-homomorphism(%s->%s)" % (A.name, B.name), all_violations)
     rows, cols = sparse_map(psi)
     ck.tabulate((B.dim,), [[("hom-" + op, hom_table(getattr(A, op), getattr(B, op), cols,

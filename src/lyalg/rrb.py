@@ -30,10 +30,8 @@ class RRBOperator:
     def __init__(self, action, T):
         action.ensure_action()
         self.action = action
-        n, m = action.acting.dim, action.carrier.dim
-        self.T = mat(T)
-        if len(self.T) != n or any(len(r) != m for r in self.T):
-            raise DimMismatch("T must be %dx%d (carrier -> acting)" % (n, m))
+        self.T = mat(T, (action.acting.dim, action.carrier.dim),
+                     "T must be %dx%d (carrier -> acting)")
         self.verified = False
         self._expansion = None
 
@@ -92,7 +90,8 @@ class HomPair:
 
 class Expansion:
     """The t-coefficients of RRB1 and RRB2 for T_t = sum_i t^i Ts[i] over the
-    action ``r``, built on first read and cached.
+    action ``r``, built on first read and cached; each T_i is read by
+    ``linalg.mat`` as a dim(acting) x dim(carrier) map.
 
     ``table(2, s)`` and ``table(3, s)`` are the t^s coefficients of RRB1 and
     RRB2 as sparse tables {(a, b): {x: q}} and {(a, b, c): {x: q}} over the
@@ -106,11 +105,8 @@ class Expansion:
 
     def __init__(self, r, Ts):
         g, h = r.acting, r.carrier
-        n, m = g.dim, h.dim
-        for T in Ts:
-            if len(T) != n or any(len(row) != m for row in T):
-                raise DimMismatch("each T_i must be %dx%d (carrier -> acting)" % (n, m))
-        maps = [sparse_map(T) for T in Ts]
+        maps = [sparse_map(mat(T, (g.dim, h.dim), "each T_i must be %dx%d (carrier -> acting)"))
+                for T in Ts]
         T = self._rows = tuple(rw for rw, _ in maps)
         self._cols = tuple(cl for _, cl in maps)
         rho, mu, D = r.rho.support, r.mu.support, r.derived_D.support
@@ -207,10 +203,8 @@ def check_nijenhuis(A, N, all_violations=False):
     once the pairs have settled a capped report.
     """
     A.ensure_verified()
-    N = mat(N)
     n = A.dim
-    if len(N) != n or any(len(r) != n for r in N):
-        raise DimMismatch("N must be %dx%d" % (n, n))
+    N = mat(N, (n, n), "N must be %dx%d")
     rows, cols = sparse_map(N)
     # (Id + tN)^-1 = Id - tN + t^2 N^2 - t^3 N^3 mod t^4, by columns: each
     # power of -N is -N pushed through the columns of the one before

@@ -1426,13 +1426,20 @@ def _stored(q):
 def o_rational(v, where):
     """The stored scalar of the JSON value v, read by ``Fraction``: an int
     or a string as it is, a float through its shortest decimal string.  A
-    boolean, or a value ``Fraction`` refuses, is a ReadError."""
+    boolean, a string of more than 4300 digits, or a value ``Fraction``
+    refuses, is a ReadError; the message quotes a string over 40 characters
+    by its first 40, an ellipsis and its length."""
+    quoted = "%r... (%d characters)" % (v[:40], len(v)) if isinstance(v, str) and len(v) > 40 \
+        else repr(v)
+    if isinstance(v, str) and sum(c.isdigit() for c in v) > 4300:
+        raise ReadError("%s: bad rational %s: a decimal may have at most 4300 digits and an "
+                        "exponent of at most 4300" % (where, quoted))
     if isinstance(v, bool):
-        raise ReadError("%s: bad rational %r" % (where, v))
+        raise ReadError("%s: bad rational %s" % (where, quoted))
     try:
         q = Fraction(str(v) if isinstance(v, float) else v)
     except (TypeError, ValueError, ZeroDivisionError):
-        raise ReadError("%s: bad rational %r" % (where, v)) from None
+        raise ReadError("%s: bad rational %s" % (where, quoted)) from None
     return _stored(q)
 
 

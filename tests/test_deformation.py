@@ -12,8 +12,8 @@ from lyalg.deformation import (OrderNDeformation, binary_coefficient,
                                check_equivalence, check_linear_deformation,
                                check_order_n, difference_class, extend,
                                obstruction_class, ternary_coefficient)
-from lyalg.errors import InvalidDeformation
-from lyalg.linalg import dense as to_dense, mat, mat_id
+from lyalg.errors import DimMismatch, InvalidDeformation
+from lyalg.linalg import dense as to_dense, format_frac, mat, mat_id
 from lyalg.rrb import Expansion
 
 import oracles
@@ -76,6 +76,28 @@ def test_coefficients_match_polynomial_oracle(p3, rng):
             assert ternary_coefficient(r, Ts, s, u, v, w) == want3[s]
     assert nonzero >= {("binary", 0), ("binary", 1), ("binary", 2),
                        ("ternary", 0), ("ternary", 1), ("ternary", 2), ("ternary", 3)}
+
+
+def test_coefficients_read_rational_strings_and_check_shapes(p3):
+    """The public coefficients read their maps as every map-taking entry
+    point does: "p/q" strings as their Fractions, a wrong shape DimMismatch."""
+    rng = random.Random(5191)
+    r = p3.action
+    Ts = [p3.T, mat(dense(rng, 4, 4))]
+    strings = [[[format_frac(q) for q in row] for row in T] for T in Ts]
+    assert any("/" in q for T in strings for row in T for q in row)
+    u, v, w = (tuple(rng.choice([F(0), F(1), F(-2), F(1, 3)]) for _ in range(4))
+               for _ in range(3))
+    for s in range(4):
+        assert binary_coefficient(r, strings, s, u, v) == binary_coefficient(r, Ts, s, u, v)
+        assert ternary_coefficient(r, strings, s, u, v, w) \
+            == ternary_coefficient(r, Ts, s, u, v, w)
+    assert any(binary_coefficient(r, Ts, 1, u, v))
+    for bad in ([p3.T[:3]], [p3.T, [row[:3] for row in p3.T]]):
+        with pytest.raises(DimMismatch, match=r"^each T_i must be 4x4 \(carrier -> acting\)$"):
+            binary_coefficient(r, bad, 0, u, v)
+        with pytest.raises(DimMismatch, match=r"^each T_i must be 4x4 \(carrier -> acting\)$"):
+            ternary_coefficient(r, bad, 0, u, v, w)
 
 
 def failing_deformations(op, orders, seed=5190):

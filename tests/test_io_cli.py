@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from lyalg import cli, io as lyio
+from lyalg import cli, io as lyio, linalg
 from lyalg.cli import run
 from lyalg.errors import FormatError, TooLarge
 
@@ -224,7 +224,7 @@ def test_dim_budget_admits_32():
 
 
 def test_dump_load_roundtrip(nilpotent4):
-    doc = lyio.dump_algebra(nilpotent4)
+    doc = lyio.dump_structure(nilpotent4)
     B = lyio.load_algebra(doc)
     assert B.binary == nilpotent4.binary and B.ternary == nilpotent4.ternary
 
@@ -450,6 +450,17 @@ def test_a_huge_decimal_exponent_fails_fast(tmp_path):
                            "at most 4300 digits and an exponent of at most 4300\n")
 
 
+def test_a_long_literal_gives_a_short_error_line(tmp_path, capsys):
+    """A literal over 40 characters is quoted by its head and its length."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"name": "h", "dim": 2, "binary": [[0, 1, 0, "1" * 5000]]}))
+    assert run(["check", "algebra", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err) < 200
+    assert out.err == ("error: h.binary: bad rational '%s'... (5000 characters): a decimal may "
+                       "have at most 4300 digits and an exponent of at most 4300\n" % ("1" * 40))
+
+
 @pytest.mark.parametrize("value, admitted", [
     ("1e4300", True), ("1e-4300", True), ("1e4301", False), ("1E-4301", False),
     pytest.param("0." + "1" * 4299, True, id="0.(4299 digits)"),
@@ -458,7 +469,7 @@ def test_a_huge_decimal_exponent_fails_fast(tmp_path):
     pytest.param("1" * 4300 + "e0", False, id="(4300 digits)e0"),
     (1e300, True)])
 def test_the_decimal_bound(value, admitted):
-    assert lyio.MAX_DECIMAL_DIGITS == 4300
+    assert linalg.MAX_DECIMAL_DIGITS == 4300
     doc = {"name": "d", "dim": 2, "binary": [[0, 1, 0, value]]}
     if admitted:
         assert lyio.load_algebra(doc).binary.support[0, 1][0] == Fraction(str(value))

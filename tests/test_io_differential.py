@@ -8,7 +8,8 @@ import json
 import random
 
 from lyalg import io as lyio
-from lyalg.errors import FormatError
+from lyalg.errors import FormatError, TooLarge
+from lyalg.linalg import frac
 
 import families
 import oracles
@@ -56,7 +57,16 @@ CATALOGUE = [0, json.loads("-0"), "0", "-0", "007", "+3", " 3", "3/-2", "3/0", "
 
 def test_catalogue_of_rationals_reads_as_fraction_does():
     for v in CATALOGUE:
-        assert outcome(rational, v, "x") == outcome(oracles.o_rational, v, "x"), v
+        expected = outcome(oracles.o_rational, v, "x")
+        assert outcome(rational, v, "x") == expected, v
+        if isinstance(v, (str, int)):
+            # the API's reader agrees with the file's, or refuses too
+            try:
+                q = frac(v)
+            except (ValueError, ZeroDivisionError, TooLarge):
+                assert expected[0] == "error", v
+            else:
+                assert expected == ("value", (type(expected[1][1]).__name__, q)), v
 
 
 def test_seeded_random_rationals_read_as_fraction_does():

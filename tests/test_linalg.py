@@ -55,6 +55,25 @@ def test_every_entry_point_bounds_a_decimal(name):
             read(q)
 
 
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_every_entry_point_bounds_an_integer_literal(name):
+    """The bound counts every digit of a string, so an integer or "p/q" over
+    CPython's 4300-digit limit is TooLarge, not the interpreter's ValueError."""
+    read = ENTRY_POINTS[name]
+    read("9" * 4300)
+    read("-1/" + "3" * 4299)
+    for q in ("1" * 5000, "1/" + "3" * 5000, "3" * 4300 + "/1"):
+        with pytest.raises(TooLarge, match="at most 4300 digits and an exponent of at most 4300"):
+            read(q)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_every_entry_point_refuses_a_bool(name):
+    for q in (True, False):
+        with pytest.raises(ValueError, match="not a rational: %r" % q):
+            ENTRY_POINTS[name](q)
+
+
 def test_an_oversized_decimal_is_refused_before_fraction_reads_it():
     """``Fraction("1e999999999")`` builds 10**999999999, which does not return
     in any useful time; ``mat`` refuses the string first.  The child runs under

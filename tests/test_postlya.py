@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction as F
 
 import lyalg as L
-from lyalg.errors import StructureError
+from lyalg.errors import DimMismatch, StructureError
 from lyalg.linalg import mat_id
 from lyalg.postlya import (PostLYAlgebra, check_post_axioms,
                            check_post_homomorphism, identity_is_rrb,
@@ -28,6 +28,15 @@ def test_antisymmetry_enforced():
     z3 = [[z2[0]] * 2] * 2
     with pytest.raises(StructureError):
         PostLYAlgebra(2, nz, z2, z3, z3)
+
+
+def test_a_basis_of_the_wrong_length_is_refused_when_built():
+    z2 = [[[0, 0]] * 2] * 2
+    z3 = [[z2[0]] * 2] * 2
+    with pytest.raises(DimMismatch, match="^1 basis labels for dim 2$"):
+        PostLYAlgebra(2, z2, z2, z3, z3, basis=["a"])
+    with pytest.raises(DimMismatch, match="^1 basis labels for dim 2$"):
+        L.LYAlgebra(2, z2, z3, basis=["a"])
 
 
 def test_induced_post_passes_axioms(p3):
