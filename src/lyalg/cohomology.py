@@ -42,6 +42,16 @@ support.  A cochain is its support {flat index: q}, which a matrix applies to
 back and pushes forward slot by slot (``pushforward_cochain``); its dense
 views are built by ``linalg.dense``, so they hold Fractions.
 
+When rho, mu and D are zero, as they are in the induced representation of
+p3 and of the benchmark's dim-5 operator, every term of the formula is a
+scalar structure constant acting on the block index alone, so
+delta^p = S_p (x) I_n with S_p the matrix of those scalars: one column per
+input block, n times fewer than delta^p.  The matrix then stores and
+eliminates S_p alone (``Coboundary.copies``); its rank is n rank(S_p), and
+its kernel, its solves and the selection of witnesses are read off that one
+echelon, the same vectors in the same order as the whole matrix would give.
+With any of rho, mu and D live, the matrix is stored whole, as one copy.
+
 The operator's own data, the descent algebra and the induced representation
 (rho_T, mu_T, D_T), is tabulated in the same way: the supports are pulled back
 along T's nonzero entries and pushed forward through T (``linalg.pull`` and
@@ -51,7 +61,7 @@ the map partial on the wedge square of the acting algebra is one such table.
 
 import itertools
 
-from .errors import AxiomsFailed, DimMismatch, ShapeMismatch, TooLarge
+from .errors import AxiomsFailed, DimMismatch, Inconsistent, ShapeMismatch, TooLarge
 from .linalg import (Q0, Tensor, axpy, column_echelon, dense, frac, invert, mat, pull, push,
                      sparse_map)
 from .reps import RepAction
@@ -61,29 +71,57 @@ from .reps import RepAction
 # sparse matrices over the rationals
 
 class SparseMat:
-    """A rows x cols rational matrix stored by its columns, ``columns[c]`` =
-    {row: value} over the nonzero entries, each value an int or a Fraction;
-    ``data`` builds the same entries as a dict {(r, c): value} on each read.
-    A matrix is never changed once built, so one echelon of the columns is
-    built when first needed and kept: without tags for ``rank`` alone, and
+    """A rows x cols rational matrix S (x) I_k, k = ``copies``, stored by the
+    columns of its factor S: ``factor[j]`` = {row: value} over the nonzero
+    entries of column j of S, each value an int or a Fraction.  Column
+    j k + r of the matrix is column j of S placed on the rows b k + r, so a
+    matrix with k = 1 is S itself.  ``column``, ``columns``, ``apply`` and
+    ``data`` give the entries of the whole matrix, built on each read.
+
+    A matrix is never changed once built, so one echelon of the columns of S
+    is built when first needed and kept: without tags for ``rank`` alone, and
     with tags (``linalg.column_echelon``) the first time ``nullspace`` or
-    ``solve`` asks, which every later question reads."""
+    ``solve`` asks, which every later question reads.  Everything else is
+    read off it: the rank is k rank(S); the kernel vector at the free column
+    j k + r is S's at j placed on the columns i k + r, since S (x) e_r is a
+    copy of S on its own rows; and a solve splits b by the residue r of its
+    rows and solves each part against S."""
 
     def __init__(self, rows, cols, data=None):
         self.rows = rows
         self.cols = cols
-        self.columns = [{} for _ in range(cols)]
+        self.copies = 1
+        self.factor = [{} for _ in range(cols)]
         for (r, c), v in (data or {}).items():
             if v:
-                self.columns[c][r] = v
+                self.factor[c][r] = v
         self._ech = None
 
     @classmethod
-    def from_columns(cls, rows, columns):
-        """The matrix whose column c is the sparse ``columns[c]``, taken as it is."""
-        self = cls(rows, 0)
-        self.cols, self.columns = len(columns), columns
+    def from_columns(cls, rows, columns, copies=1):
+        """The matrix S (x) I_copies for the rows x len(columns) matrix S whose
+        column c is the sparse ``columns[c]``, taken as it is."""
+        self = cls(rows * copies, 0)
+        self.cols, self.copies, self.factor = len(columns) * copies, copies, columns
         return self
+
+    def _spread(self, vec, r):
+        """A sparse vector on the rows or columns of S, placed in copy r."""
+        k = self.copies
+        return vec if k == 1 else {i * k + r: q for i, q in vec.items()}
+
+    def expand(self, vectors):
+        """Each sparse vector on the rows or columns of S in every copy,
+        copies innermost."""
+        return [self._spread(v, r) for v in vectors for r in range(self.copies)]
+
+    def column(self, c):
+        j, r = divmod(c, self.copies)
+        return self._spread(self.factor[j], r)
+
+    @property
+    def columns(self):
+        return self.expand(self.factor)
 
     @property
     def data(self):
@@ -95,34 +133,46 @@ class SparseMat:
             raise ShapeMismatch("vector index outside the %d columns" % self.cols)
         out = {}
         for c, x in vec.items():
-            axpy(out, x, self.columns[c])
+            axpy(out, x, self.column(c))
         return out
 
     def nonzero_rows(self):
         """The nonzero rows, in order, as dense tuples."""
-        return [tuple(frac(col[r]) if r in col else Q0 for col in self.columns)
-                for r in sorted(set().union(*self.columns))]
+        columns = self.columns
+        return [tuple(frac(col[r]) if r in col else Q0 for col in columns)
+                for r in sorted(set().union(*columns))]
 
     def column_echelon(self, tags=False):
-        """The echelon of the columns, tagged if ``tags`` asks or it was built so."""
+        """The echelon of the columns of S, tagged if ``tags`` asks or it was built so."""
         if self._ech is None or tags and self._ech.width is None:
-            self._ech = column_echelon(self.columns, self.rows, tags)
+            self._ech = column_echelon(self.factor, self.rows // self.copies, tags)
         return self._ech
 
     def rank(self):
-        return self.column_echelon().rank
+        return self.copies * self.column_echelon().rank
 
     def nullity(self):
         return self.cols - self.rank()
 
     def nullspace(self):
         """The canonical kernel basis, one sparse vector {col: q} per free column."""
-        return self.column_echelon(tags=True).kernel()
+        return self.expand(self.column_echelon(tags=True).kernel())
 
     def solve(self, b):
         """Some x with self . x = b for a sparse b {row: q}, free coordinates
         0; raises Inconsistent, or ShapeMismatch for an index outside the rows."""
-        return self.column_echelon(tags=True).solve(b, self.cols)
+        ech, k = self.column_echelon(tags=True), self.copies
+        if b and not 0 <= min(b) <= max(b) < self.rows:
+            raise ShapeMismatch("right-hand side index outside the %d rows" % self.rows)
+        parts = [{} for _ in range(k)]
+        for i, q in b.items():
+            parts[i % k][i // k] = q
+        try:
+            xs = [ech.solve(part, len(self.factor)) for part in parts]
+        except Inconsistent:
+            rank = self.rank()
+            raise Inconsistent("rhs outside column space", rank, rank + 1) from None
+        return tuple(q for qs in zip(*xs) for q in qs)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +366,12 @@ def coboundary_matrix_for(alg, rep, p, delta=None):
     anything is built.  Column j is delta of the j-th basis cochain, emitted
     by ``Coboundary.columns`` from the supports of the structure tensors and
     stored as it is; ``delta`` is the (alg, rep) coboundary to read, made
-    here when not given.
+    here when not given; with ``Coboundary.copies`` n, only S_p is stored.
     """
     delta = delta or Coboundary(alg, rep)
     _check_rows(p, delta.m, delta.n)
-    return SparseMat.from_columns(_Layout(p + 1, delta.m, delta.n).total, delta.columns(p))
+    rows = _Layout(p + 1, delta.m, delta.n).total // delta.copies
+    return SparseMat.from_columns(rows, delta.columns(p), delta.copies)
 
 
 def _by_column(t):
@@ -355,7 +406,9 @@ class Coboundary:
     X_k o X_l by the pair they touch in slot l.  An input block thus reaches
     only the output blocks that a nonzero constant links to it.  The scalar
     terms are summed per output block before the block is expanded into its n
-    columns; rho, mu and D are matrices read by columns.
+    columns; rho, mu and D are matrices read by columns.  ``copies`` is n
+    when rho, mu and D are zero, so that every matrix is S_p (x) I_n with
+    S_p the scalars of each block, and 1 otherwise.
     """
 
     def __init__(self, alg, rep):
@@ -365,6 +418,8 @@ class Coboundary:
         self.n = rep.carrier.dim
         pidx = pair_index(m)
         self.M = len(pidx)
+        live = rep.rho.support or rep.mu.support or rep.derived_D.support
+        self.copies = 1 if live or not self.n else self.n
         rho, mu, D = (_by_column(t) for t in (rep.rho, rep.mu, rep.derived_D))
         # a head term into the pair {a, s} has sign + for a < s with rho and
         # a > s with mu; with the sign -, its two matrices swap
@@ -432,13 +487,13 @@ class Coboundary:
         return {key: q for key, q in col.items() if q}
 
     def columns(self, p):
-        """Every column of the degree-p coboundary matrix, in the layout's order."""
+        """Every column of the degree-p coboundary matrix, in the layout's
+        order; with ``copies`` n, every column of S_p, the scalars of a block."""
         out = _Layout(p + 1, self.m, self.n)
-        cols = []
-        for key in _Layout(p, self.m, self.n).keys():
-            terms = self.block(out, key)
-            cols.extend(self.column(terms, r) for r in range(self.n))
-        return cols
+        terms = (self.block(out, key) for key in _Layout(p, self.m, self.n).keys())
+        if self.copies > 1:
+            return [scalars for scalars, _ in terms]
+        return [self.column(t, r) for t in terms for r in range(self.n)]
 
     def __call__(self, c):
         """delta of the cochain c, read from the columns of its support alone."""
@@ -629,10 +684,19 @@ class TComplex:
         Seeded with the coboundaries, a copy of the column echelon of the
         matrix out of degree p - 1, an elimination keeps each Z^p basis
         vector, in order, that is independent of everything kept before it.
+        When both matrices are S (x) I_k for one k, B^p and Z^p are k copies
+        of their S parts on disjoint rows, so k_b (x) e_r is kept exactly
+        when k_b is: the selection runs on the kernel of S_p alone.  For
+        p = 1 the seed is partial, with k = 1.
         """
-        span = self.matrix(p - 1).column_echelon().copy()
-        return [Cochain.from_support(p, self.m, self.n, v)
-                for v in self.matrix(p).nullspace() if span.insert(v)]
+        seed, top = self.matrix(p - 1), self.matrix(p)
+        span = seed.column_echelon().copy()
+        if seed.copies == top.copies:
+            kernel = top.column_echelon(tags=True).kernel()
+            kept = top.expand([v for v in kernel if span.insert(v)])
+        else:
+            kept = [v for v in top.nullspace() if span.insert(v)]
+        return [Cochain.from_support(p, self.m, self.n, v) for v in kept]
 
 
 def pushforward_cochain(pair, c):

@@ -77,8 +77,9 @@ def _path(source, base_dir):
     return source if os.path.isabs(source) else os.path.join(base_dir or ".", source)
 
 
-def _load_doc(source, base_dir):
-    """Return (dict, directory for nested references)."""
+def _load_doc(source, base_dir, where):
+    """Return (dict, directory for nested references); ``where`` names the
+    field or file that gave ``source`` when it is neither."""
     if isinstance(source, dict):
         return source, base_dir
     if isinstance(source, str):
@@ -97,7 +98,8 @@ def _load_doc(source, base_dir):
         if not isinstance(doc, dict):
             raise FormatError("%s: top level must be an object" % path)
         return doc, os.path.dirname(os.path.abspath(path))
-    raise FormatError("expected an object or a file path, got %r" % type(source).__name__)
+    raise FormatError("%s: expected an object or a file path, got %r"
+                      % (where, type(source).__name__))
 
 
 def _field(doc, key, where):
@@ -246,11 +248,11 @@ class _Load:
                 self.scalars[v] = q
         return q
 
-    def structure(self, cls, source, base_dir):
+    def structure(self, cls, source, base_dir, where):
         """The ``cls`` (an algebra or a post-algebra) of a file, each of its
         ``OPERATIONS`` read from the entry list under its key.  A file
         carrying another structure's key is refused."""
-        doc, here = _load_doc(source, base_dir)
+        doc, here = _load_doc(source, base_dir, where)
         name = _read_name(doc, cls.KIND)
         for other, article in _STRUCTURES:
             for key, _, _ in other.OPERATIONS if other is not cls else ():
@@ -262,19 +264,19 @@ class _Load:
                                self.rational) for key, arity, skew in cls.OPERATIONS]
         return cls(dim, *values, basis=_read_basis(doc, dim, name), name=name)
 
-    def algebra(self, source, base_dir):
+    def algebra(self, source, base_dir, where):
         key = os.path.abspath(_path(source, base_dir)) if isinstance(source, str) else source
         for k, A in self.algebras:
             if _same(k, key):
                 return A
-        A = self.structure(LYAlgebra, source, base_dir)
+        A = self.structure(LYAlgebra, source, base_dir, where)
         self.algebras.append((key, A))
         return A
 
-    def action(self, source, base_dir, certify=True):
-        doc, here = _load_doc(source, base_dir)
-        acting = self.algebra(_field(doc, "acting", "action"), here)
-        carrier = self.algebra(_field(doc, "carrier", "action"), here)
+    def action(self, source, base_dir, where, certify=True):
+        doc, here = _load_doc(source, base_dir, where)
+        acting = self.algebra(_field(doc, "acting", "action"), here, "action.acting")
+        carrier = self.algebra(_field(doc, "carrier", "action"), here, "action.carrier")
         n, m = acting.dim, carrier.dim
         rho_doc = _field(doc, "rho", "action")
         mu_doc = _field(doc, "mu", "action")
@@ -334,36 +336,36 @@ class _Load:
 
 
 def load_algebra(source, base_dir=None):
-    return _Load().algebra(source, base_dir)
+    return _Load().algebra(source, base_dir, "algebra")
 
 
 def load_action(source, base_dir=None, certify=True):
-    return _Load().action(source, base_dir, certify)
+    return _Load().action(source, base_dir, "action", certify)
 
 
 def load_operator(source, base_dir=None):
     ld = _Load()
-    doc, here = _load_doc(source, base_dir)
-    action = ld.action(_field(doc, "action", "operator"), here)
+    doc, here = _load_doc(source, base_dir, "operator")
+    action = ld.action(_field(doc, "action", "operator"), here, "operator.action")
     T = ld.dense_matrix(_field(doc, "T", "operator"), "operator.T",
                         action.acting.dim, action.carrier.dim)
     return RRBOperator(action, T)
 
 
 def load_post(source, base_dir=None):
-    return _Load().structure(PostLYAlgebra, source, base_dir)
+    return _Load().structure(PostLYAlgebra, source, base_dir, "post-algebra")
 
 
 def load_matrix(source, base_dir=None):
-    doc, here = _load_doc(source, base_dir)
+    doc, here = _load_doc(source, base_dir, "matrix file")
     return _Load().dense_matrix(_field(doc, "matrix", "matrix file"), "matrix")
 
 
 def load_homomorphism(source, base_dir=None):
     ld = _Load()
-    doc, here = _load_doc(source, base_dir)
-    src = ld.algebra(_field(doc, "from", "homomorphism"), here)
-    dst = ld.algebra(_field(doc, "to", "homomorphism"), here)
+    doc, here = _load_doc(source, base_dir, "homomorphism")
+    src = ld.algebra(_field(doc, "from", "homomorphism"), here, "homomorphism.from")
+    dst = ld.algebra(_field(doc, "to", "homomorphism"), here, "homomorphism.to")
     mx = ld.dense_matrix(_field(doc, "matrix", "homomorphism"), "homomorphism.matrix",
                          dst.dim, src.dim)
     return src, dst, mx
@@ -371,8 +373,8 @@ def load_homomorphism(source, base_dir=None):
 
 def load_nijenhuis(source, base_dir=None):
     ld = _Load()
-    doc, here = _load_doc(source, base_dir)
-    A = ld.algebra(_field(doc, "algebra", "nijenhuis file"), here)
+    doc, here = _load_doc(source, base_dir, "nijenhuis file")
+    A = ld.algebra(_field(doc, "algebra", "nijenhuis file"), here, "nijenhuis file.algebra")
     N = ld.dense_matrix(_field(doc, "N", "nijenhuis file"), "N", A.dim, A.dim)
     return A, N
 
@@ -380,7 +382,7 @@ def load_nijenhuis(source, base_dir=None):
 def load_wedges(source, base_dir=None):
     """{"wedges": [[vector, vector], ...]} with rational-string vectors."""
     rational = _Load().rational
-    doc, here = _load_doc(source, base_dir)
+    doc, here = _load_doc(source, base_dir, "wedge file")
     wedges = _field(doc, "wedges", "wedge file")
     if not isinstance(wedges, list):
         raise FormatError("wedge file: wedges must be a list of pairs of vectors")

@@ -81,10 +81,6 @@ def o_nullspace(rows, ncols):
     return basis
 
 
-def o_nullity(rows, ncols):
-    return ncols - o_rank(rows)
-
-
 def o_in_column_space(rows, b):
     """Whether b lies in the span of the matrix's columns (dense elimination)."""
     cols = list(zip(*rows)) if rows else []
@@ -1328,21 +1324,6 @@ def o_product(A, B):
 
 # ---------------------------------------------------------------------------
 # truncated polynomial expansion of the deformation equations
-
-def _pmul_mv(mats, pvec):
-    """Apply sum_i t^i M_i to a polynomial vector; truncates at len limit."""
-    L = len(pvec)
-    out = [None] * L
-    for s in range(L):
-        acc = None
-        for i, M in enumerate(mats):
-            if i > s:
-                break
-            term = mv(M, pvec[s - i])
-            acc = term if acc is None else va(acc, term)
-        out[s] = acc
-    return out
-
 
 def poly_binary_residual(r, Ts, u, v, L):
     """Coefficients t^0..t^(L-1) of the binary equation for T_t = sum t^i T_i."""

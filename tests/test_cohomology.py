@@ -61,7 +61,7 @@ def assert_sparse_mat_matches_oracle(m, rng):
     assert [tuple(v.get(c, 0) for c in range(m.cols)) for v in kernel] == \
         oracles.o_nullspace(dense, m.cols)
     assert all(type(q) is F for v in kernel for q in v.values())
-    assert m.rank() == rank and m.column_echelon().width == m.rows
+    assert m.rank() == rank and m.column_echelon().width == m.rows // m.copies
     pivots = oracles.o_rref(dense)[1]
     x0 = {c: rng.choice([F(1), F(-2), F(3, 4)]) for c in range(m.cols) if rng.random() < 0.5}
     for b in (m.apply(x0), {r: F(rng.randint(-2, 2), 3) for r in range(m.rows)}):
@@ -89,6 +89,63 @@ def test_sparse_mat_rank_kernel_and_solve_match_oracle():
                           ((rng.randrange(m.rows), 0), 1)):
                 data[rc] = data.get(rc, 0) + q
             assert_sparse_mat_matches_oracle(SparseMat(m.rows, m.cols, data), rng)
+
+
+def test_factored_sparse_mats_match_oracle():
+    # S (x) I_k for seeded S: rank, kernel (values and order) and solve of the
+    # whole matrix, against the dense oracle of its entries
+    rng = random.Random(1802)
+    for k in (2, 3):
+        for s in seeded_sparse_mats(1802 + k):
+            m = SparseMat.from_columns(s.rows, s.factor, k)
+            assert (m.rows, m.cols, m.copies) == (k * s.rows, k * s.cols, k)
+            assert_sparse_mat_matches_oracle(m, rng)
+
+
+def assert_factored_kernel_matches_oracle(M, copies):
+    """The rank and kernel of a coboundary stored as S (x) I_copies against
+    the oracle's canonical kernel of its whole matrix, values and order."""
+    assert M.copies == copies > 1 and len(M.factor) * copies == M.cols
+    dense = [row for row in oracles.o_dense(M) if any(row)]
+    want = oracles.o_nullspace(dense, M.cols)
+    assert [tuple(v.get(c, 0) for c in range(M.cols)) for v in M.nullspace()] == want
+    assert M.rank() == M.cols - len(want) and M.nullity() == len(want)
+    return want
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_factored_kernels_match_oracle_on_p3(tcomplex, p):
+    assert assert_factored_kernel_matches_oracle(tcomplex.matrix(p), 4)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_factored_kernels_match_oracle_on_a_two_step_operator(p):
+    # rho_T, mu_T and D_T vanish: T maps into the center and kills every bracket
+    cx = TComplex(two_step_operator(random.Random(5009), 2, 2, 1))
+    assert not (cx.rep.rho.support or cx.rep.mu.support or cx.rep.derived_D.support)
+    assert assert_factored_kernel_matches_oracle(cx.matrix(p), 5)
+
+
+def test_factored_solve_matches_oracle(tcomplex):
+    M = coboundary_matrix_for(tcomplex.descent, tcomplex.rep, 1)
+    assert M.copies == 4
+    dense = oracles.o_dense(M)
+    rank, pivots = o_rank(dense), oracles.o_rref(dense)[1]
+    rng = random.Random(1803)
+    b = M.apply({c: rng.choice([F(1), F(-2), F(3, 4)]) for c in range(M.cols)})
+    want = tuple(b.get(r, 0) for r in range(M.rows))
+    x = M.solve(b)
+    assert oracles.mv(dense, x) == want
+    assert any(x) and all(x[c] == 0 for c in range(M.cols) if c not in pivots)
+    # the same b with one more entry, in the rows of one copy only
+    r = next(r for r in range(1, M.rows, 4) if not oracles.o_in_column_space(
+        dense, want[:r] + (want[r] + 1,) + want[r + 1:]))
+    b[r] = b.get(r, 0) + 1
+    with pytest.raises(Inconsistent) as err:
+        M.solve(b)
+    augmented = [row + (b.get(i, 0),) for i, row in enumerate(dense)]
+    assert (err.value.rank, err.value.rank_augmented) == (rank, o_rank(augmented)) == \
+        (4 * M.column_echelon().rank, rank + 1)
 
 
 def test_solve_refuses_a_right_hand_side_outside_the_rows(p3):
@@ -453,12 +510,14 @@ def test_cohomology_witnesses(tcomplex):
 def test_witnesses_taken_degree_after_degree_match_fresh_complexes(p3):
     # on one complex, H^2's witnesses are seeded by the echelon of delta^1
     # that H^1's kernel built with tags, and so on up: the tagged seed must
-    # keep reading its tags as tags
+    # keep reading its tags as tags.  The echelon is that of the factor S of
+    # delta^(p-1) = S (x) I_4, whose rows are the seed's over its copies
     cx = TComplex(p3)
     for p, count in ((1, 12), (2, 64), (3, 256)):
         got = [w.support for w in cx.cohomology_witnesses(p)]
         seed = cx.matrix(p - 1)
-        assert seed.column_echelon().width == (None if p == 1 else seed.rows)
+        assert seed.copies == (1 if p == 1 else 4)
+        assert seed.column_echelon().width == (None if p == 1 else seed.rows // 4)
         assert len(got) == count
         assert got == [w.support for w in TComplex(p3).cohomology_witnesses(p)]
 

@@ -476,3 +476,28 @@ def test_the_decimal_bound(value, admitted):
     else:
         with pytest.raises(FormatError, match=r"^d\.binary: bad rational .*at most 4300 digits"):
             lyio.load_algebra(doc)
+
+
+# (check kind, file, the field that is not an object or a path, its JSON type)
+NESTED_NOT_AN_OBJECT = [
+    ("rrb", {"action": 5, "T": [[0]]}, "operator.action", "int"),
+    ("rrb", {"action": {"acting": 5, "carrier": 5, "rho": [], "mu": []}, "T": [[0]]},
+     "action.acting", "int"),
+    ("rep", {"acting": fx("nilpotent4.json"), "carrier": [5], "rho": [], "mu": []},
+     "action.carrier", "list"),
+    ("homomorphism", {"from": 5, "to": 5, "matrix": [[1]]}, "homomorphism.from", "int"),
+    ("homomorphism", {"from": fx("nilpotent4.json"), "to": None, "matrix": [[1]]},
+     "homomorphism.to", "NoneType"),
+    ("nijenhuis", {"algebra": 5, "N": [[1]]}, "nijenhuis file.algebra", "int"),
+]
+
+
+@pytest.mark.parametrize("kind, doc, field, got", NESTED_NOT_AN_OBJECT)
+def test_a_nested_input_that_is_not_an_object_names_its_field(kind, doc, field, got, tmp_path,
+                                                               capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", kind, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: %s: expected an object or a file path, got %r\n" % (field, got)
