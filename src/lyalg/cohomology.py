@@ -61,9 +61,9 @@ the map partial on the wedge square of the acting algebra is one such table.
 
 import itertools
 
-from .errors import AxiomsFailed, DimMismatch, Inconsistent, ShapeMismatch, TooLarge
-from .linalg import (Q0, Tensor, axpy, column_echelon, dense, frac, invert, mat, pull, push,
-                     sparse_map)
+from .errors import AxiomsFailed, Inconsistent, ShapeMismatch, TooLarge
+from .linalg import (Q0, Map, Tensor, axpy, column_echelon, dense, frac, invert, mat, pull, push,
+                     vector)
 from .reps import RepAction
 
 
@@ -187,27 +187,19 @@ def pair_index(m):
     return {pr: t for t, pr in enumerate(pair_basis(m))}
 
 
-def wedge_coords(x, y, pidx):
-    """Sparse coordinates of x /\\ y on the reduced pair basis; x and y are
-    vectors or sparse dicts {index: q}."""
-    x, y = (v if isinstance(v, dict) else dict(enumerate(v)) for v in (x, y))
-    out = {}
-    for i, xi in x.items():
-        if xi == 0:
-            continue
-        for j, yj in y.items():
-            if yj == 0 or i == j:
-                continue
-            if i < j:
-                t, c = pidx[(i, j)], xi * yj
-            else:
-                t, c = pidx[(j, i)], -xi * yj
-            new = out.get(t, 0) + c
-            if new == 0:
-                out.pop(t, None)
-            else:
-                out[t] = new
-    return out
+def _wedge(m):
+    """x (x) y -> x /\\ y on Q^m as a two-slot table {(i, j): {t: +-1}} over
+    i != j, t the pair's index in ``pair_basis``, + for i < j."""
+    return {(i, j): {t: 1 if i < j else -1} for (a, b), t in pair_index(m).items()
+            for i, j in ((a, b), (b, a))}
+
+
+def wedge_coords(x, y, m):
+    """Sparse coordinates {t: q} of x /\\ y on the reduced pair basis of Q^m,
+    for vectors x and y of length m (``linalg.vector``)."""
+    acc = {}
+    pull(acc, 1, _wedge(m), (vector(x, m), vector(y, m)))
+    return acc.get((0, 0), {})
 
 
 class _Layout:
@@ -562,25 +554,25 @@ def induced_rep(op):
     g = r.acting
     n, m = g.dim, r.carrier.dim
     desc = descent_algebra(op)
-    rows, cols = sparse_map(op.T)
+    T = op.T
     c, d = g.binary.support, g.ternary.support
     rho, mu, D = r.rho.support, r.mu.support, r.derived_D.support
     # each table is {(a, i) or (a, b, i): {t: q}}, the value at (u_a, .., e_i):
     # column i of the matrix at (u_a, ..), the form a support stores
     rho_T, inner = {}, {}
-    pull(rho_T, 1, c, (rows, None))
+    pull(rho_T, 1, c, (T, None))
     pull(inner, 1, rho, (None, None), (1, 0))
-    push(rho_T, 1, cols, inner)
+    push(rho_T, 1, T, inner)
     mu_T, inner = {}, {}
-    pull(mu_T, 1, d, (None, rows, rows), (2, 0, 1))
-    pull(inner, 1, D, (None, rows, None), (2, 0, 1))
-    pull(inner, -1, mu, (None, rows, None), (2, 1, 0))
-    push(mu_T, -1, cols, inner)
+    pull(mu_T, 1, d, (None, T, T), (2, 0, 1))
+    pull(inner, 1, D, (None, T, None), (2, 0, 1))
+    pull(inner, -1, mu, (None, T, None), (2, 1, 0))
+    push(mu_T, -1, T, inner)
     D_T, inner = {}, {}
-    pull(D_T, 1, d, (rows, rows, None))
-    pull(inner, 1, mu, (rows, None, None), (1, 2, 0))
-    pull(inner, -1, mu, (rows, None, None), (0, 2, 1))
-    push(D_T, -1, cols, inner)
+    pull(D_T, 1, d, (T, T, None))
+    pull(inner, 1, mu, (T, None, None), (1, 2, 0))
+    pull(inner, -1, mu, (T, None, None), (0, 2, 1))
+    push(D_T, -1, T, inner)
     shape = (n, n)
     rep = RepAction(desc, g, Tensor.from_support(rho_T, m, 1, shape),
                     Tensor.from_support(mu_T, m, 2, shape))
@@ -597,11 +589,8 @@ def zero_cochain_map(op, x, y):
     nothing but the operator (``partial_matrix``), so no complex is built."""
     r = op.action
     n = r.acting.dim
-    if len(x) != n or len(y) != n:
-        raise DimMismatch("vectors must have length %d" % n)
-    pidx = pair_index(n)
     return Cochain.from_support(1, r.carrier.dim, n,
-                                partial_matrix(op).apply(wedge_coords(x, y, pidx)))
+                                partial_matrix(op).apply(wedge_coords(x, y, n)))
 
 
 def partial_matrix(op):
@@ -614,10 +603,9 @@ def partial_matrix(op):
     """
     g = op.action.acting
     n, m = g.dim, op.action.carrier.dim
-    rows, cols = sparse_map(op.T)
     table = {}
-    push(table, 1, cols, op.action.derived_D.support)
-    pull(table, -1, g.ternary.support, (None, None, rows))
+    push(table, 1, op.T, op.action.derived_D.support)
+    pull(table, -1, g.ternary.support, (None, None, op.T))
     pidx = pair_index(n)
     return SparseMat(m * n, len(pidx), {(a * n + t, pidx[i, j]): q
                                         for (i, j, a), v in table.items() if i < j
@@ -709,17 +697,17 @@ def pushforward_cochain(pair, c):
     (``linalg.pull``), then pushed through psi_g (``linalg.push``).
     """
     m, n = c.m, c.n
-    for name, psi, k in (("psi_g", pair.psi_g, n), ("psi_h", pair.psi_h, m)):
-        mat(psi, (k, k), name + " must be %dx%d")
-    plain, inv_cols = sparse_map(invert(pair.psi_h))
-    pidx = pair_index(m)
+    psi_g, psi_h = (mat(psi, (k, k), name + " must be %dx%d")
+                    for name, psi, k in (("psi_g", pair.psi_g, n), ("psi_h", pair.psi_h, m)))
+    plain, pidx = invert(psi_h), pair_index(m)
+    # column (a, b) of Lambda^2 psi_h^-1 is psi_h^-1 e_a /\\ psi_h^-1 e_b, a < b
     wedge = {}
-    for t, (a, b) in enumerate(pair_basis(m)):
-        for s, q in wedge_coords(dict(inv_cols[a]), dict(inv_cols[b]), pidx).items():
-            wedge.setdefault(s, []).append((t, q))
+    pull(wedge, 1, _wedge(m), (plain, plain))
+    wedge = Map.from_columns({(pidx[ab],): v for ab, v in wedge.items() if ab[0] < ab[1]},
+                             (len(pidx), len(pidx)))
     f, g = c.layout.split(c.support)
     pulled, pushed = {}, {}
     pull(pulled, 1, f, (wedge,) * (c.p - 1))
     pull(pulled, 1, g, (wedge,) * (c.p - 1) + (plain,))
-    push(pushed, 1, sparse_map(pair.psi_g)[1], pulled)
+    push(pushed, 1, psi_g, pulled)
     return Cochain.from_table(c.p, m, n, pushed)

@@ -11,7 +11,7 @@ axiom is tabulated over every basis tuple at once from the brackets' supports
 
 from .errors import AxiomsFailed, DimMismatch, NotLieAlgebra, StructureError
 from .linalg import (Subspace, Tensor, dense, hom_table, mat, nullspace_basis, signed_sum,
-                     skew_fault, sparse_map)
+                     skew_fault)
 from .reports import Checker, summed
 
 
@@ -123,26 +123,29 @@ def from_lie_algebra(dim, binary, basis=None, name=None):
 
 
 def center_equations(A):
-    """The defining equations of the center, as sparse rows {i: q} in x.
+    """The defining equations of the center, as the map (``linalg.Map``)
+    taking x to the values of its equations, one row per equation.
 
     Each coordinate r of [x, e_j], <x, e_j, e_k> and <e_j, e_k, x> is one
-    equation in x, its coefficients read off the supports of the brackets.
+    equation in x, its coefficients read off the supports of the brackets;
+    the equations are numbered in the order they are first met.
     """
-    rows = {}
+    index, entries = {}, {}
     for (i, j), v in A.binary.support.items():
         for r, q in v.items():
-            rows.setdefault(("binary", j, r), {})[i] = q
+            entries[index.setdefault(("binary", j, r), len(index)), i] = q
     for (i, j, k), v in A.ternary.support.items():
         for r, q in v.items():
-            rows.setdefault(("first", j, k, r), {})[i] = q
-            rows.setdefault(("last", i, j, r), {})[k] = q
-    return list(rows.values())
+            entries[index.setdefault(("first", j, k, r), len(index)), i] = q
+            entries[index.setdefault(("last", i, j, r), len(index)), k] = q
+    return mat(entries, (len(index), A.dim))
 
 
 def center(A):
     """{x : [x,g]=0} n {x : <x,g,g>=0} n {x : <g,g,x>=0} as a subspace, the
     kernel of ``center_equations``."""
-    return Subspace(A.dim, nullspace_basis(center_equations(A), A.dim))
+    rows = center_equations(A).rows.values()
+    return Subspace(A.dim, nullspace_basis([dict(row) for row in rows], A.dim))
 
 
 def derived_algebra(A):
@@ -154,7 +157,7 @@ def derived_algebra(A):
 
 
 def check_homomorphism(A, B, phi, all_violations=False):
-    """phi: A -> B given as a B.dim x A.dim matrix over the bases.
+    """phi: A -> B, a B.dim x A.dim map over the bases (``linalg.mat``).
 
     The residuals phi[x, y] - [phi x, phi y] and likewise for the ternary
     bracket are tabulated over all basis tuples (``linalg.hom_table``): every
@@ -163,8 +166,7 @@ def check_homomorphism(A, B, phi, all_violations=False):
     """
     phi = mat(phi, (B.dim, A.dim), "map must be %dx%d")
     ck = Checker("homomorphism(%s->%s)" % (A.name, B.name), all_violations)
-    rows, cols = sparse_map(phi)
-    ck.tabulate((B.dim,), ([(name, hom_table(a, b, cols, (rows,) * a.arity))] for name, a, b in
+    ck.tabulate((B.dim,), ([(name, hom_table(a, b, phi, (phi,) * a.arity))] for name, a, b in
                            (("hom-binary", A.binary, B.binary),
                             ("hom-ternary", A.ternary, B.ternary))))
     return ck.report()

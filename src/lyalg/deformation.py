@@ -25,9 +25,9 @@ delta of one cochain, read from the columns in its support
 from dataclasses import dataclass
 
 from .cohomology import Cochain, TComplex, pair_index, partial_matrix, wedge_coords
-from .errors import DimMismatch, Inconsistent, InvalidDeformation
-from .linalg import (Tensor, axpy, column_table, contract, dense, format_frac, graded,
-                     graded_push, mat, mat_id, mat_sub, pull, skew_faults, sparse_map)
+from .errors import Inconsistent, InvalidDeformation
+from .linalg import (Map, Tensor, axpy, contract, dense, format_frac, graded, graded_push, mat,
+                     pull, signed_sum, skew_faults, vector)
 from .reports import Checker, Report
 from .rrb import Expansion, intertwining
 
@@ -124,18 +124,19 @@ def check_linear_deformation(op, T1, all_violations=False):
     return ck.report({"coefficient_verdicts": per, "t1_closed": per["t^1"] == "pass"})
 
 
-def _map_cochain(T, m, n):
-    """The n x m matrix T as a degree-1 cochain, the map of its columns."""
-    return Cochain.from_table(1, m, n, column_table(T))
+def _difference_cochain(T1, T2, m, n):
+    """T2 - T1 as a degree-1 cochain, the signed sum of the maps' column tables."""
+    return Cochain.from_table(1, m, n, signed_sum([(1, T2.cols, None), (-1, T1.cols, None)]))
 
 
 def check_equivalence(op, T1, T2, wedges, all_violations=False):
     """Whether (Id + t L(X), Id + t D(X)) is a homomorphism T+tT2 -> T+tT1.
 
-    ``wedges`` lists (x, y) vector pairs whose sum is X in the wedge square of
-    the acting algebra.  All homomorphism equations are expanded in t; the
-    verdict covers the coefficients of t^0 and t^1 (the identities are read
-    modulo t^2), higher coefficients are reported in the data payload.
+    ``wedges`` lists (x, y) vector pairs (``linalg.vector``) whose sum is X in
+    the wedge square of the acting algebra.  All homomorphism equations are
+    expanded in t; the verdict covers the coefficients of t^0 and t^1 (the
+    identities are read modulo t^2), higher coefficients are reported in the
+    data payload.
 
     An identity of psi = Id + tM in k slots is the t^s coefficient of the
     tensor with each slot read through psi, less psi applied to the tensor,
@@ -152,50 +153,47 @@ def check_equivalence(op, T1, T2, wedges, all_violations=False):
     T1, T2 = (_operator_matrix(op, T, "T1 and T2") for T in (T1, T2))
     # L(X) = <x, y, .> and D(X) = D(x, y) summed over the wedges, the slots
     # x and y of each support pulled back along the vectors: {(0, 0, c): {row: q}}
+    wedges = [(vector(x, n), vector(y, n)) for x, y in wedges]
     LX, DX = {}, {}
-    for x, y in wedges:
-        if len(x) != n or len(y) != n:
-            raise DimMismatch("vectors must have length %d" % n)
-        maps = [{i: ((0, q),) for i, q in enumerate(v) if q} for v in (x, y)]
-        pull(LX, 1, g.ternary.support, maps)
-        pull(DX, 1, r.derived_D.support, maps)
-    LX, DX = ({(i, c): q for (_, _, c), v in M.items() for i, q in v.items()} for M in (LX, DX))
+    for xy in wedges:
+        pull(LX, 1, g.ternary.support, xy)
+        pull(DX, 1, r.derived_D.support, xy)
+    LX, DX = (Map.from_columns({key[2:]: v for key, v in M.items()}, (k, k))
+              for M, k in ((LX, n), (DX, m)))
     ck = Checker("deformation-equivalence", all_violations)
     higher = {}
-    res = intertwining((mat_id(n), LX), (op.T, T2), (op.T, T1), (mat_id(m), DX))
+    res = intertwining((None, LX), (op.T, T2), (op.T, T1), (None, DX))
     ck.tabulate((n, m), [[("intertwines-T-t^%d" % s, v) for s, v in enumerate(res[:2])]])
     for s, v in enumerate(res[2:], 2):
         if v:
             higher.setdefault("intertwines-T", set()).add(s)
 
-    def identity(name, t, polys, cols):
+    def identity(name, t, polys, M):
         """(name-t^1, the t^1 table) of ``t`` with slot p read through polys[p],
-        less (Id + t M) t, M given by ``cols``; higher nonzero degrees go to ``higher``."""
+        less (Id + t M) t; higher nonzero degrees go to ``higher``."""
         values = t.support
         for s in range(1, len(polys) + 1):
             acc = {}
             graded(acc, 1, values, polys, s)
-            graded_push(acc, -1, (None, cols), [values], s)
+            graded_push(acc, -1, (None, M), [values], s)
             if s == 1:
                 first = ("%s-t^1" % name, acc)
             elif acc:
                 higher.setdefault(name, set()).add(s)
         return first
 
-    (L_rows, L_cols), (D_rows, D_cols) = sparse_map(LX), sparse_map(DX)
-    L, D = (None, L_rows), (None, D_rows)
-    for name, alg, psi, cols in (("psi_g", g, L, L_cols), ("psi_h", h, D, D_cols)):
-        ck.tabulate((alg.dim,), [[identity(name + "-binary", alg.binary, (psi,) * 2, cols),
-                                  identity(name + "-ternary", alg.ternary, (psi,) * 3, cols)]])
-    ck.tabulate((m, m), [[identity(name, t, (L,) * t.arity + (D,), D_cols)
+    L, D = (None, LX), (None, DX)
+    for name, alg, psi, M in (("psi_g", g, L, LX), ("psi_h", h, D, DX)):
+        ck.tabulate((alg.dim,), [[identity(name + "-binary", alg.binary, (psi,) * 2, M),
+                                  identity(name + "-ternary", alg.ternary, (psi,) * 3, M)]])
+    ck.tabulate((m, m), [[identity(name, t, (L,) * t.arity + (D,), DX)
                           for name, t in (("rho-equivariance", r.rho), ("mu-equivariance", r.mu),
                                           ("D-equivariance", r.derived_D))]])
 
-    pidx = pair_index(n)
     X = {}
     for x, y in wedges:
-        axpy(X, 1, wedge_coords(x, y, pidx))
-    diff = _map_cochain(mat_sub(T2, T1), m, n)
+        axpy(X, 1, wedge_coords(x, y, n))
+    diff = _difference_cochain(T1, T2, m, n)
     data = {"difference_equals_boundary": partial_matrix(op).apply(X) == diff.support,
             "higher_order_residual_degrees": {k: sorted(v) for k, v in sorted(higher.items())}}
     return ck.report(data)
@@ -270,7 +268,7 @@ def difference_class(op, T1, T2):
     T1, T2 = (_operator_matrix(op, T, "T1 and T2") for T in (T1, T2))
     n, m = op.action.acting.dim, op.action.carrier.dim
     try:
-        x = partial_matrix(op).solve(_map_cochain(mat_sub(T2, T1), m, n).support)
+        x = partial_matrix(op).solve(_difference_cochain(T1, T2, m, n).support)
     except Inconsistent:
         return Report("difference-class", "fail", [],
                       {"cohomologous": False})

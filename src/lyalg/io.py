@@ -36,15 +36,17 @@ pass over each entry list and matrix.  Matrices are read as their supports
 other literal zero (the JSON int 0 or the string "0") without a parse, and a
 matrix's location in an error (``action.mu[i][j]``) is formatted only when an
 error names it.  rho and mu become tensors through ``Tensor.from_support``,
-entry (r, c) of the matrix at (i, ..) stored as row r at (i, .., c), and only
-the API's dense matrices (T, N, a homomorphism's matrix, ``load_matrix``) are
-filled from that support.  A JSON int is stored as it is, and every other
-literal is read by ``linalg.rational``, the reader of the library's API, into
-the form a support stores (``linalg.scalar``: an int when it is integral);
-within one top-level load each distinct string is read once.  Two references
-to one algebra (the same file by absolute path, or equal inline objects, such
-as an adjoint action's acting and carrier) load and verify one ``LYAlgebra``,
-used in both slots.  Nothing is kept from one load to the next.
+entry (r, c) of the matrix at (i, ..) stored as row r at (i, .., c), and every
+other matrix (T, N, a homomorphism's matrix, ``load_matrix``) is handed as
+that support to ``linalg.mat``, the one entry for a linear map, and comes
+back in its form (``linalg.Map``), with no dense matrix between.  A JSON int
+is stored as it is, and every other literal is read by ``linalg.rational``,
+the reader of the library's API, into the form a support stores
+(``linalg.scalar``: an int when it is integral); within one top-level load
+each distinct string is read once.  Two references to one algebra (the same
+file by absolute path, or equal inline objects, such as an adjoint action's
+acting and carrier) load and verify one ``LYAlgebra``, used in both slots.
+Nothing is kept from one load to the next.
 
 A rational is an integer, a string "p/q" or a decimal string such as "0.5".
 A string with more than ``linalg.MAX_DECIMAL_DIGITS`` digits in all, or an
@@ -67,7 +69,7 @@ from operator import neg
 
 from .core import LYAlgebra
 from .errors import FormatError, TooLarge
-from .linalg import Tensor, dense, format_frac, rational, skew_faults
+from .linalg import Tensor, dense, format_frac, mat, rational, skew_faults
 from .postlya import PostLYAlgebra
 from .reps import RepAction
 from .rrb import RRBOperator
@@ -331,9 +333,6 @@ class _Load:
             raise FormatError("%s: matrix must be %sx%s" % (_at(where), nr, nc))
         return table, (len(rows), width)
 
-    def dense_matrix(self, rows, where, nr=None, nc=None):
-        return dense(*self.matrix(rows, where, nr, nc))
-
 
 def load_algebra(source, base_dir=None):
     return _Load().algebra(source, base_dir, "algebra")
@@ -347,8 +346,8 @@ def load_operator(source, base_dir=None):
     ld = _Load()
     doc, here = _load_doc(source, base_dir, "operator")
     action = ld.action(_field(doc, "action", "operator"), here, "operator.action")
-    T = ld.dense_matrix(_field(doc, "T", "operator"), "operator.T",
-                        action.acting.dim, action.carrier.dim)
+    T = mat(*ld.matrix(_field(doc, "T", "operator"), "operator.T", action.acting.dim,
+                       action.carrier.dim))
     return RRBOperator(action, T)
 
 
@@ -358,7 +357,7 @@ def load_post(source, base_dir=None):
 
 def load_matrix(source, base_dir=None):
     doc, here = _load_doc(source, base_dir, "matrix file")
-    return _Load().dense_matrix(_field(doc, "matrix", "matrix file"), "matrix")
+    return mat(*_Load().matrix(_field(doc, "matrix", "matrix file"), "matrix"))
 
 
 def load_homomorphism(source, base_dir=None):
@@ -366,8 +365,8 @@ def load_homomorphism(source, base_dir=None):
     doc, here = _load_doc(source, base_dir, "homomorphism")
     src = ld.algebra(_field(doc, "from", "homomorphism"), here, "homomorphism.from")
     dst = ld.algebra(_field(doc, "to", "homomorphism"), here, "homomorphism.to")
-    mx = ld.dense_matrix(_field(doc, "matrix", "homomorphism"), "homomorphism.matrix",
-                         dst.dim, src.dim)
+    mx = mat(*ld.matrix(_field(doc, "matrix", "homomorphism"), "homomorphism.matrix", dst.dim,
+                        src.dim))
     return src, dst, mx
 
 
@@ -375,7 +374,7 @@ def load_nijenhuis(source, base_dir=None):
     ld = _Load()
     doc, here = _load_doc(source, base_dir, "nijenhuis file")
     A = ld.algebra(_field(doc, "algebra", "nijenhuis file"), here, "nijenhuis file.algebra")
-    N = ld.dense_matrix(_field(doc, "N", "nijenhuis file"), "N", A.dim, A.dim)
+    N = mat(*ld.matrix(_field(doc, "N", "nijenhuis file"), "N", A.dim, A.dim))
     return A, N
 
 
@@ -419,7 +418,8 @@ def dump_structure(S):
 
 
 def dump_matrix(mx):
-    return [[format_frac(v) for v in row] for row in mx]
+    """The rows of a map, or of anything ``linalg.mat`` reads, as "p/q" strings."""
+    return [[format_frac(v) for v in row] for row in mat(mx).dense()]
 
 
 def canonical_json(obj):

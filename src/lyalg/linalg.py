@@ -2,14 +2,14 @@
 
 A scalar is an exact rational, and every scalar handed out is a
 ``fractions.Fraction``: vectors are tuples of Fraction, matrices tuples of
-row tuples.  Inside, a scalar stored in a support, a sparse map or an
+row tuples.  Inside, a scalar stored in a support, a linear map or an
 equation table is an ``int`` when its denominator is 1 and a Fraction
 otherwise (``scalar``), so integral data is multiplied and summed with no
 Fraction arithmetic; values enter in that form through ``Tensor.from_support``
-and ``sparse_map`` and leave as Fractions through ``dense``.  One routine,
-``rational``, reads every rational literal, from the API or a file, and
-``mat`` every map of a fixed shape.  No routine divides with ``/``, so no
-float can appear.  The one elimination routine
+and ``mat`` and leave as Fractions through ``dense``.  ``rational`` reads
+every rational literal, from the API or a file, ``vector`` every API vector
+and ``mat`` every linear map, into its one form, ``Map``.  No routine
+divides with ``/``, so no float can appear.  The one elimination routine
 takes dense or sparse rows, {column: Fraction or int}, works fraction-free on
 primitive integer rows, and hands back Fractions; every kernel and solve
 feeds it the columns of a matrix, each with a tag.
@@ -104,23 +104,62 @@ def format_frac(q):
 
 
 # ---------------------------------------------------------------------------
-# matrices (tuple of row tuples)
+# linear maps: one form (``Map``), one entry (``mat``), one dense exit
 
-def mat(rows, shape=None, message=None):
-    """The matrix of the rows of rationals (``frac``).  With ``shape`` (r, c),
-    a matrix of any other shape is a DimMismatch, ``message % shape``."""
-    m = tuple(tuple(frac(x) for x in row) for row in rows)
-    if shape is not None and (len(m) != shape[0] or any(len(row) != shape[1] for row in m)):
-        raise DimMismatch(message % shape)
-    return m
+class Map:
+    """A linear map Q^c -> Q^r of ``shape`` (r, c), by its nonzero entries,
+    each stored by ``scalar``, in the two views built once when it is made:
+    ``rows`` {r: [(c, q)]}, which ``pull`` reads, and the column table
+    ``cols`` {(c,): {r: q}}, the form of a matrix-valued support, which
+    ``push`` reads.  Made by ``mat``, or inside the library from its column
+    table by ``from_columns``; it leaves as dense rows by ``dense``."""
+
+    def __init__(self, shape, entries):
+        rows, cols = {}, {}
+        for (r, c), q in entries:        # row-major, each q nonzero and stored
+            rows.setdefault(r, []).append((c, q))
+            cols.setdefault((c,), {})[r] = q
+        self.shape, self.rows, self.cols = shape, rows, cols
+
+    @classmethod
+    def from_columns(cls, table, shape):
+        """The map whose column c is the sparse value at (c,) of ``table``."""
+        return cls(shape, sorted(((r, c), scalar(q)) for (c,), v in table.items()
+                                 for r, q in v.items() if q))
+
+    def dense(self):
+        """The dense rows of Fractions: the form in which a map leaves."""
+        return dense({(r, c): q for r, row in self.rows.items() for c, q in row}, self.shape)
 
 
-def mat_id(n):
-    return tuple(tuple(Q1 if i == j else Q0 for j in range(n)) for i in range(n))
+def mat(M, shape=None, message="matrix must be %dx%d"):
+    """The linear map M as a ``Map``: dense rows, lists or tuples of
+    ``rational`` literals, a sparse {(r, c): literal} dict of the given
+    shape, or a Map, taken as it is.  Any other form, ragged rows, another
+    shape or a key outside it is a DimMismatch, ``message % shape``, or
+    without a shape "a matrix is a list of equal rows"."""
+    if isinstance(M, Map) and M.shape == (shape or M.shape):
+        return M
+    if isinstance(M, dict) and shape and all(
+            type(k) is tuple and len(k) == 2 and type(k[0]) is int is type(k[1])
+            and 0 <= k[0] < shape[0] and 0 <= k[1] < shape[1] for k in M):
+        return Map(shape, [(k, q) for k, q in sorted((k, rational(q)) for k, q in M.items()) if q])
+    if isinstance(M, (list, tuple)) and all(isinstance(row, (list, tuple)) for row in M):
+        nc = len(M[0]) if M else shape[1] if shape else 0
+        if all(len(row) == nc for row in M) and shape in (None, (len(M), nc)):
+            return Map((len(M), nc), [((r, c), q) for r, row in enumerate(M)
+                                      for c, q in enumerate(map(rational, row)) if q])
+    raise DimMismatch(message % shape if shape else "a matrix is a list of equal rows")
 
 
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
+def vector(x, n):
+    """The one reader of an API vector: x, n ``rational`` literals in a list
+    or tuple, or an n x 1 Map, as that Map.  Anything else is a DimMismatch."""
+    if isinstance(x, Map) and x.shape == (n, 1):
+        return x
+    if not isinstance(x, (list, tuple)) or len(x) != n:
+        raise DimMismatch("vectors must have length %d" % n)
+    return Map((n, 1), [((i, 0), q) for i, q in enumerate(map(rational, x)) if q])
 
 
 # ---------------------------------------------------------------------------
@@ -203,24 +242,22 @@ class Tensor:
 def contract(t, *slots):
     """The value of the tensor ``t`` with each slot a basis index or a vector.
 
-    One ``pull`` of the support: a basis index s is read through {s: 1} and a
-    vector x through {i: x_i} at its nonzero entries, each onto the one index
-    0, and a matrix value keeps its column slot.  With no live term the
-    result is the zero of the tensor's value shape.  A basis index outside
-    0..dim-1 or a vector of another length is a DimMismatch.
+    One ``pull`` of the support: a basis index s (an int, not a bool) is read
+    through the map 1 -> e_s and a vector through ``vector``, each onto the
+    one index 0, and a matrix value keeps its column slot.  With no live term
+    the result is the zero of the tensor's value shape.  A basis index
+    outside 0..dim-1 or a vector of another length is a DimMismatch.
     """
     if len(slots) != t.arity:
         raise DimMismatch("tensor takes %d arguments, got %d" % (t.arity, len(slots)))
     maps = []
     for s in slots:
-        if isinstance(s, int):
+        if type(s) is int:
             if not 0 <= s < t.dim:
                 raise DimMismatch("basis index %d outside 0..%d" % (s, t.dim - 1))
-            maps.append({s: ((0, 1),)})
+            maps.append(Map((t.dim, 1), [((s, 0), 1)]))
         else:
-            if len(s) != t.dim:
-                raise DimMismatch("vectors must have length %d" % t.dim)
-            maps.append({i: ((0, x),) for i, x in enumerate(s) if x})
+            maps.append(vector(s, t.dim))
     acc = {}
     pull(acc, 1, t.support, maps)
     return dense({(r, key[-1]) if len(t.shape) == 2 else r: q
@@ -340,26 +377,6 @@ def skew_fault(binary, ternary=None):
 # are placed at the tuple positions of the equation's arguments.  A term's
 # sign is the int 1 or -1, so a product of integral entries stays an int.
 
-def sparse_map(M):
-    """The nonzero entries of the matrix M, dense or sparse {(r, c): q}, as
-    (rows, cols), rows {r: [(c, q)]} and cols {c: [(r, q)]}, each q stored
-    by ``scalar``."""
-    rows, cols = {}, {}
-    entries = sorted(M.items()) if isinstance(M, dict) else (
-        ((r, c), q) for r, row in enumerate(M) for c, q in enumerate(row))
-    for (r, c), q in entries:
-        if q:
-            q = scalar(q)
-            rows.setdefault(r, []).append((c, q))
-            cols.setdefault(c, []).append((r, q))
-    return rows, cols
-
-
-def column_table(M):
-    """The matrix M as the table {(c,): {r: q}} of its nonzero columns."""
-    return {(c,): dict(col) for c, col in sparse_map(M)[1].items()}
-
-
 def _placement(positions):
     """The map taking a key to the tuple with slot p at position
     positions[p], or None for slot order."""
@@ -372,16 +389,16 @@ def _placement(positions):
 
 
 def pull(acc, sign, values, maps, positions=None):
-    """acc += sign * ``values`` with slot p read through maps[p] (the rows of a
-    map, see ``sparse_map``, or None to read the slot as it is) and placed at
+    """acc += sign * ``values`` with slot p read through the map maps[p] (its
+    rows, see ``Map``), or as it is where maps[p] is None, and placed at
     tuple position positions[p] (slot order by default).
 
     The slots are pulled back one at a time, so that the terms meeting at a
     partly pulled-back key are summed before the next slot multiplies them.
     """
-    for p, rows in enumerate(maps):
-        if rows is not None:
-            table = {}
+    for p, M in enumerate(maps):
+        if M is not None:
+            rows, table = M.rows, {}
             _sum_into(table, ((key[:p] + (a,) + key[p + 1:], q, v.items())
                               for key, v in values.items() for a, q in rows.get(key[p], ())))
             values = table
@@ -390,18 +407,19 @@ def pull(acc, sign, values, maps, positions=None):
                     for key, v in values.items()))
 
 
-def push(acc, sign, cols, table):
-    """acc += sign * M(table), M given by its columns (see ``sparse_map``):
-    column y of M scaled by the entry at row y of each value."""
-    _sum_into(acc, ((key, sign * q, cols[y])
-                    for key, v in table.items() for y, q in v.items() if y in cols))
+def push(acc, sign, M, table):
+    """acc += sign * M(table) for the map M: its column y (see ``Map``)
+    scaled by the entry at row y of each value."""
+    cols = M.cols
+    _sum_into(acc, ((key, sign * q, cols[y,].items())
+                    for key, v in table.items() for y, q in v.items() if (y,) in cols))
 
 
 # ---------------------------------------------------------------------------
 # truncated polynomials in t
 #
-# A polynomial map sum_i t^i P_i is the tuple (P_0, P_1, ..), each P_i given
-# by its nonzero entries or None for the identity.  Every t-expansion takes
+# A polynomial map sum_i t^i P_i is the tuple (P_0, P_1, ..), each P_i a
+# ``Map`` or None for the identity.  Every t-expansion takes
 # its t^s coefficient from one of the two routines below.
 
 @functools.lru_cache(maxsize=1024)
@@ -415,8 +433,7 @@ def _degrees(lengths, s):
 
 def graded(acc, sign, values, polys, s, positions=None):
     """acc += sign * the t^s coefficient of ``values`` with slot p read
-    through the polynomial map polys[p] = (P_0, P_1, ..), each P_i given by
-    its rows (see ``sparse_map``) or None for the identity, and placed as by
+    through the polynomial map polys[p] = (P_0, P_1, ..), and placed as by
     ``pull``; polys[p] = None reads slot p as it is, at degree 0 only."""
     polys = [(None,) if P is None else P for P in polys]
     for degrees in _degrees(tuple(map(len, polys)), s):
@@ -424,15 +441,16 @@ def graded(acc, sign, values, polys, s, positions=None):
 
 
 def graded_push(acc, sign, poly, tables, s):
-    """acc += sign * the t^s coefficient of P(t) applied to the graded table
-    sum_j t^j tables[j], P(t) = sum_i t^i poly[i] with each poly[i] given by
-    its columns (see ``sparse_map``) or None for the identity."""
-    for i, cols in enumerate(poly[:s + 1]):
+    """acc += sign * the t^s coefficient of the polynomial map P(t) = sum_i
+    t^i poly[i] applied to the graded table sum_j t^j tables[j], a table None
+    standing for the identity's columns (not where poly[i] is None too)."""
+    for i, M in enumerate(poly[:s + 1]):
         if s - i < len(tables):
-            if cols is None:
-                pull(acc, sign, tables[s - i], ())
+            table = tables[s - i]
+            if M is None or table is None:
+                pull(acc, sign, M.cols if table is None else table, ())
             else:
-                push(acc, sign, cols, tables[s - i])
+                push(acc, sign, M, table)
 
 
 def signed_sum(terms):
@@ -476,13 +494,13 @@ def compose(acc, sign, outer, p, inner, positions=None):
     _sum_into(acc, terms())
 
 
-def hom_table(src, dst, cols, maps):
-    """M(src(e_i, ..)) - dst(..) with slot p of dst read through maps[p], over
-    the basis tuples of src's slots, M given by its columns (see
-    ``sparse_map``); both supports are read as they are, a matrix value's
-    column one more slot that maps[-1] reads."""
+def hom_table(src, dst, M, maps):
+    """M(src(e_i, ..)) - dst(..) with slot p of dst read through the map
+    maps[p], over the basis tuples of src's slots, for the map M; both
+    supports are read as they are, a matrix value's column one more slot
+    that maps[-1] reads."""
     acc = {}
-    push(acc, 1, cols, src.support)
+    push(acc, 1, M, src.support)
     pull(acc, -1, dst.support, maps)
     return acc
 
@@ -729,14 +747,18 @@ def solve(rows, b, ncols=None):
     return ech.solve(b, ncols)
 
 
-def invert(m):
-    n = len(m)
-    if any(len(r) != n for r in m):
+def invert(M):
+    """The inverse of the square map M (``mat``), as a Map; NotInvertible
+    when M is singular."""
+    M = mat(M)
+    n = M.shape[0]
+    if M.shape != (n, n):
         raise DimMismatch("inverse needs a square matrix")
-    ech = Echelon(list(r) + [Q1 if j == i else Q0 for j in range(n)] for i, r in enumerate(m))
+    ech = Echelon({**dict(M.rows.get(i, ())), n + i: 1} for i in range(n))
     if ech.pivots[:n] != list(range(n)):
         raise NotInvertible("matrix is singular")
-    return tuple(row[n:] for row in ech.dense_rows(2 * n))
+    return Map((n, n), [((i, k - n), scalar(q)) for i, row in ech.items()
+                        for k, q in sorted(row.items()) if k >= n])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ no basis tuple is visited.
 
 from .core import LYAlgebra, check_homomorphism, check_ly_axioms, set_operations
 from .errors import AxiomsFailed, Unverified
-from .linalg import Tensor, hom_table, mat, mat_id, pull, signed_sum, sparse_map
+from .linalg import Tensor, hom_table, mat, pull, signed_sum
 from .reports import Checker, summed
 from .reps import RepAction, check_action, regular_pair
 
@@ -177,7 +177,7 @@ def identity_is_rrb(A):
     """Package Id over the induced action and check the weight-1 equations."""
     from .rrb import RRBOperator, check_rrb
     r = induced_action(A)
-    op = RRBOperator(r, mat_id(A.dim))
+    op = RRBOperator(r, mat({(i, i): 1 for i in range(A.dim)}, (A.dim, A.dim)))
     return check_rrb(op)
 
 
@@ -190,11 +190,10 @@ def induced_post_from_rrb(op):
     r = op.action
     h = r.carrier
     m = h.dim
-    rows, _ = sparse_map(op.T)
     # x*y at (x, y) and {x,y,z} at (x, y, z), T pulled into the slots of rho and mu
-    star, brace = {}, {}
-    pull(star, 1, r.rho.support, (rows, None))
-    pull(brace, 1, r.mu.support, (rows, rows, None), (1, 2, 0))
+    T, star, brace = op.T, {}, {}
+    pull(star, 1, r.rho.support, (T, None))
+    pull(brace, 1, r.mu.support, (T, T, None), (1, 2, 0))
     A = PostLYAlgebra(m, h.binary, Tensor.from_support(star, m, 2, (m,)), h.ternary,
                       Tensor.from_support(brace, m, 3, (m,)),
                       basis=h.basis, name="%s-post" % h.name)
@@ -212,9 +211,8 @@ def check_post_homomorphism(A, B, psi, all_violations=False):
     """
     psi = mat(psi, (B.dim, A.dim), "map must be %dx%d")
     ck = Checker("post-homomorphism(%s->%s)" % (A.name, B.name), all_violations)
-    rows, cols = sparse_map(psi)
-    ck.tabulate((B.dim,), [[("hom-" + op, hom_table(getattr(A, op), getattr(B, op), cols,
-                                                   (rows,) * getattr(A, op).arity))
+    ck.tabulate((B.dim,), [[("hom-" + op, hom_table(getattr(A, op), getattr(B, op), psi,
+                                                   (psi,) * getattr(A, op).arity))
                             for op in ("dot", "star", "angle", "brace")]])
     rep = ck.report()
     if rep.passed and A.verified and B.verified:

@@ -26,7 +26,7 @@ import itertools
 
 from .core import LYAlgebra, center_equations
 from .errors import AxiomsFailed, NotAnAction
-from .linalg import Echelon, Tensor, push, signed_sum, sparse_map
+from .linalg import Echelon, Tensor, compose, push, signed_sum
 from .reports import Checker, summed
 
 
@@ -193,9 +193,6 @@ def check_action(r, all_violations=False):
     g, h = r.acting, r.carrier
     h.ensure_verified()
     equations = center_equations(h)
-    # the equations by columns, so that applying them reads the column's entries only
-    _, on_column = sparse_map({(e, i): q for e, row in enumerate(equations)
-                               for i, q in row.items()})
     brackets = [("-kills-binary", {ab: v for ab, v in h.binary.support.items()
                                    if ab[0] < ab[1]}),
                 ("-kills-ternary", h.ternary.support)]
@@ -206,26 +203,26 @@ def check_action(r, all_violations=False):
         for fam, t in (("rho", r.rho), ("mu", r.mu), ("D", r.derived_D)):
             # the support is sorted, so each acting tuple's columns come together
             for args, group in itertools.groupby(t.support.items(), lambda kv: kv[0][:-1]):
-                cols = {key[-1]: v for key, v in group}
+                # the block at args as the table of its columns, {(c,): v}
+                block = {key[-1:]: v for key, v in group}
                 off = {}
-                push(off, 1, on_column, {(col,): v for col, v in cols.items()})
-                meets = not rows.isdisjoint(cols)
+                push(off, 1, equations, block)
+                meets = any(c in rows for c, in block)
                 if not (off or meets):
                     continue
-                central = {args + c: cols[c[0]] for c in off}
+                central = {args + c: block[c] for c in off}
                 tables = [(fam + "-image-central", central, _by_table)]
                 if meets:
-                    block = {col: v.items() for col, v in cols.items()}
                     for eq, values in brackets:
                         kills = {}
-                        push(kills, 1, block, values)
+                        compose(kills, 1, block, 0, values)
                         kills = {args + k: w for k, w in kills.items()}
                         tables.append((fam + eq, kills, _by_table))
                 yield tables
 
     ck = Checker("action(%s on %s)" % (g.name, h.name), all_violations)
     ck.tabulate((h.dim,), groups())
-    out = ck.report({"center_dim": h.dim - Echelon(equations).rank})
+    out = ck.report({"center_dim": h.dim - Echelon(map(dict, equations.rows.values())).rank})
     if out.passed:
         r.action_certified = True
     return out

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 from .core import LYAlgebra, check_homomorphism, derived_algebra
 from .errors import DimMismatch, PreconditionFailed, Unverified
-from .linalg import (Tensor, column_table, graded, graded_push, hom_table, invert, mat, mat_id,
-                     pull, push, sparse_map)
+from .linalg import Map, Tensor, graded, graded_push, hom_table, invert, mat, pull, push
 from .reports import Checker
 from .reps import adjoint_rep
 
 
 class RRBOperator:
-    """A linear map T from the action's carrier into its acting algebra.
+    """A linear map T from the action's carrier into its acting algebra,
+    read by ``linalg.mat`` and kept in that form (``linalg.Map``).
 
     T and the action are fixed at construction, so the t-expansion of T
     alone (``expansion``) is built once, on first read.
@@ -56,13 +56,10 @@ class RRBOperator:
 
 @dataclass
 class HomPair:
-    """A pair of maps (psi_g on the acting algebra, psi_h on the carrier)."""
-    psi_g: tuple
-    psi_h: tuple
-
-    def __post_init__(self):
-        self.psi_g = mat(self.psi_g)
-        self.psi_h = mat(self.psi_h)
+    """A pair of maps (psi_g on the acting algebra, psi_h on the carrier),
+    each read by ``linalg.mat`` where it is used, which knows its shape."""
+    psi_g: object
+    psi_h: object
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +102,8 @@ class Expansion:
 
     def __init__(self, r, Ts):
         g, h = r.acting, r.carrier
-        maps = [sparse_map(mat(T, (g.dim, h.dim), "each T_i must be %dx%d (carrier -> acting)"))
-                for T in Ts]
-        T = self._rows = tuple(rw for rw, _ in maps)
-        self._cols = tuple(cl for _, cl in maps)
+        T = self._Ts = tuple(mat(T, (g.dim, h.dim), "each T_i must be %dx%d (carrier -> acting)")
+                             for T in Ts)
         rho, mu, D = r.rho.support, r.mu.support, r.derived_D.support
         # per arity: the bracket of g, the terms of the inner sum, the inner
         # sums by degree and the tables by degree
@@ -137,8 +132,8 @@ class Expansion:
         if s not in tables:
             self.inner(arity, s)
             acc = {}
-            graded(acc, 1, bracket, (self._rows,) * arity, s)
-            graded_push(acc, -1, self._cols, inner, s)
+            graded(acc, 1, bracket, (self._Ts,) * arity, s)
+            graded_push(acc, -1, self._Ts, inner, s)
             tables[s] = acc
         return tables[s]
 
@@ -172,9 +167,10 @@ def graph_subalgebra_check(op, all_violations=False):
     """
     S = op.action.semidirect()
     n, m = op.action.acting.dim, op.action.carrier.dim
-    lift, _ = sparse_map(op.T + mat_id(m))                        # u -> Tu + u
-    minus_T = tuple(tuple(-q for q in row) for row in op.T)
-    _, defect = sparse_map(tuple(e + row for e, row in zip(mat_id(n), minus_T)))  # x - Tu
+    T = [((r, c), q) for r, row in op.T.rows.items() for c, q in row]
+    lift = mat({**dict(T), **{(n + c, c): 1 for c in range(m)}}, (n + m, m))    # u -> Tu + u
+    defect = mat({**{(i, i): 1 for i in range(n)}, **{(r, n + c): -q for (r, c), q in T}},
+                 (n, n + m))                                                    # x - Tu
 
     def off_graph(t):
         """The brackets w of ``t`` on the generators, where x - Tu does not vanish."""
@@ -198,30 +194,22 @@ def check_nijenhuis(A, N, all_violations=False):
 
     The residual of a bracket in k slots is the t^k coefficient of
     (Id + tN)^-1 [(Id + tN)x, ..], the sum over j of (-N)^(k-j) applied to the
-    bracket with N in j of its slots; it is tabulated over all basis tuples,
-    every pair first, then every triple, and the triples are not tabulated
-    once the pairs have settled a capped report.
+    bracket with N in j of its slots, summed by Horner's rule so that no
+    power of N is formed; it is tabulated over all basis tuples, every pair
+    first, then every triple, and the triples are not tabulated once the
+    pairs have settled a capped report.
     """
     A.ensure_verified()
     n = A.dim
     N = mat(N, (n, n), "N must be %dx%d")
-    rows, cols = sparse_map(N)
-    # (Id + tN)^-1 = Id - tN + t^2 N^2 - t^3 N^3 mod t^4, by columns: each
-    # power of -N is -N pushed through the columns of the one before
-    inverse, power = [None], {(c,): {c: 1} for c in range(n)}
-    for _ in range(3):
-        power, previous = {}, power
-        push(power, -1, cols, previous)
-        inverse.append(sparse_map({(r, c): q for (c,), v in power.items()
-                                   for r, q in v.items()})[1])
 
     def residual(t):
-        k = t.arity
-        inner = [{} for _ in range(k + 1)]
-        for j, table in enumerate(inner):
-            graded(table, 1, t.support, ((None, rows),) * k, j)
-        acc = {}
-        graded_push(acc, 1, inverse, inner, k)
+        # -N applied to the sum so far, plus the next degree
+        k, acc = t.arity, {}
+        for j in range(k + 1):
+            acc, previous = {}, acc
+            push(acc, -1, N, previous)
+            graded(acc, 1, t.support, ((None, N),) * k, j)
         return acc
 
     ck = Checker("nijenhuis(%s)" % A.name, all_violations)
@@ -231,12 +219,12 @@ def check_nijenhuis(A, N, all_violations=False):
 
 
 def lift_operator(op):
-    """The block map [[Id, T], [0, 0]] on acting (+) carrier; idempotent."""
+    """The block map [[Id, T], [0, 0]] on acting (+) carrier, a ``linalg.Map``;
+    idempotent."""
     n, m = op.action.acting.dim, op.action.carrier.dim
-    rows = [tuple(1 if j == i else 0 for j in range(n)) + tuple(op.T[i])
-            for i in range(n)]
-    rows += [(0,) * (n + m)] * m
-    return mat(rows)
+    return mat({**{(i, i): 1 for i in range(n)},
+                **{(r, n + c): q for r, row in op.T.rows.items() for c, q in row}},
+               (n + m, n + m))
 
 
 def descent_algebra(op):
@@ -282,7 +270,9 @@ def projection_operator(A, h_sub, t_sub):
                                  "the adjoint representation is not an action")
     # both brackets on the basis of h, each slot read through the basis
     # vectors; the first live tuple is named, a pair before its triples
-    on_h, live = sparse_map(h_sub.basis)[1], []
+    on_h = mat({(i, b): q for b, v in enumerate(h_sub.basis) for i, q in enumerate(v)},
+               (n, h_sub.dim))
+    live = []
     for t in (A.binary, A.ternary):
         values = {}
         pull(values, 1, t.support, (on_h,) * t.arity)
@@ -296,12 +286,14 @@ def projection_operator(A, h_sub, t_sub):
     if t_sub.dim + h_sub.dim != n or t_sub.sum(h_sub).dim != n:
         raise PreconditionFailed("t-h-complementary",
                                  "t and h do not decompose the algebra")
-    # P = B diag(0,..,0,1,..,1) B^{-1} with columns of B listing t then h
-    cols = list(t_sub.basis) + list(h_sub.basis)
-    Binv = invert(tuple(zip(*cols)))
-    P = tuple(tuple(sum(cols[k][i] * Binv[k][j] for k in range(t_sub.dim, n))
-                    for j in range(n)) for i in range(n))
-    op = RRBOperator(r, P)
+    # P = B diag(0,..,0,1,..,1) B^{-1} with columns of B listing t then h: the
+    # columns of B^{-1} pushed through the h columns of B alone
+    B = {(i, k): q for k, v in enumerate(list(t_sub.basis) + list(h_sub.basis))
+         for i, q in enumerate(v)}
+    P = {}
+    push(P, 1, mat({(i, k): q for (i, k), q in B.items() if k >= t_sub.dim}, (n, n)),
+         invert(mat(B, (n, n))).cols)
+    op = RRBOperator(r, Map.from_columns(P, (n, n)))
     op.ensure_verified()
     return op
 
@@ -309,7 +301,8 @@ def projection_operator(A, h_sub, t_sub):
 def check_rrb_homomorphism(from_op, to_op, pair, all_violations=False):
     """Verify a pair (psi_g, psi_h) as a morphism from one operator to another.
 
-    Requires both psi maps to be homomorphisms of their algebras,
+    Requires both psi maps (``linalg.mat``, "map must be kxk") to be
+    homomorphisms of their algebras,
     psi_g T' = T psi_h, and the rho-, mu- (and derived D-) equivariance
     psi_h rho(x) - rho'(psi_g x) psi_h and likewise for mu and D, each
     tabulated over the basis tuples of g (``linalg.hom_table``, the matrix
@@ -319,15 +312,15 @@ def check_rrb_homomorphism(from_op, to_op, pair, all_violations=False):
     g, h = rf.acting, rf.carrier
     if (rt.acting.dim, rt.carrier.dim) != (g.dim, h.dim):
         raise DimMismatch("operators live over different action shapes")
-    pg, ph = pair.psi_g, pair.psi_h
+    pg, ph = (mat(psi, (k, k), "map must be %dx%d")
+              for psi, k in ((pair.psi_g, g.dim), (pair.psi_h, h.dim)))
     ck = Checker("rrb-homomorphism", all_violations)
     for src, dst, psi, name in ((g, rt.acting, pg, "psi_g"), (h, rt.carrier, ph, "psi_h")):
         ck.include(name + "-not-homomorphism:", check_homomorphism(src, dst, psi, all_violations))
     res, = intertwining((pg,), (from_op.T,), (to_op.T,), (ph,))
     ck.tabulate((g.dim, h.dim), [[("intertwines-T", res)]])
-    (g_rows, _), (h_rows, h_cols) = sparse_map(pg), sparse_map(ph)
     ck.tabulate((h.dim, h.dim), [[
-        (name, hom_table(src, dst, h_cols, (g_rows,) * src.arity + (h_rows,)))
+        (name, hom_table(src, dst, ph, (pg,) * src.arity + (ph,)))
         for name, src, dst in (("rho-equivariance", rf.rho, rt.rho),
                                ("mu-equivariance", rf.mu, rt.mu),
                                ("D-equivariance", rf.derived_D, rt.derived_D))]])
@@ -337,9 +330,9 @@ def check_rrb_homomorphism(from_op, to_op, pair, all_violations=False):
 def intertwining(P, A, B, Q):
     """The coefficients of P A - B Q as the tables {(c,): {r: q}} of their
     columns, a matrix-shaped table for ``Checker.tabulate``, for polynomials
-    in t given by their matrices, lowest degree first: P and B are applied to
-    A and Q read as the tables of their columns."""
-    terms = [(sign, [sparse_map(M)[1] for M in outer], [column_table(M) for M in inner])
+    in t given by their maps (``linalg.Map``, None for the identity), lowest
+    degree first: P and B are applied to the column views of A and Q."""
+    terms = [(sign, outer, [None if M is None else M.cols for M in inner])
              for sign, outer, inner in ((1, P, A), (-1, B, Q))]
     out = []
     for s in range(len(P) + len(A) - 1):

@@ -14,11 +14,12 @@ from fractions import Fraction as F
 
 import lyalg as L
 from lyalg import io as lyio
-from lyalg.linalg import Tensor, mat_id
+from lyalg.linalg import Tensor
 from lyalg.postlya import PostLYAlgebra, check_post_axioms, induced_action, induced_post_from_rrb
 from lyalg.reps import RepAction, adjoint_rep
 
 import oracles
+from oracles import mid
 from conftest import fx
 
 # scalar pool of random_matrix and family_matrix
@@ -225,7 +226,7 @@ def p3_operator():
 def live_post_operator():
     """Id over the action of ``live_post`` on itself: its induced
     representation and post-algebra are live."""
-    return L.RRBOperator(induced_action(live_post()), mat_id(3)).ensure_verified()
+    return L.RRBOperator(induced_action(live_post()), mid(3)).ensure_verified()
 
 
 def heisenberg5_operator(rng):
@@ -429,7 +430,7 @@ def moved_rep(rng, r):
 def moved_operator(rng, op):
     """op with two entries of T moved by 1/2, in rows 0..2, which span no
     central direction of the generated algebra."""
-    T = [list(row) for row in op.T]
+    T = [list(row) for row in op.T.dense()]
     for _ in range(2):
         T[rng.randrange(3)][rng.randrange(len(T[0]))] += HALF
     return L.RRBOperator(op.action, T)

@@ -9,7 +9,8 @@ or at a generic cochain of linear forms), and deformation coefficients and
 equivalences from polynomial expansion in t.  The library's structure
 tensors are read through their ``dim``, ``arity``, ``shape`` and ``support``
 fields only, expanded into nested tuples by ``nested``; its sparse matrices
-through their ``rows``, ``cols`` and ``data`` fields only.
+through their ``rows``, ``cols`` and ``data`` fields only; its linear maps
+through their ``shape`` and ``rows`` fields only, by ``rows_of``.
 """
 
 import functools
@@ -201,6 +202,23 @@ def madd(a, b):
 
 def mzero(r, c):
     return tuple((Z,) * c for _ in range(r))
+
+
+def rows_of(M):
+    """The dense rows of a library linear map, read off its ``shape`` and
+    ``rows`` ({r: [(c, q)]}) fields, or M itself when it has no such fields."""
+    if not hasattr(M, "rows"):
+        return M
+    out = [[Z] * M.shape[1] for _ in range(M.shape[0])]
+    for r, row in M.rows.items():
+        for c, q in row:
+            out[r][c] = Fraction(q)
+    return tuple(map(tuple, out))
+
+
+def mid(n):
+    """The n x n identity as dense rows."""
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def _lin(c, a, b=None):
@@ -583,6 +601,7 @@ def o_nijenhuis_violations(A, N):
                        - N<Nx,y,z> - N<x,Ny,z> - N<x,y,Nz> + N^2<x,y,z>)
     (every pair first, then every triple)."""
     c, d = _brackets(A)
+    N = rows_of(N)
     Ne = [col(N, i) for i in range(A.dim)]
 
     def binary(i, j):
@@ -605,6 +624,7 @@ def o_hom_violations(phi, families, interleaved=False):
     dst's: every tuple of the first arity, then of the next, or with
     ``interleaved`` each tuple directly followed by its extensions (mixed-length
     lexicographic order), families in list order at one tuple."""
+    phi = rows_of(phi)
     n = len(phi[0])
     cols = [col(phi, i) for i in range(n)]
     found = []
@@ -622,6 +642,7 @@ def o_equivariance_violations(rf, rt, pg, ph):
     """ph rho_f(x) - rho_t(pg x) ph, ph mu_f(x,y) - mu_t(pg x, pg y) ph and
     ph D_f(x,y) - D_t(pg x, pg y) ph (D from its closed form on both actions):
     at each i the rho witness, then for each j the mu and D witnesses at (i, j)."""
+    pg, ph = rows_of(pg), rows_of(ph)
     n = len(pg[0])
     e = [_unit(n, i) for i in range(n)]
     ge = [col(pg, i) for i in range(n)]
@@ -719,6 +740,7 @@ def o_equivalence(op, T1, T2, wedges):
     tuple by degree and then in that order.  The data gives, per identity,
     the degrees >= 2 with a nonzero coefficient, and whether T2 - T1 is the
     boundary of X."""
+    T, T1, T2 = rows_of(op.T), rows_of(T1), rows_of(T2)
     r = op.action
     g, h = r.acting, r.carrier
     n, m = g.dim, h.dim
@@ -738,7 +760,7 @@ def o_equivalence(op, T1, T2, wedges):
 
     P = plus_t([_unit(n, i) for i in range(n)], LX)
     Q = plus_t([_unit(m, a) for a in range(m)], DX)
-    intertwines = _sum(mm(P, plus_t(op.T, T2)), _neg(mm(plus_t(op.T, T1), Q)))
+    intertwines = _sum(mm(P, plus_t(T, T2)), _neg(mm(plus_t(T, T1), Q)))
     groups = [[("intertwines-T", (), intertwines)]]
     for name, M, alg in (("psi_g", P, g), ("psi_h", Q, h)):
         groups.append([(eq, args, _neg(res)) for eq, args, res in o_hom_violations(
@@ -781,7 +803,7 @@ class OpOracle:
         self.r = op.action
         self.g = self.r.acting
         self.h = self.r.carrier
-        self.T = op.T
+        self.T = rows_of(op.T)
         self.n = self.g.dim
         self.m = self.h.dim
         self._memo = {}
@@ -1225,6 +1247,7 @@ def _cochain_keys(m, p):
 
 def o_inverse(M):
     """The inverse of a square matrix by Gauss-Jordan elimination on [M | I]."""
+    M = rows_of(M)
     k = len(M)
     rows = [list(r) + [Fraction(int(i == j)) for j in range(k)] for i, r in enumerate(M)]
     for c in range(k):
@@ -1246,7 +1269,7 @@ def o_pushforward(p, m, n, flat, psi_g, psi_h):
 
     with psi_h^-1 (a /\\ b) = psi_h^-1 a /\\ psi_h^-1 b expanded on the pairs and
     the cochain read at every term of the expansion."""
-    inv = o_inverse(psi_h)
+    psi_g, inv = rows_of(psi_g), o_inverse(psi_h)
     img = [tuple(row[a] for row in inv) for a in range(m)]      # psi_h^-1 e_a
     keys = _cochain_keys(m, p)
     val = {key: tuple(flat[b * n:(b + 1) * n]) for b, key in enumerate(keys)}
@@ -1327,6 +1350,7 @@ def o_product(A, B):
 
 def poly_binary_residual(r, Ts, u, v, L):
     """Coefficients t^0..t^(L-1) of the binary equation for T_t = sum t^i T_i."""
+    Ts = [rows_of(T) for T in Ts]
     g, h = r.acting, r.carrier
     n = g.dim
     zero = (Z,) * n
@@ -1350,6 +1374,7 @@ def poly_binary_residual(r, Ts, u, v, L):
 
 def poly_ternary_residual(r, Ts, u, v, w, L):
     """Coefficients t^0..t^(L-1) of the ternary equation."""
+    Ts = [rows_of(T) for T in Ts]
     g, h = r.acting, r.carrier
     n = g.dim
     zero = (Z,) * n

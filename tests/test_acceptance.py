@@ -131,7 +131,7 @@ def test_criterion_6_obstruction_dual_path(p3):
     ok = True
     n_ext = 0
     for _ in range(20):
-        T1 = mat(family_matrix(rng))
+        T1 = mat(family_matrix(rng)).dense()
         d = OrderNDeformation(p3, [T1])
         if not check_order_n(d).passed:
             ok = False

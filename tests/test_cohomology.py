@@ -12,14 +12,13 @@ from lyalg.cohomology import (Cochain, SparseMat, TComplex,
 from lyalg.cli import run
 from lyalg import cohomology, io as lyio
 from lyalg.errors import DimMismatch, Inconsistent, ShapeMismatch, TooLarge
-from lyalg.linalg import mat_id
 from lyalg.rrb import HomPair, descent_algebra
 
 import oracles
 from conftest import fx
 from families import (NONZERO_PARTIAL_SEEDS, basis_vector, forced_operator,
                       live_post_operator, square_zero_operator, two_step_operator)
-from oracles import OpOracle, nested, o_rank
+from oracles import OpOracle, mid, nested, o_rank
 
 
 def test_sparse_mat_against_dense():
@@ -170,10 +169,14 @@ def test_wedge_coords():
     pidx = {p: t for t, p in enumerate(prs)}
     x = (F(1), F(0), F(2))
     y = (F(0), F(1), F(0))
-    d = wedge_coords(x, y, pidx)
+    d = wedge_coords(x, y, 3)
     # x /\ y = e1/\e2 + 2 e3/\e2 = e1/\e2 - 2 e2/\e3
     assert d == {pidx[(0, 1)]: F(1), pidx[(1, 2)]: F(-2)}
-    assert wedge_coords(x, x, pidx) == {}
+    assert wedge_coords(x, x, 3) == {}
+    assert wedge_coords(["1", 0, "2"], [0, 1, 0], 3) == d
+    for bad in (x[:2], {0: 1}, "102", 5):
+        with pytest.raises(DimMismatch, match="^vectors must have length 3$"):
+            wedge_coords(bad, y, 3)
 
 
 def test_cochain_flat_roundtrip():
@@ -246,10 +249,29 @@ def test_delta2_matrix_matches_oracle(tcomplex, oracle_matrices):
         tuple(r) for r in oracle_matrices[2])
 
 
-def test_composites_vanish(tcomplex):
-    assert not oracles.o_product(tcomplex.matrix(1), tcomplex.matrix(0))
-    assert not oracles.o_product(tcomplex.matrix(2), tcomplex.matrix(1))
-    assert not oracles.o_product(tcomplex.matrix(3), tcomplex.matrix(2))
+# (the operator, the top degree p of delta^p o delta^(p-1) to check)
+COMPOSITE_FAMILIES = {
+    "p3": (lambda: lyio.load_operator(fx("p3_on_nilpotent4.json")), 3),
+    "square_zero_5102": (lambda: lyio.load_operator(fx("square_zero_5102.json")), 4),
+    "square_zero_5107": (lambda: square_zero_operator(random.Random(5107), 4, 3, 2), 4),
+    "live_post": (live_post_operator, 4),
+    # rho, mu and D vanish, so every matrix is stored as S_p (x) I_n; its
+    # delta^4 is over MAX_COBOUNDARY_ROWS
+    "two_step_5009": (lambda: two_step_operator(random.Random(5009), 2, 2, 1), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITE_FAMILIES))
+def test_composites_vanish(name):
+    """delta o delta = 0 from delta^1 o partial up to the family's top degree,
+    each product taken by the oracle from the matrices' entries; partial and
+    delta^1 read T through ``partial_matrix`` and ``induced_rep``."""
+    make, top = COMPOSITE_FAMILIES[name]
+    cx = TComplex(make())
+    assert (cx.matrix(1).copies > 1) == (name in ("p3", "two_step_5009"))
+    for p in range(1, top + 1):
+        assert any(cx.matrix(p).factor), (name, p)
+        assert not oracles.o_product(cx.matrix(p), cx.matrix(p - 1)), (name, p)
 
 
 def test_budget_admits_the_measured_sizes():
@@ -397,7 +419,8 @@ def test_square_zero_fixture_is_the_pinned_operator():
     written out with inline abelian algebras and "p/q" entries."""
     op = lyio.load_operator(fx("square_zero_5102.json"))
     want = square_zero_operator(random.Random(5102), 4, 3, 2)
-    assert (op.T, op.action.rho, op.action.mu) == (want.T, want.action.rho, want.action.mu)
+    assert (op.T.dense(), op.action.rho, op.action.mu) \
+        == (want.T.dense(), want.action.rho, want.action.mu)
     cx = TComplex(op)
     for p in (1, 2, 3, 4):
         assert delta_sha256(coboundary_matrix_for(cx.descent, cx.rep, p)) == \
@@ -541,7 +564,7 @@ def test_yamaguti_complex_of_adjoint(nilpotent4, adjoint_action):
 
 
 def test_pushforward_identity(tcomplex, p3):
-    pair = HomPair(mat_id(4), mat_id(4))
+    pair = HomPair(mid(4), mid(4))
     c = zero_cochain_map(p3, basis_vector(4, 0), basis_vector(4, 1))
     assert pushforward_cochain(pair, c).f == c.f
     c2 = Cochain.from_support(2, 4, 4, tcomplex.matrix(1).apply(

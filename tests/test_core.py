@@ -5,10 +5,10 @@ from fractions import Fraction as F
 import lyalg as L
 from lyalg import io as lyio
 from lyalg.errors import AxiomsFailed, NotLieAlgebra, StructureError
-from lyalg.linalg import Subspace, contract, mat_id
+from lyalg.linalg import Subspace, contract
 
 from conftest import fx
-from oracles import nested
+from oracles import mid, nested
 
 
 def test_fixture_passes_axioms(nilpotent4):
@@ -150,7 +150,7 @@ def test_from_lie_algebra_rejects_non_jacobi():
 
 
 def test_identity_homomorphism(nilpotent4):
-    rep = L.check_homomorphism(nilpotent4, nilpotent4, mat_id(4))
+    rep = L.check_homomorphism(nilpotent4, nilpotent4, mid(4))
     assert rep.passed
 
 

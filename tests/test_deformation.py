@@ -13,7 +13,7 @@ from lyalg.deformation import (OrderNDeformation, binary_coefficient,
                                check_order_n, difference_class, extend,
                                obstruction_class, ternary_coefficient)
 from lyalg.errors import DimMismatch, InvalidDeformation
-from lyalg.linalg import dense as to_dense, format_frac, mat, mat_id
+from lyalg.linalg import dense as to_dense, format_frac, mat
 from lyalg.rrb import Expansion
 
 import oracles
@@ -21,7 +21,7 @@ from conftest import fx
 from families import (NONZERO_PARTIAL_SEEDS, basis_vector, dense, family_matrix,
                       heisenberg5_operator, listed, random_matrix, square_zero_operator,
                       two_step_operator)
-from oracles import madd, mzero
+from oracles import madd, mid, mzero
 
 
 def test_zero_terms_pass(p3):
@@ -45,9 +45,10 @@ def test_coefficients_match_polynomial_oracle(p3, rng):
     polynomial expansion; the inputs include dense terms and a dense base
     map, so the coefficients do not vanish."""
     h5 = heisenberg5_operator(random.Random(5163))
-    cases = [(p3.action, [p3.T, mat(random_matrix(rng, 4, 4)), mat(random_matrix(rng, 4, 4))]),
-             (p3.action, [mat(dense(rng, 4, 4))]),
-             (h5.action, [h5.T, mat(dense(rng, 5, 5))])]
+    cases = [(p3.action, [p3.T, mat(random_matrix(rng, 4, 4)).dense(),
+                          mat(random_matrix(rng, 4, 4)).dense()]),
+             (p3.action, [mat(dense(rng, 4, 4)).dense()]),
+             (h5.action, [h5.T, mat(dense(rng, 5, 5)).dense()])]
     nonzero = set()
     for r, Ts in cases:
         h, n = r.carrier, r.acting.dim
@@ -83,7 +84,7 @@ def test_coefficients_read_rational_strings_and_check_shapes(p3):
     point does: "p/q" strings as their Fractions, a wrong shape DimMismatch."""
     rng = random.Random(5191)
     r = p3.action
-    Ts = [p3.T, mat(dense(rng, 4, 4))]
+    Ts = [p3.T.dense(), mat(dense(rng, 4, 4)).dense()]
     strings = [[[format_frac(q) for q in row] for row in T] for T in Ts]
     assert any("/" in q for T in strings for row in T for q in row)
     u, v, w = (tuple(rng.choice([F(0), F(1), F(-2), F(1, 3)]) for _ in range(4))
@@ -93,7 +94,8 @@ def test_coefficients_read_rational_strings_and_check_shapes(p3):
         assert ternary_coefficient(r, strings, s, u, v, w) \
             == ternary_coefficient(r, Ts, s, u, v, w)
     assert any(binary_coefficient(r, Ts, 1, u, v))
-    for bad in ([p3.T[:3]], [p3.T, [row[:3] for row in p3.T]]):
+    T = p3.T.dense()
+    for bad in ([T[:3]], [T, [row[:3] for row in T]]):
         with pytest.raises(DimMismatch, match=r"^each T_i must be 4x4 \(carrier -> acting\)$"):
             binary_coefficient(r, bad, 0, u, v)
         with pytest.raises(DimMismatch, match=r"^each T_i must be 4x4 \(carrier -> acting\)$"):
@@ -107,9 +109,9 @@ def failing_deformations(op, orders, seed=5190):
     rng = random.Random(seed)
     n, m = op.action.acting.dim, op.action.carrier.dim
     for order in orders:
-        yield [mat(dense(rng, n, m)) for _ in range(order)]
+        yield [mat(dense(rng, n, m)).dense() for _ in range(order)]
         if order > 1:
-            yield [mzero(n, m)] * (order - 1) + [mat(dense(rng, n, m))]
+            yield [mzero(n, m)] * (order - 1) + [mat(dense(rng, n, m)).dense()]
 
 
 def square_zero_and_two_step():
@@ -200,7 +202,7 @@ def test_linear_deformation_family(p3, rng):
 
 
 def test_linear_deformation_failure(p3):
-    rep = check_linear_deformation(p3, mat_id(4))
+    rep = check_linear_deformation(p3, mid(4))
     assert not rep.passed
     # the identity is not a 1-cocycle of p3's complex either
     assert rep.data["t1_closed"] is False
@@ -226,7 +228,7 @@ def cocycle_terms(tcomplex, count=6, seed=5):
 def test_obstruction_matches_brute_force(p3, rng, tcomplex):
     e = [basis_vector(4, a) for a in range(4)]
     prs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    terms = [mat(family_matrix(rng)) for _ in range(5)] + cocycle_terms(tcomplex)
+    terms = [mat(family_matrix(rng)).dense() for _ in range(5)] + cocycle_terms(tcomplex)
     nonzero = 0
     for T1 in terms:
         d = OrderNDeformation(p3, [T1])
@@ -280,7 +282,7 @@ def test_extension_rank_certificate_on_cocycle_terms(p3, tcomplex):
 
 
 def test_obstruction_requires_valid_deformation(p3):
-    d = OrderNDeformation(p3, [mat_id(4)])
+    d = OrderNDeformation(p3, [mid(4)])
     with pytest.raises(InvalidDeformation):
         obstruction_class(d)
 
@@ -293,7 +295,7 @@ def test_equivalence_trivial(p3):
 
 
 def test_equivalence_with_boundary(p3, rng):
-    T1 = mat(family_matrix(rng))
+    T1 = mat(family_matrix(rng)).dense()
     x, y = basis_vector(4, 0), basis_vector(4, 1)
     pc = zero_cochain_map(p3, x, y)
     bound = tuple(tuple(pc.f[a][t] for a in range(4)) for t in range(4))
@@ -303,12 +305,12 @@ def test_equivalence_with_boundary(p3, rng):
 
 
 def test_difference_class(p3, rng):
-    T1 = mat(family_matrix(rng))
+    T1 = mat(family_matrix(rng)).dense()
     rep = difference_class(p3, T1, T1)
     assert rep.passed and rep.data["cohomologous"]
     # the partial map is zero on this fixture, so any nonzero difference is
     # not a boundary
-    T2 = madd(T1, mat_id(4))
+    T2 = madd(T1, mid(4))
     rep = difference_class(p3, T1, T2)
     assert not rep.passed and not rep.data["cohomologous"]
 
@@ -320,7 +322,7 @@ def test_abelian_fixture_everything_trivial():
     mu = [[zero, zero], [zero, zero]]
     r = L.RepAction(A, A, rho, mu)
     r.ensure_action()
-    op = L.RRBOperator(r, mat_id(2))
+    op = L.RRBOperator(r, mid(2))
     op.ensure_verified()
     rng = random.Random(55)
     T1 = random_matrix(rng, 2, 2)
@@ -373,7 +375,7 @@ def test_equivalence_difference_where_partial_is_nonzero():
         bound = oracle_boundary(op, wedges)
         assert any(map(any, bound)), seed
         rng = random.Random(seed)
-        T1 = mat(random_matrix(rng, n, m))
+        T1 = mat(random_matrix(rng, n, m)).dense()
         T2 = madd(T1, bound)
         perturbed = [list(row) for row in T2]
         perturbed[1][2] += 1
@@ -388,7 +390,7 @@ def test_difference_class_where_partial_is_nonzero():
         n, m = op.action.acting.dim, op.action.carrier.dim
         P = oracles.partial_matrix(oracles.OpOracle(op))
         rng = random.Random(seed + 1)
-        T1 = mat(random_matrix(rng, n, m))
+        T1 = mat(random_matrix(rng, n, m)).dense()
         T2 = madd(T1, oracle_boundary(op, wedges))
         rep = difference_class(op, T1, T2)
         assert rep.passed and rep.data["cohomologous"], seed

@@ -1,7 +1,9 @@
+import functools
 import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -9,13 +11,15 @@ from fractions import Fraction as F
 import pytest
 
 import lyalg as L
-from lyalg import linalg
-from lyalg.cohomology import Cochain
-from lyalg.errors import AmbientMismatch, Inconsistent, NotInvertible, ShapeMismatch, TooLarge
+from lyalg import io as lyio, linalg
+from lyalg.cohomology import Cochain, zero_cochain_map
+from lyalg.errors import (AmbientMismatch, DimMismatch, Inconsistent, NotInvertible,
+                          ShapeMismatch, TooLarge)
 from lyalg.linalg import (Echelon, Subspace, Tensor, frac, format_frac, graded, graded_push,
-                          invert, mat, mat_id, nullspace_basis, rref, solve, sparse_map)
+                          invert, mat, nullspace_basis, rref, solve)
 import oracles
-from oracles import (TPoly, mm, mv, o_in_column_space, o_inverse, o_nullspace, o_rank,
+from conftest import fx
+from oracles import (TPoly, mid, mm, mv, o_in_column_space, o_inverse, o_nullspace, o_rank,
                      o_rref)
 
 POOL = [F(-2), F(-1), F(0), F(0), F(1), F(2), F(1, 3)]
@@ -34,6 +38,15 @@ def test_frac_roundtrip():
         frac(object())
 
 
+@functools.lru_cache(maxsize=None)
+def abelian2_id():
+    """Id over the zero action of abelian2 on itself, a verified operator."""
+    A = L.abelian(2)
+    zero = ((F(0),) * 2,) * 2
+    r = L.RepAction(A, A, [zero] * 2, [[zero] * 2] * 2)
+    return L.RRBOperator(r, mid(2)).ensure_verified()
+
+
 # each library entry point that reads a rational, given one scalar
 ENTRY_POINTS = {
     "frac": frac,
@@ -42,6 +55,10 @@ ENTRY_POINTS = {
     "Cochain": lambda q: Cochain(1, 1, 1, [(q,)]),
     "Subspace": lambda q: Subspace(1, [(q,)]),
     "check_homomorphism": lambda q: L.check_homomorphism(L.abelian(1), L.abelian(1), [[q]]),
+    "contract": lambda q: L.contract(L.abelian(1).binary, (q,), 0),
+    "check_equivalence": lambda q: L.check_equivalence(abelian2_id(), mid(2), mid(2),
+                                                       [((q, 0), (0, 1))]),
+    "zero_cochain_map": lambda q: zero_cochain_map(abelian2_id(), (q, 0), (0, 1)),
 }
 
 
@@ -74,6 +91,84 @@ def test_every_entry_point_refuses_a_bool(name):
             ENTRY_POINTS[name](q)
 
 
+def test_api_vectors_read_their_entries_as_rationals():
+    """A string entry is its rational, not a str repeated: 2 [e1, e2] = 4 e4
+    in nilpotent4, and every vector reader takes "1" as it takes 1."""
+    A = lyio.load_algebra(fx("nilpotent4.json"))
+    assert L.contract(A.binary, ("2", 0, 0, 0), 1) == (0, 0, 0, 4)
+    assert L.contract(A.binary, ("1", 0, 0, 0), 1) == (0, 0, 0, 2)
+    assert L.contract(A.binary, (F(1, 2), "1/2", 0, 0), 1) == (0, 0, 0, 1)
+    op = lyio.load_operator(fx("p3_on_nilpotent4.json"))
+    zero = oracles.mzero(4, 4)
+    one, strings = [((1, 0, 0, 0), (0, 1, 0, 0))], [(("1", 0, 0, 0), (0, "1", 0, 0))]
+    assert L.check_equivalence(op, zero, zero, strings).to_dict() \
+        == L.check_equivalence(op, zero, zero, one).to_dict()
+    assert zero_cochain_map(op, *strings[0]).support == zero_cochain_map(op, *one[0]).support
+    # an int in a slot of ``contract`` is a basis index, and a bool is not
+    readers = [lambda v: L.contract(A.binary, v, 1),
+               lambda v: L.check_equivalence(op, zero, zero, [(v, (0, 1, 0, 0))]),
+               lambda v: zero_cochain_map(op, v, (0, 1, 0, 0)),
+               lambda v: L.wedge_coords(v, (0, 1, 0, 0), 4)]
+    for bad in ((1, 0, 0), "1000", {0: 1}, True, 5):
+        for read in readers[bad == 5:]:
+            with pytest.raises(DimMismatch, match="^vectors must have length 4$"):
+                read(bad)
+    with pytest.raises(ValueError, match="not a rational: 0.5"):
+        L.check_equivalence(op, zero, zero, [((0.5, 0, 0, 0), (0, 1, 0, 0))])
+
+
+def test_mat_reads_one_form_and_refuses_the_others():
+    """Dense rows, a sparse {(r, c): q} dict and a Map give one map; a
+    string or dict where a row belongs, a non-sequence, ragged rows or a key
+    outside the shape is a DimMismatch with the caller's message."""
+    want = ((F(5), F(7)), (F(0), F(0)))
+    for M in ([[5, 7], [0, 0]], ((5, "7"), ("0", 0)), {(0, 0): 5, (0, 1): "7", (1, 1): 0}):
+        got = mat(M, (2, 2), "m %dx%d")
+        assert got.dense() == want and mat(got, (2, 2)) is got
+    assert mat([[F(1, 2), 0]]).dense() == ((F(1, 2), F(0)),)
+    for bad in (["12", "34"], [{0: 3, 1: 4}, {0: 1}], 5, "1234", [[1, 2], [3]],
+                {(2, 0): 1}, {(0, -1): 1}, {(0, 0, 0): 1}, {0: 1}, [[1, 2]],
+                mat([[1, 2]])):
+        with pytest.raises(DimMismatch, match="^m 2x2$"):
+            mat(bad, (2, 2), "m %dx%d")
+    for bad in (["12", "34"], [{0: 3, 1: 4}], 5, [[1, 2], [3]], {(0, 0): 1}):
+        with pytest.raises(DimMismatch, match="^a matrix is a list of equal rows$"):
+            mat(bad)
+
+
+def test_every_map_entry_point_reads_the_one_form():
+    """Each API entry point that takes a map reads it through ``mat``: a
+    sparse dict as its entries, the same as the dense rows, and a string or
+    dict where a row belongs, or a non-sequence, as a DimMismatch naming the
+    map."""
+    op = lyio.load_operator(fx("p3_on_nilpotent4.json"))
+    A, P = op.action.acting, L.zero_post(4)
+    c = Cochain(1, 4, 4, [(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 0, 1), (1, 1, 1, 1)])
+    readers = {
+        "RRBOperator": (lambda M: L.RRBOperator(op.action, M).T.dense(),
+                        "T must be 4x4 (carrier -> acting)"),
+        "check_homomorphism": (lambda M: L.check_homomorphism(A, A, M, True).to_dict(),
+                               "map must be 4x4"),
+        "check_post_homomorphism": (lambda M: L.check_post_homomorphism(P, P, M, True).to_dict(),
+                                    "map must be 4x4"),
+        "check_nijenhuis": (lambda M: L.check_nijenhuis(A, M, True).to_dict(), "N must be 4x4"),
+        "pushforward_cochain": (lambda M: L.pushforward_cochain(L.HomPair(M, M), c).support,
+                                "psi_g must be 4x4"),
+        "check_rrb_homomorphism": (lambda M: L.check_rrb_homomorphism(
+            op, op, L.HomPair(M, M), True).to_dict(), "map must be 4x4"),
+        "OrderNDeformation": (lambda M: L.OrderNDeformation(op, [M]).terms[0].dense(),
+                              "deformation terms must be 4x4 (carrier -> acting)"),
+    }
+    dense_rows = [[1, 0, 0, 0], [0, 1, 0, 0], [2, 0, 1, "1/2"], [0, 0, 0, 1]]
+    sparse = {(r, c): q for r, row in enumerate(dense_rows) for c, q in enumerate(row) if q}
+    for name, (read, message) in readers.items():
+        assert read(sparse) == read(dense_rows) == read(mat(dense_rows)), name
+        for bad in (["1000", "0100", "0010", "0001"], [{0: 1}] * 4, 5, {(4, 0): 1},
+                    dense_rows[:3]):
+            with pytest.raises(DimMismatch, match="^%s$" % re.escape(message)):
+                read(bad)
+
+
 def test_an_oversized_decimal_is_refused_before_fraction_reads_it():
     """``Fraction("1e999999999")`` builds 10**999999999, which does not return
     in any useful time; ``mat`` refuses the string first.  The child runs under
@@ -95,7 +190,7 @@ def test_an_oversized_decimal_is_refused_before_fraction_reads_it():
 
 
 def test_rref_idempotent_and_rank():
-    m = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    m = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]]).dense()
     red, pivots = rref(m)
     assert Echelon(m).rank == 2 == len(pivots)
     again, _ = rref(red)
@@ -129,11 +224,11 @@ def test_solve_and_inconsistent():
         x = solve(m, b)
         assert mv(m, x) == b
     with pytest.raises(Inconsistent):
-        solve(mat([[1, 0], [2, 0]]), (F(1), F(3)))
+        solve(mat([[1, 0], [2, 0]]).dense(), (F(1), F(3)))
     # a sparse right-hand side is checked against the rows, not truncated
     for b in ({2: F(1)}, {-1: F(1)}, {0: F(0), 5: F(0)}):
         with pytest.raises(ShapeMismatch):
-            solve(mat([[1, 0], [2, 0]]), b, ncols=2)
+            solve(mat([[1, 0], [2, 0]]).dense(), b, ncols=2)
 
 
 @pytest.mark.parametrize("rows,ncols", [
@@ -152,7 +247,7 @@ def test_rows_outside_the_columns_are_a_shape_mismatch(rows, ncols):
 
 def test_invert():
     m = mat([[2, 1], [1, 1]])
-    assert mm(m, invert(m)) == mat_id(2)
+    assert mm(m.dense(), invert(m).dense()) == mid(2)
     with pytest.raises(NotInvertible):
         invert(mat([[1, 2], [2, 4]]))
 
@@ -411,7 +506,7 @@ def test_high_height_solve_and_invert_match_oracle():
         if r == c:
             for rows in (m, as_ints(m)):
                 if o_rank(m) == r:
-                    got = invert(rows)
+                    got = invert(rows).dense()
                     assert got == o_inverse([[F(x) for x in row] for row in rows])
                     assert fractions_only(got)
                 else:
@@ -513,7 +608,7 @@ def test_graded_matches_dense_polynomial_expansion():
         value_keys = ([(r, c) for r in range(2) for c in range(2)] if case % 2 else range(3))
         values = random_table(rng, src, value_keys)
         dst, coeffs, dense_polys = zip(*(random_poly(rng, d) for d in src))
-        polys = [None if P is None else tuple(None if M is None else sparse_map(M)[0] for M in P)
+        polys = [None if P is None else tuple(None if M is None else mat(M) for M in P)
                  for P in coeffs]
         positions = list(range(k))
         rng.shuffle(positions)
@@ -539,7 +634,7 @@ def test_graded_push_matches_dense_polynomial_expansion():
         dst, coeffs, dense_poly = random_poly(rng, src)
         # the map from dim src to dst is the dst x src transpose of each coefficient
         poly = ((None,) if coeffs is None else
-                tuple(None if M is None else sparse_map(tuple(zip(*M)))[1] for M in coeffs))
+                tuple(None if M is None else mat(tuple(zip(*M))) for M in coeffs))
         sign = rng.choice([F(1), F(-1), F(2)])
         for s in range(len(poly) + len(tables)):
             want = {}
@@ -615,13 +710,13 @@ def test_pull_matches_dense_oracle(seed):
     term = oracles.o_pull(values, (n,) * k, maps, positions)
     out = [n if M is None else len(M[0]) for M in maps]
     out = tuple(out) if positions is None else tuple(out[positions.index(x)] for x in range(k))
-    rows_of = [None if M is None else sparse_map(M)[0] for M in maps]
+    lib_maps = [None if M is None else mat(M) for M in maps]
     for acc in ({}, prefilled(rng, term, sign, out, rows)):
-        assert_adds(lambda a: linalg.pull(a, sign, values, rows_of, positions), acc, sign, term)
+        assert_adds(lambda a: linalg.pull(a, sign, values, lib_maps, positions), acc, sign, term)
     # the term and its negation cancel everywhere
     acc = {}
-    linalg.pull(acc, sign, values, rows_of, positions)
-    linalg.pull(acc, -sign, values, rows_of, positions)
+    linalg.pull(acc, sign, values, lib_maps, positions)
+    linalg.pull(acc, -sign, values, lib_maps, positions)
     assert acc == {}
 
 
@@ -633,9 +728,8 @@ def test_push_matches_dense_oracle(seed):
     M = tuple(zip(*random_map(rng, n)))
     sign = rng.choice(SIGNS)
     term = oracles.o_push(M, table)
-    cols = sparse_map(M)[1]
     for acc in ({}, prefilled(rng, term, sign, (n,) * k, len(M))):
-        assert_adds(lambda a: linalg.push(a, sign, cols, table), acc, sign, term)
+        assert_adds(lambda a: linalg.push(a, sign, mat(M), table), acc, sign, term)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -3,7 +3,6 @@ from fractions import Fraction as F
 
 import lyalg as L
 from lyalg.errors import DimMismatch, StructureError
-from lyalg.linalg import mat_id
 from lyalg.postlya import (PostLYAlgebra, check_post_axioms,
                            check_post_homomorphism, identity_is_rrb,
                            induced_action, induced_post_from_rrb, subadjacent,
@@ -11,7 +10,7 @@ from lyalg.postlya import (PostLYAlgebra, check_post_axioms,
 from lyalg.rrb import descent_algebra
 
 from families import family_matrix, live_post, live_post_operator
-from oracles import nested
+from oracles import mid, nested
 
 
 def test_zero_post_passes():
@@ -100,11 +99,11 @@ def test_induced_post_family(adjoint_action, rng):
 
 def test_post_homomorphism_identity(p3):
     A = induced_post_from_rrb(p3)
-    rep = check_post_homomorphism(A, A, mat_id(4))
+    rep = check_post_homomorphism(A, A, mid(4))
     assert rep.passed
     live = live_post()
     assert live.star.support and live.brace.support
-    assert check_post_homomorphism(live, live, mat_id(3)).passed
+    assert check_post_homomorphism(live, live, mid(3)).passed
 
 
 def test_post_homomorphism_failure(p3):

@@ -9,7 +9,6 @@ from lyalg import io as lyio
 from lyalg.postlya import (PostLYAlgebra, check_post_axioms, check_post_homomorphism,
                            induced_post_from_rrb)
 from lyalg.deformation import check_equivalence, check_linear_deformation
-from lyalg.linalg import mat_id
 from lyalg.reports import Checker
 from lyalg.reps import RepAction, adjoint_rep, check_action, check_representation
 from lyalg.rrb import HomPair, check_rrb_homomorphism, graph_subalgebra_check
@@ -19,6 +18,7 @@ from families import (antisym2, antisym3, dense, filiform, forced_operator, heis
                       heisenberg5_operator, nilpotent4, p3_operator, perturbed_adjoint,
                       perturbed_post, perturbed_semidirect, plain, semidirect8, sl2,
                       sl2_operator, wedge_pairs)
+from oracles import mid
 
 
 def scalar_pair(c):
@@ -162,8 +162,9 @@ def test_settled_binary_table_skips_the_ternary(monkeypatch):
     witnesses or more: a capped check builds its binary table only, a full
     one both, and both reports keep the bytes they had when every check built
     both tables.  A table build is counted where each check makes it: the
-    Nijenhuis residual's ``graded_push``, ``hom_table`` and the graph's
-    ``push`` of the bracket through x - Tu."""
+    Nijenhuis residual's ``graded`` pulls, one per degree j of N in the
+    bracket's slots (three for a pair, four for a triple), ``hom_table`` and
+    the graph's ``push`` of the bracket through x - Tu."""
     from lyalg import core, rrb
     S = semidirect8()
     rng = random.Random(5180)
@@ -179,13 +180,13 @@ def test_settled_binary_table_skips_the_ternary(monkeypatch):
             return orig(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapped)
 
-    counted(rrb, "graded_push")
+    counted(rrb, "graded")
     counted(core, "hom_table")
     counted(rrb, "push")
-    cases = {"nijenhuis": (L.check_nijenhuis, (S, N), "graded_push"),
-             "homomorphism": (L.check_homomorphism, (S, S, phi), "hom_table"),
-             "graph": (graph_subalgebra_check, (op,), "push")}
-    for name, (check, args, build) in cases.items():
+    cases = {"nijenhuis": (L.check_nijenhuis, (S, N), "graded", [3, 7]),
+             "homomorphism": (L.check_homomorphism, (S, S, phi), "hom_table", [1, 2]),
+             "graph": (graph_subalgebra_check, (op,), "push", [1, 2])}
+    for name, (check, args, build, want) in cases.items():
         reports, counts = [], []
         for av in (False, True):
             builds.clear()
@@ -194,7 +195,7 @@ def test_settled_binary_table_skips_the_ternary(monkeypatch):
         capped, full = reports
         assert sum(1 for v in full.violations if "binary" in v.eq) >= 10, name
         assert capped.violations == full.violations[:10], name
-        assert counts == [1, 2], name
+        assert counts == want, name
         assert tuple(hashlib.sha256(lyio.canonical_json(rep.to_dict()).encode()).hexdigest()
                      for rep in reports) == BINARY_SETTLED[name], name
 
@@ -257,7 +258,7 @@ def _seeded_reports():
     op = heisenberg5_operator(rng)
     d = L.OrderNDeformation(op, [dense(rng, 5, 5), dense(rng, 5, 5)])
     yield "order-2-h5", L.check_order_n(d, all_violations=True)
-    yield "linear-id", check_linear_deformation(p3, mat_id(4), all_violations=True)
+    yield "linear-id", check_linear_deformation(p3, mid(4), all_violations=True)
     rng = random.Random(5164)
     op = heisenberg5_operator(rng)
     yield "linear-h5-dense", check_linear_deformation(op, dense(rng, 5, 5), all_violations=True)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import lyalg as L
 from lyalg import io as lyio
 from lyalg.errors import PreconditionFailed, Unverified
-from lyalg.linalg import Subspace, mat_id
+from lyalg.linalg import Subspace
 from lyalg.rrb import (HomPair, check_nijenhuis, check_rrb,
                        check_rrb_homomorphism, descent_algebra,
                        graph_subalgebra_check, lift_operator,
@@ -12,13 +12,13 @@ from lyalg.rrb import (HomPair, check_nijenhuis, check_rrb,
 
 from conftest import fx
 from families import family_matrix, random_matrix
-from oracles import mm
+from oracles import mid, mm
 
 
 def test_p3_fixture_passes(p3):
     assert p3.verified
     # T = projection onto span{e3}
-    assert p3.T == tuple(tuple(F(1) if (i, j) == (2, 2) else F(0)
+    assert p3.T.dense() == tuple(tuple(F(1) if (i, j) == (2, 2) else F(0)
                                for j in range(4)) for i in range(4))
 
 
@@ -27,7 +27,7 @@ def test_projection_operator_construction(nilpotent4):
     t = Subspace(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)])
     op = projection_operator(nilpotent4, h, t)
     assert op.verified
-    P = op.T
+    P = op.T.dense()
     assert mm(P, P) == P
 
 
@@ -75,7 +75,7 @@ def test_p12_projection_fails_rrb1(adjoint_action):
 
 
 def test_identity_fails_on_fixture(adjoint_action):
-    op = L.RRBOperator(adjoint_action, mat_id(4))
+    op = L.RRBOperator(adjoint_action, mid(4))
     rep = check_rrb(op)
     assert not rep.passed
     assert any(v.eq == "RRB1" for v in rep.violations)
@@ -104,7 +104,7 @@ def test_three_way_equivalence_random(adjoint_action, rng):
 
 
 def test_lift_shape(p3):
-    N = lift_operator(p3)
+    N = lift_operator(p3).dense()
     assert len(N) == 8 and len(N[0]) == 8
     # idempotent block form
     assert mm(N, N) == N
@@ -144,18 +144,18 @@ def test_descent_and_complex_build_each_inner_sum_once(monkeypatch, capsys):
 
 
 def test_descent_requires_verified(adjoint_action):
-    op = L.RRBOperator(adjoint_action, mat_id(4))
+    op = L.RRBOperator(adjoint_action, mid(4))
     with pytest.raises(Unverified):
         descent_algebra(op)
 
 
 def test_nijenhuis_identity_map(nilpotent4):
-    assert check_nijenhuis(nilpotent4, mat_id(4)).passed
+    assert check_nijenhuis(nilpotent4, mid(4)).passed
 
 
 def test_nijenhuis_violation(adjoint_action):
     # the lift of a non-weight-1 operator is not Nijenhuis on the semidirect
-    op = L.RRBOperator(adjoint_action, mat_id(4))
+    op = L.RRBOperator(adjoint_action, mid(4))
     S = adjoint_action.semidirect()
     rep = check_nijenhuis(S, lift_operator(op))
     assert not rep.passed

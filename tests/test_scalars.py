@@ -16,7 +16,7 @@ import pytest
 import lyalg as L
 from lyalg import io as lyio
 from lyalg.cohomology import Cochain, SparseMat, induced_rep
-from lyalg.linalg import contract, dense, nullspace_basis, solve, sparse_map
+from lyalg.linalg import contract, dense, mat, nullspace_basis, solve
 from lyalg.postlya import check_post_axioms, induced_post_from_rrb
 from lyalg.reps import adjoint_rep, check_representation
 
@@ -100,17 +100,17 @@ def test_supports_and_sparse_maps_store_ints_exactly_when_integral(operators):
             for v in t.support.values():
                 assert all(stored(q) for q in v.values()), name
                 kinds.update(type(q) for q in v.values())
-        for part in sparse_map(op.T):
-            for entries in part.values():
-                assert all(stored(q) for _, q in entries), name
-                kinds.update(type(q) for _, q in entries)
+        for entries in [row for row in op.T.rows.values()] + [
+                list(v.items()) for v in op.T.cols.values()]:
+            assert all(stored(q) for _, q in entries), name
+            kinds.update(type(q) for _, q in entries)
     assert kinds == {int, F}
     # integral Fractions that arithmetic produces are stored as ints
     t = L.Tensor.from_support({(0,): {0: HALF * 2, 1: HALF}}, 2, 1, (2,))
     assert [type(q) for q in t.support[(0,)].values()] == [int, F]
-    rows, cols = sparse_map({(0, 0): F(4, 2), (0, 1): F(2, 4)})
-    assert [type(q) for _, q in rows[0]] == [int, F]
-    assert [type(q) for _, q in cols[0] + cols[1]] == [int, F]
+    for M in (mat({(0, 0): F(4, 2), (0, 1): F(2, 4)}, (1, 2)), mat([[F(4, 2), "2/4"]])):
+        assert [type(q) for _, q in M.rows[0]] == [int, F]
+        assert [type(q) for col in M.cols.values() for q in col.values()] == [int, F]
 
 
 def test_every_scalar_handed_out_is_a_fraction(operators, tcomplex):
@@ -128,9 +128,9 @@ def test_every_scalar_handed_out_is_a_fraction(operators, tcomplex):
     assert handed_out(contract(r.rho, 0)) and handed_out(contract(r.mu, 1, x[:4]))
     assert handed_out(dense({0: 1, 2: HALF}, (3,)))
     assert handed_out(dense({(0, 1): -2, (1, 0): HALF}, (2, 2)))
-    assert handed_out(lyio.load_matrix({"matrix": [["1", "1/2"], [2, 0]]}))
+    assert handed_out(lyio.load_matrix({"matrix": [["1", "1/2"], [2, 0]]}).dense())
     assert handed_out(lyio.load_wedges({"wedges": [[["1", 0], [0, "1/2"]]]}))
-    assert handed_out(p3.T)
+    assert handed_out(p3.T.dense())
     # kernels, solves and cochains of p3's complex
     M = tcomplex.matrix(1)
     kernel = M.nullspace()

@@ -198,7 +198,7 @@ def test_induced_post_passes_dense_oracle(p3):
 @pytest.mark.parametrize("entry", [None, (3, 7), (4, 6), (7, 3)])
 def test_perturbed_lift_nijenhuis_matches_dense_oracle(p3, entry):
     S = p3.action.semidirect()
-    N = [list(row) for row in lift_operator(p3)]
+    N = [list(row) for row in lift_operator(p3).dense()]
     if entry is not None:
         N[entry[0]][entry[1]] += 1
     rep = L.check_nijenhuis(S, N, all_violations=True)
@@ -278,7 +278,7 @@ def full_rrb_hom_oracle(from_op, to_op, pg, ph):
         out += [(eq + e, args, res) for e, args, res in oracles.o_hom_violations(phi, [
             ("hom-binary", 2, a.binary, b.binary), ("hom-ternary", 3, a.ternary, b.ternary)])]
     res = tuple(oracles.vs(a, b)
-                for a, b in zip(oracles.mm(pg, from_op.T), oracles.mm(to_op.T, ph)))
+                for a, b in zip(oracles.mm(pg, from_op.T.dense()), oracles.mm(to_op.T.dense(), ph)))
     if any(any(row) for row in res):
         out.append(("intertwines-T", (), res))
     return out + oracles.o_equivariance_violations(rf, rt, pg, ph)
