@@ -10,7 +10,7 @@ axiom is tabulated over every basis tuple at once from the brackets' supports
 """
 
 from .errors import AxiomsFailed, DimMismatch, NotLieAlgebra, StructureError
-from .linalg import (Subspace, Tensor, dense, hom_table, mat, nullspace_basis, signed_sum,
+from .linalg import (Map, Subspace, Tensor, dense, hom_table, mat, nullspace_basis, signed_sum,
                      skew_fault)
 from .reports import Checker, summed
 
@@ -128,7 +128,9 @@ def center_equations(A):
 
     Each coordinate r of [x, e_j], <x, e_j, e_k> and <e_j, e_k, x> is one
     equation in x, its coefficients read off the supports of the brackets;
-    the equations are numbered in the order they are first met.
+    the equations are numbered in the order they are first met.  The entries
+    are the supports' stored nonzero scalars, so the Map is made from them
+    as they are.
     """
     index, entries = {}, {}
     for (i, j), v in A.binary.support.items():
@@ -138,7 +140,7 @@ def center_equations(A):
         for r, q in v.items():
             entries[index.setdefault(("first", j, k, r), len(index)), i] = q
             entries[index.setdefault(("last", i, j, r), len(index)), k] = q
-    return mat(entries, (len(index), A.dim))
+    return Map((len(index), A.dim), sorted(entries.items()))
 
 
 def center(A):

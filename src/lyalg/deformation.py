@@ -10,12 +10,16 @@ delta^T(T_{n+1}) = -Ob over Hom(h, g), decided by one elimination.
 Every t-expansion is a truncated polynomial whose coefficients come from
 ``linalg.graded``/``graded_push``: those of both defining equations
 (``rrb.Expansion``) and every identity of an equivalence (Id + t L(X),
-Id + t D(X)), its intertwining (``rrb.intertwining``) included.  The
-defining equations' degrees are built on first read: the order-n check reads
-t^1..t^n in order and stops once a capped report is settled, the obstruction
-cochain is built from t^(n+1) of the same cached expansion only after that
-check has passed, so a failing order-n check never builds t^(n+1), and a
-linear deformation reads t^1..t^3.  Maps h -> g and the obstruction are
+Id + t D(X)), its intertwining (``rrb.intertwining``) included.  A
+deformation's expansion extends the base operator's (``Expansion.extended``),
+taking over the degree-0 inner sums and t^0 tables its check has built, and
+builds each higher degree on first read.  The tables t^1..t^n that define an
+order-n deformation come from one generator, in order: the order-n check
+reads them and stops once a capped report is settled, and the obstruction
+reads them only up to the first non-empty one, which decides that the input
+is no order-n deformation with no report or witness built.  So t^(n+1) is
+built only once every lower table is empty, and a linear deformation reads
+t^1..t^3.  Maps h -> g and the obstruction are
 sparse degree-1 and degree-2 cochains (``cohomology.Cochain``); closedness is
 delta of one cochain, read from the columns in its support
 (``TComplex.coboundary``), and the boundary partial(X) reads
@@ -66,10 +70,6 @@ class OrderNDeformation:
         self._ob = None
         self._expansion = None
 
-    @property
-    def all_terms(self):
-        return [self.base.T] + self.terms
-
     def complex(self):
         if self._cx is None:
             self._cx = TComplex(self.base)
@@ -77,28 +77,34 @@ class OrderNDeformation:
 
     def coefficients(self):
         """The expansion of both defining equations for T_t (``rrb.Expansion``),
-        made once; each degree's tables are built on their first read and
-        cached, so t^(n+1) is built only when the obstruction reads it."""
+        made once by extending the base operator's; each higher degree's
+        tables are built on their first read and cached, so t^(n+1) is built
+        only when the obstruction reads it."""
         if self._expansion is None:
-            self._expansion = Expansion(self.base.action, self.all_terms)
+            self._expansion = self.base.expansion.extended(self.terms)
         return self._expansion
 
     def __repr__(self):
         return "OrderNDeformation(order=%d)" % self.order
 
 
-def check_order_n(d, all_violations=False):
-    """Coefficients t^1..t^n of both defining equations on all basis tuples,
-    read from the deformation's expansion; witnesses come degree by degree,
-    in lexicographic order with pairs first.  The tables are read in that
-    order and no further once a capped report is settled, and t^(n+1) is
-    never read."""
-    shape = (d.base.action.acting.dim,)
+def _order_n_tables(d):
+    """(name, table) for the coefficients t^1..t^n of both defining equations,
+    read from the deformation's expansion, s ascending and the binary one
+    first: T_t is an order-n deformation exactly when every table is empty.
+    Each table is built when it is read."""
     ex = d.coefficients()
+    for s in range(1, d.order + 1):
+        for arity, name in ((2, "binary"), (3, "ternary")):
+            yield "deform-%s-t^%d" % (name, s), ex.table(arity, s)
+
+
+def check_order_n(d, all_violations=False):
+    """The order-n tables (``_order_n_tables``) on all basis tuples; witnesses
+    come degree by degree, in lexicographic order with pairs first.  No table
+    is read once a capped report is settled, and t^(n+1) is never read."""
     ck = Checker("order-%d-deformation" % d.order, all_violations)
-    ck.tabulate(shape, ([("deform-%s-t^%d" % (name, s), ex.table(arity, s))]
-                        for s in range(1, d.order + 1)
-                        for arity, name in ((2, "binary"), (3, "ternary"))))
+    ck.tabulate((d.base.action.acting.dim,), ([entry] for entry in _order_n_tables(d)))
     return ck.report({"order": d.order})
 
 
@@ -115,7 +121,7 @@ def check_linear_deformation(op, T1, all_violations=False):
     r = op.action
     T1 = _operator_matrix(op, T1, "T1")
     shape = (r.acting.dim,)
-    ex = Expansion(r, [op.T, T1])
+    ex = op.expansion.extended([T1])
     ck = Checker("linear-deformation", all_violations)
     tables = {s: (ex.table(2, s), ex.table(3, s)) for s in (1, 2, 3)}
     ck.tabulate(shape, [[("deform-%s-t^%d" % (name, s), t)] for s, pair in tables.items()
@@ -214,12 +220,13 @@ def obstruction_class(d):
     Its components are the t^(n+1) coefficients of both defining equations
     with every index in 0..n, that is with T_(n+1) = 0; its coboundary must
     vanish (checked), and extension is solvable iff it is a coboundary.  The
-    class is built once per deformation and then cached.
+    order-n tables are read up to the first non-empty one, which raises
+    InvalidDeformation.  The class is built once per deformation and then
+    cached.
     """
     if d._ob is not None:
         return d._ob
-    rep = check_order_n(d)
-    if not rep.passed:
+    if any(table for _, table in _order_n_tables(d)):
         raise InvalidDeformation("not an order-%d deformation" % d.order)
     n, m = d.base.action.acting.dim, d.base.action.carrier.dim
     ex = d.coefficients()

@@ -177,7 +177,8 @@ def check_action(r, all_violations=False):
     A column is central when the center's defining equations
     (``core.center_equations``) vanish on it; only the center's dimension,
     reported in the data, takes an elimination: dim h less the equations'
-    rank, with no kernel vectors built.  Each acting tuple of rho, then mu,
+    rank, read from their dim h columns, the narrow side, with no kernel
+    vectors built.  Each acting tuple of rho, then mu,
     then D, in support order, is one group of three tables for
     ``Checker.tabulate``: its columns that are not central, and its block
     pushed through the binary (a < b) and the ternary bracket values.  The
@@ -222,7 +223,7 @@ def check_action(r, all_violations=False):
 
     ck = Checker("action(%s on %s)" % (g.name, h.name), all_violations)
     ck.tabulate((h.dim,), groups())
-    out = ck.report({"center_dim": h.dim - Echelon(map(dict, equations.rows.values())).rank})
+    out = ck.report({"center_dim": h.dim - Echelon(equations.cols.values()).rank})
     if out.passed:
         r.action_certified = True
     return out

@@ -53,10 +53,9 @@ def o_rank(rows):
     return len(o_rref(rows)[1])
 
 
-def o_center_dim(A):
-    """dim {x : [x, e_j] = <x, e_j, e_k> = <e_j, e_k, x> = 0 for all j, k}:
-    dim A less the rank of those equations, one row per coordinate, written
-    out densely from the nested brackets."""
+def o_center_equations(A):
+    """The equations [x, e_j] = <x, e_j, e_k> = <e_j, e_k, x> = 0 in x, one
+    dense row per coordinate, written out from the nested brackets."""
     n, b, t = A.dim, nested(A.binary), nested(A.ternary)
     rows = [[b[x][j][r] for x in range(n)] for j in range(n) for r in range(n)]
     for j in range(n):
@@ -64,7 +63,13 @@ def o_center_dim(A):
             for r in range(n):
                 rows.append([t[x][j][k][r] for x in range(n)])
                 rows.append([t[j][k][x][r] for x in range(n)])
-    return n - o_rank(rows)
+    return rows
+
+
+def o_center_dim(A):
+    """dim {x : [x, e_j] = <x, e_j, e_k> = <e_j, e_k, x> = 0 for all j, k}:
+    dim A less the rank of those equations."""
+    return A.dim - o_rank(o_center_equations(A))
 
 
 def o_nullspace(rows, ncols):

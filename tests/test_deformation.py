@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -13,14 +14,14 @@ from lyalg.deformation import (OrderNDeformation, binary_coefficient,
                                check_order_n, difference_class, extend,
                                obstruction_class, ternary_coefficient)
 from lyalg.errors import DimMismatch, InvalidDeformation
-from lyalg.linalg import dense as to_dense, format_frac, mat
+from lyalg.linalg import dense as to_dense, format_frac, mat, nullspace_basis
 from lyalg.rrb import Expansion
 
 import oracles
 from conftest import fx
 from families import (NONZERO_PARTIAL_SEEDS, basis_vector, dense, family_matrix,
-                      heisenberg5_operator, listed, random_matrix, square_zero_operator,
-                      two_step_operator)
+                      heisenberg5_operator, listed, p3_operator, random_matrix,
+                      square_zero_operator, two_step_operator)
 from oracles import madd, mid, mzero
 
 
@@ -333,22 +334,203 @@ def test_abelian_fixture_everything_trivial():
 
 
 def test_obstruct_extend_checks_the_deformation_once(monkeypatch, capsys):
-    """The CLI builds the obstruction once and extend reuses it."""
-    from lyalg import deformation
-    calls = []
-    orig = deformation.check_order_n
+    """The CLI builds the t^(n+1) tables of the obstruction once, and extend
+    reuses the obstruction: its coboundary is taken once.  A build is a call
+    of ``Expansion.table`` that returns a table no call has returned before."""
+    from lyalg import rrb
+    from lyalg.cohomology import TComplex
+    table, coboundary, seen, built, closed = rrb.Expansion.table, TComplex.coboundary, [], [], []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return orig(*args, **kwargs)
+    def recording(self, arity, s):
+        t = table(self, arity, s)
+        if not any(t is u for u in seen):
+            seen.append(t)
+            built.append((arity, s))
+        return t
 
-    monkeypatch.setattr(deformation, "check_order_n", counting)
+    def counting(self, c):
+        closed.append(1)
+        return coboundary(self, c)
+
+    monkeypatch.setattr(rrb.Expansion, "table", recording)
+    monkeypatch.setattr(TComplex, "coboundary", counting)
     code = run(["deform", "obstruct", "--op", fx("p3_on_nilpotent4.json"),
                 "--terms", fx("t1_family.json"), "--extend", "--json"])
     out = capsys.readouterr().out
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and len(closed) == 1
+    assert sorted(built) == [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2)]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "6a7f0d42df3c4cfa013c830d6efc0c2e8aed910c53f9c089aa5ad16911bf8d2d")
+
+
+def binary_closed_term(op):
+    """A term X whose t^1 binary table vanishes and whose t^1 ternary table
+    does not, from the kernel of X -> the binary table, or None."""
+    r = op.action
+    n, m = r.acting.dim, r.carrier.dim
+    images = []
+    for t, a in itertools.product(range(n), range(m)):
+        ex = Expansion(r, [op.T, mat({(t, a): 1}, (n, m))])
+        images.append([{(k, x): q for k, v in ex.table(arity, 1).items() for x, q in v.items()}
+                       for arity in (2, 3)])
+    keys = sorted({k for binary, _ in images for k in binary})
+    rows = [{j: binary[k] for j, (binary, _) in enumerate(images) if k in binary} for k in keys]
+    for x in nullspace_basis(rows, n * m):
+        term = mat({divmod(j, m): q for j, q in enumerate(x) if q}, (n, m))
+        if Expansion(r, [op.T, term]).table(3, 1):
+            return term.dense()
+    return None
+
+
+def order_n_cases():
+    """(op, terms, expected verdict) for p3, the square-zero and two-step
+    operators and heisenberg5 at orders 1-3: zero terms, a closed term in the
+    top degree, family terms and their extension, and failing terms whose
+    first non-empty table is of each kind (binary or ternary, below or at the
+    top degree); on the square-zero operator one term makes only the top
+    ternary table non-empty."""
+    square_zero, two_step = square_zero_and_two_step()
+    rng = random.Random(5201)
+    p3 = p3_operator()
+    for op in (p3, square_zero, two_step, heisenberg5_operator(random.Random(5163))):
+        n, m = op.action.acting.dim, op.action.carrier.dim
+        zero = mzero(n, m)
+        closed = [tuple(tuple(z.get(t + n * a, F(0)) for a in range(m)) for t in range(n))
+                  for z in L.TComplex(op).matrix(1).nullspace()[:2]]
+        X = binary_closed_term(op)
+        for order in (1, 2, 3):
+            yield op, [zero] * order, True
+            for Z in closed:
+                yield op, [zero] * (order - 1) + [Z], True
+            yield op, [mat(dense(rng, n, m)).dense() for _ in range(order)], False
+            yield op, [zero] * (order - 1) + [mat(dense(rng, n, m)).dense()], False
+            if X is not None:
+                yield op, [zero] * (order - 1) + [X], False
+                if order > 1:
+                    yield op, [X] + [zero] * (order - 1), False
+    for T1 in (family_matrix(rng) for _ in range(5)):
+        # the family's linear deformations pass at t^1..t^3
+        yield p3, [T1, mzero(4, 4), mzero(4, 4)], True
+        t2, _ = extend(OrderNDeformation(p3, [T1]))
+        if t2 is not None:
+            yield p3, [T1, t2], True
+
+
+def first_failing_table(op, terms):
+    """(arity, s) of the first non-empty order-n table, from the full report."""
+    rep = check_order_n(OrderNDeformation(op, terms), all_violations=True)
+    name, s = rep.violations[0].eq.split("-t^")
+    return 2 if name.endswith("binary") else 3, int(s)
+
+
+def test_obstruction_verdict_agrees_with_check_order_n():
+    """obstruction_class raises InvalidDeformation exactly when check_order_n
+    fails, on passing terms and on failing terms whose first non-empty table
+    is each of the four kinds, a ternary table at the top degree alone
+    included."""
+    kinds, top_ternary_only = set(), 0
+    for op, terms, passed in order_n_cases():
+        assert check_order_n(OrderNDeformation(op, terms)).passed is passed
+        d = OrderNDeformation(op, terms)
+        if passed:
+            obstruction_class(d)
+        else:
+            with pytest.raises(InvalidDeformation, match=r"^not an order-%d deformation$"
+                               % len(terms)):
+                obstruction_class(d)
+            arity, s = first_failing_table(op, terms)
+            kinds.add((arity, s == len(terms)))
+            ex = d.coefficients()
+            top_ternary_only += [k for k in itertools.product((2, 3), range(1, len(terms) + 1))
+                                 if ex.table(*k)] == [(3, len(terms))]
+    assert kinds == {(2, False), (2, True), (3, False), (3, True)}
+    assert top_ternary_only >= 3
+
+
+def test_failing_obstruct_builds_no_table_after_the_first_nonempty(monkeypatch, capsys,
+                                                                   tmp_path):
+    """A failing ``deform obstruct`` reads the order-n tables up to the first
+    non-empty one and builds no table or inner sum after it: on p3 with a
+    dense term, RRB2's t^1 table and J_1 are never built.  The library call
+    stops alike where the first non-empty table is binary at the top degree,
+    or ternary."""
+    from lyalg import rrb
+    table, inner, built = rrb.Expansion.table, rrb.Expansion.inner, []
+
+    def recording(self, arity, s):
+        t = table(self, arity, s)
+        built.append((arity, s, bool(t)))
+        return t
+
+    def reading(self, arity, p):
+        built.append(("inner", arity, p))
+        return inner(self, arity, p)
+
+    monkeypatch.setattr(rrb.Expansion, "table", recording)
+    monkeypatch.setattr(rrb.Expansion, "inner", reading)
+    p3 = p3_operator()
+    term = tmp_path / "term.json"
+    term.write_text(json.dumps({"matrix": [[format_frac(q) for q in row] for row in
+                                           mat(dense(random.Random(5202), 4, 4)).dense()]}))
+    built.clear()
+    code = run(["deform", "obstruct", "--op", fx("p3_on_nilpotent4.json"), "--terms",
+                str(term), "--extend", "--json"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["data"] == {"error": "not an order-1 deformation"}
+
+    def stopped_at(last):
+        """The tables read end at ``last``, the first non-empty one, and no
+        inner sum of a higher degree is built."""
+        tables = [b for b in built if b[0] != "inner"]
+        assert tables[-1] == last + (True,) and not any(b[2] for b in tables[:-1])
+        assert max(b[2] for b in built if b[0] == "inner") == last[1]
+
+    stopped_at((2, 1))
+    assert ("inner", 3, 1) not in built
+    square_zero, _ = square_zero_and_two_step()
+    n, m = square_zero.action.acting.dim, square_zero.action.carrier.dim
+    for op, terms, last in ((p3, [mzero(4, 4), mat(dense(random.Random(5203), 4, 4)).dense()],
+                             (2, 2)),
+                            (square_zero, [mzero(n, m), binary_closed_term(square_zero)],
+                             (3, 2))):
+        d = OrderNDeformation(op, terms)
+        built.clear()
+        with pytest.raises(InvalidDeformation):
+            obstruction_class(d)
+        stopped_at(last)
+
+
+def test_extended_expansion_equals_a_fresh_one(p3):
+    """A deformation's expansion, and a linear deformation's, extend the base
+    operator's: the degree-0 inner sums and t^0 tables are the base's own
+    objects, and every table up to t^(n+1) equals a fresh expansion's.  The
+    base's own higher degrees, read first here, vanish and are not taken over."""
+    rng = random.Random(5204)
+    square_zero, two_step = square_zero_and_two_step()
+    for op in (p3, square_zero, two_step):
+        n, m = op.action.acting.dim, op.action.carrier.dim
+        base = op.expansion
+        assert base.table(2, 3) == base.table(3, 3) == {}
+        for order in (1, 2, 3):
+            terms = [mat(dense(rng, n, m)).dense() for _ in range(order)]
+            ex = OrderNDeformation(op, terms).coefficients()
+            fresh = Expansion(op.action, [op.T] + terms)
+            for arity in (2, 3):
+                assert ex.inner(arity, 0) is base.inner(arity, 0)
+                assert ex.table(arity, 0) is base.table(arity, 0)
+                for s in range(order + 2):
+                    assert ex.table(arity, s) == fresh.table(arity, s)
+                    assert ex.inner(arity, s) == fresh.inner(arity, s)
+        T1 = mat(dense(rng, n, m)).dense()
+        fresh = Expansion(op.action, [op.T, T1])
+        rep = check_linear_deformation(op, T1, all_violations=True)
+        assert rep.data["coefficient_verdicts"] == {
+            "t^%d" % s: "fail" if fresh.table(2, s) or fresh.table(3, s) else "pass"
+            for s in (1, 2, 3)}
+        assert listed(rep) == [("deform-%s-t^%d" % (name, s), k, to_dense(v, (n,)))
+                               for s in (1, 2, 3)
+                               for name, arity in (("binary", 2), ("ternary", 3))
+                               for k, v in sorted(fresh.table(arity, s).items())]
 
 
 def nonzero_partial_cases():

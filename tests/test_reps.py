@@ -7,7 +7,7 @@ from lyalg.reps import (adjoint_rep, check_action, check_lemma_identities,
                         check_representation, semidirect_product)
 
 import families
-from oracles import col, mzero, nested, o_center_dim
+from oracles import col, mzero, nested, o_center_dim, o_center_equations
 
 
 def test_adjoint_is_representation(nilpotent4):
@@ -108,7 +108,12 @@ ALGEBRAS = {"nilpotent4": families.nilpotent4, "heisenberg5": families.heisenber
 def test_center_dim_is_the_dense_center_dimension(name):
     """check_action reports dim h less the rank of the center's equations;
     the adjoint representation reaches that count whether or not it is an
-    action."""
+    action.  ``center`` is a subspace of that dimension killed by every
+    equation."""
     A = ALGEBRAS[name]()
     rep = check_action(adjoint_rep(A), all_violations=True)
     assert rep.data == {"center_dim": o_center_dim(A)}
+    C = L.center(A)
+    assert C.dim == o_center_dim(A)
+    assert not any(sum(c * q for c, q in zip(row, x)) for x in C.basis
+                   for row in o_center_equations(A))

@@ -1,17 +1,19 @@
-import pytest
+import random
 from fractions import Fraction as F
+
+import pytest
 
 import lyalg as L
 from lyalg import io as lyio
 from lyalg.errors import PreconditionFailed, Unverified
-from lyalg.linalg import Subspace
+from lyalg.linalg import Subspace, Tensor, hom_table
 from lyalg.rrb import (HomPair, check_nijenhuis, check_rrb,
                        check_rrb_homomorphism, descent_algebra,
                        graph_subalgebra_check, lift_operator,
                        projection_operator)
 
 from conftest import fx
-from families import family_matrix, random_matrix
+from families import dense, family_matrix, random_matrix, square_zero_operator
 from oracles import mid, mm
 
 
@@ -141,6 +143,24 @@ def test_descent_and_complex_build_each_inner_sum_once(monkeypatch, capsys):
     built.clear()
     TComplex(lyio.load_operator(fx("p3_on_nilpotent4.json")))
     assert sorted(built) == [(2, 0), (3, 0)]
+
+
+def test_descent_homomorphism_tables_are_the_negated_t0_tables(adjoint_action):
+    """The homomorphism tables of T from the descent brackets I_0, J_0 to g
+    are the operator's t^0 tables negated, so ``descent_algebra`` needs no
+    scan of its own: on passing operators and on failing ones, a screened
+    dense candidate included."""
+    candidate = L.RRBOperator(adjoint_action, dense(random.Random(5205), 4, 4))
+    ops = [lyio.load_operator(fx(name)) for name in
+           ("p3_on_nilpotent4.json", "p12_projection.json", "id_on_nilpotent4.json")]
+    ops += [candidate, square_zero_operator(random.Random(401), 3, 3, 1)]
+    assert [check_rrb(op).passed for op in ops] == [True, False, False, False, True]
+    for op in ops:
+        r, ex, m = op.action, op.expansion, op.action.carrier.dim
+        for arity, g in ((2, r.acting.binary), (3, r.acting.ternary)):
+            descent = Tensor.from_support(ex.inner(arity, 0), m, arity, (m,))
+            assert hom_table(descent, g, op.T, (op.T,) * arity) == {
+                k: {x: -q for x, q in v.items()} for k, v in ex.table(arity, 0).items()}
 
 
 def test_descent_requires_verified(adjoint_action):
