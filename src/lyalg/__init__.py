@@ -2,7 +2,7 @@
 weight-1 relative Rota-Baxter operators, post-algebras, cohomology and
 deformations."""
 
-from .cohomology import (Cochain, SparseMat, TComplex, coboundary_matrix_for,
+from .cohomology import (Cochain, TComplex, coboundary_matrix_for,
                          induced_rep, pair_basis, pushforward_cochain,
                          wedge_coords, yamaguti_coboundary, zero_cochain_map)
 from .core import (LYAlgebra, abelian, center, check_homomorphism,
@@ -18,7 +18,7 @@ from .errors import (AmbientMismatch, AxiomsFailed, DimMismatch, FormatError,
                      NotAnAction, NotInvertible, NotLieAlgebra,
                      PreconditionFailed, ShapeMismatch, StructureError,
                      TooLarge, Unverified)
-from .linalg import Subspace, Tensor, contract, frac, format_frac
+from .linalg import SparseMat, Subspace, Tensor, contract, frac, format_frac
 from .postlya import (PostLYAlgebra, check_post_axioms,
                       check_post_homomorphism, identity_is_rrb,
                       induced_action, induced_post_from_rrb, subadjacent,

@@ -95,10 +95,6 @@ def _emit_doc(doc, fmt):
     return 0
 
 
-def _vecs(vectors):
-    return [[format_frac(v) for v in vec] for vec in vectors]
-
-
 def _coordinates(c):
     """Every coordinate of a cochain, formatted from its support alone."""
     row = ["0"] * c.layout.total
@@ -191,8 +187,11 @@ def _cmd_deform(args, fmt):
         rep = Report("obstruction(order %d)" % d.order, "fail", [],
                      {"error": str(e)})
         return _emit_report(rep, fmt)
-    data = {"order": d.order, "ob_I": _vecs(ob.ob_I), "ob_II": _vecs(ob.ob_II),
-            "closed": ob.closed}
+    # ob_I and ob_II are the value vectors of the f and g blocks, n wide
+    c = ob.as_cochain
+    row, n, f = _coordinates(c), c.n, c.layout.f_blocks
+    vecs = [row[b * n:(b + 1) * n] for b in range(c.layout.blocks)]
+    data = {"order": d.order, "ob_I": vecs[:f], "ob_II": vecs[f:], "closed": ob.closed}
     verdict = "pass" if ob.closed else "fail"
     if args.extend:
         t_next, erep = extend(d)

@@ -34,10 +34,11 @@ composites X_k o X_l are tabulated once per complex from their supports
 (``linalg.Tensor.support``), keyed by the slot that reads them, so an output
 block that receives nothing is never visited.  The constants are read as the
 supports store them (``linalg.scalar``), so integral data is assembled with
-no Fraction arithmetic.  A matrix (``SparseMat``) keeps the columns as they
-were emitted; its one echelon reads them as they are, tagged once a kernel
-or a solve is asked, and delta of one cochain reads only the columns in its
-support.  A cochain is its support {flat index: q}, which a matrix applies to
+no Fraction arithmetic.  A matrix (``linalg.SparseMat``, where every rank,
+kernel and solve is asked) keeps the columns as they were emitted; its one
+echelon reads them as they are, tagged once a kernel or a solve is asked,
+and delta of one cochain reads only the columns in its support.  A cochain
+is its support {flat index: q}, which a matrix applies to
 (``SparseMat.apply``), a kernel returns as a witness, and transport pulls
 back and pushes forward slot by slot (``pushforward_cochain``); its dense
 views are built by ``linalg.dense``, so they hold Fractions.
@@ -61,118 +62,10 @@ the map partial on the wedge square of the acting algebra is one such table.
 
 import itertools
 
-from .errors import AxiomsFailed, Inconsistent, ShapeMismatch, TooLarge
-from .linalg import (Q0, Map, Tensor, axpy, column_echelon, dense, frac, invert, mat, pull, push,
+from .errors import AxiomsFailed, ShapeMismatch, TooLarge
+from .linalg import (Map, SparseMat, Tensor, axpy, dense, frac, invert, mat, pull, push,
                      vector)
 from .reps import RepAction
-
-
-# ---------------------------------------------------------------------------
-# sparse matrices over the rationals
-
-class SparseMat:
-    """A rows x cols rational matrix S (x) I_k, k = ``copies``, stored by the
-    columns of its factor S: ``factor[j]`` = {row: value} over the nonzero
-    entries of column j of S, each value an int or a Fraction.  Column
-    j k + r of the matrix is column j of S placed on the rows b k + r, so a
-    matrix with k = 1 is S itself.  ``column``, ``columns``, ``apply`` and
-    ``data`` give the entries of the whole matrix, built on each read.
-
-    A matrix is never changed once built, so one echelon of the columns of S
-    is built when first needed and kept: without tags for ``rank`` alone, and
-    with tags (``linalg.column_echelon``) the first time ``nullspace`` or
-    ``solve`` asks, which every later question reads.  Everything else is
-    read off it: the rank is k rank(S); the kernel vector at the free column
-    j k + r is S's at j placed on the columns i k + r, since S (x) e_r is a
-    copy of S on its own rows; and a solve splits b by the residue r of its
-    rows and solves each part against S."""
-
-    def __init__(self, rows, cols, data=None):
-        self.rows = rows
-        self.cols = cols
-        self.copies = 1
-        self.factor = [{} for _ in range(cols)]
-        for (r, c), v in (data or {}).items():
-            if v:
-                self.factor[c][r] = v
-        self._ech = None
-
-    @classmethod
-    def from_columns(cls, rows, columns, copies=1):
-        """The matrix S (x) I_copies for the rows x len(columns) matrix S whose
-        column c is the sparse ``columns[c]``, taken as it is."""
-        self = cls(rows * copies, 0)
-        self.cols, self.copies, self.factor = len(columns) * copies, copies, columns
-        return self
-
-    def _spread(self, vec, r):
-        """A sparse vector on the rows or columns of S, placed in copy r."""
-        k = self.copies
-        return vec if k == 1 else {i * k + r: q for i, q in vec.items()}
-
-    def expand(self, vectors):
-        """Each sparse vector on the rows or columns of S in every copy,
-        copies innermost."""
-        return [self._spread(v, r) for v in vectors for r in range(self.copies)]
-
-    def column(self, c):
-        j, r = divmod(c, self.copies)
-        return self._spread(self.factor[j], r)
-
-    @property
-    def columns(self):
-        return self.expand(self.factor)
-
-    @property
-    def data(self):
-        return {(r, c): v for c, col in enumerate(self.columns) for r, v in col.items()}
-
-    def apply(self, vec):
-        """The product with a sparse vector {col: q}, as a sparse vector {row: q}."""
-        if vec and not 0 <= min(vec) <= max(vec) < self.cols:
-            raise ShapeMismatch("vector index outside the %d columns" % self.cols)
-        out = {}
-        for c, x in vec.items():
-            axpy(out, x, self.column(c))
-        return out
-
-    def nonzero_rows(self):
-        """The nonzero rows, in order, as dense tuples."""
-        columns = self.columns
-        return [tuple(frac(col[r]) if r in col else Q0 for col in columns)
-                for r in sorted(set().union(*columns))]
-
-    def column_echelon(self, tags=False):
-        """The echelon of the columns of S, tagged if ``tags`` asks or it was built so."""
-        if self._ech is None or tags and self._ech.width is None:
-            self._ech = column_echelon(self.factor, self.rows // self.copies, tags)
-        return self._ech
-
-    def rank(self):
-        return self.copies * self.column_echelon().rank
-
-    def nullity(self):
-        return self.cols - self.rank()
-
-    def nullspace(self):
-        """The canonical kernel basis, one sparse vector {col: q} per free column."""
-        return self.expand(self.column_echelon(tags=True).kernel())
-
-    def solve(self, b):
-        """Some x with self . x = b for a sparse b {row: q}, free coordinates
-        0; raises Inconsistent, or ShapeMismatch for an index outside the rows."""
-        ech, k = self.column_echelon(tags=True), self.copies
-        if b and not 0 <= min(b) <= max(b) < self.rows:
-            raise ShapeMismatch("right-hand side index outside the %d rows" % self.rows)
-        parts = [{} for _ in range(k)]
-        for i, q in b.items():
-            parts[i % k][i // k] = q
-        try:
-            xs = [ech.solve(part, len(self.factor)) for part in parts]
-        except Inconsistent:
-            rank = self.rank()
-            raise Inconsistent("rhs outside column space", rank, rank + 1) from None
-        return tuple(q for qs in zip(*xs) for q in qs)
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +500,11 @@ def partial_matrix(op):
     push(table, 1, op.T, op.action.derived_D.support)
     pull(table, -1, g.ternary.support, (None, None, op.T))
     pidx = pair_index(n)
-    return SparseMat(m * n, len(pidx), {(a * n + t, pidx[i, j]): q
-                                        for (i, j, a), v in table.items() if i < j
-                                        for t, q in v.items()})
+    columns = [{} for _ in pidx]
+    for (i, j, a), v in table.items():
+        if i < j:
+            columns[pidx[i, j]].update((a * n + t, q) for t, q in v.items())
+    return SparseMat.from_columns(m * n, columns)
 
 
 class TComplex:

@@ -10,7 +10,7 @@ axiom is tabulated over every basis tuple at once from the brackets' supports
 """
 
 from .errors import AxiomsFailed, DimMismatch, NotLieAlgebra, StructureError
-from .linalg import (Map, Subspace, Tensor, dense, hom_table, mat, nullspace_basis, signed_sum,
+from .linalg import (Map, SparseMat, Subspace, Tensor, dense, hom_table, mat, signed_sum,
                      skew_fault)
 from .reports import Checker, summed
 
@@ -146,8 +146,9 @@ def center_equations(A):
 def center(A):
     """{x : [x,g]=0} n {x : <x,g,g>=0} n {x : <g,g,x>=0} as a subspace, the
     kernel of ``center_equations``."""
-    rows = center_equations(A).rows.values()
-    return Subspace(A.dim, nullspace_basis([dict(row) for row in rows], A.dim))
+    equations = center_equations(A)
+    return Subspace(A.dim, [dense(v, (A.dim,))
+                            for v in SparseMat(*equations.shape, equations).nullspace()])
 
 
 def derived_algebra(A):

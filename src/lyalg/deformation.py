@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 from .cohomology import Cochain, TComplex, pair_index, partial_matrix, wedge_coords
 from .errors import Inconsistent, InvalidDeformation
-from .linalg import (Map, Tensor, axpy, contract, dense, format_frac, graded, graded_push, mat,
-                     pull, signed_sum, skew_faults, vector)
+from .linalg import (Map, Tensor, axpy, contract, format_frac, graded, graded_push, mat, pull,
+                     signed_sum, skew_faults, vector)
 from .reports import Checker, Report
 from .rrb import Expansion, intertwining
 
@@ -245,7 +245,8 @@ def obstruction_class(d):
 
 
 def extend(d):
-    """Try to solve delta^T(T_{n+1}) = -Ob; returns (T_{n+1} or None, report).
+    """Try to solve delta^T(T_{n+1}) = -Ob; returns (T_{n+1} as a
+    ``linalg.Map``, or None, and the report).
 
     On failure the report carries a rank certificate showing the right-hand
     side lies outside the column space of the degree-1 coboundary matrix.
@@ -260,7 +261,8 @@ def extend(d):
         data.update({"extendable": False, "rank": e.rank, "rank_augmented": e.rank_augmented})
         return None, Report("deformation-extension", "fail", [], data)
     # coordinate a n + r of a degree-1 cochain is row r of column a
-    t_next = dense({(k % n, k // n): q for k, q in enumerate(x) if q}, (n, m))
+    t_next = Map.from_columns({(a,): dict(enumerate(x[a * n:(a + 1) * n])) for a in range(m)},
+                              (n, m))
     data["extendable"] = True
     return t_next, Report("deformation-extension", "pass", [], data)
 

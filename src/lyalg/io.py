@@ -69,7 +69,7 @@ from operator import neg
 
 from .core import LYAlgebra
 from .errors import FormatError, TooLarge
-from .linalg import Tensor, dense, format_frac, mat, rational, skew_faults
+from .linalg import Map, Tensor, format_frac, mat, rational, skew_faults
 from .postlya import PostLYAlgebra
 from .reps import RepAction
 from .rrb import RRBOperator
@@ -379,7 +379,8 @@ def load_nijenhuis(source, base_dir=None):
 
 
 def load_wedges(source, base_dir=None):
-    """{"wedges": [[vector, vector], ...]} with rational-string vectors."""
+    """{"wedges": [[vector, vector], ...]} with rational-string vectors, each
+    read as an n x 1 ``linalg.Map``, the form ``linalg.vector`` takes."""
     rational = _Load().rational
     doc, here = _load_doc(source, base_dir, "wedge file")
     wedges = _field(doc, "wedges", "wedge file")
@@ -390,9 +391,9 @@ def load_wedges(source, base_dir=None):
         if not isinstance(pair, list) or len(pair) != 2 \
                 or not all(isinstance(v, list) for v in pair):
             raise FormatError("wedges[%d]: expected a pair of vectors" % i)
-        x, y = (dense({c: rational(v, "wedges[%d]" % i) for c, v in enumerate(vec)},
-                      (len(vec),)) for vec in pair)
-        if len(x) != len(y):
+        x, y = (Map((len(vec), 1), [((c, 0), q) for c, q in enumerate(
+            rational(v, "wedges[%d]" % i) for v in vec) if q]) for vec in pair)
+        if x.shape != y.shape:
             raise FormatError("wedges[%d]: vectors of unequal length" % i)
         out.append((x, y))
     return out

@@ -11,8 +11,9 @@ every rational literal, from the API or a file, ``vector`` every API vector
 and ``mat`` every linear map, into its one form, ``Map``.  No routine
 divides with ``/``, so no float can appear.  The one elimination routine
 takes dense or sparse rows, {column: Fraction or int}, works fraction-free on
-primitive integer rows, and hands back Fractions; every kernel and solve
-feeds it the columns of a matrix, each with a tag.
+primitive integer rows, and hands back Fractions; every rank, kernel and
+solve is asked of a ``SparseMat``, which feeds it the columns of its matrix,
+each with a tag for a kernel or a solve, and reads its entries by ``mat``.
 Structure tensors (``Tensor``) are their support, {index tuple: {row: q}}
 over the nonzero values, a matrix value's column the last slot of its key.
 ``pull``, ``push`` and ``compose`` are the one contraction primitive: a
@@ -517,22 +518,18 @@ def dense(x, shape):
 # ---------------------------------------------------------------------------
 # elimination
 #
-# Every rank, kernel, solve and subspace below goes through one sparse
-# echelon routine, fraction-free: a row is scaled to integers once, by the lcm
+# Every rank, kernel, solve and subspace goes through one sparse echelon
+# routine, fraction-free: a row is scaled to integers once, by the lcm
 # of its denominators, and every row it keeps is primitive, {column: int} with
 # content 1 and a positive entry at its pivot, the smallest column it touches,
 # so the pivots are the leftmost possible ones; back-substituted, the rows
 # give the canonical reduced echelon form of the span, whatever their order.
-# A kernel or a solve feeds it the columns of a matrix, column c tagged by one
-# more entry at width + c that is never a pivot (``column_echelon``): a column
-# that depends on the earlier ones is left with tags only, its dependency on
-# the earlier pivot columns, the canonical kernel vector at that free column.
-
-def _as_dict(row):
-    if isinstance(row, dict):
-        return {c: v for c, v in row.items() if v != 0}
-    return {c: v for c, v in enumerate(row) if v != 0}
-
+# A rank, kernel or solve is asked of a ``SparseMat``, which feeds the echelon
+# the columns of its matrix (``SparseMat.column_echelon``), for a kernel or a
+# solve column c tagged by one more entry at width + c that is never a pivot:
+# a column that depends on the earlier ones is left with tags only, its
+# dependency on the earlier pivot columns, the canonical kernel vector at
+# that free column.
 
 def _primitive(r):
     """The sparse row ``r`` in place divided by the gcd of its entries."""
@@ -648,19 +645,6 @@ class Echelon:
         w, d = self.width, r[max(r)]
         return {k - w: Fraction(v, d) for k, v in r.items()}
 
-    def solve(self, b, ncols):
-        """Some x with M . x = b, M the matrix of this tagged column echelon
-        and b sparse {row: q}: the kernel vector of [M | b] at b, negated, so
-        free coordinates are 0.  Else Inconsistent, with the ranks of M, [M | b]."""
-        w = self.width
-        if b and not 0 <= min(b) <= max(b) < w:
-            raise ShapeMismatch("right-hand side index outside the %d rows" % w)
-        r = self.reduce({**b, w + ncols: 1})
-        if min(r) < w:
-            raise Inconsistent("rhs outside column space", self.rank, self.rank + 1)
-        x = self._dependency(r)
-        return tuple(-x.get(c, Q0) for c in range(ncols))
-
     def items(self):
         """The reduced echelon basis as (pivot, row dict), pivots increasing,
         each row a dict of Fractions with 1 at its pivot."""
@@ -687,64 +671,155 @@ class Echelon:
         return tuple(tuple(row.get(c, Q0) for c in range(ncols)) for _, row in self.items())
 
 
-def column_echelon(columns, width, tags=False):
-    """The echelon of the sparse ``columns`` {row: value}, rows below
-    ``width``; with ``tags``, column c carries the tag width + c, so that
-    ``kernel`` gives one vector per free column, in order: the canonical
-    kernel basis of the matrix."""
-    if tags:
-        return Echelon(({**col, width + c: 1} for c, col in enumerate(columns)), width)
-    return Echelon(col for col in columns if col)
-
-
 def rref(rows):
-    """Reduced row echelon form. Returns (rows, pivot column list)."""
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    ech = Echelon(rows)
+    """Reduced row echelon form of the dense rows (``mat``). Returns (rows,
+    pivot column list)."""
+    M = mat(rows)
+    nr, nc = M.shape
+    ech = Echelon(dict(row) for row in M.rows.values())
     red = ech.dense_rows(nc)
     return red + ((Q0,) * nc,) * (nr - len(red)), ech.pivots
 
 
-def _tagged(rows, ncols):
-    """The tagged column echelon (``column_echelon``) of the matrix with these
-    dense or sparse rows, and its column count, read off a row when None; a
-    dense row of another length, or a sparse one with an entry outside the
-    columns, is a ShapeMismatch."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    columns = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict) and len(row) != ncols:
-            raise ShapeMismatch("row %d has %d entries, not %d" % (i, len(row), ncols))
-        row = _as_dict(row)
-        if row and not 0 <= min(row) <= max(row) < ncols:
-            raise ShapeMismatch("row %d has an entry outside the %d columns" % (i, ncols))
-        for c, v in row.items():
-            columns[c][i] = v
-    return column_echelon(columns, len(rows), True), ncols
+class SparseMat:
+    """A rows x cols rational matrix S (x) I_k, k = ``copies``, stored by the
+    columns of its factor S: ``factor[j]`` = {row: value} over the nonzero
+    entries of column j of S, each value an int or a Fraction.  Column
+    j k + r of the matrix is column j of S placed on the rows b k + r, so a
+    matrix with k = 1 is S itself.  ``column``, ``columns``, ``apply`` and
+    ``data`` give the entries of the whole matrix, built on each read.
+    Built from ``data``, anything ``mat`` reads of that shape (a Map, the
+    sparse entries {(r, c): literal} or the dense rows), or inside the
+    library from columns of stored scalars by ``from_columns``.
 
+    Every rank, kernel and solve asks its matrix.  A matrix is never changed
+    once built, so one echelon of the columns of S is built when first needed
+    and kept (``column_echelon``): without tags for ``rank`` alone, and with
+    tags the first time ``nullspace`` or ``solve`` asks, which every later
+    question reads.  Everything else is read off it: the rank is k rank(S);
+    the kernel vector at the free column j k + r is S's at j placed on the
+    columns i k + r, since S (x) e_r is a copy of S on its own rows; and a
+    solve splits b by the residue r of its rows and solves each part
+    against S."""
 
-def nullspace_basis(rows, ncols=None):
-    """Vectors spanning {v : rows . v = 0}; one per free column.
+    def __init__(self, rows, cols, data=None):
+        M = mat({} if data is None else data, (rows, cols))
+        self.rows, self.cols, self.copies, self._ech = rows, cols, 1, None
+        self.factor = [M.cols.get((c,), {}) for c in range(cols)]
 
-    Sparse (dict) rows need ``ncols``.
-    """
-    ech, ncols = _tagged(rows, ncols)
-    return [dense(v, (ncols,)) for v in ech.kernel()]
+    @classmethod
+    def from_columns(cls, rows, columns, copies=1):
+        """The matrix S (x) I_copies for the rows x len(columns) matrix S whose
+        column c is the sparse ``columns[c]`` of stored scalars, taken as it is."""
+        self = cls.__new__(cls)
+        self.rows, self.cols, self.copies = rows * copies, len(columns) * copies, copies
+        self.factor, self._ech = columns, None
+        return self
+
+    def _spread(self, vec, r):
+        """A sparse vector on the rows or columns of S, placed in copy r."""
+        k = self.copies
+        return vec if k == 1 else {i * k + r: q for i, q in vec.items()}
+
+    def expand(self, vectors):
+        """Each sparse vector on the rows or columns of S in every copy,
+        copies innermost."""
+        return [self._spread(v, r) for v in vectors for r in range(self.copies)]
+
+    def column(self, c):
+        j, r = divmod(c, self.copies)
+        return self._spread(self.factor[j], r)
+
+    @property
+    def columns(self):
+        return self.expand(self.factor)
+
+    @property
+    def data(self):
+        return {(r, c): v for c, col in enumerate(self.columns) for r, v in col.items()}
+
+    def apply(self, vec):
+        """The product with a sparse vector {col: q}, as a sparse vector {row: q}."""
+        if vec and not 0 <= min(vec) <= max(vec) < self.cols:
+            raise ShapeMismatch("vector index outside the %d columns" % self.cols)
+        out = {}
+        for c, x in vec.items():
+            axpy(out, x, self.column(c))
+        return out
+
+    def nonzero_rows(self):
+        """The nonzero rows, in order, as dense tuples."""
+        columns = self.columns
+        return [tuple(frac(col[r]) if r in col else Q0 for col in columns)
+                for r in sorted(set().union(*columns))]
+
+    def column_echelon(self, tags=False):
+        """The echelon of the columns of S, rows below ``width`` = its row
+        count, tagged if ``tags`` asks or it was built so: column c then
+        carries the tag width + c, so that ``kernel`` gives one vector per
+        free column, in order, the canonical kernel basis of S."""
+        if self._ech is None or tags and self._ech.width is None:
+            width = self.rows // self.copies
+            self._ech = Echelon(({**col, width + c: 1} for c, col in enumerate(self.factor)),
+                                width) if tags else Echelon(col for col in self.factor if col)
+        return self._ech
+
+    def rank(self):
+        return self.copies * self.column_echelon().rank
+
+    def nullity(self):
+        return self.cols - self.rank()
+
+    def nullspace(self):
+        """The canonical kernel basis, one sparse vector {col: q} per free column."""
+        return self.expand(self.column_echelon(tags=True).kernel())
+
+    def solve(self, b):
+        """Some x with self . x = b for a sparse b {row: q}, free coordinates
+        0: for each copy, the kernel vector of [S | b's part] at that part,
+        negated.  Raises Inconsistent, with the ranks of the matrix without
+        and with b, or ShapeMismatch for an index outside the rows."""
+        ech, k, ncols = self.column_echelon(tags=True), self.copies, len(self.factor)
+        if b and not 0 <= min(b) <= max(b) < self.rows:
+            raise ShapeMismatch("right-hand side index outside the %d rows" % self.rows)
+        w = ech.width
+        parts = [{w + ncols: 1} for _ in range(k)]
+        for i, q in b.items():
+            parts[i % k][i // k] = q
+        xs = []
+        for part in parts:
+            r = ech.reduce(part)
+            if min(r) < w:
+                rank = self.rank()
+                raise Inconsistent("rhs outside column space", rank, rank + 1)
+            x = ech._dependency(r)
+            xs.append([-x.get(c, Q0) for c in range(ncols)])
+        return tuple(q for qs in zip(*xs) for q in qs)
 
 
 def solve(rows, b, ncols=None):
     """Some x with rows . x = b (dense or sparse {row: q}), free coordinates
-    0 (``Echelon.solve``); raises Inconsistent, with the ranks of the rows
+    0 (``SparseMat.solve``); raises Inconsistent, with the ranks of the rows
     without and with b, when there is none.  Sparse rows need ``ncols``.
+    Every entry is read by ``rational``; a dense row of another length, or a
+    sparse one with an index outside the columns, is a ShapeMismatch.
     """
     if not isinstance(b, dict):
         if len(b) != len(rows):
             raise DimMismatch("rhs length %d != %d rows" % (len(b), len(rows)))
-        b = _as_dict(b)
-    ech, ncols = _tagged(rows, ncols)
-    return ech.solve(b, ncols)
+        b = dict(enumerate(b))
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    data = {}
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            if len(row) != ncols:
+                raise ShapeMismatch("row %d has %d entries, not %d" % (i, len(row), ncols))
+            row = dict(enumerate(row))
+        elif row and not 0 <= min(row) <= max(row) < ncols:
+            raise ShapeMismatch("row %d has an entry outside the %d columns" % (i, ncols))
+        data.update(((i, c), q) for c, q in row.items())
+    return SparseMat(len(rows), ncols, data).solve({i: rational(q) for i, q in b.items()})
 
 
 def invert(M):

@@ -26,7 +26,7 @@ import itertools
 
 from .core import LYAlgebra, center_equations
 from .errors import AxiomsFailed, NotAnAction
-from .linalg import Echelon, Tensor, compose, push, signed_sum
+from .linalg import SparseMat, Tensor, compose, push, signed_sum
 from .reports import Checker, summed
 
 
@@ -176,9 +176,9 @@ def check_action(r, all_violations=False):
     center, and all three annihilate the carrier's binary and ternary brackets.
     A column is central when the center's defining equations
     (``core.center_equations``) vanish on it; only the center's dimension,
-    reported in the data, takes an elimination: dim h less the equations'
-    rank, read from their dim h columns, the narrow side, with no kernel
-    vectors built.  Each acting tuple of rho, then mu,
+    reported in the data, takes an elimination: the nullity of the equations'
+    ``linalg.SparseMat``, its rank read from their dim h columns, the narrow
+    side, with no kernel vectors built.  Each acting tuple of rho, then mu,
     then D, in support order, is one group of three tables for
     ``Checker.tabulate``: its columns that are not central, and its block
     pushed through the binary (a < b) and the ternary bracket values.  The
@@ -223,7 +223,7 @@ def check_action(r, all_violations=False):
 
     ck = Checker("action(%s on %s)" % (g.name, h.name), all_violations)
     ck.tabulate((h.dim,), groups())
-    out = ck.report({"center_dim": h.dim - Echelon(equations.cols.values()).rank})
+    out = ck.report({"center_dim": SparseMat(*equations.shape, equations).nullity()})
     if out.passed:
         r.action_certified = True
     return out

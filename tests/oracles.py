@@ -744,8 +744,10 @@ def o_equivalence(op, T1, T2, wedges):
     order, psi_h's likewise, then the rho-, mu- and D-equivariance, at one
     tuple by degree and then in that order.  The data gives, per identity,
     the degrees >= 2 with a nonzero coefficient, and whether T2 - T1 is the
-    boundary of X."""
+    boundary of X.  A wedge vector may be an n x 1 map, as a wedge file is read."""
     T, T1, T2 = rows_of(op.T), rows_of(T1), rows_of(T2)
+    wedges = [[tuple(q for q, in rows_of(v)) if hasattr(v, "rows") else v for v in xy]
+              for xy in wedges]
     r = op.action
     g, h = r.acting, r.carrier
     n, m = g.dim, h.dim

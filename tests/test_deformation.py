@@ -7,14 +7,15 @@ from fractions import Fraction as F
 import pytest
 
 import lyalg as L
+from lyalg import io as lyio
 from lyalg.cli import run
-from lyalg.cohomology import zero_cochain_map
+from lyalg.cohomology import TComplex, zero_cochain_map
 from lyalg.deformation import (OrderNDeformation, binary_coefficient,
                                check_equivalence, check_linear_deformation,
                                check_order_n, difference_class, extend,
                                obstruction_class, ternary_coefficient)
 from lyalg.errors import DimMismatch, InvalidDeformation
-from lyalg.linalg import dense as to_dense, format_frac, mat, nullspace_basis
+from lyalg.linalg import SparseMat, dense as to_dense, format_frac, mat
 from lyalg.rrb import Expansion
 
 import oracles
@@ -31,7 +32,7 @@ def test_zero_terms_pass(p3):
     ob = obstruction_class(d)
     assert ob.as_cochain.is_zero() and ob.closed
     t2, rep = extend(d)
-    assert rep.passed and t2 == mzero(4, 4)
+    assert rep.passed and t2.dense() == mzero(4, 4)
 
 
 def test_order_zero_reduces_to_base(p3):
@@ -333,6 +334,48 @@ def test_abelian_fixture_everything_trivial():
     assert ob.as_cochain.is_zero() and ob.closed
 
 
+def operator_doc(op):
+    """The operator file of ``op``, its algebras inline and entries "p/q"."""
+    r = op.action
+    g = range(r.acting.dim)
+    return {"action": {"acting": lyio.dump_structure(r.acting),
+                       "carrier": lyio.dump_structure(r.carrier),
+                       "rho": [lyio.dump_matrix(L.contract(r.rho, i)) for i in g],
+                       "mu": [[lyio.dump_matrix(L.contract(r.mu, i, j)) for j in g] for i in g]},
+            "T": lyio.dump_matrix(op.T)}
+
+
+def test_cli_obstruction_is_the_formatted_class(tmp_path, capsys):
+    """On a live square-zero operator, sums of 1-cocycles are order-1
+    deformations whose obstruction is often nonzero and not a coboundary.
+    The CLI's ob_I and ob_II are the class's f and g vectors formatted
+    entry by entry, and t_next, when there is one, the rows of extend's map."""
+    op = square_zero_operator(random.Random(5107), 4, 3, 2)
+    n, m = 4, 3
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(operator_doc(op)))
+    cocycles = TComplex(op).matrix(1).nullspace()
+    rng, outcomes = random.Random(1), []
+    for _ in range(6):
+        v = {}
+        for w in cocycles:
+            c = rng.choice([0, 1, -1, 2])
+            for k, q in w.items():
+                v[k] = v.get(k, 0) + c * q
+        term = mat({(k % n, k // n): q for k, q in v.items()}, (n, m))
+        (tmp_path / "t1.json").write_text(json.dumps({"matrix": lyio.dump_matrix(term)}))
+        assert run(["deform", "obstruct", "--op", str(path), "--terms", str(tmp_path / "t1.json"),
+                    "--extend", "--json"]) in (0, 1)
+        data = json.loads(capsys.readouterr().out)["data"]
+        d = OrderNDeformation(op, [term])
+        ob, (t2, _) = obstruction_class(d), extend(d)
+        assert data["ob_I"] == [[format_frac(q) for q in vec] for vec in ob.ob_I]
+        assert data["ob_II"] == [[format_frac(q) for q in vec] for vec in ob.ob_II]
+        assert data.get("t_next") == (None if t2 is None else lyio.dump_matrix(t2.dense()))
+        outcomes.append((ob.as_cochain.is_zero(), t2 is None))
+    assert outcomes == [(False, True)] * 2 + [(True, False)] * 2 + [(False, True)] * 2
+
+
 def test_obstruct_extend_checks_the_deformation_once(monkeypatch, capsys):
     """The CLI builds the t^(n+1) tables of the obstruction once, and extend
     reuses the obstruction: its coboundary is taken once.  A build is a call
@@ -374,9 +417,10 @@ def binary_closed_term(op):
         images.append([{(k, x): q for k, v in ex.table(arity, 1).items() for x, q in v.items()}
                        for arity in (2, 3)])
     keys = sorted({k for binary, _ in images for k in binary})
-    rows = [{j: binary[k] for j, (binary, _) in enumerate(images) if k in binary} for k in keys]
-    for x in nullspace_basis(rows, n * m):
-        term = mat({divmod(j, m): q for j, q in enumerate(x) if q}, (n, m))
+    entries = {(i, j): binary[k] for i, k in enumerate(keys)
+               for j, (binary, _) in enumerate(images) if k in binary}
+    for x in SparseMat(len(keys), n * m, entries).nullspace():
+        term = mat({divmod(j, m): q for j, q in x.items()}, (n, m))
         if Expansion(r, [op.T, term]).table(3, 1):
             return term.dense()
     return None

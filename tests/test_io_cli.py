@@ -160,6 +160,25 @@ def test_cli_rejects_malformed_containers(kind, doc, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_wedges_are_read_as_maps_and_checked_by_length(tmp_path, capsys):
+    """A wedge file's vectors are n x 1 maps, taken as they are by
+    ``linalg.vector``: the fixture's X = e1 /\\ e2 is the boundary of t1 - t1,
+    and vectors of 3 entries where the acting algebra has 4 are one error
+    line and exit 2."""
+    (x, y), = lyio.load_wedges(fx("x_e1e2.json"))
+    assert (x.shape, x.dense(), y.dense()) == ((4, 1), ((1,), (0,), (0,), (0,)),
+                                               ((0,), (1,), (0,), (0,)))
+    argv = ["deform", "equiv", "--op", fx("p3_on_nilpotent4.json"), "--t1", fx("t1_family.json"),
+            "--t2", fx("t1_family.json"), "--json", "--x"]
+    assert run(argv + [fx("x_e1e2.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["data"] == {
+        "difference_equals_boundary": True, "higher_order_residual_degrees": {}}
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps({"wedges": [[["1", "0", "0"], ["0", "1", "0"]]]}))
+    assert run(argv + [str(short)]) == 2
+    assert capsys.readouterr().err == "error: vectors must have length 4\n"
+
+
 def test_load_post_rejects_boolean_dim():
     with pytest.raises(FormatError):
         lyio.load_post({"dim": True})

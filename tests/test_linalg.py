@@ -15,8 +15,8 @@ from lyalg import io as lyio, linalg
 from lyalg.cohomology import Cochain, zero_cochain_map
 from lyalg.errors import (AmbientMismatch, DimMismatch, Inconsistent, NotInvertible,
                           ShapeMismatch, TooLarge)
-from lyalg.linalg import (Echelon, Subspace, Tensor, frac, format_frac, graded, graded_push,
-                          invert, mat, nullspace_basis, rref, solve)
+from lyalg.linalg import (Echelon, SparseMat, Subspace, Tensor, frac, format_frac, graded,
+                          graded_push, invert, mat, rref, solve)
 import oracles
 from conftest import fx
 from oracles import (TPoly, mid, mm, mv, o_in_column_space, o_inverse, o_nullspace, o_rank,
@@ -59,6 +59,10 @@ ENTRY_POINTS = {
     "check_equivalence": lambda q: L.check_equivalence(abelian2_id(), mid(2), mid(2),
                                                        [((q, 0), (0, 1))]),
     "zero_cochain_map": lambda q: zero_cochain_map(abelian2_id(), (q, 0), (0, 1)),
+    "SparseMat": lambda q: SparseMat(1, 2, {(0, 1): q}),
+    "solve": lambda q: solve([[q]], [1]),
+    "solve-rhs": lambda q: solve([[1]], [q]),
+    "rref": lambda q: rref([[1, q]]),
 }
 
 
@@ -115,6 +119,30 @@ def test_api_vectors_read_their_entries_as_rationals():
                 read(bad)
     with pytest.raises(ValueError, match="not a rational: 0.5"):
         L.check_equivalence(op, zero, zero, [((0.5, 0, 0, 0), (0, 1, 0, 0))])
+
+
+def test_elimination_entry_points_read_rationals():
+    """``SparseMat``, ``solve`` and ``rref`` read every entry by ``rational``:
+    "1/2" is a half and 0.1 is refused, not read as the double nearest it."""
+    assert SparseMat(1, 2, {(0, 0): "1/2", (0, 1): 1}).nullspace() == [{0: -2, 1: 1}]
+    assert SparseMat(1, 2, [["1/2", 1]]).data == {(0, 0): F(1, 2), (0, 1): 1}
+    assert solve([["1/2", 1]], [1]) == (2, 0)
+    assert solve([[2, 1]], ["1/2"]) == (F(1, 4), 0)
+    assert solve([{0: "1/2"}], {0: "1"}, 2) == (2, 0)
+    assert rref([["1/2", 1]]) == (((1, 2),), [0])
+    for read in (lambda q: SparseMat(1, 2, {(0, 0): q}), lambda q: solve([[q, 1]], [1]),
+                 lambda q: solve([[1, 1]], [q]), lambda q: solve([{0: q}], {0: 1}, 2),
+                 lambda q: rref([[q, 1]])):
+        with pytest.raises(ValueError, match="^not a rational: 0.1$"):
+            read(0.1)
+
+
+@pytest.mark.parametrize("key", [(5, 1), (0, 5), (2, 0), (0, 2), (-1, 0), (0, -1)])
+def test_sparse_mat_refuses_a_key_outside_its_shape(key):
+    """A row index past the rows would reach the tag columns of the echelon,
+    and a column index past the columns has no column: both are refused."""
+    with pytest.raises(DimMismatch, match="^matrix must be 2x2$"):
+        SparseMat(2, 2, {(0, 0): 1, key: 1})
 
 
 def test_mat_reads_one_form_and_refuses_the_others():
@@ -189,6 +217,16 @@ def test_an_oversized_decimal_is_refused_before_fraction_reads_it():
         0, "a decimal may have at most 4300 digits and an exponent of at most 4300\n")
 
 
+def nullspace(rows, ncols):
+    """The kernel basis of the matrix with these dense or sparse rows, by
+    ``SparseMat.nullspace``, as dense vectors; dense rows are handed over as
+    they are, sparse ones as the entries {(i, c): q}."""
+    data = rows
+    if rows and isinstance(rows[0], dict):
+        data = {(i, c): q for i, row in enumerate(rows) for c, q in row.items()}
+    return [linalg.dense(v, (ncols,)) for v in SparseMat(len(rows), ncols, data).nullspace()]
+
+
 def test_rref_idempotent_and_rank():
     m = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]]).dense()
     red, pivots = rref(m)
@@ -209,7 +247,7 @@ def test_nullspace_vectors_annihilate():
     rng = random.Random(202)
     for _ in range(25):
         m = rmat(rng, rng.randint(1, 5), rng.randint(1, 6))
-        ns = nullspace_basis(m)
+        ns = nullspace(m, len(m[0]))
         assert len(ns) == len(m[0]) - Echelon(m).rank
         for v in ns:
             assert all(x == 0 for x in mv(m, v))
@@ -239,8 +277,9 @@ def test_solve_and_inconsistent():
     ([(F(1),), (F(1), F(0))], None),         # ragged dense rows
 ])
 def test_rows_outside_the_columns_are_a_shape_mismatch(rows, ncols):
-    with pytest.raises(ShapeMismatch):
-        nullspace_basis(rows, ncols)
+    c = len(rows[0]) if ncols is None else ncols
+    with pytest.raises(DimMismatch, match="^matrix must be %dx%d$" % (len(rows), c)):
+        nullspace(rows, c)
     with pytest.raises(ShapeMismatch):
         solve(rows, [F(1)] * len(rows), ncols)
 
@@ -331,12 +370,12 @@ def test_sparse_rank_matches_oracle():
 
 def test_sparse_nullspace_dimension_and_annihilation():
     for r, c, m in sparse_cases(502):
-        ns = nullspace_basis(m, ncols=c)
+        ns = nullspace(m, c)
         assert len(ns) == c - o_rank(m)
         for v in ns:
             assert len(v) == c
             assert all(x == 0 for x in mv(m, v))
-        assert nullspace_basis(as_dicts(m), ncols=c) == ns
+        assert nullspace(as_dicts(m), c) == ns
 
 
 def leftmost_pivots(m, c):
@@ -472,7 +511,7 @@ def test_high_height_rank_rref_and_nullspace_match_oracle():
             ech = Echelon(rows)
             assert ech.rank == len(pivots) and ech.pivots == pivots
             assert fractions_only([row for _, row in ech.items()])
-            got = nullspace_basis(rows, c)
+            got = nullspace(rows, c)
             assert got == kernel and fractions_only(got)
         for rows in (m, as_ints(m)):
             got = rref(rows)
