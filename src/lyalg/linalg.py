@@ -739,12 +739,13 @@ class SparseMat:
         return {(r, c): v for c, col in enumerate(self.columns) for r, v in col.items()}
 
     def apply(self, vec):
-        """The product with a sparse vector {col: q}, as a sparse vector {row: q}."""
+        """The product with a sparse vector {col: q}, each q read by
+        ``rational``, as a sparse vector {row: q}."""
         if vec and not 0 <= min(vec) <= max(vec) < self.cols:
             raise ShapeMismatch("vector index outside the %d columns" % self.cols)
         out = {}
         for c, x in vec.items():
-            axpy(out, x, self.column(c))
+            axpy(out, rational(x), self.column(c))
         return out
 
     def nonzero_rows(self):
@@ -775,17 +776,18 @@ class SparseMat:
         return self.expand(self.column_echelon(tags=True).kernel())
 
     def solve(self, b):
-        """Some x with self . x = b for a sparse b {row: q}, free coordinates
-        0: for each copy, the kernel vector of [S | b's part] at that part,
-        negated.  Raises Inconsistent, with the ranks of the matrix without
-        and with b, or ShapeMismatch for an index outside the rows."""
+        """Some x with self . x = b for a sparse b {row: q}, each q read by
+        ``rational``, free coordinates 0: for each copy, the kernel vector of
+        [S | b's part] at that part, negated.  Raises Inconsistent, with the
+        ranks of the matrix without and with b, or ShapeMismatch for an index
+        outside the rows."""
         ech, k, ncols = self.column_echelon(tags=True), self.copies, len(self.factor)
         if b and not 0 <= min(b) <= max(b) < self.rows:
             raise ShapeMismatch("right-hand side index outside the %d rows" % self.rows)
         w = ech.width
         parts = [{w + ncols: 1} for _ in range(k)]
         for i, q in b.items():
-            parts[i % k][i // k] = q
+            parts[i % k][i // k] = rational(q)
         xs = []
         for part in parts:
             r = ech.reduce(part)
@@ -801,17 +803,20 @@ def solve(rows, b, ncols=None):
     """Some x with rows . x = b (dense or sparse {row: q}), free coordinates
     0 (``SparseMat.solve``); raises Inconsistent, with the ranks of the rows
     without and with b, when there is none.  Sparse rows need ``ncols``.
-    Every entry is read by ``rational``; a dense row of another length, or a
-    sparse one with an index outside the columns, is a ShapeMismatch.
+    Every entry is read by ``rational``; a row that is not a list, tuple or
+    dict, a dense row of another length, or a sparse one with an index
+    outside the columns, is a ShapeMismatch.
     """
     if not isinstance(b, dict):
         if len(b) != len(rows):
             raise DimMismatch("rhs length %d != %d rows" % (len(b), len(rows)))
         b = dict(enumerate(b))
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
     data = {}
     for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple, dict)):
+            raise ShapeMismatch("row %d is not a list, tuple or dict" % i)
+        if ncols is None:
+            ncols = len(row)
         if not isinstance(row, dict):
             if len(row) != ncols:
                 raise ShapeMismatch("row %d has %d entries, not %d" % (i, len(row), ncols))
@@ -819,7 +824,7 @@ def solve(rows, b, ncols=None):
         elif row and not 0 <= min(row) <= max(row) < ncols:
             raise ShapeMismatch("row %d has an entry outside the %d columns" % (i, ncols))
         data.update(((i, c), q) for c, q in row.items())
-    return SparseMat(len(rows), ncols, data).solve({i: rational(q) for i, q in b.items()})
+    return SparseMat(len(rows), ncols or 0, data).solve(b)
 
 
 def invert(M):

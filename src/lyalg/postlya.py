@@ -18,7 +18,9 @@ by any weight-1 operator (dot = carrier binary, x*y = rho(Tx)y,
 variants of the compatibility equations are available via ``as_printed``.
 The derived operations and every axiom are tabulated as signed sums of
 compositions of the four operations' supports (``linalg.signed_sum``), so
-no basis tuple is visited.
+no basis tuple is visited.  The default axiom set is this library's own, so
+what rests on it (an induced post-algebra, the sub-adjacent algebra and its
+action) is still checked.
 """
 
 from .core import LYAlgebra, check_homomorphism, check_ly_axioms, set_operations
@@ -141,7 +143,8 @@ def check_post_axioms(A, all_violations=False, as_printed=False):
 
 
 def subadjacent(A):
-    """The Lie-Yamaguti algebra ([,]_C, <,,>_C) on the same space."""
+    """The Lie-Yamaguti algebra ([,]_C, <,,>_C) on the same space, checked
+    once: it rests on the default post-axiom set, not on the paper's."""
     A.ensure_verified()
     if A._sub is None:
         S = LYAlgebra(A.dim, A.sub_binary, A.sub_ternary,
@@ -154,19 +157,15 @@ def subadjacent(A):
 def induced_action(A):
     """The action (L, R) of the sub-adjacent algebra on (A, dot, angle).
 
-    L(x)z = x*z and R(x,y)z = {z,x,y}; the derived D of the pair equals the
-    derived brace on all basis triples (checked).
+    L(x)z = x*z and R(x,y)z = {z,x,y}; its derived D and the derived brace
+    expand to the same seven terms.  It rests on the default post-axiom set,
+    so it is checked as an action.
     """
     A.ensure_verified()
     S = subadjacent(A)
     base = A.base_ly()
     base.ensure_verified()
     r = RepAction(S, base, *regular_pair(A.star, A.brace))
-    derived, bD = r.derived_D.support, A.brace_D.support
-    bad = [key for key in derived.keys() | bD.keys() if derived.get(key) != bD.get(key)]
-    if bad:
-        raise AxiomsFailed("derived D of (L, R) differs from the derived brace at "
-                           "(%d,%d,%d)" % min(bad))
     rep = check_action(r)
     if not rep.passed:
         raise AxiomsFailed("(L, R) is not an action", rep)
@@ -185,6 +184,7 @@ def induced_post_from_rrb(op):
     """The post-algebra on the carrier of a verified weight-1 operator.
 
     dot = [,]_h, x*y = rho(Tx)y, {x,y,z} = mu(Ty,Tz)x, angle = <,,>_h.
+    Checked: the default post-axiom set is this library's own, not the paper's.
     """
     op.ensure_verified()
     r = op.action

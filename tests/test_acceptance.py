@@ -97,7 +97,7 @@ def test_criterion_4_construction_coherence(adjoint_action, p3):
         S = subadjacent(P)
         ok &= S.binary == D.binary and S.ternary == D.ternary
         ok &= identity_is_rrb(P).passed
-        rep = L.induced_rep(op)  # validates D_T == derived-D at construction
+        rep = L.induced_rep(op)  # built unchecked: checked here, D against the oracle's D_T
         ok &= check_representation(rep).passed
         oc = oracles.OpOracle(op)
         eh = [basis_vector(4, a) for a in range(4)]

@@ -12,12 +12,14 @@ from lyalg.cohomology import (Cochain, SparseMat, TComplex,
 from lyalg.cli import run
 from lyalg import cohomology, io as lyio
 from lyalg.errors import DimMismatch, Inconsistent, ShapeMismatch, TooLarge
+from lyalg.core import check_ly_axioms
+from lyalg.reps import check_representation
 from lyalg.rrb import HomPair, descent_algebra
 
 import oracles
 from conftest import fx
-from families import (NONZERO_PARTIAL_SEEDS, basis_vector, forced_operator,
-                      live_post_operator, square_zero_operator, two_step_operator)
+from families import (CONSTRUCTION_CORPUS, NONZERO_PARTIAL_SEEDS, basis_vector, forced_operator,
+                      live_post_operator, square_zero_operator, two_step_operator, unverified)
 from oracles import OpOracle, mid, nested, o_rank
 
 
@@ -188,7 +190,6 @@ def test_cochain_flat_roundtrip():
 
 
 def test_induced_rep_is_representation(p3):
-    from lyalg.reps import check_representation
     for op in (p3, live_post_operator()):
         assert check_representation(induced_rep(op)).passed
 
@@ -218,6 +219,19 @@ def test_induced_rep_closed_forms(p3):
     assert_induced_closed_forms(p3)
 
 
+@pytest.mark.parametrize("name", sorted(CONSTRUCTION_CORPUS))
+def test_structures_built_unchecked_pass_their_checks(name):
+    """The descent algebra, the induced representation and the semidirect
+    algebra of the action are built with no check; on every operator of the
+    corpus each passes the check it skips, and the induced pair's derived D
+    is the oracle's closed form D_T."""
+    op = CONSTRUCTION_CORPUS[name]()
+    assert check_ly_axioms(unverified(descent_algebra(op))).passed
+    assert check_representation(induced_rep(op)).passed
+    assert check_ly_axioms(unverified(op.action.semidirect())).passed
+    assert_induced_closed_forms(op)
+
+
 @pytest.mark.parametrize("seed,shape", [(5005, (3, 1, 1)), (5006, (3, 1, 1)), (5007, (2, 2, 1)),
                                         (5008, (2, 1, 2))])
 def test_induced_rep_and_descent_closed_forms_at_dim5(seed, shape):
@@ -230,7 +244,7 @@ def test_induced_rep_closed_forms_over_square_zero_action(seed, n, m, k):
     # do not vanish, as they do for every operator over an adjoint action above
     op = square_zero_operator(random.Random(seed), n, m, k)
     assert_induced_closed_forms(op)
-    rep = TComplex(op).rep       # built and checked as a representation
+    rep = TComplex(op).rep
     assert rep.rho.support and rep.mu.support and rep.derived_D.support
 
 

@@ -8,6 +8,7 @@ from lyalg.errors import AxiomsFailed, NotLieAlgebra, StructureError
 from lyalg.linalg import Subspace, contract
 
 from conftest import fx
+from families import filiform, gl, heisenberg5, sl2, unverified
 from oracles import mid, nested
 
 
@@ -136,6 +137,13 @@ def test_from_lie_algebra_solvable():
     assert A.verified
     # <e1,e2,e2> = [[e1,e2],e2] = [e2,e2] = 0, <e2,e1,e1> = [-e2,e1] = e2
     assert nested(A.ternary)[1][0][0] == (F(0), F(1))
+
+
+def test_lie_induced_algebras_pass_the_axioms():
+    """``from_lie_algebra`` builds its algebra verified once Jacobi holds;
+    each one the suite builds passes the axiom scan all the same."""
+    for A in (gl(2), gl(3), sl2(), filiform(5), heisenberg5()):
+        assert A.verified and L.check_ly_axioms(unverified(A)).passed
 
 
 def test_from_lie_algebra_rejects_non_jacobi():

@@ -343,6 +343,36 @@ def test_cli_deform(capsys):
     assert payload["data"]["closed"] and payload["data"]["extendable"]
 
 
+def test_each_structure_is_checked_once_where_it_enters(monkeypatch, capsys):
+    """The CLI checks the algebras and the action it reads, once each, and
+    nothing it builds from them: no descent or semidirect algebra and no
+    induced representation is scanned."""
+    from lyalg import core, reps
+    ly, rep, seen = core.check_ly_axioms, reps.check_representation, []
+
+    def check_ly(A, *args):
+        seen.append(A.name)
+        return ly(A, *args)
+
+    def check_rep(r, *args):
+        seen.append("rep(%s on %s)" % (r.acting.name, r.carrier.name))
+        return rep(r, *args)
+    monkeypatch.setattr(core, "check_ly_axioms", check_ly)
+    monkeypatch.setattr(reps, "check_representation", check_rep)
+    p3 = fx("p3_on_nilpotent4.json")
+    for argv, want in (
+            (["cohomology", "--op", fx("square_zero_5102.json"), "--degree", "2"],
+             ["abelian4", "abelian3", "rep(abelian4 on abelian3)"]),
+            (["construct", "semidirect", fx("nilpotent4_adjoint.json")],
+             ["nilpotent4", "rep(nilpotent4 on nilpotent4)"]),
+            (["deform", "obstruct", "--op", p3, "--terms", fx("t1_family.json"), "--extend"],
+             ["nilpotent4", "rep(nilpotent4 on nilpotent4)"])):
+        seen.clear()
+        assert run(argv) == 0
+        assert seen == want
+    capsys.readouterr()
+
+
 def test_cli_usage_errors(capsys):
     assert run(["deform", "linear", "--op", fx("p3_on_nilpotent4.json")]) == 2
     assert run(["check"]) == 2

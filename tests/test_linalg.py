@@ -60,6 +60,8 @@ ENTRY_POINTS = {
                                                        [((q, 0), (0, 1))]),
     "zero_cochain_map": lambda q: zero_cochain_map(abelian2_id(), (q, 0), (0, 1)),
     "SparseMat": lambda q: SparseMat(1, 2, {(0, 1): q}),
+    "SparseMat.solve": lambda q: SparseMat(1, 1, {(0, 0): 1}).solve({0: q}),
+    "SparseMat.apply": lambda q: SparseMat(1, 1, {(0, 0): 1}).apply({0: q}),
     "solve": lambda q: solve([[q]], [1]),
     "solve-rhs": lambda q: solve([[1]], [q]),
     "rref": lambda q: rref([[1, q]]),
@@ -122,17 +124,21 @@ def test_api_vectors_read_their_entries_as_rationals():
 
 
 def test_elimination_entry_points_read_rationals():
-    """``SparseMat``, ``solve`` and ``rref`` read every entry by ``rational``:
-    "1/2" is a half and 0.1 is refused, not read as the double nearest it."""
+    """``SparseMat`` and its ``solve`` and ``apply``, ``solve`` and ``rref``
+    read every entry by ``rational``: "1/2" is a half and 0.1 is refused,
+    not read as the double nearest it."""
     assert SparseMat(1, 2, {(0, 0): "1/2", (0, 1): 1}).nullspace() == [{0: -2, 1: 1}]
     assert SparseMat(1, 2, [["1/2", 1]]).data == {(0, 0): F(1, 2), (0, 1): 1}
     assert solve([["1/2", 1]], [1]) == (2, 0)
     assert solve([[2, 1]], ["1/2"]) == (F(1, 4), 0)
     assert solve([{0: "1/2"}], {0: "1"}, 2) == (2, 0)
     assert rref([["1/2", 1]]) == (((1, 2),), [0])
+    one = SparseMat(1, 1, {(0, 0): 1})
+    assert one.solve({0: "1/2"}) == (F(1, 2),) and one.apply({0: "1/2"}) == {0: F(1, 2)}
     for read in (lambda q: SparseMat(1, 2, {(0, 0): q}), lambda q: solve([[q, 1]], [1]),
                  lambda q: solve([[1, 1]], [q]), lambda q: solve([{0: q}], {0: 1}, 2),
-                 lambda q: rref([[q, 1]])):
+                 lambda q: rref([[q, 1]]), lambda q: one.solve({0: q}),
+                 lambda q: one.apply({0: q})):
         with pytest.raises(ValueError, match="^not a rational: 0.1$"):
             read(0.1)
 
@@ -282,6 +288,15 @@ def test_rows_outside_the_columns_are_a_shape_mismatch(rows, ncols):
         nullspace(rows, c)
     with pytest.raises(ShapeMismatch):
         solve(rows, [F(1)] * len(rows), ncols)
+
+
+@pytest.mark.parametrize("rows", [["12"], [5], [(1, 2), "12"], "12"])
+def test_solve_refuses_a_row_that_is_no_list_tuple_or_dict(rows):
+    """A string is not read as the row of its characters, nor an int as a
+    row at all."""
+    at = next(i for i, row in enumerate(rows) if not isinstance(row, (list, tuple)))
+    with pytest.raises(ShapeMismatch, match="^row %d is not a list, tuple or dict$" % at):
+        solve(rows, [1] * len(rows))
 
 
 def test_invert():

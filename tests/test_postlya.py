@@ -7,9 +7,10 @@ from lyalg.postlya import (PostLYAlgebra, check_post_axioms,
                            check_post_homomorphism, identity_is_rrb,
                            induced_action, induced_post_from_rrb, subadjacent,
                            zero_post)
+from lyalg.reps import RepAction, regular_pair
 from lyalg.rrb import descent_algebra
 
-from families import family_matrix, live_post, live_post_operator
+from families import family_matrix, generated_posts, live_post, live_post_operator
 from oracles import mid, nested
 
 
@@ -84,6 +85,19 @@ def test_induced_action_derived_matches(p3):
         assert r.derived_D.support == A.brace_D.support
         if A is live:
             assert r.rho.support and r.mu.support and r.derived_D.support
+
+
+def test_derived_D_of_L_and_R_is_the_derived_brace_with_no_axiom():
+    """``induced_action`` does not compare the pair's derived D with the
+    derived brace: both expand to the same seven terms, so they agree on the
+    generated post-algebras too, though those fail their axioms."""
+    posts = [P for _, P in generated_posts()]
+    assert not any(check_post_axioms(P).passed for P in posts)
+    assert sum(bool(P.brace_D.support) for P in posts) == 3
+    for P in posts:
+        S = L.LYAlgebra(P.dim, P.sub_binary, P.sub_ternary)
+        r = RepAction(S, P.base_ly(), *regular_pair(P.star, P.brace))
+        assert r.derived_D.support == P.brace_D.support
 
 
 def test_induced_post_family(adjoint_action, rng):

@@ -1,12 +1,16 @@
-import pytest
+import random
 from fractions import Fraction as F
 
+import pytest
+
 import lyalg as L
-from lyalg.errors import NotAnAction
+from lyalg import io as lyio
+from lyalg.errors import AxiomsFailed, NotAnAction
 from lyalg.reps import (adjoint_rep, check_action, check_lemma_identities,
                         check_representation, semidirect_product)
 
 import families
+from conftest import fx
 from oracles import col, mzero, nested, o_center_dim, o_center_equations
 
 
@@ -69,7 +73,7 @@ def test_semidirect_requires_certification(nilpotent4):
 
 def test_semidirect_brackets(nilpotent4, adjoint_action):
     S = adjoint_action.semidirect()
-    assert S.dim == 8 and S.verified
+    assert S.dim == 8 and L.check_ly_axioms(families.unverified(S)).passed
     n = 4
     # [g:e1, g:e2] = g:[e1,e2]
     assert nested(S.binary)[0][1] == (F(0),) * 3 + (F(2),) + (F(0),) * 4
@@ -81,6 +85,36 @@ def test_semidirect_brackets(nilpotent4, adjoint_action):
         col(nested(adjoint_action.mu)[0][1], 0))
     # two carrier slots kill the ternary bracket
     assert nested(S.ternary)[n + 0][n + 1][0] == (F(0),) * 8
+
+
+def test_semidirect_of_screened_actions_passes_the_axioms():
+    """The semidirect algebra is built unchecked; on the seeded perturbations
+    of two adjoint actions that still pass ``check_action`` (none of the
+    ``moved_rep`` ones do), it passes the axioms it was not checked against."""
+    n4, h5 = adjoint_rep(families.nilpotent4()), adjoint_rep(families.heisenberg5())
+    passing = []
+    for seed in range(200):
+        for kind, r in (("perturbed", families.perturbed_adjoint(random.Random(seed))),
+                        ("moved_rep", families.moved_rep(random.Random(seed), n4)),
+                        ("moved_rep", families.moved_rep(random.Random(seed), h5)),
+                        ("moved", families.moved(random.Random(seed), n4, 1)),
+                        ("moved", families.moved(random.Random(seed), h5, 1))):
+            if check_action(r).passed:
+                passing.append(kind)
+                assert L.check_ly_axioms(families.unverified(semidirect_product(r))).passed
+    assert sorted(set(passing)) == ["moved", "perturbed"] and len(passing) >= 10
+
+
+def test_action_checks_the_acting_algebra():
+    """A certified action carries every hypothesis of its semidirect algebra:
+    the zero pair of an algebra that fails the axioms is a representation,
+    but not an action."""
+    g = lyio.load_algebra(fx("bad_algebra.json"))
+    zero = [[[0]]] * 4
+    r = L.RepAction(g, L.abelian(1), zero, [zero] * 4)
+    assert check_representation(r).passed
+    with pytest.raises(AxiomsFailed, match="^bad fails Lie-Yamaguti axioms$"):
+        check_action(r)
 
 
 def test_action_fails_for_noncentral_images():
