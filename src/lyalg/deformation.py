@@ -26,7 +26,7 @@ delta of one cochain, read from the columns in its support
 ``cohomology.partial_matrix``.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cohomology import Cochain, TComplex, pair_index, partial_matrix, wedge_coords
 from .errors import Inconsistent, InvalidDeformation
@@ -205,10 +205,9 @@ def check_equivalence(op, T1, T2, wedges, all_violations=False):
     return ck.report(data)
 
 
-@dataclass
-class ObstructionClass:
-    as_cochain: Cochain
-    closed: bool
+class ObstructionClass(namedtuple("ObstructionClass", "as_cochain closed")):
+    """A degree-2 ``Cochain`` and whether its coboundary vanishes."""
+    __slots__ = ()
     # value vectors per pair (a < b) of carrier indices, and per (pair, c)
     ob_I = property(lambda self: self.as_cochain.f)
     ob_II = property(lambda self: self.as_cochain.g)

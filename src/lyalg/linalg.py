@@ -681,6 +681,11 @@ def rref(rows):
     return red + ((Q0,) * nc,) * (nr - len(red)), ech.pivots
 
 
+def _indices_below(vec, n):
+    """Whether every key of the sparse vector ``vec`` is an int in 0..n-1 (a bool is not)."""
+    return all(type(i) is int and 0 <= i < n for i in vec)
+
+
 class SparseMat:
     """A rows x cols rational matrix S (x) I_k, k = ``copies``, stored by the
     columns of its factor S: ``factor[j]`` = {row: value} over the nonzero
@@ -740,8 +745,9 @@ class SparseMat:
 
     def apply(self, vec):
         """The product with a sparse vector {col: q}, each q read by
-        ``rational``, as a sparse vector {row: q}."""
-        if vec and not 0 <= min(vec) <= max(vec) < self.cols:
+        ``rational``, as a sparse vector {row: q}; a key that is no column
+        index is a ShapeMismatch."""
+        if not _indices_below(vec, self.cols):
             raise ShapeMismatch("vector index outside the %d columns" % self.cols)
         out = {}
         for c, x in vec.items():
@@ -779,10 +785,10 @@ class SparseMat:
         """Some x with self . x = b for a sparse b {row: q}, each q read by
         ``rational``, free coordinates 0: for each copy, the kernel vector of
         [S | b's part] at that part, negated.  Raises Inconsistent, with the
-        ranks of the matrix without and with b, or ShapeMismatch for an index
-        outside the rows."""
+        ranks of the matrix without and with b, or ShapeMismatch for a key
+        that is no row index."""
         ech, k, ncols = self.column_echelon(tags=True), self.copies, len(self.factor)
-        if b and not 0 <= min(b) <= max(b) < self.rows:
+        if not _indices_below(b, self.rows):
             raise ShapeMismatch("right-hand side index outside the %d rows" % self.rows)
         w = ech.width
         parts = [{w + ncols: 1} for _ in range(k)]

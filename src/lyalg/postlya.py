@@ -166,7 +166,7 @@ def induced_action(A):
     base = A.base_ly()
     base.ensure_verified()
     r = RepAction(S, base, *regular_pair(A.star, A.brace))
-    rep = check_action(r)
+    rep = check_action(r, center_dim=False)
     if not rep.passed:
         raise AxiomsFailed("(L, R) is not an action", rep)
     return r

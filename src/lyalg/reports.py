@@ -8,20 +8,24 @@ reads no further group once a capped report is settled, so groups that come
 from a generator, such as ``reps.check_action``'s one group per acting tuple,
 are not built after that.  A sub-check's witnesses come in through
 ``Checker.include``.
+
+A check returns a ``Report``: a subject, a verdict ("pass" or "fail"), the
+witnesses as ``Violation`` records (equation, basis tuple, residual) in the
+order recorded, and a dict of data; ``to_dict`` and ``pretty`` give its JSON
+and text forms.  Both classes compare field by field.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .linalg import dense, format_frac, signed_sum
 
 DEFAULT_CAP = 10
 
 
-@dataclass
-class Violation:
-    eq: str           # equation identifier, e.g. "LY3"
-    args: tuple       # witness basis tuple (indices)
-    residual: tuple   # left-minus-right value: vector, or matrix for operator equations
+class Violation(namedtuple("Violation", "eq args residual")):
+    """The equation ``eq`` (e.g. "LY3") fails at the basis tuple ``args`` by the
+    left-minus-right ``residual``: a vector, or a matrix for operator equations."""
+    __slots__ = ()
 
     def to_dict(self):
         return {"eq": self.eq, "args": list(self.args), "residual": _ser(self.residual)}
@@ -33,12 +37,17 @@ def _ser(x):
     return [format_frac(v) for v in x]
 
 
-@dataclass
 class Report:
-    subject: str
-    verdict: str = "pass"                 # "pass" | "fail"
-    violations: list = field(default_factory=list)
-    data: dict = field(default_factory=dict)
+    def __init__(self, subject, verdict="pass", violations=None, data=None):
+        self.subject, self.verdict = subject, verdict   # verdict: "pass" | "fail"
+        self.violations = [] if violations is None else violations
+        self.data = {} if data is None else data
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is Report else NotImplemented
+
+    def __repr__(self):
+        return "Report(%s)" % ", ".join("%s=%r" % kv for kv in vars(self).items())
 
     @property
     def passed(self):

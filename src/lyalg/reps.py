@@ -54,7 +54,7 @@ class RepAction:
 
     def ensure_action(self):
         if not self.action_certified:
-            rep = check_action(self)
+            rep = check_action(self, center_dim=False)
             if not rep.passed:
                 raise NotAnAction("(rho, mu) is not an action", rep)
         return self
@@ -159,7 +159,7 @@ def adjoint_rep(A):
     return RepAction(A, A, *regular_pair(A.binary, A.ternary))
 
 
-def check_action(r, all_violations=False):
+def check_action(r, all_violations=False, center_dim=True):
     """Verify that a representation is an action on its carrier algebra.
 
     Requires: a representation (its failing report is returned), both
@@ -169,15 +169,16 @@ def check_action(r, all_violations=False):
     (``core.center_equations``) vanish on it; only the center's dimension,
     reported in the data, takes an elimination: the nullity of the equations'
     ``linalg.SparseMat``, its rank read from their dim h columns, the narrow
-    side, with no kernel vectors built.  Each acting tuple of rho, then mu,
-    then D, in support order, is one group of three tables for
-    ``Checker.tabulate``: its columns that are not central, and its block
-    pushed through the binary (a < b) and the ternary bracket values.  The
-    kill tables are left out for a tuple whose columns are none of the rows
-    of the bracket values: applied to any bracket value, its block gives
-    zero; if its columns are central too, the tuple has no group.  Every
-    table has one constant order, so a group's witnesses come by table, then
-    by key, and no group is built once the report is settled.
+    side, with no kernel vectors built, and not for a passing report when
+    ``center_dim`` is False, where the library only certifies.  Each
+    acting tuple of rho, then mu, then D, in support order, is one group of
+    three tables for ``Checker.tabulate``: its columns that are not central,
+    and its block pushed through the binary (a < b) and the ternary bracket
+    values.  The kill tables are left out for a tuple whose columns are none
+    of the rows of the bracket values: applied to any bracket value, its
+    block gives zero; if its columns are central too, the tuple has no
+    group.  Every table has one constant order, so a group's witnesses come
+    by table, then by key, and no group is built once the report is settled.
     """
     rep = check_representation(r, all_violations)
     if not rep.passed:
@@ -215,7 +216,8 @@ def check_action(r, all_violations=False):
 
     ck = Checker("action(%s on %s)" % (g.name, h.name), all_violations)
     ck.tabulate((h.dim,), groups())
-    out = ck.report({"center_dim": SparseMat(*equations.shape, equations).nullity()})
+    out = ck.report({"center_dim": SparseMat(*equations.shape, equations).nullity()}
+                    if center_dim or ck.violations else None)
     if out.passed:
         r.action_certified = True
     return out

@@ -12,7 +12,7 @@ constructor certifies the action, so a verified operator carries every
 hypothesis, and its descent algebra is built verified.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .core import LYAlgebra, check_homomorphism, derived_algebra
 from .errors import DimMismatch, PreconditionFailed, Unverified
@@ -56,12 +56,10 @@ class RRBOperator:
         return "RRBOperator(%s)" % (self.action,)
 
 
-@dataclass
-class HomPair:
+class HomPair(namedtuple("HomPair", "psi_g psi_h")):
     """A pair of maps (psi_g on the acting algebra, psi_h on the carrier),
     each read by ``linalg.mat`` where it is used, which knows its shape."""
-    psi_g: object
-    psi_h: object
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +280,7 @@ def projection_operator(A, h_sub, t_sub):
         raise PreconditionFailed("t-h-complementary", "subspaces live in ambient %d" % n)
     r = adjoint_rep(A)
     from .reps import check_action
-    if not check_action(r).passed:
+    if not check_action(r, center_dim=False).passed:
         raise PreconditionFailed("adjoint-is-action",
                                  "the adjoint representation is not an action")
     # both brackets on the basis of h, each slot read through the basis

@@ -268,6 +268,48 @@ def test_cli_check_rep_action(capsys):
     capsys.readouterr()
 
 
+# rho(e0) = E_11 of the abelian line on span{f0, f1}, [f0, f1] = f1: a
+# representation whose image is not central and does not kill the bracket
+NONCENTRAL_ACTION = {
+    "acting": {"name": "ab1", "dim": 1, "binary": [], "ternary": []},
+    "carrier": {"name": "aff2", "dim": 2, "binary": [[0, 1, 1, "1"]],
+                "ternary": [[0, 1, 0, 1, "-1"]]},
+    "rho": [[["0", "0"], ["0", "1"]]], "mu": [[[["0", "0"], ["0", "0"]]]]}
+NONCENTRAL_REPORT = (
+    '{"data":{"center_dim":0},"subject":"action(ab1 on aff2)","verdict":"fail","violations":['
+    '{"args":[0,1],"eq":"rho-image-central","residual":["0","1"]},'
+    '{"args":[0,0,1],"eq":"rho-kills-binary","residual":["0","1"]},'
+    '{"args":[0,0,1,0],"eq":"rho-kills-ternary","residual":["0","-1"]},'
+    '{"args":[0,1,0,0],"eq":"rho-kills-ternary","residual":["0","1"]}]}\n')
+
+
+def test_check_action_output_keeps_its_bytes(tmp_path, capsys):
+    """``check action`` reports the center's dimension whether it passes or
+    fails, and an operator over a failing action prints that same report:
+    certifying an action on entry leaves out only the dimension of a passing
+    report, which is not printed."""
+    assert run(["check", "action", fx("nilpotent4_adjoint.json")]) == 0
+    assert capsys.readouterr().out == "action(nilpotent4 on nilpotent4): PASS\n  center_dim: 2\n"
+    assert run(["check", "action", fx("nilpotent4_adjoint.json"), "--json"]) == 0
+    assert capsys.readouterr().out == ('{"data":{"center_dim":2},"subject":'
+                                       '"action(nilpotent4 on nilpotent4)","verdict":"pass",'
+                                       '"violations":[]}\n')
+    action, op = tmp_path / "action.json", tmp_path / "op.json"
+    action.write_text(json.dumps(NONCENTRAL_ACTION))
+    op.write_text(json.dumps({"action": NONCENTRAL_ACTION, "T": [["0", "0"]]}))
+    for argv in (["check", "action", str(action)], ["check", "rrb", str(op)]):
+        assert run(argv + ["--json"]) == 1
+        assert capsys.readouterr().out == NONCENTRAL_REPORT
+    assert run(["check", "rrb", str(op)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "action(ab1 on aff2): FAIL",
+        "  rho-image-central at (0, 1): residual ['0', '1']",
+        "  rho-kills-binary at (0, 0, 1): residual ['0', '1']",
+        "  rho-kills-ternary at (0, 0, 1, 0): residual ['0', '-1']",
+        "  rho-kills-ternary at (0, 1, 0, 0): residual ['0', '1']",
+        "  center_dim: 0"]
+
+
 def test_a_reused_parser_reads_like_a_fresh_process(capsys):
     """The parser is built once per process; after a usage error and --help,
     a check prints the bytes and exit code of a fresh interpreter."""

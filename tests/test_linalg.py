@@ -97,6 +97,25 @@ def test_every_entry_point_refuses_a_bool(name):
             ENTRY_POINTS[name](q)
 
 
+# each library entry point that reads a sparse vector {index: q} on two indices
+SPARSE_VECTOR_ENTRY_POINTS = {
+    "SparseMat.apply": lambda v: SparseMat(2, 2, {(0, 0): 1, (1, 1): 1}).apply(v),
+    "SparseMat.solve": lambda v: SparseMat(2, 2, {(0, 0): 1, (1, 1): 1}).solve(v),
+    "solve-rhs": lambda v: solve([{0: 1}, {1: 1}], v, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_VECTOR_ENTRY_POINTS))
+@pytest.mark.parametrize("key", [0.5, True, False, "0", None, (0,), 2, -1])
+def test_every_sparse_vector_entry_point_refuses_a_key_that_is_no_index(name, key):
+    """Only an int below the size is an index: a bool is not read as 0 or 1,
+    nor a float refused by a bare TypeError."""
+    read = SPARSE_VECTOR_ENTRY_POINTS[name]
+    assert read({1: 3}) in ({1: 3}, (0, 3))
+    with pytest.raises(ShapeMismatch, match="index outside the 2 (columns|rows)$"):
+        read({key: 1})
+
+
 def test_api_vectors_read_their_entries_as_rationals():
     """A string entry is its rational, not a str repeated: 2 [e1, e2] = 4 e4
     in nilpotent4, and every vector reader takes "1" as it takes 1."""

@@ -33,6 +33,32 @@ def assert_capped_prefix(check, *args):
     assert capped == full[:10]
 
 
+def test_reports_do_not_share_their_lists_and_compare_by_field():
+    """``Report(subject)`` gets a fresh witness list and data dict, and reports
+    and witnesses are equal exactly when every field is."""
+    a, b = L.Report("s"), L.Report("s")
+    a.violations.append(L.Violation("E", (0,), (F(1),)))
+    a.data["k"] = 1
+    assert (b.violations, b.data, b.verdict) == ([], {}, "pass") and b.passed
+    assert a != b and b == L.Report(subject="s", verdict="pass", violations=[], data={})
+    assert L.Report("s", "fail") != b and L.Report("t") != b
+    v = L.Violation(eq="E", args=(0,), residual=(F(1),))
+    assert v == L.Violation("E", (0,), (1,)) and v.to_dict() == {
+        "eq": "E", "args": [0], "residual": ["1"]}
+    assert v != L.Violation("E", (1,), (F(1),)) and v != L.Violation("F", (0,), (F(1),))
+    assert a == L.Report("s", "pass", [v], {"k": 1})
+
+
+def test_pairs_and_obstruction_classes_read_by_field():
+    pair = HomPair(psi_h=mid(2), psi_g=mid(4))
+    assert pair == HomPair(mid(4), mid(2)) and (pair.psi_g, pair.psi_h) == (mid(4), mid(2))
+    c = L.Cochain.from_support(2, 2, 3, {0: 5, 4: F(1, 2)})
+    ob = L.ObstructionClass(as_cochain=c, closed=False)
+    assert ob.as_cochain is c and ob.closed is False
+    assert ob.ob_I == c.f == ((5, 0, 0),) and ob.ob_II == c.g
+    assert ob.ob_II == ((0, F(1, 2), 0), (0, 0, 0))
+
+
 def test_tabulate_sorts_dedupes_and_stops_at_saturation():
     """The columns of a matrix table at one witness tuple give one witness,
     witnesses come sorted, the tenth settles the report, and no group is read

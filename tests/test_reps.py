@@ -6,6 +6,7 @@ import pytest
 import lyalg as L
 from lyalg import io as lyio
 from lyalg.errors import AxiomsFailed, NotAnAction
+from lyalg.linalg import SparseMat
 from lyalg.reps import (adjoint_rep, check_action, check_lemma_identities,
                         check_representation, semidirect_product)
 
@@ -43,6 +44,22 @@ def test_adjoint_is_action(nilpotent4):
     assert rep.passed
     assert rep.data["center_dim"] == 2
     assert r.action_certified
+
+
+def test_certifying_an_action_takes_no_elimination(monkeypatch):
+    """Certifying an action computes no center dimension, which only
+    ``check_action``'s own report shows: loading p3, building a projection
+    operator and the induced action of a post-algebra ask no ``SparseMat``
+    for a rank or a nullity."""
+    def refuse(self):
+        raise AssertionError("an elimination while certifying")
+    monkeypatch.setattr(SparseMat, "rank", refuse)
+    monkeypatch.setattr(SparseMat, "nullity", refuse)
+    op = lyio.load_operator(fx("p3_on_nilpotent4.json"))
+    assert op.action.action_certified
+    h, t = L.Subspace(4, [(0, 0, 1, 0)]), L.Subspace(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)])
+    assert L.projection_operator(families.nilpotent4(), h, t).action.action_certified
+    assert L.induced_action(L.induced_post_from_rrb(op)).action_certified
 
 
 def test_loaded_action_matches_adjoint(nilpotent4, adjoint_action):

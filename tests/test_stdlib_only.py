@@ -3,6 +3,8 @@
 import ast
 import os
 import re
+import shutil
+import subprocess
 import sys
 
 from families import load_spans
@@ -354,3 +356,28 @@ def test_a_cross_import_is_caught():
     assert cross_imports({"m.py": snippet}) == [
         ("m.py", 1, "test_reports"), ("m.py", 3, "test_cohomology"),
         ("m.py", 5, "tests.test_rrb"), ("m.py", 6, "test_io_cli")]
+
+
+# Each command runs as one short process, so what ``import lyalg.cli`` loads
+# is paid on every run: none of these heavy standard modules is needed.
+HEAVY_MODULES = ("dataclasses", "inspect", "typing")
+
+
+def heavy_imports(path):
+    """The HEAVY_MODULES a fresh interpreter (no site) loads on ``import
+    lyalg.cli`` with only ``path`` on its module path."""
+    probe = "import sys, lyalg.cli; print(*sorted(set(%r) & set(sys.modules)))" % (HEAVY_MODULES,)
+    out = subprocess.run([sys.executable, "-S", "-c", probe], cwd=path, check=True,
+                         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    return out.stdout.split()
+
+
+def test_importing_the_cli_loads_no_heavy_module():
+    assert heavy_imports(os.path.join(ROOT, "src")) == []
+
+
+def test_a_heavy_import_is_caught(tmp_path):
+    shutil.copytree(SRC, tmp_path / "lyalg")
+    with open(tmp_path / "lyalg" / "reports.py", "a", encoding="utf-8") as fh:
+        fh.write("import dataclasses\n")
+    assert heavy_imports(str(tmp_path)) == ["dataclasses", "inspect"]
