@@ -27,42 +27,30 @@ gives
   (delta_II f)(x, y, z) = D(x,y)f(z) + mu(y,z)f(x) - mu(x,z)f(y) - f(<x,y,z>).
 
 The coboundary of every degree is emitted column by column (``Coboundary``):
-column j is delta of the j-th basis cochain, and each term of the formula
-reaches from that cochain's block only the output blocks that a nonzero entry
-of its structure tensor links to it.  rho, mu, D, both brackets and the
-composites X_k o X_l are tabulated once per complex from their supports
-(``linalg.Tensor.support``), keyed by the slot that reads them, so an output
-block that receives nothing is never visited.  The constants are read as the
-supports store them (``linalg.scalar``), so integral data is assembled with
-no Fraction arithmetic.  A matrix (``linalg.SparseMat``, where every rank,
-kernel and solve is asked) keeps the columns as they were emitted; its one
-echelon reads them as they are, tagged once a kernel or a solve is asked,
-and delta of one cochain reads only the columns in its support.  A cochain
-is its support {flat index: q}, which a matrix applies to
-(``SparseMat.apply``), a kernel returns as a witness, and transport pulls
-back and pushes forward slot by slot (``pushforward_cochain``); its dense
-views are built by ``linalg.dense``, so they hold Fractions.
+column j is delta of the j-th basis cochain.  A block's index has one base-M
+digit per wedge slot, then a g block's plain slot, and each term of the
+formula is a digit edit of it: D(X_k) and the ternary term insert a digit, a
+composite replaces one and inserts another, a head appends one.  rho, mu, D,
+both brackets and the composites X_k o X_l are tabulated once per complex
+from their supports (``linalg.Tensor.support``), keyed by the digit that
+reads them, so an output block that receives nothing is never visited, and
+integral constants stay ints (``linalg.scalar``).  A matrix
+(``linalg.SparseMat``, where every rank, kernel and solve is asked) keeps the
+columns as they were emitted, and delta of one cochain reads only the
+columns in its support.  A cochain is its support {flat index: q}.
 
-When rho, mu and D are zero, as they are in the induced representation of
-p3 and of the benchmark's dim-5 operator, every term of the formula is a
-scalar structure constant acting on the block index alone, so
-delta^p = S_p (x) I_n with S_p the matrix of those scalars: one column per
-input block, n times fewer than delta^p.  The matrix then stores and
-eliminates S_p alone (``Coboundary.copies``); its rank is n rank(S_p), and
-its kernel, its solves and the selection of witnesses are read off that one
-echelon, the same vectors in the same order as the whole matrix would give.
-With any of rho, mu and D live, the matrix is stored whole, as one copy.
+When rho, mu and D are zero, as in the induced representations of p3 and of
+the benchmark's dim-5 operator, every term is a scalar acting on the block
+index alone, so delta^p = S_p (x) I_n: the matrix stores and eliminates S_p
+alone, one column per block (``Coboundary.copies``), and its rank, kernel,
+solves and witnesses are read off that one echelon, the same vectors in the
+same order as the whole matrix would give.  Otherwise it is stored whole.
 
-The operator's own data, the descent algebra and the induced representation
-(rho_T, mu_T), is tabulated in the same way: the supports are pulled back
-along T's nonzero entries and pushed forward through T (``linalg.pull`` and
-``linalg.push``), so no dense evaluation of T or of the action takes place;
-the map partial on the wedge square of the acting algebra is one such table.
-Neither is checked again: for a verified operator both are what the paper
-proves them to be (``induced_rep``).
+The descent algebra, the induced representation and partial are tabulated
+the same way, from supports pulled back along T's nonzero entries and pushed
+through T (``induced_rep``, ``partial_matrix``); for a verified operator
+they are what the paper proves them to be, so none is checked again.
 """
-
-import itertools
 
 from .errors import ShapeMismatch, TooLarge
 from .linalg import (Map, SparseMat, Tensor, axpy, dense, frac, invert, mat, pull, push,
@@ -119,22 +107,12 @@ class _Layout:
         self.blocks = self.f_blocks + self.g_blocks
         self.total = self.blocks * n
 
-    def tuple_index(self, ts):
-        idx = 0
-        for t in ts:
-            idx = idx * self.M + t
-        return idx
-
     def block(self, key):
         """The block of a slot tuple, f's with p - 1 slots or g's with p."""
-        if len(key) < self.p:
-            return self.tuple_index(key)
-        return self.f_blocks + self.tuple_index(key[:-1]) * self.m + key[-1]
-
-    def keys(self):
-        """Every slot tuple, in the order of the blocks."""
-        pairs = list(itertools.product(range(self.M), repeat=self.p - 1))
-        return pairs[:self.f_blocks] + [t + (c,) for t in pairs for c in range(self.m)]
+        idx = 0
+        for t in key[:self.p - 1]:
+            idx = idx * self.M + t
+        return idx if len(key) < self.p else self.f_blocks + idx * self.m + key[-1]
 
     def split(self, support):
         """A support {flat index: q} as slot tables (f, g), {slot tuple: {r: q}}."""
@@ -250,10 +228,9 @@ def coboundary_matrix_for(alg, rep, p, delta=None):
     Rows follow the degree-(p+1) layout, columns the degree-p layout, both in
     the documented lexicographic order with value components innermost.  A
     matrix of more than MAX_COBOUNDARY_ROWS rows raises TooLarge before
-    anything is built.  Column j is delta of the j-th basis cochain, emitted
-    by ``Coboundary.columns`` from the supports of the structure tensors and
-    stored as it is; ``delta`` is the (alg, rep) coboundary to read, made
-    here when not given; with ``Coboundary.copies`` n, only S_p is stored.
+    anything is built.  The columns are ``Coboundary.columns``, stored as they
+    are; ``delta`` is the (alg, rep) coboundary to read, made here when not
+    given; with ``Coboundary.copies`` n, only S_p is stored.
     """
     delta = delta or Coboundary(alg, rep)
     _check_rows(p, delta.m, delta.n)
@@ -286,16 +263,18 @@ def _by_value(t, pidx):
 class Coboundary:
     """The Yamaguti coboundary of every degree over (alg, rep), by its columns.
 
-    Each term of the formula is read from a table made once here from a
-    structure tensor's support and keyed by the input slot that reads it: the
-    rho, mu and bracket heads by the plain slot s of a g block, D(X_k) as the
-    pairs where D is nonzero, the ternary term by s, and the composites
-    X_k o X_l by the pair they touch in slot l.  An input block thus reaches
-    only the output blocks that a nonzero constant links to it.  The scalar
-    terms are summed per output block before the block is expanded into its n
-    columns; rho, mu and D are matrices read by columns.  ``copies`` is n
-    when rho, mu and D are zero, so that every matrix is S_p (x) I_n with
-    S_p the scalars of each block, and 1 otherwise.
+    A degree-p input block is w = S for f and w = S m + s for g, counted from
+    the first g block, S its p - 1 wedge digits in base M and s its plain
+    slot (``_Layout``).  Inserting digit P at slot k, ahead of the digits of
+    weight W = M^(p-1-k) (times m in g), maps w to (w // W) M W + P W + w % W.
+    D(X_k) inserts X_k at k, and the ternary term also replaces s by z; a
+    composite replaces digit l - 1 by Q and inserts P at k < l; the rho and
+    bracket heads drop s and append P, and mu's head appends P and replaces
+    s by z.  Each term's table is made once here from a structure tensor's
+    support, keyed by what reads it (s, or digit l - 1); rho, mu and D are
+    matrices read by columns.  ``copies`` is n when rho, mu and D are zero,
+    so that every matrix is S_p (x) I_n with S_p the scalars of each block,
+    and 1 otherwise.
     """
 
     def __init__(self, alg, rep):
@@ -310,58 +289,70 @@ class Coboundary:
         rho, mu, D = (_by_column(t) for t in (rep.rho, rep.mu, rep.derived_D))
         # a head term into the pair {a, s} has sign + for a < s with rho and
         # a > s with mu; with the sign -, its two matrices swap
-        self.rho_head, self.mu_head = {}, {}
-        for s in range(m):
-            for (a,), mats in rho.items():
-                if a != s:
-                    self.rho_head.setdefault(s, []).append(
-                        (pidx[min(a, s), max(a, s)], mats if a < s else mats[::-1]))
-            for (a, z), mats in mu.items():
-                if a != s:
-                    self.mu_head.setdefault(s, []).append(
-                        (pidx[min(a, s), max(a, s)], z, mats if a > s else mats[::-1]))
+        pair = {(i, j): t for (a, b), t in pidx.items() for i, j in ((a, b), (b, a))}
+        self.rho_head = {s: [(pair[a, s], mats if a < s else mats[::-1])
+                             for (a,), mats in rho.items() if a != s] for s in range(m)}
+        self.mu_head = {s: [(pair[a, s], z, mats if a > s else mats[::-1])
+                            for (a, z), mats in mu.items() if a != s] for s in range(m)}
         self.D = [(pidx[key], mats) for key, mats in D.items() if key[0] < key[1]]
         self.bracket, self.ternary = (_by_value(t, pidx) for t in (alg.binary, alg.ternary))
-        self.composite = _composites(alg.ternary.support, m, pidx)
+        self.composite = _composites(alg.ternary.support, m, pair)
 
-    def block(self, out, key):
-        """The blocks of the output layout ``out`` that the input block ``key``
-        reaches, as (scalars {block: q}, matrices [(block, columns {c: [(r, q)]})])."""
-        p = out.p - 1
-        odd = (p - 1) % 2           # the head terms carry (-1)^(p-1)
-        S, plain = key[:p - 1], key[p - 1:]     # plain = (s,) in a g block
-        scalars, mats = {}, []
-
-        def add(slots, q):
-            b = out.block(slots)
-            scalars[b] = scalars.get(b, 0) + q
-
-        for s in plain:
-            for P, mat in self.rho_head.get(s, ()):
-                mats.append((out.block(S + (P,)), mat[odd]))
+    def terms(self, p, blocks):
+        """The output blocks each degree-p input block in ``blocks`` reaches, as
+        [(scalars {block: q}, matrices [(block, columns {c: [(r, q)]})])]: the
+        families in the formula's order, each with its entries outside and the
+        blocks its key (s, or digit l - 1) groups inside."""
+        M, m, d = self.M, self.m, p - 1
+        f_blocks = M ** d if d else 0
+        out = [({}, []) for _ in blocks]
+        parts = ([], [])                    # f's blocks by w = b, g's by w = b - f_blocks
+        for (acc, mats), b in zip(out, blocks):
+            parts[b >= f_blocks].append((acc, mats, b - f_blocks if b >= f_blocks else b))
+        by_s = {}
+        for blk in parts[1]:
+            by_s.setdefault(blk[2] % m, []).append(blk)
+        for s, group in by_s.items():       # the heads, sign (-1)^(p-1)
+            heads = [(acc, mats, w // m * M) for acc, mats, w in group]
+            for P, cols in self.rho_head[s]:
+                for _, mats, h in heads:
+                    mats.append((h + P, cols[d % 2]))
             for P, q in self.bracket.get(s, ()):
-                add(S + (P,), q if odd else -q)
-            for P, z, mat in self.mu_head.get(s, ()):
-                mats.append((out.block(S + (P, z)), mat[odd]))
-        # D(X_k) and <x_k, y_k, z> with X_k inserted at slot k, sign
-        # (-1)^(k+1) and (-1)^k for 1-based k; delta_I's D skips the last slot
-        for k in range(p - 1 + len(plain)):
-            head, tail = S[:k], S[k:]
-            for P, mat in self.D:
-                mats.append((out.block(head + (P,) + tail + plain), mat[k % 2]))
-            for s in plain:
-                for P, z, q in self.ternary.get(s, ()):
-                    add(head + (P,) + tail + (z,), q if k % 2 else -q)
-        # X_k o X_l in slot l, X_k dropped, sign (-1)^k for 1-based k
-        for l in range(1, p):
-            for P, Q, q in self.composite.get(S[l - 1], ()):
-                for k in range(l):
-                    add(S[:k] + (P,) + S[k:l - 1] + (Q,) + S[l:] + plain, q if k % 2 else -q)
-        return {b: q for b, q in scalars.items() if q}, mats
+                _add(heads, P, q if d % 2 else -q)
+            for P, z, cols in self.mu_head[s]:
+                for _, mats, h in heads:
+                    mats.append(((h + P) * m + M ** p + z, cols[d % 2]))
+        for plain, part in enumerate(parts):
+            unit, off = (m, M ** p) if plain else (1, 0)
+            Ws = [M ** (d - k) * unit for k in range(d + 1)]  # weight of a digit at slot k
+            # D(X_k) and <x_k, y_k, z> insert X_k at slot k, sign (-1)^(k+1)
+            # and (-1)^k for 1-based k; delta_I's D skips the last slot
+            for k, W in enumerate(Ws[:d + plain]):
+                for P, cols in self.D:
+                    for _, mats, o in _insert(part, W, M, off + P * W):
+                        mats.append((o, cols[k % 2]))
+                for s, group in by_s.items() if plain else ():
+                    moved = _insert(group, W, M, off - s) if s in self.ternary else ()
+                    for P, z, q in self.ternary.get(s, ()):
+                        _add(moved, P * W + z, q if k % 2 else -q)
+            # X_k o X_l replaces digit l - 1 by Q and inserts P at slot k < l,
+            # sign (-1)^k for 1-based k
+            for l in range(1, d + 1):
+                V, by_t = Ws[l], {}
+                for blk in part:
+                    by_t.setdefault(blk[2] // V % M, []).append(blk)
+                for t, group in by_t.items():
+                    if t in self.composite:
+                        moved = [_insert(group, W, M, off - t * V) for W in Ws[:l]]
+                        for P, Q, q in self.composite[t]:
+                            for k, W in enumerate(Ws[:l]):
+                                _add(moved[k], P * W + Q * V, q if k % 2 else -q)
+        return [(acc if 0 not in acc.values() else {b: q for b, q in acc.items() if q}, mats)
+                for acc, mats in out]
 
     def column(self, terms, r):
         """delta of the basis cochain at value coordinate r of the block with
-        ``terms`` (see ``block``), as a sparse column {row: q}."""
+        ``terms`` (see ``terms``), as a sparse column {row: q}."""
         scalars, mats = terms
         n = self.n
         col = {b * n + r: q for b, q in scalars.items()}
@@ -370,14 +361,13 @@ class Coboundary:
         for b, mat in mats:
             for t, q in mat.get(r, ()):
                 key = b * n + t
-                col[key] = col.get(key, 0) + q
+                col[key] = col[key] + q if key in col else q
         return {key: q for key, q in col.items() if q}
 
     def columns(self, p):
         """Every column of the degree-p coboundary matrix, in the layout's
         order; with ``copies`` n, every column of S_p, the scalars of a block."""
-        out = _Layout(p + 1, self.m, self.n)
-        terms = (self.block(out, key) for key in _Layout(p, self.m, self.n).keys())
+        terms = self.terms(p, range(_Layout(p, self.m, self.n).blocks))
         if self.copies > 1:
             return [scalars for scalars, _ in terms]
         return [self.column(t, r) for t in terms for r in range(self.n)]
@@ -386,19 +376,32 @@ class Coboundary:
         """delta of the cochain c, read from the columns of its support alone."""
         if c.m != self.m or c.n != self.n:
             raise ShapeMismatch("cochain shapes do not match the algebra and carrier")
-        out, acc = _Layout(c.p + 1, c.m, c.n), {}
-        for table in c.layout.split(c.support):
-            for key, vec in table.items():
-                terms = self.block(out, key)
-                for r, x in vec.items():
-                    axpy(acc, x, self.column(terms, r))
+        vecs, acc = {}, {}
+        for k, x in c.support.items():
+            vecs.setdefault(k // c.n, {})[k % c.n] = x
+        for b, terms in zip(vecs, self.terms(c.p, list(vecs))):
+            for r, x in vecs[b].items():
+                axpy(acc, x, self.column(terms, r))
         return Cochain.from_support(c.p + 1, c.m, c.n, acc)
 
 
-def _composites(ternary, m, pidx):
+def _insert(blocks, W, M, shift):
+    """The (acc, mats, w) ``blocks``, 0 inserted into w at weight W, plus ``shift``."""
+    return [(acc, mats, w + w // W * (M - 1) * W + shift) for acc, mats, w in blocks]
+
+
+def _add(blocks, e, q):
+    """Add q at output block o + e of each (acc, mats, o) in ``blocks``."""
+    for acc, _, o in blocks:
+        o += e
+        acc[o] = acc[o] + q if o in acc else q
+
+
+def _composites(ternary, m, pair):
     """X_k o X_l = <x_k,y_k,x_l> /\\ y_l + x_l /\\ <x_k,y_k,y_l> on the pair
     basis, as {t: [(k, l, q)]} over the pair indices k, l with coefficient q
-    at pair t, from the ternary bracket's support.
+    at pair t, from the ternary bracket's support; ``pair`` indexes both
+    orders of each pair.
 
     A value <x_k, y_k, e_c> = sum_e q_e e_e sits in slot x_l of X_l = e_c /\\ e_d
     for d > c and in slot y_l of X_l = e_d /\\ e_c for d < c; either way it
@@ -407,14 +410,14 @@ def _composites(ternary, m, pidx):
     for (a, b, c), v in ternary.items():
         if a >= b:
             continue
-        k = pidx[a, b]
+        k = pair[a, b]
         for d in range(m):
             if d == c:
                 continue
-            l = pidx[min(c, d), max(c, d)]
+            l = pair[c, d]
             for e, q in v.items():
                 if e != d:
-                    key = (pidx[min(e, d), max(e, d)], k, l)
+                    key = (pair[e, d], k, l)
                     acc[key] = acc.get(key, 0) + (q if (c < d) == (e < d) else -q)
     out = {}
     for (t, k, l), q in sorted(acc.items()):
@@ -526,11 +529,8 @@ class TComplex:
         if p < 0:
             raise ShapeMismatch("degree must be >= 0")
         if p not in self._matrices:
-            if p == 0:
-                self._matrices[p] = partial_matrix(self.op)
-            else:
-                self._matrices[p] = coboundary_matrix_for(self.descent, self.rep, p,
-                                                          self.delta())
+            self._matrices[p] = (coboundary_matrix_for(self.descent, self.rep, p, self.delta())
+                                 if p else partial_matrix(self.op))
         return self._matrices[p]
 
     def delta(self):

@@ -827,7 +827,7 @@ def solve(rows, b, ncols=None):
             if len(row) != ncols:
                 raise ShapeMismatch("row %d has %d entries, not %d" % (i, len(row), ncols))
             row = dict(enumerate(row))
-        elif row and not 0 <= min(row) <= max(row) < ncols:
+        elif not _indices_below(row, ncols):
             raise ShapeMismatch("row %d has an entry outside the %d columns" % (i, ncols))
         data.update(((i, c), q) for c, q in row.items())
     return SparseMat(len(rows), ncols or 0, data).solve(b)

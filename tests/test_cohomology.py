@@ -492,6 +492,20 @@ def test_coboundary_columns_match_yamaguti_oracle_on_square_zero(square_zero_com
     assert want
 
 
+@pytest.mark.parametrize("name", sorted(CONSTRUCTION_CORPUS))
+def test_coboundary_columns_match_yamaguti_oracle_on_the_corpus(name):
+    # every column of delta^1 and delta^2 and 48 seeded columns of delta^3
+    # (all of them on sl2's 2-dim carrier), factored or live, against the
+    # oracle's evaluation of the formula
+    op = CONSTRUCTION_CORPUS[name]()
+    cx, oc = TComplex(op), OpOracle(op)
+    for p in (1, 2):
+        assert_columns_match(cx.descent, cx.rep, oc, p)
+    total = cohomology._Layout(3, cx.m, cx.n).total
+    cols = sorted(random.Random(4201).sample(range(total), min(total, 48)))
+    assert assert_columns_match(cx.descent, cx.rep, oc, 3, cols)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_sparse_coboundary_builds_no_matrix(p3, tcomplex, monkeypatch, p):
     # delta of single-coordinate cochains, through TComplex.coboundary and
@@ -509,6 +523,22 @@ def test_sparse_coboundary_builds_no_matrix(p3, tcomplex, monkeypatch, p):
         assert got.p == p + 1 and got.support == want.get(j, {}), j
         assert yamaguti_coboundary(tcomplex.descent, tcomplex.rep, c).support == got.support
     assert want
+
+
+@pytest.mark.parametrize("name,copies", [("p3", 4), ("square-zero-5102-file", 1),
+                                         ("live-post", 1)])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_coboundary_of_a_cochain_matches_its_matrix(name, copies, p):
+    # seeded cochains over many blocks, delta read from their support and
+    # the matrix applied to it, on a factored complex and two live ones
+    cx = TComplex(CONSTRUCTION_CORPUS[name]())
+    assert cx.delta().copies == copies
+    rng = random.Random(4300 + p)
+    for density in (0.3, 1):
+        c = random_cochain(rng, p, cx.m, cx.n, density)
+        assert len({k // cx.n for k in c.support}) > 1
+        got = cx.coboundary(c)
+        assert got.p == p + 1 and got.support == cx.matrix(p).apply(c.support)
 
 
 def test_degree4_sampled_columns_match_yamaguti_oracle_on_p3(tcomplex, p3):

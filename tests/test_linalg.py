@@ -116,6 +116,26 @@ def test_every_sparse_vector_entry_point_refuses_a_key_that_is_no_index(name, ke
         read({key: 1})
 
 
+# each row of a 2-column ``solve`` system that can be a sparse row {column: q}
+SPARSE_ROW_ENTRY_POINTS = {
+    "solve-row-0": lambda row: solve([row, {1: 1}], [1, 1], 2),
+    "solve-row-1": lambda row: solve([{0: 1}, row], [1, 1], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_ROW_ENTRY_POINTS))
+@pytest.mark.parametrize("key", [0.5, True, "a", None, (0,), -1, 2])
+def test_solve_refuses_a_sparse_row_key_that_is_no_column(name, key):
+    """A sparse row's keys are checked as the right-hand side's are: a bool
+    or a float is not read as a column, nor a string refused by a bare
+    TypeError."""
+    read = SPARSE_ROW_ENTRY_POINTS[name]
+    assert read({0: 1, 1: 1}) in ((0, 1), (1, 0))
+    with pytest.raises(ShapeMismatch, match="^row %s has an entry outside the 2 columns$"
+                       % name[-1]):
+        read({0: 1, key: 1})
+
+
 def test_api_vectors_read_their_entries_as_rationals():
     """A string entry is its rational, not a str repeated: 2 [e1, e2] = 4 e4
     in nilpotent4, and every vector reader takes "1" as it takes 1."""
