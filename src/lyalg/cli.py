@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 for a passing verdict, 1 for a failing one, 2 for usage, IO or
-shape errors.  ``--format json`` (or ``--json``) emits a canonical JSON
+Exit codes: 0 for a passing verdict; 1 for a failing one, an ``AxiomsFailed``
+too (its report, or one ``error:`` line when it has none); 2 for usage errors,
+any other library error or an ``OSError`` such as a closed stdout, with one
+``error:`` line.  ``--format json`` (or ``--json``) emits a canonical JSON
 payload; ``construct`` subcommands always print a JSON document that the
 matching ``check`` subcommand re-ingests.
 """
@@ -16,17 +18,12 @@ from .cohomology import TComplex
 from .core import check_homomorphism, check_ly_axioms
 from .deformation import (OrderNDeformation, check_equivalence,
                           check_linear_deformation, extend, obstruction_class)
-from .errors import (AxiomsFailed, DimMismatch, FormatError, InvalidDeformation,
-                     LyalgError, NotInvertible, NotLieAlgebra,
-                     PreconditionFailed, StructureError)
+from .errors import AxiomsFailed, FormatError, InvalidDeformation, LyalgError
 from .linalg import format_frac
 from .postlya import check_post_axioms, induced_post_from_rrb, subadjacent
 from .reports import Report
 from .reps import check_action, check_representation
 from .rrb import check_nijenhuis, check_rrb, descent_algebra, lift_operator
-
-USAGE_ERRORS = (FormatError, DimMismatch, StructureError, NotLieAlgebra,
-                PreconditionFailed, NotInvertible, OSError)
 
 
 @functools.lru_cache(maxsize=None)       # built once per process; parsing leaves it as it was
@@ -218,16 +215,13 @@ def run(argv):
         if args.command == "cohomology":
             return _cmd_cohomology(args, fmt)
         return _cmd_deform(args, fmt)
-    except USAGE_ERRORS as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
     except AxiomsFailed as e:
         if e.report is not None:
             _emit_report(e.report, fmt)
         else:
             print("error: %s" % e, file=sys.stderr)
         return 1
-    except LyalgError as e:
+    except (LyalgError, OSError) as e:     # OSError: a closed stdout, say
         print("error: %s" % e, file=sys.stderr)
         return 2
 

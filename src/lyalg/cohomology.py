@@ -56,6 +56,7 @@ from .errors import ShapeMismatch, TooLarge
 from .linalg import (Map, SparseMat, Tensor, axpy, dense, frac, invert, mat, pull, push,
                      vector)
 from .reps import RepAction
+from .rrb import descent_algebra
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +418,8 @@ def _composites(ternary, m, pair):
             l = pair[c, d]
             for e, q in v.items():
                 if e != d:
-                    key = (pair[e, d], k, l)
-                    acc[key] = acc.get(key, 0) + (q if (c < d) == (e < d) else -q)
+                    key, q = (pair[e, d], k, l), q if (c < d) == (e < d) else -q
+                    acc[key] = acc[key] + q if key in acc else q
     out = {}
     for (t, k, l), q in sorted(acc.items()):
         if q:
@@ -446,7 +447,6 @@ def induced_rep(op):
     Built unchecked: it is a representation, its derived D the closed form
     D_T(u,v)x = <Tu,Tv,x> - T( mu(Tv,x)u - mu(Tu,x)v ).
     """
-    from .rrb import descent_algebra
     op.ensure_verified()
     r = op.action
     g = r.acting

@@ -31,22 +31,23 @@ structure.  File references resolve relative to the referencing file's
 directory.
 
 Every input is read once, straight into the form the library uses, in one
-pass over each entry list and matrix.  Matrices are read as their supports
-{(r, c): q}: a row of "0" strings is skipped whole by one ``list.count``, any
-other literal zero (the JSON int 0 or the string "0") without a parse, and a
-matrix's location in an error (``action.mu[i][j]``) is formatted only when an
-error names it.  rho and mu become tensors through ``Tensor.from_support``,
-entry (r, c) of the matrix at (i, ..) stored as row r at (i, .., c), and every
-other matrix (T, N, a homomorphism's matrix, ``load_matrix``) is handed as
-that support to ``linalg.mat``, the one entry for a linear map, and comes
-back in its form (``linalg.Map``), with no dense matrix between.  A JSON int
-is stored as it is, and every other literal is read by ``linalg.rational``,
-the reader of the library's API, into the form a support stores
-(``linalg.scalar``: an int when it is integral); within one top-level load
-each distinct string is read once.  Two references to one algebra (the same
-file by absolute path, or equal inline objects, such as an adjoint action's
-acting and carrier) load and verify one ``LYAlgebra``, used in both slots.
-Nothing is kept from one load to the next.
+pass over each entry list and matrix.  A matrix is read once, straight into
+the ``linalg.Map`` of its nonzero entries, the Map ``linalg.mat`` (the API's
+entry for a linear map) builds from them, with no dense matrix between: a row
+of "0" strings is skipped whole by one ``list.count``, any other literal zero
+(the JSON int 0 or the string "0") without a parse, and a matrix's location in
+an error (``action.mu[i][j]``) is formatted only when an error names it.  rho
+and mu become tensors through ``Tensor.from_support`` from each matrix's
+column table (``Map.cols``), column c of the matrix at (i, ..) stored at
+(i, .., c); every other matrix (T, N, a homomorphism's matrix,
+``load_matrix``) is handed on as that Map.  A JSON int is stored as it is,
+and every other literal is read by ``linalg.rational``, the reader of the
+library's API, into the form a support stores (``linalg.scalar``: an int when
+it is integral); within one top-level load each distinct string is read once.
+Two references to one algebra (the same file by absolute path, or equal
+inline objects, such as an adjoint action's acting and carrier) load and
+verify one ``LYAlgebra``, used in both slots.  Nothing is kept from one load
+to the next.
 
 A rational is an integer, a string "p/q" or a decimal string such as "0.5".
 A string with more than ``linalg.MAX_DECIMAL_DIGITS`` digits in all, or an
@@ -287,18 +288,11 @@ class _Load:
         if not isinstance(mu_doc, list) or len(mu_doc) != n \
                 or any(not isinstance(row, list) or len(row) != n for row in mu_doc):
             raise FormatError("action.mu: need a %dx%d array of matrices" % (n, n))
-        rho, mu = {}, {}
-
-        def put(table, key, mx, where):
-            # column c of the matrix at key is the value at key + (c,)
-            for (r, c), q in self.matrix(mx, where, m, m)[0].items():
-                table.setdefault(key + (c,), {})[r] = q
-
-        for i, mx in enumerate(rho_doc):
-            put(rho, (i,), mx, ("action.rho[%d]", i))
-        for i in range(n):
-            for j in range(n):
-                put(mu, (i, j), mu_doc[i][j], ("action.mu[%d][%d]", i, j))
+        # column c of the matrix at (i, ..) is the value at (i, .., c)
+        rho = {(i,) + c: v for i, mx in enumerate(rho_doc)
+               for c, v in self.matrix(mx, ("action.rho[%d]", i), m, m).cols.items()}
+        mu = {(i, j) + c: v for i in range(n) for j in range(n) for c, v in
+              self.matrix(mu_doc[i][j], ("action.mu[%d][%d]", i, j), m, m).cols.items()}
         acting.ensure_verified()
         carrier.ensure_verified()
         r = RepAction(acting, carrier, Tensor.from_support(rho, n, 1, (m, m)),
@@ -308,16 +302,16 @@ class _Load:
         return r
 
     def matrix(self, rows, where, nr=None, nc=None):
-        """The nonzero entries {(r, c): q} of a row-major array of rationals,
-        and its shape.  A ragged row is reported before a wrong size, and the
-        first bad entry in row-major order; a row of "0" strings is skipped
+        """The ``linalg.Map`` of a row-major array of rationals, its nonzero
+        entries in row-major order.  A ragged row is reported before a wrong
+        size, and the first bad entry in row-major order; a row of "0" strings is skipped
         whole, and any other literal zero, the JSON int 0 or the string "0",
         without a parse.  ``where`` is the location (``_at``) an error names."""
         if not isinstance(rows, list) or not rows \
                 or not all(isinstance(r, list) for r in rows):
             raise FormatError("%s: matrix must be a non-empty array of rows" % _at(where))
         width = len(rows[0])
-        rational, table = self.rational, {}
+        rational, entries = self.rational, []
         for r, row in enumerate(rows):
             if len(row) != width:
                 raise FormatError("%s: ragged matrix" % _at(where))
@@ -328,10 +322,10 @@ class _Load:
                     continue
                 q = rational(v, where)
                 if q:
-                    table[r, c] = q
+                    entries.append(((r, c), q))
         if nr is not None and len(rows) != nr or nc is not None and width != nc:
             raise FormatError("%s: matrix must be %sx%s" % (_at(where), nr, nc))
-        return table, (len(rows), width)
+        return Map((len(rows), width), entries)
 
 
 def load_algebra(source, base_dir=None):
@@ -346,8 +340,8 @@ def load_operator(source, base_dir=None):
     ld = _Load()
     doc, here = _load_doc(source, base_dir, "operator")
     action = ld.action(_field(doc, "action", "operator"), here, "operator.action")
-    T = mat(*ld.matrix(_field(doc, "T", "operator"), "operator.T", action.acting.dim,
-                       action.carrier.dim))
+    T = ld.matrix(_field(doc, "T", "operator"), "operator.T", action.acting.dim,
+                  action.carrier.dim)
     return RRBOperator(action, T)
 
 
@@ -357,7 +351,7 @@ def load_post(source, base_dir=None):
 
 def load_matrix(source, base_dir=None):
     doc, here = _load_doc(source, base_dir, "matrix file")
-    return mat(*_Load().matrix(_field(doc, "matrix", "matrix file"), "matrix"))
+    return _Load().matrix(_field(doc, "matrix", "matrix file"), "matrix")
 
 
 def load_homomorphism(source, base_dir=None):
@@ -365,8 +359,8 @@ def load_homomorphism(source, base_dir=None):
     doc, here = _load_doc(source, base_dir, "homomorphism")
     src = ld.algebra(_field(doc, "from", "homomorphism"), here, "homomorphism.from")
     dst = ld.algebra(_field(doc, "to", "homomorphism"), here, "homomorphism.to")
-    mx = mat(*ld.matrix(_field(doc, "matrix", "homomorphism"), "homomorphism.matrix", dst.dim,
-                        src.dim))
+    mx = ld.matrix(_field(doc, "matrix", "homomorphism"), "homomorphism.matrix", dst.dim,
+                   src.dim)
     return src, dst, mx
 
 
@@ -374,7 +368,7 @@ def load_nijenhuis(source, base_dir=None):
     ld = _Load()
     doc, here = _load_doc(source, base_dir, "nijenhuis file")
     A = ld.algebra(_field(doc, "algebra", "nijenhuis file"), here, "nijenhuis file.algebra")
-    N = mat(*ld.matrix(_field(doc, "N", "nijenhuis file"), "N", A.dim, A.dim))
+    N = ld.matrix(_field(doc, "N", "nijenhuis file"), "N", A.dim, A.dim)
     return A, N
 
 

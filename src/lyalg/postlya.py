@@ -28,6 +28,7 @@ from .errors import AxiomsFailed, Unverified
 from .linalg import Tensor, hom_table, mat, pull, signed_sum
 from .reports import Checker, summed
 from .reps import RepAction, check_action, regular_pair
+from .rrb import RRBOperator, check_rrb
 
 
 class PostLYAlgebra:
@@ -174,7 +175,6 @@ def induced_action(A):
 
 def identity_is_rrb(A):
     """Package Id over the induced action and check the weight-1 equations."""
-    from .rrb import RRBOperator, check_rrb
     r = induced_action(A)
     op = RRBOperator(r, mat({(i, i): 1 for i in range(A.dim)}, (A.dim, A.dim)))
     return check_rrb(op)

@@ -5,8 +5,8 @@ the basis tuples, often a signed sum of compositions of supports (``summed``),
 and hands its tables group by group to ``Checker.tabulate``, the one way a
 witness is recorded: it records the nonzero residuals in a fixed order and
 reads no further group once a capped report is settled, so groups that come
-from a generator, such as ``reps.check_action``'s one group per acting tuple,
-are not built after that.  A sub-check's witnesses come in through
+from a generator, such as ``reps.check_action``'s one group per table, are
+not built after that.  A sub-check's witnesses come in through
 ``Checker.include``.
 
 A check returns a ``Report``: a subject, a verdict ("pass" or "fail"), the

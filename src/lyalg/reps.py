@@ -20,7 +20,8 @@ makes the semidirect brackets on g (+) h satisfy the Lie-Yamaguti axioms;
 The action test reads supports too, one acting tuple at a time: the center's
 defining equations are pushed through each nonzero column of rho, mu and D,
 with no elimination, and each nonzero block through the nonzero bracket
-values only, as tables scanned by the one check driver (``Checker.tabulate``).
+values only, each table one group for the one check driver
+(``Checker.tabulate``).
 """
 
 import itertools
@@ -171,14 +172,13 @@ def check_action(r, all_violations=False, center_dim=True):
     ``linalg.SparseMat``, its rank read from their dim h columns, the narrow
     side, with no kernel vectors built, and not for a passing report when
     ``center_dim`` is False, where the library only certifies.  Each
-    acting tuple of rho, then mu, then D, in support order, is one group of
-    three tables for ``Checker.tabulate``: its columns that are not central,
-    and its block pushed through the binary (a < b) and the ternary bracket
-    values.  The kill tables are left out for a tuple whose columns are none
-    of the rows of the bracket values: applied to any bracket value, its
-    block gives zero; if its columns are central too, the tuple has no
-    group.  Every table has one constant order, so a group's witnesses come
-    by table, then by key, and no group is built once the report is settled.
+    acting tuple of rho, then mu, then D, in support order, gives up to
+    three tables, each one group for ``Checker.tabulate``: its columns that
+    are not central, when there are any, then its block pushed through the
+    binary (a < b) and the ternary bracket values, left out when its columns
+    are none of the rows of the bracket values (applied to any bracket
+    value, the block gives zero).  So witnesses come by tuple, then by
+    table, then by key, and no table is built once the report is settled.
     """
     rep = check_representation(r, all_violations)
     if not rep.passed:
@@ -201,18 +201,13 @@ def check_action(r, all_violations=False, center_dim=True):
                 block = {key[-1:]: v for key, v in group}
                 off = {}
                 push(off, 1, equations, block)
-                meets = any(c in rows for c, in block)
-                if not (off or meets):
-                    continue
-                central = {args + c: block[c] for c in off}
-                tables = [(fam + "-image-central", central, _by_table)]
-                if meets:
+                if off:
+                    yield [(fam + "-image-central", {args + c: block[c] for c in off})]
+                if any(c in rows for c, in block):
                     for eq, values in brackets:
                         kills = {}
                         compose(kills, 1, block, 0, values)
-                        kills = {args + k: w for k, w in kills.items()}
-                        tables.append((fam + eq, kills, _by_table))
-                yield tables
+                        yield [(fam + eq, {args + k: w for k, w in kills.items()})]
 
     ck = Checker("action(%s on %s)" % (g.name, h.name), all_violations)
     ck.tabulate((h.dim,), groups())
@@ -221,11 +216,6 @@ def check_action(r, all_violations=False, center_dim=True):
     if out.passed:
         r.action_certified = True
     return out
-
-
-def _by_table(args):
-    """The one order of every table in a group: witnesses by table, then by key."""
-    return 0
 
 
 def semidirect_product(r):

@@ -18,7 +18,7 @@ from .core import LYAlgebra, check_homomorphism, derived_algebra
 from .errors import DimMismatch, PreconditionFailed, Unverified
 from .linalg import Map, Tensor, graded, graded_push, hom_table, invert, mat, pull, push
 from .reports import Checker
-from .reps import adjoint_rep
+from .reps import adjoint_rep, check_action
 
 
 class RRBOperator:
@@ -279,7 +279,6 @@ def projection_operator(A, h_sub, t_sub):
     if h_sub.ambient_dim != n or t_sub.ambient_dim != n:
         raise PreconditionFailed("t-h-complementary", "subspaces live in ambient %d" % n)
     r = adjoint_rep(A)
-    from .reps import check_action
     if not check_action(r, center_dim=False).passed:
         raise PreconditionFailed("adjoint-is-action",
                                  "the adjoint representation is not an action")

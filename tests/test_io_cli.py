@@ -310,6 +310,69 @@ def test_check_action_output_keeps_its_bytes(tmp_path, capsys):
         "  center_dim: 0"]
 
 
+def test_a_capped_check_action_builds_no_table_after_the_one_that_settles_it(monkeypatch):
+    """abelian3 acting on aff2 by rho(e_i) = E_11 for each i and mu = 0 is a
+    representation whose every acting tuple gives four witnesses, one per
+    table, so the tenth is tuple 2's kill-binary witness: its kill-ternary
+    table is never built, and no compose follows that witness's."""
+    from lyalg import core, reports, reps
+    e11, zero = [[0, 0], [0, 1]], [[0, 0], [0, 0]]
+    r = reps.RepAction(core.abelian(3), lyio.load_algebra(NONCENTRAL_ACTION["carrier"]),
+                       [e11] * 3, [[zero] * 3] * 3)
+    every = [(eq, (i,) + args) for i in range(3) for eq, args in (
+        ("rho-image-central", (1,)), ("rho-kills-binary", (0, 1)),
+        ("rho-kills-ternary", (0, 1, 0)), ("rho-kills-ternary", (1, 0, 0)))]
+    assert [(v.eq, v.args) for v in reps.check_action(r, True).violations] == every
+    log, compose, record = [], reps.compose, reports.Checker._record
+
+    def logged_compose(*args):
+        log.append("compose")
+        return compose(*args)
+
+    def logged_record(self, eq, *args):
+        log.append(eq)
+        return record(self, eq, *args)
+    monkeypatch.setattr(reps, "compose", logged_compose)
+    monkeypatch.setattr(reports.Checker, "_record", logged_record)
+    assert [(v.eq, v.args) for v in reps.check_action(r).violations] == every[:10]
+    assert log.count("compose") == 5
+    assert log[-2:] == ["compose", "rho-kills-binary"]
+
+
+def test_every_library_error_exits_by_one_rule(monkeypatch, capsys):
+    """An AxiomsFailed, of any subclass, exits 1, and every other library
+    error 2; with no report to print, each writes one error line and no
+    output."""
+    from lyalg import errors
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.LyalgError)]
+    assert len(classes) == 15
+    for cls in classes:
+        def fail(*args, cls=cls):
+            raise cls("no %s here" % cls.__name__)
+        monkeypatch.setattr(lyio, "load_algebra", fail)
+        code = 1 if issubclass(cls, errors.AxiomsFailed) else 2
+        assert run(["check", "algebra", fx("nilpotent4.json")]) == code, cls
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: no %s here\n" % cls.__name__)
+
+
+class ClosedStdout:
+    """A stdout whose reader has gone, as under ``lyalg ... | head -c 1``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_a_closed_stdout_exits_2_with_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert run(["check", "algebra", fx("nilpotent4.json"), "--json"]) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
 def test_a_reused_parser_reads_like_a_fresh_process(capsys):
     """The parser is built once per process; after a usage error and --help,
     a check prints the bytes and exit code of a fresh interpreter."""

@@ -39,7 +39,8 @@ def rational(v, where):
 
 
 def matrix(rows, where, nr=None, nc=None):
-    return lyio._Load().matrix(rows, where, nr, nc)
+    m = lyio._Load().matrix(rows, where, nr, nc)
+    return {(r, c): q for r, row in m.rows.items() for c, q in row}, m.shape
 
 
 def sparse(entries, dim, arity, where, antisym):

@@ -381,3 +381,33 @@ def test_a_heavy_import_is_caught(tmp_path):
     with open(tmp_path / "lyalg" / "reports.py", "a", encoding="utf-8") as fh:
         fh.write("import dataclasses\n")
     assert heavy_imports(str(tmp_path)) == ["dataclasses", "inspect"]
+
+
+# Every module imports what it needs at its top, so the import graph is read
+# from the module heads alone and no call pays for an import.
+def function_imports(sources_by_path):
+    """(file, line) of each import statement inside a function."""
+    out = set()
+    for path, text in sources_by_path.items():
+        for fn in ast.walk(ast.parse(text, path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.update((os.path.basename(path), node.lineno) for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom)))
+    return sorted(out)
+
+
+def test_no_library_function_imports():
+    assert function_imports(sources(os.path.join("src", "lyalg"))) == []
+
+
+def test_a_function_local_import_is_caught():
+    snippet = ("import os\n"
+               "def f():\n"
+               "    from .rrb import check_rrb\n"
+               "    def g():\n"
+               "        import json\n"
+               "    return os\n"
+               "class C:\n"
+               "    async def h(self):\n"
+               "        import sys\n")
+    assert function_imports({"m.py": snippet}) == [("m.py", 3), ("m.py", 5), ("m.py", 9)]
