@@ -2,10 +2,10 @@
 
 Exit codes: 0 for a passing verdict; 1 for a failing one, an ``AxiomsFailed``
 too (its report, or one ``error:`` line when it has none); 2 for usage errors,
-any other library error or an ``OSError`` such as a closed stdout, with one
-``error:`` line.  ``--format json`` (or ``--json``) emits a canonical JSON
-payload; ``construct`` subcommands always print a JSON document that the
-matching ``check`` subcommand re-ingests.
+any other library error or an ``OSError``, such as a closed stdout while any
+report prints, with one ``error:`` line.  ``--format json`` (or
+``--json``) emits a canonical JSON payload; ``construct`` subcommands always
+print a JSON document that the matching ``check`` subcommand re-ingests.
 """
 
 import argparse
@@ -208,19 +208,20 @@ def run(argv):
         return 2 if e.code not in (0, None) else 0
     fmt = "json" if args.json else args.format
     try:
-        if args.command == "check":
-            return _cmd_check(args, fmt)
-        if args.command == "construct":
-            return _cmd_construct(args, fmt)
-        if args.command == "cohomology":
-            return _cmd_cohomology(args, fmt)
-        return _cmd_deform(args, fmt)
-    except AxiomsFailed as e:
-        if e.report is not None:
-            _emit_report(e.report, fmt)
-        else:
-            print("error: %s" % e, file=sys.stderr)
-        return 1
+        try:
+            if args.command == "check":
+                return _cmd_check(args, fmt)
+            if args.command == "construct":
+                return _cmd_construct(args, fmt)
+            if args.command == "cohomology":
+                return _cmd_cohomology(args, fmt)
+            return _cmd_deform(args, fmt)
+        except AxiomsFailed as e:
+            if e.report is not None:
+                _emit_report(e.report, fmt)
+            else:
+                print("error: %s" % e, file=sys.stderr)
+            return 1
     except (LyalgError, OSError) as e:     # OSError: a closed stdout, say
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -146,11 +146,14 @@ class Cochain:
 
     def __init__(self, p, m, n, f, g=None):
         lay = _Layout(p, m, n)
-        f = list(f)
+        if not isinstance(f, (list, tuple)) or not isinstance(g, (list, tuple, type(None))):
+            raise ShapeMismatch("f and g must be lists or tuples of value vectors")
         want = (m, None) if p == 1 else (lay.f_blocks, lay.g_blocks)
         if (len(f), None if g is None else len(g)) != want:
             raise ShapeMismatch("a degree-%d cochain has (f, g) of %s vectors" % (p, want))
-        vecs = f + list(g or ())
+        vecs = list(f) + list(g or ())
+        if not all(isinstance(v, (list, tuple)) for v in vecs):
+            raise ShapeMismatch("value vectors must be lists or tuples")
         if any(len(v) != n for v in vecs):
             raise ShapeMismatch("values must have length %d" % n)
         self._set(lay, {b * n + r: q for b, v in enumerate(vecs)

@@ -10,10 +10,11 @@ and ``mat`` and leave as Fractions through ``dense``.  ``rational`` reads
 every rational literal, from the API or a file, ``vector`` every API vector
 and ``mat`` every linear map, into its one form, ``Map``.  No routine
 divides with ``/``, so no float can appear.  The one elimination routine
-takes dense or sparse rows, {column: Fraction or int}, works fraction-free on
+takes sparse rows, {column: Fraction or int}, works fraction-free on
 primitive integer rows, and hands back Fractions; every rank, kernel and
 solve is asked of a ``SparseMat``, which feeds it the columns of its matrix,
 each with a tag for a kernel or a solve, and reads its entries by ``mat``.
+A reduced row echelon basis is read off the canonical kernel.
 Structure tensors (``Tensor``) are their support, {index tuple: {row: q}}
 over the nonzero values, a matrix value's column the last slot of its key.
 ``pull``, ``push`` and ``compose`` are the one contraction primitive: a
@@ -521,15 +522,14 @@ def dense(x, shape):
 # Every rank, kernel, solve and subspace goes through one sparse echelon
 # routine, fraction-free: a row is scaled to integers once, by the lcm
 # of its denominators, and every row it keeps is primitive, {column: int} with
-# content 1 and a positive entry at its pivot, the smallest column it touches,
-# so the pivots are the leftmost possible ones; back-substituted, the rows
-# give the canonical reduced echelon form of the span, whatever their order.
+# content 1 and a positive entry at its pivot, the smallest column it touches.
 # A rank, kernel or solve is asked of a ``SparseMat``, which feeds the echelon
 # the columns of its matrix (``SparseMat.column_echelon``), for a kernel or a
 # solve column c tagged by one more entry at width + c that is never a pivot:
 # a column that depends on the earlier ones is left with tags only, its
 # dependency on the earlier pivot columns, the canonical kernel vector at
-# that free column.
+# that free column.  The reduced row echelon basis of a row space is read off
+# that kernel (``_row_basis``), and an inverse is n solves.
 
 def _primitive(r):
     """The sparse row ``r`` in place divided by the gcd of its entries."""
@@ -541,12 +541,11 @@ def _primitive(r):
 
 
 def _integer_row(row):
-    """The nonzero entries of a rational row, scaled to a primitive integer
-    row; a sparse row of ints is taken as it is and only divided by its gcd."""
-    if isinstance(row, dict) and all(type(v) is int for v in row.values()):
+    """The nonzero entries of a sparse rational row {column: int or Fraction},
+    scaled to a primitive integer row; a row of ints is only divided by its gcd."""
+    if all(type(v) is int for v in row.values()):
         return _primitive({c: v for c, v in row.items() if v})
-    r = {c: v.as_integer_ratio()
-         for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v}
+    r = {c: v.as_integer_ratio() for c, v in row.items() if v}
     if not r:
         return r
     den = math.lcm(*(d for _, d in r.values()))
@@ -577,17 +576,14 @@ def _eliminate(r, p, c):
 class Echelon:
     """Incremental sparse row echelon form over Q, on primitive integer rows.
 
-    ``insert`` adds a row (a dict {col: value} or a dense sequence of ints or
-    Fractions) and reports whether it was independent of the rows before it.
-    ``items`` back-substitutes on demand and returns the canonical reduced
-    echelon basis in Fractions, kept until the next ``insert``.  Columns from
-    ``width`` on are tags, never pivots; a row left with tags only is kept for ``kernel``.
+    ``insert`` adds a sparse row {col: int or Fraction} and reports whether
+    it was independent of the rows before it.  Columns from ``width`` on are
+    tags, never pivots; a row left with tags only is kept for ``kernel``.
     """
 
     def __init__(self, rows=(), width=None):
         self.width = width
         self._rows = {}            # pivot column -> primitive row, row[pivot] > 0
-        self._basis = None         # the cached ``items``
         self._deps = []            # the rows inserted as dependent, tags only
         for row in rows:
             self.insert(row)
@@ -596,16 +592,12 @@ class Echelon:
         """An independent echelon of the same rows; stored rows are never
         changed in place, so they are shared."""
         new = Echelon(width=self.width)
-        new._rows, new._basis, new._deps = dict(self._rows), self._basis, list(self._deps)
+        new._rows, new._deps = dict(self._rows), list(self._deps)
         return new
 
     @property
     def rank(self):
         return len(self._rows)
-
-    @property
-    def pivots(self):
-        return sorted(self._rows)
 
     def reduce(self, row):
         """What is left of ``row`` after eliminating its leading entries, as an
@@ -633,7 +625,6 @@ class Echelon:
             self._deps.append(r)
             return False
         self._rows[c] = r if r[c] > 0 else {k: -v for k, v in r.items()}
-        self._basis = None
         return True
 
     def kernel(self):
@@ -645,40 +636,15 @@ class Echelon:
         w, d = self.width, r[max(r)]
         return {k - w: Fraction(v, d) for k, v in r.items()}
 
-    def items(self):
-        """The reduced echelon basis as (pivot, row dict), pivots increasing,
-        each row a dict of Fractions with 1 at its pivot."""
-        if self._basis is None:
-            stored = self._rows
-            # a row only meets pivots to its right, which are reduced first
-            for c in sorted(stored, reverse=True):
-                row = stored[c]
-                hits = [k for k in row if k != c and k in stored]
-                if hits:
-                    row = dict(row)
-                    for k in hits:
-                        row = _eliminate(row, stored[k], k)
-                    stored[c] = row
-            basis = []
-            for c, row in sorted(stored.items()):
-                d = row[c]
-                basis.append((c, {k: Q1 if k == c else Fraction(v, d)
-                                  for k, v in row.items()}))
-            self._basis = basis
-        return self._basis
-
-    def dense_rows(self, ncols):
-        return tuple(tuple(row.get(c, Q0) for c in range(ncols)) for _, row in self.items())
-
 
 def rref(rows):
     """Reduced row echelon form of the dense rows (``mat``). Returns (rows,
     pivot column list)."""
     M = mat(rows)
     nr, nc = M.shape
-    ech = Echelon(dict(row) for row in M.rows.values())
-    red = ech.dense_rows(nc)
-    return red + ((Q0,) * nc,) * (nr - len(red)), ech.pivots
+    basis = _row_basis(M)
+    red = _dense_rows(basis, nc)
+    return red + ((Q0,) * nc,) * (nr - len(red)), [p for p, _ in basis]
 
 
 def _indices_below(vec, n):
@@ -834,24 +800,48 @@ def solve(rows, b, ncols=None):
 
 
 def invert(M):
-    """The inverse of the square map M (``mat``), as a Map; NotInvertible
-    when M is singular."""
+    """The inverse of the square map M (``mat``), as a Map: its column i
+    solves M x = e_i.  NotInvertible when M is singular."""
     M = mat(M)
     n = M.shape[0]
     if M.shape != (n, n):
         raise DimMismatch("inverse needs a square matrix")
-    ech = Echelon({**dict(M.rows.get(i, ())), n + i: 1} for i in range(n))
-    if ech.pivots[:n] != list(range(n)):
-        raise NotInvertible("matrix is singular")
-    return Map((n, n), [((i, k - n), scalar(q)) for i, row in ech.items()
-                        for k, q in sorted(row.items()) if k >= n])
+    S = SparseMat(n, n, M)
+    try:
+        columns = {(i,): dict(enumerate(S.solve({i: 1}))) for i in range(n)}
+    except Inconsistent:
+        raise NotInvertible("matrix is singular") from None
+    return Map.from_columns(columns, (n, n))
+
+
+def _row_basis(M):
+    """The reduced row echelon basis of the rows of the Map M, as (pivot,
+    {col: Fraction}) pairs, pivots ascending, read off the canonical kernel.
+    Column j is a pivot exactly when it does not depend on the columns
+    before it; a free column f is sum_p a_p (pivot column p), its kernel
+    vector 1 at f, the largest key, and -a_p at each pivot p < f, and row p
+    holds a_p at f."""
+    kernel = [(max(v), v) for v in SparseMat(*M.shape, M).nullspace()]
+    free = {f for f, _ in kernel}
+    rows = {p: {p: Q1} for p in range(M.shape[1]) if p not in free}
+    for f, v in kernel:
+        for p, q in v.items():
+            if p != f:
+                rows[p][f] = -q
+    return list(rows.items())
+
+
+def _dense_rows(basis, n):
+    """The rows of a ``_row_basis`` as dense rows of length n."""
+    return tuple(tuple(row.get(c, Q0) for c in range(n)) for _, row in basis)
 
 
 # ---------------------------------------------------------------------------
 # subspaces
 
 class Subspace:
-    """A subspace of Q^n in canonical (reduced echelon) basis.
+    """A subspace of Q^n in canonical (reduced echelon) basis, spanned by
+    vectors that are lists or tuples of n ``rational`` literals.
 
     Two equal subspaces always store bit-identical bases, whatever spanning
     set they were built from.
@@ -861,9 +851,11 @@ class Subspace:
         self.ambient_dim = ambient_dim
         spanning = list(spanning)
         for v in spanning:
-            if len(v) != ambient_dim:
+            if isinstance(v, (list, tuple)) and len(v) != ambient_dim:
                 raise AmbientMismatch("vector length %d in ambient %d" % (len(v), ambient_dim))
-        self.basis = Echelon(tuple(frac(x) for x in v) for v in spanning).dense_rows(ambient_dim)
+        M = mat(spanning, (len(spanning), ambient_dim),
+                "each of %d spanning vectors must be a list or tuple of %d entries")
+        self.basis = _dense_rows(_row_basis(M), ambient_dim)
 
     @property
     def dim(self):
@@ -875,9 +867,9 @@ class Subspace:
         n = self.ambient_dim
         # Zassenhaus: the rows (u | u) and (w | 0) reduce to (0 | x) exactly for
         # x in the intersection
-        ech = Echelon([u + u for u in self.basis] + [w + (Q0,) * n for w in other.basis])
+        rows = [u + u for u in self.basis] + [w + (Q0,) * n for w in other.basis]
         return Subspace(n, [tuple(row.get(n + c, Q0) for c in range(n))
-                            for pc, row in ech.items() if pc >= n])
+                            for pc, row in _row_basis(mat(rows, (len(rows), 2 * n))) if pc >= n])
 
     def sum(self, other):
         if self.ambient_dim != other.ambient_dim:

@@ -189,6 +189,15 @@ def test_cochain_flat_roundtrip():
         Cochain(1, 3, 2, [(F(0), F(0))] * 2)
 
 
+def test_cochain_vectors_are_lists_or_tuples():
+    """A string or a dict is no value vector, and a string no list of them."""
+    for args in [(1, 2, 2, ["12", (3, 4)]), (1, 2, 2, [(1, 2), {0: 3, 1: 4}]),
+                 (1, 2, 1, "12"), (2, 2, 1, [(0,)], "12"), (2, 2, 1, "1", [(0,), (1,)]),
+                 (2, 2, 2, [(0, 0)], [(0, 0), {0: 1, 1: 2}])]:
+        with pytest.raises(ShapeMismatch):
+            Cochain(*args)
+
+
 def test_induced_rep_is_representation(p3):
     for op in (p3, live_post_operator()):
         assert check_representation(induced_rep(op)).passed

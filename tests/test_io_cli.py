@@ -367,10 +367,15 @@ class ClosedStdout:
         pass
 
 
-def test_a_closed_stdout_exits_2_with_one_error_line(capsys, monkeypatch):
+def test_a_closed_stdout_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    """A returned report and an ``AxiomsFailed`` error's report, an operator
+    over a failing action, take the same exit to a closed stdout."""
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"action": NONCENTRAL_ACTION, "T": [["0", "0"]]}))
     monkeypatch.setattr(sys, "stdout", ClosedStdout())
-    assert run(["check", "algebra", fx("nilpotent4.json"), "--json"]) == 2
-    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+    for argv in (["check", "algebra", fx("nilpotent4.json")], ["check", "rrb", str(op)]):
+        assert run(argv + ["--json"]) == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_a_reused_parser_reads_like_a_fresh_process(capsys):

@@ -411,3 +411,42 @@ def test_a_function_local_import_is_caught():
                "    async def h(self):\n"
                "        import sys\n")
     assert function_imports({"m.py": snippet}) == [("m.py", 3), ("m.py", 5), ("m.py", 9)]
+
+
+# One elimination mode: the echelon of a matrix's columns, built by
+# ``SparseMat`` (and copied to seed H^p); a reduced basis, a subspace and an
+# inverse are read off its kernel and solves, and build none of their own.
+def echelon_builders(sources_by_path):
+    """(file, scope) of each call of ``Echelon(`` or ``x.Echelon(``, the scope
+    the dotted names of the classes and functions around it, "" at the top."""
+    out = set()
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and "Echelon" in (getattr(child.func, "id", None),
+                                                             getattr(child.func, "attr", None)):
+                out.add((os.path.basename(path), ".".join(scope)))
+            visit(child, path, scope)
+    for path, text in sources_by_path.items():
+        visit(ast.parse(text, path), path, ())
+    return sorted(out)
+
+
+def test_only_sparse_mat_builds_an_echelon():
+    assert echelon_builders(sources(os.path.join("src", "lyalg"))) == [
+        ("linalg.py", "Echelon.copy"), ("linalg.py", "SparseMat.column_echelon")]
+
+
+def test_an_echelon_builder_is_caught():
+    snippet = ("E = Echelon()\n"
+               "def f(rows):\n"
+               "    return linalg.Echelon(rows).rank, Echelon\n"
+               "class C:\n"
+               "    def g(self):\n"
+               "        def h():\n"
+               "            return [Echelon(r) for r in self.rows]\n"
+               "        return h\n")
+    assert echelon_builders({"m.py": snippet}) == [("m.py", ""), ("m.py", "C.g.h"), ("m.py", "f")]
