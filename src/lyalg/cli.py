@@ -2,15 +2,16 @@
 
 Exit codes: 0 for a passing verdict; 1 for a failing one, an ``AxiomsFailed``
 too (its report, or one ``error:`` line when it has none); 2 for usage errors,
-any other library error or an ``OSError``, such as a closed stdout while any
-report prints, with one ``error:`` line.  ``--format json`` (or
-``--json``) emits a canonical JSON payload; ``construct`` subcommands always
-print a JSON document that the matching ``check`` subcommand re-ingests.
+any other library error or an ``OSError``, such as a closed or full stdout
+while a report prints or flushes, with one ``error:`` line.  ``--format json``
+(or ``--json``) emits a canonical JSON payload; ``construct`` subcommands
+always print a JSON document that the matching ``check`` subcommand re-ingests.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import io as lyio
@@ -209,26 +210,28 @@ def run(argv):
     fmt = "json" if args.json else args.format
     try:
         try:
-            if args.command == "check":
-                return _cmd_check(args, fmt)
-            if args.command == "construct":
-                return _cmd_construct(args, fmt)
-            if args.command == "cohomology":
-                return _cmd_cohomology(args, fmt)
-            return _cmd_deform(args, fmt)
+            code = {"check": _cmd_check, "construct": _cmd_construct,
+                    "cohomology": _cmd_cohomology, "deform": _cmd_deform}[args.command](args, fmt)
         except AxiomsFailed as e:
             if e.report is not None:
                 _emit_report(e.report, fmt)
             else:
                 print("error: %s" % e, file=sys.stderr)
-            return 1
+            code = 1
+        sys.stdout.flush()      # a buffered report to a full or closed stdout fails here
+        return code
     except (LyalgError, OSError) as e:     # OSError: a closed stdout, say
         print("error: %s" % e, file=sys.stderr)
         return 2
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError:     # what run could not write stays buffered: drop it, or exit retries it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

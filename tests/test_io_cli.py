@@ -378,6 +378,46 @@ def test_a_closed_stdout_exits_2_with_one_error_line(tmp_path, capsys, monkeypat
         assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
+class FullStdout:
+    """A buffered stdout on a full device: a short report fits the buffer, and
+    the write fails only when the buffer is flushed."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+def test_a_buffered_report_to_a_full_stdout_exits_2_with_one_error_line(tmp_path, capsys,
+                                                                        monkeypatch):
+    """run flushes stdout, so a deferred write error takes the same exit as a
+    closed stdout, for a returned report and an ``AxiomsFailed`` error's."""
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"action": NONCENTRAL_ACTION, "T": [["0", "0"]]}))
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    for argv in (["check", "algebra", fx("nilpotent4.json")], ["check", "rrb", str(op)]):
+        assert run(argv + ["--json"]) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_the_console_entry_to_a_full_stdout_exits_2_with_one_error_line(tmp_path):
+    """Through ``main``, with stdout buffered: the output run could not write is
+    dropped, so the interpreter's exit flush adds no second error."""
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"action": NONCENTRAL_ACTION, "T": [["0", "0"]]}))
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for argv in (["check", "algebra", fx("nilpotent4.json")], ["check", "rrb", str(op)]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "lyalg.cli"] + argv + ["--json"],
+                                  stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env={**env, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: [Errno 28] No space left on device\n")
+
+
 def test_a_reused_parser_reads_like_a_fresh_process(capsys):
     """The parser is built once per process; after a usage error and --help,
     a check prints the bytes and exit code of a fresh interpreter."""
