@@ -367,17 +367,6 @@ class ClosedStdout:
         pass
 
 
-def test_a_closed_stdout_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
-    """A returned report and an ``AxiomsFailed`` error's report, an operator
-    over a failing action, take the same exit to a closed stdout."""
-    op = tmp_path / "op.json"
-    op.write_text(json.dumps({"action": NONCENTRAL_ACTION, "T": [["0", "0"]]}))
-    monkeypatch.setattr(sys, "stdout", ClosedStdout())
-    for argv in (["check", "algebra", fx("nilpotent4.json")], ["check", "rrb", str(op)]):
-        assert run(argv + ["--json"]) == 2
-        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
-
-
 class FullStdout:
     """A buffered stdout on a full device: a short report fits the buffer, and
     the write fails only when the buffer is flushed."""
@@ -389,16 +378,18 @@ class FullStdout:
         raise OSError(28, "No space left on device")
 
 
-def test_a_buffered_report_to_a_full_stdout_exits_2_with_one_error_line(tmp_path, capsys,
-                                                                        monkeypatch):
-    """run flushes stdout, so a deferred write error takes the same exit as a
-    closed stdout, for a returned report and an ``AxiomsFailed`` error's."""
+def test_a_closed_stdout_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    """A returned report and an ``AxiomsFailed`` error's report, an operator
+    over a failing action, take the same exit to a closed stdout, and to a
+    full one that fails only when run flushes it."""
     op = tmp_path / "op.json"
     op.write_text(json.dumps({"action": NONCENTRAL_ACTION, "T": [["0", "0"]]}))
-    monkeypatch.setattr(sys, "stdout", FullStdout())
-    for argv in (["check", "algebra", fx("nilpotent4.json")], ["check", "rrb", str(op)]):
-        assert run(argv + ["--json"]) == 2
-        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    for stdout, err in ((ClosedStdout(), "[Errno 32] Broken pipe"),
+                        (FullStdout(), "[Errno 28] No space left on device")):
+        monkeypatch.setattr(sys, "stdout", stdout)
+        for argv in (["check", "algebra", fx("nilpotent4.json")], ["check", "rrb", str(op)]):
+            assert run(argv + ["--json"]) == 2
+            assert capsys.readouterr().err == "error: %s\n" % err
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
